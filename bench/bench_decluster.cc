@@ -18,9 +18,8 @@
 // Reported per row: wall-clock speedup over the single-tree join,
 // replication overhead, work-balance spread across shards, the dedup
 // ledger, and the max/sum modeled micros of the per-shard disk arrays
-// (sum/max = the modeled scale-out factor of K independent nodes). Also
-// exercises the planner's sharded decision on both workloads. Each row is
-// emitted as a JSON line (prefix "JSON ") for scraping.
+// (sum/max = the modeled scale-out factor of K independent nodes). Each
+// row is emitted as a JSON line (prefix "JSON ") for scraping.
 
 #include <algorithm>
 #include <chrono>
@@ -101,10 +100,6 @@ bool RunShape(const char* shape, const std::vector<Rect>& r,
     ref.pairs = Sorted(run.chunks);
   }
 
-  // The planner's sharded decision on this tree pair, for the record.
-  const PlanChoice plan = PlanPairJoin(ri.tree(), si.tree(), PlannerOptions{});
-  std::printf("  plan: %s\n", plan.Describe().c_str());
-
   PrintRow("K", {"pairs", "seconds", "speedup", "repl%", "balance",
                  "suppressed", "modeled S/M"});
   bool ok = true;
@@ -163,7 +158,7 @@ bool RunShape(const char* shape, const std::vector<Rect>& r,
         "\"pairs\":%llu,\"seconds\":%.6f,\"speedup\":%.3f,"
         "\"replicated\":%llu,\"raw_pairs\":%llu,\"suppressed\":%llu,"
         "\"work_spread\":%.3f,\"modeled_sum_micros\":%llu,"
-        "\"modeled_max_micros\":%llu,\"planner_sharded\":%d,\"ok\":%d}\n",
+        "\"modeled_max_micros\":%llu,\"ok\":%d}\n",
         shape, shards, static_cast<unsigned long long>(run.pair_count),
         seconds, ref.seconds / std::max(1e-9, seconds),
         static_cast<unsigned long long>(replicated),
@@ -172,7 +167,7 @@ bool RunShape(const char* shape, const std::vector<Rect>& r,
         wmin > 0 ? wmax / wmin : 0.0,
         static_cast<unsigned long long>(modeled_sum),
         static_cast<unsigned long long>(run.modeled_elapsed_micros),
-        plan.sharded ? 1 : 0, ok ? 1 : 0);
+        ok ? 1 : 0);
   }
   return ok;
 }

@@ -2,15 +2,14 @@
 // by the task-based executor (exec/parallel_executor.h).
 //
 // Runs SJ4 on workload A (TIGER-like streets × rivers, 4 KByte pages) with
-// 1..8 workers in both buffer modes:
-//   * shared  — one sharded, thread-safe pool of 128 KByte for everyone,
-//   * private — one 128 KByte pool per worker (the seed's model).
-// Reports wall-clock speedup over the sequential engine, the buffer hit
-// rate, aggregate disk reads, and the executor's partitioning telemetry
-// (task count, descent depth, per-worker task spread).
+// 1..8 workers over one sharded, thread-safe 128 KByte pool. Reports
+// wall-clock speedup over the sequential engine, the buffer hit rate,
+// aggregate disk reads, and the executor's partitioning telemetry (task
+// count, descent depth, per-worker task spread).
 //
-// Each row is also emitted as a JSON line (prefix "JSON ") so the bench
-// trajectory can be scraped by tooling.
+// SELF-CHECKING: the run exits non-zero when any row's pair count differs
+// from the sequential engine's. Each row is also emitted as a JSON line
+// (prefix "JSON ") so the bench trajectory can be scraped by tooling.
 
 #include <chrono>
 #include <cstdio>
@@ -46,10 +45,9 @@ TaskSpread ComputeSpread(const ParallelJoinResult& result) {
 }
 
 Measured Measure(const TreePair& pair, const JoinOptions& jopt,
-                 unsigned workers, bool shared_pool) {
+                 unsigned workers) {
   ParallelExecutorOptions exec;
   exec.num_threads = workers;
-  exec.shared_pool = shared_pool;
   Measured m;
   const auto t0 = Clock::now();
   m.result = RunParallelSpatialJoin(*pair.r, *pair.s, jopt, exec);
@@ -57,16 +55,16 @@ Measured Measure(const TreePair& pair, const JoinOptions& jopt,
   return m;
 }
 
-void EmitJson(const char* mode, unsigned workers, const Measured& m,
-              double seq_seconds, const TaskSpread& spread) {
+void EmitJson(unsigned workers, const Measured& m, double seq_seconds,
+              const TaskSpread& spread) {
   std::printf(
-      "JSON {\"bench\":\"parallel_scaling\",\"mode\":\"%s\","
+      "JSON {\"bench\":\"parallel_scaling\",\"mode\":\"shared\","
       "\"workers\":%u,\"pairs\":%llu,\"seconds\":%.6f,\"speedup\":%.3f,"
       "\"hit_rate\":%.4f,"
       "\"tasks\":%zu,\"partition_depth\":%d,\"max_worker_tasks\":%llu,"
       "\"min_worker_tasks\":%llu,%s}\n",
-      mode, workers,
-      static_cast<unsigned long long>(m.result.pair_count), m.seconds,
+      workers, static_cast<unsigned long long>(m.result.pair_count),
+      m.seconds,
       seq_seconds / std::max(1e-9, m.seconds),
       m.result.total_stats.HitRate(), m.result.task_count,
       m.result.partition_depth, static_cast<unsigned long long>(spread.max),
@@ -74,36 +72,11 @@ void EmitJson(const char* mode, unsigned workers, const Measured& m,
       IoCountersJson(m.result.total_stats).c_str());
 }
 
-void RunMode(const TreePair& pair, const JoinOptions& jopt, bool shared_pool,
-             double seq_seconds) {
-  const char* mode = shared_pool ? "shared" : "private";
-  std::printf("\n--- %s buffer pool ---\n", mode);
-  PrintRow("workers", {"pairs", "wall (s)", "speedup", "total reads",
-                       "hit rate", "tasks (max/min)"});
-  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    const Measured m = Measure(pair, jopt, workers, shared_pool);
-    const TaskSpread spread = ComputeSpread(m.result);
-    char label[16];
-    std::snprintf(label, sizeof(label), "%u", workers);
-    char spread_cell[32];
-    std::snprintf(spread_cell, sizeof(spread_cell), "%llu / %llu",
-                  static_cast<unsigned long long>(spread.max),
-                  static_cast<unsigned long long>(spread.min));
-    PrintRow(label,
-             {Num(m.result.pair_count), Dbl(m.seconds, 3),
-              Dbl(seq_seconds / std::max(1e-9, m.seconds)),
-              Num(m.result.total_stats.disk_reads),
-              Dbl(m.result.total_stats.HitRate() * 100.0, 1) + "%",
-              std::string(spread_cell)});
-    EmitJson(mode, workers, m, seq_seconds, spread);
-  }
-}
-
 int Main(int argc, char** argv) {
   const double scale = ParseScale(argc, argv);
   PrintBanner(
-      "Parallel join scaling (SJ4, 4 KByte pages, 128 KByte buffer; "
-      "task-based executor, shared vs private pools)",
+      "Parallel join scaling (SJ4, 4 KByte pages, 128 KByte shared buffer; "
+      "task-based executor)",
       "Section 6 future work: parallel R-tree joins", scale);
   const Workload w = MakeWorkload(TestCase::kA, scale);
   const TreePair pair = BuildTreePair(w.r, w.s, kPageSize4K);
@@ -129,14 +102,39 @@ int Main(int argc, char** argv) {
       sequential.stats.HitRate(),
       IoCountersJson(sequential.stats).c_str());
 
-  RunMode(pair, jopt, /*shared_pool=*/true, seq_seconds);
-  RunMode(pair, jopt, /*shared_pool=*/false, seq_seconds);
+  bool ok = true;
+  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+    const Measured m = Measure(pair, jopt, workers);
+    const TaskSpread spread = ComputeSpread(m.result);
+    char label[16];
+    std::snprintf(label, sizeof(label), "%u", workers);
+    char spread_cell[32];
+    std::snprintf(spread_cell, sizeof(spread_cell), "%llu / %llu",
+                  static_cast<unsigned long long>(spread.max),
+                  static_cast<unsigned long long>(spread.min));
+    PrintRow(label,
+             {Num(m.result.pair_count), Dbl(m.seconds, 3),
+              Dbl(seq_seconds / std::max(1e-9, m.seconds)),
+              Num(m.result.total_stats.disk_reads),
+              Dbl(m.result.total_stats.HitRate() * 100.0, 1) + "%",
+              std::string(spread_cell)});
+    EmitJson(workers, m, seq_seconds, spread);
+    if (m.result.pair_count != sequential.pair_count) {
+      std::fprintf(stderr, "FAIL workers=%u: %llu pairs, sequential %llu\n",
+                   workers,
+                   static_cast<unsigned long long>(m.result.pair_count),
+                   static_cast<unsigned long long>(sequential.pair_count));
+      ok = false;
+    }
+  }
 
+  if (!ok) {
+    std::fprintf(stderr, "\nbench_parallel_scaling: SELF-CHECK FAILED\n");
+    return 1;
+  }
   std::printf(
-      "\nDepth-adaptive declustering into work-stealing tasks: identical\n"
-      "result sets in every configuration. The shared pool serves hot\n"
-      "directory pages to all workers from one frame set; private pools\n"
-      "re-read them per worker, which shows up as extra disk reads.\n");
+      "\nself-check passed: depth-adaptive declustering into work-stealing\n"
+      "tasks gives the sequential pair count at every worker count.\n");
   return 0;
 }
 

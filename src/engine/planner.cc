@@ -99,14 +99,6 @@ PlanChoice PlanPairJoin(const RTree& r, const RTree& s,
   // (every serving query) skip it.
   if (exact_geometry) PriceRefinement(options, &plan);
   plan.raster_grid_bits = options.raster_grid_bits;
-  // Declustered execution: past the size floor, and only when the
-  // estimated join CPU amortizes re-packing both sides into per-shard
-  // trees (pairwise joins only — chains keep the single-tree pipeline).
-  plan.sharded =
-      plan.estimate.page_reads >= options.shard_page_read_floor &&
-      plan.estimate.sj1_comparisons >=
-          options.shard_build_advantage * plan.estimate.build_comparisons;
-  plan.shard_count = options.shard_count;
   return plan;
 }
 
@@ -159,17 +151,15 @@ std::string PlanChoice::Describe() const {
   std::snprintf(buf, sizeof(buf),
                 "plan{algo=%s pipelined=%d spill=%d budget=%zu prefetch=%d "
                 "ahead=%zu raster=%d raster_cost=%.1f exact_cost=%.1f "
-                "bits=%u sharded=%d shards=%u "
+                "bits=%u "
                 "est{node_pairs=%.1f page_reads=%.1f sj1_cmp=%.1f "
-                "result=%.1f build_cmp=%.1f peak_tuples=%.1f}}",
+                "result=%.1f peak_tuples=%.1f}}",
                 JoinAlgorithmName(algorithm), pipelined ? 1 : 0,
                 spill ? 1 : 0, spill_budget_chunks, prefetch ? 1 : 0,
                 prefetch_ahead, refine_raster ? 1 : 0, raster_cost,
-                exact_cost, raster_grid_bits, sharded ? 1 : 0, shard_count,
-                estimate.node_pairs,
+                exact_cost, raster_grid_bits, estimate.node_pairs,
                 estimate.page_reads, estimate.sj1_comparisons,
-                estimate.result_pairs, estimate.build_comparisons,
-                peak_intermediate_tuples);
+                estimate.result_pairs, peak_intermediate_tuples);
   return std::string(buf);
 }
 

@@ -11,7 +11,9 @@
 // Decisions, each on one estimator output against one tunable threshold
 // (thresholds are options precisely so tests and benches can place one
 // workload on each side of every boundary) — except `refine`, which
-// compares two priced costs:
+// compares two priced costs. Every decision is one the executors run;
+// declustered execution (src/shard/) is an explicit executor a caller
+// picks, not a planner output.
 //
 //   * variant   — expected SJ1 comparison count below
 //                 `sj1_comparison_ceiling` keeps plain nested loops (kSJ1:
@@ -57,12 +59,6 @@
 //                 chains at 2-64 vertices (10 and 14 bits) and 256
 //                 vertices on 14 bits. It won (~2x) only at 256 vertices
 //                 on 10 bits, which the one-segment price cannot see.
-//   * sharded   — pairwise joins whose estimated page reads pass
-//                 `shard_page_read_floor` AND whose estimated join CPU
-//                 amortizes the per-shard tree rebuilds (the estimator's
-//                 build_comparisons term times `shard_build_advantage`)
-//                 run declustered over `shard_count` per-shard trees
-//                 (src/shard/) instead of one tree pair.
 //
 // PlanChoice::Describe() serializes the choice AND the estimator inputs
 // that produced it — the engine stores it per session, so every decision
@@ -100,17 +96,6 @@ struct PlannerOptions {
   size_t prefetch_ahead = 32;
   // Grid resolution the raster tier is priced at and handed when chosen.
   unsigned raster_grid_bits = 14;
-  // Size floor of declustered (sharded) execution: estimated page reads
-  // at or above which partition-then-join is considered at all — below
-  // it one tree pair fits one node and sharding only adds build work.
-  double shard_page_read_floor = 100000;
-  // Build-amortization gate: sharded execution re-packs both sides into
-  // per-shard trees, so it is only chosen when the estimated join CPU is
-  // at least this multiple of the estimated build cost
-  // (sj1_comparisons >= shard_build_advantage * build_comparisons).
-  double shard_build_advantage = 2.0;
-  // Shard count handed to the declustering layer when it is chosen.
-  unsigned shard_count = 4;
 };
 
 struct PlanChoice {
@@ -127,12 +112,6 @@ struct PlanChoice {
   // exact segment test (both 0 for MBR-only plans).
   double raster_cost = 0.0;
   double exact_cost = 0.0;
-  // Declustered execution (src/shard/): chosen for pairwise joins past
-  // the size floor whose join cost amortizes the per-shard rebuilds.
-  // The runner routes through RunShardedSpatialJoin instead of a single
-  // tree pair (chains ignore it).
-  bool sharded = false;
-  unsigned shard_count = 4;
 
   // The estimator inputs the decisions were made on. For chains:
   // node_pairs/page_reads/sj1_comparisons sum the per-phase pairwise

@@ -211,7 +211,6 @@ void QueryEngine::RunSession(QuerySession* session) {
   JoinOptions join = spec.join;
   ParallelExecutorOptions exec = options_.exec_base;
   exec.num_threads = std::max(2u, options_.session_threads);
-  exec.shared_pool = true;
   exec.node_cache = node_cache_ != nullptr;
   exec.io_scheduler = &io_;
   exec.own_io_lifecycle = false;  // the engine folds clocks per batch

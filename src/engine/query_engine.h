@@ -188,10 +188,9 @@ class QueryEngine {
     // Planner thresholds (see engine/planner.h).
     PlannerOptions planner;
     // Base executor options for every session: chunk sizing, channel
-    // bound, elastic pipelining, partition multiplier. The engine
-    // overrides the resource fields (threads, pool mode, io_scheduler,
-    // task_runner, governor, lifecycle) and the planner overrides its
-    // decisions.
+    // bound, partition multiplier. The engine overrides the resource
+    // fields (threads, node cache, io_scheduler, task_runner, governor,
+    // lifecycle) and the planner overrides its decisions.
     ParallelExecutorOptions exec_base;
     // Span/counter sink (obs/trace.h) shared by every layer the engine
     // drives: sessions get per-query pids, the scheduler/governor emit on

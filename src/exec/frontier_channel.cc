@@ -22,27 +22,6 @@ void FrontierChannel::Push(FrontierChunk chunk) {
   not_empty_.notify_one();
 }
 
-bool FrontierChannel::TryPush(FrontierChunk* chunk) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (queue_.size() >= bound_) return false;
-  queue_.push_back(std::move(*chunk));
-  ++chunks_pushed_;
-  peak_size_ = std::max(peak_size_, queue_.size());
-  not_empty_.notify_one();
-  return true;
-}
-
-FrontierChannel::PopResult FrontierChannel::TryPop(FrontierChunk* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (queue_.empty()) {
-    return open_producers_ == 0 ? PopResult::kClosed : PopResult::kEmpty;
-  }
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  not_full_.notify_one();
-  return PopResult::kGot;
-}
-
 bool FrontierChannel::Pop(FrontierChunk* out) {
   std::unique_lock<std::mutex> lock(mu_);
   not_empty_.wait(lock, [this]() {

@@ -68,22 +68,10 @@ class FrontierChannel {
   // enqueues. Only registered, un-retired producers may push.
   void Push(FrontierChunk chunk);
 
-  // Non-blocking push: enqueues and returns true unless the channel is
-  // full, in which case `*chunk` is left untouched and the caller keeps
-  // ownership. The elastic pipeline's help-on-full edge: a producer that
-  // cannot push drains downstream work itself instead of blocking.
-  bool TryPush(FrontierChunk* chunk);
-
   // Dequeues the oldest chunk; blocks while the channel is empty and
   // producers remain. Returns false when drained and all producers
   // retired — the consumer's signal to flush and shut down.
   bool Pop(FrontierChunk* out);
-
-  // Non-blocking pop for workers that service several channels: kGot
-  // hands out a chunk, kEmpty means nothing available right now but
-  // producers remain, kClosed means drained with all producers retired.
-  enum class PopResult { kGot, kEmpty, kClosed };
-  PopResult TryPop(FrontierChunk* out);
 
   // Marks one producer done. The last retirement wakes blocked poppers.
   void RetireProducer();

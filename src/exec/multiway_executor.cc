@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <span>
 #include <thread>
@@ -12,7 +11,6 @@
 #include "exec/task_scheduler.h"
 #include "io/io_scheduler.h"
 #include "io/prefetcher.h"
-#include "storage/buffer_pool.h"
 #include "storage/node_cache.h"
 #include "storage/shared_buffer_pool.h"
 
@@ -55,14 +53,10 @@ struct FrontierGauge {
 };
 
 // Accumulates same-arity tuples into fixed-capacity FrontierChunks and
-// pushes each one downstream as it fills (single producer thread).
+// pushes each one into the downstream channel as it fills (single
+// producer thread; the push blocks while the channel is full).
 class FrontierWriter {
  public:
-  // Completed chunks go to the downstream sink: either a channel's
-  // blocking Push, or a caller-supplied push function (the elastic team's
-  // help-on-full TryPush loop).
-  using PushFn = std::function<void(FrontierChunk)>;
-
   FrontierWriter(uint32_t arity, size_t capacity_tuples,
                  FrontierChannel* channel, FrontierGauge* gauge)
       : arity_(arity),
@@ -70,16 +64,6 @@ class FrontierWriter {
         channel_(channel),
         gauge_(gauge) {
     RSJ_DCHECK(channel != nullptr);
-    Reset();
-  }
-
-  FrontierWriter(uint32_t arity, size_t capacity_tuples, PushFn push_fn,
-                 FrontierGauge* gauge)
-      : arity_(arity),
-        capacity_tuples_(capacity_tuples),
-        push_fn_(std::move(push_fn)),
-        gauge_(gauge) {
-    RSJ_DCHECK(push_fn_ != nullptr);
     Reset();
   }
 
@@ -126,11 +110,7 @@ class FrontierWriter {
   void Push() {
     // The tuples were gauged as they entered the chunk; the consumer
     // un-gauges the whole chunk after processing it.
-    if (channel_ != nullptr) {
-      channel_->Push(std::move(current_));
-    } else {
-      push_fn_(std::move(current_));
-    }
+    channel_->Push(std::move(current_));
     Reset();
   }
 
@@ -142,23 +122,19 @@ class FrontierWriter {
 
   uint32_t arity_;
   size_t capacity_tuples_;
-  FrontierChannel* channel_ = nullptr;
-  PushFn push_fn_;
+  FrontierChannel* channel_;
   FrontierGauge* gauge_;
   FrontierChunk current_;
 };
 
-// Reads `tree`'s root through the worker's cache and hints its children
-// into `prefetcher`'s pool: every frontier tuple descends from this root,
-// so its children are the phase's shared read frontier. The root itself is
-// read synchronously right here to learn them — prefetching it too would
-// only be consumed on the next statement with its full stall. Works for
-// shared pools (one coordinator-side call) and private pools (one call per
-// worker, hints scoped to that worker's own pool — the same owner-scoping
-// the IoScheduler coalesces by).
+// Reads `tree`'s root through the chain's pool (and decode cache, when
+// one is attached) and hints its children into `prefetcher`: every
+// frontier tuple descends from this root, so its children are the
+// phase's shared read frontier. The root itself is read synchronously
+// right here to learn them — prefetching it too would only be consumed on
+// the next statement with its full stall.
 void HintProbeRoot(const RTree& tree, PageCache* pages, NodeCache* nodes,
                    const Prefetcher* prefetcher, Statistics* stats) {
-  if (prefetcher == nullptr) return;
   const PagedFile& file = tree.file();
   const PageId root = tree.root_page();
   std::shared_ptr<const DecodedNode> cached;
@@ -199,144 +175,263 @@ ParallelChainJoinResult SequentialChainFallback(
   return result;
 }
 
-// Everything one probe worker of the MATERIALIZED formulation owns. Only
-// the owning worker thread touches a context while the scheduler runs
-// (work stealing moves chunk indices, not contexts).
+// Everything one probe worker owns. Only the owning thread touches it
+// while a phase runs (work stealing moves chunk indices, not workers).
 struct ProbeWorker {
   Statistics stats;
-  std::unique_ptr<BufferPool> private_pool;    // null in shared-pool mode
-  std::unique_ptr<Prefetcher> private_prefetcher;  // over the private pool
-  std::vector<std::vector<uint32_t>> out;      // extended tuples, this phase
-  std::vector<uint32_t> matches;               // per-probe scratch
-  std::unique_ptr<TupleSpiller> spiller;       // last phase, when spilling
   uint64_t chunks = 0;
-  size_t hinted_through_phase = 1;  // probe roots hinted up to this phase
+  std::vector<uint32_t> matches;  // per-probe scratch
+  // Extended tuples: the phase's next frontier when materialized, the
+  // collected final tuples when pipelined.
+  std::vector<std::vector<uint32_t>> tuples;
+  uint64_t final_tuples = 0;              // pipelined last phase: emitted
+  std::unique_ptr<TupleSpiller> spiller;  // last phase, when spilling
+  SpilledTupleSet spilled;                // the spiller's share, once taken
+  std::thread thread;                     // pipelined teams only
+
+  // Appends prefix ++ [id] to the spiller when there is one, else (when
+  // `keep`) to `tuples`.
+  void Emit(const uint32_t* prefix, uint32_t prefix_len, uint32_t id,
+            bool keep) {
+    if (spiller != nullptr) {
+      spiller->Append(prefix, prefix_len, id);
+    } else if (keep) {
+      std::vector<uint32_t> longer;
+      longer.reserve(prefix_len + 1);
+      longer.assign(prefix, prefix + prefix_len);
+      longer.push_back(id);
+      tuples.push_back(std::move(longer));
+    }
+  }
 };
 
-// One worker of a pipelined probe team: a dedicated thread that pops
-// frontier chunks from its phase's input channel as they arrive.
-struct PipelineProbeWorker {
-  Statistics stats;
-  std::unique_ptr<BufferPool> private_pool;    // null in shared-pool mode
-  std::unique_ptr<Prefetcher> private_prefetcher;  // over the private pool
-  uint64_t chunks = 0;
-  uint64_t final_tuples = 0;                   // last phase: tuples emitted
-  std::vector<std::vector<uint32_t>> tuples;   // last phase, when collected
-  std::unique_ptr<TupleSpiller> spiller;       // last phase, when spilling
-  SpilledTupleSet spilled;                     // the spiller's share, taken
-                                               // on the worker's own thread
-  std::thread thread;
-};
-
-// One buffer, one decode cache and one prefetcher for a whole chain run
-// (shared-pool mode), plus the modeled-clock snapshots. Built by one
-// helper for both formulations, so the A/B pair is configured identically
-// by construction.
+// The resources one chain run shares across its phases and workers: one
+// buffer, one decode cache and one prefetcher (owned, or the engine's
+// borrowed pool and cache), the modeled-clock snapshots, and the spill
+// context of the final tuple set. Both formulations build it the same way.
 struct ChainContext {
-  std::unique_ptr<SharedBufferPool> shared;      // null when borrowed
-  std::unique_ptr<NodeCache> shared_nodes;       // null when borrowed
-  std::unique_ptr<Prefetcher> prefetcher;  // shared-pool mode only
+  ChainContext(const std::vector<JoinRelation>& relations,
+               const JoinOptions& options,
+               const ParallelExecutorOptions& exec_options,
+               bool collect_tuples, SharedBufferPool* ext_pool,
+               NodeCache* ext_nodes)
+      : exec(exec_options),
+        arity(static_cast<uint32_t>(relations.size())),
+        io(exec_options.io_scheduler),
+        owns_io(io != nullptr && exec_options.own_io_lifecycle),
+        spill_on(collect_tuples && exec_options.spill_results) {
+    io_clock_before = owns_io ? io->NowMicros() : 0;
+    io_batches_before = io != nullptr ? io->io_batches() : 0;
+    io_floor_before = io != nullptr && !owns_io ? io->FloorMicros() : 0;
+    pool = ext_pool;
+    if (pool == nullptr) {
+      owned_pool = std::make_unique<SharedBufferPool>(
+          SharedBufferPool::Options{options.buffer_bytes,
+                                    relations[0].tree->options().page_size,
+                                    options.eviction_policy,
+                                    exec_options.pool_shards});
+      pool = owned_pool.get();
+    }
+    if (io != nullptr) pool->AttachIoScheduler(io);
+    nodes = ext_nodes;
+    if (nodes == nullptr && exec_options.node_cache) {
+      owned_nodes = std::make_unique<NodeCache>(
+          pool, NodeCache::Options{exec_options.node_cache_capacity,
+                                   exec_options.pool_shards});
+      nodes = owned_nodes.get();
+    }
+    if (exec_options.prefetch) {
+      prefetcher = std::make_unique<Prefetcher>(
+          pool, Prefetcher::Options{exec_options.prefetch_ahead});
+    }
+    // Spill context of the final tuple set: one serialized file and one
+    // resident budget shared by the last phase's workers
+    // (exec/spill_sink.h).
+    if (spill_on) {
+      spill_file = std::make_shared<SpillFile>(
+          SpillFile::Options{exec_options.spill_page_size, io,
+                             exec_options.tracer, exec_options.trace_pid});
+      spill_budget = std::make_unique<ResidentBudget>(
+          exec_options.spill_budget_chunks, exec_options.memory_governor,
+          MemoryCategory::kResultChunks, TupleChunkBytes());
+      spill_budget->AttachTracer(exec_options.tracer, exec_options.trace_pid);
+    }
+  }
+
+  ChainContext(const ChainContext&) = delete;
+  ChainContext& operator=(const ChainContext&) = delete;
+
+  // Bytes one resident final-tuple chunk (chunk_capacity tuples of the
+  // chain's full arity) leases from the run-wide governor.
+  uint64_t TupleChunkBytes() const {
+    return static_cast<uint64_t>(exec.chunk_capacity) * arity *
+           sizeof(uint32_t);
+  }
+
+  // Gives a final-phase worker its tuple spiller over the shared file and
+  // budget, charging its writes to the worker's own clock.
+  void AttachSpiller(ProbeWorker* worker) const {
+    worker->spiller = std::make_unique<TupleSpiller>(
+        arity, exec.chunk_capacity, spill_file.get(), spill_budget.get(),
+        &worker->stats);
+  }
+
+  // Probes `tree` with the window of object `last` of `prev_rects` — the
+  // frontier tuple's last element; the matches land in worker->matches.
+  void ProbeTuple(const RTree& tree, const std::vector<Rect>& prev_rects,
+                  const JoinOptions& options, uint32_t last,
+                  ProbeWorker* worker) const {
+    RSJ_DCHECK(last < prev_rects.size());
+    worker->matches.clear();
+    ProbeChainWindow(tree, pool, nodes, options, prev_rects[last],
+                     &worker->stats, &worker->matches);
+  }
+
+  // Runs `body` as one probe chunk of `worker` under a sampled
+  // probe_chunk span whose modeled range is the worker's actor clock.
+  template <typename Body>
+  void RunProbeChunk(ProbeWorker* worker, const char* arg, uint64_t value,
+                     const Body& body) const {
+    ++worker->chunks;
+    TraceSpan span(exec.tracer, "exec", "probe_chunk", exec.trace_pid,
+                   /*sampled=*/true);
+    const uint64_t modeled_before =
+        span.active() && io != nullptr ? io->ActorClock(&worker->stats) : 0;
+    body();
+    if (span.active()) {
+      if (io != nullptr) {
+        span.set_modeled_range(modeled_before, io->ActorClock(&worker->stats));
+      }
+      span.set_arg(arg, value);
+    }
+  }
+
+  // Closes the chain's modeled I/O window; every timed write (the
+  // spillers' sealing Take() included) must be on the clocks by now.
+  // Owned lifecycle: drain, account the batch delta since `batches_from`
+  // once, and merge every clock. Borrowed: retire this chain's actors and
+  // measure elapsed against the floor at entry, never below the pairwise
+  // phase's end; the shared io_batches counter is left to the engine.
+  void FinishIo(uint64_t batches_from, uint64_t pairwise_elapsed,
+                const std::vector<std::unique_ptr<ProbeWorker>>& workers,
+                ParallelChainJoinResult* result) {
+    if (owns_io) {
+      io->Drain();
+      coordinator.io_batches += io->io_batches() - batches_from;
+      result->modeled_elapsed_micros =
+          io->SynchronizeClocks() - io_clock_before;
+    } else if (io != nullptr) {
+      uint64_t finish = io_floor_before + pairwise_elapsed;
+      finish = std::max(finish, io->RetireActor(&coordinator));
+      for (const auto& worker : workers) {
+        finish = std::max(finish, io->RetireActor(&worker->stats));
+      }
+      result->modeled_elapsed_micros = finish - io_floor_before;
+    }
+  }
+
+  // Merges the coordinator and every probe worker into the result. Worker
+  // i fills slot i % num_threads (the materialized formulation has one
+  // worker per slot; the pipelined one a team of them per phase).
+  void MergeWorkers(std::vector<std::unique_ptr<ProbeWorker>>* workers,
+                    ParallelChainJoinResult* result) {
+    result->total_stats.MergeFrom(coordinator);
+    result->worker_probe_chunks.assign(exec.num_threads, 0);
+    for (size_t i = 0; i < workers->size(); ++i) {
+      ProbeWorker& worker = *(*workers)[i];
+      const size_t w = i % exec.num_threads;
+      result->worker_probe_chunks[w] += worker.chunks;
+      result->worker_stats[w].MergeFrom(worker.stats);
+      result->total_stats.MergeFrom(worker.stats);
+      result->tuple_count += worker.final_tuples;
+      if (worker.spiller != nullptr) {
+        result->spilled_tuples.MergeFrom(std::move(worker.spilled));
+      }
+      if (worker.tuples.empty()) continue;
+      if (result->tuples.empty()) {
+        result->tuples = std::move(worker.tuples);
+      } else {
+        result->tuples.reserve(result->tuples.size() + worker.tuples.size());
+        for (auto& tuple : worker.tuples) {
+          result->tuples.push_back(std::move(tuple));
+        }
+      }
+    }
+  }
+
+  // Reports the final tuple set's residency: the spill budget's peak, or
+  // — for collected tuple vectors — the whole output in chunk-capacity
+  // units through an unbounded gauge that also mirrors the bytes into the
+  // run-wide governor, so spill-on/off A/Bs compare one counter and one
+  // ledger.
+  void NoteTupleSet(bool collect_tuples, ParallelChainJoinResult* result) {
+    if (spill_on) {
+      result->spilled_tuples.arity = arity;
+      if (result->spilled_tuples.file == nullptr) {
+        // The 2-relation re-wrap keeps the pairwise executor's file.
+        result->spilled_tuples.file = std::move(spill_file);
+      }
+      result->total_stats.NoteResultChunksResident(spill_budget->peak());
+    } else if (collect_tuples) {
+      ResidentBudget gauge(ResidentBudget::kUnbounded, exec.memory_governor,
+                           MemoryCategory::kResultChunks, TupleChunkBytes());
+      const uint64_t cap = exec.chunk_capacity;
+      const uint64_t held = (result->tuple_count + cap - 1) / cap;
+      for (uint64_t c = 0; c < held; ++c) gauge.Admit();
+      result->total_stats.NoteResultChunksResident(gauge.peak());
+    }
+  }
+
+  const ParallelExecutorOptions& exec;
+  const uint32_t arity;  // relations in the chain
+  std::unique_ptr<SharedBufferPool> owned_pool;  // null when borrowed
+  std::unique_ptr<NodeCache> owned_nodes;        // null when borrowed
+  std::unique_ptr<Prefetcher> prefetcher;        // null without prefetch
   // The effective pool/cache: the owned instances above or the engine's
   // borrowed ones.
   SharedBufferPool* pool = nullptr;
   NodeCache* nodes = nullptr;
-  IoScheduler* io = nullptr;
-  bool owns_io = false;
+  IoScheduler* const io;
+  const bool owns_io;
   uint64_t io_clock_before = 0;
   uint64_t io_batches_before = 0;
   uint64_t io_floor_before = 0;  // borrowed lifecycle: elapsed baseline
+  const bool spill_on;
+  std::shared_ptr<SpillFile> spill_file;
+  std::unique_ptr<ResidentBudget> spill_budget;
+  Statistics coordinator;  // probe-root prefetch hints, I/O batch delta
 };
 
-ChainContext MakeChainContext(const JoinOptions& options,
-                              const ParallelExecutorOptions& exec_options,
-                              uint32_t page_size,
-                              SharedBufferPool* ext_pool = nullptr,
-                              NodeCache* ext_nodes = nullptr) {
-  ChainContext ctx;
-  ctx.io = exec_options.io_scheduler;
-  ctx.owns_io = ctx.io != nullptr && exec_options.own_io_lifecycle;
-  ctx.io_clock_before = ctx.owns_io ? ctx.io->NowMicros() : 0;
-  ctx.io_batches_before = ctx.io != nullptr ? ctx.io->io_batches() : 0;
-  ctx.io_floor_before =
-      ctx.io != nullptr && !ctx.owns_io ? ctx.io->FloorMicros() : 0;
-  if (exec_options.shared_pool) {
-    if (ext_pool != nullptr) {
-      ctx.pool = ext_pool;
-    } else {
-      ctx.shared = std::make_unique<SharedBufferPool>(
-          SharedBufferPool::Options{options.buffer_bytes, page_size,
-                                    options.eviction_policy,
-                                    exec_options.pool_shards});
-      ctx.pool = ctx.shared.get();
-    }
-    if (ctx.io != nullptr) ctx.pool->AttachIoScheduler(ctx.io);
-    if (ext_nodes != nullptr) {
-      ctx.nodes = ext_nodes;
-    } else if (exec_options.node_cache) {
-      ctx.shared_nodes = std::make_unique<NodeCache>(
-          ctx.pool, NodeCache::Options{exec_options.node_cache_capacity,
-                                       exec_options.pool_shards});
-      ctx.nodes = ctx.shared_nodes.get();
-    }
-    if (exec_options.prefetch) {
-      ctx.prefetcher = std::make_unique<Prefetcher>(
-          ctx.pool, Prefetcher::Options{exec_options.prefetch_ahead});
-    }
+// Folds the pairwise phase's telemetry and counters into the chain result.
+void FoldPairwise(const ParallelJoinResult& pairwise, unsigned num_threads,
+                  ParallelChainJoinResult* result) {
+  result->pairwise_task_count = pairwise.task_count;
+  result->partition_depth = pairwise.partition_depth;
+  result->total_stats.MergeFrom(pairwise.total_stats);
+  for (size_t w = 0; w < pairwise.worker_stats.size(); ++w) {
+    result->worker_stats[w % num_threads].MergeFrom(pairwise.worker_stats[w]);
   }
-  return ctx;
 }
 
-// Bytes one resident final-tuple chunk (chunk_capacity tuples of the
-// chain's full arity) leases from the run-wide governor.
-uint64_t TupleChunkBytes(const ParallelExecutorOptions& exec_options,
-                         size_t arity) {
-  return static_cast<uint64_t>(exec_options.chunk_capacity) * arity *
-         sizeof(uint32_t);
-}
-
-// The PR 2 formulation, kept as the A/B baseline: every probe phase
-// barriers on the whole frontier of its predecessor, so
-// frontier_peak_tuples is the largest intermediate result.
+// The barrier formulation, which the planner selects below
+// pipeline_tuple_floor: every probe phase barriers on the whole frontier
+// of its predecessor, so frontier_peak_tuples is the largest intermediate
+// result — and no channel machinery is paid for small frontiers.
 ParallelChainJoinResult RunMaterializedChain(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples,
     SharedBufferPool* ext_pool, NodeCache* ext_nodes) {
   const unsigned num_threads = exec_options.num_threads;
-  const uint32_t page_size = relations[0].tree->options().page_size;
   ParallelChainJoinResult result;
-  result.used_shared_pool = exec_options.shared_pool;
   result.worker_stats.resize(num_threads);
 
   // One buffer and one decode cache for the whole chain: the pairwise
   // phase warms both, the probe phases keep hitting the same directory
   // pages for every frontier tuple.
-  ChainContext ctx =
-      MakeChainContext(options, exec_options, page_size, ext_pool, ext_nodes);
-  SharedBufferPool* const shared = ctx.pool;
-  NodeCache* const shared_nodes = ctx.nodes;
-  Prefetcher* const prefetcher = ctx.prefetcher.get();
+  ChainContext ctx(relations, options, exec_options, collect_tuples,
+                   ext_pool, ext_nodes);
   IoScheduler* const io = ctx.io;
-  const uint64_t io_clock_before = ctx.io_clock_before;
-  result.used_node_cache = shared_nodes != nullptr;
-  Statistics chain_coordinator;  // probe-phase prefetch hints
-
-  // Spill context of the final tuple set, mirroring the pipelined
-  // formulation: one serialized file and one resident budget shared by the
-  // last phase's workers (exec/spill_sink.h).
-  const bool spill_on = collect_tuples && exec_options.spill_results;
-  const uint64_t tuple_chunk_bytes =
-      TupleChunkBytes(exec_options, relations.size());
-  std::shared_ptr<SpillFile> spill_file;
-  std::unique_ptr<ResidentBudget> spill_budget;
-  if (spill_on) {
-    spill_file = std::make_shared<SpillFile>(
-        SpillFile::Options{exec_options.spill_page_size, io,
-                           exec_options.tracer, exec_options.trace_pid});
-    spill_budget = std::make_unique<ResidentBudget>(
-        exec_options.spill_budget_chunks, exec_options.memory_governor,
-        MemoryCategory::kResultChunks, tuple_chunk_bytes);
-    spill_budget->AttachTracer(exec_options.tracer, exec_options.trace_pid);
-  }
+  result.used_node_cache = ctx.nodes != nullptr;
 
   // Phase 1: the partitioned pairwise executor over relations 0 ⋈ 1,
   // materializing the pairs as the initial tuple frontier.
@@ -348,22 +443,17 @@ ParallelChainJoinResult RunMaterializedChain(
   // pairwise executor runs in its own bounded spill_results form and its
   // result is re-wrapped below.
   const bool pairwise_is_final = relations.size() == 2;
-  pair_exec.spill_results = spill_on && pairwise_is_final;
+  pair_exec.spill_results = ctx.spill_on && pairwise_is_final;
   ParallelJoinResult pairwise = RunParallelSpatialJoinWith(
-      *relations[0].tree, *relations[1].tree, options, pair_exec, shared,
-      shared_nodes);
+      *relations[0].tree, *relations[1].tree, options, pair_exec, ctx.pool,
+      ctx.nodes);
   // The pairwise executor already accounted its own I/O batches; the chain
   // only adds the delta of the probe phases below.
   const uint64_t io_batches_mid = io != nullptr ? io->io_batches() : 0;
-  result.pairwise_task_count = pairwise.task_count;
-  result.partition_depth = pairwise.partition_depth;
-  result.total_stats.MergeFrom(pairwise.total_stats);
-  for (size_t w = 0; w < pairwise.worker_stats.size(); ++w) {
-    result.worker_stats[w % num_threads].MergeFrom(pairwise.worker_stats[w]);
-  }
+  FoldPairwise(pairwise, num_threads, &result);
 
   std::vector<std::vector<uint32_t>> frontier;
-  if (pairwise_is_final && spill_on) {
+  if (pairwise_is_final && ctx.spill_on) {
     // No probe phases. A ResultPair block is layout-identical to a flat
     // [r, s] tuple run, so the pairwise executor's bounded SpilledResult
     // transfers into the tuple set by reference: spilled page runs move
@@ -389,29 +479,12 @@ ParallelChainJoinResult RunMaterializedChain(
   }
   pairwise.chunks.clear();
 
-  // Probe workers, reused across phases so private pools and decode
-  // caches stay warm from phase to phase.
+  // Probe workers, reused across phases so their counters and actor
+  // clocks carry from phase to phase.
   std::vector<std::unique_ptr<ProbeWorker>> workers;
   workers.reserve(num_threads);
   for (unsigned w = 0; w < num_threads; ++w) {
-    auto worker = std::make_unique<ProbeWorker>();
-    if (!exec_options.shared_pool) {
-      // Private-pool mode is the seed's A/B baseline: per-worker buffers
-      // and no decode cache (matching the pairwise executor), so every
-      // probe visit pays its decode. Prefetch hints stay worker-scoped:
-      // each pool consumes its own.
-      worker->private_pool = std::make_unique<BufferPool>(
-          BufferPool::Options{options.buffer_bytes, page_size,
-                              options.eviction_policy},
-          &worker->stats);
-      if (io != nullptr) worker->private_pool->AttachIoScheduler(io);
-      if (exec_options.prefetch) {
-        worker->private_prefetcher = std::make_unique<Prefetcher>(
-            worker->private_pool.get(),
-            Prefetcher::Options{exec_options.prefetch_ahead});
-      }
-    }
-    workers.push_back(std::move(worker));
+    workers.push_back(std::make_unique<ProbeWorker>());
   }
 
   if (io != nullptr && !ctx.owns_io) {
@@ -421,7 +494,7 @@ ParallelChainJoinResult RunMaterializedChain(
     // coordinator) starts no earlier than the pairwise completion.
     const uint64_t pair_end =
         ctx.io_floor_before + pairwise.modeled_elapsed_micros;
-    io->AdvanceActorTo(&chain_coordinator, pair_end);
+    io->AdvanceActorTo(&ctx.coordinator, pair_end);
     for (auto& worker : workers) {
       io->AdvanceActorTo(&worker->stats, pair_end);
     }
@@ -433,7 +506,7 @@ ParallelChainJoinResult RunMaterializedChain(
   // is one schedulable unit, sized so that partition_multiplier × threads
   // chunks exist (the same "k" as the pairwise partitioner).
   for (size_t next = 2; next < relations.size(); ++next) {
-    const JoinRelation& rel = relations[next];
+    const RTree& probe_tree = *relations[next].tree;
     const std::vector<Rect>& prev_rects = *relations[next - 1].rects;
     frontier_peak = std::max<uint64_t>(frontier_peak, frontier.size());
     if (frontier.empty()) {
@@ -453,72 +526,36 @@ ParallelChainJoinResult RunMaterializedChain(
         frontier.size() / chunk_size + (frontier.size() % chunk_size != 0);
     result.probe_chunk_counts.push_back(num_chunks);
 
-    if (prefetcher != nullptr) {
-      // Shared pool: one coordinator-side hint of the probe tree's hot top
-      // serves every worker.
-      HintProbeRoot(*rel.tree, shared, shared_nodes, prefetcher,
-                    &chain_coordinator);
+    // One coordinator-side hint of the probe tree's hot top serves every
+    // worker of the phase.
+    if (ctx.prefetcher != nullptr) {
+      HintProbeRoot(probe_tree, ctx.pool, ctx.nodes, ctx.prefetcher.get(),
+                    &ctx.coordinator);
     }
 
     // The last phase's extensions are final tuples: under spill_results
     // they go through per-worker spillers instead of the next frontier.
-    const bool last_phase = next + 1 == relations.size();
-    if (last_phase && spill_on) {
-      for (auto& worker : workers) {
-        worker->spiller = std::make_unique<TupleSpiller>(
-            static_cast<uint32_t>(relations.size()),
-            exec_options.chunk_capacity, spill_file.get(),
-            spill_budget.get(), &worker->stats);
-      }
+    if (next + 1 == relations.size() && ctx.spill_on) {
+      for (auto& worker : workers) ctx.AttachSpiller(worker.get());
     }
 
     const unsigned phase_workers =
         static_cast<unsigned>(std::min<size_t>(num_threads, num_chunks));
     const auto phase_body = [&](unsigned w, size_t chunk) {
-      ProbeWorker& worker = *workers[w];
-      TraceSpan span(exec_options.tracer, "exec", "probe_chunk",
-                     exec_options.trace_pid, /*sampled=*/true);
-      const uint64_t modeled_before =
-          span.active() && io != nullptr ? io->ActorClock(&worker.stats) : 0;
-      ++worker.chunks;
-      if (worker.private_prefetcher != nullptr &&
-          worker.hinted_through_phase < next) {
-        // Private pool: this worker's first chunk of the phase hints the
-        // probe root's children into its own pool.
-        HintProbeRoot(*rel.tree, worker.private_pool.get(), nullptr,
-                      worker.private_prefetcher.get(), &worker.stats);
-        worker.hinted_through_phase = next;
-      }
-      const size_t begin = chunk * chunk_size;
-      const size_t end = std::min(frontier.size(), begin + chunk_size);
-      PageCache* pages = exec_options.shared_pool
-                             ? static_cast<PageCache*>(shared)
-                             : worker.private_pool.get();
-      NodeCache* nodes = shared_nodes;
-      for (size_t t = begin; t < end; ++t) {
-        const std::vector<uint32_t>& tuple = frontier[t];
-        RSJ_DCHECK(tuple.back() < prev_rects.size());
-        worker.matches.clear();
-        ProbeChainWindow(*rel.tree, pages, nodes, options,
-                         prev_rects[tuple.back()], &worker.stats,
-                         &worker.matches);
-        for (const uint32_t id : worker.matches) {
-          if (worker.spiller != nullptr) {
-            worker.spiller->Append(tuple.data(), tuple.size(), id);
-          } else {
-            std::vector<uint32_t> longer = tuple;
-            longer.push_back(id);
-            worker.out.push_back(std::move(longer));
+      ProbeWorker* const worker = workers[w].get();
+      ctx.RunProbeChunk(worker, "chunk", chunk, [&]() {
+        const size_t begin = chunk * chunk_size;
+        const size_t end = std::min(frontier.size(), begin + chunk_size);
+        for (size_t t = begin; t < end; ++t) {
+          const std::vector<uint32_t>& tuple = frontier[t];
+          ctx.ProbeTuple(probe_tree, prev_rects, options, tuple.back(),
+                         worker);
+          for (const uint32_t id : worker->matches) {
+            worker->Emit(tuple.data(), static_cast<uint32_t>(tuple.size()),
+                         id, /*keep=*/true);
           }
         }
-      }
-      if (span.active()) {
-        if (io != nullptr) {
-          span.set_modeled_range(modeled_before,
-                                 io->ActorClock(&worker.stats));
-        }
-        span.set_arg("chunk", chunk);
-      }
+      });
     };
     {
       TraceSpan phase_span(exec_options.tracer, "exec", "probe_phase",
@@ -549,77 +586,35 @@ ParallelChainJoinResult RunMaterializedChain(
 
     // Concatenate the worker outputs into the next frontier (moves only).
     size_t total = 0;
-    for (const auto& worker : workers) total += worker->out.size();
+    for (const auto& worker : workers) total += worker->tuples.size();
     std::vector<std::vector<uint32_t>> extended;
     extended.reserve(total);
     for (const auto& worker : workers) {
-      for (auto& tuple : worker->out) extended.push_back(std::move(tuple));
-      worker->out.clear();
+      for (auto& tuple : worker->tuples) extended.push_back(std::move(tuple));
+      worker->tuples.clear();
     }
     frontier = std::move(extended);
   }
 
-  // Seal the last phase's partial chunks before the drain below, so their
-  // timed writes (charged to each worker's stats/clock) are in the model
-  // when the clocks merge.
+  // Seal the last phase's partial chunks before the I/O window closes, so
+  // their timed writes (charged to each worker's stats/clock) are in the
+  // model when the clocks merge.
   for (auto& worker : workers) {
-    if (worker->spiller != nullptr) {
-      result.spilled_tuples.MergeFrom(worker->spiller->Take());
-    }
+    if (worker->spiller != nullptr) worker->spilled = worker->spiller->Take();
   }
 
-  if (ctx.owns_io) {
-    io->Drain();
-    chain_coordinator.io_batches += io->io_batches() - io_batches_mid;
-    result.modeled_elapsed_micros = io->SynchronizeClocks() - io_clock_before;
-  } else if (io != nullptr) {
-    // Borrowed lifecycle: retire this chain's actors (the spillers' timed
-    // Take() writes are already on the clocks above) and measure elapsed
-    // against the floor at entry; the shared io_batches counter is left
-    // to the engine.
-    uint64_t finish = ctx.io_floor_before + pairwise.modeled_elapsed_micros;
-    finish = std::max(finish, io->RetireActor(&chain_coordinator));
-    for (auto& worker : workers) {
-      finish = std::max(finish, io->RetireActor(&worker->stats));
-    }
-    result.modeled_elapsed_micros = finish - ctx.io_floor_before;
-  }
-  result.total_stats.MergeFrom(chain_coordinator);
-
-  result.worker_probe_chunks.assign(num_threads, 0);
-  for (unsigned w = 0; w < num_threads; ++w) {
-    result.worker_probe_chunks[w] = workers[w]->chunks;
-    result.worker_stats[w].MergeFrom(workers[w]->stats);
-    result.total_stats.MergeFrom(workers[w]->stats);
-  }
+  ctx.FinishIo(io_batches_mid, pairwise.modeled_elapsed_micros, workers,
+               &result);
+  ctx.MergeWorkers(&workers, &result);
   result.total_stats.frontier_peak_tuples =
       std::max(result.total_stats.frontier_peak_tuples, frontier_peak);
-
-  if (spill_on) {
+  if (ctx.spill_on) {
     result.tuple_count = result.spilled_tuples.tuple_count;
-    result.spilled_tuples.arity = static_cast<uint32_t>(relations.size());
-    if (result.spilled_tuples.file == nullptr) {
-      // The 2-relation re-wrap keeps the pairwise executor's file.
-      result.spilled_tuples.file = std::move(spill_file);
-    }
-    result.total_stats.NoteResultChunksResident(spill_budget->peak());
   } else {
     result.tuple_count = frontier.size();
-    if (collect_tuples) {
-      result.tuples = std::move(frontier);
-      // The materialized formulation holds its whole collected output; an
-      // unbounded gauge reports it in chunk-capacity units and mirrors
-      // the bytes into the run-wide governor, so spill-vs-materialized
-      // A/Bs compare one counter and one ledger.
-      ResidentBudget gauge(ResidentBudget::kUnbounded,
-                           exec_options.memory_governor,
-                           MemoryCategory::kResultChunks, tuple_chunk_bytes);
-      const uint64_t cap = exec_options.chunk_capacity;
-      const uint64_t held = (result.tuple_count + cap - 1) / cap;
-      for (uint64_t c = 0; c < held; ++c) gauge.Admit();
-      result.total_stats.NoteResultChunksResident(gauge.peak());
-    }
+    if (collect_tuples) result.tuples = std::move(frontier);
   }
+  ctx.NoteTupleSet(collect_tuples, &result);
   return result;
 }
 
@@ -631,49 +626,22 @@ ParallelChainJoinResult RunPipelinedChain(
     const ParallelExecutorOptions& exec_options, bool collect_tuples,
     SharedBufferPool* ext_pool, NodeCache* ext_nodes) {
   const unsigned num_threads = exec_options.num_threads;
-  const uint32_t page_size = relations[0].tree->options().page_size;
   const size_t num_probe_phases = relations.size() - 2;
   ParallelChainJoinResult result;
-  result.used_shared_pool = exec_options.shared_pool;
   result.used_pipeline = true;
-  result.used_elastic = exec_options.elastic_pipeline;
   result.worker_stats.resize(num_threads);
 
-  ChainContext ctx =
-      MakeChainContext(options, exec_options, page_size, ext_pool, ext_nodes);
-  SharedBufferPool* const shared = ctx.pool;
-  NodeCache* const shared_nodes = ctx.nodes;
-  Prefetcher* const prefetcher = ctx.prefetcher.get();
-  IoScheduler* const io = ctx.io;
-  const uint64_t io_clock_before = ctx.io_clock_before;
-  const uint64_t io_batches_before = ctx.io_batches_before;
-  result.used_node_cache = shared_nodes != nullptr;
-  Statistics chain_coordinator;
+  ChainContext ctx(relations, options, exec_options, collect_tuples,
+                   ext_pool, ext_nodes);
+  result.used_node_cache = ctx.nodes != nullptr;
 
-  // Shared pool: every probe phase is live from the first pushed chunk,
-  // so all probe-root children are hinted upfront.
-  if (prefetcher != nullptr) {
+  // Every probe phase is live from the first pushed chunk, so all
+  // probe-root children are hinted upfront.
+  if (ctx.prefetcher != nullptr) {
     for (size_t next = 2; next < relations.size(); ++next) {
-      HintProbeRoot(*relations[next].tree, shared, shared_nodes,
-                    prefetcher, &chain_coordinator);
+      HintProbeRoot(*relations[next].tree, ctx.pool, ctx.nodes,
+                    ctx.prefetcher.get(), &ctx.coordinator);
     }
-  }
-
-  // Spill context of the final tuple set: one serialized file and one
-  // resident budget shared by the last phase's workers (exec/spill_sink.h).
-  const bool spill_on = collect_tuples && exec_options.spill_results;
-  const uint64_t tuple_chunk_bytes =
-      TupleChunkBytes(exec_options, relations.size());
-  std::shared_ptr<SpillFile> spill_file;
-  std::unique_ptr<ResidentBudget> spill_budget;
-  if (spill_on) {
-    spill_file = std::make_shared<SpillFile>(
-        SpillFile::Options{exec_options.spill_page_size, io,
-                           exec_options.tracer, exec_options.trace_pid});
-    spill_budget = std::make_unique<ResidentBudget>(
-        exec_options.spill_budget_chunks, exec_options.memory_governor,
-        MemoryCategory::kResultChunks, tuple_chunk_bytes);
-    spill_budget->AttachTracer(exec_options.tracer, exec_options.trace_pid);
   }
 
   FrontierGauge gauge;
@@ -690,277 +658,67 @@ ParallelChainJoinResult RunPipelinedChain(
 
   // Probe teams: phase k's workers pop from channels[k] as chunks arrive
   // and push extended tuples towards phase k+1 (or collect final tuples).
+  // Worker w of phase k is workers[k * num_threads + w].
   // No unwind teardown (retire + join) guards the spawn loops: the library
   // is exception-free by policy (common/logging.h — invariant failures
   // abort), so any exception escaping here is already fatal.
-  std::vector<std::vector<std::unique_ptr<PipelineProbeWorker>>> teams(
-      num_probe_phases);
-  // Elastic mode: ONE shared team of num_threads workers services every
-  // probe phase instead of a dedicated team per phase. Each worker scans
-  // the channels deepest-first (draining later phases frees channel space
-  // for earlier ones) and, when its output channel is full, processes
-  // downstream chunks itself instead of blocking — the final phase never
-  // pushes, so that help recursion is bounded by the phase count and the
-  // bounded channels stay deadlock-free. Every worker holds one producer
-  // slot on each channel k >= 1 and retires slot k+1 once channel k has
-  // closed (no phase-k chunk can exist anywhere) and its own phase-k
-  // writer has flushed — the same producer-counted cascade as the
-  // dedicated teams, just per worker instead of per team.
-  std::vector<std::unique_ptr<PipelineProbeWorker>> elastic;
-  const auto elastic_loop = [&](PipelineProbeWorker* self) {
-    PageCache* const pages = exec_options.shared_pool
-                                 ? static_cast<PageCache*>(shared)
-                                 : self->private_pool.get();
-    NodeCache* const nodes = shared_nodes;
-    if (self->private_prefetcher != nullptr) {
-      // Private pool: any phase may run on this worker from the first
-      // chunk on, so every probe root is hinted into its own pool upfront
-      // (mirroring the shared-pool coordinator hints).
-      for (size_t next = 2; next < relations.size(); ++next) {
-        HintProbeRoot(*relations[next].tree, pages, nullptr,
-                      self->private_prefetcher.get(), &self->stats);
-      }
-    }
-    std::function<void(size_t, FrontierChunk)> process_chunk;
-    // Pops one chunk from the deepest non-empty channel in [from, P) and
-    // processes it; false when every one of them is empty right now.
-    const auto help_one = [&](size_t from) {
-      for (size_t k = num_probe_phases; k-- > from;) {
-        FrontierChunk chunk;
-        if (channels[k]->TryPop(&chunk) ==
-            FrontierChannel::PopResult::kGot) {
-          process_chunk(k, std::move(chunk));
-          return true;
-        }
-      }
-      return false;
-    };
-    std::vector<std::unique_ptr<FrontierWriter>> writers(num_probe_phases);
-    for (size_t k = 0; k + 1 < num_probe_phases; ++k) {
-      FrontierChannel* const out = channels[k + 1].get();
-      const size_t next_phase = k + 1;
-      writers[k] = std::make_unique<FrontierWriter>(
-          static_cast<uint32_t>(k + 3), exec_options.chunk_capacity,
-          [&, out, next_phase](FrontierChunk chunk) {
-            while (!out->TryPush(&chunk)) {
-              // Help-on-full: drain downstream work until space frees.
-              if (!help_one(next_phase)) std::this_thread::yield();
-            }
-          },
-          &gauge);
-    }
-    process_chunk = [&](size_t k, FrontierChunk chunk) {
-      ++self->chunks;
-      TraceSpan span(exec_options.tracer, "exec", "probe_chunk",
-                     exec_options.trace_pid, /*sampled=*/true);
-      const uint64_t modeled_before =
-          span.active() && io != nullptr ? io->ActorClock(&self->stats) : 0;
-      const RTree& probe_tree = *relations[k + 2].tree;
-      const std::vector<Rect>& prev_rects = *relations[k + 1].rects;
-      const bool last_phase = k + 1 == num_probe_phases;
-      // The scratch is per invocation, not per worker: extending a tuple
-      // may push a full chunk, whose help-on-full path re-enters
-      // process_chunk on this same thread.
-      std::vector<uint32_t> matches;
-      const size_t tuples = chunk.tuple_count();
-      for (size_t t = 0; t < tuples; ++t) {
-        const uint32_t* tuple = chunk.tuple(t);
-        const uint32_t last = tuple[chunk.arity - 1];
-        RSJ_DCHECK(last < prev_rects.size());
-        matches.clear();
-        ProbeChainWindow(probe_tree, pages, nodes, options,
-                         prev_rects[last], &self->stats, &matches);
-        for (const uint32_t id : matches) {
-          if (last_phase) {
-            ++self->final_tuples;
-            if (self->spiller != nullptr) {
-              self->spiller->Append(tuple, chunk.arity, id);
-            } else if (collect_tuples) {
-              std::vector<uint32_t> full(tuple, tuple + chunk.arity);
-              full.push_back(id);
-              self->tuples.push_back(std::move(full));
-            }
-          } else {
-            writers[k]->AppendExtended(tuple, chunk.arity, id);
-          }
-        }
-      }
-      if (span.active()) {
-        if (io != nullptr) {
-          span.set_modeled_range(modeled_before,
-                                 io->ActorClock(&self->stats));
-        }
-        span.set_arg("tuples", tuples);
-      }
-      gauge.Sub(tuples);
-    };
-    size_t front = 0;  // channels [0, front) closed, my slots retired
-    while (front < num_probe_phases) {
-      if (help_one(front)) continue;
-      FrontierChunk chunk;
-      switch (channels[front]->TryPop(&chunk)) {
-        case FrontierChannel::PopResult::kGot:
-          process_chunk(front, std::move(chunk));
-          break;
-        case FrontierChannel::PopResult::kClosed:
-          // No phase-`front` chunk exists anywhere anymore: flush this
-          // worker's partial output and release its producer slot
-          // downstream, advancing the cascade.
-          if (front + 1 < num_probe_phases) {
-            writers[front]->Flush();
-            channels[front + 1]->RetireProducer();
-          }
-          ++front;
-          break;
-        case FrontierChannel::PopResult::kEmpty:
-          std::this_thread::yield();
-          break;
-      }
-    }
-    if (self->spiller != nullptr) {
-      // Seal + (possibly) spill the final partial chunk on this worker's
-      // own thread, so its timed writes are on this actor's clock.
-      self->spilled = self->spiller->Take();
-    }
-  };
-  if (exec_options.elastic_pipeline) {
-    elastic.reserve(num_threads);
+  std::vector<std::unique_ptr<ProbeWorker>> workers;
+  workers.reserve(num_probe_phases * num_threads);
+  for (size_t k = 0; k < num_probe_phases; ++k) {
+    // Captured as pointers: the loop variables die before the threads do.
+    const RTree* const probe_tree = relations[k + 2].tree;
+    const std::vector<Rect>* const prev_rects = relations[k + 1].rects;
+    const bool last_phase = k + 1 == num_probe_phases;
+    FrontierChannel* const input = channels[k].get();
+    FrontierChannel* const output =
+        last_phase ? nullptr : channels[k + 1].get();
+    const uint32_t out_arity = static_cast<uint32_t>(k + 3);
     for (unsigned w = 0; w < num_threads; ++w) {
-      auto worker = std::make_unique<PipelineProbeWorker>();
-      if (!exec_options.shared_pool) {
-        worker->private_pool = std::make_unique<BufferPool>(
-            BufferPool::Options{options.buffer_bytes, page_size,
-                                options.eviction_policy},
-            &worker->stats);
-        if (io != nullptr) worker->private_pool->AttachIoScheduler(io);
-        if (exec_options.prefetch) {
-          worker->private_prefetcher = std::make_unique<Prefetcher>(
-              worker->private_pool.get(),
-              Prefetcher::Options{exec_options.prefetch_ahead});
-        }
-      }
-      if (spill_on) {
-        worker->spiller = std::make_unique<TupleSpiller>(
-            static_cast<uint32_t>(relations.size()),
-            exec_options.chunk_capacity, spill_file.get(),
-            spill_budget.get(), &worker->stats);
-      }
-      PipelineProbeWorker* const self = worker.get();
-      TraceRecorder* const tracer = exec_options.tracer;
-      worker->thread = std::thread([&elastic_loop, self, tracer, w]() {
+      auto worker = std::make_unique<ProbeWorker>();
+      if (last_phase && ctx.spill_on) ctx.AttachSpiller(worker.get());
+      ProbeWorker* const self = worker.get();
+      worker->thread = std::thread([&, self, probe_tree, prev_rects, input,
+                                    output, out_arity, last_phase, k, w]() {
+        TraceRecorder* const tracer = exec_options.tracer;
         if (tracer != nullptr && tracer->enabled()) {
-          tracer->SetThreadName("probe-worker-" + std::to_string(w));
+          tracer->SetThreadName("probe-p" + std::to_string(k) + "-w" +
+                                std::to_string(w));
         }
-        elastic_loop(self);
-      });
-      elastic.push_back(std::move(worker));
-    }
-  } else {
-    for (size_t k = 0; k < num_probe_phases; ++k) {
-      // Captured as pointers: the loop variables die before the threads do.
-      const RTree* const probe_tree = relations[k + 2].tree;
-      const std::vector<Rect>* const prev_rects = relations[k + 1].rects;
-      const bool last_phase = k + 1 == num_probe_phases;
-      FrontierChannel* const input = channels[k].get();
-      FrontierChannel* const output =
-          last_phase ? nullptr : channels[k + 1].get();
-      const uint32_t out_arity = static_cast<uint32_t>(k + 3);
-      teams[k].reserve(num_threads);
-      for (unsigned w = 0; w < num_threads; ++w) {
-        auto worker = std::make_unique<PipelineProbeWorker>();
-        if (!exec_options.shared_pool) {
-          worker->private_pool = std::make_unique<BufferPool>(
-              BufferPool::Options{options.buffer_bytes, page_size,
-                                  options.eviction_policy},
-              &worker->stats);
-          if (io != nullptr) worker->private_pool->AttachIoScheduler(io);
-          if (exec_options.prefetch) {
-            worker->private_prefetcher = std::make_unique<Prefetcher>(
-                worker->private_pool.get(),
-                Prefetcher::Options{exec_options.prefetch_ahead});
-          }
+        std::unique_ptr<FrontierWriter> writer;
+        if (output != nullptr) {
+          writer = std::make_unique<FrontierWriter>(
+              out_arity, exec_options.chunk_capacity, output, &gauge);
         }
-        if (last_phase && spill_on) {
-          worker->spiller = std::make_unique<TupleSpiller>(
-              static_cast<uint32_t>(relations.size()),
-              exec_options.chunk_capacity, spill_file.get(),
-              spill_budget.get(), &worker->stats);
-        }
-        PipelineProbeWorker* const self = worker.get();
-        worker->thread = std::thread([&, self, probe_tree, prev_rects, input,
-                                      output, out_arity, last_phase, k, w]() {
-          TraceRecorder* const tracer = exec_options.tracer;
-          if (tracer != nullptr && tracer->enabled()) {
-            tracer->SetThreadName("probe-p" + std::to_string(k) + "-w" +
-                                  std::to_string(w));
-          }
-          PageCache* const pages =
-              exec_options.shared_pool
-                  ? static_cast<PageCache*>(shared)
-                  : self->private_pool.get();
-          NodeCache* const nodes = shared_nodes;
-          if (self->private_prefetcher != nullptr) {
-            // Private pool: hints scoped to this worker's own pool.
-            HintProbeRoot(*probe_tree, pages, nullptr,
-                          self->private_prefetcher.get(), &self->stats);
-          }
-          std::unique_ptr<FrontierWriter> writer;
-          if (output != nullptr) {
-            writer = std::make_unique<FrontierWriter>(
-                out_arity, exec_options.chunk_capacity, output, &gauge);
-          }
-          std::vector<uint32_t> matches;
-          FrontierChunk chunk;
-          while (input->Pop(&chunk)) {
-            ++self->chunks;
-            TraceSpan span(tracer, "exec", "probe_chunk",
-                           exec_options.trace_pid, /*sampled=*/true);
-            const uint64_t modeled_before =
-                span.active() && io != nullptr ? io->ActorClock(&self->stats)
-                                               : 0;
-            const size_t tuples = chunk.tuple_count();
+        FrontierChunk chunk;
+        while (input->Pop(&chunk)) {
+          const size_t tuples = chunk.tuple_count();
+          ctx.RunProbeChunk(self, "tuples", tuples, [&]() {
             for (size_t t = 0; t < tuples; ++t) {
               const uint32_t* tuple = chunk.tuple(t);
-              const uint32_t last = tuple[chunk.arity - 1];
-              RSJ_DCHECK(last < prev_rects->size());
-              matches.clear();
-              ProbeChainWindow(*probe_tree, pages, nodes, options,
-                               (*prev_rects)[last], &self->stats, &matches);
-              for (const uint32_t id : matches) {
+              ctx.ProbeTuple(*probe_tree, *prev_rects, options,
+                             tuple[chunk.arity - 1], self);
+              for (const uint32_t id : self->matches) {
                 if (last_phase) {
                   ++self->final_tuples;
-                  if (self->spiller != nullptr) {
-                    self->spiller->Append(tuple, chunk.arity, id);
-                  } else if (collect_tuples) {
-                    std::vector<uint32_t> full(tuple, tuple + chunk.arity);
-                    full.push_back(id);
-                    self->tuples.push_back(std::move(full));
-                  }
+                  self->Emit(tuple, chunk.arity, id, collect_tuples);
                 } else {
                   writer->AppendExtended(tuple, chunk.arity, id);
                 }
               }
             }
-            if (span.active()) {
-              if (io != nullptr) {
-                span.set_modeled_range(modeled_before,
-                                       io->ActorClock(&self->stats));
-              }
-              span.set_arg("tuples", tuples);
-            }
-            gauge.Sub(tuples);
-          }
-          if (writer != nullptr) writer->Flush();
-          if (output != nullptr) output->RetireProducer();
-          if (self->spiller != nullptr) {
-            // Seal + (possibly) spill the final partial chunk on this
-            // worker's own thread, so its timed writes land before the
-            // coordinator drains and merges the clocks.
-            self->spilled = self->spiller->Take();
-          }
-        });
-        teams[k].push_back(std::move(worker));
-      }
+          });
+          gauge.Sub(tuples);
+        }
+        if (writer != nullptr) writer->Flush();
+        if (output != nullptr) output->RetireProducer();
+        if (self->spiller != nullptr) {
+          // Seal + (possibly) spill the final partial chunk on this
+          // worker's own thread, so its timed writes land before the
+          // coordinator drains and merges the clocks.
+          self->spilled = self->spiller->Take();
+        }
+      });
+      workers.push_back(std::move(worker));
     }
   }
 
@@ -983,15 +741,10 @@ ParallelChainJoinResult RunPipelinedChain(
         }));
   }
   ParallelJoinResult pairwise = RunParallelSpatialJoinInto(
-      *relations[0].tree, *relations[1].tree, options, exec_options, shared,
-      shared_nodes,
+      *relations[0].tree, *relations[1].tree, options, exec_options,
+      ctx.pool, ctx.nodes,
       [&pair_sinks](unsigned w) { return pair_sinks[w].get(); });
-  result.pairwise_task_count = pairwise.task_count;
-  result.partition_depth = pairwise.partition_depth;
-  result.total_stats.MergeFrom(pairwise.total_stats);
-  for (size_t w = 0; w < pairwise.worker_stats.size(); ++w) {
-    result.worker_stats[w % num_threads].MergeFrom(pairwise.worker_stats[w]);
-  }
+  FoldPairwise(pairwise, num_threads, &result);
 
   // The pairwise phase is done: flush the partial chunks and retire the
   // producers — closure then cascades phase by phase as each channel
@@ -1000,92 +753,22 @@ ParallelChainJoinResult RunPipelinedChain(
     pair_writers[w]->Flush();
     channels[0]->RetireProducer();
   }
-  for (auto& team : teams) {
-    for (auto& worker : team) worker->thread.join();
-  }
-  for (auto& worker : elastic) worker->thread.join();
+  for (auto& worker : workers) worker->thread.join();
 
-  if (ctx.owns_io) {
-    io->Drain();
-    // The nested pairwise run did not own the I/O lifecycle (see
-    // RunParallelSpatialJoinInto), so the whole pipeline's batch delta is
-    // accounted here, once.
-    chain_coordinator.io_batches += io->io_batches() - io_batches_before;
-    result.modeled_elapsed_micros = io->SynchronizeClocks() - io_clock_before;
-  } else if (io != nullptr) {
-    // Borrowed lifecycle: the workers are joined (their spillers' timed
-    // Take() writes are on their clocks), so retire this chain's actors
-    // and measure elapsed against the floor at entry. The shared
-    // io_batches counter is left to the engine.
-    uint64_t finish = ctx.io_floor_before + pairwise.modeled_elapsed_micros;
-    finish = std::max(finish, io->RetireActor(&chain_coordinator));
-    for (auto& team : teams) {
-      for (auto& worker : team) {
-        finish = std::max(finish, io->RetireActor(&worker->stats));
-      }
-    }
-    for (auto& worker : elastic) {
-      finish = std::max(finish, io->RetireActor(&worker->stats));
-    }
-    result.modeled_elapsed_micros = finish - ctx.io_floor_before;
-  }
-  result.total_stats.MergeFrom(chain_coordinator);
-
-  // Merge worker outputs: per-phase teams, or the one elastic team whose
-  // every worker may have served every phase.
-  const auto merge_worker = [&](unsigned w, PipelineProbeWorker& worker) {
-    result.worker_probe_chunks[w] += worker.chunks;
-    result.worker_stats[w].MergeFrom(worker.stats);
-    result.total_stats.MergeFrom(worker.stats);
-    result.tuple_count += worker.final_tuples;
-    if (spill_on) {
-      result.spilled_tuples.MergeFrom(std::move(worker.spilled));
-    }
-    if (collect_tuples && !worker.tuples.empty()) {
-      if (result.tuples.empty()) {
-        result.tuples = std::move(worker.tuples);
-      } else {
-        result.tuples.reserve(result.tuples.size() + worker.tuples.size());
-        for (auto& tuple : worker.tuples) {
-          result.tuples.push_back(std::move(tuple));
-        }
-      }
-    }
-  };
-  result.worker_probe_chunks.assign(num_threads, 0);
+  // The nested pairwise run did not own the I/O lifecycle (see
+  // RunParallelSpatialJoinInto), so the whole pipeline's batch delta is
+  // accounted here, once.
+  ctx.FinishIo(ctx.io_batches_before, pairwise.modeled_elapsed_micros,
+               workers, &result);
   for (size_t k = 0; k < num_probe_phases; ++k) {
     result.probe_chunk_counts.push_back(
         static_cast<size_t>(channels[k]->chunks_pushed()));
-    if (!exec_options.elastic_pipeline) {
-      for (unsigned w = 0; w < num_threads; ++w) {
-        merge_worker(w, *teams[k][w]);
-      }
-    }
   }
-  for (unsigned w = 0; w < static_cast<unsigned>(elastic.size()); ++w) {
-    merge_worker(w, *elastic[w]);
-  }
+  ctx.MergeWorkers(&workers, &result);
   result.total_stats.frontier_peak_tuples =
       std::max(result.total_stats.frontier_peak_tuples,
                gauge.peak.load(std::memory_order_relaxed));
-  if (spill_on) {
-    result.spilled_tuples.arity = static_cast<uint32_t>(relations.size());
-    result.spilled_tuples.file = std::move(spill_file);
-    result.total_stats.NoteResultChunksResident(spill_budget->peak());
-  } else if (collect_tuples) {
-    // Materialized tuple vectors report their whole collected output in
-    // chunk-capacity units through an unbounded gauge, which also mirrors
-    // the bytes into the run-wide governor — spill-on/off A/Bs compare
-    // one counter and one ledger.
-    ResidentBudget out_gauge(ResidentBudget::kUnbounded,
-                             exec_options.memory_governor,
-                             MemoryCategory::kResultChunks,
-                             tuple_chunk_bytes);
-    const uint64_t cap = exec_options.chunk_capacity;
-    const uint64_t held = (result.tuple_count + cap - 1) / cap;
-    for (uint64_t c = 0; c < held; ++c) out_gauge.Admit();
-    result.total_stats.NoteResultChunksResident(out_gauge.peak());
-  }
+  ctx.NoteTupleSet(collect_tuples, &result);
   return result;
 }
 

@@ -16,19 +16,18 @@
 //      backpressure, so peak frontier memory is capped at
 //      O(chunks-in-flight × chunk_capacity) instead of O(|frontier|),
 //      which `Statistics::frontier_peak_tuples` proves per run,
-//   3. in shared-pool mode one SharedBufferPool and one NodeCache span all
-//      phases and workers; in private-pool mode every worker (pairwise and
-//      probe) owns a pool, and with prefetch enabled each probe worker
-//      hints its phase's probe-root children into its own pool (hint
-//      ownership is the pool, exactly the owner-scoping the IoScheduler
-//      coalesces by),
+//   3. one SharedBufferPool and one NodeCache span all phases and
+//      workers; with prefetch enabled the coordinator hints every probe
+//      root's children into the shared pool upfront,
 //   4. per-worker Statistics and outputs are merged exactly like
 //      RunParallelSpatialJoin's.
 //
-// `exec_options.pipelined = false` selects the PR 2 materialized
-// formulation (whole-frontier barrier between phases), kept as the A/B
-// baseline: bench_multiway_scaling asserts the pipeline's peak frontier is
-// strictly below the materialized one on identical results.
+// `exec_options.pipelined = false` selects the materialized formulation
+// (whole-frontier barrier between phases, no channel machinery), which the
+// planner picks for chains whose estimated frontier stays below
+// PlannerOptions::pipeline_tuple_floor. bench_multiway_scaling asserts the
+// pipeline's peak frontier is strictly below the materialized one on
+// identical results.
 //
 // Tuples are disjoint work units and every tuple is probed exactly once,
 // so the union of the workers' outputs is the sequential chain result as
@@ -80,12 +79,8 @@ struct ParallelChainJoinResult {
   // Probe chunks each worker slot executed, summed over all probe phases
   // (work stealing / channel scheduling balances these).
   std::vector<uint64_t> worker_probe_chunks;
-  bool used_shared_pool = false;
   bool used_node_cache = false;
   bool used_pipeline = false;
-  // The pipeline ran the elastic shared probe team
-  // (exec_options.elastic_pipeline) instead of dedicated per-phase teams.
-  bool used_elastic = false;
   // Advance of the modeled I/O clock across the whole chain (0 without an
   // exec_options.io_scheduler).
   uint64_t modeled_elapsed_micros = 0;
@@ -95,16 +90,16 @@ struct ParallelChainJoinResult {
 // `exec_options.num_threads` workers per stage. Falls back to the
 // sequential RunChainSpatialJoin when num_threads <= 1 — that path always
 // runs over a private buffer and its own decode cache regardless of the
-// pool/cache options, and the result's used_* flags report what actually
+// cache options, and the result's used_* flags report what actually
 // ran. The tuple multiset is identical to RunChainSpatialJoin's for every
 // configuration.
 ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples = false);
 
-// Core of RunParallelChainSpatialJoin with engine-borrowed resources: in
-// shared-pool mode, non-null `shared_pool` / `node_cache` are used instead
-// of chain-private instances, so one buffer and one decode cache span
+// Core of RunParallelChainSpatialJoin with engine-borrowed resources:
+// non-null `shared_pool` / `node_cache` are used instead of chain-private
+// instances, so one buffer and one decode cache span
 // every session of a serving engine. `node_cache`, when given, must be
 // layered over `shared_pool`, and the pool's page size must match the
 // trees'. Combine with exec_options.own_io_lifecycle = false to run on an

@@ -12,7 +12,6 @@
 #include "join/join_runner.h"
 #include "obs/trace.h"
 #include "join/spatial_join.h"
-#include "storage/buffer_pool.h"
 #include "storage/node_cache.h"
 #include "storage/shared_buffer_pool.h"
 
@@ -20,14 +19,11 @@ namespace rsj {
 
 namespace {
 
-// Everything one worker owns: counters, an optional private pool, the
-// engine bound to them, and the output sink. Only the owning worker thread
-// touches a context (work stealing moves tasks, not contexts).
+// Everything one worker owns: counters, the engine bound to them and the
+// shared pool, and the output sink. Only the owning worker thread touches
+// a context (work stealing moves tasks, not contexts).
 struct WorkerContext {
   Statistics stats;
-  std::unique_ptr<BufferPool> private_pool;  // null in shared-pool mode
-  std::unique_ptr<Prefetcher> private_prefetcher;  // over the private pool
-  const Prefetcher* prefetcher = nullptr;  // private or the shared one
   std::unique_ptr<SpatialJoinEngine> engine;
   std::unique_ptr<ResultSink> owned_sink;  // null with a sink factory
   ResultSink* sink = nullptr;
@@ -139,7 +135,6 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
   }
 
   ParallelJoinResult result;
-  result.used_shared_pool = exec_options.shared_pool;
   Statistics coordinator;
   IoScheduler* const io = exec_options.io_scheduler;
   // With a sink factory (one stage of an enclosing pipeline) or with
@@ -185,48 +180,28 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
   // for the workers.
   std::unique_ptr<SharedBufferPool> owned_shared;
   std::unique_ptr<NodeCache> owned_nodes;
-  std::unique_ptr<BufferPool> coordinator_pool;
-  SharedBufferPool* shared = nullptr;
-  NodeCache* nodes = nullptr;
-  PageCache* coordinator_cache = nullptr;
-  if (exec_options.shared_pool) {
-    shared = shared_pool;
-    if (shared == nullptr) {
-      owned_shared = std::make_unique<SharedBufferPool>(
-          SharedBufferPool::Options{options.buffer_bytes,
-                                    r.options().page_size,
-                                    options.eviction_policy,
-                                    exec_options.pool_shards});
-      shared = owned_shared.get();
-    }
-    nodes = node_cache;
-    if (nodes == nullptr && exec_options.node_cache) {
-      owned_nodes = std::make_unique<NodeCache>(
-          shared, NodeCache::Options{exec_options.node_cache_capacity,
-                                     exec_options.pool_shards});
-      nodes = owned_nodes.get();
-    }
-    if (io != nullptr) shared->AttachIoScheduler(io);
-    coordinator_cache = shared;
-  } else {
-    // Private pools are single-owner; a shared decode cache over them
-    // would cross the ownership line, so each worker keeps its own decodes
-    // (the seed's model, the A/B baseline).
-    coordinator_pool = std::make_unique<BufferPool>(
-        BufferPool::Options{options.buffer_bytes, r.options().page_size,
-                            options.eviction_policy},
-        &coordinator);
-    if (io != nullptr) coordinator_pool->AttachIoScheduler(io);
-    coordinator_cache = coordinator_pool.get();
+  SharedBufferPool* shared = shared_pool;
+  if (shared == nullptr) {
+    owned_shared = std::make_unique<SharedBufferPool>(
+        SharedBufferPool::Options{options.buffer_bytes, r.options().page_size,
+                                  options.eviction_policy,
+                                  exec_options.pool_shards});
+    shared = owned_shared.get();
   }
+  NodeCache* nodes = node_cache;
+  if (nodes == nullptr && exec_options.node_cache) {
+    owned_nodes = std::make_unique<NodeCache>(
+        shared, NodeCache::Options{exec_options.node_cache_capacity,
+                                   exec_options.pool_shards});
+    nodes = owned_nodes.get();
+  }
+  if (io != nullptr) shared->AttachIoScheduler(io);
   result.used_node_cache = nodes != nullptr;
 
-  // One prefetcher over the shared pool serves everyone; private-pool mode
-  // builds per-worker instances below (a prefetch hint only makes sense in
-  // the pool the worker reads from).
-  std::unique_ptr<Prefetcher> shared_prefetcher;
-  if (exec_options.prefetch && shared != nullptr) {
-    shared_prefetcher = std::make_unique<Prefetcher>(
+  // One prefetcher over the shared pool serves everyone.
+  std::unique_ptr<Prefetcher> prefetcher;
+  if (exec_options.prefetch) {
+    prefetcher = std::make_unique<Prefetcher>(
         shared, Prefetcher::Options{exec_options.prefetch_ahead});
   }
 
@@ -240,7 +215,7 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
                    exec_options.trace_pid);
     const uint64_t modeled_before =
         span.active() && io != nullptr ? io->ActorClock(&coordinator) : 0;
-    plan = BuildPartitionPlan(r, s, options, target_tasks, coordinator_cache,
+    plan = BuildPartitionPlan(r, s, options, target_tasks, shared,
                               &coordinator, nodes);
     if (span.active()) {
       if (io != nullptr) {
@@ -253,13 +228,12 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
     // The sequential run replaces the partitioned one over the
     // already-built cache stack (shared pool / node cache / modeled I/O
     // stay in the loop); the coordinator's root reads/decodes happened
-    // and stay counted, and the mode flags keep describing what was
+    // and stay counted, and the node-cache flag keeps describing what was
     // actually set up.
     ParallelJoinResult fallback = SequentialFallback(
-        r, s, options, exec_options, arena, sink_factory, coordinator_cache,
-        nodes, borrowed_io ? io : nullptr, io_floor_before);
+        r, s, options, exec_options, arena, sink_factory, shared, nodes,
+        borrowed_io ? io : nullptr, io_floor_before);
     fallback.total_stats.MergeFrom(coordinator);
-    fallback.used_shared_pool = result.used_shared_pool;
     fallback.used_node_cache = result.used_node_cache;
     if (owns_io) {
       io->Drain();
@@ -294,7 +268,7 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
   // Subtree-pair hints from the partitioner: the plan *is* the order the
   // workers will start tasks in, so its leading child pages are the
   // system-wide read frontier — hint them before the workers launch.
-  if (shared_prefetcher != nullptr) {
+  if (prefetcher != nullptr) {
     std::vector<PageId> r_pages;
     std::vector<PageId> s_pages;
     r_pages.reserve(plan.tasks.size());
@@ -303,7 +277,7 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
       r_pages.push_back(task.er.ref);
       s_pages.push_back(task.es.ref);
     }
-    shared_prefetcher->PrefetchSchedule(r.file(), r_pages, s.file(), s_pages,
+    prefetcher->PrefetchSchedule(r.file(), r_pages, s.file(), s_pages,
                                         &coordinator);
   }
 
@@ -313,28 +287,9 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
   contexts.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
     auto ctx = std::make_unique<WorkerContext>();
-    PageCache* cache = shared;
-    if (!exec_options.shared_pool) {
-      ctx->private_pool = std::make_unique<BufferPool>(
-          BufferPool::Options{options.buffer_bytes, r.options().page_size,
-                              options.eviction_policy},
-          &ctx->stats);
-      if (io != nullptr) ctx->private_pool->AttachIoScheduler(io);
-      cache = ctx->private_pool.get();
-    }
-    if (exec_options.prefetch) {
-      if (ctx->private_pool != nullptr) {
-        ctx->private_prefetcher = std::make_unique<Prefetcher>(
-            ctx->private_pool.get(),
-            Prefetcher::Options{exec_options.prefetch_ahead});
-        ctx->prefetcher = ctx->private_prefetcher.get();
-      } else {
-        ctx->prefetcher = shared_prefetcher.get();
-      }
-    }
-    ctx->engine = std::make_unique<SpatialJoinEngine>(r, s, options, cache,
+    ctx->engine = std::make_unique<SpatialJoinEngine>(r, s, options, shared,
                                                       &ctx->stats, nodes);
-    ctx->engine->set_prefetcher(ctx->prefetcher);
+    ctx->engine->set_prefetcher(prefetcher.get());
     if (sink_factory != nullptr) {
       ctx->sink = (*sink_factory)(w);
       ctx->sink_count_before = ctx->sink->count();
@@ -361,16 +316,16 @@ ParallelJoinResult RunParallelSpatialJoinImpl(
         span.active() && io != nullptr ? io->ActorClock(&ctx.stats) : 0;
     if (!ctx.prepared) {
       // Root fetch and z-order universe, counted on this worker and
-      // done on its own thread so private pools stay single-owner.
+      // done on its own thread.
       ctx.engine->BeginPartitionedRun();
       ctx.prepared = true;
     }
     const PartitionTask& task = plan.tasks[task_index];
-    if (ctx.prefetcher != nullptr) {
+    if (prefetcher != nullptr) {
       // The task frontier: both subtree roots, issued before the
       // engine's (ordered) fetches so they ride different disks.
-      ctx.prefetcher->PrefetchPage(r.file(), task.er.ref, &ctx.stats);
-      ctx.prefetcher->PrefetchPage(s.file(), task.es.ref, &ctx.stats);
+      prefetcher->PrefetchPage(r.file(), task.er.ref, &ctx.stats);
+      prefetcher->PrefetchPage(s.file(), task.es.ref, &ctx.stats);
     }
     ctx.engine->ProcessPartition(task.er, task.es, ctx.sink);
     if (span.active()) {

@@ -9,8 +9,8 @@
 //      per-worker contexts: each worker owns a SpatialJoinEngine, its own
 //      Statistics and a batched ResultSink,
 //   3. page requests go through one shared, sharded, thread-safe
-//      SharedBufferPool (default) or through per-worker private
-//      BufferPools (the seed's model, kept for A/B benchmarking),
+//      SharedBufferPool (and, by default, one decoded-node cache over it),
+//      which the coordinator's partitioning reads warm for the workers,
 //   4. worker statistics and sink outputs are merged into the result.
 //
 // Work units are disjoint subtree pairs, so the union of the workers'
@@ -43,18 +43,13 @@ struct ParallelExecutorOptions {
   // exist (the "k" of the ISSUE).
   unsigned partition_multiplier = 8;
 
-  // true: all workers share one SharedBufferPool of options.buffer_bytes.
-  // false: every worker owns a private BufferPool of options.buffer_bytes
-  // (the seed's model — N× the memory for the same nominal budget).
-  bool shared_pool = true;
-
-  // Shards of the shared pool (ignored for private pools).
+  // Shards of the SharedBufferPool all workers share (one pool of
+  // options.buffer_bytes for the whole run).
   size_t pool_shards = 8;
 
   // Share one decoded-node cache (storage/node_cache.h) between the
   // coordinator and all workers, so directory nodes the partitioner
-  // decodes are never re-decoded. Only effective in shared-pool mode —
-  // private pools keep the seed's per-worker decodes for A/B runs.
+  // decodes are never re-decoded.
   bool node_cache = true;
 
   // Node budget of the shared decode cache (total across its shards).
@@ -103,29 +98,19 @@ struct ParallelExecutorOptions {
   // true: probe phases consume the previous phase's chunks through
   // bounded channels as they are produced (no inter-phase barrier; peak
   // frontier memory capped at O(chunks in flight × chunk_capacity)).
-  // false: the materialized A/B baseline — every phase barriers on the
-  // full frontier of its predecessor.
+  // false: the materialized formulation — every phase barriers on the
+  // full frontier of its predecessor (the planner's choice for small
+  // frontiers, below PlannerOptions::pipeline_tuple_floor).
   bool pipelined = true;
 
   // Chunks buffered per phase boundary before producers block
   // (backpressure). Must be >= 1.
   size_t channel_bound = 16;
 
-  // Elastic probe teams (pipelined chains with >= 3 relations only): one
-  // shared team of num_threads workers services EVERY probe phase —
-  // each worker scans the phase channels deepest-first and processes
-  // whatever chunk is available, so workers whose phase is starved help
-  // earlier phases instead of idling, and total probe threads stay
-  // num_threads instead of num_threads × phases. A producer that finds
-  // its output channel full drains downstream chunks itself (help-on-
-  // full), which keeps the bounded channels deadlock-free: the final
-  // phase never pushes. false: the dedicated per-phase teams.
-  bool elastic_pipeline = false;
-
   // --- simulated asynchronous I/O (src/io/) ---
 
-  // When non-null, every pool (shared or per-worker private) services its
-  // misses in modeled disk-array time through this scheduler. Not owned;
+  // When non-null, the shared pool services its misses in modeled
+  // disk-array time through this scheduler. Not owned;
   // must outlive the run. Ignored by the num_threads <= 1 sequential
   // fallback (use RunSpatialJoinWithIo for a modeled sequential run).
   IoScheduler* io_scheduler = nullptr;
@@ -205,7 +190,6 @@ struct ParallelJoinResult {
   size_t task_count = 0;
   // Directory levels the partitioner descended below the roots.
   int partition_depth = 0;
-  bool used_shared_pool = false;
   bool used_node_cache = false;
   // Advance of the modeled I/O clock across the run (0 without a
   // scheduler): the join's modeled elapsed time over the disk array.
@@ -226,11 +210,11 @@ ParallelJoinResult RunParallelSpatialJoin(
     const ParallelExecutorOptions& exec_options);
 
 // Core of RunParallelSpatialJoin, reusable by the multi-way chain executor
-// (exec/multiway_executor.h): in shared-pool mode, non-null `shared_pool` /
-// `node_cache` are used instead of executor-private instances, so one
-// buffer and one decode cache can span several join phases. `node_cache`,
-// when given, must be layered over `shared_pool`, and the pool's page size
-// must match the trees'.
+// (exec/multiway_executor.h): non-null `shared_pool` / `node_cache` are
+// used instead of executor-private instances, so one buffer and one decode
+// cache can span several join phases. `node_cache`, when given, must be
+// layered over `shared_pool`, and the pool's page size must match the
+// trees'.
 ParallelJoinResult RunParallelSpatialJoinWith(
     const RTree& r, const RTree& s, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, SharedBufferPool* shared_pool,

@@ -1,7 +1,6 @@
 #include "join/cost_estimator.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 
@@ -99,31 +98,6 @@ JoinCostEstimate EstimateJoinCost(const RTree& r, const RTree& s) {
     estimate.sj1_comparisons += processed * fan_r * fan_s * 3.0;
   }
   estimate.page_reads += 2.0;  // the two roots
-
-  const BuildCostEstimate br = EstimateBuildCost(r.size(), r.capacity());
-  const BuildCostEstimate bs = EstimateBuildCost(s.size(), s.capacity());
-  estimate.build_page_writes = br.page_writes + bs.page_writes;
-  estimate.build_comparisons = br.comparisons + bs.comparisons;
-  return estimate;
-}
-
-BuildCostEstimate EstimateBuildCost(size_t entries, uint32_t node_capacity) {
-  BuildCostEstimate estimate;
-  if (entries == 0) return estimate;
-  const double n = static_cast<double>(entries);
-  // STR sorts the full entry set by x, then each vertical tile by y: two
-  // comparison-sort passes over n entries.
-  estimate.comparisons = 2.0 * n * std::log2(std::max(2.0, n));
-  // Packed level sizes form a geometric series in the effective fanout
-  // (the STR default 70% fill).
-  const double fanout =
-      std::max(2.0, 0.7 * static_cast<double>(std::max(1u, node_capacity)));
-  double level_pages = std::ceil(n / fanout);
-  while (true) {
-    estimate.page_writes += level_pages;
-    if (level_pages <= 1.0) break;
-    level_pages = std::ceil(level_pages / fanout);
-  }
   return estimate;
 }
 

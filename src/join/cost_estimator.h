@@ -40,12 +40,6 @@ struct JoinCostEstimate {
   double page_reads = 0.0;       // expected page reads without a buffer
   double sj1_comparisons = 0.0;  // expected SJ1 comparison count
   double result_pairs = 0.0;     // expected join result size
-  // Cost of (re)building BOTH sides by STR bulk load — what a plan
-  // alternative that constructs indexes on the fly (sharded execution,
-  // index-nested-loop over an unindexed side) must amortize against the
-  // join savings before it can win.
-  double build_page_writes = 0.0;  // packed pages written, both trees
-  double build_comparisons = 0.0;  // sort comparisons, both trees
   // The geometry the estimate was made on, for plan decisions whose cost
   // scales with object extent (the planner's raster-cell pricing): the
   // shared data-space extent and each side's leaf level, whose entries
@@ -56,20 +50,8 @@ struct JoinCostEstimate {
   LevelProfile s_leaf;
 };
 
-// Cost of STR-bulk-loading one tree over `entries` data entries into
-// nodes of `node_capacity` entries: the x- then per-tile y-sort dominate
-// CPU at ~2·n·log2(n) comparisons, and every packed page (leaves plus
-// the directory geometric series) is written once.
-struct BuildCostEstimate {
-  double page_writes = 0.0;
-  double comparisons = 0.0;
-};
-BuildCostEstimate EstimateBuildCost(size_t entries, uint32_t node_capacity);
-
 // Estimates the cost of joining `r` and `s` under the uniformity
-// assumption. Both trees must share one page size. The build_* terms are
-// filled from the trees' actual sizes and capacities via
-// EstimateBuildCost.
+// assumption. Both trees must share one page size.
 JoinCostEstimate EstimateJoinCost(const RTree& r, const RTree& s);
 
 }  // namespace rsj

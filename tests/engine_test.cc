@@ -314,44 +314,6 @@ TEST_F(PlannerTest, PricedRasterDecisionChargesUnprovenPairs) {
   EXPECT_EQ(plan.exact_cost, 0.0);
 }
 
-TEST_F(PlannerTest, ShardedDecisionCutsBothWays) {
-  const JoinCostEstimate est = EstimateJoinCost(big_->tree(), big_->tree());
-  // The build-cost term exists and behaves: positive, and monotone in the
-  // input size (the ROADMAP carry-over EstimateJoinCost never had).
-  ASSERT_GT(est.build_comparisons, 0.0);
-  ASSERT_GT(est.build_page_writes, 0.0);
-  const BuildCostEstimate small_build = EstimateBuildCost(100, 51);
-  const BuildCostEstimate big_build = EstimateBuildCost(10000, 51);
-  EXPECT_GT(big_build.comparisons, small_build.comparisons);
-  EXPECT_GT(big_build.page_writes, small_build.page_writes);
-  EXPECT_EQ(EstimateBuildCost(0, 51).comparisons, 0.0);
-
-  PlannerOptions popt;
-  // Past the size floor with the build cost amortized: sharded.
-  popt.shard_page_read_floor = est.page_reads / 2;
-  popt.shard_build_advantage =
-      est.sj1_comparisons / est.build_comparisons / 2;
-  popt.shard_count = 6;
-  PlanChoice plan = PlanPairJoin(big_->tree(), big_->tree(), popt);
-  EXPECT_TRUE(plan.sharded);
-  EXPECT_EQ(plan.shard_count, 6u);
-  EXPECT_NE(plan.Describe().find("sharded=1"), std::string::npos);
-  EXPECT_NE(plan.Describe().find("build_cmp="), std::string::npos);
-
-  // Below the size floor: one tree pair fits one node.
-  popt.shard_page_read_floor = est.page_reads * 2;
-  plan = PlanPairJoin(big_->tree(), big_->tree(), popt);
-  EXPECT_FALSE(plan.sharded);
-
-  // Past the size floor but the join CPU does not amortize the per-shard
-  // rebuilds: the build-cost term vetoes sharding.
-  popt.shard_page_read_floor = est.page_reads / 2;
-  popt.shard_build_advantage =
-      est.sj1_comparisons / est.build_comparisons * 2;
-  plan = PlanPairJoin(big_->tree(), big_->tree(), popt);
-  EXPECT_FALSE(plan.sharded);
-}
-
 // ---------------------------------------------------------------------------
 // QueryEngine
 

@@ -1,7 +1,7 @@
 // Tests for the execution subsystem: batched result sinks, the shared
 // concurrent buffer pool, the work-stealing scheduler, depth-adaptive
 // partitioning, and the parallel executor's exact equivalence with the
-// sequential engine across algorithms, thread counts and pool modes.
+// sequential engine across algorithms and thread counts.
 
 #include <atomic>
 #include <thread>
@@ -421,21 +421,16 @@ TEST_F(ParallelExecutorTest, MatchesSequentialForAllAlgorithmsAndModes) {
         RunSpatialJoin(r_->tree(), s_->tree(), jopt, true);
     const auto expected = testutil::Canonical(sequential.chunks);
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      for (const bool shared : {true, false}) {
-        ParallelExecutorOptions exec;
-        exec.num_threads = threads;
-        exec.shared_pool = shared;
-        exec.collect_pairs = true;
-        auto parallel =
-            RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec);
-        EXPECT_EQ(parallel.pair_count, sequential.pair_count)
-            << JoinAlgorithmName(alg) << " threads=" << threads
-            << " shared=" << shared;
-        EXPECT_EQ(testutil::Canonical(parallel.chunks), expected)
-            << JoinAlgorithmName(alg) << " threads=" << threads
-            << " shared=" << shared;
-        EXPECT_EQ(parallel.total_stats.output_pairs, parallel.pair_count);
-      }
+      ParallelExecutorOptions exec;
+      exec.num_threads = threads;
+      exec.collect_pairs = true;
+      auto parallel =
+          RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec);
+      EXPECT_EQ(parallel.pair_count, sequential.pair_count)
+          << JoinAlgorithmName(alg) << " threads=" << threads;
+      EXPECT_EQ(testutil::Canonical(parallel.chunks), expected)
+          << JoinAlgorithmName(alg) << " threads=" << threads;
+      EXPECT_EQ(parallel.total_stats.output_pairs, parallel.pair_count);
     }
   }
 }
@@ -516,7 +511,7 @@ TEST_F(ParallelExecutorTest, DepthAdaptivePartitioningReportsTelemetry) {
   exec.partition_multiplier = 1024;  // force descent below the root
   const auto result =
       RunParallelSpatialJoin(tall_r.tree(), tall_s.tree(), jopt, exec);
-  EXPECT_TRUE(result.used_shared_pool);
+  EXPECT_TRUE(result.used_node_cache);
   EXPECT_GE(result.task_count, result.worker_stats.size());
   EXPECT_GE(result.partition_depth, 1);
   uint64_t executed = 0;
@@ -649,31 +644,6 @@ TEST_F(ParallelExecutorTest, WindowSplitMatchesForExpandingPredicates) {
               testutil::Canonical(sequential.chunks))
         << "tall_is_r=" << tall_is_r;
   }
-}
-
-TEST_F(ParallelExecutorTest, SharedPoolAvoidsPerWorkerReReads) {
-  // With a buffer large enough that neither mode ever evicts, the shared
-  // pool pays each page's miss once globally, while private pools pay it
-  // once per worker that touches the page (all workers read the roots) —
-  // so shared-mode aggregate disk reads are strictly lower.
-  JoinOptions jopt;
-  jopt.algorithm = JoinAlgorithm::kSJ4;
-  jopt.buffer_bytes = 1024 * 1024;
-  ParallelExecutorOptions shared;
-  shared.num_threads = 4;
-  shared.shared_pool = true;
-  ParallelExecutorOptions priv = shared;
-  priv.shared_pool = false;
-  const auto with_shared =
-      RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, shared);
-  const auto with_private =
-      RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, priv);
-  EXPECT_EQ(with_shared.pair_count, with_private.pair_count);
-  EXPECT_EQ(with_shared.total_stats.buffer_evictions, 0u);
-  EXPECT_LT(with_shared.total_stats.disk_reads,
-            with_private.total_stats.disk_reads);
-  EXPECT_GT(with_shared.total_stats.HitRate(),
-            with_private.total_stats.HitRate());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the parallel multi-way chain executor: exact tuple-multiset
 // equivalence with the sequential chain join across chain lengths, thread
-// counts, predicates, pool modes and both formulations (streaming
-// pipeline vs materialized baseline), the decode savings of the shared
+// counts, predicates and both formulations (streaming pipeline vs
+// materialized), the decode savings of the shared
 // node cache, the bounded-channel backpressure, and the pipeline's
 // frontier-memory ceiling (frontier_peak_tuples).
 
@@ -90,68 +90,6 @@ TEST_F(MultiwayExecTest, MatchesSequentialAcrossThreadsAndPredicates) {
         }
       }
     }
-  }
-}
-
-TEST_F(MultiwayExecTest, ElasticPipelineMatchesDedicatedTeams) {
-  // The elastic shared probe team must produce the exact tuple multiset
-  // of the dedicated-team pipeline (and of the sequential chain), with
-  // num_threads total probe workers instead of num_threads × phases.
-  for (const size_t chain_len : {size_t{3}, size_t{4}}) {
-    const auto chain = Chain(chain_len);
-    JoinOptions jopt;
-    jopt.algorithm = JoinAlgorithm::kSJ4;
-    auto sequential = RunChainSpatialJoin(chain, jopt, true);
-    std::sort(sequential.tuples.begin(), sequential.tuples.end());
-    for (const unsigned threads : {2u, 4u}) {
-      for (const bool shared_pool : {true, false}) {
-        ParallelExecutorOptions exec;
-        exec.num_threads = threads;
-        exec.pipelined = true;
-        exec.elastic_pipeline = true;
-        exec.shared_pool = shared_pool;
-        // A tight bound exercises the help-on-full path.
-        exec.channel_bound = 2;
-        exec.chunk_capacity = 64;
-        auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-        EXPECT_TRUE(parallel.used_pipeline);
-        EXPECT_TRUE(parallel.used_elastic)
-            << "chain=" << chain_len << " threads=" << threads;
-        EXPECT_EQ(parallel.tuple_count, sequential.tuple_count);
-        std::sort(parallel.tuples.begin(), parallel.tuples.end());
-        EXPECT_EQ(parallel.tuples, sequential.tuples)
-            << "chain=" << chain_len << " threads=" << threads
-            << " shared_pool=" << shared_pool;
-      }
-    }
-  }
-  // The dedicated-team pipeline reports used_elastic = false.
-  ParallelExecutorOptions exec;
-  exec.num_threads = 2;
-  exec.pipelined = true;
-  JoinOptions jopt;
-  auto dedicated = RunParallelChainSpatialJoin(Chain(3), jopt, exec, false);
-  EXPECT_TRUE(dedicated.used_pipeline);
-  EXPECT_FALSE(dedicated.used_elastic);
-}
-
-TEST_F(MultiwayExecTest, PrivatePoolModeMatchesToo) {
-  const auto chain = Chain(3);
-  JoinOptions jopt;
-  jopt.algorithm = JoinAlgorithm::kSJ4;
-  auto sequential = RunChainSpatialJoin(chain, jopt, true);
-  std::sort(sequential.tuples.begin(), sequential.tuples.end());
-  for (const bool pipelined : {true, false}) {
-    ParallelExecutorOptions exec;
-    exec.num_threads = 4;
-    exec.shared_pool = false;
-    exec.pipelined = pipelined;
-    auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-    EXPECT_FALSE(parallel.used_shared_pool);
-    EXPECT_FALSE(parallel.used_node_cache);
-    std::sort(parallel.tuples.begin(), parallel.tuples.end());
-    EXPECT_EQ(parallel.tuples, sequential.tuples)
-        << "pipelined=" << pipelined;
   }
 }
 
@@ -282,7 +220,6 @@ TEST_F(MultiwayExecTest, ReportsProbeTelemetryAndWorkerStats) {
   ParallelExecutorOptions exec;
   exec.num_threads = 4;
   const auto result = RunParallelChainSpatialJoin(chain, jopt, exec);
-  EXPECT_TRUE(result.used_shared_pool);
   EXPECT_TRUE(result.used_node_cache);
   EXPECT_GT(result.pairwise_task_count, 0u);
   ASSERT_EQ(result.probe_chunk_counts.size(), 2u);  // phases for R3, R4

@@ -289,36 +289,27 @@ TEST(PrefetchTest, ParallelJoinWithPrefetchMatchesSequential) {
     const auto sequential = RunSpatialJoin(r.tree(), s.tree(), jopt, true);
     const auto expected = testutil::Canonical(sequential.chunks);
     for (const unsigned threads : {2u, 4u}) {
-      for (const bool shared : {true, false}) {
-        IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 4}});
-        ParallelExecutorOptions exec;
-        exec.num_threads = threads;
-        exec.shared_pool = shared;
-        exec.collect_pairs = true;
-        exec.io_scheduler = &io;
-        exec.prefetch = true;
-        auto parallel =
-            RunParallelSpatialJoin(r.tree(), s.tree(), jopt, exec);
-        EXPECT_EQ(parallel.pair_count, sequential.pair_count)
-            << JoinAlgorithmName(alg) << " threads=" << threads
-            << " shared=" << shared;
-        EXPECT_EQ(testutil::Canonical(parallel.chunks), expected)
-            << JoinAlgorithmName(alg) << " threads=" << threads
-            << " shared=" << shared;
-        EXPECT_GT(parallel.total_stats.prefetch_issued, 0u)
-            << JoinAlgorithmName(alg);
-        EXPECT_GT(parallel.modeled_elapsed_micros, 0u);
-      }
+      IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 4}});
+      ParallelExecutorOptions exec;
+      exec.num_threads = threads;
+      exec.collect_pairs = true;
+      exec.io_scheduler = &io;
+      exec.prefetch = true;
+      auto parallel = RunParallelSpatialJoin(r.tree(), s.tree(), jopt, exec);
+      EXPECT_EQ(parallel.pair_count, sequential.pair_count)
+          << JoinAlgorithmName(alg) << " threads=" << threads;
+      EXPECT_EQ(testutil::Canonical(parallel.chunks), expected)
+          << JoinAlgorithmName(alg) << " threads=" << threads;
+      EXPECT_GT(parallel.total_stats.prefetch_issued, 0u)
+          << JoinAlgorithmName(alg);
+      EXPECT_GT(parallel.modeled_elapsed_micros, 0u);
     }
   }
 }
 
 TEST(PrefetchTest, ParallelChainWithPrefetchMatchesSequential) {
-  // Both pool modes: shared-pool hints ride the shared prefetcher, and —
-  // since hints are owner-scoped exactly like the IoScheduler's request
-  // coalescing — private-pool probe workers consume schedule hints into
-  // their own pools too (the PR 3 carve-out is gone). Both formulations:
-  // the streaming pipeline and the materialized baseline.
+  // Probe-root hints ride the shared prefetcher in both formulations:
+  // the streaming pipeline and the materialized one.
   RTreeOptions topt;
   topt.page_size = kPageSize1K;
   std::vector<std::vector<Rect>> rects{
@@ -337,26 +328,22 @@ TEST(PrefetchTest, ParallelChainWithPrefetchMatchesSequential) {
   auto sequential = RunChainSpatialJoin(chain, jopt, true);
   std::sort(sequential.tuples.begin(), sequential.tuples.end());
 
-  for (const bool shared : {true, false}) {
-    for (const bool pipelined : {true, false}) {
-      IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 4}});
-      ParallelExecutorOptions exec;
-      exec.num_threads = 4;
-      exec.shared_pool = shared;
-      exec.pipelined = pipelined;
-      exec.io_scheduler = &io;
-      exec.prefetch = true;
-      auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-      EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
-          << "shared=" << shared << " pipelined=" << pipelined;
-      std::sort(parallel.tuples.begin(), parallel.tuples.end());
-      EXPECT_EQ(parallel.tuples, sequential.tuples)
-          << "shared=" << shared << " pipelined=" << pipelined;
-      EXPECT_GT(parallel.total_stats.prefetch_issued, 0u)
-          << "shared=" << shared << " pipelined=" << pipelined;
-      EXPECT_GT(parallel.modeled_elapsed_micros, 0u)
-          << "shared=" << shared << " pipelined=" << pipelined;
-    }
+  for (const bool pipelined : {true, false}) {
+    IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 4}});
+    ParallelExecutorOptions exec;
+    exec.num_threads = 4;
+    exec.pipelined = pipelined;
+    exec.io_scheduler = &io;
+    exec.prefetch = true;
+    auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
+    EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
+        << "pipelined=" << pipelined;
+    std::sort(parallel.tuples.begin(), parallel.tuples.end());
+    EXPECT_EQ(parallel.tuples, sequential.tuples) << "pipelined=" << pipelined;
+    EXPECT_GT(parallel.total_stats.prefetch_issued, 0u)
+        << "pipelined=" << pipelined;
+    EXPECT_GT(parallel.modeled_elapsed_micros, 0u)
+        << "pipelined=" << pipelined;
   }
 }
 

@@ -10,19 +10,25 @@
 //   parallel                      (work-stealing executor, 3 threads)
 //   sharded                       (declustered K-shard join, K in 2/4/8)
 //   streaming-refined             (on a seed subset, exact polylines)
+//   chain joins                   (3- and 4-relation chains: sequential,
+//                                  pipelined and materialized parallel,
+//                                  collected or spilled)
 //
-// and requires the SORTED PAIR MULTISET of every variant to equal the
-// oracle's. Any failure prints the reproducing seed via SCOPED_TRACE.
+// and requires the SORTED PAIR (or tuple) MULTISET of every variant to
+// equal the oracle's. Any failure prints the reproducing seed via
+// SCOPED_TRACE.
 // Workloads stay small (40..120 objects) so the full sweep is fast under
 // TSan, where this suite doubles as a race hunt over the parallel and
 // sharded paths.
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "datagen/rng.h"
+#include "exec/multiway_executor.h"
 #include "geom/comparison_counter.h"
 #include "geom/segment.h"
 #include "join/join_runner.h"
@@ -74,29 +80,29 @@ std::vector<Rect> CollinearRects(size_t count, Rng* rng) {
   return rects;
 }
 
+// One relation of the workload family `seed` selects; `gen_seed` seeds the
+// uniform and clustered generators, `rng` the lattice and collinear ones.
+std::vector<Rect> FamilyRects(uint64_t seed, size_t count, uint64_t gen_seed,
+                              Rng* rng) {
+  switch (seed % 4) {
+    case 0:
+      return testutil::RandomRects(count, gen_seed, 0.15);
+    case 1:
+      return testutil::ClusteredRects(count, gen_seed, 3, 0.08);
+    case 2:
+      return LatticeRects(count, rng);
+    default:
+      return CollinearRects(count, rng);
+  }
+}
+
 Workload MakeWorkload(uint64_t seed) {
   Rng rng(seed * 7919 + 13);
   Workload w;
   const size_t nr = 40 + rng.UniformInt(81);
   const size_t ns = 40 + rng.UniformInt(81);
-  switch (seed % 4) {
-    case 0:
-      w.r = testutil::RandomRects(nr, seed * 2 + 1, 0.15);
-      w.s = testutil::RandomRects(ns, seed * 2 + 2, 0.15);
-      break;
-    case 1:
-      w.r = testutil::ClusteredRects(nr, seed * 2 + 1, 3, 0.08);
-      w.s = testutil::ClusteredRects(ns, seed * 2 + 2, 3, 0.08);
-      break;
-    case 2:
-      w.r = LatticeRects(nr, &rng);
-      w.s = LatticeRects(ns, &rng);
-      break;
-    default:
-      w.r = CollinearRects(nr, &rng);
-      w.s = CollinearRects(ns, &rng);
-      break;
-  }
+  w.r = FamilyRects(seed, nr, seed * 2 + 1, &rng);
+  w.s = FamilyRects(seed, ns, seed * 2 + 2, &rng);
   // Duplicate a handful of objects on each side (replicated geometry must
   // yield one output pair per OBJECT, not per distinct rectangle).
   for (int d = 0; d < 4; ++d) {
@@ -233,6 +239,101 @@ TEST(PropertyJoin, StreamingRefinementMatchesInlineAndOracle) {
     EXPECT_EQ(streaming.candidate_pairs, candidates);
     EXPECT_EQ(streaming.result_pairs, results);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Chain executors: 3- and 4-relation chains vs a nested-loop chain oracle.
+
+constexpr uint64_t kChainSeeds = 48;
+
+using Tuples = std::vector<std::vector<uint32_t>>;
+
+// Every tuple whose consecutive members satisfy the predicate, evaluated
+// like a chain probe (the earlier relation is the R side), sorted.
+Tuples ChainOracle(const std::vector<std::vector<Rect>>& rels,
+                   const JoinOptions& join) {
+  ComparisonCounter counter;
+  Tuples frontier;
+  for (uint32_t i = 0; i < rels[0].size(); ++i) frontier.push_back({i});
+  for (size_t k = 1; k < rels.size(); ++k) {
+    Tuples extended;
+    for (const std::vector<uint32_t>& tuple : frontier) {
+      const Rect& last = rels[k - 1][tuple.back()];
+      for (uint32_t j = 0; j < rels[k].size(); ++j) {
+        if (EvaluatePredicateCounted(join.predicate, join.epsilon, last,
+                                     rels[k][j], &counter)) {
+          std::vector<uint32_t> longer = tuple;
+          longer.push_back(j);
+          extended.push_back(std::move(longer));
+        }
+      }
+    }
+    frontier = std::move(extended);
+  }
+  std::sort(frontier.begin(), frontier.end());
+  return frontier;
+}
+
+Tuples Sorted(Tuples tuples) {
+  std::sort(tuples.begin(), tuples.end());
+  return tuples;
+}
+
+TEST(PropertyJoin, ChainExecutorsMatchBruteForceOracle) {
+  uint64_t total_tuples = 0;
+  for (uint64_t seed = 0; seed < kChainSeeds; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Rng rng(seed * 104729 + 7);
+    const size_t chain_len = 3 + rng.UniformInt(2);
+    JoinOptions join;
+    if (rng.Bernoulli(0.5)) {
+      join.predicate = JoinPredicate::kWithinDistance;
+      join.epsilon = rng.Uniform(0.0, 0.05);
+    }
+    std::vector<std::vector<Rect>> rels;
+    for (size_t k = 0; k < chain_len; ++k) {
+      rels.push_back(
+          FamilyRects(seed, 20 + rng.UniformInt(31), seed * 8 + k, &rng));
+    }
+    const Tuples expected = ChainOracle(rels, join);
+    total_tuples += expected.size();
+
+    RTreeOptions topt;
+    topt.page_size = kPageSize1K;
+    std::vector<IndexedRelation> indexed;
+    indexed.reserve(chain_len);
+    for (const std::vector<Rect>& rects : rels) indexed.emplace_back(rects, topt);
+    std::vector<JoinRelation> chain;
+    for (size_t k = 0; k < chain_len; ++k) {
+      chain.push_back({&indexed[k].tree(), &rels[k]});
+    }
+
+    const MultiwayJoinResult sequential =
+        RunChainSpatialJoin(chain, join, true);
+    EXPECT_EQ(Sorted(sequential.tuples), expected) << "sequential";
+
+    for (const bool pipelined : {true, false}) {
+      for (const bool spill : {false, true}) {
+        ParallelExecutorOptions exec;
+        exec.num_threads = 3;
+        exec.pipelined = pipelined;
+        exec.chunk_capacity = 8;
+        exec.spill_results = spill;
+        exec.spill_budget_chunks = 1 + seed % 2;
+        const ParallelChainJoinResult got =
+            RunParallelChainSpatialJoin(chain, join, exec, true);
+        Statistics read_stats;
+        const Tuples tuples =
+            spill ? got.spilled_tuples.CopyTuples(&read_stats) : got.tuples;
+        EXPECT_EQ(got.tuple_count, expected.size())
+            << "pipelined=" << pipelined << " spill=" << spill;
+        EXPECT_EQ(Sorted(tuples), expected)
+            << "pipelined=" << pipelined << " spill=" << spill;
+      }
+    }
+  }
+  // The sweep exercised real chains, not empty frontiers.
+  EXPECT_GT(total_tuples, 5000u);
 }
 
 }  // namespace
