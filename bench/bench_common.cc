@@ -9,16 +9,26 @@ namespace rsj {
 namespace bench {
 
 double ParseScale(int argc, char** argv) {
-  double scale = 1.0;
-  if (const char* env = std::getenv("RSJ_BENCH_SCALE")) {
-    scale = std::atof(env);
-  }
+  const char* source = nullptr;
+  const char* text = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      scale = std::atof(argv[i] + 8);
+      source = "--scale";
+      text = argv[i] + 8;
     }
   }
-  if (scale <= 0.0 || scale > 1.0) scale = 1.0;
+  if (text == nullptr) {
+    text = std::getenv("RSJ_BENCH_SCALE");
+    if (text == nullptr) return 1.0;
+    source = "RSJ_BENCH_SCALE";
+  }
+  char* end = nullptr;
+  const double scale = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(scale > 0.0 && scale <= 1.0)) {
+    std::fprintf(stderr, "invalid %s '%s': expected a number in (0, 1]\n",
+                 source, text);
+    std::exit(2);
+  }
   return scale;
 }
 

@@ -24,7 +24,10 @@ inline constexpr uint32_t kPageSizes[] = {kPageSize1K, kPageSize2K,
 inline constexpr uint64_t kBufferSizes[] = {0, 8 * 1024, 32 * 1024,
                                             128 * 1024, 512 * 1024};
 
-// Parses --scale=<f> from argv or RSJ_BENCH_SCALE from the environment.
+// Parses --scale=<f> from argv (last occurrence wins) or, without the
+// flag, RSJ_BENCH_SCALE from the environment; 1.0 (full paper scale) when
+// neither is set. An unparsable value or one outside (0, 1] exits the
+// process with status 2 and a message naming the value.
 double ParseScale(int argc, char** argv);
 
 // Parses --<name>=<value> from argv (last occurrence wins); returns `def`

@@ -76,7 +76,7 @@ RectBlock SpatialJoinEngine::MarkEntriesBlock(const RectBlock& block,
 }
 
 std::vector<SpatialJoinEngine::EntryPair> SpatialJoinEngine::QualifyingPairs(
-    NodeView first, NodeView second, const Rect& rect, bool first_is_r) {
+    NodeView first, NodeView second, const Rect& rect) {
   // The views' blocks already carry each side's rectangles as the scalar
   // code tested them: the R-side accessor bakes the predicate expansion in
   // at decode time (and the sweep accessors sort first; expansion preserves
@@ -163,7 +163,7 @@ void SpatialJoinEngine::JoinNodes(NodeView r, NodeView s, const Rect& rect) {
   const Node& nr = *r.node;
   const Node& ns = *s.node;
   if (nr.is_leaf() && ns.is_leaf()) {
-    for (const EntryPair& p : QualifyingPairs(r, s, rect, /*first_is_r=*/true)) {
+    for (const EntryPair& p : QualifyingPairs(r, s, rect)) {
       const Entry& a = nr.entries[p.first];
       const Entry& b = ns.entries[p.second];
       // The traversal filter is exact for the intersection predicate; all
@@ -179,8 +179,7 @@ void SpatialJoinEngine::JoinNodes(NodeView r, NodeView s, const Rect& rect) {
     return;
   }
   if (!nr.is_leaf() && !ns.is_leaf()) {
-    std::vector<EntryPair> pairs =
-        QualifyingPairs(r, s, rect, /*first_is_r=*/true);
+    std::vector<EntryPair> pairs = QualifyingPairs(r, s, rect);
     if (UsesZOrderSchedule(options_.algorithm)) {
       ApplyZOrderSchedule(nr, ns, &pairs);
     }
@@ -295,8 +294,7 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
                                     bool r_is_deep) {
   const Node& dir_node = *dir.node;
   const Node& leaf_node = *leaf.node;
-  const std::vector<EntryPair> pairs =
-      QualifyingPairs(dir, leaf, rect, /*first_is_r=*/r_is_deep);
+  const std::vector<EntryPair> pairs = QualifyingPairs(dir, leaf, rect);
 
   if (prefetcher_ != nullptr && !pairs.empty()) {
     // §4.4: the subtree root pages the window queries will descend into,

@@ -93,13 +93,12 @@ class SpatialJoinEngine {
 
   // Pair finding between two nodes, honoring the configured CPU technique
   // (nested loops / restriction / plane sweep). `rect` is the intersection
-  // of the parent rectangles; `first_is_r` says which operand the first
-  // node belongs to (the R side carries the predicate expansion — already
-  // baked into that side's accessor blocks). The inner loops run as batch
-  // kernels over the views' SoA blocks (geom/simd_kernels.h), charging
-  // exactly the scalar comparison counts.
+  // of the parent rectangles. Either node may be the R side: its predicate
+  // expansion is already baked into that side's accessor blocks. The inner
+  // loops run as batch kernels over the views' SoA blocks
+  // (geom/simd_kernels.h), charging exactly the scalar comparison counts.
   std::vector<EntryPair> QualifyingPairs(NodeView first, NodeView second,
-                                         const Rect& rect, bool first_is_r);
+                                         const Rect& rect);
 
   // Positions of `block` whose rectangles intersect `rect`, compacted into
   // a new block (in block order — sorted order for the sweep algorithms

@@ -1,5 +1,6 @@
 #include "rtree/node.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -25,8 +26,16 @@ void DecodeHeader(const std::byte* page, uint16_t* count, uint8_t* level) {
 }  // namespace
 
 Rect Node::ComputeMbr() const {
-  Rect mbr = Rect::Empty();
-  for (const Entry& e : entries) mbr.ExpandToInclude(e.rect);
+  if (entries.empty()) return Rect::Empty();
+  // A min/max fold from the first entry: equal to the Union fold for
+  // stored (valid) entries, without Union's per-entry emptiness branches.
+  Rect mbr = entries.front().rect;
+  for (const Entry& e : entries) {
+    mbr.xl = std::min(mbr.xl, e.rect.xl);
+    mbr.yl = std::min(mbr.yl, e.rect.yl);
+    mbr.xu = std::max(mbr.xu, e.rect.xu);
+    mbr.yu = std::max(mbr.yu, e.rect.yu);
+  }
   return mbr;
 }
 

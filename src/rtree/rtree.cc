@@ -62,11 +62,13 @@ void RTree::Insert(const Rect& rect, uint32_t object_id) {
 
 void RTree::InsertAtLevel(const Entry& entry, int target_level) {
   RSJ_CHECK(target_level < height_);
-  PlaceEntry(DescendPath(entry.rect, target_level), entry);
+  Node target;
+  std::vector<PageId> path = DescendPath(entry.rect, target_level, &target);
+  PlaceEntry(path, std::move(target), entry);
 }
 
-std::vector<PageId> RTree::DescendPath(const Rect& rect,
-                                       int target_level) const {
+std::vector<PageId> RTree::DescendPath(const Rect& rect, int target_level,
+                                       Node* target) const {
   std::vector<PageId> path{root_};
   Node node = Node::Load(*file_, root_);
   while (node.level > target_level) {
@@ -76,6 +78,7 @@ std::vector<PageId> RTree::DescendPath(const Rect& rect,
     node = Node::Load(*file_, child);
   }
   RSJ_CHECK(node.level == target_level);
+  *target = std::move(node);
   return path;
 }
 
@@ -88,49 +91,8 @@ size_t RTree::ChooseSubtree(const Node& node, const Rect& rect) const {
   // needs the least *overlap enlargement* w.r.t. its siblings; the exact
   // computation is restricted to the least-area-enlargement candidates.
   if (options_.split_policy == SplitPolicy::kRStar && node.level == 1) {
-    // Enlargements are precomputed once; the comparator must not recompute
-    // them (M log M extra area computations per insert otherwise).
-    std::vector<double> enlargement_of(n);
-    for (size_t i = 0; i < n; ++i) {
-      enlargement_of[i] = node.entries[i].rect.Enlargement(rect);
-    }
-    std::vector<size_t> candidates(n);
-    std::iota(candidates.begin(), candidates.end(), size_t{0});
-    const size_t limit = options_.choose_subtree_candidates;
-    if (limit > 0 && n > limit) {
-      std::partial_sort(candidates.begin(),
-                        candidates.begin() + static_cast<ptrdiff_t>(limit),
-                        candidates.end(), [&](size_t a, size_t b) {
-                          return enlargement_of[a] < enlargement_of[b];
-                        });
-      candidates.resize(limit);
-    }
-    size_t best = candidates[0];
-    double best_overlap_delta = std::numeric_limits<double>::infinity();
-    double best_enlargement = std::numeric_limits<double>::infinity();
-    double best_area = std::numeric_limits<double>::infinity();
-    for (const size_t c : candidates) {
-      const Rect& rc = node.entries[c].rect;
-      const Rect grown = rc.Union(rect);
-      double overlap_delta = 0.0;
-      for (size_t j = 0; j < n; ++j) {
-        if (j == c) continue;
-        const Rect& rj = node.entries[j].rect;
-        overlap_delta += grown.OverlapArea(rj) - rc.OverlapArea(rj);
-      }
-      const double enlargement = enlargement_of[c];
-      const double area = rc.Area();
-      if (overlap_delta < best_overlap_delta ||
-          (overlap_delta == best_overlap_delta &&
-           (enlargement < best_enlargement ||
-            (enlargement == best_enlargement && area < best_area)))) {
-        best = c;
-        best_overlap_delta = overlap_delta;
-        best_enlargement = enlargement;
-        best_area = area;
-      }
-    }
-    return best;
+    return ChooseSubtreeRStar(node.entries, rect,
+                              options_.choose_subtree_candidates);
   }
 
   // All other levels/policies: least area enlargement, ties by least area.
@@ -150,8 +112,8 @@ size_t RTree::ChooseSubtree(const Node& node, const Rect& rect) const {
   return best;
 }
 
-void RTree::PlaceEntry(const std::vector<PageId>& path, const Entry& entry) {
-  Node node = Node::Load(*file_, path.back());
+void RTree::PlaceEntry(const std::vector<PageId>& path, Node node,
+                       const Entry& entry) {
   // Keep node entries ordered by their rectangles' lower x coordinate.
   // The order inside a node is semantically free; keeping it (nearly)
   // sorted makes the joins' sort-page-on-read step cheap, the option §4.2
@@ -163,7 +125,7 @@ void RTree::PlaceEntry(const std::vector<PageId>& path, const Entry& entry) {
   node.entries.insert(pos, entry);
   if (node.entries.size() <= capacity_) {
     node.Store(file_, path.back());
-    UpdatePathMbrs(path);
+    UpdatePathMbrs(path, node.ComputeMbr());
     return;
   }
   HandleOverflow(path, std::move(node));
@@ -188,11 +150,14 @@ void RTree::ReInsertEntries(std::vector<PageId> path, Node node) {
   const size_t n = node.entries.size();
 
   // Select the p entries farthest from the node's MBR center.
+  std::vector<double> distance(n);
+  for (size_t i = 0; i < n; ++i) {
+    distance[i] = node.entries[i].rect.CenterDistance2(center_rect);
+  }
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return node.entries[a].rect.CenterDistance2(center_rect) >
-           node.entries[b].rect.CenterDistance2(center_rect);
+    return distance[a] > distance[b];
   });
   size_t p = static_cast<size_t>(
       std::lround(options_.reinsert_fraction * static_cast<double>(n)));
@@ -216,7 +181,7 @@ void RTree::ReInsertEntries(std::vector<PageId> path, Node node) {
 
   const int level = node.level;
   node.Store(file_, path.back());
-  UpdatePathMbrs(path);
+  UpdatePathMbrs(path, node.ComputeMbr());
 
   // Close reinsert: re-insert starting with the entry nearest the center.
   for (size_t i = removed.size(); i-- > 0;) {
@@ -286,15 +251,14 @@ void RTree::SplitNode(std::vector<PageId> path, Node node) {
   parent.entries.insert(pos, right_entry);
   if (parent.entries.size() <= capacity_) {
     parent.Store(file_, path.back());
-    UpdatePathMbrs(path);
+    UpdatePathMbrs(path, parent.ComputeMbr());
     return;
   }
   HandleOverflow(std::move(path), std::move(parent));
 }
 
-void RTree::UpdatePathMbrs(const std::vector<PageId>& path) {
+void RTree::UpdatePathMbrs(const std::vector<PageId>& path, Rect child_mbr) {
   if (path.size() < 2) return;
-  Rect child_mbr = Node::Load(*file_, path.back()).ComputeMbr();
   for (size_t i = path.size() - 1; i-- > 0;) {
     Node parent = Node::Load(*file_, path[i]);
     Entry* e = FindChildEntry(&parent, path[i + 1]);

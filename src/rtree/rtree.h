@@ -112,8 +112,10 @@ class RTree {
 
  private:
   // Descends from the root to a node at `target_level`, choosing subtrees
-  // per the configured policy; returns the page path (root first).
-  std::vector<PageId> DescendPath(const Rect& rect, int target_level) const;
+  // per the configured policy; returns the page path (root first) and
+  // hands over the decoded node at path.back() in `target`.
+  std::vector<PageId> DescendPath(const Rect& rect, int target_level,
+                                  Node* target) const;
 
   // Index of the child entry of `node` to descend into for `rect`.
   size_t ChooseSubtree(const Node& node, const Rect& rect) const;
@@ -121,8 +123,10 @@ class RTree {
   // Inserts `entry` into a node at `target_level`, handling overflow.
   void InsertAtLevel(const Entry& entry, int target_level);
 
-  // Places `entry` into the node at path.back(), then resolves overflow.
-  void PlaceEntry(const std::vector<PageId>& path, const Entry& entry);
+  // Places `entry` into `node`, the decoded node at path.back(), then
+  // resolves overflow.
+  void PlaceEntry(const std::vector<PageId>& path, Node node,
+                  const Entry& entry);
 
   // Overflow resolution: forced reinsertion (first time per level per
   // insertion, R* only, never at the root) or split. `node` holds M+1
@@ -131,9 +135,10 @@ class RTree {
   void ReInsertEntries(std::vector<PageId> path, Node node);
   void SplitNode(std::vector<PageId> path, Node node);
 
-  // Recomputes parent entry MBRs along `path` bottom-up (early exit once a
-  // level's MBR is unchanged).
-  void UpdatePathMbrs(const std::vector<PageId>& path);
+  // Recomputes parent entry MBRs along `path` bottom-up, starting from
+  // `child_mbr`, the MBR of the node just stored at path.back() (early exit
+  // once a level's MBR is unchanged).
+  void UpdatePathMbrs(const std::vector<PageId>& path, Rect child_mbr);
 
   // DFS locating the leaf containing (rect, object_id); fills `path`.
   bool FindLeafPath(PageId page, const Rect& rect, uint32_t object_id,

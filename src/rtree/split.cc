@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "common/logging.h"
 
@@ -289,6 +290,75 @@ SplitResult SplitLinear(std::vector<Entry> entries, uint32_t min_entries) {
   rebalance(&result.left, &result.right);
   rebalance(&result.right, &result.left);
   return result;
+}
+
+size_t ChooseSubtreeRStar(std::span<const Entry> entries, const Rect& rect,
+                          uint32_t candidates) {
+  RSJ_CHECK(!entries.empty());
+  const size_t n = entries.size();
+
+  // Per-thread scratch: two heap allocations per insert otherwise.
+  thread_local std::vector<double> enlargement_of;
+  thread_local std::vector<size_t> order;
+
+  // Enlargements are precomputed once; the comparator must not recompute
+  // them (M log M extra area computations per insert otherwise).
+  enlargement_of.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    enlargement_of[i] = entries[i].rect.Enlargement(rect);
+  }
+  order.resize(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  if (candidates > 0 && n > candidates) {
+    // partial_sort's order among equal enlargements decides which tied
+    // candidate wins, so the call and its input are part of the tree shape.
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<ptrdiff_t>(candidates),
+                      order.end(), [&](size_t a, size_t b) {
+                        return enlargement_of[a] < enlargement_of[b];
+                      });
+    order.resize(candidates);
+  }
+
+  // Three prunes, none of which changes the result bit for bit. With
+  // grown = rc ∪ rect ⊇ rc, every term grown∩rj - rc∩rj of a candidate's
+  // overlap sum is >= +0.0 (the double roundings are monotone), so:
+  //  - a sibling that does not touch `grown` adds exactly +0.0 (both
+  //    overlaps are the literal 0.0), which leaves the sum as it is;
+  //  - the partial sum never decreases, so a candidate is dropped once it
+  //    exceeds the best sum;
+  //  - a best sum of 0 can only be tied, so a candidate that loses the
+  //    (enlargement, area) tie-break is not summed at all. Past the cut the
+  //    candidates ascend in enlargement, so this ends the useful scan.
+  size_t best = order[0];
+  double best_overlap_delta = std::numeric_limits<double>::infinity();
+  double best_enlargement = std::numeric_limits<double>::infinity();
+  double best_area = std::numeric_limits<double>::infinity();
+  for (const size_t c : order) {
+    const Rect& rc = entries[c].rect;
+    const double enlargement = enlargement_of[c];
+    const double area = rc.Area();
+    const bool wins_tie =
+        enlargement < best_enlargement ||
+        (enlargement == best_enlargement && area < best_area);
+    if (best_overlap_delta == 0.0 && !wins_tie) continue;
+    const Rect grown = rc.Union(rect);
+    double overlap_delta = 0.0;
+    for (size_t j = 0; j < n; ++j) {
+      const Rect& rj = entries[j].rect;
+      if (j == c || !grown.Intersects(rj)) continue;
+      overlap_delta += grown.OverlapArea(rj) - rc.OverlapArea(rj);
+      if (overlap_delta > best_overlap_delta) break;
+    }
+    if (overlap_delta < best_overlap_delta ||
+        (overlap_delta == best_overlap_delta && wins_tie)) {
+      best = c;
+      best_overlap_delta = overlap_delta;
+      best_enlargement = enlargement;
+      best_area = area;
+    }
+  }
+  return best;
 }
 
 }  // namespace rsj

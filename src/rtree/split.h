@@ -8,11 +8,16 @@
 //
 // Guttman's quadratic and linear splits are provided as the original R-tree
 // baselines used in the ablation benchmarks.
+//
+// The R* ChooseSubtree rule of the level above the leaves lives here too:
+// like the split, it is a pure function of one node's entries.
 
 #ifndef RSJ_RTREE_SPLIT_H_
 #define RSJ_RTREE_SPLIT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rtree/entry.h"
@@ -36,6 +41,16 @@ SplitResult SplitQuadratic(std::vector<Entry> entries, uint32_t min_entries);
 // Guttman's linear split (seeds by maximal normalized separation, remaining
 // entries assigned by minimal enlargement, with a min-fill safeguard).
 SplitResult SplitLinear(std::vector<Entry> entries, uint32_t min_entries);
+
+// R*-tree ChooseSubtree for a node whose children are leaves: the index of
+// the entry whose rectangle needs the least overlap enlargement (summed
+// over its siblings) to cover `rect`; ties go to the least area
+// enlargement, then the least area, then the first in candidate order.
+// When 0 < `candidates` < entries.size(), only the `candidates` entries of
+// least area enlargement are evaluated (partial_sort order). `entries`
+// must not be empty.
+size_t ChooseSubtreeRStar(std::span<const Entry> entries, const Rect& rect,
+                          uint32_t candidates);
 
 }  // namespace rsj
 

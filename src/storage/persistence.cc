@@ -1,5 +1,7 @@
 #include "storage/persistence.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -40,6 +42,32 @@ uint64_t Fnv1a(const void* data, size_t length) {
 
 uint64_t HeaderChecksum(const FileHeader& header) {
   return Fnv1a(&header, offsetof(FileHeader, checksum));
+}
+
+// True when a tree can run with the header's metadata and insertion
+// options. The checksum only proves these are the bytes that were written;
+// options the RTree constructor rejects, or that abort at the first split
+// or insert, must load as an error instead.
+bool ValidTreeHeader(const FileHeader& header) {
+  if (header.split_policy > static_cast<uint32_t>(SplitPolicy::kLinear)) {
+    return false;
+  }
+  // One page per level at least.
+  if (header.height < 1 ||
+      static_cast<uint64_t>(header.height) > header.page_count) {
+    return false;
+  }
+  const double reinsert = header.reinsert_fraction;
+  if (!std::isfinite(reinsert) || reinsert < 0.0 || reinsert > 1.0) {
+    return false;
+  }
+  // The constructor's rule, m = max(2, floor(f * M)) with M >= 2m, checked
+  // before its float-to-integer cast can see a bad fraction.
+  const double fill = header.min_fill_fraction;
+  if (!std::isfinite(fill) || fill < 0.0) return false;
+  const uint32_t capacity = NodeCapacity(header.page_size);
+  const double min_entries = std::max(2.0, std::floor(fill * capacity));
+  return capacity >= 2.0 * min_entries;
 }
 
 // RAII FILE holder.
@@ -95,7 +123,8 @@ std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path) {
     return std::nullopt;
   }
   if (header.checksum != HeaderChecksum(header)) return std::nullopt;
-  if (header.page_size < 64 || header.root_page >= header.page_count) {
+  if (header.page_size < 64 || header.root_page >= header.page_count ||
+      !ValidTreeHeader(header)) {
     return std::nullopt;
   }
 

@@ -37,7 +37,9 @@ struct LoadedRelation {
 };
 
 // Reads a file written by SaveIndexedRelation. Returns std::nullopt when
-// the file is missing, truncated, or fails validation.
+// the file is missing, truncated, or fails validation: magic, version,
+// header checksum, and metadata a tree can run with (split policy, height,
+// finite fill and reinsert fractions the RTree constructor accepts).
 std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path);
 
 }  // namespace rsj

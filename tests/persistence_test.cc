@@ -1,5 +1,6 @@
 // Tests for saving/loading indexed relations: round trips, query
-// equivalence, corruption and truncation detection.
+// equivalence, corruption and truncation detection, and rejection of
+// stored options a tree cannot run with.
 
 #include "storage/persistence.h"
 
@@ -7,6 +8,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <limits>
+#include <utility>
 
 #include "join/join_runner.h"
 #include "tests/test_util.h"
@@ -178,6 +182,68 @@ TEST_F(PersistenceTest, OptionsSurviveRoundTrip) {
   EXPECT_FALSE(loaded->tree->options().forced_reinsert);
   EXPECT_DOUBLE_EQ(loaded->tree->options().min_fill_fraction, 0.3);
   EXPECT_EQ(loaded->file->page_size(), kPageSize2K);
+}
+
+
+// The header checksum only proves the bytes are the ones that were written:
+// options the tree cannot run with, saved with a valid checksum, must load
+// as an error instead of aborting (in the RTree constructor, at the first
+// split or at the first insert) or reaching a float-to-integer cast.
+TEST_F(PersistenceTest, UnrunnableOptionsRejected) {
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  PagedFile file(topt.page_size);
+  RTree tree = BuildRTree(&file, testutil::RandomRects(300, 79, 0.02), topt);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using Edit = std::function<void(StoredTreeMeta*)>;
+  const std::vector<std::pair<const char*, Edit>> cases = {
+      // M = 51 < 2 * floor(0.6 * 51) = 60.
+      {"min_fill 0.6", [](auto* m) { m->options.min_fill_fraction = 0.6; }},
+      {"min_fill NaN", [](auto* m) { m->options.min_fill_fraction = kNan; }},
+      {"min_fill inf", [](auto* m) { m->options.min_fill_fraction = kInf; }},
+      {"min_fill -1", [](auto* m) { m->options.min_fill_fraction = -1.0; }},
+      {"split_policy 7",
+       [](auto* m) { m->options.split_policy = static_cast<SplitPolicy>(7); }},
+      {"reinsert NaN", [](auto* m) { m->options.reinsert_fraction = kNan; }},
+      {"reinsert 1.5", [](auto* m) { m->options.reinsert_fraction = 1.5; }},
+      {"reinsert -0.1", [](auto* m) { m->options.reinsert_fraction = -0.1; }},
+      {"height 0", [](auto* m) { m->height = 0; }},
+      {"height -3", [](auto* m) { m->height = -3; }},
+      {"height beyond pages", [](auto* m) { m->height = 1 << 30; }},
+  };
+  for (const auto& [name, edit] : cases) {
+    StoredTreeMeta meta = MetaOf(tree);
+    edit(&meta);
+    ASSERT_TRUE(SaveIndexedRelation(file, meta, path_.string())) << name;
+    EXPECT_FALSE(LoadIndexedRelation(path_.string()).has_value()) << name;
+  }
+}
+
+// The edges of the accepted ranges still load, and the loaded tree inserts.
+TEST_F(PersistenceTest, BoundaryOptionsLoadAndInsert) {
+  // At 1 KiB pages f = 0.5 gives m = 25 and M = 51 >= 50.
+  const std::vector<std::pair<double, double>> fill_and_reinsert = {
+      {0.5, 0.3}, {0.0, 0.0}, {0.4, 1.0}};
+  const auto rects = testutil::RandomRects(600, 80, 0.02);
+  for (const auto& [fill, reinsert] : fill_and_reinsert) {
+    RTreeOptions topt;
+    topt.page_size = kPageSize1K;
+    topt.min_fill_fraction = fill;
+    topt.reinsert_fraction = reinsert;
+    PagedFile file(topt.page_size);
+    RTree tree(&file, topt);
+    for (uint32_t i = 0; i < 300; ++i) tree.Insert(rects[i], i);
+    ASSERT_TRUE(SaveIndexedRelation(file, MetaOf(tree), path_.string()));
+    auto loaded = LoadIndexedRelation(path_.string());
+    ASSERT_TRUE(loaded.has_value()) << "fill " << fill << " reinsert "
+                                    << reinsert;
+    for (uint32_t i = 300; i < rects.size(); ++i) {
+      loaded->tree->Insert(rects[i], i);
+    }
+    EXPECT_EQ(loaded->tree->size(), rects.size());
+    EXPECT_TRUE(loaded->tree->Validate().empty());
+  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // R-tree / R*-tree tests: insertion, window queries against a brute-force
 // oracle, deletion, structural invariants under arbitrary operation
 // interleavings (property-based with fixed seeds), split policies, forced
-// reinsertion, STR bulk loading, and Table 1 style statistics.
+// reinsertion, STR bulk loading, Table 1 style statistics, and digests that
+// pin the pages insertion and deletion write.
 
 #include "rtree/rtree.h"
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <set>
 
 #include "tests/test_util.h"
@@ -280,6 +283,101 @@ TEST(ForcedReinsertTest, ImprovesOrMatchesStorageUtilization) {
   // a small tolerance for this synthetic workload.
   EXPECT_GE(build_fill(true), build_fill(false) - 0.02);
 }
+
+// --- build digests ---------------------------------------------------------
+
+// FNV-1a over every page of the tree's file (freed pages included), then
+// the root page id, height, size and free list.
+uint64_t TreeDigest(const RTree& tree) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](const void* data, size_t length) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < length; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const PagedFile& file = tree.file();
+  for (PageId id = 0; id < file.allocated_pages(); ++id) {
+    mix(file.PageData(id), file.page_size());
+  }
+  const PageId root = tree.root_page();
+  const int32_t height = tree.height();
+  const uint64_t size = tree.size();
+  mix(&root, sizeof(root));
+  mix(&height, sizeof(height));
+  mix(&size, sizeof(size));
+  for (const PageId id : file.free_list()) mix(&id, sizeof(id));
+  return hash;
+}
+
+std::string Hex(uint64_t value) {
+  char text[19];
+  std::snprintf(text, sizeof(text), "0x%016" PRIx64, value);
+  return text;
+}
+
+struct DigestCase {
+  const char* name;
+  uint32_t page_size;
+  SplitPolicy policy;
+  bool reinsert;
+  uint64_t built;      // after inserting the rectangles
+  uint64_t condensed;  // after then deleting every third one
+};
+
+class TreeDigestTest : public ::testing::TestWithParam<DigestCase> {};
+
+// Insertion (ChooseSubtree, splits, forced reinsertion) and deletion
+// (CondenseTree's orphan reinsertion at upper levels) are pinned byte for
+// byte: the digests were recorded when the pruned R* ChooseSubtree
+// replaced the unpruned formula, on the unpruned code, x86-64 with
+// libstdc++ (partial_sort's order among ties is part of the tree shape).
+// The inputs use arithmetic only (no libm). A change that means to change
+// trees updates these digests and says so.
+TEST_P(TreeDigestTest, BuildAndCondenseMatchRecordedPages) {
+  const DigestCase& c = GetParam();
+  PagedFile file(c.page_size);
+  RTreeOptions options;
+  options.page_size = c.page_size;
+  options.split_policy = c.policy;
+  options.forced_reinsert = c.reinsert;
+  RTree tree(&file, options);
+  const auto rects = testutil::RandomRects(8000, /*seed=*/15, 0.02);
+  for (uint32_t i = 0; i < rects.size(); ++i) tree.Insert(rects[i], i);
+  EXPECT_GE(tree.height(), c.page_size == kPageSize1K ? 3 : 2);
+  const uint64_t built = TreeDigest(tree);
+  for (uint32_t i = 0; i < rects.size(); i += 3) {
+    ASSERT_TRUE(tree.Delete(rects[i], i));
+  }
+  ExpectValid(tree);
+  const uint64_t condensed = TreeDigest(tree);
+  EXPECT_EQ(Hex(built), Hex(c.built)) << "built digest";
+  EXPECT_EQ(Hex(condensed), Hex(c.condensed)) << "condensed digest";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PageSizesAndPolicies, TreeDigestTest,
+    ::testing::Values(
+        DigestCase{"rstar_1k", kPageSize1K, SplitPolicy::kRStar, true,
+                   0x8771a76e1261dd87ULL, 0x05b98db6426ecd36ULL},
+        DigestCase{"rstar_noreins_1k", kPageSize1K, SplitPolicy::kRStar, false,
+                   0xc5c52a2574985f65ULL, 0xc19e9e09b9046099ULL},
+        DigestCase{"quad_1k", kPageSize1K, SplitPolicy::kQuadratic, false,
+                   0x66b6eb3961c6d68bULL, 0x33d4f2084f6e0035ULL},
+        DigestCase{"linear_1k", kPageSize1K, SplitPolicy::kLinear, false,
+                   0xacbfa54932f6397cULL, 0x72fbfbad2281b721ULL},
+        DigestCase{"rstar_4k", kPageSize4K, SplitPolicy::kRStar, true,
+                   0x0de58b4a20168957ULL, 0x913d98a4455ab390ULL},
+        DigestCase{"rstar_noreins_4k", kPageSize4K, SplitPolicy::kRStar, false,
+                   0x062f8b41d93677b1ULL, 0x1f160be6059af46fULL},
+        DigestCase{"quad_4k", kPageSize4K, SplitPolicy::kQuadratic, false,
+                   0x13166d41a73520b7ULL, 0x0012e3717c73ab96ULL},
+        DigestCase{"linear_4k", kPageSize4K, SplitPolicy::kLinear, false,
+                   0x9962e289d24f0067ULL, 0x1527447986b7e3f9ULL}),
+    [](const ::testing::TestParamInfo<DigestCase>& info) {
+      return info.param.name;
+    });
 
 TEST(BulkLoadTest, StrProducesValidEquivalentTree) {
   const auto rects = testutil::ClusteredRects(3000, /*seed=*/31);

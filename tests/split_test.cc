@@ -1,11 +1,17 @@
 // Tests for the three split algorithms: partition correctness (every entry
 // in exactly one group), min-fill bounds, and quality ordering (the R*
-// split should not produce more overlap than the linear split on average).
+// split should not produce more overlap than the linear split on average);
+// and a differential test of the pruned R* ChooseSubtree against the
+// unpruned formula.
 
 #include "rtree/split.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <numeric>
+
+#include "datagen/rng.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -155,6 +161,233 @@ TEST(QuadraticSplitTest, SeedsAreSeparated) {
     return false;
   };
   EXPECT_NE(in_left(0), in_left(1));
+}
+
+
+// --- R* ChooseSubtree ------------------------------------------------------
+
+// The R* level-1 choice as RTree::ChooseSubtree computed it before its
+// overlap sum was pruned, kept verbatim as the differential reference:
+// every candidate sums its overlap enlargement over every sibling.
+size_t ReferenceChooseSubtreeRStar(const std::vector<Entry>& entries,
+                                   const Rect& rect, uint32_t candidates) {
+  const size_t n = entries.size();
+  std::vector<double> enlargement_of(n);
+  for (size_t i = 0; i < n; ++i) {
+    enlargement_of[i] = entries[i].rect.Enlargement(rect);
+  }
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  const size_t limit = candidates;
+  if (limit > 0 && n > limit) {
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<ptrdiff_t>(limit),
+                      order.end(), [&](size_t a, size_t b) {
+                        return enlargement_of[a] < enlargement_of[b];
+                      });
+    order.resize(limit);
+  }
+  size_t best = order[0];
+  double best_overlap_delta = std::numeric_limits<double>::infinity();
+  double best_enlargement = std::numeric_limits<double>::infinity();
+  double best_area = std::numeric_limits<double>::infinity();
+  for (const size_t c : order) {
+    const Rect& rc = entries[c].rect;
+    const Rect grown = rc.Union(rect);
+    double overlap_delta = 0.0;
+    for (size_t j = 0; j < n; ++j) {
+      if (j == c) continue;
+      const Rect& rj = entries[j].rect;
+      overlap_delta += grown.OverlapArea(rj) - rc.OverlapArea(rj);
+    }
+    const double enlargement = enlargement_of[c];
+    const double area = rc.Area();
+    if (overlap_delta < best_overlap_delta ||
+        (overlap_delta == best_overlap_delta &&
+         (enlargement < best_enlargement ||
+          (enlargement == best_enlargement && area < best_area)))) {
+      best = c;
+      best_overlap_delta = overlap_delta;
+      best_enlargement = enlargement;
+      best_area = area;
+    }
+  }
+  return best;
+}
+
+// Random node contents shaped to hit the prunes' edge cases: children of
+// a per-node extent (far apart to heavily overlapping), coordinates on a
+// 1/64 grid (children touch at edges; enlargements, areas and overlap sums
+// tie exactly), zero-area children, duplicate children, and new
+// rectangles inside one or several children.
+class ChooseSubtreeNodeGen {
+ public:
+  explicit ChooseSubtreeNodeGen(uint64_t seed) : rng_(seed) {}
+
+  // [lo, lo + len] inside [0, 1] with len <= extent_, on the grid or not.
+  std::pair<Coord, Coord> Interval(bool grid) {
+    if (grid) {
+      const auto steps = static_cast<uint64_t>(extent_ * 64.0);
+      const uint64_t len = rng_.UniformInt(steps + 1);
+      const uint64_t lo = rng_.UniformInt(65 - len);
+      return {static_cast<Coord>(lo) / 64.0f,
+              static_cast<Coord>(lo + len) / 64.0f};
+    }
+    const double len = rng_.Uniform(0.0, extent_);
+    const double lo = rng_.Uniform(0.0, 1.0 - len);
+    return {static_cast<Coord>(lo), static_cast<Coord>(lo + len)};
+  }
+
+  Rect Child() {
+    const bool grid = rng_.Bernoulli(0.5);
+    auto [xl, xu] = Interval(grid);
+    auto [yl, yu] = Interval(grid);
+    switch (rng_.UniformInt(6)) {
+      case 0:  // point
+        xu = xl;
+        yu = yl;
+        ++zero_area;
+        break;
+      case 1:  // horizontal segment
+        yu = yl;
+        ++zero_area;
+        break;
+      case 2:  // vertical segment
+        xu = xl;
+        ++zero_area;
+        break;
+      default:
+        break;
+    }
+    return Rect{xl, yl, xu, yu};
+  }
+
+  // A rectangle inside `outer` (possibly equal to it, or degenerate).
+  Rect Inside(const Rect& outer) {
+    if (rng_.Bernoulli(0.1)) return outer;
+    const auto lerp = [this](Coord lo, Coord hi) {
+      return static_cast<Coord>(lo + (hi - lo) * rng_.Uniform());
+    };
+    Coord xl = lerp(outer.xl, outer.xu);
+    Coord xu = lerp(outer.xl, outer.xu);
+    Coord yl = lerp(outer.yl, outer.yu);
+    Coord yu = lerp(outer.yl, outer.yu);
+    if (xu < xl) std::swap(xl, xu);
+    if (yu < yl) std::swap(yl, yu);
+    return Rect{xl, yl, xu, yu};
+  }
+
+  // A rectangle covering `inner`, grown by grid or fine margins.
+  Rect Around(const Rect& inner) {
+    const auto grow = [this]() {
+      return rng_.Bernoulli(0.3) ? 0.0f
+                                 : static_cast<Coord>(rng_.UniformInt(4)) /
+                                       16.0f;
+    };
+    return Rect{inner.xl - grow(), inner.yl - grow(), inner.xu + grow(),
+                inner.yu + grow()};
+  }
+
+  // Fills `entries` with n children and returns the rectangle to insert.
+  Rect Fill(size_t n, std::vector<Entry>* entries) {
+    constexpr double kExtents[] = {1.0 / 32, 1.0 / 8, 1.0 / 2};
+    extent_ = kExtents[rng_.UniformInt(3)];
+    entries->clear();
+    for (uint32_t i = 0; i < n; ++i) entries->push_back(Entry{Child(), i});
+    // Duplicate children: equal enlargements, areas and overlap sums.
+    if (rng_.Bernoulli(0.3)) {
+      const size_t copies = 1 + rng_.UniformInt(n);
+      for (size_t k = 0; k < copies; ++k) {
+        (*entries)[rng_.UniformInt(n)].rect =
+            (*entries)[rng_.UniformInt(n)].rect;
+      }
+      ++duplicates;
+    }
+    switch (rng_.UniformInt(4)) {
+      case 0: {  // inside one child
+        ++inside_one;
+        return Inside((*entries)[rng_.UniformInt(n)].rect);
+      }
+      case 1: {  // inside several children that share a region
+        ++inside_several;
+        const Rect core = Child();
+        const size_t holders = 2 + rng_.UniformInt(std::min<size_t>(n, 6) - 1);
+        for (size_t k = 0; k < holders; ++k) {
+          (*entries)[rng_.UniformInt(n)].rect = Around(core);
+        }
+        return Inside(core);
+      }
+      default:
+        return Child();
+    }
+  }
+
+  size_t zero_area = 0;
+  size_t duplicates = 0;
+  size_t inside_one = 0;
+  size_t inside_several = 0;
+
+ private:
+  Rng rng_;
+  double extent_ = 1.0;
+};
+
+// The pruned choice picks the same child as the unpruned formula on 20,000
+// seeded nodes of 2..204 entries, both sides of the candidate cut.
+TEST(ChooseSubtreeRStarTest, MatchesUnprunedReference) {
+  constexpr size_t kNodes = 20000;
+  ChooseSubtreeNodeGen gen(/*seed=*/15);
+  std::vector<Entry> entries;
+  size_t sorted_cut = 0;
+  for (size_t trial = 0; trial < kNodes; ++trial) {
+    const size_t n = 2 + trial % 203;
+    // The default limit, a small one, and 0 (every entry is a candidate;
+    // the reference is then quadratic in n, so small nodes only).
+    uint32_t limit = 32;
+    if (trial % 5 == 3) limit = 8;
+    if (trial % 5 == 4 && n <= 48) limit = 0;
+    const Rect rect = gen.Fill(n, &entries);
+    if (limit > 0 && n > limit) ++sorted_cut;
+    const size_t expected = ReferenceChooseSubtreeRStar(entries, rect, limit);
+    const size_t actual = ChooseSubtreeRStar(entries, rect, limit);
+    ASSERT_EQ(actual, expected)
+        << "trial " << trial << ": n=" << n << " candidates=" << limit
+        << " rect=" << rect.ToString();
+  }
+  // Every shape the generator aims at occurred often.
+  EXPECT_GT(sorted_cut, kNodes / 2);
+  EXPECT_LT(sorted_cut, kNodes - kNodes / 10);
+  EXPECT_GT(gen.zero_area, kNodes);
+  EXPECT_GT(gen.duplicates, kNodes / 5);
+  EXPECT_GT(gen.inside_one, kNodes / 5);
+  EXPECT_GT(gen.inside_several, kNodes / 5);
+}
+
+// A new rectangle inside several identical children: every candidate ties
+// on overlap, enlargement and area, so the first in candidate order wins.
+TEST(ChooseSubtreeRStarTest, FullTieGoesToFirstCandidate) {
+  std::vector<Entry> entries;
+  for (uint32_t i = 0; i < 5; ++i) {
+    entries.push_back(Entry{Rect{0, 0, 1, 1}, i});
+  }
+  EXPECT_EQ(ChooseSubtreeRStar(entries, Rect{0.25f, 0.25f, 0.5f, 0.5f}, 32),
+            0u);
+}
+
+// Least overlap enlargement beats least area enlargement.
+TEST(ChooseSubtreeRStarTest, PrefersLeastOverlapEnlargement) {
+  // Growing child 0 to the new rectangle costs area 1 but overlaps child 1
+  // by 0.25; growing child 1 costs area 1.75 and overlaps nothing.
+  const std::vector<Entry> entries = {
+      Entry{Rect{0, 2, 2, 3}, 0},
+      Entry{Rect{2.5f, 2.5f, 4, 4}, 1},
+      Entry{Rect{10, 10, 11, 11}, 2},
+  };
+  const Rect rect{2, 2, 3, 3};
+  EXPECT_EQ(ChooseSubtreeRStar(entries, rect, 32), 1u);
+  EXPECT_EQ(ReferenceChooseSubtreeRStar(entries, rect, 32), 1u);
+  // With a single candidate only the least area enlargement is evaluated.
+  EXPECT_EQ(ChooseSubtreeRStar(entries, rect, 1), 0u);
 }
 
 }  // namespace
