@@ -1,22 +1,26 @@
 // Micro-benchmark of the batch geometry kernels (geom/simd_kernels.h):
 // scalar vs SIMD A/B at the node-typical block sizes 51/102/204/409 (the
-// entry capacities of 1/2/4/8 KByte pages) for the three kernelized inner
-// loops — counted overlap filtering, the within-distance leaf test, and
-// the plane-sweep of two sorted sequences.
+// entry capacities of 1/2/4/8 KByte pages) for the kernelized loops —
+// counted overlap filtering, the within-distance leaf test, the plane sweep
+// of two sorted nodes (whole, and restricted to their intersection as SJ3-5
+// sweep them), and a §4.4 window-query batch of Q = 1/4/16 queries against
+// one 204-entry node.
 //
 // Reported per kernel × size × mode: ns per operation (one query-vs-block
-// call, or one full block sweep), total hits, charged comparisons, and the
-// scalar/SIMD speedup. Each row is also emitted as a JSON line (prefix
-// "JSON "). The run is self-checking: both modes must produce identical
-// hit checksums AND identical comparison counts — any divergence exits
-// non-zero, so the CI smoke run enforces the kernel parity contract
-// end to end in Release codegen.
+// call, one node-pair sweep, or one batch), total hits, charged
+// comparisons, and the scalar/SIMD speedup. Each row is also emitted as a
+// JSON line (prefix "JSON "; the window rows' "n" is Q). The run is
+// self-checking: both modes must produce identical hit checksums AND
+// identical comparison counts — any divergence exits non-zero, so the CI
+// smoke run enforces the kernel parity contract end to end in Release
+// codegen.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -67,20 +71,19 @@ RectBlock BlockOf(const std::vector<Rect>& rects, bool sort_by_xl) {
   return block;
 }
 
+// Times `reps` calls of `op(counter, &m)`; each call runs the kernel once
+// and adds its hits to m's checksums.
 template <typename OpFn>
 Measured TimeOps(uint64_t reps, OpFn&& op) {
   Measured m;
   ComparisonCounter counter;
-  std::vector<uint32_t> hits;
-  // Warm-up pass (dispatch resolution, cache warm), uncounted.
-  op(&counter, &hits);
+  // Warm-up pass (dispatch resolution, cache warm, buffers grown),
+  // uncounted.
+  op(&counter, &m);
   counter = ComparisonCounter();
+  m = Measured();
   const auto start = std::chrono::steady_clock::now();
-  for (uint64_t rep = 0; rep < reps; ++rep) {
-    op(&counter, &hits);
-    m.hits += hits.size();
-    for (const uint32_t h : hits) m.hit_sum += h;
-  }
+  for (uint64_t rep = 0; rep < reps; ++rep) op(&counter, &m);
   const auto end = std::chrono::steady_clock::now();
   m.ops = reps;
   m.ns_per_op =
@@ -92,37 +95,70 @@ Measured TimeOps(uint64_t reps, OpFn&& op) {
   return m;
 }
 
+void AddHits(const std::vector<uint32_t>& hits, Measured* m) {
+  m->hits += hits.size();
+  for (const uint32_t h : hits) m->hit_sum += h;
+}
+
 // One op = one query rectangle filtered against the whole block.
 Measured RunOverlap(const RectBlock& block, const std::vector<Rect>& queries,
                     uint64_t reps) {
   uint64_t q = 0;
-  return TimeOps(reps, [&](ComparisonCounter* counter,
-                           std::vector<uint32_t>* hits) {
+  std::vector<uint32_t> hits;
+  return TimeOps(reps, [&](ComparisonCounter* counter, Measured* m) {
     CountedOverlapHits(block, queries[q++ % kQueryCount],
-                       OverlapSubject::kBlock, counter, hits);
+                       OverlapSubject::kBlock, counter, &hits);
+    AddHits(hits, m);
   });
 }
 
 Measured RunWithin(const RectBlock& block, const std::vector<Rect>& queries,
                    double epsilon, uint64_t reps) {
   uint64_t q = 0;
-  return TimeOps(reps, [&](ComparisonCounter* counter,
-                           std::vector<uint32_t>* hits) {
+  std::vector<uint32_t> hits;
+  return TimeOps(reps, [&](ComparisonCounter* counter, Measured* m) {
     CountedWithinDistanceHits(block, queries[q++ % kQueryCount], epsilon,
-                              counter, hits);
+                              counter, &hits);
+    AddHits(hits, m);
   });
 }
 
-// One op = one full two-pointer sweep of the R block against the S block.
+// One op = one full two-pointer sweep of the R block against the S block,
+// into a reused pair buffer.
 Measured RunSweep(const RectBlock& r, const RectBlock& s, uint64_t reps) {
-  return TimeOps(reps, [&](ComparisonCounter* counter,
-                           std::vector<uint32_t>* hits) {
-    hits->clear();
-    SortedIntersectionTestBlocks(r, s, counter,
-                                 [hits](uint32_t a, uint32_t b) {
-                                   hits->push_back(a + b);
-                                 });
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  return TimeOps(reps, [&](ComparisonCounter* counter, Measured* m) {
+    pairs.clear();
+    SortedIntersectionTestBlocks(r, s, counter, &pairs);
+    m->hits += pairs.size();
+    for (const auto& [a, b] : pairs) m->hit_sum += a * 1024 + b;
   });
+}
+
+// One op = one window-query batch against the node block, hits regrouped
+// entry-major (the §4.4 policy (b) step at one node).
+Measured RunWindow(const RectBlock& block, const RectBlock& queries,
+                   uint64_t reps) {
+  WindowHits hits;
+  return TimeOps(reps, [&](ComparisonCounter* counter, Measured* m) {
+    CountedWindowHits(block, queries, OverlapSubject::kBlock, counter, &hits);
+    m->hits += hits.query.size();
+    for (size_t e = 0; e + 1 < hits.begin.size(); ++e) {
+      for (uint32_t k = hits.begin[e]; k < hits.begin[e + 1]; ++k) {
+        m->hit_sum += e * 64 + hits.query[k];
+      }
+    }
+  });
+}
+
+// The compaction of `block` to the rectangles intersecting `window`, in
+// block order (the engine's restriction to the parent intersection).
+RectBlock Restricted(const RectBlock& block, const Rect& window) {
+  std::vector<uint32_t> positions;
+  OverlapHits(block, window, &positions);
+  RectBlock restricted;
+  restricted.GatherFrom(block, std::span<const uint32_t>(positions));
+  return restricted;
 }
 
 void EmitJson(const char* kernel, size_t n, GeomKernelMode mode,
@@ -220,6 +256,38 @@ int Main(int argc, char** argv) {
     ok &= CompareModes("sweep", n, [&] {
       return RunSweep(r, s, reps(20'000));
     });
+  }
+  // Two nodes whose MBRs overlap by half, each restricted to the
+  // intersection of the two MBRs before the sweep, as SJ3-5 sweep a node
+  // pair.
+  for (const size_t n : {51u, 102u, 204u}) {
+    std::vector<Rect> r_rects = MakeRects(n, 0.05, 7000 + n);
+    std::vector<Rect> s_rects = MakeRects(n, 0.05, 8000 + n);
+    for (Rect& rect : s_rects) {
+      rect.xl += 0.5f;
+      rect.xu += 0.5f;
+    }
+    Rect mbr_r = Rect::Empty();
+    Rect mbr_s = Rect::Empty();
+    for (const Rect& rect : r_rects) mbr_r = mbr_r.Union(rect);
+    for (const Rect& rect : s_rects) mbr_s = mbr_s.Union(rect);
+    const Rect window = mbr_r.Intersection(mbr_s);
+    const RectBlock r = Restricted(BlockOf(r_rects, true), window);
+    const RectBlock s = Restricted(BlockOf(s_rects, true), window);
+    ok &= CompareModes("sweep_pair", n, [&] {
+      return RunSweep(r, s, reps(100'000));
+    });
+  }
+  // A §4.4 window-query batch: Q queries against one 4 KByte node.
+  {
+    const RectBlock block = BlockOf(MakeRects(204, 0.1, 9000), false);
+    for (const size_t q_count : {1u, 4u, 16u}) {
+      const RectBlock queries =
+          BlockOf(MakeRects(q_count, 0.1, 9100 + q_count), false);
+      ok &= CompareModes("window", q_count, [&] {
+        return RunWindow(block, queries, reps(100'000 / q_count));
+      });
+    }
   }
   SetGeomKernelMode(saved);
 

@@ -1,5 +1,7 @@
 #include "exec/partition.h"
 
+#include <utility>
+
 #include "geom/plane_sweep.h"
 #include "geom/simd_kernels.h"
 #include "join/predicate.h"
@@ -35,10 +37,12 @@ void AppendQualifyingPairs(const Node& nr, const Node& ns, double expansion,
   RectBlock block_s;
   block_r.AssignIndexed(std::span<const IndexedRect>(seq_r));
   block_s.AssignIndexed(std::span<const IndexedRect>(seq_s));
-  SortedIntersectionTestBlocks(
-      block_r, block_s, &stats->join_comparisons, [&](uint32_t i, uint32_t j) {
-        out->push_back(PartitionTask{nr.entries[i], ns.entries[j]});
-      });
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  SortedIntersectionTestBlocks(block_r, block_s, &stats->join_comparisons,
+                               &pairs);
+  for (const auto& [i, j] : pairs) {
+    out->push_back(PartitionTask{nr.entries[i], ns.entries[j]});
+  }
 }
 
 // §4.4 split of a coarse task: one side of the pair has reached its data

@@ -42,8 +42,8 @@ bool UseSimd() {
 
 // One element of the counted overlap loop: bit-for-bit the early-exit
 // sequence of Rect::IntersectsCounted with the chosen subject. Returns the
-// executed comparisons; sets *hit. Shared by the scalar mode and the
-// vector path's tail lanes.
+// executed comparisons; sets *hit. Shared by every counted overlap path:
+// the scalar references and the vector paths' tail lanes.
 inline uint64_t OverlapCountedOne(const RectBlock& block, size_t i,
                                   const Rect& q, OverlapSubject subject,
                                   bool* hit) {
@@ -66,10 +66,12 @@ inline uint64_t OverlapCountedOne(const RectBlock& block, size_t i,
   return 4;
 }
 
-size_t OverlapHitsScalarCounted(const RectBlock& block, const Rect& query,
-                                OverlapSubject subject,
-                                ComparisonCounter* counter,
-                                std::vector<uint32_t>* hits, size_t begin) {
+// The scalar reference of the counted overlap loop from position `begin`
+// (the vector path's tail starts past its last full group): appends the
+// hits and returns the executed comparisons.
+uint64_t AppendOverlapHitsScalar(const RectBlock& block, const Rect& query,
+                                 OverlapSubject subject, size_t begin,
+                                 std::vector<uint32_t>* hits) {
   uint64_t count = 0;
   const size_t n = block.size();
   for (size_t i = begin; i < n; ++i) {
@@ -77,8 +79,7 @@ size_t OverlapHitsScalarCounted(const RectBlock& block, const Rect& query,
     count += OverlapCountedOne(block, i, query, subject, &hit);
     if (hit) hits->push_back(static_cast<uint32_t>(i));
   }
-  counter->Add(count);
-  return hits->size();
+  return count;
 }
 
 #if RSJ_GEOM_SIMD
@@ -86,12 +87,11 @@ size_t OverlapHitsScalarCounted(const RectBlock& block, const Rect& query,
 // subject) is a template parameter so the per-group mask shuffle costs
 // nothing, and the survivor counts accumulate in an integer register (each
 // alive lane is -1, so subtracting adds one per survivor) — one horizontal
-// sum at the end instead of three popcounts per group.
+// sum at the end instead of three popcounts per group. Appends the hits and
+// returns the charged comparisons.
 template <bool kBlockIsSubject>
-size_t OverlapHitsSimdCounted(const RectBlock& block, const Rect& query,
-                              OverlapSubject subject,
-                              ComparisonCounter* counter,
-                              std::vector<uint32_t>* hits) {
+uint64_t AppendOverlapHitsSimd(const RectBlock& block, const Rect& query,
+                               std::vector<uint32_t>* hits) {
   const size_t n = block.size();
   const __m128 qxl = _mm_set1_ps(query.xl);
   const __m128 qyl = _mm_set1_ps(query.yl);
@@ -133,12 +133,136 @@ size_t OverlapHitsSimdCounted(const RectBlock& block, const Rect& query,
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
   // The charged count telescopes to lanes + survivors (see header); `i`
   // is the one-comparison-minimum of every vector-processed element.
-  counter->Add(static_cast<uint64_t>(i) +
-               static_cast<uint64_t>(lanes[0] + lanes[1]) +
-               static_cast<uint64_t>(lanes[2] + lanes[3]));
-  return OverlapHitsScalarCounted(block, query, subject, counter, hits, i);
+  const OverlapSubject subject =
+      kBlockIsSubject ? OverlapSubject::kBlock : OverlapSubject::kQuery;
+  return static_cast<uint64_t>(i) +
+         static_cast<uint64_t>(lanes[0] + lanes[1]) +
+         static_cast<uint64_t>(lanes[2] + lanes[3]) +
+         AppendOverlapHitsScalar(block, query, subject, i, hits);
 }
 #endif
+
+using PairBuffer = std::vector<std::pair<uint32_t, uint32_t>>;
+
+// Appends one sweep pair in (r, s) orientation; `kTIsR` says whether the
+// scanning rectangle is the R side.
+template <bool kTIsR>
+inline void EmitSweepPair(uint32_t t_index, uint32_t seq_index,
+                          PairBuffer* pairs) {
+  if constexpr (kTIsR) {
+    pairs->emplace_back(t_index, seq_index);
+  } else {
+    pairs->emplace_back(seq_index, t_index);
+  }
+}
+
+#if RSJ_GEOM_SIMD
+// Vector stage of one long sweep scan (see SweepScan). Returns the charged
+// comparisons.
+template <bool kTIsR>
+[[gnu::noinline]] uint64_t SweepScanVector(const Rect& t, uint32_t t_index,
+                                           const RectBlock& seq, size_t first,
+                                           PairBuffer* pairs) {
+  const size_t n = seq.size();
+  // Stage 1 — the sequence-number range: find the break position `end`
+  // (first element with xl > t.xu). The scalar loop charges one x
+  // comparison per scanned element including the breaking one.
+  const __m128 txu = _mm_set1_ps(t.xu);
+  size_t end = n;
+  size_t k = first;
+  for (; k + 4 <= n; k += 4) {
+    const int brk =
+        _mm_movemask_ps(_mm_cmpgt_ps(_mm_loadu_ps(seq.xl() + k), txu));
+    if (brk != 0) {
+      end = k + static_cast<size_t>(__builtin_ctz(static_cast<unsigned>(brk)));
+      break;
+    }
+  }
+  if (end == n) {
+    for (; k < n; ++k) {
+      if (seq.xl()[k] > t.xu) {
+        end = k;
+        break;
+      }
+    }
+  }
+  uint64_t count = (end - first) + (end < n ? 1 : 0);
+
+  // Stage 2 — y-overlap over the surviving range [first, end): one
+  // comparison per element plus one more for each element passing the
+  // first y test. Pass-1 survivors accumulate in an integer register (each
+  // surviving lane is -1) — one horizontal sum, not a popcount per group.
+  const __m128 tyl = _mm_set1_ps(t.yl);
+  const __m128 tyu = _mm_set1_ps(t.yu);
+  const __m128i all = _mm_set1_epi32(-1);
+  __m128i acc = _mm_setzero_si128();
+  size_t j = first;
+  for (; j + 4 <= end; j += 4) {
+    // pass1: !(t.yl > yu[j]) ; hit: pass1 & !(yl[j] > t.yu)
+    const __m128i pass1 = _mm_andnot_si128(
+        _mm_castps_si128(_mm_cmpgt_ps(tyl, _mm_loadu_ps(seq.yu() + j))), all);
+    const __m128i fail2 =
+        _mm_castps_si128(_mm_cmpgt_ps(_mm_loadu_ps(seq.yl() + j), tyu));
+    acc = _mm_sub_epi32(acc, pass1);
+    int hit =
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(fail2, pass1)));
+    while (hit != 0) {
+      const int lane = __builtin_ctz(static_cast<unsigned>(hit));
+      EmitSweepPair<kTIsR>(t_index, seq.index_at(j + lane), pairs);
+      hit &= hit - 1;
+    }
+  }
+  alignas(16) int32_t lanes[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
+  count += (j - first) +
+           static_cast<uint64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
+  for (; j < end; ++j) {
+    ++count;
+    if (t.yl > seq.yu()[j]) continue;
+    ++count;
+    if (seq.yl()[j] > t.yu) continue;
+    EmitSweepPair<kTIsR>(t_index, seq.index_at(j), pairs);
+  }
+  return count;
+}
+#endif
+
+// One internal scan of the sweep (the paper's InternalLoop, see
+// geom/plane_sweep.h): `t` against `seq` from `first` while the
+// x-projections still overlap. Returns the charged comparisons. Sweep scans
+// are usually short (the x-overlapping run of a sorted node) and end at the
+// first xl beyond t.xu — so peeking at the sixteenth element's xl bounds
+// the scan length in one comparison. Scans shorter than that take the
+// scalar loop inline: the vector stage's broadcast setup would cost more
+// than it saves. Both charge identical counts and emit identical pairs, so
+// the cutoff is invisible to the parity contract.
+template <bool kTIsR>
+inline uint64_t SweepScan(const Rect& t, uint32_t t_index,
+                          const RectBlock& seq, size_t first, bool simd,
+                          PairBuffer* pairs) {
+  const size_t n = seq.size();
+  const Coord* xl = seq.xl();
+#if RSJ_GEOM_SIMD
+  if (simd && n - first >= 16 && !(xl[first + 15] > t.xu)) {
+    return SweepScanVector<kTIsR>(t, t_index, seq, first, pairs);
+  }
+#else
+  static_cast<void>(simd);
+#endif
+  const Coord* yl = seq.yl();
+  const Coord* yu = seq.yu();
+  uint64_t count = 0;
+  for (size_t k = first; k < n; ++k) {
+    ++count;
+    if (xl[k] > t.xu) break;
+    ++count;
+    if (t.yl > yu[k]) continue;
+    ++count;
+    if (t.yu < yl[k]) continue;
+    EmitSweepPair<kTIsR>(t_index, seq.index_at(k), pairs);
+  }
+  return count;
+}
 
 }  // namespace
 
@@ -162,14 +286,14 @@ size_t CountedOverlapHits(const RectBlock& block, const Rect& query,
   hits->clear();
 #if RSJ_GEOM_SIMD
   if (UseSimd()) {
-    return subject == OverlapSubject::kBlock
-               ? OverlapHitsSimdCounted<true>(block, query, subject, counter,
-                                              hits)
-               : OverlapHitsSimdCounted<false>(block, query, subject, counter,
-                                               hits);
+    counter->Add(subject == OverlapSubject::kBlock
+                     ? AppendOverlapHitsSimd<true>(block, query, hits)
+                     : AppendOverlapHitsSimd<false>(block, query, hits));
+    return hits->size();
   }
 #endif
-  return OverlapHitsScalarCounted(block, query, subject, counter, hits, 0);
+  counter->Add(AppendOverlapHitsScalar(block, query, subject, 0, hits));
+  return hits->size();
 }
 
 size_t OverlapHits(const RectBlock& block, const Rect& query,
@@ -267,99 +391,80 @@ size_t CountedWithinDistanceHits(const RectBlock& block, const Rect& query,
   return hits->size();
 }
 
-void SweepScanBlock(const Rect& t, const RectBlock& seq, size_t first,
-                    ComparisonCounter* counter, std::vector<uint32_t>* hits) {
-  hits->clear();
-  const size_t n = seq.size();
-  if (first >= n) return;
-#if RSJ_GEOM_SIMD
-  // Sweep scans are usually short (the x-overlapping run of a sorted node
-  // sequence) and end at the first xl beyond t.xu — so peeking at the
-  // eighth element's xl bounds the scan length in one comparison. Scans
-  // shorter than two vector groups take the scalar reference loop: the
-  // broadcast setup would cost more than it saves. Both paths charge
-  // identical counts and emit identical hits, so the cutoff is invisible
-  // to the parity contract.
-  if (UseSimd() && n - first >= 16 && !(seq.xl()[first + 15] > t.xu)) {
-    // Stage 1 — the sequence-number range: find the break position `end`
-    // (first element with xl > t.xu). The scalar loop charges one x
-    // comparison per scanned element including the breaking one.
-    const __m128 txu = _mm_set1_ps(t.xu);
-    size_t end = n;
-    size_t k = first;
-    for (; k + 4 <= n; k += 4) {
-      const int brk = _mm_movemask_ps(
-          _mm_cmpgt_ps(_mm_loadu_ps(seq.xl() + k), txu));
-      if (brk != 0) {
-        end = k + static_cast<size_t>(
-                      __builtin_ctz(static_cast<unsigned>(brk)));
-        break;
-      }
+void SortedIntersectionTestBlocks(const RectBlock& rseq,
+                                  const RectBlock& sseq,
+                                  ComparisonCounter* counter,
+                                  PairBuffer* pairs) {
+  const bool simd = UseSimd();
+  const size_t nr = rseq.size();
+  const size_t ns = sseq.size();
+  const Coord* rxl = rseq.xl();
+  const Coord* sxl = sseq.xl();
+  uint64_t count = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < nr && j < ns) {
+    ++count;
+    if (rxl[i] < sxl[j]) {
+      count += SweepScan<true>(rseq.RectAt(i), rseq.index_at(i), sseq, j,
+                               simd, pairs);
+      ++i;
+    } else {
+      count += SweepScan<false>(sseq.RectAt(j), sseq.index_at(j), rseq, i,
+                                simd, pairs);
+      ++j;
     }
-    if (end == n) {
-      for (; k < n; ++k) {
-        if (seq.xl()[k] > t.xu) {
-          end = k;
-          break;
-        }
-      }
-    }
-    counter->Add((end - first) + (end < n ? 1 : 0));
+  }
+  counter->Add(count);
+}
 
-    // Stage 2 — y-overlap over the surviving range [first, end): one
-    // comparison per element plus one more for each element passing the
-    // first y test. Pass-1 survivors accumulate in an integer register
-    // (each surviving lane is -1) — one horizontal sum, not a popcount per
-    // group.
-    const __m128 tyl = _mm_set1_ps(t.yl);
-    const __m128 tyu = _mm_set1_ps(t.yu);
-    const __m128i all = _mm_set1_epi32(-1);
-    __m128i acc = _mm_setzero_si128();
-    uint64_t count = 0;
-    size_t j = first;
-    for (; j + 4 <= end; j += 4) {
-      // pass1: !(t.yl > yu[j]) ; hit: pass1 & !(yl[j] > t.yu)
-      const __m128i pass1 = _mm_andnot_si128(
-          _mm_castps_si128(
-              _mm_cmpgt_ps(tyl, _mm_loadu_ps(seq.yu() + j))),
-          all);
-      const __m128i fail2 = _mm_castps_si128(
-          _mm_cmpgt_ps(_mm_loadu_ps(seq.yl() + j), tyu));
-      acc = _mm_sub_epi32(acc, pass1);
-      int hit = _mm_movemask_ps(
-          _mm_castsi128_ps(_mm_andnot_si128(fail2, pass1)));
-      while (hit != 0) {
-        const int lane = __builtin_ctz(static_cast<unsigned>(hit));
-        hits->push_back(static_cast<uint32_t>(j + lane));
-        hit &= hit - 1;
-      }
+void CountedWindowHits(const RectBlock& block, const RectBlock& queries,
+                       OverlapSubject subject, ComparisonCounter* counter,
+                       WindowHits* hits) {
+  const size_t n = block.size();
+  const size_t query_count = queries.size();
+  hits->begin.assign(n + 1, 0);
+  hits->query.clear();
+  uint64_t count = 0;
+#if RSJ_GEOM_SIMD
+  if (UseSimd()) {
+    // Query-major: one vector pass over the block per query.
+    hits->positions.clear();
+    hits->ends.resize(query_count);
+    for (size_t q = 0; q < query_count; ++q) {
+      const Rect query = queries.RectAt(q);
+      count += subject == OverlapSubject::kBlock
+                   ? AppendOverlapHitsSimd<true>(block, query,
+                                                 &hits->positions)
+                   : AppendOverlapHitsSimd<false>(block, query,
+                                                  &hits->positions);
+      hits->ends[q] = static_cast<uint32_t>(hits->positions.size());
     }
-    alignas(16) int32_t lanes[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-    count += (j - first) +
-             static_cast<uint64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-    for (; j < end; ++j) {
-      ++count;
-      if (t.yl > seq.yu()[j]) continue;
-      ++count;
-      if (seq.yl()[j] > t.yu) continue;
-      hits->push_back(static_cast<uint32_t>(j));
+    // Entry-major regrouping: hits per entry, prefix sums, then a scatter
+    // in query order, which keeps each entry's queries ascending.
+    uint32_t* begin = hits->begin.data();
+    for (const uint32_t p : hits->positions) ++begin[p + 1];
+    for (size_t e = 0; e < n; ++e) begin[e + 1] += begin[e];
+    hits->cursor.assign(begin, begin + n);
+    hits->query.resize(hits->positions.size());
+    size_t k = 0;
+    for (uint32_t q = 0; q < query_count; ++q) {
+      for (; k < hits->ends[q]; ++k) {
+        hits->query[hits->cursor[hits->positions[k]]++] = q;
+      }
     }
     counter->Add(count);
     return;
   }
 #endif
-  // Scalar reference: the paper's InternalLoop verbatim
-  // (geom/plane_sweep.h).
-  uint64_t count = 0;
-  for (size_t k = first; k < n; ++k) {
-    ++count;
-    if (seq.xl()[k] > t.xu) break;
-    ++count;
-    if (t.yl > seq.yu()[k]) continue;
-    ++count;
-    if (t.yu < seq.yl()[k]) continue;
-    hits->push_back(static_cast<uint32_t>(k));
+  // Scalar reference: the entry-outer loop itself.
+  for (size_t e = 0; e < n; ++e) {
+    for (uint32_t q = 0; q < query_count; ++q) {
+      bool hit = false;
+      count += OverlapCountedOne(block, e, queries.RectAt(q), subject, &hit);
+      if (hit) hits->query.push_back(q);
+    }
+    hits->begin[e + 1] = static_cast<uint32_t>(hits->query.size());
   }
   counter->Add(count);
 }

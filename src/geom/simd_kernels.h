@@ -1,11 +1,12 @@
 // Batch geometry kernels over RectBlocks, with scalar/SIMD A/B dispatch.
 //
 // Every kernel here is a drop-in replacement for one of the engine's scalar
-// inner loops (one query rectangle against a node's entries, the
-// plane-sweep internal loop, the within-distance leaf test) and obeys one
-// hard contract: for any input, both dispatch modes produce the *same hit
-// positions in the same order* and charge the *same number of comparisons*
-// to the ComparisonCounter as the original one-rectangle-at-a-time code.
+// loops (one query rectangle against a node's entries, the plane sweep of a
+// node pair, a window-query batch against a node, the within-distance leaf
+// test) and obeys one hard contract: for any input, both dispatch modes
+// produce the *same hit positions in the same order* and charge the *same
+// number of comparisons* to the ComparisonCounter as the original
+// one-rectangle-at-a-time code.
 // The paper counts executed floating point comparisons as its CPU metric
 // (§4), and an early-exit test executes a data-dependent number of them —
 // so the vector path computes all four lane masks branch-free and then
@@ -32,6 +33,7 @@
 #define RSJ_GEOM_SIMD_KERNELS_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geom/comparison_counter.h"
@@ -91,43 +93,51 @@ size_t CountedWithinDistanceHits(const RectBlock& block, const Rect& query,
                                  double epsilon, ComparisonCounter* counter,
                                  std::vector<uint32_t>* hits);
 
-// Batch form of the paper's sweep InternalLoop (geom/plane_sweep.h): scans
-// `seq` (xl-sorted) from `first` while the x-projections still overlap
-// `t`, appends the positions of the y-overlapping elements to `*hits`
-// (cleared, ascending scan order) and charges exactly the comparisons of
-// the scalar loop — one x test per scanned element (including the failing
-// one that ends the scan), one-or-two y tests for each element that
-// survived the x test. The x cutoff is a sequence-number range: the vector
-// path first locates the break position, then mask-tests y over the
-// surviving [first, end) range only.
-void SweepScanBlock(const Rect& t, const RectBlock& seq, size_t first,
-                    ComparisonCounter* counter, std::vector<uint32_t>* hits);
+// Block form of SortedIntersectionTest (the §4.2 two-pointer plane sweep)
+// for one node pair, fused into one call: the two-pointer advance and every
+// internal scan run inline, and the qualifying pairs — the blocks' index_at
+// values, (r, s) — are appended to the caller's `*pairs` in exactly the
+// scalar sweep's order (the order is the read schedule of SJ3/4/5). Both
+// blocks must be xl-sorted. The charge is the scalar sweep's: one
+// comparison per advance step, one x test per scanned element (including
+// the failing one that ends a scan) and one-or-two y tests for each element
+// that survived the x test. A scan whose sixteenth element still overlaps
+// in x goes to a vector stage that locates the break position first and
+// then mask-tests y over the surviving range only; it writes into `*pairs`
+// as well.
+void SortedIntersectionTestBlocks(
+    const RectBlock& rseq, const RectBlock& sseq, ComparisonCounter* counter,
+    std::vector<std::pair<uint32_t, uint32_t>>* pairs);
 
-// Block form of SortedIntersectionTest (the §4.2 two-pointer plane sweep):
-// both blocks must be xl-sorted; emits `out(r_index, s_index)` — the
-// blocks' index_at values — in exactly the scalar sweep's order (the order
-// is the read schedule of SJ3/4/5) and charges identical comparisons. The
-// top-level advance stays scalar (it is inherently sequential); the
-// internal scans vectorize through SweepScanBlock.
-template <typename OutputFn>
-void SortedIntersectionTestBlocks(const RectBlock& rseq, const RectBlock& sseq,
-                                  ComparisonCounter* counter, OutputFn&& out) {
-  size_t i = 0;
-  size_t j = 0;
-  std::vector<uint32_t> hits;
-  while (i < rseq.size() && j < sseq.size()) {
-    counter->Add(1);
-    if (rseq.xl()[i] < sseq.xl()[j]) {
-      SweepScanBlock(rseq.RectAt(i), sseq, j, counter, &hits);
-      for (const uint32_t k : hits) out(rseq.index_at(i), sseq.index_at(k));
-      ++i;
-    } else {
-      SweepScanBlock(sseq.RectAt(j), rseq, i, counter, &hits);
-      for (const uint32_t k : hits) out(rseq.index_at(k), sseq.index_at(j));
-      ++j;
-    }
-  }
-}
+// Entry-major hits of CountedWindowHits, in buffers the caller owns and
+// reuses: once they have grown to a node's size, a call allocates nothing.
+struct WindowHits {
+  // The queries hitting block position e are query[begin[e]] up to
+  // query[begin[e + 1] - 1], ascending; `begin` has block.size() + 1
+  // elements.
+  std::vector<uint32_t> begin;
+  std::vector<uint32_t> query;
+  // Scratch of the vector path: hit positions query after query, where each
+  // query's run ends, and the regrouping cursors.
+  std::vector<uint32_t> positions;
+  std::vector<uint32_t> ends;
+  std::vector<uint32_t> cursor;
+};
+
+// Batch form of the §4.4 window-query loop over one node,
+//
+//   for (e : block) for (q : queries) if (<subject>.IntersectsCounted(...))
+//
+// with `subject` naming the `this` of each test as in CountedOverlapHits
+// (kBlock: the block entry, kQuery: the query). The vector path flips the
+// loops — one pass over the block per query, the query broadcast across the
+// lanes, as in CountedOverlapHits — and then regroups the hits entry-major,
+// so `*hits` lists exactly the loop's hits in the loop's order. Each
+// (entry, query) test is charged what IntersectsCounted charges it with the
+// same subject, so the total is the loop's as well.
+void CountedWindowHits(const RectBlock& block, const RectBlock& queries,
+                       OverlapSubject subject, ComparisonCounter* counter,
+                       WindowHits* hits);
 
 }  // namespace rsj
 

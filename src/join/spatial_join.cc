@@ -32,7 +32,8 @@ void SpatialJoinEngine::Run(ResultSink* sink) {
   const Rect mbr_r = root_r.node->ComputeMbr();
   const Rect mbr_s = root_s.node->ComputeMbr();
   universe_ = mbr_r.Union(mbr_s);
-  JoinNodes(root_r, root_s, RSideRect(mbr_r).Intersection(mbr_s));
+  JoinNodes(root_r, root_s, RSideRect(mbr_r).Intersection(mbr_s),
+            /*depth=*/0);
   sink_ = nullptr;
   sink->Flush();
 }
@@ -48,7 +49,7 @@ void SpatialJoinEngine::BeginPartitionedRun() {
 void SpatialJoinEngine::ProcessPartition(const Entry& er, const Entry& es,
                                          ResultSink* sink) {
   sink_ = sink;
-  ProcessChildPair(er, es);
+  ProcessChildPair(er, es, /*depth=*/0);
   sink_ = nullptr;
 }
 
@@ -66,22 +67,28 @@ void SpatialJoinEngine::Emit(uint32_t r_ref, uint32_t s_ref) {
   sink_->Add(r_ref, s_ref);
 }
 
-RectBlock SpatialJoinEngine::MarkEntriesBlock(const RectBlock& block,
-                                              const Rect& rect) {
-  CountedOverlapHits(block, rect, OverlapSubject::kBlock,
-                     &stats_->join_comparisons, &hits_);
-  RectBlock marked;
-  marked.GatherFrom(block, std::span<const uint32_t>(hits_));
-  return marked;
+SpatialJoinEngine::DepthScratch& SpatialJoinEngine::Scratch(size_t depth) {
+  while (scratch_.size() <= depth) {
+    scratch_.push_back(std::make_unique<DepthScratch>());
+  }
+  return *scratch_[depth];
 }
 
-std::vector<SpatialJoinEngine::EntryPair> SpatialJoinEngine::QualifyingPairs(
-    NodeView first, NodeView second, const Rect& rect) {
+void SpatialJoinEngine::MarkEntriesBlock(const RectBlock& block,
+                                         const Rect& rect, RectBlock* marked) {
+  CountedOverlapHits(block, rect, OverlapSubject::kBlock,
+                     &stats_->join_comparisons, &hits_);
+  marked->GatherFrom(block, std::span<const uint32_t>(hits_));
+}
+
+void SpatialJoinEngine::QualifyingPairs(NodeView first, NodeView second,
+                                        const Rect& rect, DepthScratch* slot) {
   // The views' blocks already carry each side's rectangles as the scalar
   // code tested them: the R-side accessor bakes the predicate expansion in
   // at decode time (and the sweep accessors sort first; expansion preserves
   // the xl order).
-  std::vector<EntryPair> pairs;
+  std::vector<EntryPair>& pairs = slot->pairs;
+  pairs.clear();
 
   if (!UsesPlaneSweep(options_.algorithm)) {
     if (!RestrictsSearchSpace(options_.algorithm)) {
@@ -94,12 +101,14 @@ std::vector<SpatialJoinEngine::EntryPair> SpatialJoinEngine::QualifyingPairs(
                            &stats_->join_comparisons, &hits_);
         for (const uint32_t i : hits_) pairs.emplace_back(i, j);
       }
-      return pairs;
+      return;
     }
     // SJ2: mark the entries intersecting the parent intersection rectangle,
     // then nested loops over the marked subsets only.
-    const RectBlock marked_first = MarkEntriesBlock(*first.block, rect);
-    const RectBlock marked_second = MarkEntriesBlock(*second.block, rect);
+    MarkEntriesBlock(*first.block, rect, &slot->marked_first);
+    MarkEntriesBlock(*second.block, rect, &slot->marked_second);
+    const RectBlock& marked_first = slot->marked_first;
+    const RectBlock& marked_second = slot->marked_second;
     for (uint32_t j = 0; j < marked_second.size(); ++j) {
       const Rect js = marked_second.RectAt(j);
       CountedOverlapHits(marked_first, js, OverlapSubject::kBlock,
@@ -109,61 +118,58 @@ std::vector<SpatialJoinEngine::EntryPair> SpatialJoinEngine::QualifyingPairs(
                            marked_second.index_at(j));
       }
     }
-    return pairs;
+    return;
   }
 
   // Sweep algorithms: node entries arrive sorted by xl from the accessor;
   // the (optional) marking scan preserves that order (expansion grows every
   // rectangle equally, keeping the xl order intact), so the blocks feed
-  // straight into the block plane sweep.
-  const auto sweep = [&](const RectBlock& seq_first,
-                         const RectBlock& seq_second) {
-    RSJ_DCHECK(IsSortedByLowerXBlock(seq_first));
-    RSJ_DCHECK(IsSortedByLowerXBlock(seq_second));
-    SortedIntersectionTestBlocks(
-        seq_first, seq_second, &stats_->join_comparisons,
-        [&pairs](uint32_t i, uint32_t j) { pairs.emplace_back(i, j); });
-  };
+  // straight into the node-pair sweep kernel.
+  const RectBlock* seq_first = first.block;
+  const RectBlock* seq_second = second.block;
   if (RestrictsSearchSpace(options_.algorithm)) {
-    sweep(MarkEntriesBlock(*first.block, rect),
-          MarkEntriesBlock(*second.block, rect));
-  } else {
-    sweep(*first.block, *second.block);
+    MarkEntriesBlock(*first.block, rect, &slot->marked_first);
+    MarkEntriesBlock(*second.block, rect, &slot->marked_second);
+    seq_first = &slot->marked_first;
+    seq_second = &slot->marked_second;
   }
-  return pairs;
+  RSJ_DCHECK(IsSortedByLowerXBlock(*seq_first));
+  RSJ_DCHECK(IsSortedByLowerXBlock(*seq_second));
+  SortedIntersectionTestBlocks(*seq_first, *seq_second,
+                               &stats_->join_comparisons, &pairs);
 }
 
 void SpatialJoinEngine::ApplyZOrderSchedule(const Node& nr, const Node& ns,
-                                            std::vector<EntryPair>* pairs) {
-  struct Scheduled {
-    uint32_t zvalue;
-    EntryPair pair;
-  };
-  std::vector<Scheduled> scheduled;
-  scheduled.reserve(pairs->size());
-  for (const EntryPair& p : *pairs) {
+                                            DepthScratch* slot) {
+  std::vector<EntryPair>& pairs = slot->pairs;
+  std::vector<ZScheduled>& scheduled = slot->zorder;
+  scheduled.clear();
+  for (const EntryPair& p : pairs) {
     const Rect inter =
         nr.entries[p.first].rect.Intersection(ns.entries[p.second].rect);
-    scheduled.push_back(Scheduled{ZValue(inter.Center(), universe_), p});
+    scheduled.push_back(ZScheduled{ZValue(inter.Center(), universe_), p});
   }
   // The z-order sort is the extra CPU price of SJ5 the paper points out;
   // charge one comparison per comparator call to the schedule counter.
   std::stable_sort(scheduled.begin(), scheduled.end(),
-                   [this](const Scheduled& a, const Scheduled& b) {
+                   [this](const ZScheduled& a, const ZScheduled& b) {
                      stats_->schedule_comparisons.Add(1);
                      return a.zvalue < b.zvalue;
                    });
   for (size_t i = 0; i < scheduled.size(); ++i) {
-    (*pairs)[i] = scheduled[i].pair;
+    pairs[i] = scheduled[i].pair;
   }
 }
 
-void SpatialJoinEngine::JoinNodes(NodeView r, NodeView s, const Rect& rect) {
+void SpatialJoinEngine::JoinNodes(NodeView r, NodeView s, const Rect& rect,
+                                  size_t depth) {
   ++stats_->node_pairs;
   const Node& nr = *r.node;
   const Node& ns = *s.node;
   if (nr.is_leaf() && ns.is_leaf()) {
-    for (const EntryPair& p : QualifyingPairs(r, s, rect)) {
+    DepthScratch& slot = Scratch(depth);
+    QualifyingPairs(r, s, rect, &slot);
+    for (const EntryPair& p : slot.pairs) {
       const Entry& a = nr.entries[p.first];
       const Entry& b = ns.entries[p.second];
       // The traversal filter is exact for the intersection predicate; all
@@ -179,29 +185,35 @@ void SpatialJoinEngine::JoinNodes(NodeView r, NodeView s, const Rect& rect) {
     return;
   }
   if (!nr.is_leaf() && !ns.is_leaf()) {
-    std::vector<EntryPair> pairs = QualifyingPairs(r, s, rect);
+    DepthScratch& slot = Scratch(depth);
+    QualifyingPairs(r, s, rect, &slot);
     if (UsesZOrderSchedule(options_.algorithm)) {
-      ApplyZOrderSchedule(nr, ns, &pairs);
+      ApplyZOrderSchedule(nr, ns, &slot);
     }
-    ExecuteDirectorySchedule(nr, ns, pairs);
+    ExecuteDirectorySchedule(nr, ns, &slot, depth);
     return;
   }
   // Different heights: one side already reached its data nodes.
   if (ns.is_leaf()) {
-    WindowPhase(&acc_r_, r, s, rect, /*r_is_deep=*/true);
+    WindowPhase(&acc_r_, r, s, rect, /*r_is_deep=*/true, depth);
   } else {
-    WindowPhase(&acc_s_, s, r, rect, /*r_is_deep=*/false);
+    WindowPhase(&acc_s_, s, r, rect, /*r_is_deep=*/false, depth);
   }
 }
 
-void SpatialJoinEngine::ProcessChildPair(const Entry& er, const Entry& es) {
+void SpatialJoinEngine::ProcessChildPair(const Entry& er, const Entry& es,
+                                         size_t depth) {
   const NodeView child_r = acc_r_.FetchView(er.ref);
   const NodeView child_s = acc_s_.FetchView(es.ref);
-  JoinNodes(child_r, child_s, RSideRect(er.rect).Intersection(es.rect));
+  JoinNodes(child_r, child_s, RSideRect(er.rect).Intersection(es.rect),
+            depth);
 }
 
-void SpatialJoinEngine::ExecuteDirectorySchedule(
-    const Node& nr, const Node& ns, const std::vector<EntryPair>& pairs) {
+void SpatialJoinEngine::ExecuteDirectorySchedule(const Node& nr,
+                                                 const Node& ns,
+                                                 DepthScratch* slot,
+                                                 size_t depth) {
+  const std::vector<EntryPair>& pairs = slot->pairs;
   // Rolling schedule-driven prefetch: the read schedule — sweep order for
   // SJ3/SJ4, z-order for SJ5 — is streamed into the prefetcher a window
   // ahead of the pair being processed, so the child pages are in flight
@@ -237,7 +249,8 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(
   if (!UsesPinning(options_.algorithm)) {
     for (size_t k = 0; k < pairs.size(); ++k) {
       pump_hints(k, nullptr);
-      ProcessChildPair(nr.entries[pairs[k].first], ns.entries[pairs[k].second]);
+      ProcessChildPair(nr.entries[pairs[k].first], ns.entries[pairs[k].second],
+                       depth + 1);
     }
     return;
   }
@@ -248,7 +261,8 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(
   // so the pin is taken when the page is first read — the algorithm simply
   // keeps holding the page it is working on, which is what makes pinning
   // effective even with a zero-size LRU buffer (Table 5, row "0 KByte").
-  std::vector<bool> done(pairs.size(), false);
+  std::vector<bool>& done = slot->done;
+  done.assign(pairs.size(), false);
   for (size_t idx = 0; idx < pairs.size(); ++idx) {
     if (done[idx]) continue;
     // The pin-and-drain order deviates from the schedule, but only by
@@ -266,7 +280,7 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(
     }
     if (degree_r == 0 && degree_s == 0) {
       ProcessChildPair(nr.entries[pairs[idx].first],
-                       ns.entries[pairs[idx].second]);
+                       ns.entries[pairs[idx].second], depth + 1);
       done[idx] = true;
       continue;
     }
@@ -282,7 +296,7 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(
                                    : pairs[k].second == pairs[idx].second;
       if (!same_page) continue;
       ProcessChildPair(nr.entries[pairs[k].first],
-                       ns.entries[pairs[k].second]);
+                       ns.entries[pairs[k].second], depth + 1);
       done[k] = true;
     }
     acc->Unpin(pinned_page);
@@ -291,20 +305,21 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(
 
 void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
                                     NodeView leaf, const Rect& rect,
-                                    bool r_is_deep) {
+                                    bool r_is_deep, size_t depth) {
   const Node& dir_node = *dir.node;
   const Node& leaf_node = *leaf.node;
-  const std::vector<EntryPair> pairs = QualifyingPairs(dir, leaf, rect);
+  DepthScratch& slot = Scratch(depth);
+  QualifyingPairs(dir, leaf, rect, &slot);
+  const std::vector<EntryPair>& pairs = slot.pairs;
 
   if (prefetcher_ != nullptr && !pairs.empty()) {
     // §4.4: the subtree root pages the window queries will descend into,
     // in pair (schedule) order.
-    std::vector<PageId> pages;
-    pages.reserve(pairs.size());
+    slot.pages.clear();
     for (const EntryPair& p : pairs) {
-      pages.push_back(dir_node.entries[p.first].ref);
+      slot.pages.push_back(dir_node.entries[p.first].ref);
     }
-    prefetcher_->PrefetchSchedule(deep->tree().file(), pages, stats_);
+    prefetcher_->PrefetchSchedule(deep->tree().file(), slot.pages, stats_);
   }
 
   switch (options_.height_policy) {
@@ -319,24 +334,36 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
     }
     case HeightPolicy::kBatchedSubtree: {
       // (b) group the query rectangles per subtree; each subtree is
-      // traversed exactly once for its whole batch.
-      std::vector<uint32_t> group_order;
-      std::vector<std::vector<Entry>> batches(dir_node.entries.size());
-      for (const EntryPair& p : pairs) {
-        if (batches[p.first].empty()) group_order.push_back(p.first);
-        batches[p.first].push_back(leaf_node.entries[p.second]);
+      // traversed exactly once for its whole batch. Subtrees go in the
+      // order of their first pair, each batch in pair order: `first[d]`
+      // starts the chain of subtree d's pairs, linked through `next`.
+      constexpr uint32_t kNone = UINT32_MAX;
+      slot.first.assign(dir_node.entries.size(), kNone);
+      slot.next.resize(pairs.size());
+      for (size_t k = pairs.size(); k-- > 0;) {
+        uint32_t& head = slot.first[pairs[k].first];
+        slot.next[k] = head;
+        head = static_cast<uint32_t>(k);
       }
-      for (const uint32_t d : group_order) {
-        stats_->window_queries += batches[d].size();
-        BatchedWindowQuery(deep, dir_node.entries[d].ref, batches[d],
-                           r_is_deep);
+      for (uint32_t k = 0; k < pairs.size(); ++k) {
+        const uint32_t d = pairs[k].first;
+        if (slot.first[d] != k) continue;  // batch already answered
+        slot.batch.Clear();
+        for (uint32_t m = k; m != kNone; m = slot.next[m]) {
+          const Entry& query = leaf_node.entries[pairs[m].second];
+          slot.batch.PushBack(query.rect, query.ref);
+        }
+        stats_->window_queries += slot.batch.size();
+        BatchedWindowQuery(deep, dir_node.entries[d].ref, slot.batch,
+                           r_is_deep, depth + 1);
       }
       return;
     }
     case HeightPolicy::kPinnedQueries: {
       // (c) plane-sweep pair order with pinning of the subtree root page;
       // as in the directory case the pin is held from the first read.
-      std::vector<bool> done(pairs.size(), false);
+      std::vector<bool>& done = slot.done;
+      done.assign(pairs.size(), false);
       for (size_t idx = 0; idx < pairs.size(); ++idx) {
         if (done[idx]) continue;
         uint32_t degree = 0;
@@ -427,69 +454,85 @@ void SpatialJoinEngine::SingleWindowQuery(NodeAccessor* deep, PageId page,
 }
 
 void SpatialJoinEngine::BatchedWindowQuery(NodeAccessor* deep, PageId page,
-                                           const std::vector<Entry>& queries,
-                                           bool r_is_deep) {
+                                           const RectBlock& queries,
+                                           bool r_is_deep, size_t depth) {
   const NodeView view = deep->FetchView(page);
   const Node& node = *view.node;
+  DepthScratch& slot = Scratch(depth);
+  const auto emit = [&](uint32_t entry_ref, uint32_t query_ref) {
+    if (r_is_deep) {
+      Emit(entry_ref, query_ref);
+    } else {
+      Emit(query_ref, entry_ref);
+    }
+  };
   if (node.is_leaf()) {
-    // The paper's order: data entries outer, query batch inner — so the
-    // query batch is the block. The leaf entry is the subject exactly when
-    // it is the R side.
-    if (options_.predicate == JoinPredicate::kIntersects ||
-        options_.predicate == JoinPredicate::kWithinDistance) {
-      RectBlock query_block;
-      query_block.AssignEntries(std::span<const Entry>(queries), 0.0);
-      for (const Entry& e : node.entries) {
-        if (options_.predicate == JoinPredicate::kIntersects) {
-          CountedOverlapHits(
-              query_block, e.rect,
-              r_is_deep ? OverlapSubject::kQuery : OverlapSubject::kBlock,
-              &stats_->join_comparisons, &hits_);
-        } else {
-          CountedWithinDistanceHits(query_block, e.rect, options_.epsilon,
-                                    &stats_->join_comparisons, &hits_);
-        }
-        for (const uint32_t h : hits_) {
-          const Entry& q = queries[h];
-          if (r_is_deep) {
-            Emit(e.ref, q.ref);
-          } else {
-            Emit(q.ref, e.ref);
-          }
+    // The paper's order: data entries outer, query batch inner.
+    if (options_.predicate == JoinPredicate::kIntersects) {
+      // One window-kernel pass per query over the leaf block (unexpanded:
+      // ε > 0 implies within-distance), regrouped entry-major. The leaf
+      // entry is the subject exactly when it is the R side.
+      CountedWindowHits(
+          *view.block, queries,
+          r_is_deep ? OverlapSubject::kBlock : OverlapSubject::kQuery,
+          &stats_->join_comparisons, &slot.window);
+      const WindowHits& hits = slot.window;
+      for (uint32_t e = 0; e < node.entries.size(); ++e) {
+        for (uint32_t k = hits.begin[e]; k < hits.begin[e + 1]; ++k) {
+          emit(node.entries[e].ref, queries.index_at(hits.query[k]));
         }
       }
       return;
     }
+    if (options_.predicate == JoinPredicate::kWithinDistance) {
+      // The query batch is the block; each data entry is tested against it
+      // on the original rectangles.
+      for (const Entry& e : node.entries) {
+        CountedWithinDistanceHits(queries, e.rect, options_.epsilon,
+                                  &stats_->join_comparisons, &hits_);
+        for (const uint32_t h : hits_) emit(e.ref, queries.index_at(h));
+      }
+      return;
+    }
     for (const Entry& e : node.entries) {
-      for (const Entry& q : queries) {
-        const Rect& a = r_is_deep ? e.rect : q.rect;
-        const Rect& b = r_is_deep ? q.rect : e.rect;
+      for (uint32_t q = 0; q < queries.size(); ++q) {
+        const Rect query = queries.RectAt(q);
+        const Rect& a = r_is_deep ? e.rect : query;
+        const Rect& b = r_is_deep ? query : e.rect;
         if (EvaluatePredicateCounted(options_.predicate, options_.epsilon, a,
                                      b, &stats_->join_comparisons)) {
-          if (r_is_deep) {
-            Emit(e.ref, q.ref);
-          } else {
-            Emit(q.ref, e.ref);
-          }
+          emit(e.ref, queries.index_at(q));
         }
       }
     }
     return;
   }
-  // Directory level: the R-side growth sits on the deep entries (already in
-  // the accessor's block) when R is deep, on the query batch otherwise.
-  RectBlock query_block;
-  query_block.AssignEntries(std::span<const Entry>(queries),
-                            r_is_deep ? 0.0 : expansion_);
-  for (uint32_t pos = 0; pos < node.entries.size(); ++pos) {
-    const Rect entry_rect = view.block->RectAt(pos);
-    CountedOverlapHits(query_block, entry_rect, OverlapSubject::kQuery,
-                       &stats_->join_comparisons, &hits_);
-    if (hits_.empty()) continue;
-    std::vector<Entry> subset;
-    subset.reserve(hits_.size());
-    for (const uint32_t h : hits_) subset.push_back(queries[h]);
-    BatchedWindowQuery(deep, node.entries[pos].ref, subset, r_is_deep);
+  // Directory level: each entry is the subject of its test against every
+  // query. The R-side growth sits on the deep entries (already in the
+  // accessor's block) when R is deep, on the query batch otherwise.
+  const RectBlock* tested = &queries;
+  if (!r_is_deep && expansion_ > 0.0) {
+    slot.expanded.Clear();
+    for (uint32_t q = 0; q < queries.size(); ++q) {
+      slot.expanded.PushBack(RSideRect(queries.RectAt(q)),
+                             queries.index_at(q));
+    }
+    tested = &slot.expanded;
+  }
+  CountedWindowHits(*view.block, *tested, OverlapSubject::kBlock,
+                    &stats_->join_comparisons, &slot.window);
+  // Subtrees in entry order, each with its queries in batch order; the
+  // child batch stays in this depth's slot while the subtree runs.
+  const WindowHits& hits = slot.window;
+  for (uint32_t e = 0; e < node.entries.size(); ++e) {
+    if (hits.begin[e] == hits.begin[e + 1]) continue;
+    slot.batch.Clear();
+    for (uint32_t k = hits.begin[e]; k < hits.begin[e + 1]; ++k) {
+      const uint32_t q = hits.query[k];
+      slot.batch.PushBack(queries.RectAt(q), queries.index_at(q));
+    }
+    BatchedWindowQuery(deep, node.entries[e].ref, slot.batch, r_is_deep,
+                       depth + 1);
   }
 }
 

@@ -26,12 +26,14 @@
 #ifndef RSJ_JOIN_SPATIAL_JOIN_H_
 #define RSJ_JOIN_SPATIAL_JOIN_H_
 
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "exec/result_sink.h"
 #include "geom/indexed_rect.h"
+#include "geom/simd_kernels.h"
 #include "join/join_options.h"
 #include "join/node_accessor.h"
 #include "rtree/rtree.h"
@@ -83,6 +85,34 @@ class SpatialJoinEngine {
   // A qualifying pair of entry slots (index in nr.entries, in ns.entries).
   using EntryPair = std::pair<uint32_t, uint32_t>;
 
+  // One SJ5 read-schedule key: the z-value of a pair's intersection.
+  struct ZScheduled {
+    uint32_t zvalue;
+    EntryPair pair;
+  };
+
+  // Buffers of one recursion depth, reused by every node pair processed at
+  // that depth, so the traversal allocates nothing per node pair once they
+  // have grown to node size. A level's buffers stay in use while the levels
+  // below it run (the schedule being executed, the query batch handed
+  // down), so each slot is allocated once and never moves.
+  struct DepthScratch {
+    RectBlock marked_first;  // restricted entry subsets (SJ2-SJ5)
+    RectBlock marked_second;
+    std::vector<EntryPair> pairs;  // qualifying pairs = read schedule
+    std::vector<ZScheduled> zorder;
+    std::vector<bool> done;       // schedule pairs drained by a pin
+    std::vector<PageId> pages;    // §4.4 prefetch schedule
+    std::vector<uint32_t> first;  // (b): first pair of each subtree's batch
+    std::vector<uint32_t> next;   // (b): next pair of the same batch
+    RectBlock batch;     // window-query batch handed to the next depth
+    RectBlock expanded;  // `batch` grown by the R-side expansion
+    WindowHits window;   // entry-major window-kernel hits
+  };
+
+  // The slot of recursion depth `depth`, created on first use.
+  DepthScratch& Scratch(size_t depth);
+
   void Emit(uint32_t r_ref, uint32_t s_ref);
 
   // R-side rectangles are grown by the predicate expansion (ε for the
@@ -91,54 +121,60 @@ class SpatialJoinEngine {
     return expansion_ > 0.0 ? rect.Expanded(expansion_) : rect;
   }
 
-  // Pair finding between two nodes, honoring the configured CPU technique
-  // (nested loops / restriction / plane sweep). `rect` is the intersection
-  // of the parent rectangles. Either node may be the R side: its predicate
-  // expansion is already baked into that side's accessor blocks. The inner
-  // loops run as batch kernels over the views' SoA blocks
-  // (geom/simd_kernels.h), charging exactly the scalar comparison counts.
-  std::vector<EntryPair> QualifyingPairs(NodeView first, NodeView second,
-                                         const Rect& rect);
+  // Pair finding between two nodes into `slot->pairs`, honoring the
+  // configured CPU technique (nested loops / restriction / plane sweep).
+  // `rect` is the intersection of the parent rectangles. Either node may be
+  // the R side: its predicate expansion is already baked into that side's
+  // accessor blocks. The loops run as batch kernels over the views' SoA
+  // blocks (geom/simd_kernels.h), charging exactly the scalar comparison
+  // counts.
+  void QualifyingPairs(NodeView first, NodeView second, const Rect& rect,
+                       DepthScratch* slot);
 
-  // Positions of `block` whose rectangles intersect `rect`, compacted into
-  // a new block (in block order — sorted order for the sweep algorithms
+  // Compacts the positions of `block` whose rectangles intersect `rect`
+  // into `*marked` (in block order — sorted order for the sweep algorithms
   // since the accessor sorts on read). The block's expansion carries over.
-  RectBlock MarkEntriesBlock(const RectBlock& block, const Rect& rect);
+  void MarkEntriesBlock(const RectBlock& block, const Rect& rect,
+                        RectBlock* marked);
 
-  // Reorders `pairs` into the z-order read schedule (SJ5 only).
+  // Reorders `slot->pairs` into the z-order read schedule (SJ5 only).
   void ApplyZOrderSchedule(const Node& nr, const Node& ns,
-                           std::vector<EntryPair>* pairs);
+                           DepthScratch* slot);
 
-  // Synchronized recursion on a node pair.
-  void JoinNodes(NodeView r, NodeView s, const Rect& rect);
+  // Synchronized recursion on a node pair at recursion depth `depth`.
+  void JoinNodes(NodeView r, NodeView s, const Rect& rect, size_t depth);
 
   // Reads both child pages of a directory-level pair and recurses.
-  void ProcessChildPair(const Entry& er, const Entry& es);
+  void ProcessChildPair(const Entry& er, const Entry& es, size_t depth);
 
-  // Executes the read schedule of a directory-directory pair, with pinning
-  // for SJ4/SJ5.
+  // Executes the read schedule `slot->pairs` of a directory-directory pair,
+  // with pinning for SJ4/SJ5; the children run at `depth + 1`.
   void ExecuteDirectorySchedule(const Node& nr, const Node& ns,
-                                const std::vector<EntryPair>& pairs);
+                                DepthScratch* slot, size_t depth);
 
   // §4.4 — different heights: `dir` (from the deeper tree, accessed via
   // `deep`) against data node `leaf`. `r_is_deep` preserves the (R, S)
   // orientation of emitted pairs.
   void WindowPhase(NodeAccessor* deep, NodeView dir, NodeView leaf,
-                   const Rect& rect, bool r_is_deep);
+                   const Rect& rect, bool r_is_deep, size_t depth);
 
   // Policy (a)/(c) primitive: one window query in the subtree under `page`.
   void SingleWindowQuery(NodeAccessor* deep, PageId page, const Entry& query,
                          bool r_is_deep);
 
   // Policy (b) primitive: all `queries` answered in one subtree traversal.
+  // The batch holds the query rectangles unexpanded, with each query's
+  // object id as its index_at.
   void BatchedWindowQuery(NodeAccessor* deep, PageId page,
-                          const std::vector<Entry>& queries, bool r_is_deep);
+                          const RectBlock& queries, bool r_is_deep,
+                          size_t depth);
 
   JoinOptions options_;
   NodeAccessor acc_r_;  // carries the predicate expansion in its blocks
   NodeAccessor acc_s_;
   Statistics* stats_;
   std::vector<uint32_t> hits_;  // reusable kernel hit buffer
+  std::vector<std::unique_ptr<DepthScratch>> scratch_;  // one per depth
   double expansion_ = 0.0;         // R-side growth for the predicate filter
   Rect universe_ = Rect::Empty();  // z-value reference frame
   ResultSink* sink_ = nullptr;     // output of the run in progress

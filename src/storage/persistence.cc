@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 namespace rsj {
 
@@ -68,6 +69,62 @@ bool ValidTreeHeader(const FileHeader& header) {
   const uint32_t capacity = NodeCapacity(header.page_size);
   const double min_entries = std::max(2.0, std::floor(fill * capacity));
   return capacity >= 2.0 * min_entries;
+}
+
+// True when the pages hold the tree the header describes. One walk from the
+// root over the raw page bytes, before anything decodes a node, so that a
+// corrupt file loads as an error instead of aborting in Node::Load or
+// reading past the page array in a later join. Rejects a child id at or
+// beyond the page count, a page without the node magic, an entry count
+// above capacity, a level other than the parent's level minus one (the
+// root's is height - 1), a page reached twice, a leaf-entry total other
+// than the header's tree size, and a free-list id that is out of range,
+// listed twice or reachable from the root.
+bool ValidTreeStructure(const PagedFile& file, const FileHeader& header,
+                        const std::vector<PageId>& free_list) {
+  const uint64_t page_count = file.allocated_pages();
+  const uint32_t capacity = NodeCapacity(file.page_size());
+  // 1: reached from the root, 2: on the free list.
+  std::vector<uint8_t> mark(page_count, 0);
+  struct Pending {
+    PageId page;
+    int64_t level;
+  };
+  std::vector<Pending> stack = {{header.root_page, header.height - 1}};
+  uint64_t leaf_entries = 0;
+  while (!stack.empty()) {
+    const Pending at = stack.back();
+    stack.pop_back();
+    if (mark[at.page] != 0) return false;
+    mark[at.page] = 1;
+    const std::byte* page = file.PageData(at.page);
+    uint16_t count = 0;
+    std::memcpy(&count, page, sizeof(count));
+    const auto level = static_cast<uint8_t>(page[2]);
+    if (static_cast<uint8_t>(page[3]) != kNodeMagic || count > capacity ||
+        level != at.level) {
+      return false;
+    }
+    if (level == 0) {
+      leaf_entries += count;
+      continue;
+    }
+    for (uint32_t i = 0; i < count; ++i) {
+      PageId child = 0;
+      // The entry's ref (the child page) follows its four coordinates.
+      std::memcpy(&child,
+                  page + kNodeHeaderBytes + i * kEntryBytes + 4 * sizeof(Coord),
+                  sizeof(child));
+      if (child >= page_count) return false;
+      stack.push_back(Pending{child, at.level - 1});
+    }
+  }
+  if (leaf_entries != header.tree_size) return false;
+  for (const PageId id : free_list) {
+    if (id >= page_count || mark[id] != 0) return false;
+    mark[id] = 2;
+  }
+  return true;
 }
 
 // RAII FILE holder.
@@ -141,6 +198,9 @@ std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path) {
       return std::nullopt;  // truncated file
     }
     loaded.file->AppendRaw(page.data());
+  }
+  if (!ValidTreeStructure(*loaded.file, header, free_list)) {
+    return std::nullopt;
   }
   loaded.file->RestoreFreeList(std::move(free_list));
 

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <map>
 #include <set>
+#include <string>
 
+#include "geom/simd_kernels.h"
 #include "join/join_runner.h"
 #include "tests/test_util.h"
 
@@ -160,6 +165,325 @@ TEST_F(JoinInvariantsTest, JoinIsSymmetricUpToPairOrientation) {
   for (auto& p : swapped) std::swap(p.first, p.second);
   EXPECT_EQ(testutil::Canonical(forward.chunks),
             testutil::Canonical(std::move(swapped)));
+}
+
+// ---------------------------------------------------------------------------
+// Counter and emission-order pin.
+//
+// `simd_parity_test` compares the two kernel modes within one build, so a
+// change that shifts both modes the same way passes it. This test pins the
+// absolute values instead: for every algorithm, every height policy, both
+// kernel-batched predicates and both kernel modes, the paper's counters
+// and an FNV-1a digest of the result pairs in emission order (the order is
+// the §4.3 read schedule) must equal the recorded row. The inputs use
+// arithmetic only (no libm). The values were recorded on x86-64 before the
+// filter kernels were fused to one call per node pair; a change that means
+// to change the counters updates these rows and says so.
+
+struct PinnedCounters {
+  const char* name;
+  uint64_t disk_reads;
+  uint64_t join_comparisons;
+  uint64_t sort_comparisons;
+  uint64_t schedule_comparisons;
+  uint64_t node_pairs;
+  uint64_t window_queries;
+  uint64_t output_pairs;
+  uint64_t pairs_digest;
+};
+
+// name = input/policy/algorithm/predicate. "equal": two height-3 trees;
+// "small_r" / "small_s": a height-1 tree against a height-3 one, as R and
+// as S, so the §4.4 window queries run in both orientations and descend
+// through a directory level. Height policies only act on unequal heights,
+// so the equal pair runs under the default (b) alone.
+constexpr PinnedCounters kPinnedCounters[] = {
+    {"equal/b/SJ1/intersects", 194, 701864, 0, 0, 310, 0, 3460,
+     0x8490adb93ea5b749ULL},
+    {"equal/b/SJ1/within-distance", 212, 965737, 0, 0, 358, 0, 12979,
+     0x6ce45ab443a3b79aULL},
+    {"equal/b/SJ2/intersects", 194, 206722, 0, 0, 310, 0, 3460,
+     0x8490adb93ea5b749ULL},
+    {"equal/b/SJ2/within-distance", 212, 384334, 0, 0, 358, 0, 12979,
+     0x6ce45ab443a3b79aULL},
+    {"equal/b/SweepI/intersects", 186, 137633, 6543, 0, 310, 0, 3460,
+     0xfcc463ab3d7b2861ULL},
+    {"equal/b/SweepI/within-distance", 197, 331436, 6913, 0, 358, 0, 12979,
+     0xe551999251d44f56ULL},
+    {"equal/b/SJ3/intersects", 186, 120452, 6543, 0, 310, 0, 3460,
+     0xfcc463ab3d7b2861ULL},
+    {"equal/b/SJ3/within-distance", 197, 265437, 6913, 0, 358, 0, 12979,
+     0xe551999251d44f56ULL},
+    {"equal/b/SJ4/intersects", 190, 120452, 6396, 0, 310, 0, 3460,
+     0x1478dd9269240ce5ULL},
+    {"equal/b/SJ4/within-distance", 200, 265437, 6654, 0, 358, 0, 12979,
+     0xa07c07edbaa6e16aULL},
+    {"equal/b/SJ5/intersects", 206, 120452, 6972, 1670, 310, 0, 3460,
+     0xd5203aeebf8cc2cdULL},
+    {"equal/b/SJ5/within-distance", 220, 265437, 7477, 2050, 358, 0, 12979,
+     0x83dd160bf66c9faaULL},
+    {"small_r/a/SJ1/intersects", 56, 9618, 0, 0, 1, 49, 163,
+     0xe53db27d92291dfcULL},
+    {"small_r/a/SJ1/within-distance", 63, 21426, 0, 0, 1, 50, 389,
+     0x787548f2314be963ULL},
+    {"small_r/a/SJ2/intersects", 56, 9806, 0, 0, 1, 49, 163,
+     0xe53db27d92291dfcULL},
+    {"small_r/a/SJ2/within-distance", 63, 21614, 0, 0, 1, 50, 389,
+     0x787548f2314be963ULL},
+    {"small_r/a/SweepI/intersects", 56, 9530, 2019, 0, 1, 49, 163,
+     0xe19472e2d71af920ULL},
+    {"small_r/a/SweepI/within-distance", 64, 21338, 2308, 0, 1, 50, 389,
+     0xcb4121ec6db02f67ULL},
+    {"small_r/a/SJ3/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+     0xe19472e2d71af920ULL},
+    {"small_r/a/SJ3/within-distance", 64, 21526, 2308, 0, 1, 50, 389,
+     0xcb4121ec6db02f67ULL},
+    {"small_r/a/SJ4/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+     0xe19472e2d71af920ULL},
+    {"small_r/a/SJ4/within-distance", 64, 21526, 2308, 0, 1, 50, 389,
+     0xcb4121ec6db02f67ULL},
+    {"small_r/a/SJ5/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+     0xe19472e2d71af920ULL},
+    {"small_r/a/SJ5/within-distance", 64, 21526, 2308, 0, 1, 50, 389,
+     0xcb4121ec6db02f67ULL},
+    {"small_r/b/SJ1/intersects", 56, 9618, 0, 0, 1, 49, 163,
+     0x4a180ecdb52f5ba8ULL},
+    {"small_r/b/SJ1/within-distance", 63, 21426, 0, 0, 1, 50, 389,
+     0x43e23dc19169747fULL},
+    {"small_r/b/SJ2/intersects", 56, 9806, 0, 0, 1, 49, 163,
+     0x4a180ecdb52f5ba8ULL},
+    {"small_r/b/SJ2/within-distance", 63, 21614, 0, 0, 1, 50, 389,
+     0x43e23dc19169747fULL},
+    {"small_r/b/SweepI/intersects", 56, 9530, 2019, 0, 1, 49, 163,
+     0x6ee59f8e02580080ULL},
+    {"small_r/b/SweepI/within-distance", 63, 21338, 2263, 0, 1, 50, 389,
+     0xf68cee6db2ec9babULL},
+    {"small_r/b/SJ3/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+     0x6ee59f8e02580080ULL},
+    {"small_r/b/SJ3/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0xf68cee6db2ec9babULL},
+    {"small_r/b/SJ4/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+     0x6ee59f8e02580080ULL},
+    {"small_r/b/SJ4/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0xf68cee6db2ec9babULL},
+    {"small_r/b/SJ5/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+     0x6ee59f8e02580080ULL},
+    {"small_r/b/SJ5/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0xf68cee6db2ec9babULL},
+    {"small_r/c/SJ1/intersects", 56, 9618, 0, 0, 1, 49, 163,
+     0x690866da9ca6d108ULL},
+    {"small_r/c/SJ1/within-distance", 63, 21426, 0, 0, 1, 50, 389,
+     0x9eda4a3613e07643ULL},
+    {"small_r/c/SJ2/intersects", 56, 9806, 0, 0, 1, 49, 163,
+     0x690866da9ca6d108ULL},
+    {"small_r/c/SJ2/within-distance", 63, 21614, 0, 0, 1, 50, 389,
+     0x9eda4a3613e07643ULL},
+    {"small_r/c/SweepI/intersects", 56, 9530, 2019, 0, 1, 49, 163,
+     0xe19472e2d71af920ULL},
+    {"small_r/c/SweepI/within-distance", 63, 21338, 2263, 0, 1, 50, 389,
+     0xc03cedcf592ea2fbULL},
+    {"small_r/c/SJ3/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+     0xe19472e2d71af920ULL},
+    {"small_r/c/SJ3/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0xc03cedcf592ea2fbULL},
+    {"small_r/c/SJ4/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+     0xe19472e2d71af920ULL},
+    {"small_r/c/SJ4/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0xc03cedcf592ea2fbULL},
+    {"small_r/c/SJ5/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+     0xe19472e2d71af920ULL},
+    {"small_r/c/SJ5/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0xc03cedcf592ea2fbULL},
+    {"small_s/a/SJ1/intersects", 56, 9471, 0, 0, 1, 49, 163,
+     0x080e6c7b515460dcULL},
+    {"small_s/a/SJ1/within-distance", 63, 21426, 0, 0, 1, 50, 389,
+     0x22a9a5f83ccbc27bULL},
+    {"small_s/a/SJ2/intersects", 56, 9659, 0, 0, 1, 49, 163,
+     0x080e6c7b515460dcULL},
+    {"small_s/a/SJ2/within-distance", 63, 21614, 0, 0, 1, 50, 389,
+     0x22a9a5f83ccbc27bULL},
+    {"small_s/a/SweepI/intersects", 56, 9383, 2019, 0, 1, 49, 163,
+     0x344e6547a4a09d90ULL},
+    {"small_s/a/SweepI/within-distance", 63, 21338, 2263, 0, 1, 50, 389,
+     0x5f265daa1cffaf67ULL},
+    {"small_s/a/SJ3/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+     0x344e6547a4a09d90ULL},
+    {"small_s/a/SJ3/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0x5f265daa1cffaf67ULL},
+    {"small_s/a/SJ4/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+     0x344e6547a4a09d90ULL},
+    {"small_s/a/SJ4/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0x5f265daa1cffaf67ULL},
+    {"small_s/a/SJ5/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+     0x344e6547a4a09d90ULL},
+    {"small_s/a/SJ5/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0x5f265daa1cffaf67ULL},
+    {"small_s/b/SJ1/intersects", 56, 9471, 0, 0, 1, 49, 163,
+     0xeb618000a5e7e508ULL},
+    {"small_s/b/SJ1/within-distance", 63, 21426, 0, 0, 1, 50, 389,
+     0x805d57655ea0d907ULL},
+    {"small_s/b/SJ2/intersects", 56, 9659, 0, 0, 1, 49, 163,
+     0xeb618000a5e7e508ULL},
+    {"small_s/b/SJ2/within-distance", 63, 21614, 0, 0, 1, 50, 389,
+     0x805d57655ea0d907ULL},
+    {"small_s/b/SweepI/intersects", 56, 9383, 2019, 0, 1, 49, 163,
+     0x9b37f1734aff5530ULL},
+    {"small_s/b/SweepI/within-distance", 63, 21338, 2263, 0, 1, 50, 389,
+     0xaee55c3c8f15c827ULL},
+    {"small_s/b/SJ3/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+     0x9b37f1734aff5530ULL},
+    {"small_s/b/SJ3/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0xaee55c3c8f15c827ULL},
+    {"small_s/b/SJ4/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+     0x9b37f1734aff5530ULL},
+    {"small_s/b/SJ4/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0xaee55c3c8f15c827ULL},
+    {"small_s/b/SJ5/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+     0x9b37f1734aff5530ULL},
+    {"small_s/b/SJ5/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0xaee55c3c8f15c827ULL},
+    {"small_s/c/SJ1/intersects", 56, 9471, 0, 0, 1, 49, 163,
+     0x4f501064eb547f90ULL},
+    {"small_s/c/SJ1/within-distance", 63, 21426, 0, 0, 1, 50, 389,
+     0x708f27cdb624948bULL},
+    {"small_s/c/SJ2/intersects", 56, 9659, 0, 0, 1, 49, 163,
+     0x4f501064eb547f90ULL},
+    {"small_s/c/SJ2/within-distance", 63, 21614, 0, 0, 1, 50, 389,
+     0x708f27cdb624948bULL},
+    {"small_s/c/SweepI/intersects", 56, 9383, 2019, 0, 1, 49, 163,
+     0x344e6547a4a09d90ULL},
+    {"small_s/c/SweepI/within-distance", 63, 21338, 2263, 0, 1, 50, 389,
+     0x5f265daa1cffaf67ULL},
+    {"small_s/c/SJ3/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+     0x344e6547a4a09d90ULL},
+    {"small_s/c/SJ3/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0x5f265daa1cffaf67ULL},
+    {"small_s/c/SJ4/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+     0x344e6547a4a09d90ULL},
+    {"small_s/c/SJ4/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0x5f265daa1cffaf67ULL},
+    {"small_s/c/SJ5/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+     0x344e6547a4a09d90ULL},
+    {"small_s/c/SJ5/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
+     0x5f265daa1cffaf67ULL},
+};
+
+uint64_t PairsDigest(const ResultChunkList& chunks) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](uint32_t value) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      hash ^= (value >> shift) & 0xFFu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& [r, s] : chunks.CopyPairs()) {
+    mix(r);
+    mix(s);
+  }
+  return hash;
+}
+
+std::string PinnedRow(const std::string& name, const JoinRunResult& run) {
+  char row[320];
+  std::snprintf(row, sizeof(row),
+                "{\"%s\", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", 0x%016" PRIx64
+                "ULL},",
+                name.c_str(), run.stats.disk_reads,
+                run.stats.join_comparisons.count(),
+                run.stats.sort_comparisons.count(),
+                run.stats.schedule_comparisons.count(),
+                run.stats.node_pairs, run.stats.window_queries,
+                run.stats.output_pairs, PairsDigest(run.chunks));
+  return row;
+}
+
+// Restores the process-wide kernel mode the test switches between.
+class JoinCounterPinTest : public ::testing::Test {
+ protected:
+  void SetUp() override { saved_ = ActiveGeomKernelMode(); }
+  void TearDown() override { SetGeomKernelMode(saved_); }
+
+ private:
+  GeomKernelMode saved_ = GeomKernelMode::kScalar;
+};
+
+TEST_F(JoinCounterPinTest, CountersAndEmissionOrderMatchRecordedRuns) {
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const IndexedRelation big_r(testutil::RandomRects(3000, 1601, 0.02), topt);
+  const IndexedRelation big_s(testutil::RandomRects(2800, 1602, 0.02), topt);
+  const IndexedRelation small(testutil::RandomRects(45, 1603, 0.05), topt);
+  ASSERT_EQ(big_r.tree().height(), 3);
+  ASSERT_EQ(big_s.tree().height(), 3);
+  ASSERT_EQ(small.tree().height(), 1);
+
+  struct Input {
+    const char* name;
+    const RTree* r;
+    const RTree* s;
+    std::vector<HeightPolicy> policies;
+  };
+  const std::vector<HeightPolicy> all_policies = {
+      HeightPolicy::kPerPairQueries, HeightPolicy::kBatchedSubtree,
+      HeightPolicy::kPinnedQueries};
+  const Input inputs[] = {
+      {"equal", &big_r.tree(), &big_s.tree(), {HeightPolicy::kBatchedSubtree}},
+      {"small_r", &small.tree(), &big_r.tree(), all_policies},
+      {"small_s", &big_r.tree(), &small.tree(), all_policies},
+  };
+  std::map<std::string, const PinnedCounters*> pinned;
+  for (const PinnedCounters& row : kPinnedCounters) pinned[row.name] = &row;
+
+  size_t cases = 0;
+  for (const Input& input : inputs) {
+    for (const HeightPolicy policy : input.policies) {
+      for (const JoinAlgorithm algorithm : kAllAlgorithms) {
+        for (const JoinPredicate predicate :
+             {JoinPredicate::kIntersects, JoinPredicate::kWithinDistance}) {
+          const std::string name =
+              std::string(input.name) + "/" + HeightPolicyName(policy) + "/" +
+              JoinAlgorithmName(algorithm) + "/" + JoinPredicateName(predicate);
+          ++cases;
+          JoinOptions jopt;
+          jopt.algorithm = algorithm;
+          jopt.height_policy = policy;
+          jopt.predicate = predicate;
+          jopt.epsilon =
+              predicate == JoinPredicate::kWithinDistance ? 0.01 : 0.0;
+          jopt.buffer_bytes = 16 * 1024;
+          for (const GeomKernelMode mode :
+               {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
+            SetGeomKernelMode(mode);
+            const JoinRunResult run = RunSpatialJoin(
+                *input.r, *input.s, jopt, /*collect_pairs=*/true);
+            const std::string actual = PinnedRow(name, run);
+            const auto it = pinned.find(name);
+            ASSERT_NE(it, pinned.end()) << "no recorded row; actual:\n"
+                                        << actual;
+            const PinnedCounters& want = *it->second;
+            EXPECT_EQ(run.stats.disk_reads, want.disk_reads) << actual;
+            EXPECT_EQ(run.stats.join_comparisons.count(),
+                      want.join_comparisons)
+                << actual;
+            EXPECT_EQ(run.stats.sort_comparisons.count(),
+                      want.sort_comparisons)
+                << actual;
+            EXPECT_EQ(run.stats.schedule_comparisons.count(),
+                      want.schedule_comparisons)
+                << actual;
+            EXPECT_EQ(run.stats.node_pairs, want.node_pairs) << actual;
+            EXPECT_EQ(run.stats.window_queries, want.window_queries)
+                << actual;
+            EXPECT_EQ(run.stats.output_pairs, want.output_pairs) << actual;
+            EXPECT_EQ(PairsDigest(run.chunks), want.pairs_digest)
+                << GeomKernelModeName(mode) << " " << actual;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, std::size(kPinnedCounters)) << "stale recorded rows";
 }
 
 }  // namespace

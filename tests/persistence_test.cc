@@ -1,15 +1,18 @@
 // Tests for saving/loading indexed relations: round trips, query
-// equivalence, corruption and truncation detection, and rejection of
-// stored options a tree cannot run with.
+// equivalence, corruption and truncation detection, rejection of stored
+// options a tree cannot run with, and rejection of pages that do not form
+// the stored tree.
 
 #include "storage/persistence.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "join/join_runner.h"
@@ -244,6 +247,118 @@ TEST_F(PersistenceTest, BoundaryOptionsLoadAndInsert) {
     EXPECT_EQ(loaded->tree->size(), rects.size());
     EXPECT_TRUE(loaded->tree->Validate().empty());
   }
+}
+
+// Load-time structure checks. Each case corrupts the pages (or the stored
+// size, or the free list) of a valid height-2 tree before saving, so the
+// header and its checksum stay valid and only the walk over the pages can
+// catch it. Without the walk, a bad child id reads past the page array in
+// the first join and a missing magic aborts in Node::Load.
+class PersistenceStructureTest : public PersistenceTest {
+ protected:
+  void SetUp() override {
+    PersistenceTest::SetUp();
+    options_.page_size = kPageSize1K;
+    file_ = std::make_unique<PagedFile>(options_.page_size);
+    tree_ = std::make_unique<RTree>(BuildRTree(
+        file_.get(), testutil::RandomRects(600, 81, 0.02), options_));
+    ASSERT_EQ(tree_->height(), 2);
+    meta_ = MetaOf(*tree_);
+  }
+
+  bool Loads() {
+    EXPECT_TRUE(SaveIndexedRelation(*file_, meta_, path_.string()));
+    return LoadIndexedRelation(path_.string()).has_value();
+  }
+
+  // Raw node-page fields, laid out as rtree/node.cc writes them:
+  // [uint16 count][uint8 level][uint8 magic], then 20-byte entries whose
+  // last four bytes are the child page id.
+  std::byte* Page(PageId id) { return file_->MutablePageData(id); }
+  PageId Child(uint32_t slot) {
+    PageId child = 0;
+    std::memcpy(&child, Page(root()) + ChildOffset(slot), sizeof(child));
+    return child;
+  }
+  void SetChild(uint32_t slot, PageId child) {
+    std::memcpy(Page(root()) + ChildOffset(slot), &child, sizeof(child));
+  }
+  PageId root() const { return tree_->root_page(); }
+
+  RTreeOptions options_;
+  std::unique_ptr<PagedFile> file_;
+  std::unique_ptr<RTree> tree_;
+  StoredTreeMeta meta_;
+
+ private:
+  static size_t ChildOffset(uint32_t slot) {
+    return kNodeHeaderBytes + slot * kEntryBytes + 16;
+  }
+};
+
+TEST_F(PersistenceStructureTest, IntactTreeLoads) {
+  EXPECT_TRUE(Loads());
+}
+
+TEST_F(PersistenceStructureTest, ChildIdBeyondPageCountRejected) {
+  SetChild(0, 0x7fffffff);
+  EXPECT_FALSE(Loads());
+  SetChild(0, static_cast<PageId>(file_->allocated_pages()));
+  EXPECT_FALSE(Loads());
+}
+
+TEST_F(PersistenceStructureTest, PageWithoutNodeMagicRejected) {
+  Page(root())[3] = std::byte{0};
+  EXPECT_FALSE(Loads());
+  Page(root())[3] = std::byte{kNodeMagic};
+  ASSERT_TRUE(Loads());
+  Page(Child(1))[3] = std::byte{0};
+  EXPECT_FALSE(Loads());
+}
+
+TEST_F(PersistenceStructureTest, EntryCountAboveCapacityRejected) {
+  // One past capacity would also read a child id past the page's end.
+  const uint16_t count = NodeCapacity(kPageSize1K) + 1;
+  std::memcpy(Page(root()), &count, sizeof(count));
+  EXPECT_FALSE(Loads());
+}
+
+TEST_F(PersistenceStructureTest, LevelMismatchRejected) {
+  // A data node claiming to be a directory under a level-1 root.
+  Page(Child(0))[2] = std::byte{1};
+  EXPECT_FALSE(Loads());
+  Page(Child(0))[2] = std::byte{0};
+  ASSERT_TRUE(Loads());
+  // A root whose level disagrees with the stored height.
+  Page(root())[2] = std::byte{2};
+  EXPECT_FALSE(Loads());
+}
+
+TEST_F(PersistenceStructureTest, PageReachedTwiceRejected) {
+  SetChild(1, Child(0));
+  EXPECT_FALSE(Loads());
+}
+
+TEST_F(PersistenceStructureTest, LeafEntryTotalMismatchRejected) {
+  meta_.size = tree_->size() + 1;
+  EXPECT_FALSE(Loads());
+  meta_.size = tree_->size() - 1;
+  EXPECT_FALSE(Loads());
+}
+
+TEST_F(PersistenceStructureTest, BadFreeListRejected) {
+  const PageId spare = file_->Allocate();  // zeroed and unreachable
+  file_->RestoreFreeList({spare});
+  ASSERT_TRUE(Loads());
+  file_->RestoreFreeList(
+      {static_cast<PageId>(file_->allocated_pages() + 3)});
+  EXPECT_FALSE(Loads()) << "out of range";
+  file_->RestoreFreeList({spare, spare});
+  EXPECT_FALSE(Loads()) << "listed twice";
+  file_->RestoreFreeList({spare, Child(2)});
+  EXPECT_FALSE(Loads()) << "reachable data node";
+  file_->RestoreFreeList({root()});
+  EXPECT_FALSE(Loads()) << "reachable root";
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/plane_sweep.h"
@@ -224,75 +226,181 @@ TEST_F(SimdKernelsTest, WithinDistanceParity) {
   }
 }
 
-TEST_F(SimdKernelsTest, SweepScanMatchesInternalLoop) {
-  // Against the paper's InternalLoop (geom/plane_sweep.h) from every
-  // possible start position, including starts inside the final group.
-  std::vector<Rect> rects = testutil::RandomRects(27, 31, 0.3);
+using PairList = std::vector<std::pair<uint32_t, uint32_t>>;
+
+struct SweepRun {
+  PairList pairs;
+  uint64_t comparisons = 0;
+};
+
+// The fused node-pair sweep in both modes against the paper's scalar
+// SortedIntersectionTest (geom/plane_sweep.h): same pairs in the same order
+// (the order is the read schedule) and the same charge. `pairs` starts
+// non-empty to check the kernel appends.
+void ExpectSweepMatchesReference(std::vector<IndexedRect> rseq,
+                                 std::vector<IndexedRect> sseq,
+                                 const char* label) {
+  SortByLowerX(&rseq);
+  SortByLowerX(&sseq);
+  SweepRun ref;
+  {
+    ComparisonCounter counter;
+    ref.pairs = SortedIntersectionTestPairs(
+        std::span<const IndexedRect>(rseq),
+        std::span<const IndexedRect>(sseq), &counter);
+    ref.comparisons = counter.count();
+  }
+  RectBlock rblock;
+  RectBlock sblock;
+  rblock.AssignIndexed(std::span<const IndexedRect>(rseq));
+  sblock.AssignIndexed(std::span<const IndexedRect>(sseq));
+  for (const GeomKernelMode mode :
+       {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
+    SetGeomKernelMode(mode);
+    ComparisonCounter counter;
+    PairList pairs = {{7, 7}};
+    SortedIntersectionTestBlocks(rblock, sblock, &counter, &pairs);
+    ASSERT_FALSE(pairs.empty());
+    EXPECT_EQ(pairs.front(), std::make_pair(7u, 7u)) << label;
+    pairs.erase(pairs.begin());
+    EXPECT_EQ(pairs, ref.pairs) << label << " " << GeomKernelModeName(mode);
+    EXPECT_EQ(counter.count(), ref.comparisons)
+        << label << " " << GeomKernelModeName(mode);
+  }
+}
+
+std::vector<IndexedRect> Indexed(const std::vector<Rect>& rects) {
   std::vector<IndexedRect> seq;
   for (uint32_t i = 0; i < rects.size(); ++i) {
     seq.push_back(IndexedRect{rects[i], i});
   }
-  SortByLowerX(&seq);
-  RectBlock block;
-  block.AssignIndexed(std::span<const IndexedRect>(seq));
-  const Rect t{0.2f, 0.1f, 0.7f, 0.6f};
-  for (size_t first = 0; first <= seq.size(); ++first) {
-    KernelRun ref;
-    {
-      ComparisonCounter counter;
-      internal::SweepInternalLoop(
-          t, std::span<const IndexedRect>(seq), first, &counter,
-          [&](size_t k) { ref.hits.push_back(static_cast<uint32_t>(k)); });
-      ref.comparisons = counter.count();
+  return seq;
+}
+
+TEST_F(SimdKernelsTest, BlockSweepMatchesSortedIntersectionTest) {
+  for (const size_t n : {1u, 5u, 51u, 100u, 204u}) {
+    ExpectSweepMatchesReference(
+        Indexed(testutil::RandomRects(n, 41 + n, 0.15)),
+        Indexed(testutil::RandomRects(n + 3, 43 + n, 0.15)), "random");
+  }
+  ExpectSweepMatchesReference({}, Indexed(testutil::RandomRects(9, 5)),
+                              "empty r");
+}
+
+TEST_F(SimdKernelsTest, FusedSweepScansAroundTheVectorCutoff) {
+  // One rectangle t against a 40-element sequence whose xl values step by
+  // 1/64. Without ties, t's scan of the sequence starts at position
+  // `start` and overlaps `length` elements in x, so every start position
+  // meets scans of 15 (scalar), 16 and 17 (vector stage) elements, ending
+  // in a break or at the end of the sequence. With ties, the elements come
+  // in pairs of equal xl and t.xl = start/64 equals a pair's xl at every
+  // even start — the advance's `<` then lets that pair scan t first — and
+  // the scan lengths land on either side of the cutoff. The y ranges cycle
+  // through below / inside / above t's, so every y exit fires. Both
+  // orientations run: t as R scanning S, and t as S scanning R.
+  constexpr size_t kCount = 40;
+  constexpr float kStep = 1.0f / 64;
+  const float ylo[] = {0.0f, 0.4f, 0.8f};
+  for (const bool ties : {false, true}) {
+    std::vector<Rect> seq;
+    for (size_t k = 0; k < kCount; ++k) {
+      const float xl = static_cast<float>(ties ? k / 2 * 2 : k) * kStep;
+      seq.push_back(Rect{xl, ylo[k % 3], xl + kStep / 2, ylo[k % 3] + 0.1f});
     }
-    for (const GeomKernelMode mode :
-         {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
-      SetGeomKernelMode(mode);
-      KernelRun run;
-      ComparisonCounter counter;
-      SweepScanBlock(t, block, first, &counter, &run.hits);
-      run.comparisons = counter.count();
-      ExpectSameRun(run, ref, GeomKernelModeName(mode));
+    for (size_t start = 0; start <= kCount; ++start) {
+      for (const size_t length : {15u, 16u, 17u}) {
+        const float first_xl = static_cast<float>(start) * kStep;
+        const float last_xl = static_cast<float>(start + length - 1) * kStep;
+        const Rect t{ties ? first_xl : first_xl - kStep / 2, 0.3f,
+                     last_xl + kStep / 2, 0.6f};
+        const std::string label = std::string(ties ? "ties" : "distinct") +
+                                  " start " + std::to_string(start) +
+                                  " length " + std::to_string(length);
+        const std::vector<IndexedRect> one = {IndexedRect{t, 99}};
+        ExpectSweepMatchesReference(one, Indexed(seq), label.c_str());
+        ExpectSweepMatchesReference(Indexed(seq), one, label.c_str());
+      }
     }
   }
 }
 
-TEST_F(SimdKernelsTest, BlockSweepMatchesSortedIntersectionTest) {
-  for (const size_t n : {1u, 5u, 51u, 100u}) {
-    std::vector<IndexedRect> rseq;
-    std::vector<IndexedRect> sseq;
-    const std::vector<Rect> r = testutil::RandomRects(n, 41 + n, 0.15);
-    const std::vector<Rect> s = testutil::RandomRects(n + 3, 43 + n, 0.15);
-    for (uint32_t i = 0; i < r.size(); ++i) {
-      rseq.push_back(IndexedRect{r[i], i});
-    }
-    for (uint32_t j = 0; j < s.size(); ++j) {
-      sseq.push_back(IndexedRect{s[j], j});
-    }
-    SortByLowerX(&rseq);
-    SortByLowerX(&sseq);
-    ComparisonCounter ref_counter;
-    const auto ref_pairs = SortedIntersectionTestPairs(
-        std::span<const IndexedRect>(rseq),
-        std::span<const IndexedRect>(sseq), &ref_counter);
+struct WindowRun {
+  PairList hits;  // (block position, query index) in loop order
+  uint64_t comparisons = 0;
+};
 
-    RectBlock rblock;
-    RectBlock sblock;
-    rblock.AssignIndexed(std::span<const IndexedRect>(rseq));
-    sblock.AssignIndexed(std::span<const IndexedRect>(sseq));
-    for (const GeomKernelMode mode :
-         {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
-      SetGeomKernelMode(mode);
-      ComparisonCounter counter;
-      std::vector<std::pair<uint32_t, uint32_t>> pairs;
-      SortedIntersectionTestBlocks(
-          rblock, sblock, &counter,
-          [&](uint32_t i, uint32_t j) { pairs.emplace_back(i, j); });
-      // Emission order is the read schedule — it must match exactly, not
-      // just as a set.
-      EXPECT_EQ(pairs, ref_pairs) << GeomKernelModeName(mode);
-      EXPECT_EQ(counter.count(), ref_counter.count())
-          << GeomKernelModeName(mode);
+// The §4.4 loop the window kernel replaces: block entries outer, queries
+// inner, each test charged by IntersectsCounted with the given subject.
+WindowRun ReferenceWindow(const RectBlock& block, const RectBlock& queries,
+                          OverlapSubject subject) {
+  WindowRun run;
+  ComparisonCounter counter;
+  for (uint32_t e = 0; e < block.size(); ++e) {
+    const Rect b = block.RectAt(e);
+    for (uint32_t q = 0; q < queries.size(); ++q) {
+      const Rect query = queries.RectAt(q);
+      const bool hit = subject == OverlapSubject::kBlock
+                           ? b.IntersectsCounted(query, &counter)
+                           : query.IntersectsCounted(b, &counter);
+      if (hit) run.hits.emplace_back(e, q);
+    }
+  }
+  run.comparisons = counter.count();
+  return run;
+}
+
+WindowRun RunWindow(GeomKernelMode mode, const RectBlock& block,
+                    const RectBlock& queries, OverlapSubject subject,
+                    WindowHits* hits) {
+  SetGeomKernelMode(mode);
+  WindowRun run;
+  ComparisonCounter counter;
+  CountedWindowHits(block, queries, subject, &counter, hits);
+  run.comparisons = counter.count();
+  EXPECT_EQ(hits->begin.size(), block.size() + 1);
+  EXPECT_EQ(hits->begin.front(), 0u);
+  EXPECT_EQ(hits->begin.back(), hits->query.size());
+  for (uint32_t e = 0; e < block.size(); ++e) {
+    for (uint32_t k = hits->begin[e]; k < hits->begin[e + 1]; ++k) {
+      run.hits.emplace_back(e, hits->query[k]);
+    }
+  }
+  return run;
+}
+
+TEST_F(SimdKernelsTest, WindowKernelMatchesEntryOuterLoop) {
+  // Block sizes 0-9 cover every tail width on both sides of the group
+  // boundary, 204 is a 4 KByte node; NaN lanes sit in the block and in the
+  // batch. One WindowHits per mode is reused across every call, so a call
+  // must overwrite all of the previous call's output.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  WindowHits scalar_hits;
+  WindowHits simd_hits;
+  for (const size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 204u}) {
+    std::vector<Rect> rects = testutil::RandomRects(n, 61 + n, 0.3);
+    if (n >= 3) rects[2] = Rect{nan, 0, 1, 1};
+    if (n == 204) rects[101] = Rect{nan, nan, nan, nan};
+    const RectBlock block = BlockOf(rects);
+    for (const size_t q_count : {0u, 1u, 3u, 4u, 5u, 17u}) {
+      std::vector<Rect> batch = testutil::RandomRects(q_count, 71 + q_count,
+                                                      0.3);
+      if (q_count >= 4) batch[3] = Rect{0.2f, nan, 0.7f, 0.9f};
+      const RectBlock queries = BlockOf(batch);
+      for (const OverlapSubject subject :
+           {OverlapSubject::kBlock, OverlapSubject::kQuery}) {
+        const std::string label =
+            "n " + std::to_string(n) + " queries " + std::to_string(q_count) +
+            (subject == OverlapSubject::kBlock ? " block" : " query");
+        const WindowRun ref = ReferenceWindow(block, queries, subject);
+        const WindowRun scalar = RunWindow(GeomKernelMode::kScalar, block,
+                                           queries, subject, &scalar_hits);
+        const WindowRun simd = RunWindow(GeomKernelMode::kSimd, block,
+                                         queries, subject, &simd_hits);
+        EXPECT_EQ(scalar.hits, ref.hits) << label << " scalar";
+        EXPECT_EQ(scalar.comparisons, ref.comparisons) << label << " scalar";
+        EXPECT_EQ(simd.hits, ref.hits) << label << " simd";
+        EXPECT_EQ(simd.comparisons, ref.comparisons) << label << " simd";
+      }
     }
   }
 }
