@@ -6,14 +6,17 @@
 // one machine, so the capacity ledger must be shared. This module
 // generalizes the budget into a two-level scheme:
 //
-//   * `MemoryGovernor` — the run-wide byte ledger. Every category of
-//     transient memory (result chunks, frontier tuples in flight, decode
-//     cache frames, whole-session reservations) leases bytes from one
-//     shared budget; the governor tracks live and peak bytes per category
-//     and in total. `TryLease` is admission-controlled (fails past the
-//     budget — the session admission path); `Charge` is unconditional
-//     accounting for quantities something else already bounds (channel
-//     backpressure, cache capacity).
+//   * `MemoryGovernor` — the run-wide byte ledger. The metered categories
+//     of transient memory (result chunks, frontier tuples in flight,
+//     whole-session reservations, raster signatures, shard-build staging)
+//     lease bytes from one shared budget; the governor tracks live and
+//     peak bytes per category and in total. `TryLease` is
+//     admission-controlled (fails past the budget — the session admission
+//     path); `Charge` is unconditional accounting for quantities something
+//     else already bounds (channel backpressure). Buffer-pool frames and
+//     cached node decodes are not charged: they are bounded by their own
+//     capacities (the pool's bytes, the node cache's node count), and the
+//     `cache_frames` category reads 0.
 //   * `ResidentBudget` — the per-run admission gauge the spill sinks and
 //     executors already used, now optionally *governed*: every unit it
 //     admits is mirrored as a byte lease in the governor's category
@@ -53,7 +56,7 @@ namespace rsj {
 enum class MemoryCategory : unsigned {
   kResultChunks = 0,         // completed result/tuple chunks held resident
   kFrontierTuples = 1,       // pipeline frontier tuples in flight
-  kCacheFrames = 2,          // buffer pool pages + decoded-node frames
+  kCacheFrames = 2,          // reserved; nothing charges it (see above)
   kSessionReservations = 3,  // whole-session working-set reservations
   kRasterSignatures = 4,     // raster-interval refinement signatures
   kShardBuild = 5,           // shard-build staging buffers (src/shard/)

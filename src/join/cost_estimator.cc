@@ -1,45 +1,24 @@
 #include "join/cost_estimator.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/logging.h"
 
 namespace rsj {
 
-std::vector<LevelProfile> ProfileTree(const RTree& tree) {
-  std::vector<LevelProfile> profile(static_cast<size_t>(tree.height()));
-  std::vector<PageId> stack{tree.root_page()};
-  while (!stack.empty()) {
-    const PageId page = stack.back();
-    stack.pop_back();
-    const Node node = Node::Load(tree.file(), page);
-    LevelProfile& level = profile[node.level];
-    ++level.nodes;
-    for (const Entry& e : node.entries) {
-      ++level.entries;
-      level.mean_width += static_cast<double>(e.rect.xu) - e.rect.xl;
-      level.mean_height += static_cast<double>(e.rect.yu) - e.rect.yl;
-      if (!node.is_leaf()) stack.push_back(e.ref);
-    }
-  }
-  for (LevelProfile& level : profile) {
-    if (level.entries > 0) {
-      level.mean_width /= static_cast<double>(level.entries);
-      level.mean_height /= static_cast<double>(level.entries);
-    }
-  }
-  return profile;
-}
-
 JoinCostEstimate EstimateJoinCost(const RTree& r, const RTree& s) {
   RSJ_CHECK_MSG(r.options().page_size == s.options().page_size,
                 "joined trees must share one page size");
-  const std::vector<LevelProfile> pr = ProfileTree(r);
-  const std::vector<LevelProfile> ps = ProfileTree(s);
+  return EstimateJoinCost(r.Profile(), s.Profile());
+}
+
+JoinCostEstimate EstimateJoinCost(const TreeProfile& r, const TreeProfile& s) {
+  const std::vector<LevelProfile>& pr = r.levels;
+  const std::vector<LevelProfile>& ps = s.levels;
 
   // Shared data space extent.
-  const Rect space =
-      r.ComputeStats().root_mbr.Union(s.ComputeStats().root_mbr);
+  const Rect space = r.root_mbr.Union(s.root_mbr);
   const double width =
       std::max(1e-12, static_cast<double>(space.xu) - space.xl);
   const double height =

@@ -14,26 +14,18 @@
 // roots costs at most two reads) and expected comparison counts for SJ1.
 // Tests validate it within small factors on the synthetic workloads; the
 // skew of real data is exactly why the paper measures instead of models.
+//
+// The inputs are each tree's per-level profile and root MBR, which the
+// tree computes once and keeps until it is mutated (RTree::Profile), so a
+// plan costs O(levels) and decodes no page: served queries plan against
+// trees that never change.
 
 #ifndef RSJ_JOIN_COST_ESTIMATOR_H_
 #define RSJ_JOIN_COST_ESTIMATOR_H_
 
-#include <vector>
-
 #include "rtree/rtree.h"
 
 namespace rsj {
-
-// Per-level aggregate statistics used by the estimator.
-struct LevelProfile {
-  size_t nodes = 0;          // nodes on this level
-  double mean_width = 0.0;   // mean rectangle width of the level's entries
-  double mean_height = 0.0;  // mean rectangle height
-  size_t entries = 0;        // entries on this level
-};
-
-// Scans the tree and profiles every level (index 0 = leaf level).
-std::vector<LevelProfile> ProfileTree(const RTree& tree);
 
 struct JoinCostEstimate {
   double node_pairs = 0.0;       // expected qualifying node pairs (all levels)
@@ -50,8 +42,12 @@ struct JoinCostEstimate {
   LevelProfile s_leaf;
 };
 
-// Estimates the cost of joining `r` and `s` under the uniformity
-// assumption. Both trees must share one page size.
+// Estimates the cost of joining trees profiled as `r` and `s` under the
+// uniformity assumption.
+JoinCostEstimate EstimateJoinCost(const TreeProfile& r, const TreeProfile& s);
+
+// The same, from the trees' own profiles. Both trees must share one page
+// size.
 JoinCostEstimate EstimateJoinCost(const RTree& r, const RTree& s);
 
 }  // namespace rsj

@@ -1,7 +1,5 @@
 #include "join/node_accessor.h"
 
-#include <algorithm>
-
 namespace rsj {
 
 NodeAccessor::NodeAccessor(const RTree& tree, PageCache* cache,
@@ -14,78 +12,62 @@ NodeAccessor::NodeAccessor(const RTree& tree, PageCache* cache,
       nodes_(nodes),
       expansion_(expansion) {}
 
-namespace {
-
-// Adaptive (insertion) sort by lower x, counting one comparison per
-// comparator evaluation. R*-splits leave node entries sorted along the
-// split axis, so freshly read pages are often nearly sorted and the
-// adaptive sort finishes in ~n comparisons — matching the paper's low
-// per-page sorting costs (Table 4).
-uint64_t InsertionSortByLowerX(std::vector<Entry>* entries) {
-  ComparisonCounter cost;
-  for (size_t i = 1; i < entries->size(); ++i) {
-    Entry pending = (*entries)[i];
-    size_t j = i;
-    while (j > 0) {
-      cost.Add(1);
-      if (!(pending.rect.xl < (*entries)[j - 1].rect.xl)) break;
-      (*entries)[j] = (*entries)[j - 1];
-      --j;
-    }
-    (*entries)[j] = pending;
-  }
-  return cost.count();
-}
-
-}  // namespace
-
 const NodeAccessor::CachedNode& NodeAccessor::FetchCached(PageId id) {
-  auto it = cache_.find(id);
-  if (it == cache_.end()) {
-    // Private-cache miss: obtain the decoded node — copied from the shared
-    // node cache when one is attached, decoded from the page otherwise —
-    // then sort our own copy (the shared decode is immutable and unsorted)
-    // and lay its rectangles out as a SoA block, expansion applied.
-    CachedNode cached;
-    if (nodes_ != nullptr) {
-      cached.node = nodes_->Fetch(tree_.file(), id, stats_).node();
-    } else {
-      pages_->Read(tree_.file(), id, stats_);
+  auto [it, inserted] = cache_.try_emplace(id);
+  CachedNode& cached = it->second;
+  if (!inserted) {
+    // Repeat visit: the page request is still issued (every node visit is
+    // a page request in the paper's model) but the node in hand is reused,
+    // so the node cache is bypassed.
+    if (!pages_->Read(tree_.file(), id, stats_)) {
+      // Physical re-read: physically the page bytes are decoded (and, for
+      // the sweep algorithms, re-sorted from scratch) again, so both costs
+      // recur even though the in-memory node is reused. This matches the
+      // node cache's decode-validity model (storage/node_cache.h).
       ++stats_->node_decodes;
-      cached.node = Node::Load(tree_.file(), id);
+      if (sort_on_read_) {
+        stats_->sort_comparisons.Add(cached.first_sort_cost);
+      }
     }
+    return cached;
+  }
+  if (nodes_ != nullptr) {
+    // Borrow the shared decode — its sorted form for the sweep algorithms,
+    // whose comparisons this first visit charges.
+    cached.shared = nodes_->Fetch(tree_.file(), id, stats_).decoded;
+    if (sort_on_read_) {
+      const DecodedNode::Sorted& sorted = cached.shared->sorted();
+      cached.view = NodeView{&sorted.node, &sorted.block};
+      cached.first_sort_cost = sorted.sort_cost;
+    } else {
+      cached.view = NodeView{&cached.shared->node, &cached.shared->block};
+    }
+    if (expansion_ > 0.0) {
+      cached.block.AssignEntries(
+          std::span<const Entry>(cached.view.node->entries), expansion_);
+      cached.view.block = &cached.block;
+    }
+  } else {
+    // No node cache: decode, sort and lay out this accessor's own copy.
+    pages_->Read(tree_.file(), id, stats_);
+    ++stats_->node_decodes;
+    cached.node = Node::Load(tree_.file(), id);
     if (sort_on_read_) {
       cached.first_sort_cost = InsertionSortByLowerX(&cached.node.entries);
-      stats_->sort_comparisons.Add(cached.first_sort_cost);
     }
     cached.block.AssignEntries(std::span<const Entry>(cached.node.entries),
                                expansion_);
-    it = cache_.emplace(id, std::move(cached)).first;
-    return it->second;
+    cached.view = NodeView{&cached.node, &cached.block};
   }
-  // Private-cache hit: the page request is still issued (every node visit
-  // is a page request in the paper's model) but no fresh decode is
-  // needed, so the shared node cache is bypassed.
-  const bool hit = pages_->Read(tree_.file(), id, stats_);
-  if (!hit) {
-    // Physical re-read: physically the page bytes are decoded (and, for
-    // the sweep algorithms, re-sorted from scratch) again, so both costs
-    // recur even though the in-memory copy is reused. This matches the
-    // node cache's decode-validity model (storage/node_cache.h).
-    ++stats_->node_decodes;
-    if (sort_on_read_) {
-      stats_->sort_comparisons.Add(it->second.first_sort_cost);
-    }
-  }
-  return it->second;
+  if (sort_on_read_) stats_->sort_comparisons.Add(cached.first_sort_cost);
+  return cached;
 }
 
-const Node& NodeAccessor::Fetch(PageId id) { return FetchCached(id).node; }
-
-NodeView NodeAccessor::FetchView(PageId id) {
-  const CachedNode& cached = FetchCached(id);
-  return NodeView{&cached.node, &cached.block};
+const Node& NodeAccessor::Fetch(PageId id) {
+  return *FetchCached(id).view.node;
 }
+
+NodeView NodeAccessor::FetchView(PageId id) { return FetchCached(id).view; }
 
 void NodeAccessor::Pin(PageId id) { pages_->Pin(tree_.file(), id, stats_); }
 

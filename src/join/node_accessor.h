@@ -3,33 +3,37 @@
 // Every node the join touches is requested through a `NodeAccessor`, which
 // routes the page request through a `PageCache` (a private `BufferPool` or
 // the parallel executor's `SharedBufferPool`, so disk accesses and buffer
-// hits are counted) and hands back the decoded node. The accessor's own
-// decode cache stays private — in a parallel join every worker keeps its
-// own (sorted) copies, so returned `Node&` references are never shared
-// across threads — but when a shared `NodeCache` is supplied, private-cache
-// misses copy the decoded node from it instead of re-decoding the page, so
-// nodes decoded by the coordinator or another worker are decoded only once
-// system-wide.
+// hits are counted) and hands back the decoded node.
 //
-// For the sweep-based algorithms the accessor keeps each node's entries
-// sorted by their rectangles' lower x coordinate and charges the sorting
-// comparisons the way the paper models it (§4.2): a page is sorted
+// For the sweep-based algorithms the accessor hands out each node's
+// entries sorted by their rectangles' lower x coordinate and charges the
+// sorting comparisons the way the paper models it (§4.2): a page is sorted
 // "immediately after it is read from disk", i.e. the sort cost recurs on
 // every *physical* re-read (buffer miss) but not on buffer hits. The cost
 // of the first from-scratch sort is memoized and recharged on later misses
-// (after the first sort the in-memory copy is already sorted; physically
-// the page would be re-sorted from scratch).
+// (the in-memory copy stays sorted; physically the page would be re-sorted
+// from scratch).
 //
-// Alongside each private copy the accessor keeps the node's entry
-// rectangles as a SoA `RectBlock` (geom/rect_block.h), converted once at
-// decode/sort time, with the accessor's predicate expansion (nonzero only
-// for the R side of a within-distance join) baked in — `FetchView` hands
-// both out so the engine's inner loops can run the batch kernels without
-// per-visit conversion.
+// Where the nodes come from:
+//   * with a shared `NodeCache` (every parallel worker and engine session),
+//     the accessor keeps, per visited page, a reference to the cache's
+//     decode and hands out views of it — its sorted form for the sweep
+//     algorithms (storage/node_cache.h), built once for all readers. The
+//     accessor copies nothing, except on the R side of a within-distance
+//     join, whose SoA block carries the predicate expansion and so is the
+//     accessor's own;
+//   * without one (the sequential paper path), the accessor decodes and
+//     sorts its own copy of each page it visits, expansion baked into the
+//     block, so a re-read never re-decodes in memory.
+//
+// Each node comes with its entry rectangles as a SoA `RectBlock`
+// (geom/rect_block.h), so the engine's inner loops run the batch kernels
+// without per-visit conversion.
 
 #ifndef RSJ_JOIN_NODE_ACCESSOR_H_
 #define RSJ_JOIN_NODE_ACCESSOR_H_
 
+#include <memory>
 #include <unordered_map>
 
 #include "rtree/rtree.h"
@@ -40,7 +44,8 @@ namespace rsj {
 
 // A fetched node as the engine consumes it: the decoded (possibly sorted)
 // entries plus their SoA block with the accessor's expansion baked in.
-// Both pointers stay valid for the accessor's lifetime.
+// Both pointers stay valid for the accessor's lifetime, even when the node
+// cache evicts or re-decodes the page meanwhile.
 struct NodeView {
   const Node* node = nullptr;
   const RectBlock* block = nullptr;
@@ -52,7 +57,7 @@ class NodeAccessor {
   // Page requests are charged to `stats` (the owning worker's counters).
   // `nodes`, when given, must be layered over `cache` (it issues the page
   // requests on the accessor's behalf). `expansion`, when positive, is
-  // baked into every cached RectBlock (the within-distance R-side
+  // baked into every handed-out RectBlock (the within-distance R-side
   // pre-expansion); the Node's own entries stay unexpanded.
   NodeAccessor(const RTree& tree, PageCache* cache, Statistics* stats,
                bool sort_on_read, NodeCache* nodes = nullptr,
@@ -76,9 +81,14 @@ class NodeAccessor {
   const RTree& tree() const { return tree_; }
 
  private:
+  // One visited page. `view` points into `shared` (the node cache's
+  // decode) or into the accessor's own `node` and `block`; `block` is also
+  // where a shared node's expanded R-side block lives.
   struct CachedNode {
-    Node node;
-    RectBlock block;  // SoA copy of node.entries, expanded by `expansion_`
+    std::shared_ptr<const DecodedNode> shared;  // null without a node cache
+    Node node;        // own decode, sorted on read (no node cache only)
+    RectBlock block;  // own SoA block, expanded by `expansion_`
+    NodeView view;
     uint64_t first_sort_cost = 0;  // comparisons of the from-scratch sort
   };
 

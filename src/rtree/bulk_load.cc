@@ -84,6 +84,7 @@ void RTree::BulkLoadStr(std::span<const Entry> data_entries,
   RSJ_CHECK_MSG(size_ == 0, "BulkLoadStr requires an empty tree");
   RSJ_CHECK(fill_fraction > 0.0 && fill_fraction <= 1.0);
   if (data_entries.empty()) return;
+  InvalidateProfile();
 
   const size_t node_size = std::clamp<size_t>(
       static_cast<size_t>(fill_fraction * capacity_), min_entries_, capacity_);

@@ -55,6 +55,7 @@ RTree RTree::Attach(PagedFile* file, const RTreeOptions& options, PageId root,
 
 void RTree::Insert(const Rect& rect, uint32_t object_id) {
   RSJ_CHECK_MSG(rect.IsValid(), "cannot insert an invalid rectangle");
+  InvalidateProfile();
   overflow_handled_.assign(static_cast<size_t>(height_), false);
   InsertAtLevel(Entry{rect, object_id}, /*target_level=*/0);
   ++size_;
@@ -272,6 +273,7 @@ void RTree::UpdatePathMbrs(const std::vector<PageId>& path, Rect child_mbr) {
 bool RTree::Delete(const Rect& rect, uint32_t object_id) {
   std::vector<PageId> path;
   if (!FindLeafPath(root_, rect, object_id, &path)) return false;
+  InvalidateProfile();
 
   Node leaf = Node::Load(*file_, path.back());
   auto it = std::find(leaf.entries.begin(), leaf.entries.end(),
@@ -382,23 +384,48 @@ void RTree::WindowQuery(const Rect& window,
   }
 }
 
-TreeStats RTree::ComputeStats() const {
-  TreeStats stats;
-  stats.height = height_;
+const TreeProfile& RTree::Profile() const {
+  std::lock_guard<std::mutex> lock(profile_memo_->mu);
+  std::optional<TreeProfile>& memo = profile_memo_->profile;
+  if (memo.has_value()) return *memo;
+  TreeProfile& profile = memo.emplace();
+  profile.levels.resize(static_cast<size_t>(height_));
   std::vector<PageId> stack{root_};
   while (!stack.empty()) {
     const PageId page = stack.back();
     stack.pop_back();
     const Node node = Node::Load(*file_, page);
-    if (page == root_) stats.root_mbr = node.ComputeMbr();
-    if (node.is_leaf()) {
-      ++stats.data_pages;
-      stats.data_entries += node.entries.size();
-    } else {
-      ++stats.dir_pages;
-      stats.dir_entries += node.entries.size();
-      for (const Entry& e : node.entries) stack.push_back(e.ref);
+    if (page == root_) profile.root_mbr = node.ComputeMbr();
+    RSJ_CHECK_MSG(node.level < profile.levels.size(),
+                  "node level exceeds the tree height");
+    LevelProfile& level = profile.levels[node.level];
+    ++level.nodes;
+    for (const Entry& e : node.entries) {
+      ++level.entries;
+      level.mean_width += static_cast<double>(e.rect.xu) - e.rect.xl;
+      level.mean_height += static_cast<double>(e.rect.yu) - e.rect.yl;
+      if (!node.is_leaf()) stack.push_back(e.ref);
     }
+  }
+  for (LevelProfile& level : profile.levels) {
+    if (level.entries > 0) {
+      level.mean_width /= static_cast<double>(level.entries);
+      level.mean_height /= static_cast<double>(level.entries);
+    }
+  }
+  return profile;
+}
+
+TreeStats RTree::ComputeStats() const {
+  const TreeProfile& profile = Profile();
+  TreeStats stats;
+  stats.height = height_;
+  stats.root_mbr = profile.root_mbr;
+  stats.data_pages = profile.levels.front().nodes;
+  stats.data_entries = profile.levels.front().entries;
+  for (size_t level = 1; level < profile.levels.size(); ++level) {
+    stats.dir_pages += profile.levels[level].nodes;
+    stats.dir_entries += profile.levels[level].entries;
   }
   return stats;
 }

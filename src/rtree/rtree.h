@@ -15,6 +15,9 @@
 #define RSJ_RTREE_RTREE_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,6 +60,21 @@ struct TreeStats {
 
   size_t TotalPages() const { return dir_pages + data_pages; }
   size_t TotalEntries() const { return dir_entries + data_entries; }
+};
+
+// Aggregate statistics of one tree level (the cost estimator's input).
+struct LevelProfile {
+  size_t nodes = 0;          // nodes on this level
+  double mean_width = 0.0;   // mean rectangle width of the level's entries
+  double mean_height = 0.0;  // mean rectangle height
+  size_t entries = 0;        // entries on this level
+};
+
+// What the planner reads of a tree: one LevelProfile per level (index 0 =
+// leaf level) and the root node's MBR.
+struct TreeProfile {
+  std::vector<LevelProfile> levels;
+  Rect root_mbr = Rect::Empty();
 };
 
 class RTree {
@@ -102,7 +120,14 @@ class RTree {
   const PagedFile& file() const { return *file_; }
   const RTreeOptions& options() const { return options_; }
 
-  // Full-tree scan computing Table 1 style statistics.
+  // The per-level profile and root MBR, computed by one full-tree scan on
+  // the first call after construction, Attach, Insert, Delete or
+  // BulkLoadStr, and kept until the next of those. Safe to call from
+  // several threads at once; the reference stays valid until the tree is
+  // next mutated.
+  const TreeProfile& Profile() const;
+
+  // Table 1 style statistics, derived from Profile().
   TreeStats ComputeStats() const;
 
   // Structural invariant check; returns human-readable violations (empty
@@ -150,6 +175,9 @@ class RTree {
 
   SplitResult RunSplitPolicy(std::vector<Entry> entries) const;
 
+  // Drops the memoized Profile(); every mutation calls it first.
+  void InvalidateProfile() { profile_memo_->profile.reset(); }
+
   PagedFile* file_;
   RTreeOptions options_;
   uint32_t capacity_;     // M
@@ -160,6 +188,14 @@ class RTree {
 
   // Per-level "overflow already treated" flags of the insertion in progress.
   std::vector<bool> overflow_handled_;
+
+  // Profile()'s memo, behind a pointer so the tree stays movable.
+  struct ProfileMemo {
+    std::mutex mu;
+    std::optional<TreeProfile> profile;  // guarded by `mu`
+  };
+  std::unique_ptr<ProfileMemo> profile_memo_ =
+      std::make_unique<ProfileMemo>();
 };
 
 }  // namespace rsj

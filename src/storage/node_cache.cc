@@ -1,8 +1,35 @@
 #include "storage/node_cache.h"
 
 #include "common/logging.h"
+#include "geom/comparison_counter.h"
 
 namespace rsj {
+
+uint64_t InsertionSortByLowerX(std::vector<Entry>* entries) {
+  ComparisonCounter cost;
+  for (size_t i = 1; i < entries->size(); ++i) {
+    Entry pending = (*entries)[i];
+    size_t j = i;
+    while (j > 0) {
+      cost.Add(1);
+      if (!(pending.rect.xl < (*entries)[j - 1].rect.xl)) break;
+      (*entries)[j] = (*entries)[j - 1];
+      --j;
+    }
+    (*entries)[j] = pending;
+  }
+  return cost.count();
+}
+
+const DecodedNode::Sorted& DecodedNode::sorted() const {
+  std::call_once(sorted_once_, [this] {
+    sorted_.node = node;
+    sorted_.sort_cost = InsertionSortByLowerX(&sorted_.node.entries);
+    sorted_.block.AssignEntries(std::span<const Entry>(sorted_.node.entries),
+                                0.0);
+  });
+  return sorted_;
+}
 
 NodeCache::NodeCache(PageCache* pages, const Options& options)
     : pages_(pages), capacity_nodes_(options.capacity_nodes) {

@@ -3,29 +3,39 @@
 //
 // The page layer models the paper's I/O accounting: every node visit is a
 // page request, counted as a disk read or a buffer hit. Decoding the page
-// payload into a `Node` is pure CPU work on top of that, and before this
-// cache it was repeated freely — the partitioner decoded directory nodes
-// the workers decoded again, every multi-way probe decoded every page it
-// visited, and each parallel worker kept fully private decodes. The node
-// cache keeps one immutable decoded copy per resident page and shares it
-// across all actors: the key space is hash-partitioned into shards (the
-// same shard/lock structure as SharedBufferPool), each an independently
-// locked LRU map from PageKey to `shared_ptr<const DecodedNode>` — the
-// node plus its SoA RectBlock, built once per decode.
+// payload into a `Node` is pure CPU work on top of that, and without this
+// cache it is repeated freely: the partitioner decodes directory nodes the
+// workers decode again, every multi-way probe decodes every page it
+// visits. The node cache keeps one immutable decoded copy per resident
+// page and shares it across all actors: the key space is hash-partitioned
+// into shards (the same shard/lock structure as SharedBufferPool), each an
+// independently locked LRU map from PageKey to
+// `shared_ptr<const DecodedNode>` — the node plus its SoA RectBlock, built
+// once per decode.
+//
+// The sweep algorithms read a node's entries sorted by lower x (§4.2: a
+// page is sorted "immediately after it is read from disk"). A decode
+// carries that sorted form too, built at most once, on the first sweep
+// reader's request, so every worker of every query borrows one sort
+// instead of copying and sorting the node itself. Readers that never ask
+// for it (chain probes, the partitioner) never build it.
 //
 // A cached decode is only valid while the page is buffer-resident: `Fetch`
 // always issues the page request first (so I/O counters are untouched by
 // this layer), and a physical re-read — a page-cache miss — re-decodes the
 // page, exactly as a real system would have to. Counter attribution follows
 // the PageCache contract: every call charges the requesting actor's
-// Statistics, via the `node_decodes` and `node_cache_hits` counters.
+// Statistics, via the `node_decodes` and `node_cache_hits` counters. The
+// sort's comparisons are charged by the reader (join/node_accessor.h), from
+// the count the sorted form memoizes.
 //
-// Returned nodes are immutable and shared; callers that need to mutate
-// entries (e.g. the accessor's sort-on-read) copy first.
+// Returned nodes are immutable and shared; the cache bounds how many
+// decodes it keeps (`capacity_nodes`), not their bytes.
 
 #ifndef RSJ_STORAGE_NODE_CACHE_H_
 #define RSJ_STORAGE_NODE_CACHE_H_
 
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -38,17 +48,40 @@
 
 namespace rsj {
 
+// Adaptive (insertion) sort by lower x, stable, counting one comparison per
+// comparator evaluation; returns that count. R*-splits leave node entries
+// sorted along the split axis, so freshly read pages are often nearly
+// sorted and the adaptive sort finishes in ~n comparisons — matching the
+// paper's low per-page sorting costs (Table 4).
+uint64_t InsertionSortByLowerX(std::vector<Entry>* entries);
+
 // A decoded page: the node plus its entry rectangles re-laid-out as a SoA
 // RectBlock (entry order, no expansion) for the batch kernels. Both are
 // built in one pass at decode time, so every consumer of a shared decode
 // gets the vector-friendly layout for free.
 struct DecodedNode {
+  // The node's entries in xl order, as InsertionSortByLowerX leaves them,
+  // their SoA block (no expansion), and the sort's comparison count.
+  struct Sorted {
+    Node node;
+    RectBlock block;
+    uint64_t sort_cost = 0;
+  };
+
   Node node;
   RectBlock block;
 
   explicit DecodedNode(Node n) : node(std::move(n)) {
     block.AssignEntries(std::span<const Entry>(node.entries), 0.0);
   }
+
+  // The sorted form, built from `node` on the first call; later calls, from
+  // any thread, return the same object. Safe to call concurrently.
+  const Sorted& sorted() const;
+
+ private:
+  mutable std::once_flag sorted_once_;
+  mutable Sorted sorted_;
 };
 
 class NodeCache {

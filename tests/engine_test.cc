@@ -235,6 +235,40 @@ TEST_F(PlannerTest, ChainPicksPipelinedPastTheTupleFloor) {
   EXPECT_FALSE(plan.pipelined);
 }
 
+TEST_F(PlannerTest, ConcurrentPlannersShareTheTreesProfiles) {
+  // Freshly built trees, so four planners race for the first profile walk
+  // of each (sessions plan concurrently, and with plan_admission the
+  // submitting thread plans too). The fixture's trees hold the same
+  // objects, built the same way: their plan is the reference.
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const IndexedRelation r(*big_rects_, topt);
+  const IndexedRelation s(*small_rects_, topt);
+  const PlanChoice reference =
+      PlanPairJoin(big_->tree(), small_->tree(), PlannerOptions{});
+
+  constexpr int kThreads = 4;
+  std::vector<PlanChoice> plans(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      plans[t] = PlanPairJoin(r.tree(), s.tree(), PlannerOptions{});
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const PlanChoice& plan : plans) {
+    EXPECT_EQ(plan.Describe(), reference.Describe());
+    EXPECT_EQ(plan.estimate.node_pairs, reference.estimate.node_pairs);
+    EXPECT_EQ(plan.estimate.page_reads, reference.estimate.page_reads);
+    EXPECT_EQ(plan.estimate.sj1_comparisons,
+              reference.estimate.sj1_comparisons);
+    EXPECT_EQ(plan.estimate.result_pairs, reference.estimate.result_pairs);
+  }
+}
+
 TEST_F(PlannerTest, PricedRasterDecisionChargesUnprovenPairs) {
   // Dense objects smaller than a grid cell (cell = 1/8 of the space at 3
   // bits, objects at most 0.08 wide) with ~25 estimated candidates per

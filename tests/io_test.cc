@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <vector>
 
 #include "datagen/io.h"
 #include "datagen/tiger_like.h"
 #include "join/cost_estimator.h"
 #include "join/join_runner.h"
+#include "rtree/node.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -113,12 +115,114 @@ TEST_F(CsvIoTest, LoadedDatasetJoinsLikeOriginal) {
 
 // --- cost estimator ---
 
+// The test's own profile of `tree`: every node decoded straight from the
+// file, in the tree walk's order (a depth-first stack from the root,
+// children pushed in entry order), so the floating-point sums match.
+TreeProfile WalkProfile(const RTree& tree) {
+  TreeProfile profile;
+  profile.levels.resize(static_cast<size_t>(tree.height()));
+  std::vector<PageId> stack{tree.root_page()};
+  while (!stack.empty()) {
+    const PageId page = stack.back();
+    stack.pop_back();
+    const Node node = Node::Load(tree.file(), page);
+    if (page == tree.root_page()) profile.root_mbr = node.ComputeMbr();
+    LevelProfile& level = profile.levels.at(node.level);
+    ++level.nodes;
+    for (const Entry& e : node.entries) {
+      ++level.entries;
+      level.mean_width += static_cast<double>(e.rect.xu) - e.rect.xl;
+      level.mean_height += static_cast<double>(e.rect.yu) - e.rect.yl;
+      if (!node.is_leaf()) stack.push_back(e.ref);
+    }
+  }
+  for (LevelProfile& level : profile.levels) {
+    if (level.entries > 0) {
+      level.mean_width /= static_cast<double>(level.entries);
+      level.mean_height /= static_cast<double>(level.entries);
+    }
+  }
+  return profile;
+}
+
+void ExpectSameLevel(const LevelProfile& a, const LevelProfile& b) {
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.mean_width, b.mean_width);
+  EXPECT_EQ(a.mean_height, b.mean_height);
+  EXPECT_EQ(a.entries, b.entries);
+}
+
+// EstimateJoinCost on the trees' held profiles equals, bit for bit, the
+// estimate from profiles walked right now.
+void ExpectEstimateMatchesWalk(const RTree& r, const RTree& s) {
+  const JoinCostEstimate held = EstimateJoinCost(r, s);
+  const JoinCostEstimate walked =
+      EstimateJoinCost(WalkProfile(r), WalkProfile(s));
+  EXPECT_EQ(held.node_pairs, walked.node_pairs);
+  EXPECT_EQ(held.page_reads, walked.page_reads);
+  EXPECT_EQ(held.sj1_comparisons, walked.sj1_comparisons);
+  EXPECT_EQ(held.result_pairs, walked.result_pairs);
+  EXPECT_EQ(held.space_width, walked.space_width);
+  EXPECT_EQ(held.space_height, walked.space_height);
+  ExpectSameLevel(held.r_leaf, walked.r_leaf);
+  ExpectSameLevel(held.s_leaf, walked.s_leaf);
+}
+
+TEST(CostEstimatorTest, HeldProfileFollowsEveryMutation) {
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const IndexedRelation s(testutil::RandomRects(800, 66, 0.02), topt);
+  const auto rects = testutil::RandomRects(1500, 67, 0.01);
+  PagedFile file(kPageSize1K);
+  RTree r(&file, topt);
+  for (uint32_t i = 0; i < 1000; ++i) r.Insert(rects[i], i);
+  {
+    SCOPED_TRACE("built by Insert");
+    ExpectEstimateMatchesWalk(r, s.tree());
+  }
+  for (uint32_t i = 1000; i < rects.size(); ++i) r.Insert(rects[i], i);
+  {
+    SCOPED_TRACE("after Insert");
+    ExpectEstimateMatchesWalk(r, s.tree());
+  }
+  for (uint32_t i = 0; i < 600; ++i) ASSERT_TRUE(r.Delete(rects[i], i));
+  {
+    SCOPED_TRACE("after Delete");
+    ExpectEstimateMatchesWalk(r, s.tree());
+  }
+
+  // A tree profiled while empty, then bulk-loaded.
+  PagedFile bulk_file(kPageSize1K);
+  RTree bulk(&bulk_file, topt);
+  {
+    SCOPED_TRACE("empty");
+    ExpectEstimateMatchesWalk(bulk, s.tree());
+  }
+  std::vector<Entry> entries;
+  for (uint32_t i = 0; i < rects.size(); ++i) {
+    entries.push_back(Entry{rects[i], i});
+  }
+  bulk.BulkLoadStr(entries, /*fill_fraction=*/0.7);
+  {
+    SCOPED_TRACE("after BulkLoadStr");
+    ExpectEstimateMatchesWalk(bulk, s.tree());
+  }
+
+  // The persistence load path re-attaches a tree to stored pages.
+  const RTree attached = RTree::Attach(&bulk_file, topt, bulk.root_page(),
+                                       bulk.height(), bulk.size());
+  {
+    SCOPED_TRACE("attached");
+    ExpectEstimateMatchesWalk(s.tree(), attached);
+  }
+}
+
 TEST(CostEstimatorTest, ProfileCountsLevels) {
   const auto rects = testutil::RandomRects(2000, 61, 0.01);
   RTreeOptions topt;
   topt.page_size = kPageSize1K;
   IndexedRelation rel(rects, topt);
-  const auto profile = ProfileTree(rel.tree());
+  const auto& profile = rel.tree().Profile().levels;
   ASSERT_EQ(profile.size(), static_cast<size_t>(rel.tree().height()));
   EXPECT_EQ(profile[0].entries, rects.size());  // leaf level holds the data
   size_t total_nodes = 0;

@@ -12,6 +12,8 @@
 
 #include "geom/simd_kernels.h"
 #include "join/join_runner.h"
+#include "storage/buffer_pool.h"
+#include "storage/node_cache.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -173,9 +175,10 @@ TEST_F(JoinInvariantsTest, JoinIsSymmetricUpToPairOrientation) {
 // `simd_parity_test` compares the two kernel modes within one build, so a
 // change that shifts both modes the same way passes it. This test pins the
 // absolute values instead: for every algorithm, every height policy, both
-// kernel-batched predicates and both kernel modes, the paper's counters
-// and an FNV-1a digest of the result pairs in emission order (the order is
-// the §4.3 read schedule) must equal the recorded row. The inputs use
+// kernel-batched predicates, both kernel modes and both node sources (the
+// accessor's own decodes, a shared NodeCache's), the paper's counters and
+// an FNV-1a digest of the result pairs in emission order (the order is the
+// §4.3 read schedule) must equal the recorded row. The inputs use
 // arithmetic only (no libm). The values were recorded on x86-64 before the
 // filter kernels were fused to one call per node pair; a change that means
 // to change the counters updates these rows and says so.
@@ -398,6 +401,25 @@ std::string PinnedRow(const std::string& name, const JoinRunResult& run) {
   return row;
 }
 
+// RunSpatialJoin's collected run, but with a NodeCache layered over the
+// same-sized BufferPool: the node source of every parallel worker and
+// engine session, whose sweep readers borrow the cache's sorted decodes.
+JoinRunResult RunThroughNodeCache(const RTree& r, const RTree& s,
+                                  const JoinOptions& options) {
+  JoinRunResult result;
+  BufferPool pool(BufferPool::Options{options.buffer_bytes,
+                                      r.options().page_size,
+                                      options.eviction_policy},
+                  &result.stats);
+  NodeCache nodes(&pool, NodeCache::Options{});
+  SpatialJoinEngine engine(r, s, options, &pool, &result.stats, &nodes);
+  MaterializingSink sink;
+  engine.Run(&sink);
+  result.chunks = sink.TakeChunks();
+  result.pair_count = sink.count();
+  return result;
+}
+
 // Restores the process-wide kernel mode the test switches between.
 class JoinCounterPinTest : public ::testing::Test {
  protected:
@@ -452,32 +474,44 @@ TEST_F(JoinCounterPinTest, CountersAndEmissionOrderMatchRecordedRuns) {
           jopt.epsilon =
               predicate == JoinPredicate::kWithinDistance ? 0.01 : 0.0;
           jopt.buffer_bytes = 16 * 1024;
+          const auto it = pinned.find(name);
+          ASSERT_NE(it, pinned.end())
+              << "no recorded row; actual:\n"
+              << PinnedRow(name, RunSpatialJoin(*input.r, *input.s, jopt,
+                                                /*collect_pairs=*/true));
+          const PinnedCounters& want = *it->second;
           for (const GeomKernelMode mode :
                {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
             SetGeomKernelMode(mode);
-            const JoinRunResult run = RunSpatialJoin(
-                *input.r, *input.s, jopt, /*collect_pairs=*/true);
-            const std::string actual = PinnedRow(name, run);
-            const auto it = pinned.find(name);
-            ASSERT_NE(it, pinned.end()) << "no recorded row; actual:\n"
-                                        << actual;
-            const PinnedCounters& want = *it->second;
-            EXPECT_EQ(run.stats.disk_reads, want.disk_reads) << actual;
-            EXPECT_EQ(run.stats.join_comparisons.count(),
-                      want.join_comparisons)
-                << actual;
-            EXPECT_EQ(run.stats.sort_comparisons.count(),
-                      want.sort_comparisons)
-                << actual;
-            EXPECT_EQ(run.stats.schedule_comparisons.count(),
-                      want.schedule_comparisons)
-                << actual;
-            EXPECT_EQ(run.stats.node_pairs, want.node_pairs) << actual;
-            EXPECT_EQ(run.stats.window_queries, want.window_queries)
-                << actual;
-            EXPECT_EQ(run.stats.output_pairs, want.output_pairs) << actual;
-            EXPECT_EQ(PairsDigest(run.chunks), want.pairs_digest)
-                << GeomKernelModeName(mode) << " " << actual;
+            // Both node sources must reproduce the row: the accessor's
+            // own sorted decodes, and the node cache's shared ones.
+            for (const bool node_cache : {false, true}) {
+              const JoinRunResult run =
+                  node_cache ? RunThroughNodeCache(*input.r, *input.s, jopt)
+                             : RunSpatialJoin(*input.r, *input.s, jopt,
+                                              /*collect_pairs=*/true);
+              const std::string actual =
+                  std::string(GeomKernelModeName(mode)) +
+                  (node_cache ? " node cache " : " no node cache ") +
+                  PinnedRow(name, run);
+              EXPECT_EQ(run.stats.disk_reads, want.disk_reads) << actual;
+              EXPECT_EQ(run.stats.join_comparisons.count(),
+                        want.join_comparisons)
+                  << actual;
+              EXPECT_EQ(run.stats.sort_comparisons.count(),
+                        want.sort_comparisons)
+                  << actual;
+              EXPECT_EQ(run.stats.schedule_comparisons.count(),
+                        want.schedule_comparisons)
+                  << actual;
+              EXPECT_EQ(run.stats.node_pairs, want.node_pairs) << actual;
+              EXPECT_EQ(run.stats.window_queries, want.window_queries)
+                  << actual;
+              EXPECT_EQ(run.stats.output_pairs, want.output_pairs)
+                  << actual;
+              EXPECT_EQ(PairsDigest(run.chunks), want.pairs_digest)
+                  << actual;
+            }
           }
         }
       }

@@ -1,9 +1,11 @@
 // Tests for the shared decoded-node cache: hit/decode accounting tied to
-// page residency, cross-thread reuse, the eviction bound, and the option
-// guards of both concurrent caches.
+// page residency, cross-thread reuse, the once-built sorted form, the
+// eviction bound, and the option guards of both concurrent caches.
 
 #include "storage/node_cache.h"
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -112,6 +114,83 @@ TEST(NodeCacheTest, CrossThreadReuseAfterCoordinatorWarmup) {
   for (const Statistics& st : stats) {
     EXPECT_EQ(st.node_decodes, 0u);
     EXPECT_EQ(st.node_cache_hits, 50u * pages.size());
+  }
+}
+
+TEST(NodeCacheTest, ConcurrentFirstSortBuildsOneSortedForm) {
+  // One leaf whose entries are out of xl order, with ties, so the sort
+  // moves entries and its stability shows.
+  PagedFile file(kPageSize1K);
+  const PageId id = file.Allocate();
+  Node stored;
+  for (uint32_t i = 0; i < 40; ++i) {
+    const auto xl = static_cast<Coord>((i * 7) % 13);
+    stored.entries.push_back(Entry{Rect{xl, 0.0f, xl + 1.0f, 1.0f}, i});
+  }
+  stored.Store(&file, id);
+  SharedBufferPool pool(SharedBufferPool::Options{4 * kPageSize1K,
+                                                  kPageSize1K,
+                                                  EvictionPolicy::kLru, 2});
+  NodeCache cache(&pool, NodeCache::Options{16, 2});
+
+  Statistics first;
+  const auto decoded = cache.Fetch(file, id, &first).decoded;
+  ASSERT_EQ(first.node_decodes, 1u);
+  const std::vector<Entry> page_order = decoded->node.entries;
+  const RectBlock page_block = decoded->block;
+
+  // Eight readers ask for the sorted form of the cold decode at once.
+  constexpr unsigned kThreads = 8;
+  std::vector<Statistics> stats(kThreads);
+  std::vector<const DecodedNode::Sorted*> seen(kThreads, nullptr);
+  std::vector<const RectBlock*> blocks(kThreads, nullptr);
+  std::atomic<unsigned> ready{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      const auto mine = cache.Fetch(file, id, &stats[t]).decoded;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = &mine->sorted();
+      blocks[t] = &mine->sorted().block;
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  uint64_t decodes = first.node_decodes;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]);
+    EXPECT_EQ(blocks[t], blocks[0]);
+    decodes += stats[t].node_decodes;
+  }
+  EXPECT_EQ(decodes, 1u);
+  const DecodedNode::Sorted& sorted = *seen[0];
+  EXPECT_EQ(&sorted, &decoded->sorted());
+
+  std::vector<Entry> expected = page_order;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Entry& a, const Entry& b) {
+                     return a.rect.xl < b.rect.xl;
+                   });
+  ASSERT_NE(expected, page_order) << "the page must need sorting";
+  EXPECT_EQ(sorted.node.entries, expected);
+  EXPECT_EQ(sorted.node.level, decoded->node.level);
+  ASSERT_EQ(sorted.block.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(sorted.block.RectAt(i), expected[i].rect);
+    EXPECT_EQ(sorted.block.index_at(i), i);
+  }
+  std::vector<Entry> resorted = page_order;
+  EXPECT_EQ(sorted.sort_cost, InsertionSortByLowerX(&resorted));
+  EXPECT_EQ(resorted, expected);
+  EXPECT_GT(sorted.sort_cost, expected.size() - 1);
+
+  // The page-order decode is untouched.
+  EXPECT_EQ(decoded->node.entries, page_order);
+  ASSERT_EQ(decoded->block.size(), page_block.size());
+  for (size_t i = 0; i < page_block.size(); ++i) {
+    EXPECT_EQ(decoded->block.RectAt(i), page_block.RectAt(i));
+    EXPECT_EQ(decoded->block.index_at(i), page_block.index_at(i));
   }
 }
 
