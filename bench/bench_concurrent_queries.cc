@@ -193,7 +193,6 @@ int Main(int argc, char** argv) {
     QueryEngine::Options opt;
     opt.pool.capacity_bytes = 512 * 1024;
     opt.pool.page_size = kPage;
-    opt.node_cache_nodes = 4096;
     opt.io.disks.disk_count = kDisks;
     // Charge modeled CPU for the join work that follows each node fetch
     // (the paper costs CPU and I/O side by side). One session's compute

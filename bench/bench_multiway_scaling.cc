@@ -3,13 +3,11 @@
 // follow-up experiment to bench_parallel_scaling.
 //
 // Runs the 3-way chain streets ⋈ rivers&railways ⋈ streets (2nd map) on
-// SJ4 (4 KByte pages, 128 KByte shared buffer) with 2..8 workers over a
-// simulated 4-disk array, A/B-ing three configurations on the identical
-// workload:
-//   * no_cache      — materialized frontiers, no decode cache (baseline),
-//   * materialized  — materialized frontiers + shared NodeCache (PR 2),
-//   * pipelined     — streaming chunk pipeline + shared NodeCache (the
-//                     default formulation).
+// SJ4 (4 KByte pages, 128 KByte shared buffer, shared NodeCache) with
+// 2..8 workers over a simulated 4-disk array, A/B-ing two formulations on
+// the identical workload:
+//   * materialized  — whole frontiers between the phases (baseline),
+//   * pipelined     — streaming chunk pipeline (the default formulation).
 // Reports wall clock, tuple counts, decode counters, aggregate disk
 // reads, the executor's probe telemetry, `frontier_peak_tuples` (the peak
 // live intermediate tuple count) and the modeled elapsed time over the
@@ -55,8 +53,7 @@ struct Measured {
 };
 
 Measured Measure(const std::vector<JoinRelation>& chain,
-                 const JoinOptions& jopt, unsigned workers, bool node_cache,
-                 bool pipelined) {
+                 const JoinOptions& jopt, unsigned workers, bool pipelined) {
   // A fresh simulated disk array per run keeps the modeled clocks
   // comparable: modeled elapsed then measures this run alone.
   IoScheduler::Options sopt;
@@ -65,7 +62,6 @@ Measured Measure(const std::vector<JoinRelation>& chain,
   IoScheduler io(sopt);
   ParallelExecutorOptions exec;
   exec.num_threads = workers;
-  exec.node_cache = node_cache;
   exec.pipelined = pipelined;
   exec.io_scheduler = &io;
   // Small chunks keep the pipeline's structural frontier ceiling —
@@ -89,7 +85,7 @@ uint64_t MaxChunks(const ParallelChainJoinResult& result) {
 }
 
 void EmitJson(const char* mode, unsigned workers, const Measured& m,
-              double seq_seconds, uint64_t baseline_decodes) {
+              double seq_seconds) {
   uint64_t chunks = 0;
   for (const size_t c : m.result.probe_chunk_counts) chunks += c;
   // The pipelined formulation runs `workers` threads PER STAGE (pairwise
@@ -109,7 +105,7 @@ void EmitJson(const char* mode, unsigned workers, const Measured& m,
       "\"tuples\":%llu,\"seconds\":%.6f,"
       "\"speedup\":%.3f,"
       "\"node_decodes\":%llu,\"node_cache_hits\":%llu,"
-      "\"decode_saving\":%.4f,\"hit_rate\":%.4f,"
+      "\"hit_rate\":%.4f,"
       "\"pair_tasks\":%zu,\"probe_chunks\":%llu,"
       "\"max_worker_chunks\":%llu,"
       "\"frontier_peak_tuples\":%llu,\"modeled_elapsed_micros\":%llu,%s}\n",
@@ -119,10 +115,6 @@ void EmitJson(const char* mode, unsigned workers, const Measured& m,
       seq_seconds / std::max(1e-9, m.seconds),
       static_cast<unsigned long long>(m.result.total_stats.node_decodes),
       static_cast<unsigned long long>(m.result.total_stats.node_cache_hits),
-      baseline_decodes == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(m.result.total_stats.node_decodes) /
-                      static_cast<double>(baseline_decodes),
       m.result.total_stats.HitRate(), m.result.pairwise_task_count,
       static_cast<unsigned long long>(chunks),
       static_cast<unsigned long long>(MaxChunks(m.result)),
@@ -136,8 +128,8 @@ int Main(int argc, char** argv) {
   const double scale = ParseScale(argc, argv);
   PrintBanner(
       "Parallel 3-way chain join scaling (SJ4, 4 KByte pages, 128 KByte "
-      "shared buffer, 4 simulated disks; streaming pipeline vs "
-      "materialized baseline, shared NodeCache vs no-cache)",
+      "shared buffer, shared NodeCache, 4 simulated disks; streaming "
+      "pipeline vs materialized baseline)",
       "Section 2.1 multi-way joins x Section 6 parallel future work",
       scale);
 
@@ -175,20 +167,12 @@ int Main(int argc, char** argv) {
   // 1 worker falls back to the sequential chain join (which always runs
   // over its own decode cache), so the A/B starts at 2 workers.
   for (const unsigned workers : {2u, 4u, 8u}) {
-    const Measured plain = Measure(chain, jopt, workers,
-                                   /*node_cache=*/false,
-                                   /*pipelined=*/false);
-    const Measured mat = Measure(chain, jopt, workers, /*node_cache=*/true,
-                                 /*pipelined=*/false);
-    const Measured piped = Measure(chain, jopt, workers, /*node_cache=*/true,
-                                   /*pipelined=*/true);
-    const uint64_t baseline = plain.result.total_stats.node_decodes;
+    const Measured mat = Measure(chain, jopt, workers, /*pipelined=*/false);
+    const Measured piped = Measure(chain, jopt, workers, /*pipelined=*/true);
     const struct {
       const char* mode;
       const Measured* m;
-    } rows[] = {{"no_cache", &plain},
-                {"materialized", &mat},
-                {"pipelined", &piped}};
+    } rows[] = {{"materialized", &mat}, {"pipelined", &piped}};
     for (const auto& row : rows) {
       char label[32];
       std::snprintf(label, sizeof(label), "%u / %s", workers, row.mode);
@@ -200,11 +184,10 @@ int Main(int argc, char** argv) {
            Num(row.m->result.total_stats.disk_reads),
            Num(row.m->result.total_stats.frontier_peak_tuples),
            Dbl(row.m->result.modeled_elapsed_micros / 1000.0, 1)});
-      EmitJson(row.mode, workers, *row.m, seq_seconds, baseline);
+      EmitJson(row.mode, workers, *row.m, seq_seconds);
     }
     if (mat.result.tuple_count != sequential.tuple_count ||
-        piped.result.tuple_count != sequential.tuple_count ||
-        plain.result.tuple_count != sequential.tuple_count) {
+        piped.result.tuple_count != sequential.tuple_count) {
       std::printf("FAIL: tuple count diverges at %u workers\n", workers);
       ok = false;
     }
@@ -230,8 +213,8 @@ int Main(int argc, char** argv) {
       "streams frontier chunks between probe phases through bounded\n"
       "channels, so its peak frontier stays at O(chunks-in-flight x\n"
       "chunk size) while the materialized baseline holds whole frontiers;\n"
-      "the shared NodeCache decodes each resident page once system-wide\n"
-      "(the decode gap against no_cache). Note the pipelined rows run\n"
+      "the shared NodeCache decodes each resident page once system-wide.\n"
+      "Note the pipelined rows run\n"
       "`workers` threads per stage (see threads_total in the JSON), so\n"
       "wall-clock columns compare unequal thread budgets.\n");
   return ok ? 0 : 1;

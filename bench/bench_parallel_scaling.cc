@@ -15,7 +15,8 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "join/parallel_join.h"
+#include "exec/parallel_executor.h"
+#include "join/join_runner.h"
 
 namespace rsj {
 namespace bench {

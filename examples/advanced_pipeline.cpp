@@ -114,8 +114,10 @@ int main() {
   // --- 7. parallel join ---
   JoinOptions par_options;
   par_options.algorithm = JoinAlgorithm::kSJ4;
+  ParallelExecutorOptions exec_options;
+  exec_options.num_threads = 8;
   const auto parallel = RunParallelSpatialJoin(*loaded->tree, rivers_tree,
-                                               par_options, 8);
+                                               par_options, exec_options);
   std::printf("\nparallel SJ4 with 8 workers: %llu pairs across %zu "
               "partitions\n",
               static_cast<unsigned long long>(parallel.pair_count),

@@ -24,7 +24,6 @@ void DecideFromEstimate(const PlannerOptions& options, PlanChoice* plan) {
   plan->spill = est.result_pairs >= options.spill_pair_floor;
   plan->spill_budget_chunks = options.spill_budget_chunks;
   plan->prefetch = est.page_reads >= options.prefetch_page_read_floor;
-  plan->prefetch_ahead = options.prefetch_ahead;
 }
 
 // Refinement pricing, in units of one exact segment test between two
@@ -141,7 +140,6 @@ void ApplyPlan(const PlanChoice& plan, JoinOptions* join,
   exec->spill_results = plan.spill;
   exec->spill_budget_chunks = plan.spill_budget_chunks;
   exec->prefetch = plan.prefetch;
-  exec->prefetch_ahead = plan.prefetch_ahead;
   join->refine_raster = plan.refine_raster;
   join->raster_grid_bits = plan.raster_grid_bits;
 }
@@ -150,13 +148,12 @@ std::string PlanChoice::Describe() const {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "plan{algo=%s pipelined=%d spill=%d budget=%zu prefetch=%d "
-                "ahead=%zu raster=%d raster_cost=%.1f exact_cost=%.1f "
-                "bits=%u "
+                "raster=%d raster_cost=%.1f exact_cost=%.1f bits=%u "
                 "est{node_pairs=%.1f page_reads=%.1f sj1_cmp=%.1f "
                 "result=%.1f peak_tuples=%.1f}}",
                 JoinAlgorithmName(algorithm), pipelined ? 1 : 0,
                 spill ? 1 : 0, spill_budget_chunks, prefetch ? 1 : 0,
-                prefetch_ahead, refine_raster ? 1 : 0, raster_cost,
+                refine_raster ? 1 : 0, raster_cost,
                 exact_cost, raster_grid_bits, estimate.node_pairs,
                 estimate.page_reads, estimate.sj1_comparisons,
                 estimate.result_pairs, peak_intermediate_tuples);

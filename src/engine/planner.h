@@ -30,9 +30,8 @@
 //                 `spill_budget_chunks` resident chunks; below it,
 //                 results materialize unbounded (cheaper, no spill file).
 //   * prefetch  — estimated page reads past `prefetch_page_read_floor`
-//                 enable schedule-driven prefetching with a
-//                 `prefetch_ahead` window; tiny joins skip the hint
-//                 traffic.
+//                 enable schedule-driven prefetching; tiny joins skip
+//                 the hint traffic.
 //   * refine    — when the query asks for exact geometry, the planner
 //                 prices both refinement tiers and turns on the
 //                 raster-interval tier (geom/raster_interval.h) only when
@@ -92,8 +91,6 @@ struct PlannerOptions {
   size_t spill_budget_chunks = 64;
   // Expected page reads at or above which prefetching is enabled.
   double prefetch_page_read_floor = 2000;
-  // Async-read window handed to the prefetcher when it is chosen.
-  size_t prefetch_ahead = 32;
   // Grid resolution the raster tier is priced at and handed when chosen.
   unsigned raster_grid_bits = 14;
 };
@@ -104,7 +101,6 @@ struct PlanChoice {
   bool spill = false;
   size_t spill_budget_chunks = 64;
   bool prefetch = false;
-  size_t prefetch_ahead = 32;
   // Two-tier refinement (only set when planning an exact-geometry query).
   bool refine_raster = false;
   unsigned raster_grid_bits = 14;

@@ -80,15 +80,12 @@ QueryEngine::QueryEngine(const Options& options)
       governor_(MemoryGovernor::Options{options.memory_budget_bytes}),
       io_(IoWithTracer(options.io, options.tracer)),
       pool_(options.pool),
+      node_cache_(&pool_, NodeCache::Options{}),
       task_pool_(SessionTaskPool::Options{options.pool_threads,
                                           options.tracer}),
       query_log_(options.query_log) {
   governor_.AttachTracer(options.tracer);
   pool_.AttachIoScheduler(&io_);
-  if (options.node_cache_nodes > 0) {
-    node_cache_ = std::make_unique<NodeCache>(
-        &pool_, NodeCache::Options{options.node_cache_nodes});
-  }
 }
 
 QueryEngine::~QueryEngine() { WaitAll(); }
@@ -211,14 +208,7 @@ void QueryEngine::RunSession(QuerySession* session) {
   JoinOptions join = spec.join;
   ParallelExecutorOptions exec = options_.exec_base;
   exec.num_threads = std::max(2u, options_.session_threads);
-  exec.node_cache = node_cache_ != nullptr;
-  exec.io_scheduler = &io_;
-  exec.own_io_lifecycle = false;  // the engine folds clocks per batch
-  exec.memory_governor = &governor_;
-  exec.task_runner = task_pool_.runner();
   exec.collect_pairs = spec.collect;
-  exec.tracer = tracer;
-  exec.trace_pid = pid;
 
   QueryOutcome outcome;
   outcome.is_chain = spec.relations.size() > 2;
@@ -243,15 +233,25 @@ void QueryEngine::RunSession(QuerySession* session) {
     // range is [floor, floor + modeled_elapsed].
     const uint64_t modeled_floor =
         exec_span.active() ? io_.FloorMicros() : 0;
+    // The session borrows the engine's resources; its window retires only
+    // its own actors (the engine folds the clocks once per batch).
+    ExecContext ctx(ExecContext::Borrowed{&pool_, &node_cache_, &io_,
+                                          &governor_, task_pool_.runner(),
+                                          tracer, pid},
+                    exec);
     if (outcome.is_chain) {
-      outcome.chain = RunParallelChainSpatialJoinWith(
-          spec.relations, join, exec, spec.collect, &pool_, node_cache_.get());
+      outcome.chain = RunParallelChainSpatialJoin(spec.relations, join, exec,
+                                                  ctx, spec.collect);
+      outcome.chain.modeled_elapsed_micros =
+          ctx.window().Close(&outcome.chain.total_stats);
       outcome.result_count = outcome.chain.tuple_count;
       outcome.modeled_elapsed_micros = outcome.chain.modeled_elapsed_micros;
     } else {
-      outcome.pair = RunParallelSpatialJoinWith(
-          *spec.relations[0].tree, *spec.relations[1].tree, join, exec, &pool_,
-          node_cache_.get());
+      outcome.pair = RunParallelSpatialJoin(*spec.relations[0].tree,
+                                            *spec.relations[1].tree, join,
+                                            exec, ctx);
+      outcome.pair.modeled_elapsed_micros =
+          ctx.window().Close(&outcome.pair.total_stats);
       outcome.result_count = outcome.pair.pair_count;
       outcome.modeled_elapsed_micros = outcome.pair.modeled_elapsed_micros;
     }

@@ -10,10 +10,11 @@
 //   * one SharedBufferPool + NodeCache span every session (queries share
 //     hot directory pages and decodes, exactly like a database buffer),
 //   * one IoScheduler models the disk array for all sessions; each
-//     session runs with own_io_lifecycle = false, so it retires only its
-//     own actor clocks and reports its latency against the batch floor —
-//     never folding another session's timeline (the engine drains and
-//     synchronizes once per WaitAll batch),
+//     session runs on a borrowed ExecContext (exec/exec_context.h) whose
+//     window retires only the session's own actor clocks and reports its
+//     latency against the batch floor — never folding another session's
+//     timeline (the engine drains and synchronizes once per WaitAll
+//     batch),
 //   * one SessionTaskPool (engine/task_pool.h) executes every session's
 //     subtree-pair tasks on a fixed oversubscribed thread set with
 //     round-robin fairness,
@@ -54,6 +55,7 @@
 #include "engine/memory_governor.h"
 #include "engine/planner.h"
 #include "engine/task_pool.h"
+#include "exec/exec_context.h"
 #include "exec/multiway_executor.h"
 #include "exec/parallel_executor.h"
 #include "io/io_scheduler.h"
@@ -156,10 +158,9 @@ class QuerySession {
 class QueryEngine {
  public:
   struct Options {
-    // The shared page buffer spanning all sessions.
+    // The shared page buffer spanning all sessions, with a 4096-node
+    // decode cache over it.
     SharedBufferPool::Options pool;
-    // Shared decode cache over the pool; 0 disables it.
-    size_t node_cache_nodes = 4096;
     // The modeled disk array all sessions run on.
     IoScheduler::Options io;
     // Run-wide memory budget handed to the governor (0 = unlimited).
@@ -182,15 +183,16 @@ class QueryEngine {
     size_t queue_limit = 64;
     // SessionTaskPool worker threads shared by all sessions.
     unsigned pool_threads = 4;
-    // Worker slots per session run (>= 2: the sequential fallbacks do
-    // not run on the shared scheduler; the engine clamps up).
+    // Worker slots per session run (>= 2: one-thread runs read through a
+    // private buffer, not the engine's pool; the engine clamps up).
     unsigned session_threads = 2;
     // Planner thresholds (see engine/planner.h).
     PlannerOptions planner;
     // Base executor options for every session: chunk sizing, channel
-    // bound, partition multiplier. The engine overrides the resource
-    // fields (threads, node cache, io_scheduler, task_runner, governor,
-    // lifecycle) and the planner overrides its decisions.
+    // bound, partition multiplier. The engine sets num_threads and
+    // collect_pairs, and the planner its decisions; the resource fields
+    // (io_scheduler, memory_governor, tracer, chunk_arena) are ignored,
+    // because each session's context lends the engine's own.
     ParallelExecutorOptions exec_base;
     // Span/counter sink (obs/trace.h) shared by every layer the engine
     // drives: sessions get per-query pids, the scheduler/governor emit on
@@ -250,7 +252,7 @@ class QueryEngine {
   MemoryGovernor governor_;
   IoScheduler io_;
   SharedBufferPool pool_;
-  std::unique_ptr<NodeCache> node_cache_;
+  NodeCache node_cache_;
   SessionTaskPool task_pool_;
   QueryLog query_log_;
   const std::chrono::steady_clock::time_point epoch_ =

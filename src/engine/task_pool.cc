@@ -122,7 +122,7 @@ std::vector<uint64_t> SessionTaskPool::Run(
   return std::move(run.slot_counts);
 }
 
-ParallelExecutorOptions::TaskRunner SessionTaskPool::runner() {
+ExecContext::TaskRunner SessionTaskPool::runner() {
   return [this](unsigned workers, size_t num_tasks,
                 const std::function<void(unsigned, size_t)>& fn) {
     return Run(workers, num_tasks, fn);

@@ -4,7 +4,7 @@
 // Standalone executors spawn a run-private TaskScheduler per join; with N
 // concurrent sessions that is N × num_threads threads fighting over the
 // machine. The SessionTaskPool instead implements the
-// ParallelExecutorOptions::TaskRunner contract over one fixed team:
+// ExecContext::TaskRunner contract over one fixed team:
 //
 //   * every Run() registers the session's task batch and the CALLER DRIVES
 //     ITS OWN RUN — it claims and executes its own tasks until none are
@@ -38,7 +38,7 @@
 #include <thread>
 #include <vector>
 
-#include "exec/parallel_executor.h"
+#include "exec/exec_context.h"
 
 namespace rsj {
 
@@ -66,8 +66,8 @@ class SessionTaskPool {
   std::vector<uint64_t> Run(unsigned workers, size_t num_tasks,
                             const std::function<void(unsigned, size_t)>& fn);
 
-  // A TaskRunner bound to this pool, for ParallelExecutorOptions.
-  ParallelExecutorOptions::TaskRunner runner();
+  // A TaskRunner bound to this pool, for the sessions' contexts.
+  ExecContext::TaskRunner runner();
 
   // --- telemetry ---
   // Tasks executed through the pool (callers + pool threads).

@@ -7,12 +7,11 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "exec/exec_context.h"
 #include "exec/frontier_channel.h"
-#include "exec/task_scheduler.h"
 #include "io/io_scheduler.h"
 #include "io/prefetcher.h"
 #include "storage/node_cache.h"
-#include "storage/shared_buffer_pool.h"
 
 namespace rsj {
 
@@ -127,33 +126,36 @@ class FrontierWriter {
   FrontierChunk current_;
 };
 
-// Reads `tree`'s root through the chain's pool (and decode cache, when
-// one is attached) and hints its children into `prefetcher`: every
-// frontier tuple descends from this root, so its children are the
-// phase's shared read frontier. The root itself is read synchronously
-// right here to learn them — prefetching it too would only be consumed on
-// the next statement with its full stall.
-void HintProbeRoot(const RTree& tree, PageCache* pages, NodeCache* nodes,
+// Reads `tree`'s root through the chain's decode cache and hints its
+// children into `prefetcher`: every frontier tuple descends from this
+// root, so its children are the phase's shared read frontier. The root
+// itself is read synchronously right here to learn them — prefetching it
+// too would only be consumed on the next statement with its full stall.
+void HintProbeRoot(const RTree& tree, NodeCache* nodes,
                    const Prefetcher* prefetcher, Statistics* stats) {
   const PagedFile& file = tree.file();
-  const PageId root = tree.root_page();
-  std::shared_ptr<const DecodedNode> cached;
-  Node local;
-  const Node* node;
-  if (nodes != nullptr) {
-    cached = nodes->Fetch(file, root, stats).decoded;
-    node = &cached->node;
-  } else {
-    pages->Read(file, root, stats);
-    ++stats->node_decodes;
-    local = Node::Load(file, root);
-    node = &local;
-  }
-  if (node->is_leaf()) return;
+  const std::shared_ptr<const DecodedNode> root =
+      nodes->Fetch(file, tree.root_page(), stats).decoded;
+  if (root->node.is_leaf()) return;
   std::vector<PageId> children;
-  children.reserve(node->entries.size());
-  for (const Entry& e : node->entries) children.push_back(e.ref);
+  children.reserve(root->node.entries.size());
+  for (const Entry& e : root->node.entries) children.push_back(e.ref);
   prefetcher->PrefetchSchedule(file, children, stats);
+}
+
+void CheckChain(const std::vector<JoinRelation>& relations,
+                const ParallelExecutorOptions& exec_options) {
+  RSJ_CHECK_MSG(relations.size() >= 2, "chain join needs >= 2 relations");
+  RSJ_CHECK_MSG(exec_options.chunk_capacity >= 1,
+                "executor needs chunk_capacity >= 1");
+  RSJ_CHECK_MSG(exec_options.channel_bound >= 1,
+                "executor needs channel_bound >= 1");
+  for (const JoinRelation& rel : relations) {
+    RSJ_CHECK(rel.tree != nullptr && rel.rects != nullptr);
+    RSJ_CHECK_MSG(rel.tree->options().page_size ==
+                      relations[0].tree->options().page_size,
+                  "all relations must share one page size");
+  }
 }
 
 ParallelChainJoinResult SequentialChainFallback(
@@ -166,8 +168,6 @@ ParallelChainJoinResult SequentialChainFallback(
   result.tuples = std::move(sequential.tuples);
   result.worker_stats.push_back(sequential.stats);
   result.total_stats.MergeFrom(sequential.stats);
-  // The sequential chain join always runs over its own decode cache.
-  result.used_node_cache = true;
   result.pairwise_task_count = 1;
   result.probe_chunk_counts.assign(
       relations.size() > 2 ? relations.size() - 2 : 0, 1);
@@ -205,61 +205,31 @@ struct ProbeWorker {
   }
 };
 
-// The resources one chain run shares across its phases and workers: one
-// buffer, one decode cache and one prefetcher (owned, or the engine's
-// borrowed pool and cache), the modeled-clock snapshots, and the spill
-// context of the final tuple set. Both formulations build it the same way.
-struct ChainContext {
-  ChainContext(const std::vector<JoinRelation>& relations,
-               const JoinOptions& options,
-               const ParallelExecutorOptions& exec_options,
-               bool collect_tuples, SharedBufferPool* ext_pool,
-               NodeCache* ext_nodes)
+// The chain-only state one run shares across its phases and workers: the
+// spill file and resident budget of the final tuple set, and the
+// coordinator's counters (probe-root hints). The pool, cache, prefetcher
+// and modeled-I/O window are the run's ExecContext; both formulations use
+// it the same way.
+struct ChainRun {
+  ChainRun(const std::vector<JoinRelation>& relations,
+           const ParallelExecutorOptions& exec_options, bool collect_tuples,
+           ExecContext& context)
       : exec(exec_options),
+        ctx(context),
         arity(static_cast<uint32_t>(relations.size())),
-        io(exec_options.io_scheduler),
-        owns_io(io != nullptr && exec_options.own_io_lifecycle),
         spill_on(collect_tuples && exec_options.spill_results) {
-    io_clock_before = owns_io ? io->NowMicros() : 0;
-    io_batches_before = io != nullptr ? io->io_batches() : 0;
-    io_floor_before = io != nullptr && !owns_io ? io->FloorMicros() : 0;
-    pool = ext_pool;
-    if (pool == nullptr) {
-      owned_pool = std::make_unique<SharedBufferPool>(
-          SharedBufferPool::Options{options.buffer_bytes,
-                                    relations[0].tree->options().page_size,
-                                    options.eviction_policy,
-                                    exec_options.pool_shards});
-      pool = owned_pool.get();
-    }
-    if (io != nullptr) pool->AttachIoScheduler(io);
-    nodes = ext_nodes;
-    if (nodes == nullptr && exec_options.node_cache) {
-      owned_nodes = std::make_unique<NodeCache>(
-          pool, NodeCache::Options{exec_options.node_cache_capacity,
-                                   exec_options.pool_shards});
-      nodes = owned_nodes.get();
-    }
-    if (exec_options.prefetch) {
-      prefetcher = std::make_unique<Prefetcher>(
-          pool, Prefetcher::Options{exec_options.prefetch_ahead});
-    }
-    // Spill context of the final tuple set: one serialized file and one
-    // resident budget shared by the last phase's workers
-    // (exec/spill_sink.h).
     if (spill_on) {
-      spill_file = std::make_shared<SpillFile>(
-          SpillFile::Options{exec_options.spill_page_size, io,
-                             exec_options.tracer, exec_options.trace_pid});
+      spill_file = std::make_shared<SpillFile>(SpillFile::Options{
+          kPageSize4K, ctx.io(), ctx.tracer(), ctx.trace_pid()});
       spill_budget = std::make_unique<ResidentBudget>(
-          exec_options.spill_budget_chunks, exec_options.memory_governor,
+          exec.spill_budget_chunks, ctx.governor(),
           MemoryCategory::kResultChunks, TupleChunkBytes());
-      spill_budget->AttachTracer(exec_options.tracer, exec_options.trace_pid);
+      spill_budget->AttachTracer(ctx.tracer(), ctx.trace_pid());
     }
   }
 
-  ChainContext(const ChainContext&) = delete;
-  ChainContext& operator=(const ChainContext&) = delete;
+  ChainRun(const ChainRun&) = delete;
+  ChainRun& operator=(const ChainRun&) = delete;
 
   // Bytes one resident final-tuple chunk (chunk_capacity tuples of the
   // chain's full arity) leases from the run-wide governor.
@@ -283,8 +253,8 @@ struct ChainContext {
                   ProbeWorker* worker) const {
     RSJ_DCHECK(last < prev_rects.size());
     worker->matches.clear();
-    ProbeChainWindow(tree, pool, nodes, options, prev_rects[last],
-                     &worker->stats, &worker->matches);
+    ProbeChainWindow(tree, ctx.pool(), ctx.nodes(), options,
+                     prev_rects[last], &worker->stats, &worker->matches);
   }
 
   // Runs `body` as one probe chunk of `worker` under a sampled
@@ -293,7 +263,8 @@ struct ChainContext {
   void RunProbeChunk(ProbeWorker* worker, const char* arg, uint64_t value,
                      const Body& body) const {
     ++worker->chunks;
-    TraceSpan span(exec.tracer, "exec", "probe_chunk", exec.trace_pid,
+    IoScheduler* const io = ctx.io();
+    TraceSpan span(ctx.tracer(), "exec", "probe_chunk", ctx.trace_pid(),
                    /*sampled=*/true);
     const uint64_t modeled_before =
         span.active() && io != nullptr ? io->ActorClock(&worker->stats) : 0;
@@ -306,28 +277,11 @@ struct ChainContext {
     }
   }
 
-  // Closes the chain's modeled I/O window; every timed write (the
-  // spillers' sealing Take() included) must be on the clocks by now.
-  // Owned lifecycle: drain, account the batch delta since `batches_from`
-  // once, and merge every clock. Borrowed: retire this chain's actors and
-  // measure elapsed against the floor at entry, never below the pairwise
-  // phase's end; the shared io_batches counter is left to the engine.
-  void FinishIo(uint64_t batches_from, uint64_t pairwise_elapsed,
-                const std::vector<std::unique_ptr<ProbeWorker>>& workers,
-                ParallelChainJoinResult* result) {
-    if (owns_io) {
-      io->Drain();
-      coordinator.io_batches += io->io_batches() - batches_from;
-      result->modeled_elapsed_micros =
-          io->SynchronizeClocks() - io_clock_before;
-    } else if (io != nullptr) {
-      uint64_t finish = io_floor_before + pairwise_elapsed;
-      finish = std::max(finish, io->RetireActor(&coordinator));
-      for (const auto& worker : workers) {
-        finish = std::max(finish, io->RetireActor(&worker->stats));
-      }
-      result->modeled_elapsed_micros = finish - io_floor_before;
-    }
+  // The chain's actors die with the run; every timed write (the spillers'
+  // sealing Take() included) must be on their clocks by now.
+  void RetireWorkers(const std::vector<std::unique_ptr<ProbeWorker>>& workers) {
+    ctx.window().Retire(&coordinator);
+    for (const auto& worker : workers) ctx.window().Retire(&worker->stats);
   }
 
   // Merges the coordinator and every probe worker into the result. Worker
@@ -373,7 +327,7 @@ struct ChainContext {
       }
       result->total_stats.NoteResultChunksResident(spill_budget->peak());
     } else if (collect_tuples) {
-      ResidentBudget gauge(ResidentBudget::kUnbounded, exec.memory_governor,
+      ResidentBudget gauge(ResidentBudget::kUnbounded, ctx.governor(),
                            MemoryCategory::kResultChunks, TupleChunkBytes());
       const uint64_t cap = exec.chunk_capacity;
       const uint64_t held = (result->tuple_count + cap - 1) / cap;
@@ -383,23 +337,12 @@ struct ChainContext {
   }
 
   const ParallelExecutorOptions& exec;
+  ExecContext& ctx;
   const uint32_t arity;  // relations in the chain
-  std::unique_ptr<SharedBufferPool> owned_pool;  // null when borrowed
-  std::unique_ptr<NodeCache> owned_nodes;        // null when borrowed
-  std::unique_ptr<Prefetcher> prefetcher;        // null without prefetch
-  // The effective pool/cache: the owned instances above or the engine's
-  // borrowed ones.
-  SharedBufferPool* pool = nullptr;
-  NodeCache* nodes = nullptr;
-  IoScheduler* const io;
-  const bool owns_io;
-  uint64_t io_clock_before = 0;
-  uint64_t io_batches_before = 0;
-  uint64_t io_floor_before = 0;  // borrowed lifecycle: elapsed baseline
   const bool spill_on;
   std::shared_ptr<SpillFile> spill_file;
   std::unique_ptr<ResidentBudget> spill_budget;
-  Statistics coordinator;  // probe-root prefetch hints, I/O batch delta
+  Statistics coordinator;  // probe-root prefetch hints
 };
 
 // Folds the pairwise phase's telemetry and counters into the chain result.
@@ -420,18 +363,16 @@ void FoldPairwise(const ParallelJoinResult& pairwise, unsigned num_threads,
 ParallelChainJoinResult RunMaterializedChain(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples,
-    SharedBufferPool* ext_pool, NodeCache* ext_nodes) {
+    ExecContext& ctx) {
   const unsigned num_threads = exec_options.num_threads;
   ParallelChainJoinResult result;
   result.worker_stats.resize(num_threads);
 
-  // One buffer and one decode cache for the whole chain: the pairwise
-  // phase warms both, the probe phases keep hitting the same directory
-  // pages for every frontier tuple.
-  ChainContext ctx(relations, options, exec_options, collect_tuples,
-                   ext_pool, ext_nodes);
-  IoScheduler* const io = ctx.io;
-  result.used_node_cache = ctx.nodes != nullptr;
+  // One buffer and one decode cache for the whole chain (the context's):
+  // the pairwise phase warms both, the probe phases keep hitting the same
+  // directory pages for every frontier tuple.
+  ChainRun chain(relations, exec_options, collect_tuples, ctx);
+  IoScheduler* const io = ctx.io();
 
   // Phase 1: the partitioned pairwise executor over relations 0 ⋈ 1,
   // materializing the pairs as the initial tuple frontier.
@@ -443,17 +384,13 @@ ParallelChainJoinResult RunMaterializedChain(
   // pairwise executor runs in its own bounded spill_results form and its
   // result is re-wrapped below.
   const bool pairwise_is_final = relations.size() == 2;
-  pair_exec.spill_results = ctx.spill_on && pairwise_is_final;
-  ParallelJoinResult pairwise = RunParallelSpatialJoinWith(
-      *relations[0].tree, *relations[1].tree, options, pair_exec, ctx.pool,
-      ctx.nodes);
-  // The pairwise executor already accounted its own I/O batches; the chain
-  // only adds the delta of the probe phases below.
-  const uint64_t io_batches_mid = io != nullptr ? io->io_batches() : 0;
+  pair_exec.spill_results = chain.spill_on && pairwise_is_final;
+  ParallelJoinResult pairwise = RunParallelSpatialJoin(
+      *relations[0].tree, *relations[1].tree, options, pair_exec, ctx);
   FoldPairwise(pairwise, num_threads, &result);
 
   std::vector<std::vector<uint32_t>> frontier;
-  if (pairwise_is_final && ctx.spill_on) {
+  if (pairwise_is_final && chain.spill_on) {
     // No probe phases. A ResultPair block is layout-identical to a flat
     // [r, s] tuple run, so the pairwise executor's bounded SpilledResult
     // transfers into the tuple set by reference: spilled page runs move
@@ -487,18 +424,11 @@ ParallelChainJoinResult RunMaterializedChain(
     workers.push_back(std::make_unique<ProbeWorker>());
   }
 
-  if (io != nullptr && !ctx.owns_io) {
-    // Borrowed lifecycle: the nested pairwise run retired its actors
-    // without raising the shared floor, so the inter-phase barrier must
-    // be modeled explicitly — every probe worker (and the hint
-    // coordinator) starts no earlier than the pairwise completion.
-    const uint64_t pair_end =
-        ctx.io_floor_before + pairwise.modeled_elapsed_micros;
-    io->AdvanceActorTo(&ctx.coordinator, pair_end);
-    for (auto& worker : workers) {
-      io->AdvanceActorTo(&worker->stats, pair_end);
-    }
-  }
+  // The barrier between the phases: every probe worker (and the hint
+  // coordinator) starts no earlier than the pairwise completion.
+  std::vector<const Statistics*> probe_actors = {&chain.coordinator};
+  for (const auto& worker : workers) probe_actors.push_back(&worker->stats);
+  ctx.window().Barrier(probe_actors);
 
   uint64_t frontier_peak = 0;
 
@@ -528,28 +458,28 @@ ParallelChainJoinResult RunMaterializedChain(
 
     // One coordinator-side hint of the probe tree's hot top serves every
     // worker of the phase.
-    if (ctx.prefetcher != nullptr) {
-      HintProbeRoot(probe_tree, ctx.pool, ctx.nodes, ctx.prefetcher.get(),
-                    &ctx.coordinator);
+    if (ctx.prefetcher() != nullptr) {
+      HintProbeRoot(probe_tree, ctx.nodes(), ctx.prefetcher(),
+                    &chain.coordinator);
     }
 
     // The last phase's extensions are final tuples: under spill_results
     // they go through per-worker spillers instead of the next frontier.
-    if (next + 1 == relations.size() && ctx.spill_on) {
-      for (auto& worker : workers) ctx.AttachSpiller(worker.get());
+    if (next + 1 == relations.size() && chain.spill_on) {
+      for (auto& worker : workers) chain.AttachSpiller(worker.get());
     }
 
     const unsigned phase_workers =
         static_cast<unsigned>(std::min<size_t>(num_threads, num_chunks));
     const auto phase_body = [&](unsigned w, size_t chunk) {
       ProbeWorker* const worker = workers[w].get();
-      ctx.RunProbeChunk(worker, "chunk", chunk, [&]() {
+      chain.RunProbeChunk(worker, "chunk", chunk, [&]() {
         const size_t begin = chunk * chunk_size;
         const size_t end = std::min(frontier.size(), begin + chunk_size);
         for (size_t t = begin; t < end; ++t) {
           const std::vector<uint32_t>& tuple = frontier[t];
-          ctx.ProbeTuple(probe_tree, prev_rects, options, tuple.back(),
-                         worker);
+          chain.ProbeTuple(probe_tree, prev_rects, options, tuple.back(),
+                           worker);
           for (const uint32_t id : worker->matches) {
             worker->Emit(tuple.data(), static_cast<uint32_t>(tuple.size()),
                          id, /*keep=*/true);
@@ -558,8 +488,8 @@ ParallelChainJoinResult RunMaterializedChain(
       });
     };
     {
-      TraceSpan phase_span(exec_options.tracer, "exec", "probe_phase",
-                           exec_options.trace_pid);
+      TraceSpan phase_span(ctx.tracer(), "exec", "probe_phase",
+                           ctx.trace_pid());
       phase_span.set_arg("chunks", num_chunks);
       uint64_t phase_begin = 0;
       if (phase_span.active() && io != nullptr) {
@@ -569,12 +499,7 @@ ParallelChainJoinResult RunMaterializedChain(
               std::min(phase_begin, io->ActorClock(&workers[w]->stats));
         }
       }
-      if (exec_options.task_runner) {
-        exec_options.task_runner(phase_workers, num_chunks, phase_body);
-      } else {
-        TaskScheduler scheduler(phase_workers, num_chunks);
-        scheduler.Run(phase_body);
-      }
+      ctx.RunTasks(phase_workers, num_chunks, phase_body);
       if (phase_span.active() && io != nullptr) {
         uint64_t phase_end = phase_begin;
         for (unsigned w = 0; w < phase_workers; ++w) {
@@ -596,25 +521,23 @@ ParallelChainJoinResult RunMaterializedChain(
     frontier = std::move(extended);
   }
 
-  // Seal the last phase's partial chunks before the I/O window closes, so
+  // Seal the last phase's partial chunks before the actors retire, so
   // their timed writes (charged to each worker's stats/clock) are in the
-  // model when the clocks merge.
+  // model.
   for (auto& worker : workers) {
     if (worker->spiller != nullptr) worker->spilled = worker->spiller->Take();
   }
-
-  ctx.FinishIo(io_batches_mid, pairwise.modeled_elapsed_micros, workers,
-               &result);
-  ctx.MergeWorkers(&workers, &result);
+  chain.RetireWorkers(workers);
+  chain.MergeWorkers(&workers, &result);
   result.total_stats.frontier_peak_tuples =
       std::max(result.total_stats.frontier_peak_tuples, frontier_peak);
-  if (ctx.spill_on) {
+  if (chain.spill_on) {
     result.tuple_count = result.spilled_tuples.tuple_count;
   } else {
     result.tuple_count = frontier.size();
     if (collect_tuples) result.tuples = std::move(frontier);
   }
-  ctx.NoteTupleSet(collect_tuples, &result);
+  chain.NoteTupleSet(collect_tuples, &result);
   return result;
 }
 
@@ -624,28 +547,26 @@ ParallelChainJoinResult RunMaterializedChain(
 ParallelChainJoinResult RunPipelinedChain(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples,
-    SharedBufferPool* ext_pool, NodeCache* ext_nodes) {
+    ExecContext& ctx) {
   const unsigned num_threads = exec_options.num_threads;
   const size_t num_probe_phases = relations.size() - 2;
   ParallelChainJoinResult result;
   result.used_pipeline = true;
   result.worker_stats.resize(num_threads);
 
-  ChainContext ctx(relations, options, exec_options, collect_tuples,
-                   ext_pool, ext_nodes);
-  result.used_node_cache = ctx.nodes != nullptr;
+  ChainRun chain(relations, exec_options, collect_tuples, ctx);
 
   // Every probe phase is live from the first pushed chunk, so all
   // probe-root children are hinted upfront.
-  if (ctx.prefetcher != nullptr) {
+  if (ctx.prefetcher() != nullptr) {
     for (size_t next = 2; next < relations.size(); ++next) {
-      HintProbeRoot(*relations[next].tree, ctx.pool, ctx.nodes,
-                    ctx.prefetcher.get(), &ctx.coordinator);
+      HintProbeRoot(*relations[next].tree, ctx.nodes(), ctx.prefetcher(),
+                    &chain.coordinator);
     }
   }
 
   FrontierGauge gauge;
-  gauge.governor = exec_options.memory_governor;
+  gauge.governor = ctx.governor();
   gauge.tuple_bytes = relations.size() * sizeof(uint32_t);
   // channels[k] feeds probe phase k (probing relations[k + 2]). Producers:
   // the pairwise workers for k = 0, team k-1's workers otherwise.
@@ -675,11 +596,11 @@ ParallelChainJoinResult RunPipelinedChain(
     const uint32_t out_arity = static_cast<uint32_t>(k + 3);
     for (unsigned w = 0; w < num_threads; ++w) {
       auto worker = std::make_unique<ProbeWorker>();
-      if (last_phase && ctx.spill_on) ctx.AttachSpiller(worker.get());
+      if (last_phase && chain.spill_on) chain.AttachSpiller(worker.get());
       ProbeWorker* const self = worker.get();
       worker->thread = std::thread([&, self, probe_tree, prev_rects, input,
                                     output, out_arity, last_phase, k, w]() {
-        TraceRecorder* const tracer = exec_options.tracer;
+        TraceRecorder* const tracer = ctx.tracer();
         if (tracer != nullptr && tracer->enabled()) {
           tracer->SetThreadName("probe-p" + std::to_string(k) + "-w" +
                                 std::to_string(w));
@@ -692,11 +613,11 @@ ParallelChainJoinResult RunPipelinedChain(
         FrontierChunk chunk;
         while (input->Pop(&chunk)) {
           const size_t tuples = chunk.tuple_count();
-          ctx.RunProbeChunk(self, "tuples", tuples, [&]() {
+          chain.RunProbeChunk(self, "tuples", tuples, [&]() {
             for (size_t t = 0; t < tuples; ++t) {
               const uint32_t* tuple = chunk.tuple(t);
-              ctx.ProbeTuple(*probe_tree, *prev_rects, options,
-                             tuple[chunk.arity - 1], self);
+              chain.ProbeTuple(*probe_tree, *prev_rects, options,
+                               tuple[chunk.arity - 1], self);
               for (const uint32_t id : self->matches) {
                 if (last_phase) {
                   ++self->final_tuples;
@@ -714,7 +635,7 @@ ParallelChainJoinResult RunPipelinedChain(
         if (self->spiller != nullptr) {
           // Seal + (possibly) spill the final partial chunk on this
           // worker's own thread, so its timed writes land before the
-          // coordinator drains and merges the clocks.
+          // coordinator retires the actors.
           self->spilled = self->spiller->Take();
         }
       });
@@ -740,9 +661,8 @@ ParallelChainJoinResult RunPipelinedChain(
           writer->AppendPairBatch(batch);
         }));
   }
-  ParallelJoinResult pairwise = RunParallelSpatialJoinInto(
-      *relations[0].tree, *relations[1].tree, options, exec_options,
-      ctx.pool, ctx.nodes,
+  ParallelJoinResult pairwise = RunParallelSpatialJoin(
+      *relations[0].tree, *relations[1].tree, options, exec_options, ctx,
       [&pair_sinks](unsigned w) { return pair_sinks[w].get(); });
   FoldPairwise(pairwise, num_threads, &result);
 
@@ -755,40 +675,26 @@ ParallelChainJoinResult RunPipelinedChain(
   }
   for (auto& worker : workers) worker->thread.join();
 
-  // The nested pairwise run did not own the I/O lifecycle (see
-  // RunParallelSpatialJoinInto), so the whole pipeline's batch delta is
-  // accounted here, once.
-  ctx.FinishIo(ctx.io_batches_before, pairwise.modeled_elapsed_micros,
-               workers, &result);
+  chain.RetireWorkers(workers);
   for (size_t k = 0; k < num_probe_phases; ++k) {
     result.probe_chunk_counts.push_back(
         static_cast<size_t>(channels[k]->chunks_pushed()));
   }
-  ctx.MergeWorkers(&workers, &result);
+  chain.MergeWorkers(&workers, &result);
   result.total_stats.frontier_peak_tuples =
       std::max(result.total_stats.frontier_peak_tuples,
                gauge.peak.load(std::memory_order_relaxed));
-  ctx.NoteTupleSet(collect_tuples, &result);
+  chain.NoteTupleSet(collect_tuples, &result);
   return result;
 }
 
 }  // namespace
 
-ParallelChainJoinResult RunParallelChainSpatialJoinWith(
+ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
-    const ParallelExecutorOptions& exec_options, bool collect_tuples,
-    SharedBufferPool* shared_pool, NodeCache* node_cache) {
-  RSJ_CHECK_MSG(relations.size() >= 2, "chain join needs >= 2 relations");
-  RSJ_CHECK_MSG(exec_options.chunk_capacity >= 1,
-                "executor needs chunk_capacity >= 1");
-  RSJ_CHECK_MSG(exec_options.channel_bound >= 1,
-                "executor needs channel_bound >= 1");
-  for (const JoinRelation& rel : relations) {
-    RSJ_CHECK(rel.tree != nullptr && rel.rects != nullptr);
-    RSJ_CHECK_MSG(rel.tree->options().page_size ==
-                      relations[0].tree->options().page_size,
-                  "all relations must share one page size");
-  }
+    const ParallelExecutorOptions& exec_options, ExecContext& ctx,
+    bool collect_tuples) {
+  CheckChain(relations, exec_options);
   if (exec_options.num_threads <= 1) {
     return SequentialChainFallback(relations, options, collect_tuples);
   }
@@ -796,19 +702,22 @@ ParallelChainJoinResult RunParallelChainSpatialJoinWith(
   // formulations reduce to the pairwise executor.
   if (exec_options.pipelined && relations.size() > 2) {
     return RunPipelinedChain(relations, options, exec_options, collect_tuples,
-                             shared_pool, node_cache);
+                             ctx);
   }
   return RunMaterializedChain(relations, options, exec_options,
-                              collect_tuples, shared_pool, node_cache);
+                              collect_tuples, ctx);
 }
 
 ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples) {
-  return RunParallelChainSpatialJoinWith(relations, options, exec_options,
-                                         collect_tuples,
-                                         /*shared_pool=*/nullptr,
-                                         /*node_cache=*/nullptr);
+  CheckChain(relations, exec_options);
+  ExecContext ctx(options, relations[0].tree->options().page_size,
+                  exec_options);
+  ParallelChainJoinResult result = RunParallelChainSpatialJoin(
+      relations, options, exec_options, ctx, collect_tuples);
+  result.modeled_elapsed_micros = ctx.window().Close(&result.total_stats);
+  return result;
 }
 
 }  // namespace rsj

@@ -16,7 +16,8 @@
 //      backpressure, so peak frontier memory is capped at
 //      O(chunks-in-flight × chunk_capacity) instead of O(|frontier|),
 //      which `Statistics::frontier_peak_tuples` proves per run,
-//   3. one SharedBufferPool and one NodeCache span all phases and
+//   3. the run's ExecContext (exec/exec_context.h) — one SharedBufferPool,
+//      one NodeCache and one modeled-I/O window — spans all phases and
 //      workers; with prefetch enabled the coordinator hints every probe
 //      root's children into the shared pool upfront,
 //   4. per-worker Statistics and outputs are merged exactly like
@@ -79,36 +80,31 @@ struct ParallelChainJoinResult {
   // Probe chunks each worker slot executed, summed over all probe phases
   // (work stealing / channel scheduling balances these).
   std::vector<uint64_t> worker_probe_chunks;
-  bool used_node_cache = false;
   bool used_pipeline = false;
-  // Advance of the modeled I/O clock across the whole chain (0 without an
-  // exec_options.io_scheduler).
+  // The whole chain's modeled elapsed time (0 without a scheduler), set
+  // from the close of the run's modeled-I/O window.
   uint64_t modeled_elapsed_micros = 0;
 };
 
 // Runs the chain join over `relations` (>= 2, one shared page size) with
-// `exec_options.num_threads` workers per stage. Falls back to the
-// sequential RunChainSpatialJoin when num_threads <= 1 — that path always
-// runs over a private buffer and its own decode cache regardless of the
-// cache options, and the result's used_* flags report what actually
-// ran. The tuple multiset is identical to RunChainSpatialJoin's for every
-// configuration.
+// `exec_options.num_threads` workers per stage, on a standalone context
+// (exec/exec_context.h) built from `exec_options`, and closes its
+// modeled-I/O window. Falls back to the sequential RunChainSpatialJoin
+// when num_threads <= 1 — that path runs over a private buffer and its own
+// decode cache, and reads no modeled time. The tuple multiset is identical
+// to RunChainSpatialJoin's for every configuration.
 ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples = false);
 
-// Core of RunParallelChainSpatialJoin with engine-borrowed resources:
-// non-null `shared_pool` / `node_cache` are used instead of chain-private
-// instances, so one buffer and one decode cache span
-// every session of a serving engine. `node_cache`, when given, must be
-// layered over `shared_pool`, and the pool's page size must match the
-// trees'. Combine with exec_options.own_io_lifecycle = false to run on an
-// engine-shared IoScheduler (the chain then retires its own actor clocks
-// and reports modeled_elapsed_micros against the floor at entry).
-ParallelChainJoinResult RunParallelChainSpatialJoinWith(
+// The same run on `ctx`'s resources (a serving engine's session). The
+// pairwise phase runs on the same context, so one pool, cache and window
+// span every phase. The run retires its actors into ctx.window() but
+// leaves it open: the caller closes it and sets modeled_elapsed_micros.
+ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
-    const ParallelExecutorOptions& exec_options, bool collect_tuples,
-    SharedBufferPool* shared_pool, NodeCache* node_cache);
+    const ParallelExecutorOptions& exec_options, ExecContext& ctx,
+    bool collect_tuples);
 
 }  // namespace rsj
 

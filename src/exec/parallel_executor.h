@@ -5,16 +5,22 @@
 //   1. the coordinator builds a depth-adaptive partition plan of at least
 //      partition_multiplier × num_threads subtree-pair tasks
 //      (exec/partition.h),
-//   2. a work-stealing scheduler (exec/task_scheduler.h) runs the tasks on
-//      per-worker contexts: each worker owns a SpatialJoinEngine, its own
-//      Statistics and a batched ResultSink,
-//   3. page requests go through one shared, sharded, thread-safe
-//      SharedBufferPool (and, by default, one decoded-node cache over it),
-//      which the coordinator's partitioning reads warm for the workers,
+//   2. the context's task runner (by default a run-private work-stealing
+//      exec/task_scheduler.h) runs the tasks on per-worker state: each
+//      worker owns a SpatialJoinEngine, its own Statistics and a batched
+//      ResultSink,
+//   3. page requests go through the context's shared, sharded,
+//      thread-safe SharedBufferPool and the decoded-node cache over it
+//      (exec/exec_context.h), which the coordinator's partitioning reads
+//      warm for the workers,
 //   4. worker statistics and sink outputs are merged into the result.
 //
 // Work units are disjoint subtree pairs, so the union of the workers'
-// outputs is exactly the sequential result, without deduplication.
+// outputs is exactly the sequential result, without deduplication. A leaf
+// root (a degenerate plan) runs as one partition over the context's pool,
+// and num_threads <= 1 as one partition over a private buffer of
+// buffer_bytes, with the sequential join's read counts; both shapes still
+// read through the context's scheduler and write through the same sinks.
 
 #ifndef RSJ_EXEC_PARALLEL_EXECUTOR_H_
 #define RSJ_EXEC_PARALLEL_EXECUTOR_H_
@@ -32,6 +38,7 @@
 
 namespace rsj {
 
+class ExecContext;
 class IoScheduler;
 class TraceRecorder;
 
@@ -42,18 +49,6 @@ struct ParallelExecutorOptions {
   // at least partition_multiplier × num_threads qualifying subtree pairs
   // exist (the "k" of the ISSUE).
   unsigned partition_multiplier = 8;
-
-  // Shards of the SharedBufferPool all workers share (one pool of
-  // options.buffer_bytes for the whole run).
-  size_t pool_shards = 8;
-
-  // Share one decoded-node cache (storage/node_cache.h) between the
-  // coordinator and all workers, so directory nodes the partitioner
-  // decodes are never re-decoded.
-  bool node_cache = true;
-
-  // Node budget of the shared decode cache (total across its shards).
-  size_t node_cache_capacity = 4096;
 
   // Materialize the result pairs (otherwise only counts are kept).
   bool collect_pairs = false;
@@ -83,15 +78,11 @@ struct ParallelExecutorOptions {
   // joins — pipelined or materialized, any arity
   // (ParallelChainJoinResult::spilled_tuples; only the sequential chain
   // fallback ignores it and collects unbounded). Ignored with a
-  // caller-provided sink factory.
+  // caller-provided sink factory. The spill file has 4 KiB pages.
   bool spill_results = false;
 
   // Completed result chunks held resident before spilling starts (>= 1).
   size_t spill_budget_chunks = 64;
-
-  // Page size of the spill file — the unit of spill writes and re-reads
-  // on the simulated disk array.
-  uint32_t spill_page_size = kPageSize4K;
 
   // --- multiway streaming pipeline (exec/multiway_executor.h) ---
 
@@ -109,36 +100,24 @@ struct ParallelExecutorOptions {
 
   // --- simulated asynchronous I/O (src/io/) ---
 
-  // When non-null, the shared pool services its misses in modeled
-  // disk-array time through this scheduler. Not owned;
-  // must outlive the run. Ignored by the num_threads <= 1 sequential
-  // fallback (use RunSpatialJoinWithIo for a modeled sequential run).
-  IoScheduler* io_scheduler = nullptr;
-
-  // Schedule-driven prefetching: the coordinator hints the partition
-  // plan's task frontier ahead, each worker prefetches its task's subtree
-  // roots, and the engines stream their §4.3 read schedules into the
-  // prefetcher. Effective with or without io_scheduler (without one,
-  // prefetch is zero-latency accounting only).
+  // Schedule-driven prefetching (up to 32 async reads per handoff): the
+  // coordinator hints the partition plan's task frontier ahead, each
+  // worker prefetches its task's subtree roots, and the engines stream
+  // their §4.3 read schedules into the prefetcher. Effective with or
+  // without a scheduler (without one, prefetch is zero-latency accounting
+  // only). Partitioned runs only.
   bool prefetch = false;
 
-  // Maximal async reads issued per schedule handoff.
-  size_t prefetch_ahead = 32;
+  // --- resources of a standalone run (exec/exec_context.h) ---
+  // Only a standalone context reads these (and chunk_arena above); an
+  // engine session's context lends the engine's instead.
 
-  // --- serving-engine seams (src/engine/) ---
-
-  // External task execution: worker `w` of `workers` runs tasks handed to
-  // `fn`, and the runner returns per-worker executed-task counts (the
-  // TaskScheduler::Run contract). When set, the executor's subtree-pair
-  // tasks run through this instead of a run-private TaskScheduler — the
-  // engine's SessionTaskPool multiplexes many sessions' tasks over one
-  // oversubscribed thread set this way. The runner must guarantee worker
-  // slot exclusivity: at most one live call of `fn` per worker index at a
-  // time (worker contexts are single-owner).
-  using TaskRunner = std::function<std::vector<uint64_t>(
-      unsigned workers, size_t num_tasks,
-      const std::function<void(unsigned worker, size_t task)>& fn)>;
-  TaskRunner task_runner;
+  // When non-null, the run's pool services its misses, and the spill
+  // path its writes, in modeled disk-array time through this scheduler,
+  // and the run owns its modeled-I/O window: it drains and synchronizes
+  // the scheduler when it ends. Not owned; must outlive the run (and any
+  // spilled result re-read through it).
+  IoScheduler* io_scheduler = nullptr;
 
   // Run-wide memory ledger (engine/memory_governor.h): spill budgets and
   // materialized-result gauges mirror their resident chunks into it as
@@ -146,25 +125,9 @@ struct ParallelExecutorOptions {
   // accounting only.
   MemoryGovernor* memory_governor = nullptr;
 
-  // false: the io_scheduler is BORROWED from an enclosing engine serving
-  // concurrent runs — the executor must not Drain() or
-  // SynchronizeClocks() (that would fold every other session's clocks);
-  // instead it retires its own workers' actor clocks on completion and
-  // reports modeled_elapsed_micros as its retired peak minus the floor at
-  // entry. true (default): the executor owns the scheduler's lifecycle
-  // for the run, as before. Ignored without an io_scheduler.
-  bool own_io_lifecycle = true;
-
-  // --- observability (src/obs/) ---
-
   // Span sink (obs/trace.h) for partition/task/phase/sink-flush/spill
   // spans; nullptr = no tracing. Not owned; must outlive the run.
   TraceRecorder* tracer = nullptr;
-
-  // Trace process id the run's spans are tagged with — the serving
-  // engine assigns one pid per query session so each query gets its own
-  // track; 0 = the shared engine/run track.
-  uint32_t trace_pid = 0;
 };
 
 struct ParallelJoinResult {
@@ -190,52 +153,37 @@ struct ParallelJoinResult {
   size_t task_count = 0;
   // Directory levels the partitioner descended below the roots.
   int partition_depth = 0;
-  bool used_node_cache = false;
-  // Advance of the modeled I/O clock across the run (0 without a
-  // scheduler): the join's modeled elapsed time over the disk array.
-  // Under a borrowed scheduler (own_io_lifecycle == false, or a sink
-  // factory) this is the run's own retired-actor peak minus the
-  // scheduler floor at entry — concurrent sessions' clocks never bleed
-  // into it.
+  // The run's modeled elapsed time over the disk array (0 without a
+  // scheduler), set from the close of the run's modeled-I/O window
+  // (exec/exec_context.h). On a serving engine's scheduler it is the
+  // session's own retired-actor peak minus the floor at entry, so
+  // concurrent sessions' clocks never bleed into it.
   uint64_t modeled_elapsed_micros = 0;
 };
 
-class SharedBufferPool;
-class NodeCache;
-
-// Runs R ⋈ S under `exec_options`. Falls back to a single sequential
-// partition when a root is a leaf or num_threads <= 1.
+// Runs R ⋈ S on a standalone context (exec/exec_context.h) built from
+// `exec_options`, and closes its modeled-I/O window.
 ParallelJoinResult RunParallelSpatialJoin(
     const RTree& r, const RTree& s, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options);
 
-// Core of RunParallelSpatialJoin, reusable by the multi-way chain executor
-// (exec/multiway_executor.h): non-null `shared_pool` / `node_cache` are
-// used instead of executor-private instances, so one buffer and one decode
-// cache can span several join phases. `node_cache`, when given, must be
-// layered over `shared_pool`, and the pool's page size must match the
-// trees'.
-ParallelJoinResult RunParallelSpatialJoinWith(
-    const RTree& r, const RTree& s, const JoinOptions& options,
-    const ParallelExecutorOptions& exec_options, SharedBufferPool* shared_pool,
-    NodeCache* node_cache);
-
 // Supplies worker `w`'s output sink; the sink is caller-owned and must
-// outlive the run. Used by streaming consumers (the multiway pipeline)
-// whose sinks push chunks into a downstream stage while the join runs.
+// outlive the run. Used by consumers that process pairs as the join runs:
+// the multiway pipeline pushes them into its first probe phase, the
+// sharded join deduplicates them.
 using SinkFactory = std::function<ResultSink*(unsigned worker)>;
 
-// Like RunParallelSpatialJoinWith, but results stream into caller-provided
-// sinks (collect_pairs is ignored; every sink is flushed before return and
-// pair_count sums the sinks' counts). The executor does NOT drain or
-// synchronize exec_options.io_scheduler in this form — the caller owns the
-// I/O lifecycle of the enclosing pipeline. The run still retires its own
-// workers' actor clocks and reports modeled_elapsed_micros as this
-// stage's retired peak minus the scheduler floor at entry.
-ParallelJoinResult RunParallelSpatialJoinInto(
+// Runs R ⋈ S on `ctx`'s resources: one run, or the pairwise phase of a
+// chain on the chain's context. The trees' page size must be the pool's.
+// With `sinks`, results stream into the caller's per-worker sinks
+// (collect_pairs and spill_results are ignored; every sink is flushed
+// before return and pair_count sums the pairs the run added). The run
+// retires its actors into ctx.window() but leaves the window open: the
+// caller closes it and sets modeled_elapsed_micros.
+ParallelJoinResult RunParallelSpatialJoin(
     const RTree& r, const RTree& s, const JoinOptions& options,
-    const ParallelExecutorOptions& exec_options, SharedBufferPool* shared_pool,
-    NodeCache* node_cache, const SinkFactory& sink_factory);
+    const ParallelExecutorOptions& exec_options, ExecContext& ctx,
+    const SinkFactory& sinks = nullptr);
 
 }  // namespace rsj
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "io/io_scheduler.h"
+#include "exec/exec_context.h"
 #include "io/prefetcher.h"
 #include "storage/buffer_pool.h"
 
@@ -17,16 +17,6 @@ RTree BuildRTree(PagedFile* file, std::span<const Rect> rects,
   return tree;
 }
 
-void RunSpatialJoin(const RTree& r, const RTree& s, const JoinOptions& options,
-                    ResultSink* sink, Statistics* stats) {
-  BufferPool pool(
-      BufferPool::Options{options.buffer_bytes, r.options().page_size,
-                          options.eviction_policy},
-      stats);
-  SpatialJoinEngine engine(r, s, options, &pool, stats);
-  engine.Run(sink);
-}
-
 JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
                                    const JoinOptions& options, IoScheduler* io,
                                    bool prefetch, size_t prefetch_ahead,
@@ -34,8 +24,9 @@ JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
                                    uint64_t* modeled_elapsed_micros) {
   RSJ_CHECK(io != nullptr);
   JoinRunResult result;
-  const uint64_t clock_before = io->NowMicros();
-  const uint64_t batches_before = io->io_batches();
+  // The run is the scheduler's only user: its window drains and
+  // synchronizes on close, retiring any actor callers left behind too.
+  IoWindow window(io, /*owned=*/true);
   {
     BufferPool pool(
         BufferPool::Options{options.buffer_bytes, r.options().page_size,
@@ -60,14 +51,8 @@ JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
       result.pair_count = sink.count();
     }
   }
-  io->Drain();
-  result.stats.io_batches += io->io_batches() - batches_before;
-  // Merge the run's actor clocks (one actor here, but callers may have
-  // left others behind) and retire them, so the next run starts clean.
-  const uint64_t merged = io->SynchronizeClocks();
-  if (modeled_elapsed_micros != nullptr) {
-    *modeled_elapsed_micros = merged - clock_before;
-  }
+  const uint64_t elapsed = window.Close(&result.stats);
+  if (modeled_elapsed_micros != nullptr) *modeled_elapsed_micros = elapsed;
   return result;
 }
 
@@ -102,18 +87,23 @@ JoinRunResult RunShardedSpatialJoin(std::span<const Rect> r_rects,
 JoinRunResult RunSpatialJoin(const RTree& r, const RTree& s,
                              const JoinOptions& options, bool collect_pairs) {
   JoinRunResult result;
+  BufferPool pool(
+      BufferPool::Options{options.buffer_bytes, r.options().page_size,
+                          options.eviction_policy},
+      &result.stats);
+  SpatialJoinEngine engine(r, s, options, &pool, &result.stats);
   if (collect_pairs) {
     // A measuring gauge (engine/memory_governor.h) records the resident
     // high-water mark instead of computing it from final counts.
     ResidentBudget gauge(ResidentBudget::kUnbounded);
     MaterializingSink sink(ChunkArena{}, &gauge);
-    RunSpatialJoin(r, s, options, &sink, &result.stats);
+    engine.Run(&sink);
     result.chunks = sink.TakeChunks();
     result.pair_count = sink.count();
     result.stats.NoteResultChunksResident(gauge.peak());
   } else {
     CountingSink sink;
-    RunSpatialJoin(r, s, options, &sink, &result.stats);
+    engine.Run(&sink);
     result.pair_count = sink.count();
   }
   return result;

@@ -31,18 +31,10 @@ struct JoinRunResult {
 };
 
 // Runs the MBR-spatial-join of two already built trees under `options`,
-// with a fresh LRU buffer of options.buffer_bytes.
+// with a fresh buffer of options.buffer_bytes.
 JoinRunResult RunSpatialJoin(const RTree& r, const RTree& s,
                              const JoinOptions& options,
                              bool collect_pairs = false);
-
-// Sink-based entry point: runs the join into a caller-provided sink
-// (counting, materializing, or batched-callback — see exec/result_sink.h)
-// and charges all counters to `stats`. The sink is flushed before
-// returning. The struct-returning overload above is a convenience wrapper
-// over this one.
-void RunSpatialJoin(const RTree& r, const RTree& s, const JoinOptions& options,
-                    ResultSink* sink, Statistics* stats);
 
 class IoScheduler;
 

@@ -162,8 +162,8 @@ uint64_t RefineCandidateChunks(const SpilledResult& candidates,
                                const Dataset& r, const Dataset& s,
                                ResultSink* sink, Statistics* stats,
                                RasterRefineFilter* raster,
-                               TraceRecorder* tracer, uint32_t trace_pid) {
-  TraceSpan span(tracer, "spill", "refine", trace_pid);
+                               TraceRecorder* tracer) {
+  TraceSpan span(tracer, "spill", "refine");
   span.set_arg("candidates", candidates.pair_count);
   const uint64_t avoided_before = stats->ri_exact_tests_avoided;
   const uint64_t before = sink->count();
@@ -199,61 +199,29 @@ StreamingIdJoinResult RunIdSpatialJoinStreaming(
 
   // Filter step: candidates collect through spilling sinks, so at most
   // filter_budget_chunks completed chunks are ever resident.
-  SpilledResult candidates;
-  if (refine_options.num_threads > 1) {
-    ParallelExecutorOptions exec;
-    exec.num_threads = refine_options.num_threads;
-    exec.collect_pairs = true;
-    exec.spill_results = true;
-    exec.spill_budget_chunks = refine_options.filter_budget_chunks;
-    exec.spill_page_size = refine_options.spill_page_size;
-    exec.chunk_capacity = refine_options.chunk_capacity;
-    exec.io_scheduler = refine_options.io;
-    exec.memory_governor = refine_options.governor;
-    exec.tracer = refine_options.tracer;
-    exec.trace_pid = refine_options.trace_pid;
-    ParallelJoinResult filtered =
-        RunParallelSpatialJoin(r_tree, s_tree, options, exec);
-    candidates = std::move(filtered.spilled);
-    result.stats.MergeFrom(filtered.total_stats);
-  } else {
-    ChunkArena arena(ChunkArena::Options{refine_options.chunk_capacity,
-                                         /*max_free_chunks=*/1024});
-    auto file = std::make_shared<SpillFile>(SpillFile::Options{
-        refine_options.spill_page_size, refine_options.io,
-        refine_options.tracer, refine_options.trace_pid});
-    ResidentBudget budget(refine_options.filter_budget_chunks,
-                          refine_options.governor,
-                          MemoryCategory::kResultChunks,
-                          refine_options.chunk_capacity * sizeof(ResultPair));
-    budget.AttachTracer(refine_options.tracer, refine_options.trace_pid);
-    BufferPool pool(
-        BufferPool::Options{options.buffer_bytes,
-                            r_tree.options().page_size,
-                            options.eviction_policy},
-        &result.stats);
-    if (refine_options.io != nullptr) {
-      pool.AttachIoScheduler(refine_options.io);
-    }
-    SpatialJoinEngine engine(r_tree, s_tree, options, &pool, &result.stats);
-    SpillingSink sink(arena, file.get(), &budget, &result.stats);
-    engine.Run(&sink);
-    candidates = sink.TakeResult();
-    candidates.file = std::move(file);
-    result.stats.NoteResultChunksResident(budget.peak());
-  }
+  ParallelExecutorOptions exec;
+  exec.num_threads = refine_options.num_threads;
+  exec.collect_pairs = true;
+  exec.spill_results = true;
+  exec.spill_budget_chunks = refine_options.filter_budget_chunks;
+  exec.chunk_capacity = refine_options.chunk_capacity;
+  exec.io_scheduler = refine_options.io;
+  exec.memory_governor = refine_options.governor;
+  exec.tracer = refine_options.tracer;
+  ParallelJoinResult filtered =
+      RunParallelSpatialJoin(r_tree, s_tree, options, exec);
+  SpilledResult candidates = std::move(filtered.spilled);
+  result.stats.MergeFrom(filtered.total_stats);
   result.candidate_pairs = candidates.pair_count;
 
   // The raster tier sits between the collected candidates and the exact
-  // tests; its signature bytes lease from the governor while the filter
-  // lives (released when this scope ends).
+  // tests; it rasterizes each object on first classification, and its
+  // signature bytes lease from the governor while the filter lives
+  // (released when this scope ends).
   std::unique_ptr<RasterRefineFilter> raster;
   if (options.refine_raster) {
     raster = std::make_unique<RasterRefineFilter>(
         r, s, options.raster_grid_bits, refine_options.governor);
-    if (refine_options.raster_eager_build) {
-      raster->BuildAll(&result.stats);
-    }
   }
 
   // Refinement step: stream the candidate chunks back (one spilled chunk
@@ -262,17 +230,16 @@ StreamingIdJoinResult RunIdSpatialJoinStreaming(
     ChunkArena out_arena(ChunkArena::Options{refine_options.chunk_capacity,
                                              /*max_free_chunks=*/1024});
     auto out_file = std::make_shared<SpillFile>(SpillFile::Options{
-        refine_options.spill_page_size, refine_options.io,
-        refine_options.tracer, refine_options.trace_pid});
+        kPageSize4K, refine_options.io, refine_options.tracer});
     ResidentBudget out_budget(
         refine_options.refine_budget_chunks, refine_options.governor,
         MemoryCategory::kResultChunks,
         refine_options.chunk_capacity * sizeof(ResultPair));
-    out_budget.AttachTracer(refine_options.tracer, refine_options.trace_pid);
+    out_budget.AttachTracer(refine_options.tracer, /*pid=*/0);
     SpillingSink out(out_arena, out_file.get(), &out_budget, &result.stats);
     result.result_pairs = RefineCandidateChunks(
         candidates, r, s, &out, &result.stats, raster.get(),
-        refine_options.tracer, refine_options.trace_pid);
+        refine_options.tracer);
     result.refined = out.TakeResult();
     result.refined.file = std::move(out_file);
     // While refinement ran, the filter step's resident candidate chunks
@@ -284,7 +251,7 @@ StreamingIdJoinResult RunIdSpatialJoinStreaming(
     CountingSink out;
     result.result_pairs = RefineCandidateChunks(
         candidates, r, s, &out, &result.stats, raster.get(),
-        refine_options.tracer, refine_options.trace_pid);
+        refine_options.tracer);
   }
   return result;
 }

@@ -121,14 +121,13 @@ IdJoinResult RunIdSpatialJoin(const RTree& r_tree, const Dataset& r,
 // and refinement costs are charged to `stats`. `raster` non-null runs
 // the two-tier path: TRUE-HIT pairs are emitted without an exact test,
 // REJECTs are dropped, only INCONCLUSIVE pairs pay the segment tests.
-// `tracer`/`trace_pid` emit the refinement span (obs/trace.h), which
-// carries the avoided-exact-test count as its arg; nullptr = no tracing.
+// `tracer` emits the refinement span (obs/trace.h), which carries the
+// avoided-exact-test count as its arg; nullptr = no tracing.
 uint64_t RefineCandidateChunks(const SpilledResult& candidates,
                                const Dataset& r, const Dataset& s,
                                ResultSink* sink, Statistics* stats,
                                RasterRefineFilter* raster = nullptr,
-                               TraceRecorder* tracer = nullptr,
-                               uint32_t trace_pid = 0);
+                               TraceRecorder* tracer = nullptr);
 
 struct StreamingRefineOptions {
   // Pairs per result chunk on both the candidate and the refined side.
@@ -136,13 +135,12 @@ struct StreamingRefineOptions {
   // Candidate chunks held resident before the filter step spills.
   size_t filter_budget_chunks = 64;
   // Refined chunks held resident before the output sink spills (only
-  // meaningful with collect_result_pairs).
+  // meaningful with collect_result_pairs). Both spill files have 4 KiB
+  // pages.
   size_t refine_budget_chunks = 64;
-  // Page size of the spill files.
-  uint32_t spill_page_size = kPageSize4K;
-  // Filter-step parallelism: > 1 runs the partitioned parallel executor
-  // with per-worker spilling sinks; 1 runs the sequential engine into
-  // one spilling sink.
+  // Threads of the filter step, which runs the parallel executor
+  // (exec/parallel_executor.h) with spilling sinks; 1 runs it as one
+  // partition over a private buffer of buffer_bytes.
   unsigned num_threads = 1;
   // Modeled-time layer for the spill writes/re-reads (and, in parallel
   // runs, the pools). Not owned; nullptr degrades to pure counting.
@@ -157,13 +155,6 @@ struct StreamingRefineOptions {
   // Span sink (obs/trace.h) for the spill/reread/refine spans; nullptr =
   // no tracing. Not owned; must outlive the run.
   TraceRecorder* tracer = nullptr;
-  // Trace process id the run's spans are tagged with.
-  uint32_t trace_pid = 0;
-  // With JoinOptions::refine_raster on: rasterize every object up front
-  // (eager at load) instead of lazily on first classification. Eager
-  // builds pay the whole signature cost even when the candidate set
-  // touches few objects; lazy builds only what refinement actually sees.
-  bool raster_eager_build = false;
 };
 
 struct StreamingIdJoinResult {

@@ -26,6 +26,7 @@
 #include "engine/planner.h"        // IWYU pragma: export
 #include "engine/query_engine.h"   // IWYU pragma: export
 #include "engine/task_pool.h"      // IWYU pragma: export
+#include "exec/exec_context.h"     // IWYU pragma: export
 #include "exec/multiway_executor.h"  // IWYU pragma: export
 #include "exec/parallel_executor.h"  // IWYU pragma: export
 #include "exec/partition.h"        // IWYU pragma: export
@@ -45,7 +46,6 @@
 #include "join/join_runner.h"      // IWYU pragma: export
 #include "join/predicate.h"        // IWYU pragma: export
 #include "join/multiway_join.h"    // IWYU pragma: export
-#include "join/parallel_join.h"    // IWYU pragma: export
 #include "join/refinement.h"       // IWYU pragma: export
 #include "join/spatial_join.h"     // IWYU pragma: export
 #include "obs/chrome_trace.h"      // IWYU pragma: export

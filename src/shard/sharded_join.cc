@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "exec/exec_context.h"
 #include "io/io_scheduler.h"
 #include "rtree/entry.h"
 
@@ -189,19 +190,15 @@ ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
       dedup[w] = std::make_unique<DedupSink>(&r, &s, shard, inner[w].get());
     }
 
-    ParallelJoinResult shard_run = RunParallelSpatialJoinInto(
-        rt, st, options.join, exec, nullptr, nullptr,
+    // A standalone context per shard: its own pool and decode cache, and
+    // the owned window over the shard's scheduler. Shards model
+    // independent nodes, so the run-level elapsed time is the max, not
+    // the sum.
+    ExecContext ctx(options.join, rt.options().page_size, exec);
+    ParallelJoinResult shard_run = RunParallelSpatialJoin(
+        rt, st, options.join, exec, ctx,
         [&](unsigned w) { return dedup[w].get(); });
-
-    // This run owns the shard scheduler: drain and merge its clocks at
-    // the shard's join point. Shards model independent nodes, so the
-    // run-level elapsed time is the max, not the sum.
-    uint64_t modeled = shard_run.modeled_elapsed_micros;
-    if (io != nullptr) {
-      io->Drain();
-      shard_run.total_stats.io_batches += io->io_batches();
-      modeled = io->SynchronizeClocks();
-    }
+    const uint64_t modeled = ctx.window().Close(&shard_run.total_stats);
     result.shard_modeled_micros[shard] = modeled;
     result.modeled_elapsed_micros =
         std::max(result.modeled_elapsed_micros, modeled);

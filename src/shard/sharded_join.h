@@ -11,8 +11,9 @@
 // ingest parallelizable across nodes.
 //
 // `RunShardedSpatialJoin` joins the K co-partitioned tree pairs through
-// the existing parallel executor (`RunParallelSpatialJoinInto` with a
-// per-worker sink chain), with REFERENCE-POINT DEDUPLICATION: replication
+// the existing parallel executor (one standalone ExecContext per shard,
+// results into a per-worker sink chain), with REFERENCE-POINT
+// DEDUPLICATION: replication
 // means a qualifying pair can be discovered by every shard holding both
 // objects, so each worker's `DedupSink` forwards a pair only when the
 // bottom-left corner of (r expanded by the predicate expansion) ∩ s —
@@ -22,9 +23,10 @@
 // which the property harness and bench_decluster verify wholesale.
 //
 // Modeled I/O: each shard can get a PRIVATE IoScheduler disk array
-// (disks_per_shard), modeling one disk set per node. Shard clocks are
-// merged at each scheduler's SynchronizeClocks() join point and the
-// run-level modeled elapsed time is the MAX over shards — shards are
+// (disks_per_shard), modeling one disk set per node. Each shard's context
+// owns the modeled-I/O window over its scheduler, whose close merges the
+// shard's clocks, and the run-level modeled elapsed time is the MAX over
+// shards — shards are
 // independent nodes working concurrently — while the per-shard values
 // stay visible for skew analysis.
 //

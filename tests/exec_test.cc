@@ -1,17 +1,21 @@
 // Tests for the execution subsystem: batched result sinks, the shared
-// concurrent buffer pool, the work-stealing scheduler, depth-adaptive
-// partitioning, and the parallel executor's exact equivalence with the
-// sequential engine across algorithms and thread counts.
+// concurrent buffer pool, the work-stealing scheduler, a run's modeled-I/O
+// window, depth-adaptive partitioning, and the parallel executor's exact
+// equivalence with the sequential engine across algorithms and thread
+// counts.
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "exec/exec_context.h"
 #include "exec/parallel_executor.h"
 #include "exec/partition.h"
 #include "exec/result_sink.h"
 #include "exec/task_scheduler.h"
+#include "io/io_scheduler.h"
 #include "join/join_runner.h"
 #include "storage/buffer_pool.h"
 #include "storage/shared_buffer_pool.h"
@@ -324,6 +328,69 @@ TEST(TaskSchedulerTest, ZeroTasksCompletesImmediately) {
   for (const uint64_t c : counts) EXPECT_EQ(c, 0u);
 }
 
+// --- IoWindow --------------------------------------------------------------
+
+// Two actors read through a window, then a barrier starts a third after
+// them, while an actor outside the run is live. Owned: the close merges
+// every clock, so elapsed is the merged clock minus the clock at open and
+// the floor catches up. Borrowed: the outside actor is a concurrent
+// session, so the close reports the largest retired clock minus the floor
+// at open and leaves the floor and the outside clock alone. Either way no
+// actor of the run stays live.
+TEST(IoWindowTest, ClosesOwnedAndBorrowedRunsByTheirRules) {
+  PagedFile file(kPageSize1K);
+  for (int i = 0; i < 4; ++i) file.Allocate();
+  IoScheduler::Options options;
+  options.disks.disk_count = 2;
+  for (const bool owned : {true, false}) {
+    IoScheduler io(options);
+    // An earlier region moves the floor off zero.
+    Statistics earlier;
+    io.BlockingRead(&io, file, 3, kPageSize1K, &earlier);
+    const uint64_t floor = io.SynchronizeClocks();
+    ASSERT_GT(floor, 0u);
+    Statistics outside;
+    io.BlockingRead(&io, file, 2, kPageSize1K, &outside);
+    const uint64_t outside_clock = io.ActorClock(&outside);
+    const uint64_t clock_at_open = io.NowMicros();
+    ASSERT_GT(clock_at_open, floor);
+
+    IoWindow window(&io, owned);
+    Statistics a;
+    Statistics b;
+    io.BlockingRead(&io, file, 0, kPageSize1K, &a);
+    io.BlockingRead(&io, file, 1, kPageSize1K, &b);
+    io.BlockingRead(&io, file, 3, kPageSize1K, &b);
+    const uint64_t phase_end = std::max(io.ActorClock(&a), io.ActorClock(&b));
+    window.Retire(&a);
+    window.Retire(&b);
+    Statistics c;
+    const Statistics* next[] = {&c};
+    window.Barrier(next);
+    EXPECT_EQ(io.ActorClock(&c), owned ? io.FloorMicros() : phase_end);
+    EXPECT_GE(io.ActorClock(&c), phase_end);
+    io.BlockingRead(&io, file, 0, kPageSize1K, &c);
+    const uint64_t end = io.ActorClock(&c);
+    window.Retire(&c);
+
+    Statistics totals;
+    const uint64_t merged = io.NowMicros();
+    const uint64_t elapsed = window.Close(&totals);
+    if (owned) {
+      EXPECT_EQ(elapsed, merged - clock_at_open);
+      EXPECT_EQ(io.FloorMicros(), merged);
+      EXPECT_EQ(io.ActorClock(&outside), merged);  // folded in
+    } else {
+      EXPECT_EQ(elapsed, end - floor);
+      EXPECT_EQ(io.FloorMicros(), floor);
+      EXPECT_EQ(io.ActorClock(&outside), outside_clock);
+    }
+    for (const Statistics* actor : {&a, &b, &c}) {
+      EXPECT_EQ(io.ActorClock(actor), io.FloorMicros());
+    }
+  }
+}
+
 // --- partitioning ----------------------------------------------------------
 
 class PartitionTest : public ::testing::Test {
@@ -511,7 +578,6 @@ TEST_F(ParallelExecutorTest, DepthAdaptivePartitioningReportsTelemetry) {
   exec.partition_multiplier = 1024;  // force descent below the root
   const auto result =
       RunParallelSpatialJoin(tall_r.tree(), tall_s.tree(), jopt, exec);
-  EXPECT_TRUE(result.used_node_cache);
   EXPECT_GE(result.task_count, result.worker_stats.size());
   EXPECT_GE(result.partition_depth, 1);
   uint64_t executed = 0;

@@ -6,12 +6,17 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 
+#include "exec/parallel_executor.h"
 #include "geom/simd_kernels.h"
+#include "io/io_scheduler.h"
 #include "join/join_runner.h"
+#include "join/refinement.h"
 #include "storage/buffer_pool.h"
 #include "storage/node_cache.h"
 #include "tests/test_util.h"
@@ -518,6 +523,181 @@ TEST_F(JoinCounterPinTest, CountersAndEmissionOrderMatchRecordedRuns) {
     }
   }
   EXPECT_EQ(cases, std::size(kPinnedCounters)) << "stale recorded rows";
+}
+
+// ---------------------------------------------------------------------------
+// Executor-path pin.
+//
+// The rows above pin the traversal; these pin the executor shells around
+// it on their deterministic paths: the sequential join on a modeled disk
+// (the paper experiment's path), the one-thread streaming ID-join with a
+// spilling filter step, the parallel executor on a leaf root (its
+// degenerate plan runs as one partition) on an owned scheduler, and the
+// parallel executor at one thread without one. Each row holds the result
+// count, the read, decode, write and spill counters, the I/O batches and
+// the modeled micros. Same inputs as above, arithmetic only; the rows
+// were recorded on x86-64 and change only in a change that means to
+// change these counters.
+
+struct PinnedPath {
+  const char* name;
+  uint64_t pairs;
+  uint64_t disk_reads;
+  uint64_t node_decodes;
+  uint64_t disk_writes;
+  uint64_t chunks_spilled;
+  uint64_t io_batches;
+  uint64_t modeled_micros;
+};
+
+constexpr PinnedPath kPinnedPaths[] = {
+    {"with_io/SJ4", 3460, 190, 183, 0, 0, 0, 3785000},
+    {"id_join_streaming/1_thread", 1268, 297, 183, 145, 145, 0, 11285000},
+    {"parallel/4_threads/leaf_root", 163, 56, 56, 0, 0, 0, 1120000},
+    {"parallel/1_thread", 3460, 190, 183, 0, 0, 0, 0},
+};
+
+struct PathRun {
+  uint64_t pairs = 0;
+  Statistics stats;
+  uint64_t modeled_micros = 0;
+};
+
+std::string PathRow(const std::string& name, const PathRun& run) {
+  char row[256];
+  std::snprintf(row, sizeof(row),
+                "{\"%s\", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 "},",
+                name.c_str(), run.pairs, run.stats.disk_reads,
+                run.stats.node_decodes, run.stats.disk_writes,
+                run.stats.result_chunks_spilled, run.stats.io_batches,
+                run.modeled_micros);
+  return row;
+}
+
+std::unique_ptr<IoScheduler> OneDisk() {
+  IoScheduler::Options options;
+  options.disks.disk_count = 1;
+  return std::make_unique<IoScheduler>(options);
+}
+
+// Polylines without libm: each rectangle becomes one of its diagonals
+// (alternating by id), so the exact test rejects some MBR candidates.
+Dataset DiagonalDataset(const std::vector<Rect>& rects) {
+  Dataset data;
+  for (uint32_t id = 0; id < rects.size(); ++id) {
+    const Rect& m = rects[id];
+    SpatialObject object;
+    object.id = id;
+    object.mbr = m;
+    object.chain = id % 2 == 0
+                       ? std::vector<Point>{{m.xl, m.yl}, {m.xu, m.yu}}
+                       : std::vector<Point>{{m.xl, m.yu}, {m.xu, m.yl}};
+    data.objects.push_back(std::move(object));
+  }
+  return data;
+}
+
+TEST_F(JoinCounterPinTest, ExecutorPathsMatchRecordedRuns) {
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const std::vector<Rect> r_rects = testutil::RandomRects(3000, 1601, 0.02);
+  const std::vector<Rect> s_rects = testutil::RandomRects(2800, 1602, 0.02);
+  const IndexedRelation big_r(r_rects, topt);
+  const IndexedRelation big_s(s_rects, topt);
+  const IndexedRelation small(testutil::RandomRects(45, 1603, 0.05), topt);
+  ASSERT_EQ(small.tree().height(), 1);  // a leaf root
+  const Dataset r_data = DiagonalDataset(r_rects);
+  const Dataset s_data = DiagonalDataset(s_rects);
+
+  JoinOptions jopt;
+  jopt.algorithm = JoinAlgorithm::kSJ4;
+  jopt.buffer_bytes = 16 * 1024;
+
+  const std::map<std::string, std::function<PathRun()>> paths = {
+      {"with_io/SJ4",
+       [&] {
+         const auto io = OneDisk();
+         PathRun run;
+         const JoinRunResult joined = RunSpatialJoinWithIo(
+             big_r.tree(), big_s.tree(), jopt, io.get(), /*prefetch=*/false,
+             /*prefetch_ahead=*/32, /*collect_pairs=*/true,
+             &run.modeled_micros);
+         run.pairs = joined.pair_count;
+         run.stats = joined.stats;
+         return run;
+       }},
+      {"id_join_streaming/1_thread",
+       [&] {
+         const auto io = OneDisk();
+         StreamingRefineOptions ropts;
+         ropts.chunk_capacity = 32;
+         ropts.filter_budget_chunks = 2;
+         ropts.refine_budget_chunks = 2;
+         ropts.num_threads = 1;
+         ropts.io = io.get();
+         ropts.collect_result_pairs = true;
+         const StreamingIdJoinResult joined = RunIdSpatialJoinStreaming(
+             big_r.tree(), r_data, big_s.tree(), s_data, jopt, ropts);
+         PathRun run;
+         run.pairs = joined.result_pairs;
+         run.stats = joined.stats;
+         run.modeled_micros = io->SynchronizeClocks();
+         return run;
+       }},
+      {"parallel/4_threads/leaf_root",
+       [&] {
+         const auto io = OneDisk();
+         ParallelExecutorOptions exec;
+         exec.num_threads = 4;
+         exec.collect_pairs = true;
+         exec.io_scheduler = io.get();
+         const ParallelJoinResult joined =
+             RunParallelSpatialJoin(big_r.tree(), small.tree(), jopt, exec);
+         return PathRun{joined.pair_count, joined.total_stats,
+                        joined.modeled_elapsed_micros};
+       }},
+      {"parallel/1_thread",
+       [&] {
+         ParallelExecutorOptions exec;
+         exec.num_threads = 1;
+         exec.collect_pairs = true;
+         const ParallelJoinResult joined =
+             RunParallelSpatialJoin(big_r.tree(), big_s.tree(), jopt, exec);
+         // The one-thread executor reads exactly like the sequential join.
+         const JoinRunResult sequential = RunSpatialJoin(
+             big_r.tree(), big_s.tree(), jopt, /*collect_pairs=*/true);
+         EXPECT_EQ(joined.pair_count, sequential.pair_count);
+         EXPECT_EQ(joined.total_stats.disk_reads, sequential.stats.disk_reads);
+         EXPECT_EQ(joined.total_stats.node_decodes,
+                   sequential.stats.node_decodes);
+         EXPECT_EQ(joined.total_stats.join_comparisons.count(),
+                   sequential.stats.join_comparisons.count());
+         return PathRun{joined.pair_count, joined.total_stats,
+                        joined.modeled_elapsed_micros};
+       }},
+  };
+  ASSERT_EQ(paths.size(), std::size(kPinnedPaths)) << "stale recorded rows";
+
+  for (const PinnedPath& want : kPinnedPaths) {
+    const auto it = paths.find(want.name);
+    ASSERT_NE(it, paths.end()) << want.name;
+    for (const GeomKernelMode mode :
+         {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
+      SetGeomKernelMode(mode);
+      const PathRun run = it->second();
+      const std::string actual =
+          std::string(GeomKernelModeName(mode)) + " " + PathRow(want.name, run);
+      EXPECT_EQ(run.pairs, want.pairs) << actual;
+      EXPECT_EQ(run.stats.disk_reads, want.disk_reads) << actual;
+      EXPECT_EQ(run.stats.node_decodes, want.node_decodes) << actual;
+      EXPECT_EQ(run.stats.disk_writes, want.disk_writes) << actual;
+      EXPECT_EQ(run.stats.result_chunks_spilled, want.chunks_spilled)
+          << actual;
+      EXPECT_EQ(run.stats.io_batches, want.io_batches) << actual;
+      EXPECT_EQ(run.modeled_micros, want.modeled_micros) << actual;
+    }
+  }
 }
 
 }  // namespace

@@ -2,14 +2,23 @@
 // sequential join across thread counts, work distribution sanity, and
 // degenerate shapes.
 
-#include "join/parallel_join.h"
+#include "exec/parallel_executor.h"
 
 #include <gtest/gtest.h>
 
+#include "join/join_runner.h"
 #include "tests/test_util.h"
 
 namespace rsj {
 namespace {
+
+ParallelExecutorOptions Threads(unsigned num_threads,
+                                bool collect_pairs = false) {
+  ParallelExecutorOptions exec;
+  exec.num_threads = num_threads;
+  exec.collect_pairs = collect_pairs;
+  return exec;
+}
 
 class ParallelJoinTest : public ::testing::Test {
  protected:
@@ -50,8 +59,8 @@ TEST_F(ParallelJoinTest, MatchesSequentialAcrossThreadCounts) {
   const auto sequential = RunSpatialJoin(r_->tree(), s_->tree(), jopt, true);
   const auto expected = testutil::Canonical(sequential.chunks);
   for (const unsigned threads : {1u, 2u, 3u, 4u, 8u, 64u}) {
-    auto parallel = RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt,
-                                           threads, /*collect_pairs=*/true);
+    auto parallel = RunParallelSpatialJoin(
+        r_->tree(), s_->tree(), jopt, Threads(threads, /*collect_pairs=*/true));
     EXPECT_EQ(parallel.pair_count, sequential.pair_count)
         << threads << " threads";
     EXPECT_EQ(testutil::Canonical(parallel.chunks), expected)
@@ -63,7 +72,7 @@ TEST_F(ParallelJoinTest, WorkIsActuallyDistributed) {
   JoinOptions jopt;
   jopt.algorithm = JoinAlgorithm::kSJ4;
   const auto result =
-      RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, 4);
+      RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, Threads(4));
   ASSERT_GE(result.worker_stats.size(), 2u);
   // The depth-adaptive partitioner must produce enough tasks for every
   // worker, and stealing guarantees each worker executes at least one.
@@ -91,7 +100,7 @@ TEST_F(ParallelJoinTest, AllAlgorithmsParallelize) {
     jopt.algorithm = alg;
     const auto sequential = RunSpatialJoin(r_->tree(), s_->tree(), jopt);
     const auto parallel =
-        RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, 4);
+        RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, Threads(4));
     EXPECT_EQ(parallel.pair_count, sequential.pair_count)
         << JoinAlgorithmName(alg);
   }
@@ -105,8 +114,8 @@ TEST(ParallelJoinEdgeTest, LeafRootFallsBackToSequential) {
   JoinOptions jopt;
   jopt.algorithm = JoinAlgorithm::kSJ4;
   const auto sequential = RunSpatialJoin(tiny.tree(), big.tree(), jopt, true);
-  auto parallel = RunParallelSpatialJoin(tiny.tree(), big.tree(), jopt, 8,
-                                         /*collect_pairs=*/true);
+  auto parallel = RunParallelSpatialJoin(
+      tiny.tree(), big.tree(), jopt, Threads(8, /*collect_pairs=*/true));
   EXPECT_EQ(parallel.pair_count, sequential.pair_count);
   EXPECT_EQ(testutil::Canonical(parallel.chunks),
             testutil::Canonical(sequential.chunks));
@@ -118,7 +127,8 @@ TEST(ParallelJoinEdgeTest, EmptyTrees) {
   IndexedRelation empty(std::vector<Rect>{}, topt);
   IndexedRelation other(testutil::RandomRects(100, 915), topt);
   JoinOptions jopt;
-  EXPECT_EQ(RunParallelSpatialJoin(empty.tree(), other.tree(), jopt, 4)
+  EXPECT_EQ(RunParallelSpatialJoin(empty.tree(), other.tree(), jopt,
+                                   Threads(4))
                 .pair_count,
             0u);
 }
@@ -136,7 +146,7 @@ TEST(ParallelJoinEdgeTest, DistanceJoinParallelizes) {
   jopt.epsilon = 0.01;
   const auto sequential = RunSpatialJoin(r.tree(), s.tree(), jopt, true);
   auto parallel =
-      RunParallelSpatialJoin(r.tree(), s.tree(), jopt, 6, true);
+      RunParallelSpatialJoin(r.tree(), s.tree(), jopt, Threads(6, true));
   EXPECT_EQ(testutil::Canonical(parallel.chunks),
             testutil::Canonical(sequential.chunks));
 }

@@ -29,10 +29,10 @@
 
 #include "datagen/rng.h"
 #include "exec/multiway_executor.h"
+#include "exec/parallel_executor.h"
 #include "geom/comparison_counter.h"
 #include "geom/segment.h"
 #include "join/join_runner.h"
-#include "join/parallel_join.h"
 #include "join/predicate.h"
 #include "join/refinement.h"
 #include "test_util.h"
@@ -158,8 +158,11 @@ TEST(PropertyJoin, AllExecutorsMatchBruteForceOracle) {
           << JoinAlgorithmName(algorithm);
     }
 
+    ParallelExecutorOptions exec;
+    exec.num_threads = 3;
+    exec.collect_pairs = true;
     const ParallelJoinResult par =
-        RunParallelSpatialJoin(ri.tree(), si.tree(), w.join, 3, true);
+        RunParallelSpatialJoin(ri.tree(), si.tree(), w.join, exec);
     EXPECT_EQ(testutil::Canonical(par.chunks), expected) << "parallel";
 
     ShardedJoinOptions sopt;

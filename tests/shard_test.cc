@@ -335,5 +335,36 @@ TEST(ShardedJoin, ShardLocalSchedulersMergeClocksByMax) {
   EXPECT_LT(joined.modeled_elapsed_micros, sum_shards);
 }
 
+// At one thread the shard-pair joins still read through their shard's
+// scheduler, so every joined shard reports modeled time.
+TEST(ShardedJoin, OneThreadShardsReportModeledTime) {
+  const auto r = testutil::ClusteredRects(1200, 51, 4, 0.02);
+  const auto s = testutil::ClusteredRects(1200, 52, 4, 0.02);
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  ShardedJoinOptions sopt;
+  sopt.join.buffer_bytes = 8 * 1024;
+  sopt.exec.num_threads = 1;
+  sopt.disks_per_shard = 1;
+  const Declustering decl = Declustering::Build(r, s, DeclusterOptions{4, 8});
+  ShardBuildOptions build;
+  build.tree = topt;
+  const ShardedDataset rd(&decl, r, build, nullptr);
+  const ShardedDataset sd(&decl, s, build, nullptr);
+  const ShardedJoinResult joined = RunShardedSpatialJoin(rd, sd, sopt);
+  ASSERT_GT(joined.shards_joined, 1u);
+  ASSERT_GT(joined.stats.disk_reads, 0u);
+  unsigned timed = 0;
+  for (unsigned k = 0; k < rd.num_shards(); ++k) {
+    if (rd.shard_tree(k).size() == 0 || sd.shard_tree(k).size() == 0) {
+      continue;
+    }
+    EXPECT_GT(joined.shard_modeled_micros[k], 0u) << "shard " << k;
+    ++timed;
+  }
+  EXPECT_EQ(timed, joined.shards_joined);
+  EXPECT_GT(joined.modeled_elapsed_micros, 0u);
+}
+
 }  // namespace
 }  // namespace rsj

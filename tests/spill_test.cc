@@ -235,6 +235,38 @@ TEST_F(SpillExecTest, SpillWritesAreModeledOnTheDiskArray) {
   EXPECT_GT(read_stats.modeled_io_micros, 0u);
 }
 
+// The one-thread executor runs on the caller's scheduler like every other
+// shape: its spill writes are modeled time the run reports, and the run
+// closes its window, so no actor clock is left live afterwards.
+TEST(SpillModeledTest, OneThreadSpillingRunReportsItsModeledTime) {
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const IndexedRelation r(testutil::RandomRects(2000, 4101, 0.01), topt);
+  const IndexedRelation s(testutil::RandomRects(2000, 4102, 0.01), topt);
+  IoScheduler::Options sopt;
+  sopt.disks.disk_count = 2;
+  IoScheduler io(sopt);
+  JoinOptions jopt;
+  jopt.algorithm = JoinAlgorithm::kSJ4;
+  ParallelExecutorOptions exec;
+  exec.num_threads = 1;
+  exec.collect_pairs = true;
+  exec.spill_results = true;
+  exec.spill_budget_chunks = 1;
+  exec.chunk_capacity = 16;
+  exec.io_scheduler = &io;
+  const uint64_t clock_before = io.NowMicros();
+  const auto run = RunParallelSpatialJoin(r.tree(), s.tree(), jopt, exec);
+  ASSERT_GT(run.total_stats.result_chunks_spilled, 0u);
+  EXPECT_EQ(io.disk_writes(), run.total_stats.disk_writes);
+  EXPECT_GT(run.modeled_elapsed_micros, 0u);
+  EXPECT_EQ(run.modeled_elapsed_micros, io.NowMicros() - clock_before);
+  EXPECT_EQ(io.FloorMicros(), io.NowMicros());
+  // The private buffer keeps the sequential join's read counts.
+  EXPECT_EQ(run.total_stats.disk_reads,
+            RunSpatialJoin(r.tree(), s.tree(), jopt).stats.disk_reads);
+}
+
 // --- multiway tuple spill --------------------------------------------------
 
 TEST(SpillMultiwayTest, SpilledTuplesMatchCollectedPipeline) {
