@@ -89,14 +89,13 @@ std::string IoCountersJson(const Statistics& stats) {
   std::snprintf(
       buf, sizeof(buf),
       "\"disk_reads\":%llu,\"buffer_hits\":%llu,\"prefetch_issued\":%llu,"
-      "\"prefetch_hits\":%llu,\"prefetch_wasted\":%llu,\"io_batches\":%llu,"
+      "\"prefetch_hits\":%llu,\"prefetch_wasted\":%llu,"
       "\"modeled_io_micros\":%llu",
       static_cast<unsigned long long>(stats.disk_reads),
       static_cast<unsigned long long>(stats.buffer_hits),
       static_cast<unsigned long long>(stats.prefetch_issued),
       static_cast<unsigned long long>(stats.prefetch_hits),
       static_cast<unsigned long long>(stats.prefetch_wasted),
-      static_cast<unsigned long long>(stats.io_batches),
       static_cast<unsigned long long>(stats.modeled_io_micros));
   return std::string(buf);
 }

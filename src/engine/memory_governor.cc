@@ -61,6 +61,10 @@ void MemoryGovernor::Charge(MemoryCategory category, uint64_t bytes) {
   if (bytes == 0) return;
   const uint64_t now =
       total_live_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  if (budget_ != 0 && now > budget_) {
+    overshoots_.fetch_add(1, std::memory_order_relaxed);
+    Raise(&overshoot_peak_, now - budget_);
+  }
   Account(category, bytes, now);
   EmitCounters(category);
 }

@@ -90,7 +90,8 @@ class MemoryGovernor {
 
   // Unconditional accounting for quantities bounded elsewhere (channel
   // backpressure, cache capacity): never fails, may push live bytes past
-  // the budget — the overshoot is visible in peak_bytes().
+  // the budget. A charge that leaves live bytes above a nonzero budget
+  // counts one overshoot (overshoots(), overshoot_peak_bytes()).
   void Charge(MemoryCategory category, uint64_t bytes);
 
   // Attaches a span recorder (obs/trace.h): every lease/charge/release
@@ -115,6 +116,14 @@ class MemoryGovernor {
     return gauges_[static_cast<unsigned>(category)].peak.load(
         std::memory_order_relaxed);
   }
+  // Charges that left live bytes above a nonzero budget, and the largest
+  // excess of live bytes over the budget such a charge reached.
+  uint64_t overshoots() const {
+    return overshoots_.load(std::memory_order_relaxed);
+  }
+  uint64_t overshoot_peak_bytes() const {
+    return overshoot_peak_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Gauge {
@@ -135,6 +144,8 @@ class MemoryGovernor {
   const uint64_t budget_;
   std::atomic<uint64_t> total_live_{0};
   std::atomic<uint64_t> total_peak_{0};
+  std::atomic<uint64_t> overshoots_{0};
+  std::atomic<uint64_t> overshoot_peak_{0};
   Gauge gauges_[kMemoryCategoryCount];
   std::atomic<TraceRecorder*> tracer_{nullptr};
 };

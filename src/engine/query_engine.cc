@@ -242,16 +242,14 @@ void QueryEngine::RunSession(QuerySession* session) {
     if (outcome.is_chain) {
       outcome.chain = RunParallelChainSpatialJoin(spec.relations, join, exec,
                                                   ctx, spec.collect);
-      outcome.chain.modeled_elapsed_micros =
-          ctx.window().Close(&outcome.chain.total_stats);
+      outcome.chain.modeled_elapsed_micros = ctx.window().Close();
       outcome.result_count = outcome.chain.tuple_count;
       outcome.modeled_elapsed_micros = outcome.chain.modeled_elapsed_micros;
     } else {
       outcome.pair = RunParallelSpatialJoin(*spec.relations[0].tree,
                                             *spec.relations[1].tree, join,
                                             exec, ctx);
-      outcome.pair.modeled_elapsed_micros =
-          ctx.window().Close(&outcome.pair.total_stats);
+      outcome.pair.modeled_elapsed_micros = ctx.window().Close();
       outcome.result_count = outcome.pair.pair_count;
       outcome.modeled_elapsed_micros = outcome.pair.modeled_elapsed_micros;
     }
@@ -326,12 +324,11 @@ uint64_t QueryEngine::WaitAll() {
   }
   for (std::thread& t : drivers) t.join();
 
-  // Fold the batch: drain in-flight modeled I/O, merge every session's
-  // retired clocks into the floor, measure the batch makespan.
+  // Fold the batch: merge every session's retired clocks into the floor,
+  // measure the batch makespan.
   uint64_t merged = 0;
   {
     TraceSpan drain_span(options_.tracer, "engine", "drain", 0);
-    io_.Drain();
     merged = io_.SynchronizeClocks();
     if (drain_span.active()) {
       drain_span.set_modeled_range(floor_before, merged);

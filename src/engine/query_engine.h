@@ -13,7 +13,7 @@
 //     session runs on a borrowed ExecContext (exec/exec_context.h) whose
 //     window retires only the session's own actor clocks and reports its
 //     latency against the batch floor — never folding another session's
-//     timeline (the engine drains and synchronizes once per WaitAll
+//     timeline (the engine synchronizes the clocks once per WaitAll
 //     batch),
 //   * one SessionTaskPool (engine/task_pool.h) executes every session's
 //     subtree-pair tasks on a fixed oversubscribed thread set with
@@ -203,7 +203,7 @@ class QueryEngine {
   };
 
   explicit QueryEngine(const Options& options);
-  // Waits for every session, then drains the scheduler.
+  // Waits for every session and folds the last batch's clocks.
   ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
@@ -213,8 +213,8 @@ class QueryEngine {
   // running, queued, or (queue full) already kShed.
   QuerySession* Submit(QuerySpec spec);
 
-  // Blocks until every submitted session finished, then drains the
-  // modeled disks and folds the batch's actor clocks into the floor.
+  // Blocks until every submitted session finished, then folds the
+  // batch's actor clocks into the floor.
   // Returns the batch makespan: modeled micros from the batch start to
   // the last session's completion (0 without modeled I/O).
   uint64_t WaitAll();

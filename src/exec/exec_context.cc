@@ -12,7 +12,6 @@ IoWindow::IoWindow(IoScheduler* io, bool owned)
     : io_(io),
       owned_(owned),
       clock_at_open_(io != nullptr ? io->NowMicros() : 0),
-      batches_at_open_(io != nullptr ? io->io_batches() : 0),
       floor_at_open_(io != nullptr ? io->FloorMicros() : 0),
       retired_end_(floor_at_open_) {}
 
@@ -24,7 +23,6 @@ void IoWindow::Retire(const Statistics* actor) {
 void IoWindow::Barrier(std::span<const Statistics* const> next) {
   if (io_ == nullptr) return;
   if (owned_) {
-    io_->Drain();
     io_->SynchronizeClocks();
     return;
   }
@@ -33,11 +31,9 @@ void IoWindow::Barrier(std::span<const Statistics* const> next) {
   for (const Statistics* actor : next) io_->AdvanceActorTo(actor, retired_end_);
 }
 
-uint64_t IoWindow::Close(Statistics* stats) {
+uint64_t IoWindow::Close() {
   if (io_ == nullptr) return 0;
   if (!owned_) return retired_end_ - floor_at_open_;
-  io_->Drain();
-  stats->io_batches += io_->io_batches() - batches_at_open_;
   // Concurrent actors merge by max: CPU in parallel, I/O overlapped.
   return io_->SynchronizeClocks() - clock_at_open_;
 }
@@ -54,7 +50,7 @@ ChunkArena RunArena(const ParallelExecutorOptions& exec) {
 ExecContext::ExecContext(const JoinOptions& join, uint32_t page_size,
                          const ParallelExecutorOptions& exec)
     : owned_pool_(std::make_unique<SharedBufferPool>(SharedBufferPool::Options{
-          join.buffer_bytes, page_size, join.eviction_policy})),
+          join.buffer_bytes, page_size})),
       owned_nodes_(std::make_unique<NodeCache>(owned_pool_.get(),
                                                NodeCache::Options{})),
       pool_(owned_pool_.get()),

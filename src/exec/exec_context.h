@@ -51,15 +51,14 @@ class TraceRecorder;
 struct ParallelExecutorOptions;
 
 // The modeled-I/O window of one run on `io` (nullptr: no modeled I/O, every
-// call is a no-op and the elapsed time is 0). It records the clock, the
-// batch count and the floor when it opens, and closes once:
-//   * OWNED (the run is the scheduler's only user): Close drains the
-//     scheduler, adds the io_batches delta to the run's counters and
-//     reports SynchronizeClocks() minus the clock at open;
+// call is a no-op and the elapsed time is 0). It records the clock and the
+// floor when it opens, and closes once:
+//   * OWNED (the run is the scheduler's only user): Close reports
+//     SynchronizeClocks() minus the clock at open;
 //   * BORROWED (concurrent sessions share the scheduler, so the run must
 //     not fold their clocks): every actor the run used is retired, and
 //     Close reports the largest retired clock minus the floor at open.
-//     The batch count is left to the engine, which synchronizes per batch.
+//     The engine synchronizes the clocks once per batch.
 // Actors are the workers' Statistics (io/io_scheduler.h).
 class IoWindow {
  public:
@@ -75,20 +74,18 @@ class IoWindow {
   void Retire(const Statistics* actor);
 
   // A barrier between two phases: `next` (the next phase's actors) start
-  // no earlier than every actor retired so far. Owned: drains and
-  // synchronizes. Borrowed: raises each actor's clock to that end.
+  // no earlier than every actor retired so far. Owned: synchronizes the
+  // clocks. Borrowed: raises each actor's clock to that end.
   void Barrier(std::span<const Statistics* const> next);
 
-  // Closes the window and returns the run's modeled elapsed micros. Owned:
-  // adds the io_batches delta to `stats`. Borrowed: the run has retired
-  // every actor it used.
-  uint64_t Close(Statistics* stats);
+  // Closes the window and returns the run's modeled elapsed micros.
+  // Borrowed: the run has retired every actor it used.
+  uint64_t Close();
 
  private:
   IoScheduler* const io_;
   const bool owned_;
   const uint64_t clock_at_open_;
-  const uint64_t batches_at_open_;
   const uint64_t floor_at_open_;
   uint64_t retired_end_;  // the largest retired clock, at least the floor
 };

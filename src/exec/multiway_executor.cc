@@ -716,7 +716,7 @@ ParallelChainJoinResult RunParallelChainSpatialJoin(
                   exec_options);
   ParallelChainJoinResult result = RunParallelChainSpatialJoin(
       relations, options, exec_options, ctx, collect_tuples);
-  result.modeled_elapsed_micros = ctx.window().Close(&result.total_stats);
+  result.modeled_elapsed_micros = ctx.window().Close();
   return result;
 }
 

@@ -181,8 +181,7 @@ ParallelJoinResult RunParallelSpatialJoin(
     // it still reads through the context's scheduler.
     Worker& worker = add_worker();
     BufferPool pool(
-        BufferPool::Options{options.buffer_bytes, r.options().page_size,
-                            options.eviction_policy},
+        BufferPool::Options{options.buffer_bytes, r.options().page_size},
         &worker.stats);
     if (io != nullptr) pool.AttachIoScheduler(io);
     run_one_partition(worker, &pool, /*nodes=*/nullptr);
@@ -286,7 +285,7 @@ ParallelJoinResult RunParallelSpatialJoin(
   ExecContext ctx(options, r.options().page_size, exec_options);
   ParallelJoinResult result =
       RunParallelSpatialJoin(r, s, options, exec_options, ctx);
-  result.modeled_elapsed_micros = ctx.window().Close(&result.total_stats);
+  result.modeled_elapsed_micros = ctx.window().Close();
   return result;
 }
 

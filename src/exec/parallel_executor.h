@@ -114,9 +114,9 @@ struct ParallelExecutorOptions {
 
   // When non-null, the run's pool services its misses, and the spill
   // path its writes, in modeled disk-array time through this scheduler,
-  // and the run owns its modeled-I/O window: it drains and synchronizes
-  // the scheduler when it ends. Not owned; must outlive the run (and any
-  // spilled result re-read through it).
+  // and the run owns its modeled-I/O window: it synchronizes the
+  // scheduler's clocks when it ends. Not owned; must outlive the run
+  // (and any spilled result re-read through it).
   IoScheduler* io_scheduler = nullptr;
 
   // Run-wide memory ledger (engine/memory_governor.h): spill budgets and

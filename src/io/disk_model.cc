@@ -26,16 +26,14 @@ constexpr size_t kMaxIdleGaps = 32;
 
 uint64_t SimulatedDiskArray::ServiceLocked(const PagedFile& file, PageId id,
                                            uint32_t page_size_bytes,
-                                           uint64_t issue_micros,
-                                           uint64_t extra_micros) {
+                                           uint64_t issue_micros) {
   Disk& disk = disks_[DiskFor(id)];
 
   // Backfill: if the arm was idle at the issue time for long enough to
   // serve this request, serve it inside that gap. The arm is mid-stream
   // elsewhere on the timeline, so the positioning cost is always paid
   // and the tail's sequential-run state is left untouched.
-  const uint64_t backfill_cost =
-      TransferMicros(page_size_bytes) + extra_micros + options_.seek_micros;
+  const uint64_t backfill_cost = RandomReadMicros(page_size_bytes);
   for (size_t i = 0; i < disk.gaps.size(); ++i) {
     IdleGap& gap = disk.gaps[i];
     const uint64_t start = std::max(gap.start_micros, issue_micros);
@@ -60,10 +58,10 @@ uint64_t SimulatedDiskArray::ServiceLocked(const PagedFile& file, PageId id,
   }
 
   const bool sequential =
-      options_.sequential_discount && disk.last_file == &file &&
+      disk.last_file == &file &&
       (id == disk.last_id ||
        id == disk.last_id + static_cast<PageId>(disks_.size()));
-  const uint64_t cost = TransferMicros(page_size_bytes) + extra_micros +
+  const uint64_t cost = TransferMicros(page_size_bytes) +
                         (sequential ? 0 : options_.seek_micros);
   const uint64_t start = std::max(issue_micros, disk.busy_until_micros);
   if (start > disk.busy_until_micros) {
@@ -82,7 +80,7 @@ uint64_t SimulatedDiskArray::Service(const PagedFile& file, PageId id,
                                      uint64_t issue_micros) {
   std::lock_guard<std::mutex> lock(mu_);
   ++reads_serviced_;
-  return ServiceLocked(file, id, page_size_bytes, issue_micros, 0);
+  return ServiceLocked(file, id, page_size_bytes, issue_micros);
 }
 
 uint64_t SimulatedDiskArray::ServiceWrite(const PagedFile& file, PageId id,
@@ -90,8 +88,7 @@ uint64_t SimulatedDiskArray::ServiceWrite(const PagedFile& file, PageId id,
                                           uint64_t issue_micros) {
   std::lock_guard<std::mutex> lock(mu_);
   ++writes_serviced_;
-  return ServiceLocked(file, id, page_size_bytes, issue_micros,
-                       options_.write_settle_micros);
+  return ServiceLocked(file, id, page_size_bytes, issue_micros);
 }
 
 uint64_t SimulatedDiskArray::reads_serviced() const {

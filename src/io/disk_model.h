@@ -25,9 +25,10 @@
 // actors happen to reach the disk would serialize modeled streams that
 // genuinely overlapped.
 //
-// Service times depend only on the per-disk arrival order; the model is
-// thread-safe so the I/O scheduler's background workers and blocking
-// consumers can share one array.
+// Service times depend only on the per-disk arrival order, which the I/O
+// scheduler (io/io_scheduler.h) makes its call order. The array keeps its
+// own mutex so metric readers (obs/metrics.h) can snapshot it while a run
+// services requests.
 
 #ifndef RSJ_IO_DISK_MODEL_H_
 #define RSJ_IO_DISK_MODEL_H_
@@ -50,16 +51,6 @@ struct DiskModelOptions {
 
   // Transfer cost per KByte moved. Default: the paper's 5.0e-3 s.
   uint64_t transfer_micros_per_kbyte = 5000;
-
-  // Skip the positioning cost when a disk reads its next stripe unit of
-  // the same file in sequence (or re-reads the page it just served).
-  bool sequential_discount = true;
-
-  // Extra arm-settle micros per write on top of positioning + transfer
-  // (the paper's constants do not distinguish reads from writes; a head
-  // settle penalty is the conventional difference). 0 = writes cost
-  // exactly like reads.
-  uint64_t write_settle_micros = 0;
 };
 
 class SimulatedDiskArray {
@@ -85,11 +76,6 @@ class SimulatedDiskArray {
     return options_.seek_micros + TransferMicros(page_size_bytes);
   }
 
-  // Positioning + transfer + settle of one isolated write.
-  uint64_t RandomWriteMicros(uint32_t page_size_bytes) const {
-    return RandomReadMicros(page_size_bytes) + options_.write_settle_micros;
-  }
-
   // Services one read of page `id` of `file` arriving at modeled time
   // `issue_micros` and returns its completion time. The request starts
   // when both the issuer and the disk are ready and occupies the disk for
@@ -97,8 +83,9 @@ class SimulatedDiskArray {
   uint64_t Service(const PagedFile& file, PageId id, uint32_t page_size_bytes,
                    uint64_t issue_micros);
 
-  // Services one write: identical queueing and sequential-discount rules
-  // (the arm moves the same way), plus write_settle_micros.
+  // Services one write. The paper's constants do not distinguish reads
+  // from writes, so a write costs exactly like a read: the arm moves the
+  // same way and the same queueing and sequential-discount rules apply.
   uint64_t ServiceWrite(const PagedFile& file, PageId id,
                         uint32_t page_size_bytes, uint64_t issue_micros);
 
@@ -106,7 +93,7 @@ class SimulatedDiskArray {
   uint64_t BusyUntil(unsigned disk) const;
 
   // Accumulated modeled service micros one arm spent on requests
-  // (seek + transfer + settle; backfilled requests included) — the busy
+  // (seek + transfer; backfilled requests included) — the busy
   // side of the busy/idle utilization split obs/metrics.h reports.
   uint64_t busy_micros(unsigned disk) const;
   uint64_t total_busy_micros() const;
@@ -140,8 +127,7 @@ class SimulatedDiskArray {
 
   // Shared queueing/discount math of reads and writes.
   uint64_t ServiceLocked(const PagedFile& file, PageId id,
-                         uint32_t page_size_bytes, uint64_t issue_micros,
-                         uint64_t extra_micros);
+                         uint32_t page_size_bytes, uint64_t issue_micros);
 
   DiskModelOptions options_;
   mutable std::mutex mu_;

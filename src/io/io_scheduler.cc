@@ -2,96 +2,10 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace rsj {
 
 IoScheduler::IoScheduler(const Options& options)
-    : options_(options), disks_(options.disks) {
-  RSJ_CHECK_MSG(options_.max_batch >= 1, "io scheduler needs max_batch >= 1");
-  unsigned workers = options_.io_workers == 0 ? disks_.disk_count()
-                                              : options_.io_workers;
-  // A disk is owned by exactly one worker (worker = disk % workers), so
-  // more workers than disks would idle forever.
-  num_workers_ = std::min(workers, disks_.disk_count());
-  disk_queues_.resize(disks_.disk_count());
-  workers_.reserve(num_workers_);
-  for (unsigned w = 0; w < num_workers_; ++w) {
-    workers_.emplace_back([this, w]() { WorkerLoop(w); });
-  }
-}
-
-IoScheduler::~IoScheduler() {
-  Drain();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void IoScheduler::WorkerLoop(unsigned worker) {
-  if (options_.tracer != nullptr) {
-    options_.tracer->SetThreadName("io-worker-" + std::to_string(worker));
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    // Find a non-empty queue among the disks this worker owns.
-    size_t disk = disk_queues_.size();
-    for (size_t d = worker; d < disk_queues_.size(); d += num_workers_) {
-      if (!disk_queues_[d].empty()) {
-        disk = d;
-        break;
-      }
-    }
-    if (disk == disk_queues_.size()) {
-      if (stop_) return;
-      work_cv_.wait(lock);
-      continue;
-    }
-    // Dequeue one batch. Service order within the batch is queue (FIFO)
-    // order and no other worker touches this disk, so per-disk service
-    // order is exactly the submission order — the model stays
-    // deterministic for a single consumer thread.
-    std::deque<Request>& queue = disk_queues_[disk];
-    std::vector<Request> batch;
-    while (!queue.empty() && batch.size() < options_.max_batch) {
-      batch.push_back(queue.front());
-      queue.pop_front();
-    }
-    ++io_batches_;
-    lock.unlock();
-    TraceSpan span(options_.tracer, "io", "batch", 0, /*sampled=*/true);
-    std::vector<uint64_t> completions;
-    completions.reserve(batch.size());
-    for (const Request& req : batch) {
-      completions.push_back(disks_.Service(*req.key.file, req.key.id,
-                                           req.page_size, req.issue_micros));
-    }
-    if (span.active()) {
-      uint64_t issue = batch.front().issue_micros;
-      uint64_t done = 0;
-      for (const Request& req : batch) {
-        issue = std::min(issue, req.issue_micros);
-      }
-      for (uint64_t completion : completions) {
-        done = std::max(done, completion);
-      }
-      span.set_modeled_range(issue, done);
-      span.set_arg("requests", batch.size());
-    }
-    lock.lock();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      inflight_.erase(batch[i].key);
-      if (abandoned_.erase(batch[i].key) == 0) {
-        completed_[batch[i].key] = completions[i];
-      }
-    }
-    pending_async_ -= batch.size();
-    done_cv_.notify_all();
-  }
-}
+    : options_(options), disks_(options.disks) {}
 
 uint64_t IoScheduler::ActorClockLocked(const void* actor) const {
   const auto it = actor_clocks_.find(actor);
@@ -104,94 +18,62 @@ void IoScheduler::AdvanceActorLocked(const void* actor, uint64_t to) {
   clock = std::max({clock, floor_micros_, to});
 }
 
+void IoScheduler::StallUntilLocked(Statistics* stats, uint64_t completion) {
+  const uint64_t now = ActorClockLocked(stats);
+  if (completion <= now) return;
+  if (stats != nullptr) stats->modeled_io_micros += completion - now;
+  AdvanceActorLocked(stats, completion);
+}
+
+bool IoScheduler::ConsumeCompletionLocked(const RequestKey& key,
+                                          Statistics* stats) {
+  const auto it = completed_.find(key);
+  if (it == completed_.end()) return false;
+  const uint64_t completion = it->second;
+  completed_.erase(it);
+  StallUntilLocked(stats, completion);
+  return true;
+}
+
 bool IoScheduler::SubmitAsync(const void* owner, const PagedFile& file,
                               PageId id, uint32_t page_size,
                               const void* actor) {
   const RequestKey key{owner, &file, id};
   std::lock_guard<std::mutex> lock(mu_);
-  if (inflight_.contains(key)) {
-    abandoned_.erase(key);  // re-prefetch revives an abandoned request
-    return false;
-  }
   if (completed_.contains(key)) {
     return false;  // coalesced with the unconsumed completion
   }
-  disk_queues_[disks_.DiskFor(id)].push_back(
-      Request{key, page_size, ActorClockLocked(actor)});
-  inflight_.insert(key);
-  ++pending_async_;
+  completed_.emplace(
+      key, disks_.Service(file, id, page_size, ActorClockLocked(actor)));
   ++async_reads_;
   if (options_.tracer != nullptr && options_.tracer->enabled() &&
       options_.tracer->Sample()) {
     options_.tracer->Instant("io", "prefetch_issue", 0);
   }
-  work_cv_.notify_all();
   return true;
-}
-
-void IoScheduler::JoinCompletionLocked(std::unique_lock<std::mutex>& lock,
-                                       const RequestKey& key,
-                                       const void* actor, Statistics* stats) {
-  done_cv_.wait(lock, [&]() {
-    return completed_.contains(key) || !inflight_.contains(key);
-  });
-  const auto it = completed_.find(key);
-  if (it == completed_.end()) return;  // consumed by a racing caller
-  const uint64_t completion = it->second;
-  completed_.erase(it);
-  const uint64_t now = ActorClockLocked(actor);
-  if (completion > now) {
-    if (stats != nullptr) {
-      stats->modeled_io_micros += completion - now;
-    }
-    AdvanceActorLocked(actor, completion);
-  }
 }
 
 bool IoScheduler::BlockingRead(const void* owner, const PagedFile& file,
                                PageId id, uint32_t page_size,
                                Statistics* stats) {
-  const RequestKey key{owner, &file, id};
-  std::unique_lock<std::mutex> lock(mu_);
-  if (inflight_.contains(key) || completed_.contains(key)) {
-    // Revive an abandoned in-flight request: the disk is still going to
-    // service it, so this miss joins it (and pays its residual stall)
-    // instead of issuing a duplicate read.
-    abandoned_.erase(key);
-    JoinCompletionLocked(lock, key, stats, stats);
+  std::lock_guard<std::mutex> lock(mu_);
+  // A kept completion was paid at submission: only its stall remains.
+  if (ConsumeCompletionLocked(RequestKey{owner, &file, id}, stats)) {
     return true;
   }
-  const uint64_t issue = ActorClockLocked(stats);
-  lock.unlock();
-  const uint64_t completion = disks_.Service(file, id, page_size, issue);
-  lock.lock();
-  const uint64_t now = ActorClockLocked(stats);
-  if (completion > now) {
-    if (stats != nullptr) {
-      stats->modeled_io_micros += completion - now;
-    }
-    AdvanceActorLocked(stats, completion);
-  }
+  StallUntilLocked(stats, disks_.Service(file, id, page_size,
+                                         ActorClockLocked(stats)));
   return false;
 }
 
 void IoScheduler::Write(const void* owner, const PagedFile& file, PageId id,
                         uint32_t page_size, Statistics* stats) {
   (void)owner;  // writes are never coalesced; the scope is for symmetry
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   ++disk_writes_;
-  const uint64_t issue = ActorClockLocked(stats);
-  lock.unlock();
-  const uint64_t completion = disks_.ServiceWrite(file, id, page_size, issue);
-  lock.lock();
   if (stats != nullptr) ++stats->disk_writes;
-  const uint64_t now = ActorClockLocked(stats);
-  if (completion > now) {
-    if (stats != nullptr) {
-      stats->modeled_io_micros += completion - now;
-    }
-    AdvanceActorLocked(stats, completion);
-  }
+  StallUntilLocked(stats, disks_.ServiceWrite(file, id, page_size,
+                                              ActorClockLocked(stats)));
 }
 
 void IoScheduler::WriteRun(const void* owner, const PagedFile& file,
@@ -199,10 +81,10 @@ void IoScheduler::WriteRun(const void* owner, const PagedFile& file,
                            Statistics* stats) {
   (void)owner;  // writes are never coalesced; the scope is for symmetry
   if (count == 0) return;
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   disk_writes_ += count;
+  if (stats != nullptr) stats->disk_writes += count;
   const uint64_t issue = ActorClockLocked(stats);
-  lock.unlock();
   // All pages of the run are issued at once: every disk's share queues at
   // `issue` and the run completes when the slowest disk finishes. The
   // per-disk service order is ascending page id, so consecutive stripe
@@ -215,35 +97,25 @@ void IoScheduler::WriteRun(const void* owner, const PagedFile& file,
   }
   span.set_modeled_range(issue, completion);
   span.set_arg("pages", count);
-  lock.lock();
-  if (stats != nullptr) stats->disk_writes += count;
-  const uint64_t now = ActorClockLocked(stats);
-  if (completion > now) {
-    if (stats != nullptr) {
-      stats->modeled_io_micros += completion - now;
-    }
-    AdvanceActorLocked(stats, completion);
-  }
+  StallUntilLocked(stats, completion);
 }
 
 void IoScheduler::ConsumePrefetched(const void* owner, const PagedFile& file,
                                     PageId id, Statistics* stats) {
   const RequestKey key{owner, &file, id};
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!inflight_.contains(key) && !completed_.contains(key)) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!completed_.contains(key)) return;
   TraceSpan span(options_.tracer, "io", "prefetch_consume", 0,
                  /*sampled=*/true);
   const uint64_t before = ActorClockLocked(stats);
-  JoinCompletionLocked(lock, key, stats, stats);
+  ConsumeCompletionLocked(key, stats);
   span.set_modeled_range(before, ActorClockLocked(stats));
 }
 
 void IoScheduler::AbandonPrefetched(const void* owner, const PagedFile& file,
                                     PageId id) {
-  const RequestKey key{owner, &file, id};
   std::lock_guard<std::mutex> lock(mu_);
-  if (completed_.erase(key) > 0) return;
-  if (inflight_.contains(key)) abandoned_.insert(key);
+  completed_.erase(RequestKey{owner, &file, id});
 }
 
 void IoScheduler::CpuAdvance(const void* actor, uint64_t micros) {
@@ -254,11 +126,6 @@ void IoScheduler::CpuAdvance(const void* actor, uint64_t micros) {
 void IoScheduler::ChargeCpuPerRead(const void* actor) {
   if (options_.cpu_micros_per_read == 0) return;
   CpuAdvance(actor, options_.cpu_micros_per_read);
-}
-
-void IoScheduler::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this]() { return pending_async_ == 0; });
 }
 
 uint64_t IoScheduler::SynchronizeClocks() {
@@ -302,11 +169,6 @@ uint64_t IoScheduler::RetireActor(const void* actor) {
   actor_clocks_.erase(actor);
   retired_peak_micros_ = std::max(retired_peak_micros_, clock);
   return clock;
-}
-
-uint64_t IoScheduler::io_batches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return io_batches_;
 }
 
 uint64_t IoScheduler::async_reads() const {

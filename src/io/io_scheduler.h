@@ -1,28 +1,29 @@
-// Asynchronous I/O scheduler over the simulated disk array.
+// I/O scheduler over the simulated disk array.
 //
-// The scheduler is the junction between real concurrency and modeled time.
-// Real side: per-disk FIFO request queues drained by background I/O worker
-// threads (each disk is owned by exactly one worker, so per-disk service
-// order is the submission order), request batching (a worker dequeues up
-// to `max_batch` requests of one disk at a time), duplicate coalescing
-// (a page already queued or in flight is never submitted twice) and
-// completion waiting (`Drain`, and blocking joins of in-flight requests).
+// The scheduler turns page requests into modeled time. The pages are
+// already in memory (storage/paged_file.h), so there is no real I/O to
+// wait for: every request is serviced on the calling thread, at the
+// requesting actor's clock, before the call returns. Per-disk service
+// order is therefore call order, and a run with one consumer thread is
+// deterministic, prefetching included.
 //
-// Modeled side: one virtual clock PER ACTOR. An actor is a consumer
-// timeline — in practice the `Statistics*` of the requesting worker, which
-// is the per-worker identity everywhere in this codebase. Each actor
-// advances its own clock:
+// One virtual clock PER ACTOR. An actor is a consumer timeline — in
+// practice the `Statistics*` of the requesting worker, which is the
+// per-worker identity everywhere in this codebase. Each actor advances
+// its own clock:
 //   * a synchronous miss (`BlockingRead`) services the page at the actor's
 //     clock and moves that clock to the completion — one outstanding
 //     request per actor, the no-overlap baseline;
 //   * a synchronous `Write` is the same, with write service costing;
-//   * an async read (`SubmitAsync`, the prefetch path) is timestamped with
-//     the submitting actor's clock but advances nothing — the disks work
-//     ahead in the background of every timeline;
-//   * the first consumer touch of a prefetched page (`ConsumePrefetched`)
-//     advances the touching actor's clock to the request's completion, so
-//     only the service time not hidden behind that actor's other work is
-//     paid as stall;
+//   * an async read (`SubmitAsync`, the prefetch path) is serviced at the
+//     submitting actor's clock but advances no clock: its completion is
+//     kept until the first consumer touch, so the disks work ahead in the
+//     background of every timeline;
+//   * the first consumer touch of a prefetched page (`ConsumePrefetched`,
+//     or `BlockingRead` of a page with a kept completion) advances the
+//     touching actor's clock to the request's completion, so only the
+//     service time not hidden behind that actor's other work is paid as
+//     stall;
 //   * `CpuAdvance` charges modeled CPU work to one actor, overlapping
 //     with the disks and with every other actor.
 // The disks themselves stay shared hardware: per-disk busy-until
@@ -37,13 +38,13 @@
 // All stall micros are charged to the requesting actor's
 // `Statistics::modeled_io_micros`. Page caches use the scheduler through
 // `BufferPool::AttachIoScheduler`; the spill path (exec/spill_sink.h)
-// uses Write/WriteRun/BlockingRead directly; nothing else in the join
-// layer talks to it.
+// uses Write/WriteRun/SubmitAsync/BlockingRead directly; nothing else in
+// the join layer talks to it.
 //
 // Ownership & threading contracts:
-//   * The scheduler is thread-safe: any thread may submit, read, write,
-//     or wait concurrently. It owns its background I/O worker threads
-//     (joined, after a drain, by the destructor) and the disk array.
+//   * The scheduler is thread-safe: any thread may submit, read or write
+//     concurrently; one mutex orders the calls. It owns the disk array
+//     and no threads.
 //   * The scheduler is not owned by its users: every pool, prefetcher,
 //     spill file and executor that holds an IoScheduler* must be
 //     outlived by it — including post-run consumers such as a
@@ -60,14 +61,9 @@
 #ifndef RSJ_IO_IO_SCHEDULER_H_
 #define RSJ_IO_IO_SCHEDULER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "io/disk_model.h"
 #include "obs/trace.h"
@@ -81,28 +77,17 @@ class IoScheduler {
   struct Options {
     DiskModelOptions disks;
 
-    // Background I/O worker threads; 0 = one per disk (each disk is always
-    // owned by exactly one worker).
-    unsigned io_workers = 0;
-
-    // Maximal requests one worker dequeues from a disk queue at once.
-    size_t max_batch = 8;
-
     // Modeled CPU micros charged per consumer page request (the join work
     // that follows a node fetch); this is the computation the prefetcher
     // hides I/O behind. 0 disables CPU charging.
     uint64_t cpu_micros_per_read = 0;
 
-    // Span sink for batch service / write runs / prefetch joins (pid 0
+    // Span sink for write runs and prefetch issues/consumes (pid 0
     // tracks); nullptr = no tracing. Must outlive the scheduler.
     TraceRecorder* tracer = nullptr;
   };
 
   explicit IoScheduler(const Options& options);
-
-  // Joins the background workers; all outstanding requests are serviced
-  // first (the destructor drains).
-  ~IoScheduler();
 
   IoScheduler(const IoScheduler&) = delete;
   IoScheduler& operator=(const IoScheduler&) = delete;
@@ -114,20 +99,20 @@ class IoScheduler {
   // identity is separate: `actor` (or the `stats` pointer) names the
   // consumer timeline the request is charged against.
 
-  // Non-blocking async read of (file, id), issued at `actor`'s modeled
-  // clock (nullptr: the anonymous actor). Returns false when the page is
-  // already queued, in flight, or serviced-but-unconsumed for this owner
-  // (coalesced — no second physical read; an abandoned in-flight request
-  // is revived).
+  // Async read of (file, id): services it at `actor`'s modeled clock
+  // (nullptr: the anonymous actor) without advancing any clock, and keeps
+  // the completion for the first consumer touch. Returns false when this
+  // owner already holds an unconsumed completion for the page (coalesced
+  // — no second physical read).
   bool SubmitAsync(const void* owner, const PagedFile& file, PageId id,
                    uint32_t page_size, const void* actor = nullptr);
 
   // Synchronous read on a cache miss; the actor is `stats`. When the owner
-  // has an async request outstanding for the page, joins it: waits for its
-  // completion, charges the residual stall and returns true (the physical
-  // read was already paid for by the prefetch). Otherwise services the
-  // page at the actor's clock, advances that clock to the completion,
-  // charges the full stall and returns false.
+  // holds an unconsumed async completion for the page, consumes it:
+  // charges the residual stall and returns true (the physical read was
+  // already paid for at submission). Otherwise services the page at the
+  // actor's clock, advances that clock to the completion, charges the full
+  // stall and returns false.
   bool BlockingRead(const void* owner, const PagedFile& file, PageId id,
                     uint32_t page_size, Statistics* stats);
 
@@ -154,14 +139,13 @@ class IoScheduler {
   // First consumer touch of a prefetched-and-landed page: advances the
   // actor's (`stats`) clock to the async request's completion and charges
   // the residual stall (zero when the prefetch ran far enough ahead of
-  // this actor). No-op when the owner has no outstanding async completion
-  // for the page.
+  // this actor). No-op when the owner holds no completion for the page.
   void ConsumePrefetched(const void* owner, const PagedFile& file, PageId id,
                          Statistics* stats);
 
   // The owner dropped a prefetched page before any consumer touched it
   // (evicted or cleared): forget the completion so a later miss pays a
-  // genuine read instead of silently joining the stale prefetch.
+  // genuine read instead of silently consuming the stale prefetch.
   void AbandonPrefetched(const void* owner, const PagedFile& file, PageId id);
 
   // Charges modeled CPU work to `actor`'s timeline.
@@ -170,9 +154,6 @@ class IoScheduler {
   // CpuAdvance(actor, options.cpu_micros_per_read); called by the page
   // caches on every consumer page request.
   void ChargeCpuPerRead(const void* actor);
-
-  // Blocks (in real time) until every async request has been serviced.
-  void Drain();
 
   // Join point: merges every actor clock (and the retired-actor peak)
   // into the floor by MAX, resets the actor table, and returns the merged
@@ -212,10 +193,7 @@ class IoScheduler {
   // clock — the actor's modeled completion time.
   uint64_t RetireActor(const void* actor);
 
-  // Request batches the background workers dequeued so far.
-  uint64_t io_batches() const;
-
-  // Async requests ever submitted (after coalescing).
+  // Async requests ever serviced (after coalescing).
   uint64_t async_reads() const;
 
   // Timed writes serviced through Write().
@@ -242,35 +220,24 @@ class IoScheduler {
     }
   };
 
-  struct Request {
-    RequestKey key;
-    uint32_t page_size = 0;
-    uint64_t issue_micros = 0;
-  };
-
-  void WorkerLoop(unsigned worker);
-
   // The actor's current clock (>= floor). Caller holds `mu_`.
   uint64_t ActorClockLocked(const void* actor) const;
 
   // Raises the actor's clock to at least `to`. Caller holds `mu_`.
   void AdvanceActorLocked(const void* actor, uint64_t to);
 
-  // Waits for an outstanding async request on `key` to complete, consumes
-  // its completion entry, advances the actor's clock and charges the
-  // stall. Caller holds `mu_`.
-  void JoinCompletionLocked(std::unique_lock<std::mutex>& lock,
-                            const RequestKey& key, const void* actor,
-                            Statistics* stats);
+  // Moves the `stats` actor's clock to `completion` when that is later,
+  // charging the difference as stall. Caller holds `mu_`.
+  void StallUntilLocked(Statistics* stats, uint64_t completion);
+
+  // Consumes the kept completion of `key`, if any, stalling the `stats`
+  // actor until it; false when there is none. Caller holds `mu_`.
+  bool ConsumeCompletionLocked(const RequestKey& key, Statistics* stats);
 
   Options options_;
   SimulatedDiskArray disks_;
-  unsigned num_workers_ = 0;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  // workers: queues non-empty / stop
-  std::condition_variable done_cv_;  // consumers: completions / drain
-  bool stop_ = false;
   // Merged clock of synchronized (completed) regions; every actor clock
   // is implicitly >= the floor.
   uint64_t floor_micros_ = 0;
@@ -279,19 +246,11 @@ class IoScheduler {
   // without raising the floor fresh actors start at.
   uint64_t retired_peak_micros_ = 0;
   std::unordered_map<const void*, uint64_t> actor_clocks_;
-  uint64_t io_batches_ = 0;
   uint64_t async_reads_ = 0;
   uint64_t disk_writes_ = 0;
-  size_t pending_async_ = 0;  // submitted, completion not yet recorded
-  std::vector<std::deque<Request>> disk_queues_;
-  // Requests queued or being serviced (coalescing set).
-  std::unordered_set<RequestKey, RequestKeyHash> inflight_;
-  // Serviced async requests awaiting their first consumer touch.
+  // Completions of serviced async requests awaiting their first consumer
+  // touch (the coalescing set).
   std::unordered_map<RequestKey, uint64_t, RequestKeyHash> completed_;
-  // In-flight requests whose page was dropped unconsumed: their
-  // completion is discarded instead of recorded.
-  std::unordered_set<RequestKey, RequestKeyHash> abandoned_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace rsj

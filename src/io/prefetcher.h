@@ -13,8 +13,8 @@
 // timeline. The exec partitioner's subtree-pair tasks feed the same path:
 // their child pages are hinted ahead as the task frontier.
 //
-// The prefetcher is a stateless policy layer: residency and in-flight
-// coalescing live in the page cache, timing in the IoScheduler. It is
+// The prefetcher is a stateless policy layer: residency and coalescing
+// live in the page cache, timing in the IoScheduler. It is
 // thread-safe whenever the underlying cache is, so one instance can serve
 // all workers of a shared pool. `max_ahead` caps the pages *issued* per
 // schedule handoff so a long schedule cannot flush the buffer it is trying
@@ -54,7 +54,7 @@ class Prefetcher {
   explicit Prefetcher(PageCache* cache) : Prefetcher(cache, Options{}) {}
 
   // One read-ahead hint. Returns true when an async read was issued
-  // (false: resident or in flight — coalesced).
+  // (false: resident — coalesced).
   bool PrefetchPage(const PagedFile& file, PageId id,
                     Statistics* stats) const {
     return cache_->Prefetch(file, id, stats);

@@ -8,7 +8,6 @@
 #include <cstdint>
 
 #include "join/predicate.h"
-#include "storage/buffer_pool.h"
 
 namespace rsj {
 
@@ -46,10 +45,6 @@ struct JoinOptions {
 
   // LRU buffer budget in bytes (the paper uses 0/8K/32K/128K/512K).
   uint64_t buffer_bytes = 128 * 1024;
-
-  // Page replacement policy of the buffer (the paper assumes LRU; the
-  // alternatives exist for the replacement-policy ablation).
-  EvictionPolicy eviction_policy = EvictionPolicy::kLru;
 
   // Join operator (§2.1). The default reproduces the paper's
   // MBR-spatial-join; other predicates reuse the same traversal with

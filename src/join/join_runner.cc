@@ -29,8 +29,7 @@ JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
   IoWindow window(io, /*owned=*/true);
   {
     BufferPool pool(
-        BufferPool::Options{options.buffer_bytes, r.options().page_size,
-                            options.eviction_policy},
+        BufferPool::Options{options.buffer_bytes, r.options().page_size},
         &result.stats);
     pool.AttachIoScheduler(io);
     Prefetcher prefetcher(&pool, Prefetcher::Options{prefetch_ahead});
@@ -51,7 +50,7 @@ JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
       result.pair_count = sink.count();
     }
   }
-  const uint64_t elapsed = window.Close(&result.stats);
+  const uint64_t elapsed = window.Close();
   if (modeled_elapsed_micros != nullptr) *modeled_elapsed_micros = elapsed;
   return result;
 }
@@ -88,8 +87,7 @@ JoinRunResult RunSpatialJoin(const RTree& r, const RTree& s,
                              const JoinOptions& options, bool collect_pairs) {
   JoinRunResult result;
   BufferPool pool(
-      BufferPool::Options{options.buffer_bytes, r.options().page_size,
-                          options.eviction_policy},
+      BufferPool::Options{options.buffer_bytes, r.options().page_size},
       &result.stats);
   SpatialJoinEngine engine(r, s, options, &pool, &result.stats);
   if (collect_pairs) {

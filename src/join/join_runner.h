@@ -42,9 +42,8 @@ class IoScheduler;
 // pool services misses in modeled disk-array time through `io`, and, when
 // `prefetch` is true, the engine streams its §4.3 read schedules into a
 // schedule-driven prefetcher (issuing at most `prefetch_ahead` async reads
-// per schedule). The result's stats carry the prefetch/overlap counters
-// and, in io_batches, the request batches the run added; when
-// `modeled_elapsed_micros` is non-null it receives the advance of the
+// per schedule). The result's stats carry the prefetch/overlap counters;
+// when `modeled_elapsed_micros` is non-null it receives the advance of the
 // modeled clock across the run (the join's modeled elapsed time). The
 // result pairs are identical to RunSpatialJoin's for every configuration.
 JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "geom/simd_kernels.h"
+#include "storage/buffer_pool.h"
 
 namespace rsj {
 
@@ -88,8 +89,7 @@ MultiwayJoinResult RunChainSpatialJoin(
   MultiwayJoinResult result;
   BufferPool pool(
       BufferPool::Options{options.buffer_bytes,
-                          relations[0].tree->options().page_size,
-                          options.eviction_policy},
+                          relations[0].tree->options().page_size},
       &result.stats);
   // One decode cache over the system buffer: probe phases revisit the same
   // directory pages for every tuple of the frontier, so keeping the

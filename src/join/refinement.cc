@@ -6,6 +6,7 @@
 #include "exec/parallel_executor.h"
 #include "geom/segment.h"
 #include "join/spatial_join.h"
+#include "storage/buffer_pool.h"
 
 namespace rsj {
 

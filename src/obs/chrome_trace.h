@@ -5,10 +5,10 @@
 // (https://ui.perfetto.dev — "Open trace file"). The mapping:
 //
 //   * one Chrome PROCESS per pid — pid 0 is the shared engine/run
-//     (I/O workers, pool workers, governor counters), each query
+//     (I/O spans, pool workers, governor counters), each query
 //     session gets its own pid and therefore its own top-level track;
 //   * one Chrome THREAD per recorder tid, named via metadata events
-//     ("io-worker-0", "pool-worker-2", "driver-q3", ...);
+//     ("pool-worker-2", "driver-q3", "probe-p0-w1", ...);
 //   * 'X' spans carry their modeled-clock range as args
 //     (`modeled_start_us` / `modeled_dur_us`) next to the real
 //     wall-clock ts/dur, plus the span's one payload arg;

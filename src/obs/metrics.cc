@@ -52,7 +52,6 @@ const std::vector<StatisticsCounterDesc>& StatisticsCounters() {
                                         MetricMergeKind::kSum),
       Plain<&Statistics::prefetch_wasted>("prefetch_wasted",
                                           MetricMergeKind::kSum),
-      Plain<&Statistics::io_batches>("io_batches", MetricMergeKind::kSum),
       Plain<&Statistics::modeled_io_micros>("modeled_io_micros",
                                             MetricMergeKind::kSum),
       Comparisons<&Statistics::join_comparisons>("join_comparisons"),
@@ -218,6 +217,9 @@ void SnapshotGovernor(const MemoryGovernor& governor, MetricsRegistry* out) {
                 static_cast<double>(governor.leased_bytes()));
   out->AddCounter("rsj_governor_peak_bytes", governor.peak_bytes(),
                   MetricMergeKind::kMax);
+  out->AddCounter("rsj_governor_overshoots", governor.overshoots());
+  out->AddCounter("rsj_governor_overshoot_peak_bytes",
+                  governor.overshoot_peak_bytes(), MetricMergeKind::kMax);
   for (unsigned c = 0; c < kMemoryCategoryCount; ++c) {
     const auto category = static_cast<MemoryCategory>(c);
     const std::string base =
@@ -238,7 +240,6 @@ void SnapshotTaskPool(const SessionTaskPool& pool, MetricsRegistry* out) {
 }
 
 void SnapshotIo(const IoScheduler& io, MetricsRegistry* out) {
-  out->AddCounter("rsj_io_batches", io.io_batches());
   out->AddCounter("rsj_io_async_reads", io.async_reads());
   out->AddCounter("rsj_io_timed_writes", io.disk_writes());
   const SimulatedDiskArray& disks = io.disks();

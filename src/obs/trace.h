@@ -15,11 +15,11 @@
 //     TraceSpan is a pointer check. The concurrent-queries bench asserts
 //     the <2% overhead budget.
 //   * Emission must be safe from any thread (executor workers, pool
-//     threads, I/O workers, session drivers) without a global hot lock:
-//     each thread gets its own bounded buffer with its own mutex, lazily
-//     registered through a thread-local cache. Spans are coarse (tasks,
-//     batches, phases — not per-rectangle), so a per-thread mutex is
-//     cheap and keeps the structure trivially TSan-clean.
+//     threads, session drivers) without a global hot lock: each thread
+//     gets its own bounded buffer with its own mutex, lazily registered
+//     through a thread-local cache. Spans are coarse (tasks, batches,
+//     phases — not per-rectangle), so a per-thread mutex is cheap and
+//     keeps the structure trivially TSan-clean.
 //   * Overflow must drop, not crash and not grow: a full thread buffer
 //     counts the event into `dropped()` and moves on (drop-newest — the
 //     front of a run is usually the interesting part).
@@ -102,7 +102,7 @@ class TraceRecorder {
   // Wall micros since this recorder's construction (steady clock).
   uint64_t NowWallMicros() const;
 
-  // Names the calling thread's track in the export ("io-worker-0",
+  // Names the calling thread's track in the export ("pool-worker-2",
   // "driver-q3", ...). Last call wins.
   void SetThreadName(const std::string& name);
 

@@ -198,7 +198,7 @@ ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
     ParallelJoinResult shard_run = RunParallelSpatialJoin(
         rt, st, options.join, exec, ctx,
         [&](unsigned w) { return dedup[w].get(); });
-    const uint64_t modeled = ctx.window().Close(&shard_run.total_stats);
+    const uint64_t modeled = ctx.window().Close();
     result.shard_modeled_micros[shard] = modeled;
     result.modeled_elapsed_micros =
         std::max(result.modeled_elapsed_micros, modeled);

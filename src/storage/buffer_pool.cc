@@ -4,24 +4,11 @@
 
 namespace rsj {
 
-const char* EvictionPolicyName(EvictionPolicy policy) {
-  switch (policy) {
-    case EvictionPolicy::kLru:
-      return "LRU";
-    case EvictionPolicy::kFifo:
-      return "FIFO";
-    case EvictionPolicy::kClock:
-      return "CLOCK";
-  }
-  return "?";
-}
-
 BufferPool::BufferPool(const Options& options, Statistics* stats)
     : frame_capacity_(options.page_size == 0
                           ? 0
                           : options.capacity_bytes / options.page_size),
       page_size_(options.page_size),
-      policy_(options.policy),
       stats_(stats) {
   RSJ_CHECK(stats != nullptr);
 }
@@ -47,28 +34,10 @@ bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats) {
     if (it->second.prefetched) {
       ConsumePrefetchedFrame(key, &it->second, stats);
     }
-    switch (policy_) {
-      case EvictionPolicy::kLru:
-        order_.splice(order_.begin(), order_, it->second.position);
-        break;
-      case EvictionPolicy::kFifo:
-        break;  // hits do not refresh FIFO order
-      case EvictionPolicy::kClock:
-        it->second.referenced = true;  // second chance on eviction
-        break;
-    }
+    order_.splice(order_.begin(), order_, it->second.position);
     return true;
   }
-  if (io_ != nullptr && io_->BlockingRead(this, file, id, page_size_, stats)) {
-    // The miss joined an in-flight async read of this pool (prefetched,
-    // evicted, and re-requested before the disk got to it): the physical
-    // read was already charged at prefetch issue, so this request is
-    // served without a new one.
-    ++stats->buffer_hits;
-    ++stats->prefetch_hits;
-    InsertNewest(key, stats);
-    return true;
-  }
+  if (io_ != nullptr) io_->BlockingRead(this, file, id, page_size_, stats);
   ++stats->disk_reads;
   InsertNewest(key, stats);
   return false;
@@ -81,20 +50,12 @@ bool BufferPool::Prefetch(const PagedFile& file, PageId id,
   if (pinned_.contains(key) || frames_.contains(key)) {
     return false;  // resident: duplicate prefetches coalesce
   }
-  bool issued = true;
-  if (io_ != nullptr) {
-    // False when the page already has an outstanding async request (for
-    // example prefetched, evicted, prefetched again before the disk got
-    // to it): re-land the frame but charge no second physical read. The
-    // hinting actor's clock stamps the issue time.
-    issued = io_->SubmitAsync(this, file, id, page_size_, stats);
-  }
-  if (issued) {
-    ++stats->prefetch_issued;
-    ++stats->disk_reads;
-  }
+  // The hinting actor's clock stamps the issue time.
+  if (io_ != nullptr) io_->SubmitAsync(this, file, id, page_size_, stats);
+  ++stats->prefetch_issued;
+  ++stats->disk_reads;
   InsertNewest(key, stats, /*prefetched=*/true);
-  return issued;
+  return true;
 }
 
 void BufferPool::Pin(const PagedFile& file, PageId id, Statistics* stats) {
@@ -113,13 +74,9 @@ void BufferPool::Pin(const PagedFile& file, PageId id, Statistics* stats) {
     }
     order_.erase(frame_it->second.position);
     frames_.erase(frame_it);
-  } else if (io_ != nullptr &&
-             io_->BlockingRead(this, file, id, page_size_, stats)) {
-    // Joined an in-flight async read; no new physical read (see Read()).
-    ++stats->buffer_hits;
-    ++stats->prefetch_hits;
   } else {
     // Not resident: pinning implies reading the page first.
+    if (io_ != nullptr) io_->BlockingRead(this, file, id, page_size_, stats);
     ++stats->disk_reads;
   }
   pinned_.emplace(key, 1u);
@@ -153,35 +110,16 @@ void BufferPool::Clear() {
 }
 
 void BufferPool::EvictOne(Statistics* stats) {
-  // An unconsumed prefetched victim is wasted I/O; the scheduler also
-  // forgets its completion, so a later miss pays a genuine read.
-  const auto drop_prefetched = [&](const PageKey& key) {
-    --prefetched_unconsumed_;
-    ++stats->prefetch_wasted;
-    if (io_ != nullptr) io_->AbandonPrefetched(this, *key.file, key.id);
-  };
-  if (policy_ == EvictionPolicy::kClock) {
-    // Sweep from the oldest end, granting one second chance per bit.
-    while (true) {
-      const PageKey victim = order_.back();
-      auto it = frames_.find(victim);
-      RSJ_DCHECK(it != frames_.end());
-      if (!it->second.referenced) {
-        if (it->second.prefetched) drop_prefetched(victim);
-        order_.pop_back();
-        frames_.erase(it);
-        ++stats->buffer_evictions;
-        return;
-      }
-      it->second.referenced = false;
-      order_.splice(order_.begin(), order_, it->second.position);
-    }
-  }
-  // LRU and FIFO both evict the back of the order list.
   const PageKey victim = order_.back();
   auto it = frames_.find(victim);
   RSJ_DCHECK(it != frames_.end());
-  if (it->second.prefetched) drop_prefetched(victim);
+  if (it->second.prefetched) {
+    // An unconsumed prefetched victim is wasted I/O; the scheduler also
+    // forgets its completion, so a later miss pays a genuine read.
+    --prefetched_unconsumed_;
+    ++stats->prefetch_wasted;
+    if (io_ != nullptr) io_->AbandonPrefetched(this, *victim.file, victim.id);
+  }
   frames_.erase(it);
   order_.pop_back();
   ++stats->buffer_evictions;
@@ -192,7 +130,7 @@ void BufferPool::InsertNewest(const PageKey& key, Statistics* stats,
   if (frame_capacity_ == 0) return;
   while (order_.size() >= frame_capacity_) EvictOne(stats);
   order_.push_front(key);
-  frames_[key] = Frame{order_.begin(), /*referenced=*/false, prefetched};
+  frames_[key] = Frame{order_.begin(), prefetched};
   if (prefetched) ++prefetched_unconsumed_;
 }
 

@@ -8,10 +8,6 @@
 // like it holds the current recursion path). The pool therefore tracks
 // pinned pages outside the frame budget.
 //
-// Besides the paper's LRU policy the pool implements FIFO and CLOCK
-// (second chance) eviction, used by the ablation benchmarks to measure how
-// sensitive the join's I/O behaviour is to the replacement policy.
-//
 // Because the backing `PagedFile`s are in-memory, the pool does not copy
 // page bytes; it is the *accounting* authority: `Read()` returns whether the
 // request was a disk access or a buffer hit and updates `Statistics`.
@@ -19,12 +15,14 @@
 // The pool also implements the non-blocking `Prefetch` entry point of the
 // async I/O subsystem (src/io/): a prefetched page lands as an *evictable*
 // frame marked prefetched (never as a pin), duplicate prefetches of
-// resident or in-flight pages coalesce, and the first consumer touch turns
-// the mark into a `prefetch_hits`. Evicting a marked frame before any
-// consumer touched it counts `prefetch_wasted`. With an `IoScheduler`
-// attached, misses are additionally serviced in modeled disk-array time
-// and prefetches become asynchronous reads whose service time overlaps
-// the consumer's timeline.
+// resident pages coalesce, and the first consumer touch turns the mark
+// into a `prefetch_hits`. Evicting a marked frame before any consumer
+// touched it counts `prefetch_wasted`. With an `IoScheduler` attached,
+// misses are additionally serviced in modeled disk-array time and
+// prefetches become asynchronous reads whose service time overlaps the
+// consumer's timeline. The scheduler keeps an async completion for
+// exactly the pool's resident, unconsumed prefetched frames: consuming,
+// evicting or clearing such a frame drops it, so a miss never finds one.
 //
 // `BufferPool` is single-owner (not thread-safe) and implements the
 // `PageCache` interface; the thread-safe shared variant lives in
@@ -45,20 +43,11 @@ namespace rsj {
 
 class IoScheduler;
 
-enum class EvictionPolicy {
-  kLru,    // least recently used (the paper's buffer)
-  kFifo,   // first in, first out: hits do not refresh recency
-  kClock,  // second chance: hits set a reference bit instead of moving
-};
-
-const char* EvictionPolicyName(EvictionPolicy policy);
-
 class BufferPool : public PageCache {
  public:
   struct Options {
     uint64_t capacity_bytes = 128 * 1024;  // frame budget; 0 disables caching
     uint32_t page_size = kPageSize4K;
-    EvictionPolicy policy = EvictionPolicy::kLru;
   };
 
   // `stats` must outlive the pool; the legacy two-argument calls charge all
@@ -103,20 +92,18 @@ class BufferPool : public PageCache {
   // Frames holding a prefetched page no consumer has touched yet.
   size_t prefetched_unconsumed() const { return prefetched_unconsumed_; }
 
-  EvictionPolicy policy() const { return policy_; }
-
  private:
   struct Frame {
-    std::list<PageKey>::iterator position;  // place in the order list
-    bool referenced = false;                // CLOCK reference bit
+    std::list<PageKey>::iterator position;  // place in the LRU list
     bool prefetched = false;                // landed by Prefetch, untouched
   };
 
-  // Inserts the key as the newest frame, evicting per policy if needed.
+  // Inserts the key as the most recently used frame, evicting the least
+  // recently used ones if needed.
   void InsertNewest(const PageKey& key, Statistics* stats,
                     bool prefetched = false);
 
-  // Frees one frame according to the eviction policy.
+  // Frees the least recently used frame.
   void EvictOne(Statistics* stats);
 
   // Clears a consumed frame's prefetch mark and settles the modeled
@@ -126,13 +113,11 @@ class BufferPool : public PageCache {
 
   size_t frame_capacity_;
   uint32_t page_size_;
-  EvictionPolicy policy_;
   Statistics* stats_;
   IoScheduler* io_ = nullptr;  // optional modeled-time layer
   size_t prefetched_unconsumed_ = 0;
 
-  // Order list: front = newest (LRU: most recently used; FIFO/CLOCK:
-  // most recently inserted). Back is the eviction candidate.
+  // LRU list: front = most recently used, back = the eviction candidate.
   std::list<PageKey> order_;
   std::unordered_map<PageKey, Frame, PageKeyHash> frames_;
 

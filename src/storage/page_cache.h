@@ -57,7 +57,7 @@ class PageCache {
   // Non-blocking read-ahead (src/io/prefetcher.h): when the page is not
   // resident, charges the physical read and lands the page as an
   // *evictable* frame marked prefetched — never as a pin — and returns
-  // true. Resident or already in-flight pages coalesce to a no-op (false).
+  // true. Resident pages coalesce to a no-op (false).
   // With an attached IoScheduler the read is issued asynchronously and the
   // consumer only pays the part of its service time that the prefetch
   // distance did not hide.

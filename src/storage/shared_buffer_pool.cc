@@ -8,8 +8,7 @@ namespace rsj {
 
 SharedBufferPool::SharedBufferPool(const Options& options)
     : frame_capacity_(options.capacity_bytes / std::max<uint32_t>(
-                                                   1, options.page_size)),
-      policy_(options.policy) {
+                                                   1, options.page_size)) {
   // Silently constructing zero-frame shards hides configuration bugs (a
   // forgotten page size turns the pool into a 100%-miss cache); fail fast.
   RSJ_CHECK_MSG(options.page_size != 0, "shared pool needs a page size");
@@ -23,7 +22,7 @@ SharedBufferPool::SharedBufferPool(const Options& options)
     const size_t frames =
         frame_capacity_ / shard_count + (i < frame_capacity_ % shard_count);
     shards_.push_back(std::make_unique<Shard>(BufferPool::Options{
-        frames * options.page_size, options.page_size, options.policy}));
+        frames * options.page_size, options.page_size}));
   }
 }
 

@@ -32,7 +32,6 @@ class SharedBufferPool : public PageCache {
   struct Options {
     uint64_t capacity_bytes = 128 * 1024;  // total frame budget, all shards
     uint32_t page_size = kPageSize4K;
-    EvictionPolicy policy = EvictionPolicy::kLru;
     size_t shard_count = 8;
   };
 
@@ -65,8 +64,6 @@ class SharedBufferPool : public PageCache {
   size_t pinned_pages() const;
   size_t prefetched_unconsumed() const;
 
-  EvictionPolicy policy() const { return policy_; }
-
  private:
   // One independently locked cache unit: a plain BufferPool scoped to the
   // keys that hash into it. The pool's bound Statistics is unused (every
@@ -88,7 +85,6 @@ class SharedBufferPool : public PageCache {
   }
 
   size_t frame_capacity_;
-  EvictionPolicy policy_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -16,7 +16,6 @@ void Statistics::MergeFrom(const Statistics& other) {
   prefetch_issued += other.prefetch_issued;
   prefetch_hits += other.prefetch_hits;
   prefetch_wasted += other.prefetch_wasted;
-  io_batches += other.io_batches;
   modeled_io_micros += other.modeled_io_micros;
   join_comparisons.Add(other.join_comparisons.count());
   sort_comparisons.Add(other.sort_comparisons.count());
@@ -57,7 +56,6 @@ std::string Statistics::ToString() const {
       "prefetch issued:   %llu\n"
       "prefetch hits:     %llu\n"
       "prefetch wasted:   %llu\n"
-      "io batches:        %llu\n"
       "modeled io stall:  %llu us\n"
       "join comparisons:  %llu\n"
       "sort comparisons:  %llu\n"
@@ -87,7 +85,6 @@ std::string Statistics::ToString() const {
       static_cast<unsigned long long>(prefetch_issued),
       static_cast<unsigned long long>(prefetch_hits),
       static_cast<unsigned long long>(prefetch_wasted),
-      static_cast<unsigned long long>(io_batches),
       static_cast<unsigned long long>(modeled_io_micros),
       static_cast<unsigned long long>(join_comparisons.count()),
       static_cast<unsigned long long>(sort_comparisons.count()),

@@ -33,7 +33,6 @@ struct Statistics {
   uint64_t prefetch_issued = 0;    // async read-aheads actually issued
   uint64_t prefetch_hits = 0;      // consumer requests served by a prefetch
   uint64_t prefetch_wasted = 0;    // prefetched frames evicted unconsumed
-  uint64_t io_batches = 0;         // request batches the I/O workers took
   uint64_t modeled_io_micros = 0;  // modeled stall waiting for the disks
 
   // --- CPU (floating point comparisons, the paper's metric) ---

@@ -56,6 +56,28 @@ TEST(MemoryGovernor, LeaseLedger) {
   EXPECT_EQ(gov.leased_bytes(), 0u);
 }
 
+TEST(MemoryGovernor, CountsChargesPastTheBudget) {
+  MemoryGovernor gov(MemoryGovernor::Options{100});
+  EXPECT_TRUE(gov.TryLease(MemoryCategory::kResultChunks, 80));
+  EXPECT_EQ(gov.overshoots(), 0u);
+  gov.Charge(MemoryCategory::kFrontierTuples, 50);
+  EXPECT_EQ(gov.overshoots(), 1u);
+  EXPECT_EQ(gov.overshoot_peak_bytes(), 30u);
+  // A refused lease charges nothing, so it counts nothing.
+  EXPECT_FALSE(gov.TryLease(MemoryCategory::kResultChunks, 10));
+  EXPECT_EQ(gov.overshoots(), 1u);
+  EXPECT_EQ(gov.overshoot_peak_bytes(), 30u);
+  gov.Release(MemoryCategory::kResultChunks, 80);
+  gov.Release(MemoryCategory::kFrontierTuples, 50);
+  EXPECT_EQ(gov.leased_bytes(), 0u);
+
+  MemoryGovernor unlimited;
+  unlimited.Charge(MemoryCategory::kFrontierTuples, 1ull << 40);
+  EXPECT_EQ(unlimited.overshoots(), 0u);
+  EXPECT_EQ(unlimited.overshoot_peak_bytes(), 0u);
+  unlimited.Release(MemoryCategory::kFrontierTuples, 1ull << 40);
+}
+
 TEST(MemoryGovernor, UnlimitedBudgetAlwaysLeases) {
   MemoryGovernor gov(MemoryGovernor::Options{0});
   EXPECT_TRUE(gov.TryLease(MemoryCategory::kResultChunks, 1ull << 40));

@@ -168,7 +168,6 @@ TEST(StatisticsTest, MergeFromAddsEveryCounter) {
   b.prefetch_issued = 29;
   b.prefetch_hits = 31;
   b.prefetch_wasted = 37;
-  b.io_batches = 41;
   b.modeled_io_micros = 43;
   a.frontier_peak_tuples = 50;
   b.frontier_peak_tuples = 47;
@@ -183,7 +182,6 @@ TEST(StatisticsTest, MergeFromAddsEveryCounter) {
   EXPECT_EQ(a.prefetch_issued, 31u);
   EXPECT_EQ(a.prefetch_hits, 31u);
   EXPECT_EQ(a.prefetch_wasted, 37u);
-  EXPECT_EQ(a.io_batches, 41u);
   EXPECT_EQ(a.modeled_io_micros, 43u);
   // High-water mark: merged by max, not summed.
   EXPECT_EQ(a.frontier_peak_tuples, 50u);
@@ -194,9 +192,8 @@ TEST(StatisticsTest, MergeFromAddsEveryCounter) {
 TEST(SharedBufferPoolTest, HitOnSecondReadAndPerCallerAttribution) {
   PagedFile file(kPageSize1K);
   const PageId id = file.Allocate();
-  SharedBufferPool pool(SharedBufferPool::Options{4 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 4});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 4});
   Statistics worker_a;
   Statistics worker_b;
   EXPECT_FALSE(pool.Read(file, id, &worker_a));  // miss, charged to A
@@ -208,9 +205,8 @@ TEST(SharedBufferPoolTest, HitOnSecondReadAndPerCallerAttribution) {
 }
 
 TEST(SharedBufferPoolTest, FrameBudgetSplitsOverShards) {
-  SharedBufferPool pool(SharedBufferPool::Options{10 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 4});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{10 * kPageSize1K, kPageSize1K, 4});
   EXPECT_EQ(pool.frame_capacity(), 10u);
   EXPECT_EQ(pool.shard_count(), 4u);
 }
@@ -221,9 +217,8 @@ TEST(SharedBufferPoolTest, PinnedPageSurvivesEvictionPressure) {
   std::vector<PageId> others;
   for (int i = 0; i < 16; ++i) others.push_back(file.Allocate());
   // One frame in one shard: maximal eviction pressure.
-  SharedBufferPool pool(SharedBufferPool::Options{1 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 1});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{1 * kPageSize1K, kPageSize1K, 1});
   Statistics stats;
   pool.Pin(file, pinned, &stats);
   for (const PageId id : others) pool.Read(file, id, &stats);
@@ -235,8 +230,7 @@ TEST(SharedBufferPoolTest, PinnedPageSurvivesEvictionPressure) {
 TEST(SharedBufferPoolTest, PinsNestAcrossCallers) {
   PagedFile file(kPageSize1K);
   const PageId id = file.Allocate();
-  SharedBufferPool pool(SharedBufferPool::Options{0, kPageSize1K,
-                                                  EvictionPolicy::kLru, 2});
+  SharedBufferPool pool(SharedBufferPool::Options{0, kPageSize1K, 2});
   Statistics a;
   Statistics b;
   pool.Pin(file, id, &a);
@@ -255,9 +249,8 @@ TEST(SharedBufferPoolTest, ConcurrentReadersAccountConsistently) {
   PagedFile file(kPageSize1K);
   std::vector<PageId> pages;
   for (int i = 0; i < 64; ++i) pages.push_back(file.Allocate());
-  SharedBufferPool pool(SharedBufferPool::Options{32 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 8});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{32 * kPageSize1K, kPageSize1K, 8});
   constexpr unsigned kThreads = 4;
   constexpr size_t kReadsPerThread = 20000;
   std::vector<Statistics> stats(kThreads);
@@ -373,9 +366,8 @@ TEST(IoWindowTest, ClosesOwnedAndBorrowedRunsByTheirRules) {
     const uint64_t end = io.ActorClock(&c);
     window.Retire(&c);
 
-    Statistics totals;
     const uint64_t merged = io.NowMicros();
-    const uint64_t elapsed = window.Close(&totals);
+    const uint64_t elapsed = window.Close();
     if (owned) {
       EXPECT_EQ(elapsed, merged - clock_at_open);
       EXPECT_EQ(io.FloorMicros(), merged);
@@ -543,23 +535,6 @@ TEST_F(ParallelExecutorTest, RejectsZeroChunkCapacity) {
   exec.chunk_capacity = 0;
   EXPECT_DEATH(RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec),
                "chunk_capacity >= 1");
-}
-
-TEST_F(ParallelExecutorTest, EvictionPolicyAblationsParallelize) {
-  for (const EvictionPolicy policy :
-       {EvictionPolicy::kFifo, EvictionPolicy::kClock}) {
-    JoinOptions jopt;
-    jopt.algorithm = JoinAlgorithm::kSJ4;
-    jopt.eviction_policy = policy;
-    const auto sequential = RunSpatialJoin(r_->tree(), s_->tree(), jopt, true);
-    ParallelExecutorOptions exec;
-    exec.num_threads = 4;
-    exec.collect_pairs = true;
-    auto parallel = RunParallelSpatialJoin(r_->tree(), s_->tree(), jopt, exec);
-    EXPECT_EQ(testutil::Canonical(parallel.chunks),
-              testutil::Canonical(sequential.chunks))
-        << EvictionPolicyName(policy);
-  }
 }
 
 TEST_F(ParallelExecutorTest, DepthAdaptivePartitioningReportsTelemetry) {

@@ -1,7 +1,8 @@
-// Tests for the simulated disk array and the async I/O scheduler: striping,
-// service-time math, sequential discounts, per-disk queueing, modeled-clock
-// semantics (sync vs async vs CPU overlap), request coalescing, completion
-// waiting, and the end-to-end modeled win of prefetching over >= 2 disks.
+// Tests for the simulated disk array and the I/O scheduler: striping,
+// service-time math, sequential discounts, per-disk queueing in call order,
+// modeled-clock semantics (sync vs async vs CPU overlap), request
+// coalescing, and the end-to-end modeled win of prefetching over >= 2
+// disks.
 
 #include <gtest/gtest.h>
 
@@ -67,18 +68,6 @@ TEST(DiskModelTest, SequentialNextStripeUnitSkipsTheSeek) {
             kRandom1K + 2 * kTransfer1K);
 }
 
-TEST(DiskModelTest, DiscountCanBeDisabled) {
-  DiskModelOptions options;
-  options.disk_count = 1;
-  options.sequential_discount = false;
-  SimulatedDiskArray disks(options);
-  PagedFile file(kPageSize1K);
-  file.Allocate();
-  file.Allocate();
-  EXPECT_EQ(disks.Service(file, 0, kPageSize1K, 0), kRandom1K);
-  EXPECT_EQ(disks.Service(file, 1, kPageSize1K, 0), 2 * kRandom1K);
-}
-
 TEST(DiskModelTest, LateArrivalStartsAtItsIssueTime) {
   SimulatedDiskArray disks(DiskModelOptions{.disk_count = 1});
   PagedFile file(kPageSize1K);
@@ -106,7 +95,6 @@ TEST(IoSchedulerTest, AsyncReadsOverlapAcrossDisks) {
   const PageId b = file.Allocate();  // disk 1
   EXPECT_TRUE(io.SubmitAsync(&io, file, a, kPageSize1K));
   EXPECT_TRUE(io.SubmitAsync(&io, file, b, kPageSize1K));
-  io.Drain();
   EXPECT_EQ(io.NowMicros(), 0u);  // async work does not advance the clock
   Statistics stats;
   io.ConsumePrefetched(&io, file, a, &stats);
@@ -116,8 +104,6 @@ TEST(IoSchedulerTest, AsyncReadsOverlapAcrossDisks) {
   EXPECT_EQ(io.NowMicros(), kRandom1K);
   EXPECT_EQ(stats.modeled_io_micros, kRandom1K);
   EXPECT_EQ(io.async_reads(), 2u);
-  EXPECT_GE(io.io_batches(), 1u);
-  EXPECT_LE(io.io_batches(), 2u);
 }
 
 TEST(IoSchedulerTest, DuplicateSubmitsCoalesce) {
@@ -125,15 +111,13 @@ TEST(IoSchedulerTest, DuplicateSubmitsCoalesce) {
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   EXPECT_TRUE(io.SubmitAsync(&io, file, a, kPageSize1K));
-  EXPECT_FALSE(io.SubmitAsync(&io, file, a, kPageSize1K));  // in flight
-  io.Drain();
   EXPECT_FALSE(io.SubmitAsync(&io, file, a, kPageSize1K));  // unconsumed
   EXPECT_EQ(io.async_reads(), 1u);
   Statistics stats;
   io.ConsumePrefetched(&io, file, a, &stats);
   // Consumed: a new submit is a genuine new read.
   EXPECT_TRUE(io.SubmitAsync(&io, file, a, kPageSize1K));
-  io.Drain();
+  EXPECT_EQ(io.async_reads(), 2u);
 }
 
 TEST(IoSchedulerTest, BlockingReadJoinsInflightAsyncRequest) {
@@ -146,6 +130,22 @@ TEST(IoSchedulerTest, BlockingReadJoinsInflightAsyncRequest) {
   EXPECT_EQ(io.NowMicros(), kRandom1K);
   // The join consumed the completion; the next blocking read services anew.
   EXPECT_FALSE(io.BlockingRead(&io, file, a, kPageSize1K, &stats));
+}
+
+TEST(IoSchedulerTest, SameDiskRequestsServeInCallOrder) {
+  // One actor submits `a` and then misses on `c`, which is not `a`'s next
+  // stripe unit: the disk serves `a` first, so the blocking read queues
+  // behind it and the actor's clock reaches two random reads.
+  IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 1}});
+  PagedFile file(kPageSize1K);
+  const PageId a = file.Allocate();
+  file.Allocate();  // page 1: the stripe unit that would follow `a`
+  const PageId c = file.Allocate();
+  Statistics stats;
+  EXPECT_TRUE(io.SubmitAsync(&io, file, a, kPageSize1K, &stats));
+  EXPECT_FALSE(io.BlockingRead(&io, file, c, kPageSize1K, &stats));
+  EXPECT_EQ(io.ActorClock(&stats),
+            2 * io.disks().RandomReadMicros(kPageSize1K));
 }
 
 TEST(IoSchedulerTest, CpuAdvanceOverlapsWithAsyncService) {
@@ -205,21 +205,16 @@ TEST(IoSchedulerTest, SameActorSerializesItsOwnReads) {
 
 // --- timed write path ------------------------------------------------------
 
-TEST(DiskModelTest, WriteCostsLikeAReadPlusSettle) {
-  DiskModelOptions options;
-  options.disk_count = 1;
-  options.write_settle_micros = 2000;
-  SimulatedDiskArray disks(options);
+TEST(DiskModelTest, WriteCostsLikeARead) {
+  SimulatedDiskArray disks(DiskModelOptions{.disk_count = 1});
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
-  EXPECT_EQ(disks.RandomWriteMicros(kPageSize1K), kRandom1K + 2000);
-  EXPECT_EQ(disks.ServiceWrite(file, a, kPageSize1K, 0), kRandom1K + 2000);
+  EXPECT_EQ(disks.ServiceWrite(file, a, kPageSize1K, 0), kRandom1K);
   EXPECT_EQ(disks.writes_serviced(), 1u);
   EXPECT_EQ(disks.reads_serviced(), 0u);
   // Writes hold the arm like reads: a follow-up read queues behind and
   // rides the sequential discount (same page the arm sits on).
-  EXPECT_EQ(disks.Service(file, a, kPageSize1K, 0),
-            kRandom1K + 2000 + kTransfer1K);
+  EXPECT_EQ(disks.Service(file, a, kPageSize1K, 0), kRandom1K + kTransfer1K);
   EXPECT_EQ(disks.reads_serviced(), 1u);
 }
 
@@ -267,7 +262,6 @@ TEST(IoSchedulerTest, CoalescingIsScopedPerOwner) {
   // ...and a third owner's blocking read services its own request.
   int owner_c = 0;
   EXPECT_FALSE(io.BlockingRead(&owner_c, file, a, kPageSize1K, &stats));
-  io.Drain();
   EXPECT_EQ(io.async_reads(), 2u);
 }
 
@@ -276,7 +270,6 @@ TEST(IoSchedulerTest, AbandonedCompletionIsForgotten) {
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   EXPECT_TRUE(io.SubmitAsync(&io, file, a, kPageSize1K));
-  io.Drain();
   io.AbandonPrefetched(&io, file, a);
   // The stale completion is gone: consuming is a no-op and a new blocking
   // read services (and pays) a genuine read.
@@ -295,28 +288,6 @@ TEST(IoSchedulerTest, ConsumeWithoutOutstandingRequestIsANoop) {
   io.ConsumePrefetched(&io, file, a, &stats);
   EXPECT_EQ(io.NowMicros(), 0u);
   EXPECT_EQ(stats.modeled_io_micros, 0u);
-}
-
-TEST(IoSchedulerTest, DrainWithNothingPendingReturnsImmediately) {
-  IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 4}});
-  io.Drain();
-  EXPECT_EQ(io.io_batches(), 0u);
-}
-
-TEST(IoSchedulerTest, ManyAsyncRequestsAreBatched) {
-  IoScheduler::Options options{.disks = {.disk_count = 2}};
-  options.max_batch = 4;
-  IoScheduler io(options);
-  PagedFile file(kPageSize1K);
-  std::vector<PageId> pages;
-  for (int i = 0; i < 32; ++i) pages.push_back(file.Allocate());
-  for (const PageId id : pages) {
-    EXPECT_TRUE(io.SubmitAsync(&io, file, id, kPageSize1K));
-  }
-  io.Drain();
-  EXPECT_EQ(io.async_reads(), 32u);
-  EXPECT_GE(io.io_batches(), 32u / options.max_batch);
-  EXPECT_LE(io.io_batches(), 32u);
 }
 
 // --- end to end ------------------------------------------------------------

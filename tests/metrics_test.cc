@@ -25,11 +25,11 @@ namespace {
 
 TEST(StatisticsCounters, TableIsCompleteAndUnique) {
   const auto& counters = StatisticsCounters();
-  // Every Statistics counter exactly once: 27 plain volumes, 3 comparison
+  // Every Statistics counter exactly once: 26 plain volumes, 3 comparison
   // counters, 2 high-water marks. A counter added to Statistics without a
   // table row changes this count — update the table, docs/METRICS.md and
   // this expectation together.
-  EXPECT_EQ(counters.size(), 32u);
+  EXPECT_EQ(counters.size(), 31u);
   std::set<std::string> names;
   size_t max_merged = 0;
   for (const StatisticsCounterDesc& desc : counters) {
@@ -199,6 +199,11 @@ TEST(Snapshots, GovernorLedgerLandsAsGaugesAndPeaks) {
   EXPECT_EQ(
       r.CounterValue("rsj_governor_session_reservations_peak_bytes"),
       1024u);
+  // Leases never overshoot; only an unconditional Charge can.
+  EXPECT_TRUE(r.HasCounter("rsj_governor_overshoots"));
+  EXPECT_EQ(r.CounterValue("rsj_governor_overshoots"), 0u);
+  EXPECT_TRUE(r.HasCounter("rsj_governor_overshoot_peak_bytes"));
+  EXPECT_EQ(r.CounterValue("rsj_governor_overshoot_peak_bytes"), 0u);
 }
 
 TEST(Snapshots, TaskPoolCountersLand) {
@@ -217,7 +222,6 @@ TEST(Snapshots, IoUtilizationGaugesLand) {
   IoScheduler io(options);
   MetricsRegistry r;
   SnapshotIo(io, &r);
-  EXPECT_TRUE(r.HasCounter("rsj_io_batches"));
   EXPECT_TRUE(r.HasCounter("rsj_io_disk_busy_micros_total"));
   // An idle scheduler reports zero utilization, not NaN.
   EXPECT_DOUBLE_EQ(r.GaugeValue("rsj_io_disk_utilization"), 0.0);

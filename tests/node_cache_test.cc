@@ -38,9 +38,8 @@ std::vector<PageId> MakeNodePages(PagedFile* file, int count) {
 TEST(NodeCacheTest, DecodesOnceWhilePageStaysResident) {
   PagedFile file(kPageSize1K);
   const auto pages = MakeNodePages(&file, 1);
-  SharedBufferPool pool(SharedBufferPool::Options{4 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 2});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
   NodeCache cache(&pool, NodeCache::Options{16, 2});
   Statistics stats;
 
@@ -69,9 +68,8 @@ TEST(NodeCacheTest, PhysicalReReadForcesReDecode) {
   PagedFile file(kPageSize1K);
   const auto pages = MakeNodePages(&file, 2);
   // One frame in one shard: the two pages evict each other on every read.
-  SharedBufferPool pool(SharedBufferPool::Options{1 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 1});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{1 * kPageSize1K, kPageSize1K, 1});
   NodeCache cache(&pool, NodeCache::Options{16, 1});
   Statistics stats;
   for (int round = 0; round < 3; ++round) {
@@ -88,9 +86,8 @@ TEST(NodeCacheTest, PhysicalReReadForcesReDecode) {
 TEST(NodeCacheTest, CrossThreadReuseAfterCoordinatorWarmup) {
   PagedFile file(kPageSize1K);
   const auto pages = MakeNodePages(&file, 32);
-  SharedBufferPool pool(SharedBufferPool::Options{64 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 8});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{64 * kPageSize1K, kPageSize1K, 8});
   NodeCache cache(&pool, NodeCache::Options{64, 8});
 
   // The "coordinator" decodes every page once.
@@ -128,9 +125,8 @@ TEST(NodeCacheTest, ConcurrentFirstSortBuildsOneSortedForm) {
     stored.entries.push_back(Entry{Rect{xl, 0.0f, xl + 1.0f, 1.0f}, i});
   }
   stored.Store(&file, id);
-  SharedBufferPool pool(SharedBufferPool::Options{4 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 2});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
   NodeCache cache(&pool, NodeCache::Options{16, 2});
 
   Statistics first;
@@ -197,9 +193,8 @@ TEST(NodeCacheTest, ConcurrentFirstSortBuildsOneSortedForm) {
 TEST(NodeCacheTest, EvictionBoundHolds) {
   PagedFile file(kPageSize1K);
   const auto pages = MakeNodePages(&file, 64);
-  SharedBufferPool pool(SharedBufferPool::Options{128 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 4});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{128 * kPageSize1K, kPageSize1K, 4});
   NodeCache cache(&pool, NodeCache::Options{8, 4});
   Statistics stats;
   for (const PageId id : pages) cache.Fetch(file, id, &stats);
@@ -218,9 +213,8 @@ TEST(NodeCacheTest, EvictionBoundHolds) {
 TEST(NodeCacheTest, NodeEvictionTriggersReDecodeDespiteResidentPage) {
   PagedFile file(kPageSize1K);
   const auto pages = MakeNodePages(&file, 4);
-  SharedBufferPool pool(SharedBufferPool::Options{16 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 1});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{16 * kPageSize1K, kPageSize1K, 1});
   // Single shard with room for one decode: fetching page B evicts A's.
   NodeCache cache(&pool, NodeCache::Options{1, 1});
   Statistics stats;
@@ -236,28 +230,25 @@ TEST(NodeCacheTest, NodeEvictionTriggersReDecodeDespiteResidentPage) {
 // --- option guards (shared pool + node cache) ------------------------------
 
 TEST(NodeCacheDeathTest, RejectsZeroShards) {
-  SharedBufferPool pool(SharedBufferPool::Options{4 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 2});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
   EXPECT_DEATH(NodeCache(&pool, NodeCache::Options{16, 0}), "zero-shard");
 }
 
 TEST(NodeCacheDeathTest, RejectsZeroCapacity) {
-  SharedBufferPool pool(SharedBufferPool::Options{4 * kPageSize1K,
-                                                  kPageSize1K,
-                                                  EvictionPolicy::kLru, 2});
+  SharedBufferPool pool(
+      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
   EXPECT_DEATH(NodeCache(&pool, NodeCache::Options{0, 2}), "zero-capacity");
 }
 
 TEST(SharedBufferPoolDeathTest, RejectsZeroPageSize) {
-  EXPECT_DEATH(SharedBufferPool(SharedBufferPool::Options{
-                   128 * 1024, 0, EvictionPolicy::kLru, 4}),
+  EXPECT_DEATH(SharedBufferPool(SharedBufferPool::Options{128 * 1024, 0, 4}),
                "page size");
 }
 
 TEST(SharedBufferPoolDeathTest, RejectsZeroShards) {
   EXPECT_DEATH(SharedBufferPool(SharedBufferPool::Options{
-                   128 * 1024, kPageSize1K, EvictionPolicy::kLru, 0}),
+                   128 * 1024, kPageSize1K, 0}),
                "shard");
 }
 
