@@ -254,13 +254,13 @@ int Main(int argc, char** argv) {
         "JSON {\"experiment\":\"concurrent_queries\",\"scale\":%.3f,"
         "\"mode\":\"%s\",\"query\":\"%s\",\"admission\":\"%s\","
         "\"queue_micros\":%llu,\"algo\":\"%s\","
-        "\"pipelined\":%d,\"spill\":%d,\"prefetch\":%d,"
+        "\"spill\":%d,\"prefetch\":%d,"
         "\"plan\":\"%s\",\"result_count\":%llu,"
         "\"modeled_elapsed_micros\":%llu,%s}\n",
         scale, mode, name.c_str(), admission, queue_micros,
         JoinAlgorithmName(outcome.plan.algorithm),
-        outcome.plan.pipelined ? 1 : 0, outcome.plan.spill ? 1 : 0,
-        outcome.plan.prefetch ? 1 : 0, outcome.plan.Describe().c_str(),
+        outcome.plan.spill ? 1 : 0, outcome.plan.prefetch ? 1 : 0,
+        outcome.plan.Describe().c_str(),
         static_cast<unsigned long long>(outcome.result_count),
         static_cast<unsigned long long>(outcome.modeled_elapsed_micros),
         IoCountersJson(stats).c_str());

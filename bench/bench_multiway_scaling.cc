@@ -1,23 +1,21 @@
-// Parallel multi-way chain join scaling: streaming pipeline vs
-// materialized baseline, with the shared decoded-node cache — the
-// follow-up experiment to bench_parallel_scaling.
+// Parallel multi-way chain join scaling over the shared decoded-node
+// cache — the follow-up experiment to bench_parallel_scaling.
 //
 // Runs the 3-way chain streets ⋈ rivers&railways ⋈ streets (2nd map) on
 // SJ4 (4 KByte pages, 128 KByte shared buffer, shared NodeCache) with
-// 2..8 workers over a simulated 4-disk array, A/B-ing two formulations on
-// the identical workload:
-//   * materialized  — whole frontiers between the phases (baseline),
-//   * pipelined     — streaming chunk pipeline (the default formulation).
-// Reports wall clock, tuple counts, decode counters, aggregate disk
-// reads, the executor's probe telemetry, `frontier_peak_tuples` (the peak
-// live intermediate tuple count) and the modeled elapsed time over the
-// disk array.
+// 2, 4 and 8 workers over a simulated 4-disk array. Each pairwise worker
+// extends its own pairs depth-first through the probe phase
+// (exec/multiway_executor.h). Reports wall clock, tuple counts, decode
+// counters, aggregate disk reads, `frontier_peak_tuples` (the peak live
+// intermediate tuple count) and the modeled elapsed time over the disk
+// array.
 //
 // Each row is also emitted as a JSON line (prefix "JSON ") so the bench
 // trajectory can be scraped by tooling. The process exits non-zero when
-// any tuple count diverges, or when — at scale >= 0.05 — the pipeline's
-// peak frontier is not strictly below the materialized baseline's, so CI
-// smoke runs enforce the streaming-pipeline acceptance criteria.
+// any tuple count diverges from the sequential chain's, or when — at
+// scale >= 0.05 — a run's peak frontier is not strictly below the
+// sequential chain's whole largest frontier, so CI smoke runs enforce the
+// bounded-frontier criterion.
 
 #include <chrono>
 #include <cstdio>
@@ -53,7 +51,7 @@ struct Measured {
 };
 
 Measured Measure(const std::vector<JoinRelation>& chain,
-                 const JoinOptions& jopt, unsigned workers, bool pipelined) {
+                 const JoinOptions& jopt, unsigned workers) {
   // A fresh simulated disk array per run keeps the modeled clocks
   // comparable: modeled elapsed then measures this run alone.
   IoScheduler::Options sopt;
@@ -62,13 +60,11 @@ Measured Measure(const std::vector<JoinRelation>& chain,
   IoScheduler io(sopt);
   ParallelExecutorOptions exec;
   exec.num_threads = workers;
-  exec.pipelined = pipelined;
   exec.io_scheduler = &io;
-  // Small chunks keep the pipeline's structural frontier ceiling —
-  // phases × (channel_bound + 2 × workers) × chunk_capacity — below
-  // every materialized frontier from the CI smoke scale (0.05) upward.
+  // Small chunks keep the per-worker frontier ceiling —
+  // workers × (chunk_capacity + one probe's matches) — below the whole
+  // frontier from the CI smoke scale (0.05) upward.
   exec.chunk_capacity = 8;
-  exec.channel_bound = 2;
   Measured m;
   const auto t0 = Clock::now();
   m.result = RunParallelChainSpatialJoin(chain, jopt, exec);
@@ -76,48 +72,19 @@ Measured Measure(const std::vector<JoinRelation>& chain,
   return m;
 }
 
-uint64_t MaxChunks(const ParallelChainJoinResult& result) {
-  uint64_t max = 0;
-  for (const uint64_t c : result.worker_probe_chunks) {
-    max = std::max(max, c);
-  }
-  return max;
-}
-
-void EmitJson(const char* mode, unsigned workers, const Measured& m,
-              double seq_seconds) {
-  uint64_t chunks = 0;
-  for (const size_t c : m.result.probe_chunk_counts) chunks += c;
-  // The pipelined formulation runs `workers` threads PER STAGE (pairwise
-  // + one team per probe phase), the materialized one `workers` total;
-  // threads_total records the difference so wall-clock rows are read as
-  // the unequal-resource comparison they are. (On a single-core host the
-  // counted metrics and modeled times are the meaningful columns either
-  // way — see ROADMAP.)
-  const unsigned threads_total =
-      m.result.used_pipeline
-          ? workers * (1 + static_cast<unsigned>(
-                               m.result.probe_chunk_counts.size()))
-          : workers;
+void EmitJson(unsigned workers, const Measured& m, double seq_seconds) {
   std::printf(
-      "JSON {\"bench\":\"multiway_scaling\",\"mode\":\"%s\","
-      "\"workers\":%u,\"threads_total\":%u,\"pipelined\":%s,"
+      "JSON {\"bench\":\"multiway_scaling\",\"workers\":%u,"
       "\"tuples\":%llu,\"seconds\":%.6f,"
       "\"speedup\":%.3f,"
       "\"node_decodes\":%llu,\"node_cache_hits\":%llu,"
-      "\"hit_rate\":%.4f,"
-      "\"pair_tasks\":%zu,\"probe_chunks\":%llu,"
-      "\"max_worker_chunks\":%llu,"
+      "\"hit_rate\":%.4f,\"pair_tasks\":%zu,"
       "\"frontier_peak_tuples\":%llu,\"modeled_elapsed_micros\":%llu,%s}\n",
-      mode, workers, threads_total,
-      m.result.used_pipeline ? "true" : "false",
-      static_cast<unsigned long long>(m.result.tuple_count), m.seconds,
-      seq_seconds / std::max(1e-9, m.seconds),
+      workers, static_cast<unsigned long long>(m.result.tuple_count),
+      m.seconds, seq_seconds / std::max(1e-9, m.seconds),
       static_cast<unsigned long long>(m.result.total_stats.node_decodes),
       static_cast<unsigned long long>(m.result.total_stats.node_cache_hits),
       m.result.total_stats.HitRate(), m.result.pairwise_task_count,
-      static_cast<unsigned long long>(chunks),
-      static_cast<unsigned long long>(MaxChunks(m.result)),
       static_cast<unsigned long long>(
           m.result.total_stats.frontier_peak_tuples),
       static_cast<unsigned long long>(m.result.modeled_elapsed_micros),
@@ -128,8 +95,8 @@ int Main(int argc, char** argv) {
   const double scale = ParseScale(argc, argv);
   PrintBanner(
       "Parallel 3-way chain join scaling (SJ4, 4 KByte pages, 128 KByte "
-      "shared buffer, shared NodeCache, 4 simulated disks; streaming "
-      "pipeline vs materialized baseline)",
+      "shared buffer, shared NodeCache, 4 simulated disks; depth-first "
+      "probes in the pairwise workers)",
       "Section 2.1 multi-way joins x Section 6 parallel future work",
       scale);
 
@@ -160,63 +127,46 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   sequential.stats.frontier_peak_tuples));
 
-  PrintRow("workers / mode",
+  const uint64_t whole_frontier = sequential.stats.frontier_peak_tuples;
+  PrintRow("workers",
            {"tuples", "wall (s)", "speedup", "decodes", "disk reads",
             "peak frontier", "modeled (ms)"});
   bool ok = true;
-  // 1 worker falls back to the sequential chain join (which always runs
-  // over its own decode cache), so the A/B starts at 2 workers.
+  // 1 worker falls back to the sequential chain join, so the rows start
+  // at 2 workers.
   for (const unsigned workers : {2u, 4u, 8u}) {
-    const Measured mat = Measure(chain, jopt, workers, /*pipelined=*/false);
-    const Measured piped = Measure(chain, jopt, workers, /*pipelined=*/true);
-    const struct {
-      const char* mode;
-      const Measured* m;
-    } rows[] = {{"materialized", &mat}, {"pipelined", &piped}};
-    for (const auto& row : rows) {
-      char label[32];
-      std::snprintf(label, sizeof(label), "%u / %s", workers, row.mode);
-      PrintRow(
-          label,
-          {Num(row.m->result.tuple_count), Dbl(row.m->seconds, 3),
-           Dbl(seq_seconds / std::max(1e-9, row.m->seconds)),
-           Num(row.m->result.total_stats.node_decodes),
-           Num(row.m->result.total_stats.disk_reads),
-           Num(row.m->result.total_stats.frontier_peak_tuples),
-           Dbl(row.m->result.modeled_elapsed_micros / 1000.0, 1)});
-      EmitJson(row.mode, workers, *row.m, seq_seconds);
-    }
-    if (mat.result.tuple_count != sequential.tuple_count ||
-        piped.result.tuple_count != sequential.tuple_count) {
+    const Measured m = Measure(chain, jopt, workers);
+    const Statistics& stats = m.result.total_stats;
+    PrintRow(std::to_string(workers),
+             {Num(m.result.tuple_count), Dbl(m.seconds, 3),
+              Dbl(seq_seconds / std::max(1e-9, m.seconds)),
+              Num(stats.node_decodes), Num(stats.disk_reads),
+              Num(stats.frontier_peak_tuples),
+              Dbl(m.result.modeled_elapsed_micros / 1000.0, 1)});
+    EmitJson(workers, m, seq_seconds);
+    if (m.result.tuple_count != sequential.tuple_count) {
       std::printf("FAIL: tuple count diverges at %u workers\n", workers);
       ok = false;
     }
-    // The pipeline's reason to exist: bounded frontier memory. Tiny
-    // smoke scales can make whole frontiers smaller than one chunk
-    // window, so the gate arms at the CI smoke scale and above.
-    if (scale >= 0.05 && piped.result.total_stats.frontier_peak_tuples >=
-                             mat.result.total_stats.frontier_peak_tuples) {
+    // Bounded frontier memory. Tiny smoke scales can make the whole
+    // frontier smaller than the workers' staged chunks, so the gate arms
+    // at the CI smoke scale and above.
+    if (scale >= 0.05 && stats.frontier_peak_tuples >= whole_frontier) {
       std::printf(
-          "FAIL: pipelined peak frontier (%llu tuples) is not strictly "
-          "below the materialized baseline (%llu tuples) at %u workers\n",
-          static_cast<unsigned long long>(
-              piped.result.total_stats.frontier_peak_tuples),
-          static_cast<unsigned long long>(
-              mat.result.total_stats.frontier_peak_tuples),
-          workers);
+          "FAIL: peak frontier (%llu tuples) is not strictly below the "
+          "sequential chain's whole frontier (%llu tuples) at %u workers\n",
+          static_cast<unsigned long long>(stats.frontier_peak_tuples),
+          static_cast<unsigned long long>(whole_frontier), workers);
       ok = false;
     }
   }
 
   std::printf(
-      "\nIdentical tuple multisets in every configuration. The pipeline\n"
-      "streams frontier chunks between probe phases through bounded\n"
-      "channels, so its peak frontier stays at O(chunks-in-flight x\n"
-      "chunk size) while the materialized baseline holds whole frontiers;\n"
-      "the shared NodeCache decodes each resident page once system-wide.\n"
-      "Note the pipelined rows run\n"
-      "`workers` threads per stage (see threads_total in the JSON), so\n"
-      "wall-clock columns compare unequal thread budgets.\n");
+      "\nIdentical tuple counts in every configuration. Each worker extends\n"
+      "its staged pairs depth-first, so its peak frontier stays at one\n"
+      "staged chunk plus one probe's matches while the sequential chain\n"
+      "holds the whole frontier; the shared NodeCache decodes each resident\n"
+      "page once system-wide.\n");
   return ok ? 0 : 1;
 }
 

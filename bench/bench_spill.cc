@@ -1,5 +1,5 @@
 // Spill-to-disk result path: bounded-memory collected output vs fully
-// materialized, on the pipelined 3-way chain join — the follow-up
+// materialized, on the parallel 3-way chain join — the follow-up
 // experiment to bench_multiway_scaling.
 //
 // Runs the 3-way self-chain streets ⋈ streets ⋈ streets — the chain
@@ -72,7 +72,6 @@ Measured Measure(const std::vector<JoinRelation>& chain,
   exec.num_threads = workers;
   exec.io_scheduler = &io;
   exec.chunk_capacity = kChunkCapacity;
-  exec.channel_bound = 2;
   exec.spill_results = spill;
   exec.spill_budget_chunks = kSpillBudgetChunks;
   Measured m;
@@ -106,7 +105,7 @@ int Main(int argc, char** argv) {
   PrintBanner(
       "Spill-to-disk result path (SJ4, 4 KByte pages, 128 KByte shared "
       "buffer, 4 simulated disks; bounded-memory spill vs materialized "
-      "collection on the pipelined 3-way street self-chain, plus "
+      "collection on the parallel 3-way street self-chain, plus "
       "streaming refinement)",
       "Section 4.3 I/O treatment x bounded-memory output",
       scale);

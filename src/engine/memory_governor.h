@@ -2,21 +2,21 @@
 //
 // PR 5's `ResidentBudget` bounded one run's resident result chunks; a
 // serving engine needs that discipline ACROSS runs: many concurrent
-// sessions draw result chunks, frontier channels and cache frames from
+// sessions draw result chunks, chain frontiers and cache frames from
 // one machine, so the capacity ledger must be shared. This module
 // generalizes the budget into a two-level scheme:
 //
 //   * `MemoryGovernor` — the run-wide byte ledger. The metered categories
-//     of transient memory (result chunks, frontier tuples in flight,
+//     of transient memory (result chunks, chain frontier tuples,
 //     whole-session reservations, raster signatures, shard-build staging)
 //     lease bytes from one shared budget; the governor tracks live and
 //     peak bytes per category and in total. `TryLease` is
 //     admission-controlled (fails past the budget — the session admission
 //     path); `Charge` is unconditional accounting for quantities something
-//     else already bounds (channel backpressure). Buffer-pool frames and
-//     cached node decodes are not charged: they are bounded by their own
-//     capacities (the pool's bytes, the node cache's node count), and the
-//     `cache_frames` category reads 0.
+//     else already bounds (a chain's chunk capacity). Buffer-pool frames
+//     and cached node decodes are not charged: they are bounded by their
+//     own capacities (the pool's bytes, the node cache's node count), and
+//     the `cache_frames` category reads 0.
 //   * `ResidentBudget` — the per-run admission gauge the spill sinks and
 //     executors already used, now optionally *governed*: every unit it
 //     admits is mirrored as a byte lease in the governor's category
@@ -55,7 +55,7 @@ namespace rsj {
 // result path and a run-away frontier dip into the same pool.
 enum class MemoryCategory : unsigned {
   kResultChunks = 0,         // completed result/tuple chunks held resident
-  kFrontierTuples = 1,       // pipeline frontier tuples in flight
+  kFrontierTuples = 1,       // chain frontier tuples being extended
   kCacheFrames = 2,          // reserved; nothing charges it (see above)
   kSessionReservations = 3,  // whole-session working-set reservations
   kRasterSignatures = 4,     // raster-interval refinement signatures
@@ -88,8 +88,8 @@ class MemoryGovernor {
   // Returns a lease (or discharges an unconditional charge).
   void Release(MemoryCategory category, uint64_t bytes);
 
-  // Unconditional accounting for quantities bounded elsewhere (channel
-  // backpressure, cache capacity): never fails, may push live bytes past
+  // Unconditional accounting for quantities bounded elsewhere (a chain's
+  // chunk capacity, cache capacity): never fails, may push live bytes past
   // the budget. A charge that leaves live bytes above a nonzero budget
   // counts one overshoot (overshoots(), overshoot_peak_bytes()).
   void Charge(MemoryCategory category, uint64_t bytes);

@@ -93,7 +93,6 @@ PlanChoice PlanPairJoin(const RTree& r, const RTree& s,
   PlanChoice plan;
   plan.estimate = EstimateJoinCost(r, s);
   DecideFromEstimate(options, &plan);
-  plan.pipelined = true;  // meaningless for a pairwise join
   // Only an exact-geometry query has refinement to price; MBR-only plans
   // (every serving query) skip it.
   if (exact_geometry) PriceRefinement(options, &plan);
@@ -109,7 +108,6 @@ PlanChoice PlanChainJoin(const std::vector<JoinRelation>& relations,
   // |R_k ⋈ R_{k+1}| for adjacent pairs; dividing by |R_k| gives expected
   // matches per probing object, which scales the running tuple count.
   double tuples = 0.0;
-  double peak = 0.0;
   for (size_t k = 0; k + 1 < relations.size(); ++k) {
     const JoinCostEstimate est =
         EstimateJoinCost(*relations[k].tree, *relations[k + 1].tree);
@@ -123,20 +121,15 @@ PlanChoice PlanChainJoin(const std::vector<JoinRelation>& relations,
           std::max<double>(1.0, relations[k].rects->size());
       tuples *= est.result_pairs / probers;
     }
-    // Every tuple count between phases is a live frontier once.
-    if (k + 2 < relations.size()) peak = std::max(peak, tuples);
   }
   plan.estimate.result_pairs = tuples;
-  plan.peak_intermediate_tuples = peak;
   DecideFromEstimate(options, &plan);
-  plan.pipelined = peak >= options.pipeline_tuple_floor;
   return plan;
 }
 
 void ApplyPlan(const PlanChoice& plan, JoinOptions* join,
                ParallelExecutorOptions* exec) {
   join->algorithm = plan.algorithm;
-  exec->pipelined = plan.pipelined;
   exec->spill_results = plan.spill;
   exec->spill_budget_chunks = plan.spill_budget_chunks;
   exec->prefetch = plan.prefetch;
@@ -147,16 +140,15 @@ void ApplyPlan(const PlanChoice& plan, JoinOptions* join,
 std::string PlanChoice::Describe() const {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "plan{algo=%s pipelined=%d spill=%d budget=%zu prefetch=%d "
+                "plan{algo=%s spill=%d budget=%zu prefetch=%d "
                 "raster=%d raster_cost=%.1f exact_cost=%.1f bits=%u "
                 "est{node_pairs=%.1f page_reads=%.1f sj1_cmp=%.1f "
-                "result=%.1f peak_tuples=%.1f}}",
-                JoinAlgorithmName(algorithm), pipelined ? 1 : 0,
-                spill ? 1 : 0, spill_budget_chunks, prefetch ? 1 : 0,
-                refine_raster ? 1 : 0, raster_cost,
-                exact_cost, raster_grid_bits, estimate.node_pairs,
-                estimate.page_reads, estimate.sj1_comparisons,
-                estimate.result_pairs, peak_intermediate_tuples);
+                "result=%.1f}}",
+                JoinAlgorithmName(algorithm), spill ? 1 : 0,
+                spill_budget_chunks, prefetch ? 1 : 0, refine_raster ? 1 : 0,
+                raster_cost, exact_cost, raster_grid_bits,
+                estimate.node_pairs, estimate.page_reads,
+                estimate.sj1_comparisons, estimate.result_pairs);
   return std::string(buf);
 }
 

@@ -21,10 +21,6 @@
 //                 + pinning (kSJ4); expected page reads past
 //                 `zorder_page_read_floor` additionally switch the read
 //                 schedule to local z-order (kSJ5).
-//   * chains    — the estimated peak intermediate tuple count picks
-//                 pipelined (bounded channels, peak-frontier capped) past
-//                 `pipeline_tuple_floor`, else the materialized
-//                 formulation (no channel machinery for small frontiers).
 //   * spilling  — estimated result cardinality past `spill_pair_floor`
 //                 collects through spilling sinks with
 //                 `spill_budget_chunks` resident chunks; below it,
@@ -81,9 +77,6 @@ struct PlannerOptions {
   // Expected page reads at or above which SJ5's z-order schedule replaces
   // SJ4's sweep-order schedule.
   double zorder_page_read_floor = 20000;
-  // Estimated peak intermediate tuples at or above which a chain runs the
-  // streaming pipeline instead of the materialized formulation.
-  double pipeline_tuple_floor = 20000;
   // Estimated result pairs (or chain tuples) at or above which results
   // collect through spilling sinks.
   double spill_pair_floor = 500000;
@@ -97,7 +90,6 @@ struct PlannerOptions {
 
 struct PlanChoice {
   JoinAlgorithm algorithm = JoinAlgorithm::kSJ4;
-  bool pipelined = true;  // chains only; pairwise joins ignore it
   bool spill = false;
   size_t spill_budget_chunks = 64;
   bool prefetch = false;
@@ -113,8 +105,6 @@ struct PlanChoice {
   // node_pairs/page_reads/sj1_comparisons sum the per-phase pairwise
   // estimates and result_pairs is the estimated FINAL tuple count.
   JoinCostEstimate estimate;
-  // Estimated peak intermediate tuple count of a chain (0 for pairwise).
-  double peak_intermediate_tuples = 0.0;
 
   // One-line audit record: the choice plus the estimates behind it.
   std::string Describe() const;

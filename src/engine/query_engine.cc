@@ -22,18 +22,18 @@ std::string SessionLabel(const QuerySpec& spec, uint64_t query_id) {
 }
 
 // Planner-informed admission estimate: the bytes this session plausibly
-// holds resident at peak, instead of one flat number for every query.
-//   * frontier — the chain pipeline's estimated peak intermediate tuples,
-//   * results  — bounded by the spill budget when spilling was chosen,
-//     else the estimated result cardinality (materialized unbounded);
-//     counting-only queries hold no result pairs at all.
+// holds resident at peak, instead of one flat number for every query. That
+// is its results: bounded by the spill budget when spilling was chosen,
+// else the estimated result cardinality (materialized unbounded);
+// counting-only queries hold no result pairs at all. A chain's frontier
+// is at most session_threads × (chunk_capacity + one probe's matches per
+// phase) tuples, about 26 KB for a 3-way chain at the defaults, which the
+// floor covers.
 // Raster signatures are not modeled: engine queries are MBR-only.
 uint64_t PlannedReserveBytes(const PlanChoice& plan, const QuerySpec& spec,
                              size_t chunk_capacity) {
-  // Model constant: a frontier tuple is a few ids plus chunk overhead.
-  constexpr double kTupleBytes = 16.0;
   constexpr uint64_t kFloorBytes = 64 * 1024;
-  double bytes = plan.peak_intermediate_tuples * kTupleBytes;
+  double bytes = 0.0;
   if (spec.collect) {
     bytes += plan.spill ? static_cast<double>(plan.spill_budget_chunks) *
                               static_cast<double>(chunk_capacity) *

@@ -31,10 +31,9 @@
 // cannot deadlock on an undersized budget.
 //
 // PLANNING: unless the spec opts out, the cost-based planner
-// (engine/planner.h) picks the SJ variant, pipelined-vs-materialized
-// chain formulation, spill budget and prefetch window per query from the
-// analytic estimator; the chosen plan and its estimator inputs are kept
-// in the outcome for audit.
+// (engine/planner.h) picks the SJ variant, spill budget and prefetch
+// window per query from the analytic estimator; the chosen plan and its
+// estimator inputs are kept in the outcome for audit.
 //
 // ISOLATION: every session's Statistics live in its own result structs —
 // per-query counters never bleed (engine_test proves it) — while the
@@ -169,13 +168,12 @@ class QueryEngine {
     // admission-control unit.
     uint64_t session_reserve_bytes = 1 << 20;
     // true: sessions whose spec uses the planner reserve a
-    // planner-informed estimate of their peak resident bytes (pipeline
-    // frontier + result chunks under the spill budget + raster
-    // signatures when that tier is chosen) instead of the flat
-    // session_reserve_bytes — small queries then reserve less, and more
-    // of them fit under a tight memory budget. The plan computed at
-    // submit is reused when the session runs. Planner-opted-out specs
-    // keep the flat reservation.
+    // planner-informed estimate of their peak resident bytes (result
+    // chunks under the spill budget, with a floor that covers a chain's
+    // frontier) instead of the flat session_reserve_bytes — small
+    // queries then reserve less, and more of them fit under a tight
+    // memory budget. The plan computed at submit is reused when the
+    // session runs. Planner-opted-out specs keep the flat reservation.
     bool plan_admission = false;
     // Sessions running at once; later submits queue.
     size_t max_concurrent_sessions = 4;
@@ -188,9 +186,9 @@ class QueryEngine {
     unsigned session_threads = 2;
     // Planner thresholds (see engine/planner.h).
     PlannerOptions planner;
-    // Base executor options for every session: chunk sizing, channel
-    // bound, partition multiplier. The engine sets num_threads and
-    // collect_pairs, and the planner its decisions; the resource fields
+    // Base executor options for every session: chunk sizing, partition
+    // multiplier. The engine sets num_threads and collect_pairs, and the
+    // planner its decisions; the resource fields
     // (io_scheduler, memory_governor, tracer, chunk_arena) are ignored,
     // because each session's context lends the engine's own.
     ParallelExecutorOptions exec_base;

@@ -23,10 +23,10 @@
 //     TaskScheduler::Run's, so executor telemetry is unchanged.
 //
 // The pool never blocks inside a claimed task beyond what fn itself does;
-// a task that stalls (e.g. on channel backpressure) delays only the
-// threads executing it, and the caller-drives-own-run rule keeps every
-// registered run live. Zero pool threads is legal: Run() degrades to the
-// caller executing its whole batch inline.
+// a task that blocks delays only the threads executing it, and the
+// caller-drives-own-run rule keeps every registered run live. Zero pool
+// threads is legal: Run() degrades to the caller executing its whole batch
+// inline.
 
 #ifndef RSJ_ENGINE_TASK_POOL_H_
 #define RSJ_ENGINE_TASK_POOL_H_

@@ -20,17 +20,6 @@ void IoWindow::Retire(const Statistics* actor) {
   retired_end_ = std::max(retired_end_, io_->RetireActor(actor));
 }
 
-void IoWindow::Barrier(std::span<const Statistics* const> next) {
-  if (io_ == nullptr) return;
-  if (owned_) {
-    io_->SynchronizeClocks();
-    return;
-  }
-  // Retiring did not raise the shared floor, so the barrier is modeled
-  // per actor.
-  for (const Statistics* actor : next) io_->AdvanceActorTo(actor, retired_end_);
-}
-
 uint64_t IoWindow::Close() {
   if (io_ == nullptr) return 0;
   if (!owned_) return retired_end_ - floor_at_open_;

@@ -20,8 +20,8 @@
 // run and the sharded join one per shard. A BORROWED context runs one
 // session of a serving engine (engine/query_engine.h) on the engine's
 // pool, cache, scheduler, governor, task pool and tracer; it owns only the
-// session's prefetcher and arena. A chain hands its context to its
-// pairwise phase, so one pool, cache and window span every phase.
+// session's prefetcher and arena. A chain runs its probes inside its
+// pairwise workers, so one pool, cache and window span every phase.
 //
 // The executors never close the window themselves: whoever built the
 // context closes it once, after the run, and reads the run's modeled
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "exec/result_sink.h"
@@ -72,11 +71,6 @@ class IoWindow {
   // and notes where it ended. Every timed write of the actor must be on
   // its clock by now.
   void Retire(const Statistics* actor);
-
-  // A barrier between two phases: `next` (the next phase's actors) start
-  // no earlier than every actor retired so far. Owned: synchronizes the
-  // clocks. Borrowed: raises each actor's clock to that end.
-  void Barrier(std::span<const Statistics* const> next);
 
   // Closes the window and returns the run's modeled elapsed micros.
   // Borrowed: the run has retired every actor it used.

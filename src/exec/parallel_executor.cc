@@ -61,11 +61,12 @@ class RunOutput {
     }
   }
 
-  // The next worker's sink; a spilling sink charges its writes to `stats`.
+  // The next worker's sink; a spilling or caller's sink charges its own
+  // work to `stats`.
   ResultSink* Open(Statistics* stats) {
     const auto w = static_cast<unsigned>(sinks_.size());
     if (caller_) {
-      sinks_.push_back(caller_(w));
+      sinks_.push_back(caller_(w, stats));
     } else {
       if (spill_) {
         owned_.push_back(std::make_unique<SpillingSink>(
@@ -83,8 +84,9 @@ class RunOutput {
     return sinks_.back();
   }
 
-  // A spilling sink's final partial chunk may issue timed writes, which
-  // belong inside the run's modeled window.
+  // A sink's final partial batch may issue timed work (spill writes, a
+  // chain's probes), which belongs on its worker's clock inside the run's
+  // modeled window.
   void Flush() {
     for (ResultSink* sink : sinks_) sink->Flush();
   }

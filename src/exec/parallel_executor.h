@@ -55,8 +55,9 @@ struct ParallelExecutorOptions {
 
   // --- chunked result path (exec/result_sink.h) ---
 
-  // Pairs per result chunk (and, for the multiway pipeline, tuples per
-  // frontier chunk). Must be >= 1.
+  // Pairs per result chunk (and, for a chain join, pairs each worker
+  // stages before extending them, and tuples per final tuple chunk).
+  // Must be >= 1.
   size_t chunk_capacity = 1024;
 
   // Optional external chunk arena: pass one to recycle chunk blocks
@@ -75,28 +76,13 @@ struct ParallelExecutorOptions {
   // O(spill_budget_chunks × chunk_capacity) independent of the result
   // size. Applies to collect_pairs pairwise runs (result lands in
   // ParallelJoinResult::spilled) and to collect_tuples parallel chain
-  // joins — pipelined or materialized, any arity
-  // (ParallelChainJoinResult::spilled_tuples; only the sequential chain
-  // fallback ignores it and collects unbounded). Ignored with a
-  // caller-provided sink factory. The spill file has 4 KiB pages.
+  // joins of any arity (ParallelChainJoinResult::spilled_tuples; only the
+  // sequential chain fallback ignores it and collects unbounded). Ignored
+  // with a caller-provided sink factory. The spill file has 4 KiB pages.
   bool spill_results = false;
 
   // Completed result chunks held resident before spilling starts (>= 1).
   size_t spill_budget_chunks = 64;
-
-  // --- multiway streaming pipeline (exec/multiway_executor.h) ---
-
-  // true: probe phases consume the previous phase's chunks through
-  // bounded channels as they are produced (no inter-phase barrier; peak
-  // frontier memory capped at O(chunks in flight × chunk_capacity)).
-  // false: the materialized formulation — every phase barriers on the
-  // full frontier of its predecessor (the planner's choice for small
-  // frontiers, below PlannerOptions::pipeline_tuple_floor).
-  bool pipelined = true;
-
-  // Chunks buffered per phase boundary before producers block
-  // (backpressure). Must be >= 1.
-  size_t channel_bound = 16;
 
   // --- simulated asynchronous I/O (src/io/) ---
 
@@ -168,18 +154,22 @@ ParallelJoinResult RunParallelSpatialJoin(
     const ParallelExecutorOptions& exec_options);
 
 // Supplies worker `w`'s output sink; the sink is caller-owned and must
-// outlive the run. Used by consumers that process pairs as the join runs:
-// the multiway pipeline pushes them into its first probe phase, the
-// sharded join deduplicates them.
-using SinkFactory = std::function<ResultSink*(unsigned worker)>;
+// outlive the run. `stats` is the worker's Statistics, its actor clock: a
+// sink that does work of its own charges it there. It dies when the run
+// returns, so the sink must be done with it by the end of its Flush().
+// Used by consumers that process pairs as the join runs: the chain join
+// extends them through its probe phases, the sharded join deduplicates
+// them.
+using SinkFactory =
+    std::function<ResultSink*(unsigned worker, Statistics* stats)>;
 
 // Runs R ⋈ S on `ctx`'s resources: one run, or the pairwise phase of a
 // chain on the chain's context. The trees' page size must be the pool's.
 // With `sinks`, results stream into the caller's per-worker sinks
 // (collect_pairs and spill_results are ignored; every sink is flushed
-// before return and pair_count sums the pairs the run added). The run
-// retires its actors into ctx.window() but leaves the window open: the
-// caller closes it and sets modeled_elapsed_micros.
+// before its worker retires, and pair_count sums the pairs the run
+// added). The run retires its actors into ctx.window() but leaves the
+// window open: the caller closes it and sets modeled_elapsed_micros.
 ParallelJoinResult RunParallelSpatialJoin(
     const RTree& r, const RTree& s, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, ExecContext& ctx,

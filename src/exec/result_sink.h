@@ -279,8 +279,10 @@ class ResultSink {
   }
 
   // Pushes any staged pairs through Consume(). Producers call this once at
-  // the end of a run; a sink's totals are only complete after Flush().
-  void Flush() {
+  // the end of a run; a sink's totals are only complete after Flush(). A
+  // sink with work of its own past the last batch (the chain sink seals
+  // its tuple spiller) overrides it and calls this first.
+  virtual void Flush() {
     if (cursor_ != base_) Drain();
   }
 

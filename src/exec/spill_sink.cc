@@ -265,7 +265,10 @@ void TupleSpiller::Seal() {
 
 SpilledTupleSet TupleSpiller::Take() {
   Seal();
-  return std::move(out_);
+  SpilledTupleSet taken = std::move(out_);
+  out_ = SpilledTupleSet{};
+  out_.arity = arity_;
+  return taken;
 }
 
 // --- SpilledTupleSet -------------------------------------------------------

@@ -29,8 +29,9 @@
 //     chunk decoded back (sequential page runs, one chunk resident at a
 //     time), so iteration never rematerializes the result.
 //   * `TupleSpiller` / `SpilledTupleSet` — the same discipline for the
-//     multiway chain join's final tuples (flat `FrontierChunk` blocks
-//     instead of pair chunks).
+//     chain join's final tuples (flat `FrontierChunk` blocks instead of
+//     pair chunks), filled by each worker's chain sink
+//     (exec/multiway_executor.h).
 //
 // Ownership & threading contracts:
 //   * `SpillFile` and `ResidentBudget` are thread-safe and shared by all
@@ -58,7 +59,6 @@
 #include <vector>
 
 #include "engine/memory_governor.h"
-#include "exec/frontier_channel.h"
 #include "exec/result_sink.h"
 #include "obs/trace.h"
 #include "storage/paged_file.h"
@@ -215,9 +215,22 @@ class SpillingSink final : public ChunkedSink {
 
 // --- multiway chain tuples -------------------------------------------------
 
+// A flat block of same-arity tuples: tuple t occupies
+// flat[t*arity, (t+1)*arity). Flat storage keeps a chunk one allocation
+// and its memory footprint exactly proportional to its tuple count.
+struct FrontierChunk {
+  uint32_t arity = 0;
+  std::vector<uint32_t> flat;
+
+  size_t tuple_count() const {
+    return arity == 0 ? 0 : flat.size() / arity;
+  }
+  const uint32_t* tuple(size_t t) const { return flat.data() + t * arity; }
+};
+
 // The spilled form of a chain join's final tuple set: flat arity-N chunks
-// (see exec/frontier_channel.h) that stayed resident plus the refs of the
-// spilled ones. Movable value; shares the spill file.
+// that stayed resident plus the refs of the spilled ones. Movable value;
+// shares the spill file.
 struct SpilledTupleSet {
   uint32_t arity = 0;
   uint64_t tuple_count = 0;
@@ -239,18 +252,20 @@ struct SpilledTupleSet {
 };
 
 // Accumulates same-arity tuples into fixed-capacity flat chunks and
-// admits-or-spills each one as it fills — the final pipeline phase's
-// bounded-memory alternative to a tuple vector. Single-owner.
+// admits-or-spills each one as it fills — a chain sink's bounded-memory
+// alternative to a tuple vector. Single-owner.
 class TupleSpiller {
  public:
   TupleSpiller(uint32_t arity, size_t capacity_tuples, SpillFile* file,
                ResidentBudget* budget, Statistics* stats);
 
-  // Appends prefix ++ [id] — the final probe phase's extended tuple.
+  // Appends prefix ++ [id]: a final tuple, the last probe's extension of
+  // its prefix.
   void Append(const uint32_t* prefix, uint32_t prefix_len, uint32_t id);
 
-  // Admits-or-spills the final partial chunk and moves the spiller's
-  // share out (`file` left unset, as with SpillingSink::TakeResult).
+  // Admits-or-spills the partial chunk and moves the tuples appended
+  // since the last Take out (`file` left unset, as with
+  // SpillingSink::TakeResult); the spiller stays usable.
   SpilledTupleSet Take();
 
  private:

@@ -158,11 +158,6 @@ uint64_t IoScheduler::ActorClock(const void* actor) const {
   return ActorClockLocked(actor);
 }
 
-void IoScheduler::AdvanceActorTo(const void* actor, uint64_t to) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AdvanceActorLocked(actor, to);
-}
-
 uint64_t IoScheduler::RetireActor(const void* actor) {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t clock = ActorClockLocked(actor);

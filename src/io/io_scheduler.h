@@ -182,10 +182,6 @@ class IoScheduler {
   // Current clock of one actor (>= floor); the floor for unknown actors.
   uint64_t ActorClock(const void* actor) const;
 
-  // Raises `actor`'s clock to at least `to` — a modeled barrier: phase
-  // workers start no earlier than their predecessor phase's completion.
-  void AdvanceActorTo(const void* actor, uint64_t to);
-
   // Retires one actor at the end of a borrowed run: erases its clock
   // from the live table (so a later run reusing the freed Statistics
   // address starts fresh) and folds it into the retired-actor peak,

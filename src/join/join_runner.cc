@@ -1,6 +1,6 @@
 #include "join/join_runner.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "exec/exec_context.h"
 #include "io/prefetcher.h"
@@ -17,24 +17,27 @@ RTree BuildRTree(PagedFile* file, std::span<const Rect> rects,
   return tree;
 }
 
-JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
-                                   const JoinOptions& options, IoScheduler* io,
-                                   bool prefetch, size_t prefetch_ahead,
-                                   bool collect_pairs,
-                                   uint64_t* modeled_elapsed_micros) {
-  RSJ_CHECK(io != nullptr);
+namespace {
+
+// The body of both sequential entry points: a private BufferPool of
+// buffer_bytes, reading through `io` when one is given; one engine, which
+// streams its read schedule into a prefetcher over the pool when
+// `prefetch` is given; and a counting or collecting sink.
+JoinRunResult RunOnPrivateBuffer(const RTree& r, const RTree& s,
+                                 const JoinOptions& options, IoScheduler* io,
+                                 std::optional<Prefetcher::Options> prefetch,
+                                 bool collect_pairs) {
   JoinRunResult result;
-  // The run is the scheduler's only user: its window drains and
-  // synchronizes on close, retiring any actor callers left behind too.
-  IoWindow window(io, /*owned=*/true);
   {
     BufferPool pool(
         BufferPool::Options{options.buffer_bytes, r.options().page_size},
         &result.stats);
-    pool.AttachIoScheduler(io);
-    Prefetcher prefetcher(&pool, Prefetcher::Options{prefetch_ahead});
+    if (io != nullptr) pool.AttachIoScheduler(io);
+    std::optional<Prefetcher> prefetcher;
     SpatialJoinEngine engine(r, s, options, &pool, &result.stats);
-    if (prefetch) engine.set_prefetcher(&prefetcher);
+    if (prefetch.has_value()) {
+      engine.set_prefetcher(&prefetcher.emplace(&pool, *prefetch));
+    }
     if (collect_pairs) {
       // A measuring gauge (engine/memory_governor.h) records the resident
       // high-water mark instead of computing it from final counts.
@@ -50,6 +53,25 @@ JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
       result.pair_count = sink.count();
     }
   }
+  return result;
+}
+
+}  // namespace
+
+JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
+                                   const JoinOptions& options, IoScheduler* io,
+                                   bool prefetch, size_t prefetch_ahead,
+                                   bool collect_pairs,
+                                   uint64_t* modeled_elapsed_micros) {
+  RSJ_CHECK(io != nullptr);
+  // The run is the scheduler's only user: its window synchronizes on
+  // close, retiring any actor callers left behind too.
+  IoWindow window(io, /*owned=*/true);
+  JoinRunResult result = RunOnPrivateBuffer(
+      r, s, options, io,
+      prefetch ? std::optional(Prefetcher::Options{prefetch_ahead})
+               : std::nullopt,
+      collect_pairs);
   const uint64_t elapsed = window.Close();
   if (modeled_elapsed_micros != nullptr) *modeled_elapsed_micros = elapsed;
   return result;
@@ -85,26 +107,8 @@ JoinRunResult RunShardedSpatialJoin(std::span<const Rect> r_rects,
 
 JoinRunResult RunSpatialJoin(const RTree& r, const RTree& s,
                              const JoinOptions& options, bool collect_pairs) {
-  JoinRunResult result;
-  BufferPool pool(
-      BufferPool::Options{options.buffer_bytes, r.options().page_size},
-      &result.stats);
-  SpatialJoinEngine engine(r, s, options, &pool, &result.stats);
-  if (collect_pairs) {
-    // A measuring gauge (engine/memory_governor.h) records the resident
-    // high-water mark instead of computing it from final counts.
-    ResidentBudget gauge(ResidentBudget::kUnbounded);
-    MaterializingSink sink(ChunkArena{}, &gauge);
-    engine.Run(&sink);
-    result.chunks = sink.TakeChunks();
-    result.pair_count = sink.count();
-    result.stats.NoteResultChunksResident(gauge.peak());
-  } else {
-    CountingSink sink;
-    engine.Run(&sink);
-    result.pair_count = sink.count();
-  }
-  return result;
+  return RunOnPrivateBuffer(r, s, options, /*io=*/nullptr,
+                            /*prefetch=*/std::nullopt, collect_pairs);
 }
 
 }  // namespace rsj

@@ -197,7 +197,7 @@ ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
     ExecContext ctx(options.join, rt.options().page_size, exec);
     ParallelJoinResult shard_run = RunParallelSpatialJoin(
         rt, st, options.join, exec, ctx,
-        [&](unsigned w) { return dedup[w].get(); });
+        [&](unsigned w, Statistics*) { return dedup[w].get(); });
     const uint64_t modeled = ctx.window().Close();
     result.shard_modeled_micros[shard] = modeled;
     result.modeled_elapsed_micros =

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 namespace rsj {
@@ -71,15 +72,29 @@ bool ValidTreeHeader(const FileHeader& header) {
   return capacity >= 2.0 * min_entries;
 }
 
+// The rectangle of entry `i` of a raw node page, laid out as rtree/node.cc
+// writes it.
+Rect EntryRect(const std::byte* page, uint32_t i) {
+  const std::byte* entry = page + kNodeHeaderBytes + i * kEntryBytes;
+  Rect rect;
+  std::memcpy(&rect.xl, entry + 0, sizeof(Coord));
+  std::memcpy(&rect.yl, entry + 4, sizeof(Coord));
+  std::memcpy(&rect.xu, entry + 8, sizeof(Coord));
+  std::memcpy(&rect.yu, entry + 12, sizeof(Coord));
+  return rect;
+}
+
 // True when the pages hold the tree the header describes. One walk from the
 // root over the raw page bytes, before anything decodes a node, so that a
 // corrupt file loads as an error instead of aborting in Node::Load or
 // reading past the page array in a later join. Rejects a child id at or
 // beyond the page count, a page without the node magic, an entry count
 // above capacity, a level other than the parent's level minus one (the
-// root's is height - 1), a page reached twice, a leaf-entry total other
-// than the header's tree size, and a free-list id that is out of range,
-// listed twice or reachable from the root.
+// root's is height - 1), a page reached twice, an entry rectangle that is
+// inverted or NaN, an entry outside the directory entry that points to its
+// page, a leaf-entry total other than the header's tree size, and a
+// free-list id that is out of range, listed twice or reachable from the
+// root.
 bool ValidTreeStructure(const PagedFile& file, const FileHeader& header,
                         const std::vector<PageId>& free_list) {
   const uint64_t page_count = file.allocated_pages();
@@ -89,8 +104,11 @@ bool ValidTreeStructure(const PagedFile& file, const FileHeader& header,
   struct Pending {
     PageId page;
     int64_t level;
+    Rect bound;  // the directory entry that points to the page
   };
-  std::vector<Pending> stack = {{header.root_page, header.height - 1}};
+  constexpr Coord kInf = std::numeric_limits<Coord>::infinity();
+  std::vector<Pending> stack = {
+      {header.root_page, header.height - 1, Rect{-kInf, -kInf, kInf, kInf}}};
   uint64_t leaf_entries = 0;
   while (!stack.empty()) {
     const Pending at = stack.back();
@@ -105,19 +123,20 @@ bool ValidTreeStructure(const PagedFile& file, const FileHeader& header,
         level != at.level) {
       return false;
     }
-    if (level == 0) {
-      leaf_entries += count;
-      continue;
-    }
     for (uint32_t i = 0; i < count; ++i) {
+      // IsValid is false for NaN coordinates too.
+      const Rect rect = EntryRect(page, i);
+      if (!rect.IsValid() || !at.bound.Contains(rect)) return false;
+      if (level == 0) continue;
       PageId child = 0;
       // The entry's ref (the child page) follows its four coordinates.
       std::memcpy(&child,
                   page + kNodeHeaderBytes + i * kEntryBytes + 4 * sizeof(Coord),
                   sizeof(child));
       if (child >= page_count) return false;
-      stack.push_back(Pending{child, at.level - 1});
+      stack.push_back(Pending{child, at.level - 1, rect});
     }
+    if (level == 0) leaf_entries += count;
   }
   if (leaf_entries != header.tree_size) return false;
   for (const PageId id : free_list) {

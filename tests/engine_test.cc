@@ -241,22 +241,6 @@ TEST_F(PlannerTest, VariantThresholdsCutBothWays) {
   EXPECT_NE(plan.Describe().find("est{"), std::string::npos);
 }
 
-TEST_F(PlannerTest, ChainPicksPipelinedPastTheTupleFloor) {
-  const std::vector<JoinRelation> chain = {
-      {&big_->tree(), big_rects_},
-      {&big_->tree(), big_rects_},
-      {&big_->tree(), big_rects_},
-  };
-  PlannerOptions popt;
-  popt.pipeline_tuple_floor = 1.0;
-  PlanChoice plan = PlanChainJoin(chain, popt);
-  ASSERT_GT(plan.peak_intermediate_tuples, 0.0);
-  EXPECT_TRUE(plan.pipelined);
-  popt.pipeline_tuple_floor = plan.peak_intermediate_tuples * 2;
-  plan = PlanChainJoin(chain, popt);
-  EXPECT_FALSE(plan.pipelined);
-}
-
 TEST_F(PlannerTest, ConcurrentPlannersShareTheTreesProfiles) {
   // Freshly built trees, so four planners race for the first profile walk
   // of each (sessions plan concurrently, and with plan_admission the

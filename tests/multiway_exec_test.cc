@@ -1,19 +1,20 @@
 // Tests for the parallel multi-way chain executor: exact tuple-multiset
 // equivalence with the sequential chain join across chain lengths, thread
-// counts, predicates and both formulations (streaming pipeline vs
-// materialized), the decode savings of the shared
-// node cache, the bounded-channel backpressure, and the pipeline's
-// frontier-memory ceiling (frontier_peak_tuples).
+// counts and predicates, the decode savings of the shared node cache, the
+// per-worker frontier ceiling (frontier_peak_tuples), and that every probe
+// runs on the context's task runner.
 
 #include "exec/multiway_executor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
+#include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "exec/frontier_channel.h"
+#include "exec/exec_context.h"
+#include "obs/trace.h"
+#include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -70,36 +71,45 @@ TEST_F(MultiwayExecTest, MatchesSequentialAcrossThreadsAndPredicates) {
       jopt.epsilon = predicate == JoinPredicate::kWithinDistance ? 0.01 : 0.0;
       auto sequential = RunChainSpatialJoin(chain, jopt, true);
       std::sort(sequential.tuples.begin(), sequential.tuples.end());
-      for (const bool pipelined : {true, false}) {
-        for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-          ParallelExecutorOptions exec;
-          exec.num_threads = threads;
-          exec.pipelined = pipelined;
-          auto parallel =
-              RunParallelChainSpatialJoin(chain, jopt, exec, true);
-          EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
-              << "chain=" << chain_len << " threads=" << threads
-              << " pipelined=" << pipelined << " "
-              << JoinPredicateName(predicate);
-          EXPECT_EQ(parallel.used_pipeline, pipelined && threads > 1);
-          std::sort(parallel.tuples.begin(), parallel.tuples.end());
-          EXPECT_EQ(parallel.tuples, sequential.tuples)
-              << "chain=" << chain_len << " threads=" << threads
-              << " pipelined=" << pipelined << " "
-              << JoinPredicateName(predicate);
-        }
+      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+        ParallelExecutorOptions exec;
+        exec.num_threads = threads;
+        auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
+        EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
+            << "chain=" << chain_len << " threads=" << threads << " "
+            << JoinPredicateName(predicate);
+        std::sort(parallel.tuples.begin(), parallel.tuples.end());
+        EXPECT_EQ(parallel.tuples, sequential.tuples)
+            << "chain=" << chain_len << " threads=" << threads << " "
+            << JoinPredicateName(predicate);
       }
     }
   }
 }
 
-TEST_F(MultiwayExecTest, PipelinePeakFrontierIsBoundedByChunksInFlight) {
-  // Tiny chunks + a tight channel bound force many in-flight handoffs;
-  // the gauge must stay below the structural ceiling
-  //   phases × (channel_bound + 2 × workers) × chunk_capacity
-  // (queued chunks + one in-process chunk per consumer + one partial
-  // chunk per producer) and strictly below the materialized
-  // formulation's whole-frontier peak — on identical tuple multisets.
+// The largest ProbeChainWindow hit count on relation `k` for any rectangle
+// of relation k - 1: the most matches one open probe of phase k holds.
+size_t MaxProbeHits(const std::vector<JoinRelation>& chain, size_t k,
+                    const JoinOptions& jopt) {
+  Statistics stats;
+  BufferPool pool(BufferPool::Options{jopt.buffer_bytes, kPageSize1K},
+                  &stats);
+  size_t most = 0;
+  std::vector<uint32_t> hits;
+  for (const Rect& query : *chain[k - 1].rects) {
+    hits.clear();
+    ProbeChainWindow(*chain[k].tree, &pool, /*nodes=*/nullptr, jopt, query,
+                     &stats, &hits);
+    most = std::max(most, hits.size());
+  }
+  return most;
+}
+
+TEST_F(MultiwayExecTest, ChainFrontierIsBoundedPerWorker) {
+  // Each worker holds one staged chunk plus one probe's matches per phase,
+  // so the gauge stays at or below num_threads × (chunk_capacity + H),
+  // where H sums the largest probe hit count of every phase, and strictly
+  // below the sequential chain's whole largest frontier.
   for (const size_t chain_len : {size_t{3}, size_t{4}}) {
     const auto chain = Chain(chain_len);
     JoinOptions jopt;
@@ -107,81 +117,71 @@ TEST_F(MultiwayExecTest, PipelinePeakFrontierIsBoundedByChunksInFlight) {
     ParallelExecutorOptions exec;
     exec.num_threads = 4;
     exec.chunk_capacity = 8;
-    exec.channel_bound = 2;
-    exec.pipelined = true;
-    auto piped = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-    exec.pipelined = false;
-    auto materialized = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-
-    std::sort(piped.tuples.begin(), piped.tuples.end());
-    std::sort(materialized.tuples.begin(), materialized.tuples.end());
-    EXPECT_EQ(piped.tuples, materialized.tuples) << "chain=" << chain_len;
-
-    const uint64_t phases = chain_len - 2;
-    const uint64_t ceiling =
-        phases * (exec.channel_bound + 2 * exec.num_threads) *
-        exec.chunk_capacity;
-    EXPECT_GT(piped.total_stats.frontier_peak_tuples, 0u)
+    auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
+    const auto sequential = RunChainSpatialJoin(chain, jopt, true);
+    EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
         << "chain=" << chain_len;
-    EXPECT_LE(piped.total_stats.frontier_peak_tuples, ceiling)
-        << "chain=" << chain_len;
-    // The materialized peak is the largest whole frontier — identical to
-    // the sequential accounting — and the pipeline stays strictly below.
-    const auto sequential = RunChainSpatialJoin(chain, jopt, false);
-    EXPECT_EQ(materialized.total_stats.frontier_peak_tuples,
-              sequential.stats.frontier_peak_tuples);
-    EXPECT_LT(piped.total_stats.frontier_peak_tuples,
-              materialized.total_stats.frontier_peak_tuples)
+
+    uint64_t hits = 0;
+    for (size_t k = 2; k < chain_len; ++k) {
+      hits += MaxProbeHits(chain, k, jopt);
+    }
+    const uint64_t ceiling = exec.num_threads * (exec.chunk_capacity + hits);
+    const uint64_t peak = parallel.total_stats.frontier_peak_tuples;
+    EXPECT_GT(peak, 0u) << "chain=" << chain_len;
+    EXPECT_LE(peak, ceiling) << "chain=" << chain_len;
+    EXPECT_LT(peak, sequential.stats.frontier_peak_tuples)
         << "chain=" << chain_len;
   }
 }
 
-TEST(FrontierChannelTest, BoundedPushBlocksUntilASlowConsumerPops) {
-  FrontierChannel channel(/*bound=*/2, /*producers=*/1);
-  auto make_chunk = [](uint32_t v) {
-    FrontierChunk chunk;
-    chunk.arity = 2;
-    chunk.flat = {v, v};
-    return chunk;
-  };
-  channel.Push(make_chunk(0));
-  channel.Push(make_chunk(1));
-  EXPECT_EQ(channel.size(), 2u);
-  // The channel is full: the third push must block until a pop frees a
-  // slot (backpressure under a slow consumer).
-  std::thread producer([&]() {
-    channel.Push(make_chunk(2));
-    channel.RetireProducer();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(channel.chunks_pushed(), 2u);  // still blocked
-  EXPECT_EQ(channel.size(), 2u);
-  FrontierChunk out;
-  ASSERT_TRUE(channel.Pop(&out));
-  EXPECT_EQ(out.flat[0], 0u);  // FIFO
-  producer.join();
-  EXPECT_EQ(channel.chunks_pushed(), 3u);
-  EXPECT_LE(channel.peak_size(), channel.bound());
-  ASSERT_TRUE(channel.Pop(&out));
-  ASSERT_TRUE(channel.Pop(&out));
-  EXPECT_EQ(out.flat[0], 2u);
-  // Drained and the only producer retired: Pop reports closure.
-  EXPECT_FALSE(channel.Pop(&out));
+TEST_F(MultiwayExecTest, ProbesRunOnTheContextsTaskRunner) {
+  // A borrowed context whose runner executes every task inline on the
+  // calling thread: every probe_chunk span must carry this thread's tid,
+  // so no probe ran on a thread of its own.
+  TraceRecorder tracer(TraceOptions{.sample_period = 1});
+  { TraceSpan marker(&tracer, "test", "marker"); }
+  SharedBufferPool pool(SharedBufferPool::Options{128 * 1024, kPageSize1K});
+  NodeCache nodes(&pool, NodeCache::Options{});
+  ExecContext::Borrowed shared;
+  shared.pool = &pool;
+  shared.nodes = &nodes;
+  shared.task_runner =
+      [](unsigned workers, size_t num_tasks,
+         const std::function<void(unsigned, size_t)>& fn) {
+        std::vector<uint64_t> executed(workers, 0);
+        for (size_t t = 0; t < num_tasks; ++t) fn(0, t);
+        executed[0] = num_tasks;
+        return executed;
+      };
+  shared.tracer = &tracer;
+  ParallelExecutorOptions exec;
+  exec.num_threads = 4;
+  ExecContext ctx(shared, exec);
+
+  const auto chain = Chain(4);
+  JoinOptions jopt;
+  jopt.algorithm = JoinAlgorithm::kSJ4;
+  const auto result =
+      RunParallelChainSpatialJoin(chain, jopt, exec, ctx, false);
+  EXPECT_EQ(result.tuple_count, RunChainSpatialJoin(chain, jopt).tuple_count);
+
+  const std::vector<TraceEvent> events = tracer.Snapshot();
+  uint32_t test_tid = 0;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) == "marker") test_tid = e.tid;
+  }
+  ASSERT_NE(test_tid, 0u);
+  size_t probe_chunks = 0;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) != "probe_chunk") continue;
+    ++probe_chunks;
+    EXPECT_EQ(e.tid, test_tid);
+  }
+  EXPECT_GT(probe_chunks, 0u);
 }
 
-TEST(FrontierChannelTest, PopBlocksUntilProducersRetire) {
-  FrontierChannel channel(/*bound=*/4, /*producers=*/2);
-  std::thread consumer([&]() {
-    FrontierChunk out;
-    EXPECT_FALSE(channel.Pop(&out));  // wakes only on full retirement
-  });
-  channel.RetireProducer();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  channel.RetireProducer();
-  consumer.join();
-}
-
-TEST_F(MultiwayExecTest, RejectsZeroChunkCapacityAndChannelBound) {
+TEST_F(MultiwayExecTest, RejectsZeroChunkCapacity) {
   const auto chain = Chain(3);
   JoinOptions jopt;
   ParallelExecutorOptions exec;
@@ -189,28 +189,19 @@ TEST_F(MultiwayExecTest, RejectsZeroChunkCapacityAndChannelBound) {
   exec.chunk_capacity = 0;
   EXPECT_DEATH(RunParallelChainSpatialJoin(chain, jopt, exec),
                "chunk_capacity >= 1");
-  exec.chunk_capacity = 1024;
-  exec.channel_bound = 0;
-  EXPECT_DEATH(RunParallelChainSpatialJoin(chain, jopt, exec),
-               "channel_bound >= 1");
 }
 
 TEST_F(MultiwayExecTest, ZeroPartitionMultiplierStillProbesEveryTuple) {
-  // Regression for the probe-chunk sizing: a zero multiplier used to zero
-  // the target_chunks divisor.
+  // A zero multiplier must not zero the partitioner's task target.
   const auto chain = Chain(3);
   JoinOptions jopt;
   jopt.algorithm = JoinAlgorithm::kSJ4;
   auto sequential = RunChainSpatialJoin(chain, jopt, false);
-  for (const bool pipelined : {true, false}) {
-    ParallelExecutorOptions exec;
-    exec.num_threads = 2;
-    exec.partition_multiplier = 0;
-    exec.pipelined = pipelined;
-    const auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec);
-    EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
-        << "pipelined=" << pipelined;
-  }
+  ParallelExecutorOptions exec;
+  exec.num_threads = 2;
+  exec.partition_multiplier = 0;
+  const auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec);
+  EXPECT_EQ(parallel.tuple_count, sequential.tuple_count);
 }
 
 TEST_F(MultiwayExecTest, ReportsProbeTelemetryAndWorkerStats) {
@@ -221,17 +212,11 @@ TEST_F(MultiwayExecTest, ReportsProbeTelemetryAndWorkerStats) {
   exec.num_threads = 4;
   const auto result = RunParallelChainSpatialJoin(chain, jopt, exec);
   EXPECT_GT(result.pairwise_task_count, 0u);
-  ASSERT_EQ(result.probe_chunk_counts.size(), 2u);  // phases for R3, R4
-  ASSERT_EQ(result.worker_probe_chunks.size(), 4u);
-  uint64_t executed = 0;
-  for (const uint64_t c : result.worker_probe_chunks) executed += c;
-  uint64_t scheduled = 0;
-  for (const size_t c : result.probe_chunk_counts) scheduled += c;
-  EXPECT_EQ(executed, scheduled);
-  // Per-worker counters merge to the total.
+  // Every probe is charged to the worker that staged its pair, so the
+  // per-worker counters merge to the total.
   Statistics merged;
   for (const Statistics& st : result.worker_stats) merged.MergeFrom(st);
-  EXPECT_LE(merged.window_queries, result.total_stats.window_queries);
+  EXPECT_EQ(merged.window_queries, result.total_stats.window_queries);
   EXPECT_GT(result.total_stats.window_queries, 0u);
 }
 
@@ -261,8 +246,6 @@ TEST_F(MultiwayExecTest, EmptyMiddleRelationYieldsNothing) {
   exec.num_threads = 4;
   const auto result = RunParallelChainSpatialJoin(chain, jopt, exec);
   EXPECT_EQ(result.tuple_count, 0u);
-  ASSERT_EQ(result.probe_chunk_counts.size(), 1u);
-  EXPECT_EQ(result.probe_chunk_counts[0], 0u);  // empty frontier, no chunks
 }
 
 TEST_F(MultiwayExecTest, RejectsSingleRelation) {

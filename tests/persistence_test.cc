@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -284,6 +285,15 @@ class PersistenceStructureTest : public PersistenceTest {
     std::memcpy(Page(root()) + ChildOffset(slot), &child, sizeof(child));
   }
   PageId root() const { return tree_->root_page(); }
+  // Coordinate `c` (0: xl, 1: yl, 2: xu, 3: yu) of entry `slot` on `page`.
+  Coord GetCoord(PageId page, uint32_t slot, int c) {
+    Coord value = 0;
+    std::memcpy(&value, Page(page) + CoordOffset(slot, c), sizeof(value));
+    return value;
+  }
+  void SetCoord(PageId page, uint32_t slot, int c, Coord value) {
+    std::memcpy(Page(page) + CoordOffset(slot, c), &value, sizeof(value));
+  }
 
   RTreeOptions options_;
   std::unique_ptr<PagedFile> file_;
@@ -293,6 +303,9 @@ class PersistenceStructureTest : public PersistenceTest {
  private:
   static size_t ChildOffset(uint32_t slot) {
     return kNodeHeaderBytes + slot * kEntryBytes + 16;
+  }
+  static size_t CoordOffset(uint32_t slot, int c) {
+    return kNodeHeaderBytes + slot * kEntryBytes + c * sizeof(Coord);
   }
 };
 
@@ -331,6 +344,40 @@ TEST_F(PersistenceStructureTest, LevelMismatchRejected) {
   ASSERT_TRUE(Loads());
   // A root whose level disagrees with the stored height.
   Page(root())[2] = std::byte{2};
+  EXPECT_FALSE(Loads());
+}
+
+TEST_F(PersistenceStructureTest, EntryOutsideItsParentRejected) {
+  // Move a leaf entry's upper x just past its directory entry's: the
+  // parent no longer covers it, so a join would prune it away.
+  const PageId leaf = Child(0);
+  const Coord parent_xu = GetCoord(root(), 0, 2);
+  const Coord original = GetCoord(leaf, 0, 2);
+  SetCoord(leaf, 0, 2,
+           std::nextafter(parent_xu, std::numeric_limits<Coord>::infinity()));
+  EXPECT_FALSE(Loads());
+  SetCoord(leaf, 0, 2, original);
+  EXPECT_TRUE(Loads());
+}
+
+TEST_F(PersistenceStructureTest, InvalidEntryRectangleRejected) {
+  const PageId leaf = Child(1);
+  const Coord xl = GetCoord(leaf, 0, 0);
+  const Coord xu = GetCoord(leaf, 0, 2);
+  // A NaN coordinate, in a data entry and in a directory entry.
+  SetCoord(leaf, 0, 0, std::numeric_limits<Coord>::quiet_NaN());
+  EXPECT_FALSE(Loads());
+  SetCoord(leaf, 0, 0, xl);
+  ASSERT_TRUE(Loads());
+  const Coord root_yu = GetCoord(root(), 1, 3);
+  SetCoord(root(), 1, 3, std::numeric_limits<Coord>::quiet_NaN());
+  EXPECT_FALSE(Loads());
+  SetCoord(root(), 1, 3, root_yu);
+  ASSERT_TRUE(Loads());
+  // An inverted rectangle: xl > xu, still inside its parent's x range.
+  ASSERT_LT(xl, xu);
+  SetCoord(leaf, 0, 0, xu);
+  SetCoord(leaf, 0, 2, xl);
   EXPECT_FALSE(Loads());
 }
 

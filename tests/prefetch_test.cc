@@ -302,8 +302,7 @@ TEST(PrefetchTest, ParallelJoinWithPrefetchMatchesSequential) {
 }
 
 TEST(PrefetchTest, ParallelChainWithPrefetchMatchesSequential) {
-  // Probe-root hints ride the shared prefetcher in both formulations:
-  // the streaming pipeline and the materialized one.
+  // Probe-root hints ride the shared prefetcher.
   RTreeOptions topt;
   topt.page_size = kPageSize1K;
   std::vector<std::vector<Rect>> rects{
@@ -322,23 +321,17 @@ TEST(PrefetchTest, ParallelChainWithPrefetchMatchesSequential) {
   auto sequential = RunChainSpatialJoin(chain, jopt, true);
   std::sort(sequential.tuples.begin(), sequential.tuples.end());
 
-  for (const bool pipelined : {true, false}) {
-    IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 4}});
-    ParallelExecutorOptions exec;
-    exec.num_threads = 4;
-    exec.pipelined = pipelined;
-    exec.io_scheduler = &io;
-    exec.prefetch = true;
-    auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-    EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
-        << "pipelined=" << pipelined;
-    std::sort(parallel.tuples.begin(), parallel.tuples.end());
-    EXPECT_EQ(parallel.tuples, sequential.tuples) << "pipelined=" << pipelined;
-    EXPECT_GT(parallel.total_stats.prefetch_issued, 0u)
-        << "pipelined=" << pipelined;
-    EXPECT_GT(parallel.modeled_elapsed_micros, 0u)
-        << "pipelined=" << pipelined;
-  }
+  IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 4}});
+  ParallelExecutorOptions exec;
+  exec.num_threads = 4;
+  exec.io_scheduler = &io;
+  exec.prefetch = true;
+  auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
+  EXPECT_EQ(parallel.tuple_count, sequential.tuple_count);
+  std::sort(parallel.tuples.begin(), parallel.tuples.end());
+  EXPECT_EQ(parallel.tuples, sequential.tuples);
+  EXPECT_GT(parallel.total_stats.prefetch_issued, 0u);
+  EXPECT_GT(parallel.modeled_elapsed_micros, 0u);
 }
 
 }  // namespace

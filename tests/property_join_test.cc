@@ -10,9 +10,8 @@
 //   parallel                      (work-stealing executor, 3 threads)
 //   sharded                       (declustered K-shard join, K in 2/4/8)
 //   streaming-refined             (on a seed subset, exact polylines)
-//   chain joins                   (3- and 4-relation chains: sequential,
-//                                  pipelined and materialized parallel,
-//                                  collected or spilled)
+//   chain joins                   (3- and 4-relation chains: sequential
+//                                  and parallel, collected or spilled)
 //
 // and requires the SORTED PAIR (or tuple) MULTISET of every variant to
 // equal the oracle's. Any failure prints the reproducing seed via
@@ -315,24 +314,19 @@ TEST(PropertyJoin, ChainExecutorsMatchBruteForceOracle) {
         RunChainSpatialJoin(chain, join, true);
     EXPECT_EQ(Sorted(sequential.tuples), expected) << "sequential";
 
-    for (const bool pipelined : {true, false}) {
-      for (const bool spill : {false, true}) {
-        ParallelExecutorOptions exec;
-        exec.num_threads = 3;
-        exec.pipelined = pipelined;
-        exec.chunk_capacity = 8;
-        exec.spill_results = spill;
-        exec.spill_budget_chunks = 1 + seed % 2;
-        const ParallelChainJoinResult got =
-            RunParallelChainSpatialJoin(chain, join, exec, true);
-        Statistics read_stats;
-        const Tuples tuples =
-            spill ? got.spilled_tuples.CopyTuples(&read_stats) : got.tuples;
-        EXPECT_EQ(got.tuple_count, expected.size())
-            << "pipelined=" << pipelined << " spill=" << spill;
-        EXPECT_EQ(Sorted(tuples), expected)
-            << "pipelined=" << pipelined << " spill=" << spill;
-      }
+    for (const bool spill : {false, true}) {
+      ParallelExecutorOptions exec;
+      exec.num_threads = 3;
+      exec.chunk_capacity = 8;
+      exec.spill_results = spill;
+      exec.spill_budget_chunks = 1 + seed % 2;
+      const ParallelChainJoinResult got =
+          RunParallelChainSpatialJoin(chain, join, exec, true);
+      Statistics read_stats;
+      const Tuples tuples =
+          spill ? got.spilled_tuples.CopyTuples(&read_stats) : got.tuples;
+      EXPECT_EQ(got.tuple_count, expected.size()) << "spill=" << spill;
+      EXPECT_EQ(Sorted(tuples), expected) << "spill=" << spill;
     }
   }
   // The sweep exercised real chains, not empty frontiers.
