@@ -4,16 +4,18 @@
 // Runs the 3-way chain streets ⋈ rivers&railways ⋈ streets (2nd map) on
 // SJ4 (4 KByte pages, 128 KByte shared buffer, shared NodeCache) with
 // 2, 4 and 8 workers over a simulated 4-disk array. Each pairwise worker
-// extends its own pairs depth-first through the probe phase
-// (exec/multiway_executor.h). Reports wall clock, tuple counts, decode
-// counters, aggregate disk reads, `frontier_peak_tuples` (the peak live
-// intermediate tuple count) and the modeled elapsed time over the disk
-// array.
+// probes its staged chunk of pairs as one batch, in one descent of the
+// probe relation's R*-tree (exec/multiway_executor.h). Reports wall clock,
+// tuple counts, window queries, join comparisons, decode counters,
+// aggregate disk reads, `frontier_peak_tuples` (the peak live intermediate
+// tuple count) and the modeled elapsed time over the disk array.
 //
 // Each row is also emitted as a JSON line (prefix "JSON ") so the bench
 // trajectory can be scraped by tooling. The process exits non-zero when
-// any tuple count diverges from the sequential chain's, or when — at
-// scale >= 0.05 — a run's peak frontier is not strictly below the
+// any tuple count or window-query count diverges from the sequential
+// chain's — every tuple is probed exactly once per phase, so a dropped
+// partial batch or a batch probed twice fails at every scale — or when, at
+// scale >= 0.05, a run's peak frontier is not strictly below the
 // sequential chain's whole largest frontier, so CI smoke runs enforce the
 // bounded-frontier criterion.
 
@@ -61,8 +63,8 @@ Measured Measure(const std::vector<JoinRelation>& chain,
   ParallelExecutorOptions exec;
   exec.num_threads = workers;
   exec.io_scheduler = &io;
-  // Small chunks keep the per-worker frontier ceiling —
-  // workers × (chunk_capacity + one probe's matches) — below the whole
+  // Small chunks keep the frontier ceiling — workers × chunk_capacity for
+  // this 3-way chain, one staged chunk per worker — below the whole
   // frontier from the CI smoke scale (0.05) upward.
   exec.chunk_capacity = 8;
   Measured m;
@@ -77,11 +79,15 @@ void EmitJson(unsigned workers, const Measured& m, double seq_seconds) {
       "JSON {\"bench\":\"multiway_scaling\",\"workers\":%u,"
       "\"tuples\":%llu,\"seconds\":%.6f,"
       "\"speedup\":%.3f,"
+      "\"window_queries\":%llu,\"join_comparisons\":%llu,"
       "\"node_decodes\":%llu,\"node_cache_hits\":%llu,"
       "\"hit_rate\":%.4f,\"pair_tasks\":%zu,"
       "\"frontier_peak_tuples\":%llu,\"modeled_elapsed_micros\":%llu,%s}\n",
       workers, static_cast<unsigned long long>(m.result.tuple_count),
       m.seconds, seq_seconds / std::max(1e-9, m.seconds),
+      static_cast<unsigned long long>(m.result.total_stats.window_queries),
+      static_cast<unsigned long long>(
+          m.result.total_stats.join_comparisons.count()),
       static_cast<unsigned long long>(m.result.total_stats.node_decodes),
       static_cast<unsigned long long>(m.result.total_stats.node_cache_hits),
       m.result.total_stats.HitRate(), m.result.pairwise_task_count,
@@ -95,7 +101,7 @@ int Main(int argc, char** argv) {
   const double scale = ParseScale(argc, argv);
   PrintBanner(
       "Parallel 3-way chain join scaling (SJ4, 4 KByte pages, 128 KByte "
-      "shared buffer, shared NodeCache, 4 simulated disks; depth-first "
+      "shared buffer, shared NodeCache, 4 simulated disks; batched "
       "probes in the pairwise workers)",
       "Section 2.1 multi-way joins x Section 6 parallel future work",
       scale);
@@ -117,10 +123,14 @@ int Main(int argc, char** argv) {
   const auto sequential = RunChainSpatialJoin(chain, jopt);
   const double seq_seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  std::printf("sequential chain: %llu tuples in %.3f s (%llu decodes, "
-              "%llu decode hits, frontier peak %llu tuples)\n",
+  std::printf("sequential chain: %llu tuples in %.3f s (%llu window "
+              "queries, %llu join comparisons, %llu decodes, %llu decode "
+              "hits, frontier peak %llu tuples)\n",
               static_cast<unsigned long long>(sequential.tuple_count),
               seq_seconds,
+              static_cast<unsigned long long>(sequential.stats.window_queries),
+              static_cast<unsigned long long>(
+                  sequential.stats.join_comparisons.count()),
               static_cast<unsigned long long>(sequential.stats.node_decodes),
               static_cast<unsigned long long>(
                   sequential.stats.node_cache_hits),
@@ -129,8 +139,8 @@ int Main(int argc, char** argv) {
 
   const uint64_t whole_frontier = sequential.stats.frontier_peak_tuples;
   PrintRow("workers",
-           {"tuples", "wall (s)", "speedup", "decodes", "disk reads",
-            "peak frontier", "modeled (ms)"});
+           {"tuples", "wall (s)", "speedup", "windows", "join cmp",
+            "decodes", "disk reads", "peak frontier", "modeled (ms)"});
   bool ok = true;
   // 1 worker falls back to the sequential chain join, so the rows start
   // at 2 workers.
@@ -140,12 +150,23 @@ int Main(int argc, char** argv) {
     PrintRow(std::to_string(workers),
              {Num(m.result.tuple_count), Dbl(m.seconds, 3),
               Dbl(seq_seconds / std::max(1e-9, m.seconds)),
+              Num(stats.window_queries), Num(stats.join_comparisons.count()),
               Num(stats.node_decodes), Num(stats.disk_reads),
               Num(stats.frontier_peak_tuples),
               Dbl(m.result.modeled_elapsed_micros / 1000.0, 1)});
     EmitJson(workers, m, seq_seconds);
     if (m.result.tuple_count != sequential.tuple_count) {
       std::printf("FAIL: tuple count diverges at %u workers\n", workers);
+      ok = false;
+    }
+    // Every frontier tuple is probed once per phase, as in the sequential
+    // chain: a dropped partial batch or a double flush shows here.
+    if (stats.window_queries != sequential.stats.window_queries) {
+      std::printf(
+          "FAIL: %llu window queries at %u workers, the sequential chain "
+          "ran %llu\n",
+          static_cast<unsigned long long>(stats.window_queries), workers,
+          static_cast<unsigned long long>(sequential.stats.window_queries));
       ok = false;
     }
     // Bounded frontier memory. Tiny smoke scales can make the whole
@@ -162,9 +183,10 @@ int Main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nIdentical tuple counts in every configuration. Each worker extends\n"
-      "its staged pairs depth-first, so its peak frontier stays at one\n"
-      "staged chunk plus one probe's matches while the sequential chain\n"
+      "\nIdentical tuple and window-query counts in every configuration.\n"
+      "Each worker probes its staged chunk as one batch and emits the final\n"
+      "tuples as the probe finds them, so its peak frontier stays at one\n"
+      "staged chunk, whatever one window hits, while the sequential chain\n"
       "holds the whole frontier; the shared NodeCache decodes each resident\n"
       "page once system-wide.\n");
   return ok ? 0 : 1;

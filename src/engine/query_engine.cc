@@ -26,8 +26,8 @@ std::string SessionLabel(const QuerySpec& spec, uint64_t query_id) {
 // is its results: bounded by the spill budget when spilling was chosen,
 // else the estimated result cardinality (materialized unbounded);
 // counting-only queries hold no result pairs at all. A chain's frontier
-// is at most session_threads × (chunk_capacity + one probe's matches per
-// phase) tuples, about 26 KB for a 3-way chain at the defaults, which the
+// is at most session_threads × (n - 2) × chunk_capacity tuples of an
+// n-relation chain, 24 KB for a 3-way chain at the defaults, which the
 // floor covers.
 // Raster signatures are not modeled: engine queries are MBR-only.
 uint64_t PlannedReserveBytes(const PlanChoice& plan, const QuerySpec& spec,

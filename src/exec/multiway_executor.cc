@@ -18,9 +18,9 @@ namespace rsj {
 namespace {
 
 // High-water mark of live intermediate tuples, summed over the workers: a
-// worker's staged chunk counts while its pairs are being extended, and the
-// matches of each open probe count until every one of them is extended.
-// This is the quantity frontier_peak_tuples reports.
+// worker's staged pairwise chunk and each of its intermediate stages count
+// while their batch is being probed. This is the quantity
+// frontier_peak_tuples reports.
 struct FrontierGauge {
   std::atomic<uint64_t> live{0};
   std::atomic<uint64_t> peak{0};
@@ -52,8 +52,8 @@ struct FrontierGauge {
 };
 
 // Reads `tree`'s root through the chain's decode cache and hints its
-// children into `prefetcher`: every frontier tuple descends from this
-// root, so its children are the phase's shared read frontier. The root
+// children into `prefetcher`: every probe batch descends from this root,
+// so its children are the phase's shared read frontier. The root
 // itself is read synchronously right here to learn them — prefetching it
 // too would only be consumed on the next statement with its full stall.
 void HintProbeRoot(const RTree& tree, NodeCache* nodes,
@@ -143,11 +143,16 @@ struct ChainRun {
 };
 
 // One pairwise worker's sink. It stages chunk_capacity pairs, then extends
-// each staged pair depth-first through every probe phase, on the worker's
-// own thread and charged to the worker's Statistics (its actor clock). So a
-// worker's live frontier is one staged chunk plus one probe's matches per
-// phase. In a 2-relation chain the pairs are the final tuples. Final
-// tuples are counted, collected, or handed to the worker's TupleSpiller.
+// them phase by phase in batches, on the worker's own thread and charged to
+// the worker's Statistics (its actor clock): one ChainProbe run per staged
+// chunk answers every window of phase 2. The last phase emits each final
+// tuple as its probe finds it. In chains of 4 or more relations, an
+// intermediate phase appends each extended tuple to the next phase's stage,
+// which is probed whenever it holds chunk_capacity tuples and once more
+// when the chunk is done. So a worker's live frontier is at most the staged
+// chunk plus one full stage per intermediate phase. In a 2-relation chain
+// the pairs are the final tuples. Final tuples are counted, collected, or
+// handed to the worker's TupleSpiller.
 class ChainSink final : public ResultSink {
  public:
   ChainSink(ChainRun* run, Statistics* stats)
@@ -155,9 +160,12 @@ class ChainSink final : public ResultSink {
         run_(run),
         stats_(stats),
         stage_(new ResultPair[run->chunk_capacity]),
-        tuple_(run->arity),
-        matches_(run->arity - 2) {
+        tuple_(run->arity) {
     SetStage(stage_.get(), run->chunk_capacity);
+    for (uint32_t next = 2; next < run->arity; ++next) {
+      phases_.push_back(std::make_unique<Phase>(
+          *run->relations[next].tree, run->ctx.nodes(), run->options, stats));
+    }
     if (run->spill) {
       spiller_ = std::make_unique<TupleSpiller>(
           run->arity, run->chunk_capacity, run->spill_file.get(),
@@ -186,15 +194,22 @@ class ChainSink final : public ResultSink {
                    /*sampled=*/true);
     const uint64_t modeled_before =
         span.active() && io != nullptr ? io->ActorClock(stats_) : 0;
-    // In a 2-relation chain the pairs are final tuples, not a frontier.
-    const uint64_t frontier = run_->arity > 2 ? batch.size() : 0;
-    run_->gauge.Add(frontier);
-    for (const ResultPair& p : batch) {
-      tuple_[0] = p.r;
-      tuple_[1] = p.s;
-      Extend(2);
+    if (run_->arity == 2) {
+      for (const ResultPair& p : batch) {
+        tuple_[0] = p.r;
+        tuple_[1] = p.s;
+        Emit();
+      }
+    } else {
+      std::vector<uint32_t>& pairs = phases_.front()->stage;
+      for (const ResultPair& p : batch) {
+        pairs.push_back(p.r);
+        pairs.push_back(p.s);
+      }
+      for (uint32_t next = 2; next < run_->arity; ++next) {
+        if (!phases_[next - 2]->stage.empty()) ProbeStage(next);
+      }
     }
-    run_->gauge.Sub(frontier);
     if (span.active()) {
       if (io != nullptr) {
         span.set_modeled_range(modeled_before, io->ActorClock(stats_));
@@ -204,28 +219,53 @@ class ChainSink final : public ResultSink {
   }
 
  private:
-  // Extends the prefix tuple_[0, next): it is a final tuple once whole,
-  // else every match of relation `next` for the window of tuple_[next - 1]
-  // extends it by one.
-  void Extend(uint32_t next) {
-    if (next == run_->arity) {
-      Emit();
-      return;
-    }
+  // Probe phase `next` (2 <= next < arity): the probe of relation `next`
+  // and its stage of tuples of length `next`, back to back.
+  struct Phase {
+    Phase(const RTree& tree, NodeCache* nodes, const JoinOptions& options,
+          Statistics* stats)
+        : probe(tree, nodes, options, stats) {}
+
+    ChainProbe probe;
+    std::vector<uint32_t> stage;
+    std::vector<Rect> windows;  // of the batch being probed
+  };
+
+  // Probes relation `next` with the windows of the last elements of the
+  // tuples staged for it, then empties the stage. Each match extends its
+  // tuple by one: a final tuple is emitted, any other joins the next
+  // phase's stage, which is probed as soon as it is full.
+  void ProbeStage(uint32_t next) {
+    Phase& phase = *phases_[next - 2];
+    const std::vector<uint32_t>& tuples = phase.stage;
+    const size_t count = tuples.size() / next;
     const std::vector<Rect>& prev_rects = *run_->relations[next - 1].rects;
-    const uint32_t last = tuple_[next - 1];
-    RSJ_DCHECK(last < prev_rects.size());
-    std::vector<uint32_t>& matches = matches_[next - 2];
-    matches.clear();
-    ProbeChainWindow(*run_->relations[next].tree, run_->ctx.pool(),
-                     run_->ctx.nodes(), run_->options, prev_rects[last],
-                     stats_, &matches);
-    run_->gauge.Add(matches.size());
-    for (const uint32_t id : matches) {
-      tuple_[next] = id;
-      Extend(next + 1);
+    phase.windows.clear();
+    for (size_t t = 0; t < count; ++t) {
+      const uint32_t last = tuples[t * next + next - 1];
+      RSJ_DCHECK(last < prev_rects.size());
+      phase.windows.push_back(prev_rects[last]);
     }
-    run_->gauge.Sub(matches.size());
+    const bool final_phase = next + 1 == run_->arity;
+    run_->gauge.Add(count);
+    phase.probe.Run(
+        std::span<const Rect>(phase.windows), [&](uint32_t i, uint32_t id) {
+          const uint32_t* prefix = tuples.data() + size_t{i} * next;
+          if (final_phase) {
+            std::copy(prefix, prefix + next, tuple_.begin());
+            tuple_[next] = id;
+            Emit();
+            return;
+          }
+          std::vector<uint32_t>& out = phases_[next - 1]->stage;
+          out.insert(out.end(), prefix, prefix + next);
+          out.push_back(id);
+          if (out.size() == run_->chunk_capacity * (next + 1)) {
+            ProbeStage(next + 1);
+          }
+        });
+    run_->gauge.Sub(count);
+    phase.stage.clear();
   }
 
   void Emit() {
@@ -240,8 +280,8 @@ class ChainSink final : public ResultSink {
   ChainRun* const run_;
   Statistics* const stats_;
   std::unique_ptr<ResultPair[]> stage_;
-  std::vector<uint32_t> tuple_;                 // the tuple being extended
-  std::vector<std::vector<uint32_t>> matches_;  // per probe phase
+  std::vector<std::unique_ptr<Phase>> phases_;  // phases 2..arity-1
+  std::vector<uint32_t> tuple_;                 // the final tuple emitted
   uint64_t final_tuples_ = 0;
   std::vector<std::vector<uint32_t>> tuples_;  // collected, unless spilling
   std::unique_ptr<TupleSpiller> spiller_;

@@ -5,13 +5,19 @@
 //   1. relations 0 ⋈ 1 run on the partitioned pairwise executor
 //      (exec/parallel_executor.h) — depth-adaptive plan, the context's
 //      task runner — with one chain sink per worker,
-//   2. each sink stages chunk_capacity pairs, then extends every staged
-//      pair depth-first through the probe phases 2..n-1 with
-//      ProbeChainWindow, on the worker's own thread and charged to the
-//      worker's Statistics (its actor clock). No phase waits for another
-//      and no thread beyond the task runner's is started; a worker's live
-//      frontier is one staged chunk plus one probe's matches per phase,
-//      whatever the size of the whole frontier, which
+//   2. each sink stages chunk_capacity pairs, then extends the staged
+//      chunk through the probe phases 2..n-1 in batches, on the worker's
+//      own thread and charged to the worker's Statistics (its actor
+//      clock): one ChainProbe (join/multiway_join.h) answers a whole
+//      batch of windows in one descent of the phase's R*-tree. The last
+//      phase emits each final tuple as the probe finds it; an
+//      intermediate phase (chains of 4 or more relations) stages the
+//      tuples it extends for the next phase, which probes that stage
+//      whenever it holds chunk_capacity tuples and once more when the
+//      chunk is done. No phase waits for another worker and no thread
+//      beyond the task runner's is started; a worker's live frontier is
+//      at most (n - 2) × chunk_capacity tuples, whatever the size of the
+//      whole frontier or of one window's matches, which
 //      `Statistics::frontier_peak_tuples` reports per run,
 //   3. final tuples are counted, collected, or spilled through the
 //      worker's TupleSpiller (exec/spill_sink.h); the sink's Flush()
@@ -25,8 +31,9 @@
 // This is the paper's §2.1 remark taken literally: the multi-way join
 // reuses the pairwise join's machinery, and the same thread team and
 // tasks. Tuples are disjoint work units and every frontier tuple is
-// probed exactly once, so the union of the workers' outputs is the
-// sequential chain result as a multiset (the order differs run to run).
+// probed exactly once per phase, so the union of the workers' outputs is
+// the sequential chain result as a multiset (the order differs run to
+// run) and `window_queries` equals the sequential chain's.
 
 #ifndef RSJ_EXEC_MULTIWAY_EXECUTOR_H_
 #define RSJ_EXEC_MULTIWAY_EXECUTOR_H_
@@ -56,9 +63,9 @@ struct ParallelChainJoinResult {
   SpilledTupleSet spilled_tuples;
   // Aggregated counters (coordinators + all workers, all phases).
   // total_stats.frontier_peak_tuples is the run's peak live intermediate
-  // tuple count: the staged pairs plus the open probes' matches, summed
-  // over the workers (the whole largest frontier on the sequential
-  // fallback).
+  // tuple count: the staged pairwise chunks and intermediate stages being
+  // probed, summed over the workers (the whole largest frontier on the
+  // sequential fallback).
   Statistics total_stats;
   // Per-worker counters, one entry per pairwise worker: its share of the
   // pairwise traversal plus every probe it ran.

@@ -1,6 +1,7 @@
 #include "join/multiway_join.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 #include "geom/simd_kernels.h"
@@ -8,70 +9,122 @@
 
 namespace rsj {
 
-void ProbeChainWindow(const RTree& tree, PageCache* pages, NodeCache* nodes,
-                      const JoinOptions& options, const Rect& query,
-                      Statistics* stats, std::vector<uint32_t>* out) {
-  // The probe window carries the predicate expansion, like the engine's
-  // R-side rectangles: a within-distance probe that only tested raw
-  // intersection would drop every match at distance (0, ε].
-  const double expansion =
-      PredicateExpansion(options.predicate, options.epsilon);
-  const Rect window = expansion > 0.0 ? query.Expanded(expansion) : query;
-  ++stats->window_queries;
-  std::vector<PageId> stack{tree.root_page()};
-  std::vector<uint32_t> hits;
-  Node local;
-  RectBlock local_block;  // SoA copy for the no-cache baseline
-  while (!stack.empty()) {
-    const PageId page = stack.back();
-    stack.pop_back();
-    std::shared_ptr<const DecodedNode> cached;
-    const Node* node;
-    const RectBlock* block;
-    if (nodes != nullptr) {
-      cached = nodes->Fetch(tree.file(), page, stats).decoded;
-      node = &cached->node;
-      block = &cached->block;
-    } else {
-      // No-cache baseline: decode into a stack-local node, allocation-free
-      // after the first iterations.
-      pages->Read(tree.file(), page, stats);
-      ++stats->node_decodes;
-      local = Node::Load(tree.file(), page);
-      local_block.AssignEntries(std::span<const Entry>(local.entries), 0.0);
-      node = &local;
-      block = &local_block;
-    }
-    if (node->is_leaf()) {
-      // Exact predicate on data entries; the query rectangle is the R side
-      // of the consecutive pair. Intersection and within-distance run as
-      // batch kernels over the node's (unexpanded) block; the containment
-      // predicates stay scalar.
-      if (options.predicate == JoinPredicate::kIntersects) {
-        CountedOverlapHits(*block, query, OverlapSubject::kQuery,
-                           &stats->join_comparisons, &hits);
-        for (const uint32_t h : hits) out->push_back(node->entries[h].ref);
-      } else if (options.predicate == JoinPredicate::kWithinDistance) {
-        CountedWithinDistanceHits(*block, query, options.epsilon,
-                                  &stats->join_comparisons, &hits);
-        for (const uint32_t h : hits) out->push_back(node->entries[h].ref);
-      } else {
-        for (const Entry& e : node->entries) {
-          if (EvaluatePredicateCounted(options.predicate, options.epsilon,
-                                       query, e.rect,
-                                       &stats->join_comparisons)) {
-            out->push_back(e.ref);
-          }
-        }
+namespace {
+
+// Tuples per probe batch of the sequential chain: the parallel executor's
+// default chunk_capacity, so both run the same batches by default. Probing
+// the whole frontier as one batch would hold a second frontier-sized copy
+// of its windows.
+constexpr size_t kSequentialProbeBatch = 1024;
+
+}  // namespace
+
+ChainProbe::ChainProbe(const RTree& tree, NodeCache* nodes,
+                       const JoinOptions& options, Statistics* stats)
+    : tree_(tree),
+      nodes_(nodes),
+      predicate_(options.predicate),
+      epsilon_(options.epsilon),
+      expansion_(PredicateExpansion(options.predicate, options.epsilon)),
+      stats_(stats) {
+  RSJ_CHECK_MSG(nodes != nullptr, "a chain probe needs a node cache");
+}
+
+ChainProbe::Level& ChainProbe::Scratch(size_t depth) {
+  while (levels_.size() <= depth) {
+    levels_.push_back(std::make_unique<Level>());
+  }
+  return *levels_[depth];
+}
+
+void ChainProbe::RunBatch(std::span<const Rect> queries, Match emit) {
+  stats_->window_queries += queries.size();
+  if (queries.empty()) return;
+  queries_ = queries;
+
+  // One sort by (xl, position) per batch. Growing every window by the same
+  // margin keeps the order, so the root's block is xl-sorted.
+  Level& root = Scratch(0);
+  std::vector<uint32_t>& order = root.query;
+  order.resize(queries.size());
+  std::iota(order.begin(), order.end(), 0u);
+  uint64_t sort_cost = 0;
+  std::sort(order.begin(), order.end(),
+            [&queries, &sort_cost](uint32_t a, uint32_t b) {
+              ++sort_cost;
+              const Coord xa = queries[a].xl;
+              const Coord xb = queries[b].xl;
+              return xa < xb || (xa == xb && a < b);
+            });
+  stats_->sort_comparisons.Add(sort_cost);
+  root.windows.Clear();
+  for (uint32_t rank = 0; rank < order.size(); ++rank) {
+    const Rect& query = queries[order[rank]];
+    root.windows.PushBack(
+        expansion_ > 0.0 ? query.Expanded(expansion_) : query, rank);
+  }
+  Descend(tree_.root_page(), 0, emit);
+  queries_ = {};
+}
+
+void ChainProbe::Descend(PageId page, size_t depth, Match emit) {
+  // The decode stays alive in this frame even if the cache evicts it.
+  const NodeCache::FetchResult fetched =
+      nodes_->Fetch(tree_.file(), page, stats_);
+  const DecodedNode::Sorted& sorted = fetched.decoded->sorted();
+  // §4.2: a page is sorted right after it is read from disk.
+  if (!fetched.page_hit) stats_->sort_comparisons.Add(sorted.sort_cost);
+  const Node& node = *sorted.node;
+
+  Level& level = Scratch(depth);
+  RSJ_DCHECK(IsSortedByLowerXBlock(level.windows));
+  level.pairs.clear();
+  SortedIntersectionTestBlocks(level.windows, *sorted.block,
+                               &stats_->join_comparisons, &level.pairs);
+
+  if (node.is_leaf()) {
+    // The sweep's pairs are the intersection predicate's matches; every
+    // other predicate is tested on the unexpanded window, as the pairwise
+    // engine does at its leaves.
+    for (const auto& [rank, slot] : level.pairs) {
+      const uint32_t i = level.query[rank];
+      const Entry& entry = node.entries[slot];
+      if (predicate_ != JoinPredicate::kIntersects &&
+          !EvaluatePredicateCounted(predicate_, epsilon_, queries_[i],
+                                    entry.rect, &stats_->join_comparisons)) {
+        continue;
       }
-    } else {
-      // Directory descent: one window against the whole block. Ascending
-      // hit order matches the scalar loop's push order, so the DFS visits
-      // pages in the same sequence.
-      CountedOverlapHits(*block, window, OverlapSubject::kBlock,
-                         &stats->join_comparisons, &hits);
-      for (const uint32_t h : hits) stack.push_back(node->entries[h].ref);
+      emit.call(emit.fn, i, entry.ref);
     }
+    return;
+  }
+
+  // Group the windows per child with a counting pass. The sweep emits the
+  // pairs of one entry in ascending window rank, so each group keeps the
+  // windows' xl order.
+  const size_t n = node.entries.size();
+  level.begin.assign(n + 1, 0);
+  for (const auto& pair : level.pairs) ++level.begin[pair.second + 1];
+  for (size_t e = 0; e < n; ++e) level.begin[e + 1] += level.begin[e];
+  level.cursor.assign(level.begin.begin(), level.begin.end() - 1);
+  level.ranks.resize(level.pairs.size());
+  for (const auto& [rank, slot] : level.pairs) {
+    level.ranks[level.cursor[slot]++] = rank;
+  }
+
+  Level& child = Scratch(depth + 1);
+  for (uint32_t e = 0; e < n; ++e) {
+    const uint32_t first = level.begin[e];
+    const uint32_t last = level.begin[e + 1];
+    if (first == last) continue;
+    child.windows.Clear();
+    child.query.clear();
+    for (uint32_t k = first; k < last; ++k) {
+      const uint32_t rank = level.ranks[k];
+      child.windows.PushBack(level.windows.RectAt(rank), k - first);
+      child.query.push_back(level.query[rank]);
+    }
+    Descend(node.entries[e].ref, depth + 1, emit);
   }
 }
 
@@ -91,9 +144,9 @@ MultiwayJoinResult RunChainSpatialJoin(
       BufferPool::Options{options.buffer_bytes,
                           relations[0].tree->options().page_size},
       &result.stats);
-  // One decode cache over the system buffer: probe phases revisit the same
-  // directory pages for every tuple of the frontier, so keeping the
-  // decodes hot removes almost all repeated decoding.
+  // One decode cache over the system buffer: every probe batch revisits
+  // the same directory pages, so keeping the decodes hot removes almost
+  // all repeated decoding.
   NodeCache node_cache(&pool, NodeCache::Options{});
 
   // Phase 1: pairwise join of the first two relations.
@@ -107,28 +160,36 @@ MultiwayJoinResult RunChainSpatialJoin(
     engine.Run(&sink);
   }
 
-  // Phase 2..n-1: extend every partial tuple by window-probing the next
-  // relation with the rectangle of the tuple's last element.
+  // Phase 2..n-1: extend every partial tuple by every match of the next
+  // relation for the window of the tuple's last element, one batch of
+  // windows at a time.
+  std::vector<Rect> windows;
+  windows.reserve(kSequentialProbeBatch);
   for (size_t next = 2; next < relations.size(); ++next) {
-    const JoinRelation& rel = relations[next];
     const std::vector<Rect>& prev_rects = *relations[next - 1].rects;
     // Every frontier entering a probe phase is live intermediate state;
     // the materialized formulation's peak is the largest of them (the
-    // number the streaming pipeline exists to beat).
+    // number the parallel executor's bounded stages are measured against).
     result.stats.frontier_peak_tuples = std::max<uint64_t>(
         result.stats.frontier_peak_tuples, frontier.size());
+    ChainProbe probe(*relations[next].tree, &node_cache, options,
+                     &result.stats);
     std::vector<std::vector<uint32_t>> extended;
-    std::vector<uint32_t> matches;
-    for (const std::vector<uint32_t>& tuple : frontier) {
-      matches.clear();
-      RSJ_DCHECK(tuple.back() < prev_rects.size());
-      ProbeChainWindow(*rel.tree, &pool, &node_cache, options,
-                       prev_rects[tuple.back()], &result.stats, &matches);
-      for (const uint32_t id : matches) {
-        std::vector<uint32_t> longer = tuple;
-        longer.push_back(id);
-        extended.push_back(std::move(longer));
+    for (size_t first = 0; first < frontier.size();
+         first += kSequentialProbeBatch) {
+      const size_t last =
+          std::min(frontier.size(), first + kSequentialProbeBatch);
+      windows.clear();
+      for (size_t t = first; t < last; ++t) {
+        RSJ_DCHECK(frontier[t].back() < prev_rects.size());
+        windows.push_back(prev_rects[frontier[t].back()]);
       }
+      probe.Run(std::span<const Rect>(windows),
+                [&](uint32_t i, uint32_t id) {
+                  std::vector<uint32_t> longer = frontier[first + i];
+                  longer.push_back(id);
+                  extended.push_back(std::move(longer));
+                });
     }
     frontier = std::move(extended);
   }

@@ -37,7 +37,7 @@ const NodeAccessor::CachedNode& NodeAccessor::FetchCached(PageId id) {
     cached.shared = nodes_->Fetch(tree_.file(), id, stats_).decoded;
     if (sort_on_read_) {
       const DecodedNode::Sorted& sorted = cached.shared->sorted();
-      cached.view = NodeView{&sorted.node, &sorted.block};
+      cached.view = NodeView{sorted.node, sorted.block};
       cached.first_sort_cost = sorted.sort_cost;
     } else {
       cached.view = NodeView{&cached.shared->node, &cached.shared->block};

@@ -1,5 +1,7 @@
 #include "storage/node_cache.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "geom/comparison_counter.h"
 
@@ -23,10 +25,22 @@ uint64_t InsertionSortByLowerX(std::vector<Entry>* entries) {
 
 const DecodedNode::Sorted& DecodedNode::sorted() const {
   std::call_once(sorted_once_, [this] {
-    sorted_.node = node;
-    sorted_.sort_cost = InsertionSortByLowerX(&sorted_.node.entries);
-    sorted_.block.AssignEntries(std::span<const Entry>(sorted_.node.entries),
-                                0.0);
+    const std::vector<Entry>& entries = node.entries;
+    const auto by_xl = [](const Entry& a, const Entry& b) {
+      return a.rect.xl < b.rect.xl;
+    };
+    if (std::is_sorted(entries.begin(), entries.end(), by_xl)) {
+      // The sort would move nothing and charge one comparison per entry
+      // after the first.
+      sorted_ = Sorted{&node, &block,
+                       entries.empty() ? 0 : entries.size() - 1};
+      return;
+    }
+    copy_ = std::make_unique<SortedCopy>(SortedCopy{node, RectBlock{}});
+    const uint64_t cost = InsertionSortByLowerX(&copy_->node.entries);
+    copy_->block.AssignEntries(std::span<const Entry>(copy_->node.entries),
+                               0.0);
+    sorted_ = Sorted{&copy_->node, &copy_->block, cost};
   });
   return sorted_;
 }

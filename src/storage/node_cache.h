@@ -13,12 +13,14 @@
 // `shared_ptr<const DecodedNode>` — the node plus its SoA RectBlock, built
 // once per decode.
 //
-// The sweep algorithms read a node's entries sorted by lower x (§4.2: a
-// page is sorted "immediately after it is read from disk"). A decode
-// carries that sorted form too, built at most once, on the first sweep
-// reader's request, so every worker of every query borrows one sort
-// instead of copying and sorting the node itself. Readers that never ask
-// for it (chain probes, the partitioner) never build it.
+// The sweep algorithms and the chain probes read a node's entries sorted
+// by lower x (§4.2: a page is sorted "immediately after it is read from
+// disk"). A decode carries that sorted form too, built at most once, on the
+// first reader's request, so every worker of every query borrows one sort
+// instead of copying and sorting the node itself. A page already in xl
+// order — R*-insertion keeps leaves so — shares the decode as its sorted
+// form; only an unordered page gets a sorted copy. Readers that never ask
+// for it (the partitioner) never build it.
 //
 // A cached decode is only valid while the page is buffer-resident: `Fetch`
 // always issues the page request first (so I/O counters are untouched by
@@ -26,8 +28,9 @@
 // page, exactly as a real system would have to. Counter attribution follows
 // the PageCache contract: every call charges the requesting actor's
 // Statistics, via the `node_decodes` and `node_cache_hits` counters. The
-// sort's comparisons are charged by the reader (join/node_accessor.h), from
-// the count the sorted form memoizes.
+// sort's comparisons are charged by the reader (join/node_accessor.h, the
+// chain probe in join/multiway_join.h), from the count the sorted form
+// memoizes.
 //
 // Returned nodes are immutable and shared; the cache bounds how many
 // decodes it keeps (`capacity_nodes`), not their bytes.
@@ -61,10 +64,13 @@ uint64_t InsertionSortByLowerX(std::vector<Entry>* entries);
 // gets the vector-friendly layout for free.
 struct DecodedNode {
   // The node's entries in xl order, as InsertionSortByLowerX leaves them,
-  // their SoA block (no expansion), and the sort's comparison count.
+  // their SoA block (no expansion), and the sort's comparison count. When
+  // the page is already in xl order, `node` and `block` point at the
+  // decode's own and `sort_cost` is the n - 1 comparisons the insertion
+  // sort charges on ordered input; otherwise they point at a sorted copy.
   struct Sorted {
-    Node node;
-    RectBlock block;
+    const Node* node = nullptr;
+    const RectBlock* block = nullptr;
     uint64_t sort_cost = 0;
   };
 
@@ -80,8 +86,14 @@ struct DecodedNode {
   const Sorted& sorted() const;
 
  private:
+  struct SortedCopy {
+    Node node;
+    RectBlock block;
+  };
+
   mutable std::once_flag sorted_once_;
   mutable Sorted sorted_;
+  mutable std::unique_ptr<SortedCopy> copy_;  // pages out of xl order only
 };
 
 class NodeCache {

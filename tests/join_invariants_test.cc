@@ -17,6 +17,7 @@
 #include "geom/simd_kernels.h"
 #include "io/io_scheduler.h"
 #include "join/join_runner.h"
+#include "join/multiway_join.h"
 #include "join/refinement.h"
 #include "storage/buffer_pool.h"
 #include "storage/node_cache.h"
@@ -709,6 +710,110 @@ TEST_F(JoinCounterPinTest, ExecutorPathsMatchRecordedRuns) {
             << actual;
         EXPECT_EQ(run.modeled_micros, want.modeled_micros) << actual;
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Chain pin.
+//
+// The sequential chain join's counters on a fixed four-relation fixture
+// (RandomRects seeds 1601, 1602, 1604 and 1605, 1 KiB pages, a 16 KiB
+// buffer; the first two are the pairwise pin's R and S, so the first
+// phase's pairs are its rows' output): a 3-chain and a 4-chain with
+// intersects and a 3-chain within ε = 0.01. Each row
+// holds the tuples, window_queries, join and sort comparisons, disk_reads
+// and node_decodes. The run is single-threaded and every kernel charges
+// the same counts in both modes, so one row serves both. The rows were
+// recorded on x86-64 when the probe phases became batched ChainProbe
+// descents; a change to the probe that means to move these counters
+// updates the rows and says so.
+
+struct PinnedChain {
+  const char* name;
+  uint64_t tuples;
+  uint64_t window_queries;
+  uint64_t join_comparisons;
+  uint64_t sort_comparisons;
+  uint64_t disk_reads;
+  uint64_t node_decodes;
+};
+
+constexpr PinnedChain kPinnedChains[] = {
+    {"3_chain/intersects", 4670, 3460, 311335, 49869, 293, 286},
+    {"4_chain/intersects", 5374, 8130, 514081, 108196, 409, 402},
+    {"3_chain/within-distance", 55369, 12979, 1625728, 163792, 314, 306},
+};
+
+std::string ChainRow(const std::string& name, const MultiwayJoinResult& run) {
+  char row[256];
+  std::snprintf(row, sizeof(row),
+                "{\"%s\", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                ", %" PRIu64 ", %" PRIu64 "},",
+                name.c_str(), run.tuple_count, run.stats.window_queries,
+                run.stats.join_comparisons.count(),
+                run.stats.sort_comparisons.count(), run.stats.disk_reads,
+                run.stats.node_decodes);
+  return row;
+}
+
+class ChainCounterPinTest : public JoinCounterPinTest {};
+
+TEST_F(ChainCounterPinTest, SequentialChainMatchesRecordedRuns) {
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const std::vector<std::vector<Rect>> rects = {
+      testutil::RandomRects(3000, 1601, 0.02),
+      testutil::RandomRects(2800, 1602, 0.02),
+      testutil::RandomRects(2600, 1604, 0.02),
+      testutil::RandomRects(2400, 1605, 0.02),
+  };
+  std::vector<std::unique_ptr<IndexedRelation>> relations;
+  for (const std::vector<Rect>& r : rects) {
+    relations.push_back(std::make_unique<IndexedRelation>(r, topt));
+  }
+  const auto chain = [&](size_t n) {
+    std::vector<JoinRelation> out;
+    for (size_t i = 0; i < n; ++i) {
+      out.push_back({&relations[i]->tree(), &rects[i]});
+    }
+    return out;
+  };
+  struct Case {
+    size_t length;
+    JoinPredicate predicate;
+    double epsilon;
+  };
+  const std::map<std::string, Case> cases = {
+      {"3_chain/intersects", {3, JoinPredicate::kIntersects, 0.0}},
+      {"4_chain/intersects", {4, JoinPredicate::kIntersects, 0.0}},
+      {"3_chain/within-distance", {3, JoinPredicate::kWithinDistance, 0.01}},
+  };
+  ASSERT_EQ(cases.size(), std::size(kPinnedChains)) << "stale recorded rows";
+
+  for (const PinnedChain& want : kPinnedChains) {
+    const auto it = cases.find(want.name);
+    ASSERT_NE(it, cases.end()) << want.name;
+    JoinOptions jopt;
+    jopt.algorithm = JoinAlgorithm::kSJ4;
+    jopt.predicate = it->second.predicate;
+    jopt.epsilon = it->second.epsilon;
+    jopt.buffer_bytes = 16 * 1024;
+    for (const GeomKernelMode mode :
+         {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
+      SetGeomKernelMode(mode);
+      const MultiwayJoinResult run =
+          RunChainSpatialJoin(chain(it->second.length), jopt);
+      const std::string actual = std::string(GeomKernelModeName(mode)) +
+                                 " " + ChainRow(want.name, run);
+      EXPECT_EQ(run.tuple_count, want.tuples) << actual;
+      EXPECT_EQ(run.stats.window_queries, want.window_queries) << actual;
+      EXPECT_EQ(run.stats.join_comparisons.count(), want.join_comparisons)
+          << actual;
+      EXPECT_EQ(run.stats.sort_comparisons.count(), want.sort_comparisons)
+          << actual;
+      EXPECT_EQ(run.stats.disk_reads, want.disk_reads) << actual;
+      EXPECT_EQ(run.stats.node_decodes, want.node_decodes) << actual;
     }
   }
 }

@@ -8,13 +8,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "exec/exec_context.h"
 #include "obs/trace.h"
-#include "storage/buffer_pool.h"
+#include "storage/shared_buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -87,29 +88,11 @@ TEST_F(MultiwayExecTest, MatchesSequentialAcrossThreadsAndPredicates) {
   }
 }
 
-// The largest ProbeChainWindow hit count on relation `k` for any rectangle
-// of relation k - 1: the most matches one open probe of phase k holds.
-size_t MaxProbeHits(const std::vector<JoinRelation>& chain, size_t k,
-                    const JoinOptions& jopt) {
-  Statistics stats;
-  BufferPool pool(BufferPool::Options{jopt.buffer_bytes, kPageSize1K},
-                  &stats);
-  size_t most = 0;
-  std::vector<uint32_t> hits;
-  for (const Rect& query : *chain[k - 1].rects) {
-    hits.clear();
-    ProbeChainWindow(*chain[k].tree, &pool, /*nodes=*/nullptr, jopt, query,
-                     &stats, &hits);
-    most = std::max(most, hits.size());
-  }
-  return most;
-}
-
 TEST_F(MultiwayExecTest, ChainFrontierIsBoundedPerWorker) {
-  // Each worker holds one staged chunk plus one probe's matches per phase,
-  // so the gauge stays at or below num_threads × (chunk_capacity + H),
-  // where H sums the largest probe hit count of every phase, and strictly
-  // below the sequential chain's whole largest frontier.
+  // Each worker holds its staged pairwise chunk plus at most one full
+  // stage per intermediate phase, so the gauge stays at or below
+  // num_threads × (chain_len - 2) × chunk_capacity, whatever one window
+  // hits, and strictly below the sequential chain's whole largest frontier.
   for (const size_t chain_len : {size_t{3}, size_t{4}}) {
     const auto chain = Chain(chain_len);
     JoinOptions jopt;
@@ -122,16 +105,54 @@ TEST_F(MultiwayExecTest, ChainFrontierIsBoundedPerWorker) {
     EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
         << "chain=" << chain_len;
 
-    uint64_t hits = 0;
-    for (size_t k = 2; k < chain_len; ++k) {
-      hits += MaxProbeHits(chain, k, jopt);
-    }
-    const uint64_t ceiling = exec.num_threads * (exec.chunk_capacity + hits);
+    const uint64_t ceiling =
+        exec.num_threads * (chain_len - 2) * exec.chunk_capacity;
     const uint64_t peak = parallel.total_stats.frontier_peak_tuples;
     EXPECT_GT(peak, 0u) << "chain=" << chain_len;
     EXPECT_LE(peak, ceiling) << "chain=" << chain_len;
     EXPECT_LT(peak, sequential.stats.frontier_peak_tuples)
         << "chain=" << chain_len;
+  }
+}
+
+TEST(MultiwayExecDenseTest, FullIntermediateStagesAreProbedAndBounded) {
+  // A 4-chain dense enough that an intermediate stage fills many times per
+  // staged chunk: each full stage is probed at once, so the tuples and the
+  // window queries equal the sequential chain's and the gauge stays within
+  // num_threads × 2 × chunk_capacity.
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const std::vector<std::vector<Rect>> rects = {
+      testutil::RandomRects(3000, 1601, 0.02),
+      testutil::RandomRects(2800, 1602, 0.02),
+      testutil::RandomRects(2600, 1604, 0.02),
+      testutil::RandomRects(2400, 1605, 0.02),
+  };
+  std::vector<std::unique_ptr<IndexedRelation>> relations;
+  std::vector<JoinRelation> chain;
+  for (const std::vector<Rect>& r : rects) {
+    relations.push_back(std::make_unique<IndexedRelation>(r, topt));
+    chain.push_back({&relations.back()->tree(), &r});
+  }
+  JoinOptions jopt;
+  jopt.algorithm = JoinAlgorithm::kSJ4;
+  auto sequential = RunChainSpatialJoin(chain, jopt, true);
+  std::sort(sequential.tuples.begin(), sequential.tuples.end());
+  ASSERT_GT(sequential.tuple_count, 16 * 8u);
+  for (const unsigned threads : {2u, 4u}) {
+    ParallelExecutorOptions exec;
+    exec.num_threads = threads;
+    exec.chunk_capacity = 8;
+    auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
+    std::sort(parallel.tuples.begin(), parallel.tuples.end());
+    EXPECT_EQ(parallel.tuples, sequential.tuples) << "threads=" << threads;
+    EXPECT_EQ(parallel.total_stats.window_queries,
+              sequential.stats.window_queries)
+        << "threads=" << threads;
+    const uint64_t peak = parallel.total_stats.frontier_peak_tuples;
+    EXPECT_GT(peak, 0u) << "threads=" << threads;
+    EXPECT_LE(peak, threads * 2 * exec.chunk_capacity)
+        << "threads=" << threads;
   }
 }
 

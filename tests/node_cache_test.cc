@@ -1,6 +1,7 @@
 // Tests for the shared decoded-node cache: hit/decode accounting tied to
-// page residency, cross-thread reuse, the once-built sorted form, the
-// eviction bound, and the option guards of both concurrent caches.
+// page residency, cross-thread reuse, the once-built sorted form (the
+// decode itself when the page is in xl order), the eviction bound, and
+// the option guards of both concurrent caches.
 
 #include "storage/node_cache.h"
 
@@ -148,7 +149,7 @@ TEST(NodeCacheTest, ConcurrentFirstSortBuildsOneSortedForm) {
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
       seen[t] = &mine->sorted();
-      blocks[t] = &mine->sorted().block;
+      blocks[t] = mine->sorted().block;
     });
   }
   for (auto& t : threads) t.join();
@@ -169,12 +170,12 @@ TEST(NodeCacheTest, ConcurrentFirstSortBuildsOneSortedForm) {
                      return a.rect.xl < b.rect.xl;
                    });
   ASSERT_NE(expected, page_order) << "the page must need sorting";
-  EXPECT_EQ(sorted.node.entries, expected);
-  EXPECT_EQ(sorted.node.level, decoded->node.level);
-  ASSERT_EQ(sorted.block.size(), expected.size());
+  EXPECT_EQ(sorted.node->entries, expected);
+  EXPECT_EQ(sorted.node->level, decoded->node.level);
+  ASSERT_EQ(sorted.block->size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(sorted.block.RectAt(i), expected[i].rect);
-    EXPECT_EQ(sorted.block.index_at(i), i);
+    EXPECT_EQ(sorted.block->RectAt(i), expected[i].rect);
+    EXPECT_EQ(sorted.block->index_at(i), i);
   }
   std::vector<Entry> resorted = page_order;
   EXPECT_EQ(sorted.sort_cost, InsertionSortByLowerX(&resorted));
@@ -188,6 +189,51 @@ TEST(NodeCacheTest, ConcurrentFirstSortBuildsOneSortedForm) {
     EXPECT_EQ(decoded->block.RectAt(i), page_block.RectAt(i));
     EXPECT_EQ(decoded->block.index_at(i), page_block.index_at(i));
   }
+}
+
+TEST(NodeCacheTest, OrderedPageSharesItsDecode) {
+  // A leaf already in xl order, with ties: its sorted form is the decode
+  // itself, at the insertion sort's cost on ordered input.
+  PagedFile file(kPageSize1K);
+  const PageId id = file.Allocate();
+  Node stored;
+  for (uint32_t i = 0; i < 40; ++i) {
+    const auto xl = static_cast<Coord>(i / 3);
+    stored.entries.push_back(Entry{Rect{xl, 0.0f, xl + 1.0f, 1.0f}, i});
+  }
+  stored.Store(&file, id);
+  SharedBufferPool pool(
+      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
+  NodeCache cache(&pool, NodeCache::Options{16, 2});
+  Statistics first;
+  const auto decoded = cache.Fetch(file, id, &first).decoded;
+
+  // Eight readers ask for the sorted form of the cold decode at once.
+  constexpr unsigned kThreads = 8;
+  std::vector<Statistics> stats(kThreads);
+  std::vector<const DecodedNode::Sorted*> seen(kThreads, nullptr);
+  std::atomic<unsigned> ready{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      const auto mine = cache.Fetch(file, id, &stats[t]).decoded;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = &mine->sorted();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (unsigned t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+
+  const DecodedNode::Sorted& sorted = decoded->sorted();
+  EXPECT_EQ(&sorted, seen[0]);
+  EXPECT_EQ(sorted.node, &decoded->node);
+  EXPECT_EQ(sorted.block, &decoded->block);
+  const size_t n = stored.entries.size();
+  EXPECT_EQ(sorted.sort_cost, n - 1);
+  std::vector<Entry> resorted = decoded->node.entries;
+  EXPECT_EQ(InsertionSortByLowerX(&resorted), n - 1);
+  EXPECT_EQ(resorted, decoded->node.entries);
 }
 
 TEST(NodeCacheTest, EvictionBoundHolds) {
