@@ -11,15 +11,22 @@
 // shard pairs (2 worker threads per shard pair, private 2-disk modeled
 // array per shard), and compare against the single-tree SJ4 executor.
 // The run FAILS (non-zero exit) if any sharded pair multiset differs from
-// the single-tree result or the dedup ledger does not balance — the bench
-// doubles as an end-to-end exactness check on real-sized inputs, which is
-// why CI smoke-runs it.
+// the single-tree result, the dedup ledger does not balance, or the
+// sharded run's sort comparisons exceed twice the single-tree join's on
+// the same data — the bench doubles as an end-to-end exactness check on
+// real-sized inputs, which is why CI smoke-runs it. The last gate holds
+// the §4.2 sort on read to its ~n - 1 comparisons per page read: the STR
+// shard trees store every node in lower-x order, as the insertion-built
+// single tree does, and a shard build that left pages unsorted would pay a
+// from-scratch insertion sort per read (about 20x the single tree's).
 //
 // Reported per row: wall-clock speedup over the single-tree join,
 // replication overhead, work-balance spread across shards, the dedup
-// ledger, and the max/sum modeled micros of the per-shard disk arrays
-// (sum/max = the modeled scale-out factor of K independent nodes). Each
-// row is emitted as a JSON line (prefix "JSON ") for scraping.
+// ledger, the max/sum modeled micros of the per-shard disk arrays
+// (sum/max = the modeled scale-out factor of K independent nodes), and
+// the run's sort and join comparisons (the single tree's are printed
+// above the table). Each row is emitted as a JSON line (prefix "JSON ")
+// for scraping.
 
 #include <algorithm>
 #include <chrono>
@@ -76,7 +83,13 @@ std::vector<Rect> SkewedSide(size_t count, uint64_t seed) {
 struct Reference {
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   double seconds = 0.0;
+  uint64_t sort_comparisons = 0;
+  uint64_t join_comparisons = 0;
 };
+
+// A sharded run may charge at most this multiple of the single-tree
+// join's sort comparisons.
+constexpr uint64_t kMaxSortRatio = 2;
 
 std::vector<std::pair<uint32_t, uint32_t>> Sorted(const ResultChunkList& c) {
   auto pairs = c.CopyPairs();
@@ -98,10 +111,15 @@ bool RunShape(const char* shape, const std::vector<Rect>& r,
     const JoinRunResult run = RunSpatialJoin(ri.tree(), si.tree(), jopt, true);
     ref.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     ref.pairs = Sorted(run.chunks);
+    ref.sort_comparisons = run.stats.sort_comparisons.count();
+    ref.join_comparisons = run.stats.join_comparisons.count();
   }
+  std::printf("single tree: %s sort, %s join comparisons\n",
+              Num(ref.sort_comparisons).c_str(),
+              Num(ref.join_comparisons).c_str());
 
   PrintRow("K", {"pairs", "seconds", "speedup", "repl%", "balance",
-                 "suppressed", "modeled S/M"});
+                 "suppressed", "modeled S/M", "sort cmp", "join cmp"});
   bool ok = true;
   for (const unsigned shards : {2u, 4u, 8u}) {
     ShardedJoinOptions sopt;
@@ -134,6 +152,18 @@ bool RunShape(const char* shape, const std::vector<Rect>& r,
                    static_cast<unsigned long long>(run.suppressed_pairs));
       ok = false;
     }
+    const uint64_t sort_comparisons = run.stats.sort_comparisons.count();
+    const uint64_t join_comparisons = run.stats.join_comparisons.count();
+    if (sort_comparisons > kMaxSortRatio * ref.sort_comparisons) {
+      std::fprintf(stderr,
+                   "FAIL %s K=%u: %llu sort comparisons > %llux the single "
+                   "tree's %llu\n",
+                   shape, shards,
+                   static_cast<unsigned long long>(sort_comparisons),
+                   static_cast<unsigned long long>(kMaxSortRatio),
+                   static_cast<unsigned long long>(ref.sort_comparisons));
+      ok = false;
+    }
 
     const uint64_t replicated =
         rd.replicated_objects() + sd.replicated_objects();
@@ -152,13 +182,16 @@ bool RunShape(const char* shape, const std::vector<Rect>& r,
               Dbl(repl_pct), Dbl(wmin > 0 ? wmax / wmin : 0.0),
               Num(run.suppressed_pairs),
               Dbl(static_cast<double>(modeled_sum) /
-                  std::max<uint64_t>(1, run.modeled_elapsed_micros))});
+                  std::max<uint64_t>(1, run.modeled_elapsed_micros)),
+              Num(sort_comparisons), Num(join_comparisons)});
     std::printf(
         "JSON {\"bench\":\"decluster\",\"shape\":\"%s\",\"shards\":%u,"
         "\"pairs\":%llu,\"seconds\":%.6f,\"speedup\":%.3f,"
         "\"replicated\":%llu,\"raw_pairs\":%llu,\"suppressed\":%llu,"
         "\"work_spread\":%.3f,\"modeled_sum_micros\":%llu,"
-        "\"modeled_max_micros\":%llu,\"ok\":%d}\n",
+        "\"modeled_max_micros\":%llu,\"sort_comparisons\":%llu,"
+        "\"join_comparisons\":%llu,\"single_sort_comparisons\":%llu,"
+        "\"single_join_comparisons\":%llu,\"ok\":%d}\n",
         shape, shards, static_cast<unsigned long long>(run.pair_count),
         seconds, ref.seconds / std::max(1e-9, seconds),
         static_cast<unsigned long long>(replicated),
@@ -167,7 +200,10 @@ bool RunShape(const char* shape, const std::vector<Rect>& r,
         wmin > 0 ? wmax / wmin : 0.0,
         static_cast<unsigned long long>(modeled_sum),
         static_cast<unsigned long long>(run.modeled_elapsed_micros),
-        ok ? 1 : 0);
+        static_cast<unsigned long long>(sort_comparisons),
+        static_cast<unsigned long long>(join_comparisons),
+        static_cast<unsigned long long>(ref.sort_comparisons),
+        static_cast<unsigned long long>(ref.join_comparisons), ok ? 1 : 0);
   }
   return ok;
 }
@@ -189,7 +225,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "\nbench_decluster: SELF-CHECK FAILED\n");
     return 1;
   }
-  std::printf("\nself-check passed: sharded == single-tree on every row\n");
+  std::printf(
+      "\nself-check passed: sharded == single-tree on every row, sort "
+      "comparisons within %llux the single tree's\n",
+      static_cast<unsigned long long>(kMaxSortRatio));
   return 0;
 }
 

@@ -155,7 +155,9 @@ Measured RunWindow(const RectBlock& block, const RectBlock& queries,
 // block order (the engine's restriction to the parent intersection).
 RectBlock Restricted(const RectBlock& block, const Rect& window) {
   std::vector<uint32_t> positions;
-  OverlapHits(block, window, &positions);
+  ComparisonCounter unused;
+  CountedOverlapHits(block, window, OverlapSubject::kBlock, &unused,
+                     &positions);
   RectBlock restricted;
   restricted.GatherFrom(block, std::span<const uint32_t>(positions));
   return restricted;

@@ -111,7 +111,8 @@ class ExecContext {
   // trees'), the node cache over it and, with exec.prefetch, a prefetcher;
   // exec's io_scheduler, memory_governor, tracer and chunk_arena (a
   // private arena when null) are borrowed, the window over the scheduler
-  // is owned, and tasks run on a run-private TaskScheduler.
+  // is owned, and tasks run on a run-private TaskScheduler whose worker 0
+  // is the calling thread.
   ExecContext(const JoinOptions& join, uint32_t page_size,
               const ParallelExecutorOptions& exec);
 
@@ -134,7 +135,8 @@ class ExecContext {
   IoWindow& window() { return window_; }
 
   // Runs the tasks through the borrowed runner, or a run-private
-  // TaskScheduler.
+  // TaskScheduler on which the calling thread executes worker 0's tasks
+  // (as it executes its own tasks on the engine's SessionTaskPool).
   std::vector<uint64_t> RunTasks(
       unsigned workers, size_t num_tasks,
       const std::function<void(unsigned worker, size_t task)>& fn) const;

@@ -63,16 +63,16 @@ std::vector<uint64_t> TaskScheduler::Run(const TaskFn& task_fn) {
     }
   };
 
-  if (workers_ == 1) {
-    worker_loop(0);
-    return executed;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(workers_);
-  for (unsigned w = 0; w < workers_; ++w) {
+  // The caller is worker 0 and drives its own run; only workers 1..n-1
+  // get threads. jthreads, so they are joined before `executed` goes
+  // even when worker 0's task throws.
+  std::vector<std::jthread> threads;
+  threads.reserve(workers_ - 1);
+  for (unsigned w = 1; w < workers_; ++w) {
     threads.emplace_back(worker_loop, w);
   }
-  for (std::thread& t : threads) t.join();
+  worker_loop(0);
+  for (std::jthread& t : threads) t.join();
   return executed;
 }
 

@@ -36,8 +36,9 @@ class TaskScheduler {
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
   // Runs every task exactly once across the workers; blocks until all are
-  // done. Returns the number of tasks each worker executed. May only be
-  // called once per scheduler instance.
+  // done. The calling thread is worker 0 and one thread is spawned per
+  // further worker (none for one worker). Returns the number of tasks each
+  // worker executed. May only be called once per scheduler instance.
   std::vector<uint64_t> Run(const TaskFn& task_fn);
 
  private:

@@ -1,11 +1,13 @@
 #include "geom/segment.h"
 
 #include "common/logging.h"
-#include "geom/simd_kernels.h"
 
 namespace rsj {
 
-int Orientation(const Point& a, const Point& b, const Point& c) {
+namespace {
+
+// Orientation's sign, inlined into every test below.
+inline int OrientationSign(const Point& a, const Point& b, const Point& c) {
   const double cross = (static_cast<double>(b.x) - a.x) *
                            (static_cast<double>(c.y) - a.y) -
                        (static_cast<double>(b.y) - a.y) *
@@ -15,58 +17,57 @@ int Orientation(const Point& a, const Point& b, const Point& c) {
   return 0;
 }
 
-bool PointOnSegment(const Point& p, const Segment& s) {
-  if (Orientation(s.a, s.b, p) != 0) return false;
-  return s.Mbr().Contains(p);
-}
-
-bool SegmentsIntersect(const Segment& s, const Segment& t) {
-  // Cheap reject via bounding boxes.
-  if (!s.Mbr().Intersects(t.Mbr())) return false;
-
-  const int o1 = Orientation(s.a, s.b, t.a);
-  const int o2 = Orientation(s.a, s.b, t.b);
-  const int o3 = Orientation(t.a, t.b, s.a);
-  const int o4 = Orientation(t.a, t.b, s.b);
+// SegmentsIntersect after its MBR reject: the orientation tests of two
+// segments whose MBRs intersect.
+inline bool OrientationsMeet(const Segment& s, const Segment& t) {
+  const int o1 = OrientationSign(s.a, s.b, t.a);
+  const int o2 = OrientationSign(s.a, s.b, t.b);
+  const int o3 = OrientationSign(t.a, t.b, s.a);
+  const int o4 = OrientationSign(t.a, t.b, s.b);
 
   // Proper crossing: the endpoints of each segment straddle the other.
   if (o1 * o2 < 0 && o3 * o4 < 0) return true;
 
-  // Degenerate cases: an endpoint lies on the other segment (covers
-  // collinear overlap together with the bounding-box test above).
-  if (o1 == 0 && PointOnSegment(t.a, s)) return true;
-  if (o2 == 0 && PointOnSegment(t.b, s)) return true;
-  if (o3 == 0 && PointOnSegment(s.a, t)) return true;
-  if (o4 == 0 && PointOnSegment(s.b, t)) return true;
+  // Degenerate cases: an endpoint lies on the other segment — collinear
+  // with it and inside its MBR (covers collinear overlap together with
+  // the MBR test).
+  if (o1 == 0 && s.Mbr().Contains(t.a)) return true;
+  if (o2 == 0 && s.Mbr().Contains(t.b)) return true;
+  if (o3 == 0 && t.Mbr().Contains(s.a)) return true;
+  if (o4 == 0 && t.Mbr().Contains(s.b)) return true;
   return false;
+}
+
+}  // namespace
+
+int Orientation(const Point& a, const Point& b, const Point& c) {
+  return OrientationSign(a, b, c);
+}
+
+bool PointOnSegment(const Point& p, const Segment& s) {
+  return OrientationSign(s.a, s.b, p) == 0 && s.Mbr().Contains(p);
+}
+
+bool SegmentsIntersect(const Segment& s, const Segment& t) {
+  // Cheap reject via bounding boxes.
+  return s.Mbr().Intersects(t.Mbr()) && OrientationsMeet(s, t);
 }
 
 bool PolylinesIntersect(std::span<const Point> a, std::span<const Point> b) {
   if (a.empty() || b.empty()) return false;
   const size_t na = a.size() == 1 ? 1 : a.size() - 1;
   const size_t nb = b.size() == 1 ? 1 : b.size() - 1;
-  // Batch MBR prefilter: the exact segment test opens with an MBR reject,
-  // so running that reject for b's whole segment chain as one (uncounted —
-  // refinement sits outside the paper's filter-step CPU metric) kernel
-  // pass per a-segment skips the b-segments a scalar pass would have
-  // rejected anyway, with identical boolean outcome.
-  // The block and the hit list are per-thread scratch: refinement calls
-  // this once per candidate pair, and the chains are short, so two heap
-  // allocations per call cost more than the segment tests themselves.
-  // Both are fully rewritten (Clear / OverlapHits clears) before use.
-  thread_local RectBlock b_mbrs;
-  thread_local std::vector<uint32_t> hits;
-  b_mbrs.Clear();
-  for (uint32_t j = 0; j < nb; ++j) {
-    const Segment sb{b[j], b[b.size() == 1 ? j : j + 1]};
-    b_mbrs.PushBack(sb.Mbr(), j);
-  }
+  // Every segment pair, MBR reject first: the chains are short (2–5
+  // vertices in the generated data), so a batch prefilter costs more
+  // than the tests it saves.
   for (size_t i = 0; i < na; ++i) {
     const Segment sa{a[i], a[a.size() == 1 ? i : i + 1]};
-    OverlapHits(b_mbrs, sa.Mbr(), &hits);
-    for (const uint32_t j : hits) {
+    const Rect sa_mbr = sa.Mbr();
+    for (size_t j = 0; j < nb; ++j) {
       const Segment sb{b[j], b[b.size() == 1 ? j : j + 1]};
-      if (SegmentsIntersect(sa, sb)) return true;
+      if (sa_mbr.Intersects(sb.Mbr()) && OrientationsMeet(sa, sb)) {
+        return true;
+      }
     }
   }
   return false;

@@ -5,7 +5,9 @@
 // the *exact* objects intersect (refinement step). The evaluated data are
 // TIGER/Line chains, i.e. polylines, so refinement means polyline/polyline
 // intersection. This module provides robust-orientation segment tests in
-// double precision.
+// double precision. The polyline test is one loop over segment pairs (an
+// MBR reject, then the orientation tests), sized for the short chains the
+// generated data holds; it keeps no scratch state.
 
 #ifndef RSJ_GEOM_SEGMENT_H_
 #define RSJ_GEOM_SEGMENT_H_

@@ -296,43 +296,6 @@ size_t CountedOverlapHits(const RectBlock& block, const Rect& query,
   return hits->size();
 }
 
-size_t OverlapHits(const RectBlock& block, const Rect& query,
-                   std::vector<uint32_t>* hits) {
-  hits->clear();
-  const size_t n = block.size();
-  size_t i = 0;
-#if RSJ_GEOM_SIMD
-  if (UseSimd()) {
-    const __m128 qxl = _mm_set1_ps(query.xl);
-    const __m128 qyl = _mm_set1_ps(query.yl);
-    const __m128 qxu = _mm_set1_ps(query.xu);
-    const __m128 qyu = _mm_set1_ps(query.yu);
-    for (; i + 4 <= n; i += 4) {
-      const __m128 bxl = _mm_loadu_ps(block.xl() + i);
-      const __m128 byl = _mm_loadu_ps(block.yl() + i);
-      const __m128 bxu = _mm_loadu_ps(block.xu() + i);
-      const __m128 byu = _mm_loadu_ps(block.yu() + i);
-      const int miss = _mm_movemask_ps(_mm_cmpgt_ps(bxl, qxu)) |
-                       _mm_movemask_ps(_mm_cmpgt_ps(qxl, bxu)) |
-                       _mm_movemask_ps(_mm_cmpgt_ps(byl, qyu)) |
-                       _mm_movemask_ps(_mm_cmpgt_ps(qyl, byu));
-      int hit = ~miss & 0xF;
-      while (hit != 0) {
-        const int lane = __builtin_ctz(static_cast<unsigned>(hit));
-        hits->push_back(static_cast<uint32_t>(i + lane));
-        hit &= hit - 1;
-      }
-    }
-  }
-#endif
-  for (; i < n; ++i) {
-    if (block.RectAt(i).Intersects(query)) {
-      hits->push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return hits->size();
-}
-
 size_t CountedWithinDistanceHits(const RectBlock& block, const Rect& query,
                                  double epsilon, ComparisonCounter* counter,
                                  std::vector<uint32_t>* hits) {

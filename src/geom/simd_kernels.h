@@ -77,12 +77,6 @@ size_t CountedOverlapHits(const RectBlock& block, const Rect& query,
                           OverlapSubject subject, ComparisonCounter* counter,
                           std::vector<uint32_t>* hits);
 
-// Uncounted overlap filter (closed-set Rect::Intersects semantics) for
-// loops outside the paper's measured join path — e.g. the refinement
-// step's segment-MBR candidate filtering. Same ordering contract.
-size_t OverlapHits(const RectBlock& block, const Rect& query,
-                   std::vector<uint32_t>* hits);
-
 // Batch form of the within-distance leaf test: appends the positions of
 // every block element with MinDist2(query) <= epsilon^2 (double-precision
 // math, identical to Rect::MinDist2) to `*hits` (cleared, ascending) and

@@ -1,10 +1,24 @@
-// Sort-Tile-Recursive bulk loading (Leutenegger et al.), an extension used
-// by the substrate ablation benchmark: it produces near-100% utilized,
-// low-overlap trees, isolating how much the join results depend on the
-// insertion-built R*-tree the paper uses.
+// Sort-Tile-Recursive bulk loading (Leutenegger et al.), an extension that
+// builds the shard layer's per-shard trees (shard/sharded_join.h) and the
+// substrate ablation's packed trees: it produces near-100% utilized,
+// low-overlap trees.
+//
+// Every ordering step is one stable key sort: an LSD radix sort over the
+// order-preserving 32-bit image of a float key, so equal keys keep their
+// input order (the whole level by x-center, each vertical slice by
+// y-center on the x order, each cut node by lower x on the y order).
+// Among distinct keys the order is exactly the `<` order of the keys.
+// Every packed node, at every level, stores its entries in lower-x order,
+// as insertion-built nodes do (RTree::PlaceEntry): the joins' sort on read
+// (§4.2) then finds every page already sorted.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "rtree/rtree.h"
@@ -31,11 +45,66 @@ std::vector<size_t> ChunkSizes(size_t count, size_t node_size,
   return sizes;
 }
 
+// The order-preserving image of a float key: images compare as unsigned
+// integers exactly as the keys compare under `<`. Non-negative floats get
+// the sign bit set, negative ones every bit inverted; -0.0 is folded into
+// +0.0 first so the two tie, as they do under `<`.
+uint32_t KeyImage(float key) {
+  if (key == 0.0f) key = 0.0f;
+  const auto bits = std::bit_cast<uint32_t>(key);
+  return (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+}
+
+struct KeyedEntry {
+  uint32_t key;
+  Entry entry;
+};
+
+// Stably sorts `run` by `key_of(entry)` (a float): an LSD radix sort over
+// the keys' images, one byte per pass, skipping a pass when every key has
+// the same byte there. `scratch` must hold 2 * run.size() elements.
+template <typename KeyOf>
+void SortByKey(std::span<Entry> run, KeyOf key_of,
+               std::vector<KeyedEntry>* scratch) {
+  const size_t n = run.size();
+  if (n < 2) return;
+  RSJ_DCHECK(scratch->size() >= 2 * n);
+  KeyedEntry* from = scratch->data();
+  KeyedEntry* to = from + n;
+  std::array<std::array<uint32_t, 256>, 4> counts{};
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t key = KeyImage(key_of(run[i]));
+    from[i] = KeyedEntry{key, run[i]};
+    for (size_t b = 0; b < 4; ++b) ++counts[b][(key >> (8 * b)) & 0xFFu];
+  }
+  for (size_t b = 0; b < 4; ++b) {
+    std::array<uint32_t, 256>& next = counts[b];
+    const unsigned shift = 8 * static_cast<unsigned>(b);
+    if (next[(from[0].key >> shift) & 0xFFu] == n) continue;
+    uint32_t offset = 0;
+    for (uint32_t& slot : next) offset += std::exchange(slot, offset);
+    for (size_t i = 0; i < n; ++i) {
+      to[next[(from[i].key >> shift) & 0xFFu]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  for (size_t i = 0; i < n; ++i) run[i] = from[i].entry;
+}
+
+// The keys, computed exactly as the comparators of a comparison sort
+// would compute them.
+float CenterX(const Entry& e) { return e.rect.Center().x; }
+float CenterY(const Entry& e) { return e.rect.Center().y; }
+float LowerX(const Entry& e) { return e.rect.xl; }
+
 // Packs `entries` into nodes of ~`node_size` entries, slicing the plane
-// into vertical runs sorted by x-center, then within each run by y-center.
+// into vertical runs sorted by x-center, then within each run by y-center;
+// each node's entries are stored in lower-x order. `scratch` is the key
+// sort's buffer (2 * entries.size() elements).
 std::vector<Node> PackLevel(std::vector<Entry> entries, uint8_t level,
                             size_t node_size, size_t min_entries,
-                            size_t capacity) {
+                            size_t capacity,
+                            std::vector<KeyedEntry>* scratch) {
   RSJ_CHECK(node_size >= 1);
   const size_t n = entries.size();
   const auto node_count =
@@ -44,9 +113,8 @@ std::vector<Node> PackLevel(std::vector<Entry> entries, uint8_t level,
       static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(node_count))));
   const size_t slice_size = slice_count * node_size;
 
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    return a.rect.Center().x < b.rect.Center().x;
-  });
+  const std::span<Entry> all(entries);
+  SortByKey(all, CenterX, scratch);
 
   std::vector<Node> nodes;
   nodes.reserve(node_count);
@@ -55,24 +123,19 @@ std::vector<Node> PackLevel(std::vector<Entry> entries, uint8_t level,
   size_t start = 0;
   for (const size_t slice :
        ChunkSizes(n, slice_size, min_entries, /*capacity=*/SIZE_MAX)) {
-    const size_t end = start + slice;
-    std::sort(entries.begin() + static_cast<ptrdiff_t>(start),
-              entries.begin() + static_cast<ptrdiff_t>(end),
-              [](const Entry& a, const Entry& b) {
-                return a.rect.Center().y < b.rect.Center().y;
-              });
+    SortByKey(all.subspan(start, slice), CenterY, scratch);
     size_t cursor = start;
     for (const size_t size :
          ChunkSizes(slice, node_size, min_entries, capacity)) {
+      const std::span<Entry> members = all.subspan(cursor, size);
+      SortByKey(members, LowerX, scratch);
       Node node;
       node.level = level;
-      node.entries.assign(entries.begin() + static_cast<ptrdiff_t>(cursor),
-                          entries.begin() +
-                              static_cast<ptrdiff_t>(cursor + size));
+      node.entries.assign(members.begin(), members.end());
       cursor += size;
       nodes.push_back(std::move(node));
     }
-    start = end;
+    start += slice;
   }
   return nodes;
 }
@@ -90,11 +153,14 @@ void RTree::BulkLoadStr(std::span<const Entry> data_entries,
       static_cast<size_t>(fill_fraction * capacity_), min_entries_, capacity_);
 
   std::vector<Entry> level_entries(data_entries.begin(), data_entries.end());
+  // The leaf level is the largest, so its buffer serves every sort.
+  std::vector<KeyedEntry> scratch(2 * level_entries.size());
   uint8_t level = 0;
   // The pre-allocated empty root is reused for the final (root) node.
   while (true) {
-    std::vector<Node> nodes = PackLevel(std::move(level_entries), level,
-                                        node_size, min_entries_, capacity_);
+    std::vector<Node> nodes =
+        PackLevel(std::move(level_entries), level, node_size, min_entries_,
+                  capacity_, &scratch);
     if (nodes.size() == 1) {
       nodes[0].Store(file_, root_);
       height_ = level + 1;

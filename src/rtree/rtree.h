@@ -100,8 +100,11 @@ class RTree {
   bool Delete(const Rect& rect, uint32_t object_id);
 
   // Bulk-loads an empty tree with Sort-Tile-Recursive packing (extension;
-  // used by the substrate ablation). `fill_fraction` sets the target node
-  // utilization in (0, 1].
+  // builds the shard trees and the substrate ablation's packed trees).
+  // `fill_fraction` sets the target node utilization in (0, 1]. Every node
+  // stores its entries in lower-x order, as insertion keeps them; entries
+  // whose sort keys tie keep their input order, so the pages are a
+  // function of the input sequence.
   void BulkLoadStr(std::span<const Entry> data_entries, double fill_fraction);
 
   // Single-scan window query (§2): appends the object ids of all data

@@ -19,6 +19,8 @@
 #include "join/join_runner.h"
 #include "join/multiway_join.h"
 #include "join/refinement.h"
+#include "shard/decluster.h"
+#include "shard/sharded_join.h"
 #include "storage/buffer_pool.h"
 #include "storage/node_cache.h"
 #include "tests/test_util.h"
@@ -815,6 +817,96 @@ TEST_F(ChainCounterPinTest, SequentialChainMatchesRecordedRuns) {
       EXPECT_EQ(run.stats.disk_reads, want.disk_reads) << actual;
       EXPECT_EQ(run.stats.node_decodes, want.node_decodes) << actual;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shard pin.
+//
+// The sharded join's counters on the pairwise pin's fixture (RandomRects
+// seeds 1601 and 1602, 1 KiB pages, a 16 KiB buffer per shard), declustered
+// into K = 4 shards over 16 × 16 tiles and STR-packed at the default fill:
+// forwarded and raw pairs, disk_reads, node_decodes, join and sort
+// comparisons and the max modeled micros over the shards' private 1-disk
+// arrays. At one thread each shard pair is one partition over a private
+// buffer, so the counters repeat exactly, and every kernel charges the
+// same counts in both modes, so one row serves both. The row pins the STR
+// shard trees (their node order sets the sort on read) together with the
+// join over them; a change that means to move these counters updates the
+// row and says so.
+
+struct PinnedShard {
+  uint64_t forwarded_pairs;
+  uint64_t raw_pairs;
+  uint64_t disk_reads;
+  uint64_t node_decodes;
+  uint64_t join_comparisons;
+  uint64_t sort_comparisons;
+  uint64_t modeled_max_micros;
+};
+
+constexpr PinnedShard kPinnedShard = {3460, 3504, 217, 212, 122558, 6171,
+                                      1060000};
+
+std::string ShardRow(const ShardedJoinResult& run) {
+  char row[256];
+  std::snprintf(row, sizeof(row),
+                "{%" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 "};",
+                run.pair_count, run.raw_pairs, run.stats.disk_reads,
+                run.stats.node_decodes, run.stats.join_comparisons.count(),
+                run.stats.sort_comparisons.count(),
+                run.modeled_elapsed_micros);
+  return row;
+}
+
+class ShardCounterPinTest : public JoinCounterPinTest {};
+
+TEST_F(ShardCounterPinTest, OneThreadShardJoinMatchesRecordedRun) {
+  const std::vector<Rect> r_rects = testutil::RandomRects(3000, 1601, 0.02);
+  const std::vector<Rect> s_rects = testutil::RandomRects(2800, 1602, 0.02);
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  JoinOptions jopt;
+  jopt.algorithm = JoinAlgorithm::kSJ4;
+  jopt.buffer_bytes = 16 * 1024;
+
+  const Declustering decl = Declustering::Build(
+      r_rects, s_rects, DeclusterOptions{/*num_shards=*/4,
+                                         /*tiles_per_side=*/16});
+  ShardBuildOptions build;
+  build.tree = topt;
+  const ShardedDataset r_shards(&decl, r_rects, build);
+  const ShardedDataset s_shards(&decl, s_rects, build);
+
+  const IndexedRelation r(r_rects, topt);
+  const IndexedRelation s(s_rects, topt);
+  const auto expected = testutil::Canonical(
+      RunSpatialJoin(r.tree(), s.tree(), jopt, /*collect_pairs=*/true).chunks);
+
+  ShardedJoinOptions options;
+  options.join = jopt;
+  options.exec.num_threads = 1;
+  options.exec.collect_pairs = true;
+  options.disks_per_shard = 1;
+  const PinnedShard& want = kPinnedShard;
+  for (const GeomKernelMode mode :
+       {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
+    SetGeomKernelMode(mode);
+    const ShardedJoinResult run =
+        RunShardedSpatialJoin(r_shards, s_shards, options);
+    const std::string actual =
+        std::string(GeomKernelModeName(mode)) + " " + ShardRow(run);
+    EXPECT_EQ(testutil::Canonical(run.chunks), expected) << actual;
+    EXPECT_EQ(run.pair_count, want.forwarded_pairs) << actual;
+    EXPECT_EQ(run.raw_pairs, want.raw_pairs) << actual;
+    EXPECT_EQ(run.stats.disk_reads, want.disk_reads) << actual;
+    EXPECT_EQ(run.stats.node_decodes, want.node_decodes) << actual;
+    EXPECT_EQ(run.stats.join_comparisons.count(), want.join_comparisons)
+        << actual;
+    EXPECT_EQ(run.stats.sort_comparisons.count(), want.sort_comparisons)
+        << actual;
+    EXPECT_EQ(run.modeled_elapsed_micros, want.modeled_max_micros) << actual;
   }
 }
 

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <random>
 #include <set>
 
 #include "tests/test_util.h"
@@ -436,6 +438,143 @@ TEST(BulkLoadTest, EmptyAndTinyInputs) {
   ExpectValid(tree2);
   EXPECT_EQ(SortedQuery(tree2, Rect{0, 0, 2, 2}),
             (std::vector<uint32_t>{0}));
+}
+
+// STR packing stores every node's entries in lower-x order, as insertion
+// does, so the joins' sort on read finds each page sorted. Walks every
+// node reachable from the root and returns how many it visited.
+size_t ExpectNodesInLowerXOrder(const RTree& tree) {
+  size_t visited = 0;
+  std::vector<PageId> pending{tree.root_page()};
+  while (!pending.empty()) {
+    const PageId page = pending.back();
+    pending.pop_back();
+    const Node node = Node::Load(tree.file(), page);
+    ++visited;
+    EXPECT_TRUE(std::is_sorted(node.entries.begin(), node.entries.end(),
+                               [](const Entry& a, const Entry& b) {
+                                 return a.rect.xl < b.rect.xl;
+                               }))
+        << "page " << page << " at level " << int{node.level};
+    if (node.is_leaf()) continue;
+    for (const Entry& e : node.entries) pending.push_back(e.ref);
+  }
+  return visited;
+}
+
+std::vector<Entry> EntriesOf(const std::vector<Rect>& rects) {
+  std::vector<Entry> entries;
+  for (uint32_t i = 0; i < rects.size(); ++i) {
+    entries.push_back(Entry{rects[i], i});
+  }
+  return entries;
+}
+
+TEST(BulkLoadTest, EveryNodeIsInLowerXOrder) {
+  for (const double fill : {1.0, 0.7}) {
+    SCOPED_TRACE(fill);
+    for (const auto& rects : {testutil::RandomRects(3000, /*seed=*/41, 0.02),
+                              testutil::ClusteredRects(3000, /*seed=*/42)}) {
+      PagedFile file(kPageSize1K);
+      RTree tree(&file, RTreeOptions{.page_size = kPageSize1K});
+      tree.BulkLoadStr(EntriesOf(rects), fill);
+      ASSERT_GE(tree.height(), 3);
+      EXPECT_EQ(ExpectNodesInLowerXOrder(tree), file.allocated_pages());
+    }
+  }
+}
+
+// With all x- and y-centers distinct the key sorts are total orders, so
+// the pages cannot depend on the input order.
+TEST(BulkLoadTest, PermutedInputWithDistinctCentersGivesIdenticalPages) {
+  const auto rects = testutil::RandomRects(2500, /*seed=*/48, 0.02);
+  std::set<Coord> xs, ys;
+  for (const Rect& r : rects) {
+    xs.insert(r.Center().x);
+    ys.insert(r.Center().y);
+  }
+  ASSERT_EQ(xs.size(), rects.size());
+  ASSERT_EQ(ys.size(), rects.size());
+
+  const std::vector<Entry> entries = EntriesOf(rects);
+  std::vector<Entry> permuted = entries;
+  std::shuffle(permuted.begin(), permuted.end(), std::mt19937_64(49));
+  ASSERT_NE(permuted, entries);
+
+  uint64_t digests[2];
+  for (int i = 0; i < 2; ++i) {
+    PagedFile file(kPageSize1K);
+    RTree tree(&file, RTreeOptions{.page_size = kPageSize1K});
+    tree.BulkLoadStr(i == 0 ? entries : permuted, /*fill_fraction=*/0.7);
+    ExpectValid(tree);
+    digests[i] = TreeDigest(tree);
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+}
+
+// A lattice ties most centers (and every xl within a column): ties keep
+// input order, so the build is deterministic, valid and answers queries.
+TEST(BulkLoadTest, LatticeWithTiedCentersIsDeterministic) {
+  std::vector<Rect> rects;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (int i = 0; i < 30; ++i) {
+      for (int j = 0; j < 30; ++j) {
+        const auto x = static_cast<Coord>(i) / 32;
+        const auto y = static_cast<Coord>(j) / 32;
+        const Coord w = copy == 2 ? Coord{0} : Coord{1} / 64;
+        rects.push_back(Rect{x, y, x + w, y + w});
+      }
+    }
+  }
+  uint64_t digests[2];
+  for (int i = 0; i < 2; ++i) {
+    PagedFile file(kPageSize1K);
+    RTree tree(&file, RTreeOptions{.page_size = kPageSize1K});
+    tree.BulkLoadStr(EntriesOf(rects), /*fill_fraction=*/1.0);
+    ExpectValid(tree);
+    EXPECT_EQ(ExpectNodesInLowerXOrder(tree), file.allocated_pages());
+    const auto windows = testutil::RandomRects(25, /*seed=*/44, 0.2);
+    for (const Rect& w : windows) {
+      ASSERT_EQ(SortedQuery(tree, w), OracleQuery(rects, w));
+    }
+    digests[i] = TreeDigest(tree);
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+}
+
+// Keys below zero and both zeros: the key image must order negative
+// floats below positive ones and tie -0.0 with +0.0.
+TEST(BulkLoadTest, NegativeCoordinatesAndSignedZeroCenters) {
+  std::vector<Rect> rects;
+  for (const Rect& r : testutil::RandomRects(2000, /*seed=*/45, 0.05)) {
+    rects.push_back(Rect{2 * r.xl - 1, 2 * r.yl - 1, 2 * r.xu - 1,
+                         2 * r.yu - 1});
+  }
+  for (int i = 0; i < 200; ++i) {
+    const Coord v = static_cast<Coord>(i - 100) / 100;
+    rects.push_back(Rect{-0.0f, v, -0.0f, v});  // center x -0.0
+    rects.push_back(Rect{0.0f, v, 0.0f, v});  // center x +0.0
+    rects.push_back(Rect{-0.25f, -0.0f, 0.25f, -0.0f});  // x +0.0, y -0.0
+    rects.push_back(Rect{v, -0.5f, v, 0.5f});  // center y +0.0
+  }
+  for (const double fill : {1.0, 0.7}) {
+    SCOPED_TRACE(fill);
+    PagedFile file(kPageSize1K);
+    RTree tree(&file, RTreeOptions{.page_size = kPageSize1K});
+    tree.BulkLoadStr(EntriesOf(rects), fill);
+    EXPECT_EQ(tree.size(), rects.size());
+    ExpectValid(tree);
+    EXPECT_EQ(ExpectNodesInLowerXOrder(tree), file.allocated_pages());
+    auto windows = testutil::RandomRects(25, /*seed=*/46, 0.5);
+    for (Rect& w : windows) {
+      w = Rect{2 * w.xl - 1, 2 * w.yl - 1, 2 * w.xu - 1, 2 * w.yu - 1};
+    }
+    windows.push_back(Rect{-0.0f, -1.0f, 0.0f, 1.0f});
+    windows.push_back(Rect{-1.0f, 0.0f, 1.0f, 0.0f});
+    for (const Rect& w : windows) {
+      ASSERT_EQ(SortedQuery(tree, w), OracleQuery(rects, w));
+    }
+  }
 }
 
 TEST(BulkLoadTest, RequiresEmptyTree) {

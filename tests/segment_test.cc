@@ -1,6 +1,6 @@
 // Tests for exact segment/polyline geometry (refinement-step kernel).
-// The seeded parity suites run PolylinesIntersect's per-thread scratch
-// from several threads and under TSan in CI.
+// The seeded parity suites run PolylinesIntersect, which keeps no scratch
+// state, from several threads and under TSan in CI.
 
 #include "geom/segment.h"
 

@@ -177,23 +177,6 @@ TEST_F(SimdKernelsTest, SubjectOrderChangesCountsNotHits) {
   EXPECT_EQ(as_block.hits, as_query.hits);
 }
 
-TEST_F(SimdKernelsTest, UncountedOverlapMatchesIntersects) {
-  const std::vector<Rect> rects = testutil::RandomRects(77, 5, 0.3);
-  const RectBlock block = BlockOf(rects);
-  const Rect query{0.1f, 0.4f, 0.5f, 0.9f};
-  for (const GeomKernelMode mode :
-       {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
-    SetGeomKernelMode(mode);
-    std::vector<uint32_t> hits;
-    OverlapHits(block, query, &hits);
-    std::vector<uint32_t> expected;
-    for (uint32_t i = 0; i < rects.size(); ++i) {
-      if (rects[i].Intersects(query)) expected.push_back(i);
-    }
-    EXPECT_EQ(hits, expected) << GeomKernelModeName(mode);
-  }
-}
-
 TEST_F(SimdKernelsTest, WithinDistanceParity) {
   const std::vector<Rect> rects = testutil::RandomRects(103, 21, 0.05);
   const RectBlock block = BlockOf(rects);
