@@ -25,7 +25,7 @@ void CountedWindowQuery(const RTree& tree, BufferPool* pool,
   while (!stack.empty()) {
     const PageId page = stack.back();
     stack.pop_back();
-    pool->Read(tree.file(), page);
+    pool->Read(tree.file(), page, stats);
     const Node node = Node::Load(tree.file(), page);
     for (const Entry& e : node.entries) {
       if (!e.rect.IntersectsCounted(window, &stats->join_comparisons)) {
@@ -43,7 +43,7 @@ void CountedWindowQuery(const RTree& tree, BufferPool* pool,
 void Report(const char* label, const RTree& tree,
             const std::vector<Rect>& windows) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize4K}, &stats);
+  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize4K});
   std::vector<uint32_t> results;
   uint64_t total_results = 0;
   for (const Rect& w : windows) {

@@ -1,8 +1,9 @@
-// Parallel multi-way chain join scaling over the shared decoded-node
-// cache — the follow-up experiment to bench_parallel_scaling.
+// Parallel multi-way chain join scaling over one shared buffer whose
+// resident pages carry their decodes — the follow-up experiment to
+// bench_parallel_scaling.
 //
 // Runs the 3-way chain streets ⋈ rivers&railways ⋈ streets (2nd map) on
-// SJ4 (4 KByte pages, 128 KByte shared buffer, shared NodeCache) with
+// SJ4 (4 KByte pages, 128 KByte shared buffer) with
 // 2, 4 and 8 workers over a simulated 4-disk array. Each pairwise worker
 // probes its staged chunk of pairs as one batch, in one descent of the
 // probe relation's R*-tree (exec/multiway_executor.h). Reports wall clock,
@@ -101,7 +102,7 @@ int Main(int argc, char** argv) {
   const double scale = ParseScale(argc, argv);
   PrintBanner(
       "Parallel 3-way chain join scaling (SJ4, 4 KByte pages, 128 KByte "
-      "shared buffer, shared NodeCache, 4 simulated disks; batched "
+      "shared buffer with resident decodes, 4 simulated disks; batched "
       "probes in the pairwise workers)",
       "Section 2.1 multi-way joins x Section 6 parallel future work",
       scale);
@@ -187,7 +188,7 @@ int Main(int argc, char** argv) {
       "Each worker probes its staged chunk as one batch and emits the final\n"
       "tuples as the probe finds them, so its peak frontier stays at one\n"
       "staged chunk, whatever one window hits, while the sequential chain\n"
-      "holds the whole frontier; the shared NodeCache decodes each resident\n"
+      "holds the whole frontier; the shared buffer decodes each resident\n"
       "page once system-wide.\n");
   return ok ? 0 : 1;
 }

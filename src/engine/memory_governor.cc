@@ -8,8 +8,6 @@ const char* MemoryCategoryName(MemoryCategory category) {
       return "result_chunks";
     case MemoryCategory::kFrontierTuples:
       return "frontier_tuples";
-    case MemoryCategory::kCacheFrames:
-      return "cache_frames";
     case MemoryCategory::kSessionReservations:
       return "session_reservations";
     case MemoryCategory::kRasterSignatures:
@@ -30,8 +28,6 @@ const char* GovernorCounterName(MemoryCategory category) {
       return "governor/result_chunks";
     case MemoryCategory::kFrontierTuples:
       return "governor/frontier_tuples";
-    case MemoryCategory::kCacheFrames:
-      return "governor/cache_frames";
     case MemoryCategory::kSessionReservations:
       return "governor/session_reservations";
     case MemoryCategory::kRasterSignatures:

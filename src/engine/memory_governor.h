@@ -2,9 +2,9 @@
 //
 // PR 5's `ResidentBudget` bounded one run's resident result chunks; a
 // serving engine needs that discipline ACROSS runs: many concurrent
-// sessions draw result chunks, chain frontiers and cache frames from
-// one machine, so the capacity ledger must be shared. This module
-// generalizes the budget into a two-level scheme:
+// sessions draw result chunks and chain frontiers from one machine, so
+// the capacity ledger must be shared. This module generalizes the budget
+// into a two-level scheme:
 //
 //   * `MemoryGovernor` — the run-wide byte ledger. The metered categories
 //     of transient memory (result chunks, chain frontier tuples,
@@ -13,10 +13,9 @@
 //     peak bytes per category and in total. `TryLease` is
 //     admission-controlled (fails past the budget — the session admission
 //     path); `Charge` is unconditional accounting for quantities something
-//     else already bounds (a chain's chunk capacity). Buffer-pool frames
-//     and cached node decodes are not charged: they are bounded by their
-//     own capacities (the pool's bytes, the node cache's node count), and
-//     the `cache_frames` category reads 0.
+//     else already bounds (a chain's chunk capacity). Buffer-pool frames,
+//     with the decodes their pages carry, are not charged: the pool's bytes
+//     bound them.
 //   * `ResidentBudget` — the per-run admission gauge the spill sinks and
 //     executors already used, now optionally *governed*: every unit it
 //     admits is mirrored as a byte lease in the governor's category
@@ -56,13 +55,12 @@ namespace rsj {
 enum class MemoryCategory : unsigned {
   kResultChunks = 0,         // completed result/tuple chunks held resident
   kFrontierTuples = 1,       // chain frontier tuples being extended
-  kCacheFrames = 2,          // reserved; nothing charges it (see above)
-  kSessionReservations = 3,  // whole-session working-set reservations
-  kRasterSignatures = 4,     // raster-interval refinement signatures
-  kShardBuild = 5,           // shard-build staging buffers (src/shard/)
+  kSessionReservations = 2,  // whole-session working-set reservations
+  kRasterSignatures = 3,     // raster-interval refinement signatures
+  kShardBuild = 4,           // shard-build staging buffers (src/shard/)
 };
 
-inline constexpr unsigned kMemoryCategoryCount = 6;
+inline constexpr unsigned kMemoryCategoryCount = 5;
 
 const char* MemoryCategoryName(MemoryCategory category);
 
@@ -89,9 +87,9 @@ class MemoryGovernor {
   void Release(MemoryCategory category, uint64_t bytes);
 
   // Unconditional accounting for quantities bounded elsewhere (a chain's
-  // chunk capacity, cache capacity): never fails, may push live bytes past
-  // the budget. A charge that leaves live bytes above a nonzero budget
-  // counts one overshoot (overshoots(), overshoot_peak_bytes()).
+  // chunk capacity): never fails, may push live bytes past the budget. A
+  // charge that leaves live bytes above a nonzero budget counts one
+  // overshoot (overshoots(), overshoot_peak_bytes()).
   void Charge(MemoryCategory category, uint64_t bytes);
 
   // Attaches a span recorder (obs/trace.h): every lease/charge/release

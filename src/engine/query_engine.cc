@@ -80,7 +80,6 @@ QueryEngine::QueryEngine(const Options& options)
       governor_(MemoryGovernor::Options{options.memory_budget_bytes}),
       io_(IoWithTracer(options.io, options.tracer)),
       pool_(options.pool),
-      node_cache_(&pool_, NodeCache::Options{}),
       task_pool_(SessionTaskPool::Options{options.pool_threads,
                                           options.tracer}),
       query_log_(options.query_log) {
@@ -235,9 +234,8 @@ void QueryEngine::RunSession(QuerySession* session) {
         exec_span.active() ? io_.FloorMicros() : 0;
     // The session borrows the engine's resources; its window retires only
     // its own actors (the engine folds the clocks once per batch).
-    ExecContext ctx(ExecContext::Borrowed{&pool_, &node_cache_, &io_,
-                                          &governor_, task_pool_.runner(),
-                                          tracer, pid},
+    ExecContext ctx(ExecContext::Borrowed{&pool_, &io_, &governor_,
+                                          task_pool_.runner(), tracer, pid},
                     exec);
     if (outcome.is_chain) {
       outcome.chain = RunParallelChainSpatialJoin(spec.relations, join, exec,

@@ -1,14 +1,15 @@
 // The serving layer: many concurrent spatial-join queries over shared
 // immutable trees, one set of run-wide resources.
 //
-// Standalone executors own everything per run — pool, decode cache, I/O
-// scheduler, thread team, spill budgets. A serving engine cannot: N
-// concurrent queries would multiply every budget by N and stomp each
-// other's modeled clocks. The QueryEngine instead owns ONE of each and
+// Standalone executors own everything per run — pool, I/O scheduler,
+// thread team, spill budgets. A serving engine cannot: N concurrent
+// queries would multiply every budget by N and stomp each other's modeled
+// clocks. The QueryEngine instead owns ONE of each and
 // leases them to sessions:
 //
-//   * one SharedBufferPool + NodeCache span every session (queries share
-//     hot directory pages and decodes, exactly like a database buffer),
+//   * one SharedBufferPool spans every session (queries share hot
+//     directory pages and the decodes they carry, exactly like a database
+//     buffer),
 //   * one IoScheduler models the disk array for all sessions; each
 //     session runs on a borrowed ExecContext (exec/exec_context.h) whose
 //     window retires only the session's own actor clocks and reports its
@@ -60,7 +61,6 @@
 #include "io/io_scheduler.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
-#include "storage/node_cache.h"
 #include "storage/shared_buffer_pool.h"
 
 namespace rsj {
@@ -157,8 +157,8 @@ class QuerySession {
 class QueryEngine {
  public:
   struct Options {
-    // The shared page buffer spanning all sessions, with a 4096-node
-    // decode cache over it.
+    // The shared page buffer spanning all sessions; its resident pages
+    // carry their decodes.
     SharedBufferPool::Options pool;
     // The modeled disk array all sessions run on.
     IoScheduler::Options io;
@@ -250,7 +250,6 @@ class QueryEngine {
   MemoryGovernor governor_;
   IoScheduler io_;
   SharedBufferPool pool_;
-  NodeCache node_cache_;
   SessionTaskPool task_pool_;
   QueryLog query_log_;
   const std::chrono::steady_clock::time_point epoch_ =

@@ -40,10 +40,7 @@ ExecContext::ExecContext(const JoinOptions& join, uint32_t page_size,
                          const ParallelExecutorOptions& exec)
     : owned_pool_(std::make_unique<SharedBufferPool>(SharedBufferPool::Options{
           join.buffer_bytes, page_size})),
-      owned_nodes_(std::make_unique<NodeCache>(owned_pool_.get(),
-                                               NodeCache::Options{})),
       pool_(owned_pool_.get()),
-      nodes_(owned_nodes_.get()),
       io_(exec.io_scheduler),
       governor_(exec.memory_governor),
       arena_(exec.chunk_arena != nullptr ? *exec.chunk_arena
@@ -58,7 +55,6 @@ ExecContext::ExecContext(const JoinOptions& join, uint32_t page_size,
 ExecContext::ExecContext(const Borrowed& shared,
                          const ParallelExecutorOptions& exec)
     : pool_(shared.pool),
-      nodes_(shared.nodes),
       io_(shared.io),
       governor_(shared.governor),
       arena_(RunArena(exec)),

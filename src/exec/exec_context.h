@@ -4,8 +4,9 @@
 //
 // A run of the parallel executors (exec/parallel_executor.h,
 // exec/multiway_executor.h) shares across its phases and workers:
-//   * one SharedBufferPool and one NodeCache over it, so directory nodes
-//     the coordinator decodes are never decoded again,
+//   * one SharedBufferPool, whose resident pages carry their decodes, so
+//     directory nodes the coordinator decodes are not decoded again while
+//     they stay resident,
 //   * a Prefetcher over the pool, when the plan prefetches,
 //   * the IoScheduler that models the pool's misses and the spill writes,
 //   * the MemoryGovernor that result, spill and frontier budgets mirror
@@ -14,14 +15,14 @@
 //   * the task runner that executes the run's tasks,
 //   * the tracer, and the trace pid the run's spans carry.
 //
-// A STANDALONE context owns the pool, cache and prefetcher and borrows the
+// A STANDALONE context owns the pool and prefetcher and borrows the
 // scheduler, governor, tracer and (when one is given) the arena the caller
 // put into ParallelExecutorOptions; the RunParallel* wrappers build one per
 // run and the sharded join one per shard. A BORROWED context runs one
 // session of a serving engine (engine/query_engine.h) on the engine's
-// pool, cache, scheduler, governor, task pool and tracer; it owns only the
+// pool, scheduler, governor, task pool and tracer; it owns only the
 // session's prefetcher and arena. A chain runs its probes inside its
-// pairwise workers, so one pool, cache and window span every phase.
+// pairwise workers, so one pool and window span every phase.
 //
 // The executors never close the window themselves: whoever built the
 // context closes it once, after the run, and reads the run's modeled
@@ -38,7 +39,6 @@
 #include "exec/result_sink.h"
 #include "io/prefetcher.h"
 #include "join/join_options.h"
-#include "storage/node_cache.h"
 #include "storage/shared_buffer_pool.h"
 #include "storage/statistics.h"
 
@@ -94,12 +94,11 @@ class ExecContext {
       unsigned workers, size_t num_tasks,
       const std::function<void(unsigned worker, size_t task)>& fn)>;
 
-  // What a serving engine lends each session. `nodes` is layered over
-  // `pool`, whose page size matches the trees', and `pool` already reads
-  // through `io`. Nothing is owned; everything outlives the context.
+  // What a serving engine lends each session. `pool`'s page size matches
+  // the trees', and `pool` already reads through `io`. Nothing is owned;
+  // everything outlives the context.
   struct Borrowed {
     SharedBufferPool* pool = nullptr;
-    NodeCache* nodes = nullptr;
     IoScheduler* io = nullptr;
     MemoryGovernor* governor = nullptr;
     TaskRunner task_runner;
@@ -108,7 +107,7 @@ class ExecContext {
   };
 
   // Standalone: a pool of join.buffer_bytes over pages of `page_size` (the
-  // trees'), the node cache over it and, with exec.prefetch, a prefetcher;
+  // trees') and, with exec.prefetch, a prefetcher;
   // exec's io_scheduler, memory_governor, tracer and chunk_arena (a
   // private arena when null) are borrowed, the window over the scheduler
   // is owned, and tasks run on a run-private TaskScheduler whose worker 0
@@ -124,7 +123,6 @@ class ExecContext {
   ExecContext& operator=(const ExecContext&) = delete;
 
   SharedBufferPool* pool() const { return pool_; }
-  NodeCache* nodes() const { return nodes_; }
   // nullptr unless the run prefetches.
   Prefetcher* prefetcher() const { return prefetcher_.get(); }
   IoScheduler* io() const { return io_; }
@@ -143,9 +141,7 @@ class ExecContext {
 
  private:
   std::unique_ptr<SharedBufferPool> owned_pool_;  // null when borrowed
-  std::unique_ptr<NodeCache> owned_nodes_;        // null when borrowed
   SharedBufferPool* pool_;
-  NodeCache* nodes_;
   std::unique_ptr<Prefetcher> prefetcher_;
   IoScheduler* const io_;
   MemoryGovernor* const governor_;

@@ -11,7 +11,6 @@
 #include "io/io_scheduler.h"
 #include "io/prefetcher.h"
 #include "obs/trace.h"
-#include "storage/node_cache.h"
 
 namespace rsj {
 
@@ -51,16 +50,16 @@ struct FrontierGauge {
   }
 };
 
-// Reads `tree`'s root through the chain's decode cache and hints its
-// children into `prefetcher`: every probe batch descends from this root,
-// so its children are the phase's shared read frontier. The root
-// itself is read synchronously right here to learn them — prefetching it
-// too would only be consumed on the next statement with its full stall.
-void HintProbeRoot(const RTree& tree, NodeCache* nodes,
+// Reads `tree`'s root through the chain's pool and hints its children into
+// `prefetcher`: every probe batch descends from this root, so its children
+// are the phase's shared read frontier. The root itself is read
+// synchronously right here to learn them — prefetching it too would only
+// be consumed on the next statement with its full stall.
+void HintProbeRoot(const RTree& tree, PageCache* pages,
                    const Prefetcher* prefetcher, Statistics* stats) {
   const PagedFile& file = tree.file();
   const std::shared_ptr<const DecodedNode> root =
-      nodes->Fetch(file, tree.root_page(), stats).decoded;
+      pages->Fetch(file, tree.root_page(), stats).decoded;
   if (root->node.is_leaf()) return;
   std::vector<PageId> children;
   children.reserve(root->node.entries.size());
@@ -164,7 +163,7 @@ class ChainSink final : public ResultSink {
     SetStage(stage_.get(), run->chunk_capacity);
     for (uint32_t next = 2; next < run->arity; ++next) {
       phases_.push_back(std::make_unique<Phase>(
-          *run->relations[next].tree, run->ctx.nodes(), run->options, stats));
+          *run->relations[next].tree, run->ctx.pool(), run->options, stats));
     }
     if (run->spill) {
       spiller_ = std::make_unique<TupleSpiller>(
@@ -222,9 +221,9 @@ class ChainSink final : public ResultSink {
   // Probe phase `next` (2 <= next < arity): the probe of relation `next`
   // and its stage of tuples of length `next`, back to back.
   struct Phase {
-    Phase(const RTree& tree, NodeCache* nodes, const JoinOptions& options,
+    Phase(const RTree& tree, PageCache* pages, const JoinOptions& options,
           Statistics* stats)
-        : probe(tree, nodes, options, stats) {}
+        : probe(tree, pages, options, stats) {}
 
     ChainProbe probe;
     std::vector<uint32_t> stage;
@@ -305,7 +304,7 @@ ParallelChainJoinResult RunParallelChainSpatialJoin(
   Statistics coordinator;
   if (ctx.prefetcher() != nullptr) {
     for (size_t next = 2; next < relations.size(); ++next) {
-      HintProbeRoot(*relations[next].tree, ctx.nodes(), ctx.prefetcher(),
+      HintProbeRoot(*relations[next].tree, ctx.pool(), ctx.prefetcher(),
                     &coordinator);
     }
   }

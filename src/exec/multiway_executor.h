@@ -24,9 +24,10 @@
 //      extends the last partial chunk and seals the spiller before the
 //      pairwise run retires the worker,
 //   4. the run's ExecContext (exec/exec_context.h) — one SharedBufferPool,
-//      one NodeCache and one modeled-I/O window — serves the pairwise
-//      traversal and every probe; with prefetch enabled the coordinator
-//      hints every probe root's children into the shared pool up front.
+//      whose resident pages carry their decodes, and one modeled-I/O
+//      window — serves the pairwise traversal and every probe; with
+//      prefetch enabled the coordinator hints every probe root's children
+//      into the shared pool up front.
 //
 // This is the paper's §2.1 remark taken literally: the multi-way join
 // reuses the pairwise join's machinery, and the same thread team and
@@ -84,16 +85,16 @@ struct ParallelChainJoinResult {
 // `exec_options.num_threads` workers, on a standalone context
 // (exec/exec_context.h) built from `exec_options`, and closes its
 // modeled-I/O window. Falls back to the sequential RunChainSpatialJoin
-// when num_threads <= 1 — that path runs over a private buffer and its own
-// decode cache, and reads no modeled time. The tuple multiset is identical
-// to RunChainSpatialJoin's for every configuration.
+// when num_threads <= 1 — that path runs over a private buffer and reads
+// no modeled time. The tuple multiset is identical to
+// RunChainSpatialJoin's for every configuration.
 ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples = false);
 
 // The same run on `ctx`'s resources (a serving engine's session): its
-// tasks and probes run on the context's task runner, and one pool, cache
-// and window span every phase. The run retires its actors into
+// tasks and probes run on the context's task runner, and one pool and
+// window span every phase. The run retires its actors into
 // ctx.window() but leaves it open: the caller closes it and sets
 // modeled_elapsed_micros.
 ParallelChainJoinResult RunParallelChainSpatialJoin(

@@ -169,10 +169,9 @@ ParallelJoinResult RunParallelSpatialJoin(
     workers.back()->sink = output.Open(&workers.back()->stats);
     return *workers.back();
   };
-  // One sequential partition as `worker`, over `pages` (and `nodes`).
-  const auto run_one_partition = [&](Worker& worker, PageCache* pages,
-                                     NodeCache* nodes) {
-    SpatialJoinEngine engine(r, s, options, pages, &worker.stats, nodes);
+  // One sequential partition as `worker`, over `pages`.
+  const auto run_one_partition = [&](Worker& worker, PageCache* pages) {
+    SpatialJoinEngine engine(r, s, options, pages, &worker.stats);
     engine.Run(worker.sink);
     result.task_count = 1;
     result.worker_task_counts.push_back(1);
@@ -183,10 +182,9 @@ ParallelJoinResult RunParallelSpatialJoin(
     // it still reads through the context's scheduler.
     Worker& worker = add_worker();
     BufferPool pool(
-        BufferPool::Options{options.buffer_bytes, r.options().page_size},
-        &worker.stats);
+        BufferPool::Options{options.buffer_bytes, r.options().page_size});
     if (io != nullptr) pool.AttachIoScheduler(io);
-    run_one_partition(worker, &pool, /*nodes=*/nullptr);
+    run_one_partition(worker, &pool);
   } else {
     const size_t target_tasks =
         std::max<size_t>(1, static_cast<size_t>(
@@ -195,12 +193,12 @@ ParallelJoinResult RunParallelSpatialJoin(
     PartitionPlan plan;
     {
       // The coordinator's directory reads and decodes warm the context's
-      // pool and cache for the workers.
+      // pool for the workers.
       TraceSpan span(tracer, "exec", "partition_plan", pid);
       const uint64_t modeled_before =
           span.active() && io != nullptr ? io->ActorClock(&coordinator) : 0;
       plan = BuildPartitionPlan(r, s, options, target_tasks, ctx.pool(),
-                                &coordinator, ctx.nodes());
+                                &coordinator);
       if (span.active()) {
         if (io != nullptr) {
           span.set_modeled_range(modeled_before,
@@ -210,9 +208,9 @@ ParallelJoinResult RunParallelSpatialJoin(
       }
     }
     if (plan.degenerate) {
-      // A leaf root: one sequential partition over the context's pool and
-      // cache; the coordinator's root reads stay counted.
-      run_one_partition(add_worker(), ctx.pool(), ctx.nodes());
+      // A leaf root: one sequential partition over the context's pool; the
+      // coordinator's root reads stay counted.
+      run_one_partition(add_worker(), ctx.pool());
     } else {
       result.task_count = plan.tasks.size();
       result.partition_depth = plan.depth;
@@ -222,7 +220,7 @@ ParallelJoinResult RunParallelSpatialJoin(
       for (size_t w = 0; w < num_workers; ++w) {
         Worker& worker = add_worker();
         worker.engine = std::make_unique<SpatialJoinEngine>(
-            r, s, options, ctx.pool(), &worker.stats, ctx.nodes());
+            r, s, options, ctx.pool(), &worker.stats);
         worker.engine->set_prefetcher(prefetcher);
       }
       const auto run_task = [&](unsigned w, size_t task_index) {

@@ -10,9 +10,8 @@
 //      worker owns a SpatialJoinEngine, its own Statistics and a batched
 //      ResultSink,
 //   3. page requests go through the context's shared, sharded,
-//      thread-safe SharedBufferPool and the decoded-node cache over it
-//      (exec/exec_context.h), which the coordinator's partitioning reads
-//      warm for the workers,
+//      thread-safe SharedBufferPool (exec/exec_context.h), whose pages the
+//      coordinator's partitioning reads and decodes warm for the workers,
 //   4. worker statistics and sink outputs are merged into the result.
 //
 // Work units are disjoint subtree pairs, so the union of the workers'

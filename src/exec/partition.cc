@@ -80,32 +80,18 @@ void AppendWindowSplitTasks(const DecodedNode& dir, const Entry& leaf_entry,
   }
 }
 
-// Counted read + decode of one page; published to `nodes` when present so
-// the workers inherit the decode.
-std::shared_ptr<const DecodedNode> FetchNode(const RTree& tree, PageId id,
-                                             PageCache* cache,
-                                             Statistics* stats,
-                                             NodeCache* nodes) {
-  if (nodes != nullptr) {
-    return nodes->Fetch(tree.file(), id, stats).decoded;
-  }
-  cache->Read(tree.file(), id, stats);
-  ++stats->node_decodes;
-  return std::make_shared<const DecodedNode>(Node::Load(tree.file(), id));
-}
-
 }  // namespace
 
 PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
                                  const JoinOptions& options,
                                  size_t target_tasks, PageCache* cache,
-                                 Statistics* stats, NodeCache* nodes) {
+                                 Statistics* stats) {
   PartitionPlan plan;
   const double expansion =
       PredicateExpansion(options.predicate, options.epsilon);
 
-  const auto root_r = FetchNode(r, r.root_page(), cache, stats, nodes);
-  const auto root_s = FetchNode(s, s.root_page(), cache, stats, nodes);
+  const auto root_r = cache->Fetch(r.file(), r.root_page(), stats).decoded;
+  const auto root_s = cache->Fetch(s.file(), s.root_page(), stats).decoded;
   if (root_r->node.is_leaf() || root_s->node.is_leaf()) {
     plan.degenerate = true;
     return plan;
@@ -124,8 +110,8 @@ PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
     next.reserve(frontier.size() * 2);
     bool expanded_any = false;
     for (const PartitionTask& task : frontier) {
-      const auto child_r = FetchNode(r, task.er.ref, cache, stats, nodes);
-      const auto child_s = FetchNode(s, task.es.ref, cache, stats, nodes);
+      const auto child_r = cache->Fetch(r.file(), task.er.ref, stats).decoded;
+      const auto child_s = cache->Fetch(s.file(), task.es.ref, stats).decoded;
       if (child_r->node.is_leaf() && child_s->node.is_leaf()) {
         final_tasks.push_back(task);
         continue;

@@ -29,7 +29,6 @@
 
 #include "join/join_options.h"
 #include "rtree/rtree.h"
-#include "storage/node_cache.h"
 #include "storage/page_cache.h"
 #include "storage/statistics.h"
 
@@ -53,14 +52,13 @@ struct PartitionPlan {
 
 // Builds the task list by synchronized descent. Coordinator page requests
 // go through `cache` (warming a shared pool for the workers) and all
-// coordinator costs are charged to `stats`. When `nodes` (a NodeCache
-// layered over `cache`) is given, the directory decodes are published
-// through it so the workers never decode those nodes again.
+// coordinator costs are charged to `stats`. Its fetches leave the directory
+// decodes with the resident pages, so the workers do not decode those
+// nodes again while they stay resident.
 PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
                                  const JoinOptions& options,
                                  size_t target_tasks, PageCache* cache,
-                                 Statistics* stats,
-                                 NodeCache* nodes = nullptr);
+                                 Statistics* stats);
 
 }  // namespace rsj
 

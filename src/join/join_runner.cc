@@ -30,8 +30,7 @@ JoinRunResult RunOnPrivateBuffer(const RTree& r, const RTree& s,
   JoinRunResult result;
   {
     BufferPool pool(
-        BufferPool::Options{options.buffer_bytes, r.options().page_size},
-        &result.stats);
+        BufferPool::Options{options.buffer_bytes, r.options().page_size});
     if (io != nullptr) pool.AttachIoScheduler(io);
     std::optional<Prefetcher> prefetcher;
     SpatialJoinEngine engine(r, s, options, &pool, &result.stats);

@@ -19,15 +19,15 @@ constexpr size_t kSequentialProbeBatch = 1024;
 
 }  // namespace
 
-ChainProbe::ChainProbe(const RTree& tree, NodeCache* nodes,
+ChainProbe::ChainProbe(const RTree& tree, PageCache* pages,
                        const JoinOptions& options, Statistics* stats)
     : tree_(tree),
-      nodes_(nodes),
+      pages_(pages),
       predicate_(options.predicate),
       epsilon_(options.epsilon),
       expansion_(PredicateExpansion(options.predicate, options.epsilon)),
       stats_(stats) {
-  RSJ_CHECK_MSG(nodes != nullptr, "a chain probe needs a node cache");
+  RSJ_CHECK_MSG(pages != nullptr, "a chain probe needs a page cache");
 }
 
 ChainProbe::Level& ChainProbe::Scratch(size_t depth) {
@@ -68,9 +68,8 @@ void ChainProbe::RunBatch(std::span<const Rect> queries, Match emit) {
 }
 
 void ChainProbe::Descend(PageId page, size_t depth, Match emit) {
-  // The decode stays alive in this frame even if the cache evicts it.
-  const NodeCache::FetchResult fetched =
-      nodes_->Fetch(tree_.file(), page, stats_);
+  // The decode stays alive in this frame even if the pool evicts its page.
+  const FetchedNode fetched = pages_->Fetch(tree_.file(), page, stats_);
   const DecodedNode::Sorted& sorted = fetched.decoded->sorted();
   // §4.2: a page is sorted right after it is read from disk.
   if (!fetched.page_hit) stats_->sort_comparisons.Add(sorted.sort_cost);
@@ -140,20 +139,16 @@ MultiwayJoinResult RunChainSpatialJoin(
   }
 
   MultiwayJoinResult result;
-  BufferPool pool(
-      BufferPool::Options{options.buffer_bytes,
-                          relations[0].tree->options().page_size},
-      &result.stats);
-  // One decode cache over the system buffer: every probe batch revisits
-  // the same directory pages, so keeping the decodes hot removes almost
-  // all repeated decoding.
-  NodeCache node_cache(&pool, NodeCache::Options{});
+  // One system buffer: every probe batch revisits the same directory pages,
+  // whose decodes stay with them while they are resident.
+  BufferPool pool(BufferPool::Options{options.buffer_bytes,
+                                      relations[0].tree->options().page_size});
 
   // Phase 1: pairwise join of the first two relations.
   std::vector<std::vector<uint32_t>> frontier;  // partial tuples
   {
     SpatialJoinEngine engine(*relations[0].tree, *relations[1].tree, options,
-                             &pool, &result.stats, &node_cache);
+                             &pool, &result.stats);
     BatchedCallbackSink sink([&frontier](std::span<const ResultPair> batch) {
       for (const ResultPair& p : batch) frontier.push_back({p.r, p.s});
     });
@@ -172,8 +167,7 @@ MultiwayJoinResult RunChainSpatialJoin(
     // number the parallel executor's bounded stages are measured against).
     result.stats.frontier_peak_tuples = std::max<uint64_t>(
         result.stats.frontier_peak_tuples, frontier.size());
-    ChainProbe probe(*relations[next].tree, &node_cache, options,
-                     &result.stats);
+    ChainProbe probe(*relations[next].tree, &pool, options, &result.stats);
     std::vector<std::vector<uint32_t>> extended;
     for (size_t first = 0; first < frontier.size();
          first += kSequentialProbeBatch) {

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "join/join_runner.h"
-#include "storage/node_cache.h"
+#include "storage/page_cache.h"
 
 namespace rsj {
 
@@ -61,16 +61,17 @@ MultiwayJoinResult RunChainSpatialJoin(
 // intersection predicate, and the other predicates test each of them
 // exactly on the unexpanded window.
 //
-// Every page comes from `nodes` (one page request each, charged to `stats`)
-// in its shared sorted form; a physical read charges the page's sort to
-// `sort_comparisons` (§4.2). The batch sort charges one `sort_comparisons`
-// per comparator call, the sweeps and exact tests `join_comparisons`, and
-// every window one `window_queries`. The per-depth scratch persists across
-// batches, so a batch allocates nothing once it has grown.
+// Every page comes from `pages` (one Fetch each, charged to `stats`) in the
+// sorted form of its resident decode; a physical read charges the page's
+// sort to `sort_comparisons` (§4.2). The batch sort charges one
+// `sort_comparisons` per comparator call, the sweeps and exact tests
+// `join_comparisons`, and every window one `window_queries`. The
+// per-depth scratch persists across batches, so a batch allocates nothing
+// once it has grown.
 class ChainProbe {
  public:
-  // All arguments must outlive the probe; `nodes` is required.
-  ChainProbe(const RTree& tree, NodeCache* nodes, const JoinOptions& options,
+  // All arguments must outlive the probe; `pages` is required.
+  ChainProbe(const RTree& tree, PageCache* pages, const JoinOptions& options,
              Statistics* stats);
 
   ChainProbe(const ChainProbe&) = delete;
@@ -118,7 +119,7 @@ class ChainProbe {
   Level& Scratch(size_t depth);
 
   const RTree& tree_;
-  NodeCache* const nodes_;
+  PageCache* const pages_;
   const JoinPredicate predicate_;
   const double epsilon_;
   const double expansion_;

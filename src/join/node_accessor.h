@@ -8,23 +8,21 @@
 // For the sweep-based algorithms the accessor hands out each node's
 // entries sorted by their rectangles' lower x coordinate and charges the
 // sorting comparisons the way the paper models it (§4.2): a page is sorted
-// "immediately after it is read from disk", i.e. the sort cost recurs on
-// every *physical* re-read (buffer miss) but not on buffer hits. The cost
-// of the first from-scratch sort is memoized and recharged on later misses
-// (the in-memory copy stays sorted; physically the page would be re-sorted
-// from scratch).
+// "immediately after it is read from disk", i.e. once per decode and again
+// on every *physical* re-read (buffer miss), but not on buffer hits.
 //
-// Where the nodes come from:
-//   * with a shared `NodeCache` (every parallel worker and engine session),
-//     the accessor keeps, per visited page, a reference to the cache's
-//     decode and hands out views of it — its sorted form for the sweep
-//     algorithms (storage/node_cache.h), built once for all readers. The
-//     accessor copies nothing, except on the R side of a within-distance
-//     join, whose SoA block carries the predicate expansion and so is the
-//     accessor's own;
-//   * without one (the sequential paper path), the accessor decodes and
-//     sorts its own copy of each page it visits, expansion baked into the
-//     block, so a re-read never re-decodes in memory.
+// The nodes are the pool's decodes (`PageCache::Fetch`): on its first
+// visit to a page the accessor keeps a reference to the resident page's
+// decode and hands out views of it — its sorted form for the sweep
+// algorithms (storage/decoded_node.h), built once for all readers of the
+// pool. That first visit charges the sort only when its fetch decoded the
+// page; a reader that shares a decode another reader built shares its
+// sort. Later visits reuse the reference and issue plain page requests; a
+// physical re-read recharges the decode and the memoized sort (the
+// in-memory copy stays sorted; physically the page would be re-sorted from
+// scratch). The accessor copies nothing, except on the R side of a
+// within-distance join, whose SoA block carries the predicate expansion
+// and so is the accessor's own.
 //
 // Each node comes with its entry rectangles as a SoA `RectBlock`
 // (geom/rect_block.h), so the engine's inner loops run the batch kernels
@@ -37,15 +35,14 @@
 #include <unordered_map>
 
 #include "rtree/rtree.h"
-#include "storage/node_cache.h"
 #include "storage/page_cache.h"
 
 namespace rsj {
 
 // A fetched node as the engine consumes it: the decoded (possibly sorted)
 // entries plus their SoA block with the accessor's expansion baked in.
-// Both pointers stay valid for the accessor's lifetime, even when the node
-// cache evicts or re-decodes the page meanwhile.
+// Both pointers stay valid for the accessor's lifetime, even when the pool
+// evicts or re-decodes the page meanwhile.
 struct NodeView {
   const Node* node = nullptr;
   const RectBlock* block = nullptr;
@@ -55,13 +52,11 @@ class NodeAccessor {
  public:
   // Does not take ownership; all arguments must outlive the accessor.
   // Page requests are charged to `stats` (the owning worker's counters).
-  // `nodes`, when given, must be layered over `cache` (it issues the page
-  // requests on the accessor's behalf). `expansion`, when positive, is
-  // baked into every handed-out RectBlock (the within-distance R-side
-  // pre-expansion); the Node's own entries stay unexpanded.
+  // `expansion`, when positive, is baked into every handed-out RectBlock
+  // (the within-distance R-side pre-expansion); the Node's own entries
+  // stay unexpanded.
   NodeAccessor(const RTree& tree, PageCache* cache, Statistics* stats,
-               bool sort_on_read, NodeCache* nodes = nullptr,
-               double expansion = 0.0);
+               bool sort_on_read, double expansion = 0.0);
 
   NodeAccessor(const NodeAccessor&) = delete;
   NodeAccessor& operator=(const NodeAccessor&) = delete;
@@ -81,15 +76,14 @@ class NodeAccessor {
   const RTree& tree() const { return tree_; }
 
  private:
-  // One visited page. `view` points into `shared` (the node cache's
-  // decode) or into the accessor's own `node` and `block`; `block` is also
-  // where a shared node's expanded R-side block lives.
+  // One visited page. `view` points into `decoded` (the pool's decode, kept
+  // alive here), except for an R-side block expanded by `expansion_`,
+  // which is the accessor's own `block`.
   struct CachedNode {
-    std::shared_ptr<const DecodedNode> shared;  // null without a node cache
-    Node node;        // own decode, sorted on read (no node cache only)
-    RectBlock block;  // own SoA block, expanded by `expansion_`
+    std::shared_ptr<const DecodedNode> decoded;
+    RectBlock block;
     NodeView view;
-    uint64_t first_sort_cost = 0;  // comparisons of the from-scratch sort
+    uint64_t sort_cost = 0;  // comparisons of the from-scratch sort
   };
 
   const CachedNode& FetchCached(PageId id);
@@ -98,7 +92,6 @@ class NodeAccessor {
   PageCache* pages_;
   Statistics* stats_;
   bool sort_on_read_;
-  NodeCache* nodes_;  // optional shared decode cache (may be null)
   double expansion_;
   std::unordered_map<PageId, CachedNode> cache_;
 };

@@ -136,8 +136,7 @@ IdJoinResult RunIdSpatialJoin(const RTree& r_tree, const Dataset& r,
                               const JoinOptions& options) {
   IdJoinResult result;
   BufferPool pool(
-      BufferPool::Options{options.buffer_bytes, r_tree.options().page_size},
-      &result.stats);
+      BufferPool::Options{options.buffer_bytes, r_tree.options().page_size});
   SpatialJoinEngine engine(r_tree, s_tree, options, &pool, &result.stats);
   std::unique_ptr<RasterRefineFilter> raster;
   if (options.refine_raster) {

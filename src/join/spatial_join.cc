@@ -12,12 +12,11 @@ namespace rsj {
 
 SpatialJoinEngine::SpatialJoinEngine(const RTree& r, const RTree& s,
                                      const JoinOptions& options,
-                                     PageCache* cache, Statistics* stats,
-                                     NodeCache* nodes)
+                                     PageCache* cache, Statistics* stats)
     : options_(options),
-      acc_r_(r, cache, stats, UsesPlaneSweep(options.algorithm), nodes,
+      acc_r_(r, cache, stats, UsesPlaneSweep(options.algorithm),
              PredicateExpansion(options.predicate, options.epsilon)),
-      acc_s_(s, cache, stats, UsesPlaneSweep(options.algorithm), nodes),
+      acc_s_(s, cache, stats, UsesPlaneSweep(options.algorithm)),
       stats_(stats),
       expansion_(PredicateExpansion(options.predicate, options.epsilon)) {
   RSJ_CHECK_MSG(r.options().page_size == s.options().page_size,
@@ -51,15 +50,6 @@ void SpatialJoinEngine::ProcessPartition(const Entry& er, const Entry& es,
   sink_ = sink;
   ProcessChildPair(er, es, /*depth=*/0);
   sink_ = nullptr;
-}
-
-void SpatialJoinEngine::RunPartition(
-    std::span<const std::pair<Entry, Entry>> pairs, ResultSink* sink) {
-  BeginPartitionedRun();
-  for (const auto& [er, es] : pairs) {
-    ProcessPartition(er, es, sink);
-  }
-  sink->Flush();
 }
 
 void SpatialJoinEngine::Emit(uint32_t r_ref, uint32_t s_ref) {

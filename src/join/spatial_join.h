@@ -27,7 +27,6 @@
 #define RSJ_JOIN_SPATIAL_JOIN_H_
 
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,22 +46,15 @@ class Prefetcher;
 class SpatialJoinEngine {
  public:
   // `cache` and `stats` must outlive the engine; both trees must use the
-  // same page size (the paper's setting). `nodes`, when given, is a shared
-  // decoded-node cache layered over `cache` (storage/node_cache.h): the
-  // accessors then copy ready-made decodes instead of re-decoding pages
-  // already decoded by the coordinator or another worker.
+  // same page size (the paper's setting). The accessors share the decodes
+  // `cache` keeps with its resident pages (storage/page_cache.h), so pages
+  // the coordinator or another worker decoded are not decoded again while
+  // they stay resident.
   SpatialJoinEngine(const RTree& r, const RTree& s, const JoinOptions& options,
-                    PageCache* cache, Statistics* stats,
-                    NodeCache* nodes = nullptr);
+                    PageCache* cache, Statistics* stats);
 
   // Executes the MBR-spatial-join R ⋈ S into `sink` (flushed on return).
   void Run(ResultSink* sink);
-
-  // Processes a set of qualifying directory-entry pairs as one independent
-  // work partition (flushes `sink` on return). Equivalent to
-  // BeginPartitionedRun() + ProcessPartition() per pair + Flush().
-  void RunPartition(std::span<const std::pair<Entry, Entry>> pairs,
-                    ResultSink* sink);
 
   // Fine-grained partitioned execution, used by the parallel executor
   // (exec/parallel_executor.h): Begin fetches both roots (counted, like a

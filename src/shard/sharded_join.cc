@@ -190,7 +190,7 @@ ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
       dedup[w] = std::make_unique<DedupSink>(&r, &s, shard, inner[w].get());
     }
 
-    // A standalone context per shard: its own pool and decode cache, and
+    // A standalone context per shard: its own pool (decodes included), and
     // the owned window over the shard's scheduler. Shards model
     // independent nodes, so the run-level elapsed time is the max, not
     // the sum.

@@ -4,14 +4,11 @@
 
 namespace rsj {
 
-BufferPool::BufferPool(const Options& options, Statistics* stats)
+BufferPool::BufferPool(const Options& options)
     : frame_capacity_(options.page_size == 0
                           ? 0
                           : options.capacity_bytes / options.page_size),
-      page_size_(options.page_size),
-      stats_(stats) {
-  RSJ_CHECK(stats != nullptr);
-}
+      page_size_(options.page_size) {}
 
 void BufferPool::ConsumePrefetchedFrame(const PageKey& key, Frame* frame,
                                         Statistics* stats) {
@@ -21,12 +18,15 @@ void BufferPool::ConsumePrefetchedFrame(const PageKey& key, Frame* frame,
   if (io_ != nullptr) io_->ConsumePrefetched(this, *key.file, key.id, stats);
 }
 
-bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats) {
+BufferPool::Decode* BufferPool::Request(const PagedFile& file, PageId id,
+                                        Statistics* stats, bool* hit) {
   if (io_ != nullptr) io_->ChargeCpuPerRead(stats);
   const PageKey key{&file, id};
-  if (pinned_.contains(key)) {
+  *hit = true;
+  auto pinned_it = pinned_.find(key);
+  if (pinned_it != pinned_.end()) {
     ++stats->buffer_hits;
-    return true;
+    return &pinned_it->second.decoded;
   }
   auto it = frames_.find(key);
   if (it != frames_.end()) {
@@ -35,12 +35,37 @@ bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats) {
       ConsumePrefetchedFrame(key, &it->second, stats);
     }
     order_.splice(order_.begin(), order_, it->second.position);
-    return true;
+    return &it->second.decoded;
   }
+  *hit = false;
   if (io_ != nullptr) io_->BlockingRead(this, file, id, page_size_, stats);
   ++stats->disk_reads;
-  InsertNewest(key, stats);
-  return false;
+  Frame* frame = InsertNewest(key, stats);
+  return frame != nullptr ? &frame->decoded : nullptr;
+}
+
+bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats) {
+  bool hit = false;
+  Request(file, id, stats, &hit);
+  return hit;
+}
+
+FetchedNode BufferPool::Fetch(const PagedFile& file, PageId id,
+                              Statistics* stats) {
+  FetchedNode fetched;
+  Decode* slot = Request(file, id, stats, &fetched.page_hit);
+  if (slot != nullptr && *slot != nullptr) {
+    ++stats->node_cache_hits;
+    fetched.decoded = *slot;
+    return fetched;
+  }
+  // First fetch since the page became resident: decode the page bytes,
+  // charged to the requesting actor, and keep the decode with the page.
+  ++stats->node_decodes;
+  fetched.decoded = std::make_shared<const DecodedNode>(Node::Load(file, id));
+  fetched.fresh = true;
+  if (slot != nullptr) *slot = fetched.decoded;
+  return fetched;
 }
 
 bool BufferPool::Prefetch(const PagedFile& file, PageId id,
@@ -63,15 +88,17 @@ void BufferPool::Pin(const PagedFile& file, PageId id, Statistics* stats) {
   ++stats->pin_count;
   auto pinned_it = pinned_.find(key);
   if (pinned_it != pinned_.end()) {
-    ++pinned_it->second;
+    ++pinned_it->second.count;
     return;
   }
+  PinnedPage pinned{1u, nullptr};
   auto frame_it = frames_.find(key);
   if (frame_it != frames_.end()) {
-    // Promote from frame to pinned; frees the frame.
+    // Promote from frame to pinned, decode included; frees the frame.
     if (frame_it->second.prefetched) {
       ConsumePrefetchedFrame(key, &frame_it->second, stats);
     }
+    pinned.decoded = std::move(frame_it->second.decoded);
     order_.erase(frame_it->second.position);
     frames_.erase(frame_it);
   } else {
@@ -79,17 +106,19 @@ void BufferPool::Pin(const PagedFile& file, PageId id, Statistics* stats) {
     if (io_ != nullptr) io_->BlockingRead(this, file, id, page_size_, stats);
     ++stats->disk_reads;
   }
-  pinned_.emplace(key, 1u);
+  pinned_.emplace(key, std::move(pinned));
 }
 
 void BufferPool::Unpin(const PagedFile& file, PageId id, Statistics* stats) {
   const PageKey key{&file, id};
   auto it = pinned_.find(key);
   RSJ_CHECK_MSG(it != pinned_.end(), "Unpin of a page that is not pinned");
-  if (--it->second > 0) return;
+  if (--it->second.count > 0) return;
+  Decode decoded = std::move(it->second.decoded);
   pinned_.erase(it);
-  // Recently used; keep it cached if the budget allows.
-  InsertNewest(key, stats);
+  // Recently used; keep it cached, with its decode, if the budget allows.
+  Frame* frame = InsertNewest(key, stats);
+  if (frame != nullptr) frame->decoded = std::move(decoded);
 }
 
 bool BufferPool::Contains(const PagedFile& file, PageId id) const {
@@ -125,13 +154,16 @@ void BufferPool::EvictOne(Statistics* stats) {
   ++stats->buffer_evictions;
 }
 
-void BufferPool::InsertNewest(const PageKey& key, Statistics* stats,
-                              bool prefetched) {
-  if (frame_capacity_ == 0) return;
+BufferPool::Frame* BufferPool::InsertNewest(const PageKey& key,
+                                            Statistics* stats,
+                                            bool prefetched) {
+  if (frame_capacity_ == 0) return nullptr;
   while (order_.size() >= frame_capacity_) EvictOne(stats);
   order_.push_front(key);
-  frames_[key] = Frame{order_.begin(), prefetched};
   if (prefetched) ++prefetched_unconsumed_;
+  Frame& frame = frames_[key];
+  frame = Frame{order_.begin(), prefetched, nullptr};
+  return &frame;
 }
 
 }  // namespace rsj

@@ -10,7 +10,9 @@
 //
 // Because the backing `PagedFile`s are in-memory, the pool does not copy
 // page bytes; it is the *accounting* authority: `Read()` returns whether the
-// request was a disk access or a buffer hit and updates `Statistics`.
+// request was a disk access or a buffer hit and updates `Statistics`. A
+// frame or pin also holds the page's decode once a `Fetch` has built it
+// (storage/page_cache.h), and drops it with the page.
 //
 // The pool also implements the non-blocking `Prefetch` entry point of the
 // async I/O subsystem (src/io/): a prefetched page lands as an *evictable*
@@ -33,6 +35,7 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <unordered_map>
 
 #include "storage/page_cache.h"
@@ -50,22 +53,15 @@ class BufferPool : public PageCache {
     uint32_t page_size = kPageSize4K;
   };
 
-  // `stats` must outlive the pool; the legacy two-argument calls charge all
-  // I/O counters to it.
-  BufferPool(const Options& options, Statistics* stats);
+  explicit BufferPool(const Options& options);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  // Legacy single-owner API: charges the bound Statistics.
-  bool Read(const PagedFile& file, PageId id) {
-    return Read(file, id, stats_);
-  }
-  void Pin(const PagedFile& file, PageId id) { Pin(file, id, stats_); }
-  void Unpin(const PagedFile& file, PageId id) { Unpin(file, id, stats_); }
-
   // PageCache interface: charges the caller-provided Statistics.
   bool Read(const PagedFile& file, PageId id, Statistics* stats) override;
+  FetchedNode Fetch(const PagedFile& file, PageId id,
+                    Statistics* stats) override;
   void Pin(const PagedFile& file, PageId id, Statistics* stats) override;
   void Unpin(const PagedFile& file, PageId id, Statistics* stats) override;
   bool Prefetch(const PagedFile& file, PageId id, Statistics* stats) override;
@@ -93,15 +89,30 @@ class BufferPool : public PageCache {
   size_t prefetched_unconsumed() const { return prefetched_unconsumed_; }
 
  private:
+  using Decode = std::shared_ptr<const DecodedNode>;
+
   struct Frame {
     std::list<PageKey>::iterator position;  // place in the LRU list
     bool prefetched = false;                // landed by Prefetch, untouched
+    Decode decoded;                         // built by the first Fetch
   };
 
+  struct PinnedPage {
+    uint32_t count = 0;  // pins nest
+    Decode decoded;
+  };
+
+  // The page request behind Read and Fetch: counts a hit or a read and
+  // returns the resident page's decode slot — nullptr when the page did
+  // not stay resident (a zero-frame pool).
+  Decode* Request(const PagedFile& file, PageId id, Statistics* stats,
+                  bool* hit);
+
   // Inserts the key as the most recently used frame, evicting the least
-  // recently used ones if needed.
-  void InsertNewest(const PageKey& key, Statistics* stats,
-                    bool prefetched = false);
+  // recently used ones if needed; returns the frame (nullptr with zero
+  // frames).
+  Frame* InsertNewest(const PageKey& key, Statistics* stats,
+                      bool prefetched = false);
 
   // Frees the least recently used frame.
   void EvictOne(Statistics* stats);
@@ -113,7 +124,6 @@ class BufferPool : public PageCache {
 
   size_t frame_capacity_;
   uint32_t page_size_;
-  Statistics* stats_;
   IoScheduler* io_ = nullptr;  // optional modeled-time layer
   size_t prefetched_unconsumed_ = 0;
 
@@ -121,8 +131,8 @@ class BufferPool : public PageCache {
   std::list<PageKey> order_;
   std::unordered_map<PageKey, Frame, PageKeyHash> frames_;
 
-  // Pinned pages with their pin counts.
-  std::unordered_map<PageKey, uint32_t, PageKeyHash> pinned_;
+  // Pinned pages with their pin counts and decodes.
+  std::unordered_map<PageKey, PinnedPage, PageKeyHash> pinned_;
 };
 
 }  // namespace rsj

@@ -10,12 +10,19 @@
 // Counter attribution is per call: every request carries the Statistics of
 // the requesting actor (a worker or the coordinator), so a shared pool can
 // charge hits, misses and evictions to whoever caused them.
+//
+// A resident page also carries its decode (storage/decoded_node.h): the
+// paper sorts a page "immediately after it is read from disk" (§4.2), so a
+// decoded node is valid exactly while its page stays buffer-resident.
+// `Fetch` is the page request that hands the decode out.
 
 #ifndef RSJ_STORAGE_PAGE_CACHE_H_
 #define RSJ_STORAGE_PAGE_CACHE_H_
 
 #include <cstdint>
+#include <memory>
 
+#include "storage/decoded_node.h"
 #include "storage/paged_file.h"
 #include "storage/statistics.h"
 
@@ -37,6 +44,18 @@ struct PageKeyHash {
   }
 };
 
+// A page request's decode. The holder keeps it alive after the pool has
+// dropped it (evicted or re-read the page).
+struct FetchedNode {
+  std::shared_ptr<const DecodedNode> decoded;
+  // Read's result: true when the request was a buffer hit, false when the
+  // page was physically read.
+  bool page_hit = false;
+  // True when this request decoded the page (one `node_decodes`); false
+  // when it shared the resident page's decode (one `node_cache_hits`).
+  bool fresh = false;
+};
+
 class PageCache {
  public:
   virtual ~PageCache() = default;
@@ -44,6 +63,14 @@ class PageCache {
   // Requests page `id` of `file`. Counts either a disk read (miss) or a
   // buffer hit against `stats` and returns true when it was a hit.
   virtual bool Read(const PagedFile& file, PageId id, Statistics* stats) = 0;
+
+  // A page request with Read's counters that also returns the page's
+  // decode. The first Fetch since the page became resident decodes it; the
+  // page's frame (or pin) keeps that decode, and later fetches share it.
+  // Eviction, Clear and a zero-frame pool drop the decode; Pin and Unpin
+  // carry it with the page. Read, Pin and Prefetch never decode.
+  virtual FetchedNode Fetch(const PagedFile& file, PageId id,
+                            Statistics* stats) = 0;
 
   // Pins the page, reading it first if absent (that read is counted).
   // Pins nest: a page pinned twice needs two Unpin() calls. Pinned pages

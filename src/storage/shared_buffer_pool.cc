@@ -33,6 +33,13 @@ bool SharedBufferPool::Read(const PagedFile& file, PageId id,
   return shard.pool.Read(file, id, stats);
 }
 
+FetchedNode SharedBufferPool::Fetch(const PagedFile& file, PageId id,
+                                   Statistics* stats) {
+  Shard& shard = ShardFor(PageKey{&file, id});
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return shard.pool.Fetch(file, id, stats);
+}
+
 void SharedBufferPool::Pin(const PagedFile& file, PageId id,
                            Statistics* stats) {
   Shard& shard = ShardFor(PageKey{&file, id});

@@ -13,6 +13,11 @@
 // the requesting worker's Statistics, so per-worker I/O skew stays
 // observable even though the frames are shared. Evictions are charged to
 // the worker whose insertion triggered them.
+//
+// A frame's decode is shared the same way: the coordinator's directory
+// decodes and one query's hot pages serve every worker and session while
+// the page stays resident. A Fetch decodes under its shard's lock, so a
+// resident page is decoded once however many readers race for it.
 
 #ifndef RSJ_STORAGE_SHARED_BUFFER_POOL_H_
 #define RSJ_STORAGE_SHARED_BUFFER_POOL_H_
@@ -41,6 +46,8 @@ class SharedBufferPool : public PageCache {
   SharedBufferPool& operator=(const SharedBufferPool&) = delete;
 
   bool Read(const PagedFile& file, PageId id, Statistics* stats) override;
+  FetchedNode Fetch(const PagedFile& file, PageId id,
+                    Statistics* stats) override;
   void Pin(const PagedFile& file, PageId id, Statistics* stats) override;
   void Unpin(const PagedFile& file, PageId id, Statistics* stats) override;
   bool Prefetch(const PagedFile& file, PageId id, Statistics* stats) override;
@@ -66,14 +73,10 @@ class SharedBufferPool : public PageCache {
 
  private:
   // One independently locked cache unit: a plain BufferPool scoped to the
-  // keys that hash into it. The pool's bound Statistics is unused (every
-  // access goes through the 3-arg PageCache API) but required by its
-  // constructor.
+  // keys that hash into it.
   struct Shard {
-    Shard(const BufferPool::Options& options)
-        : pool(options, &unused_stats) {}
+    explicit Shard(const BufferPool::Options& options) : pool(options) {}
     mutable std::mutex mu;
-    Statistics unused_stats;
     BufferPool pool;
   };
 

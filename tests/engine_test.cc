@@ -5,7 +5,8 @@
 // the serial results for every SJ variant, per-session statistics
 // isolation, deterministic admission queueing/shedding, and governor
 // accounting across a batch. Runs under TSan in CI: the engine's shared
-// pool / node cache / scheduler / task pool cross every session boundary.
+// pool (with its resident decodes) / scheduler / task pool cross every
+// session boundary.
 
 #include "engine/query_engine.h"
 
@@ -37,7 +38,7 @@ TEST(MemoryGovernor, LeaseLedger) {
   MemoryGovernor gov(MemoryGovernor::Options{1000});
   EXPECT_EQ(gov.budget_bytes(), 1000u);
   EXPECT_TRUE(gov.TryLease(MemoryCategory::kResultChunks, 600));
-  EXPECT_TRUE(gov.TryLease(MemoryCategory::kCacheFrames, 400));
+  EXPECT_TRUE(gov.TryLease(MemoryCategory::kRasterSignatures, 400));
   // Past the budget: refused, ledger untouched.
   EXPECT_FALSE(gov.TryLease(MemoryCategory::kFrontierTuples, 1));
   EXPECT_EQ(gov.leased_bytes(), 1000u);
@@ -48,9 +49,9 @@ TEST(MemoryGovernor, LeaseLedger) {
   gov.Charge(MemoryCategory::kSessionReservations, 500);
   EXPECT_EQ(gov.leased_bytes(), 1400u);
   EXPECT_GE(gov.peak_bytes(), 1400u);
-  EXPECT_EQ(gov.category_live(MemoryCategory::kCacheFrames), 400u);
+  EXPECT_EQ(gov.category_live(MemoryCategory::kRasterSignatures), 400u);
   EXPECT_EQ(gov.category_peak(MemoryCategory::kResultChunks), 600u);
-  gov.Release(MemoryCategory::kCacheFrames, 400);
+  gov.Release(MemoryCategory::kRasterSignatures, 400);
   gov.Release(MemoryCategory::kFrontierTuples, 500);
   gov.Release(MemoryCategory::kSessionReservations, 500);
   EXPECT_EQ(gov.leased_bytes(), 0u);

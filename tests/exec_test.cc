@@ -400,7 +400,7 @@ IndexedRelation* PartitionTest::s_ = nullptr;
 TEST_F(PartitionTest, SmallTargetStaysAtRootLevel) {
   JoinOptions jopt;
   Statistics stats;
-  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize1K});
   const PartitionPlan plan =
       BuildPartitionPlan(r_->tree(), s_->tree(), jopt, 1, &pool, &stats);
   EXPECT_FALSE(plan.degenerate);
@@ -412,7 +412,7 @@ TEST_F(PartitionTest, SmallTargetStaysAtRootLevel) {
 TEST_F(PartitionTest, LargeTargetDescendsBelowTheRoot) {
   JoinOptions jopt;
   Statistics stats;
-  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize1K});
   const PartitionPlan shallow =
       BuildPartitionPlan(r_->tree(), s_->tree(), jopt, 1, &pool, &stats);
   const PartitionPlan deep = BuildPartitionPlan(
@@ -427,7 +427,7 @@ TEST_F(PartitionTest, LeafRootIsDegenerate) {
   IndexedRelation tiny(testutil::RandomRects(5, 933, 0.3), topt);
   JoinOptions jopt;
   Statistics stats;
-  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize1K});
   EXPECT_TRUE(BuildPartitionPlan(tiny.tree(), s_->tree(), jopt, 8, &pool,
                                  &stats)
                   .degenerate);
@@ -616,7 +616,7 @@ TEST_F(ParallelExecutorTest, UnequalHeightsSplitIntoWindowPhaseTasks) {
   jopt.algorithm = JoinAlgorithm::kSJ4;
 
   Statistics stats;
-  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{128 * 1024, kPageSize1K});
   const PartitionPlan coarse =
       BuildPartitionPlan(tall.tree(), flat.tree(), jopt, 1, &pool, &stats);
   const PartitionPlan split =

@@ -22,7 +22,6 @@
 #include "shard/decluster.h"
 #include "shard/sharded_join.h"
 #include "storage/buffer_pool.h"
-#include "storage/node_cache.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -127,6 +126,36 @@ TEST_F(JoinInvariantsTest, DeterministicCountersAcrossRuns) {
   EXPECT_EQ(first.output_pairs, second.output_pairs);
 }
 
+TEST_F(JoinInvariantsTest, SharedDecodesChargeTheirSortOnce) {
+  // Two runs over one pool that holds both trees: the second run's pages
+  // are all resident with their sorted decodes, so it reads nothing,
+  // decodes nothing and charges no sort (§4.2 sorts a page once per read
+  // from disk), and still joins the same pairs.
+  JoinOptions jopt;
+  jopt.algorithm = JoinAlgorithm::kSJ4;
+  jopt.buffer_bytes = 1ull << 30;
+  BufferPool pool(BufferPool::Options{jopt.buffer_bytes, kPageSize1K});
+  Statistics first;
+  Statistics second;
+  CountingSink first_pairs;
+  CountingSink second_pairs;
+  SpatialJoinEngine(r_->tree(), s_->tree(), jopt, &pool, &first)
+      .Run(&first_pairs);
+  SpatialJoinEngine(r_->tree(), s_->tree(), jopt, &pool, &second)
+      .Run(&second_pairs);
+
+  const Statistics alone = RunSpatialJoin(r_->tree(), s_->tree(), jopt).stats;
+  EXPECT_GT(first.sort_comparisons.count(), 0u);
+  EXPECT_EQ(first.sort_comparisons.count(), alone.sort_comparisons.count());
+  EXPECT_EQ(first.node_decodes, alone.node_decodes);
+  EXPECT_EQ(second.sort_comparisons.count(), 0u);
+  EXPECT_EQ(second.node_decodes, 0u);
+  EXPECT_EQ(second.disk_reads, 0u);
+  EXPECT_EQ(second.node_cache_hits, first.node_decodes);
+  EXPECT_EQ(second.join_comparisons.count(), first.join_comparisons.count());
+  EXPECT_EQ(second_pairs.count(), first_pairs.count());
+}
+
 TEST_F(JoinInvariantsTest, ReadsPlusHitsInvariantAcrossBufferSizes) {
   // The engine issues the same page *requests* regardless of the buffer;
   // the buffer only shifts requests between misses and hits. (Holds for
@@ -184,8 +213,7 @@ TEST_F(JoinInvariantsTest, JoinIsSymmetricUpToPairOrientation) {
 // `simd_parity_test` compares the two kernel modes within one build, so a
 // change that shifts both modes the same way passes it. This test pins the
 // absolute values instead: for every algorithm, every height policy, both
-// kernel-batched predicates, both kernel modes and both node sources (the
-// accessor's own decodes, a shared NodeCache's), the paper's counters and
+// kernel-batched predicates and both kernel modes, the paper's counters and
 // an FNV-1a digest of the result pairs in emission order (the order is the
 // §4.3 read schedule) must equal the recorded row. The inputs use
 // arithmetic only (no libm). The values were recorded on x86-64 before the
@@ -410,24 +438,6 @@ std::string PinnedRow(const std::string& name, const JoinRunResult& run) {
   return row;
 }
 
-// RunSpatialJoin's collected run, but with a NodeCache layered over the
-// same-sized BufferPool: the node source of every parallel worker and
-// engine session, whose sweep readers borrow the cache's sorted decodes.
-JoinRunResult RunThroughNodeCache(const RTree& r, const RTree& s,
-                                  const JoinOptions& options) {
-  JoinRunResult result;
-  BufferPool pool(
-      BufferPool::Options{options.buffer_bytes, r.options().page_size},
-      &result.stats);
-  NodeCache nodes(&pool, NodeCache::Options{});
-  SpatialJoinEngine engine(r, s, options, &pool, &result.stats, &nodes);
-  MaterializingSink sink;
-  engine.Run(&sink);
-  result.chunks = sink.TakeChunks();
-  result.pair_count = sink.count();
-  return result;
-}
-
 // Restores the process-wide kernel mode the test switches between.
 class JoinCounterPinTest : public ::testing::Test {
  protected:
@@ -491,35 +501,26 @@ TEST_F(JoinCounterPinTest, CountersAndEmissionOrderMatchRecordedRuns) {
           for (const GeomKernelMode mode :
                {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
             SetGeomKernelMode(mode);
-            // Both node sources must reproduce the row: the accessor's
-            // own sorted decodes, and the node cache's shared ones.
-            for (const bool node_cache : {false, true}) {
-              const JoinRunResult run =
-                  node_cache ? RunThroughNodeCache(*input.r, *input.s, jopt)
-                             : RunSpatialJoin(*input.r, *input.s, jopt,
-                                              /*collect_pairs=*/true);
-              const std::string actual =
-                  std::string(GeomKernelModeName(mode)) +
-                  (node_cache ? " node cache " : " no node cache ") +
-                  PinnedRow(name, run);
-              EXPECT_EQ(run.stats.disk_reads, want.disk_reads) << actual;
-              EXPECT_EQ(run.stats.join_comparisons.count(),
-                        want.join_comparisons)
-                  << actual;
-              EXPECT_EQ(run.stats.sort_comparisons.count(),
-                        want.sort_comparisons)
-                  << actual;
-              EXPECT_EQ(run.stats.schedule_comparisons.count(),
-                        want.schedule_comparisons)
-                  << actual;
-              EXPECT_EQ(run.stats.node_pairs, want.node_pairs) << actual;
-              EXPECT_EQ(run.stats.window_queries, want.window_queries)
-                  << actual;
-              EXPECT_EQ(run.stats.output_pairs, want.output_pairs)
-                  << actual;
-              EXPECT_EQ(PairsDigest(run.chunks), want.pairs_digest)
-                  << actual;
-            }
+            const JoinRunResult run = RunSpatialJoin(
+                *input.r, *input.s, jopt, /*collect_pairs=*/true);
+            const std::string actual =
+                std::string(GeomKernelModeName(mode)) + " " +
+                PinnedRow(name, run);
+            EXPECT_EQ(run.stats.disk_reads, want.disk_reads) << actual;
+            EXPECT_EQ(run.stats.join_comparisons.count(),
+                      want.join_comparisons)
+                << actual;
+            EXPECT_EQ(run.stats.sort_comparisons.count(),
+                      want.sort_comparisons)
+                << actual;
+            EXPECT_EQ(run.stats.schedule_comparisons.count(),
+                      want.schedule_comparisons)
+                << actual;
+            EXPECT_EQ(run.stats.node_pairs, want.node_pairs) << actual;
+            EXPECT_EQ(run.stats.window_queries, want.window_queries)
+                << actual;
+            EXPECT_EQ(run.stats.output_pairs, want.output_pairs) << actual;
+            EXPECT_EQ(PairsDigest(run.chunks), want.pairs_digest) << actual;
           }
         }
       }

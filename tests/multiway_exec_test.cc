@@ -1,6 +1,6 @@
 // Tests for the parallel multi-way chain executor: exact tuple-multiset
 // equivalence with the sequential chain join across chain lengths, thread
-// counts and predicates, the decode savings of the shared node cache, the
+// counts and predicates, the decodes shared through the pool's frames, the
 // per-worker frontier ceiling (frontier_peak_tuples), and that every probe
 // runs on the context's task runner.
 
@@ -163,10 +163,8 @@ TEST_F(MultiwayExecTest, ProbesRunOnTheContextsTaskRunner) {
   TraceRecorder tracer(TraceOptions{.sample_period = 1});
   { TraceSpan marker(&tracer, "test", "marker"); }
   SharedBufferPool pool(SharedBufferPool::Options{128 * 1024, kPageSize1K});
-  NodeCache nodes(&pool, NodeCache::Options{});
   ExecContext::Borrowed shared;
   shared.pool = &pool;
-  shared.nodes = &nodes;
   shared.task_runner =
       [](unsigned workers, size_t num_tasks,
          const std::function<void(unsigned, size_t)>& fn) {
@@ -241,7 +239,7 @@ TEST_F(MultiwayExecTest, ReportsProbeTelemetryAndWorkerStats) {
   EXPECT_GT(result.total_stats.window_queries, 0u);
 }
 
-TEST_F(MultiwayExecTest, EveryPhaseReadsThroughTheNodeCache) {
+TEST_F(MultiwayExecTest, EveryPhaseSharesResidentDecodes) {
   const auto chain = Chain(4);
   JoinOptions jopt;
   jopt.algorithm = JoinAlgorithm::kSJ4;

@@ -263,10 +263,9 @@ TEST(ChainProbeTest, MatchesBruteForceForEveryPredicateAndBatchSize) {
       jopt.predicate = p.predicate;
       jopt.epsilon = p.epsilon;
       Statistics stats;
-      BufferPool pages(BufferPool::Options{16 * 1024, kPageSize1K}, &stats);
-      NodeCache nodes(&pages, NodeCache::Options{});
+      BufferPool pages(BufferPool::Options{16 * 1024, kPageSize1K});
       // One probe across every batch: its scratch carries over.
-      ChainProbe probe(*t.tree, &nodes, jopt, &stats);
+      ChainProbe probe(*t.tree, &pages, jopt, &stats);
       for (const size_t batch : {size_t{1}, size_t{7}, size_t{300}}) {
         const std::vector<Rect> queries(pool.begin(), pool.begin() + batch);
         const std::string where = std::string(t.name) + " " +
@@ -295,9 +294,8 @@ TEST(ChainProbeTest, EmptyBatchTouchesNoPage) {
   const auto rects = testutil::ClusteredRects(200, 994);
   const IndexedRelation rel(rects, topt);
   Statistics stats;
-  BufferPool pages(BufferPool::Options{16 * 1024, kPageSize1K}, &stats);
-  NodeCache nodes(&pages, NodeCache::Options{});
-  ChainProbe probe(rel.tree(), &nodes, JoinOptions{}, &stats);
+  BufferPool pages(BufferPool::Options{16 * 1024, kPageSize1K});
+  ChainProbe probe(rel.tree(), &pages, JoinOptions{}, &stats);
   bool called = false;
   probe.Run(std::span<const Rect>(),
             [&called](uint32_t, uint32_t) { called = true; });

@@ -29,7 +29,7 @@ BufferPool::Options PoolOptions(uint64_t frames) {
 
 TEST(PrefetchTest, PrefetchedPageLandsAsEvictableFrame) {
   Statistics stats;
-  BufferPool pool(PoolOptions(2), &stats);
+  BufferPool pool(PoolOptions(2));
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   EXPECT_TRUE(pool.Prefetch(file, a, &stats));
@@ -42,7 +42,7 @@ TEST(PrefetchTest, PrefetchedPageLandsAsEvictableFrame) {
 
 TEST(PrefetchTest, ConsumingAPrefetchedFrameCountsAHit) {
   Statistics stats;
-  BufferPool pool(PoolOptions(4), &stats);
+  BufferPool pool(PoolOptions(4));
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   pool.Prefetch(file, a, &stats);
@@ -59,7 +59,7 @@ TEST(PrefetchTest, ConsumingAPrefetchedFrameCountsAHit) {
 
 TEST(PrefetchTest, DuplicatePrefetchesCoalesce) {
   Statistics stats;
-  BufferPool pool(PoolOptions(4), &stats);
+  BufferPool pool(PoolOptions(4));
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   EXPECT_TRUE(pool.Prefetch(file, a, &stats));
@@ -71,7 +71,7 @@ TEST(PrefetchTest, DuplicatePrefetchesCoalesce) {
 
 TEST(PrefetchTest, PrefetchOfAResidentOrPinnedPageIsANoop) {
   Statistics stats;
-  BufferPool pool(PoolOptions(4), &stats);
+  BufferPool pool(PoolOptions(4));
   PagedFile file(kPageSize1K);
   const PageId read_first = file.Allocate();
   const PageId pinned = file.Allocate();
@@ -85,7 +85,7 @@ TEST(PrefetchTest, PrefetchOfAResidentOrPinnedPageIsANoop) {
 
 TEST(PrefetchTest, EvictedUnconsumedPrefetchCountsWasted) {
   Statistics stats;
-  BufferPool pool(PoolOptions(2), &stats);
+  BufferPool pool(PoolOptions(2));
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   const PageId b = file.Allocate();
@@ -106,7 +106,7 @@ TEST(PrefetchTest, EvictedUnconsumedPrefetchCountsWasted) {
 
 TEST(PrefetchTest, PinnedPagesAreNeverEvictedByPrefetchPressure) {
   Statistics stats;
-  BufferPool pool(PoolOptions(1), &stats);
+  BufferPool pool(PoolOptions(1));
   PagedFile file(kPageSize1K);
   const PageId pinned = file.Allocate();
   pool.Pin(file, pinned, &stats);
@@ -120,7 +120,7 @@ TEST(PrefetchTest, PinnedPagesAreNeverEvictedByPrefetchPressure) {
 
 TEST(PrefetchTest, PinningAPrefetchedFrameConsumesIt) {
   Statistics stats;
-  BufferPool pool(PoolOptions(4), &stats);
+  BufferPool pool(PoolOptions(4));
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   pool.Prefetch(file, a, &stats);
@@ -133,7 +133,7 @@ TEST(PrefetchTest, PinningAPrefetchedFrameConsumesIt) {
 
 TEST(PrefetchTest, ZeroFramePoolIgnoresPrefetch) {
   Statistics stats;
-  BufferPool pool(PoolOptions(0), &stats);
+  BufferPool pool(PoolOptions(0));
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   EXPECT_FALSE(pool.Prefetch(file, a, &stats));
@@ -145,7 +145,7 @@ TEST(PrefetchTest, ZeroFramePoolIgnoresPrefetch) {
 TEST(PrefetchTest, SchedulerBackedPrefetchSettlesModeledTime) {
   IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 2}});
   Statistics stats;
-  BufferPool pool(PoolOptions(8), &stats);
+  BufferPool pool(PoolOptions(8));
   pool.AttachIoScheduler(&io);
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();  // disk 0
@@ -168,7 +168,7 @@ TEST(PrefetchTest, ReReadAfterWastedEvictionPaysAGenuineRead) {
   // both wasted and hit.
   IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 1}});
   Statistics stats;
-  BufferPool pool(PoolOptions(2), &stats);
+  BufferPool pool(PoolOptions(2));
   pool.AttachIoScheduler(&io);
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
@@ -188,7 +188,7 @@ TEST(PrefetchTest, ReReadAfterWastedEvictionPaysAGenuineRead) {
 
 TEST(PrefetchTest, PrefetcherBudgetCapsIssuedPages) {
   Statistics stats;
-  BufferPool pool(PoolOptions(64), &stats);
+  BufferPool pool(PoolOptions(64));
   Prefetcher prefetcher(&pool, Prefetcher::Options{4});
   PagedFile file(kPageSize1K);
   std::vector<PageId> pages;
@@ -202,7 +202,7 @@ TEST(PrefetchTest, PrefetcherBudgetCapsIssuedPages) {
 
 TEST(PrefetchTest, TwoSidedScheduleInterleaves) {
   Statistics stats;
-  BufferPool pool(PoolOptions(64), &stats);
+  BufferPool pool(PoolOptions(64));
   Prefetcher prefetcher(&pool, Prefetcher::Options{3});
   PagedFile file_a(kPageSize1K);
   PagedFile file_b(kPageSize1K);

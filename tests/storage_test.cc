@@ -48,52 +48,49 @@ TEST(PagedFileTest, FreeListReusesAndZeroes) {
 }
 
 TEST(BufferPoolTest, FrameCapacityFromBytes) {
-  Statistics stats;
-  EXPECT_EQ(BufferPool(BufferPool::Options{0, kPageSize1K}, &stats)
-                .frame_capacity(),
+  EXPECT_EQ(BufferPool(BufferPool::Options{0, kPageSize1K}).frame_capacity(),
             0u);
-  EXPECT_EQ(BufferPool(BufferPool::Options{8 * 1024, kPageSize1K}, &stats)
-                .frame_capacity(),
-            8u);
-  EXPECT_EQ(BufferPool(BufferPool::Options{8 * 1024, kPageSize8K}, &stats)
-                .frame_capacity(),
-            1u);
-  EXPECT_EQ(BufferPool(BufferPool::Options{512, kPageSize1K}, &stats)
-                .frame_capacity(),
+  EXPECT_EQ(
+      BufferPool(BufferPool::Options{8 * 1024, kPageSize1K}).frame_capacity(),
+      8u);
+  EXPECT_EQ(
+      BufferPool(BufferPool::Options{8 * 1024, kPageSize8K}).frame_capacity(),
+      1u);
+  EXPECT_EQ(BufferPool(BufferPool::Options{512, kPageSize1K}).frame_capacity(),
             0u);  // budget below one page
 }
 
 TEST(BufferPoolTest, ZeroFramesEveryReadIsDiskAccess) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{0, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{0, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId id = file.Allocate();
-  for (int i = 0; i < 5; ++i) pool.Read(file, id);
+  for (int i = 0; i < 5; ++i) pool.Read(file, id, &stats);
   EXPECT_EQ(stats.disk_reads, 5u);
   EXPECT_EQ(stats.buffer_hits, 0u);
 }
 
 TEST(BufferPoolTest, HitOnSecondRead) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{4 * kPageSize1K, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{4 * kPageSize1K, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId id = file.Allocate();
-  EXPECT_FALSE(pool.Read(file, id));  // miss
-  EXPECT_TRUE(pool.Read(file, id));   // hit
+  EXPECT_FALSE(pool.Read(file, id, &stats));  // miss
+  EXPECT_TRUE(pool.Read(file, id, &stats));   // hit
   EXPECT_EQ(stats.disk_reads, 1u);
   EXPECT_EQ(stats.buffer_hits, 1u);
 }
 
 TEST(BufferPoolTest, LruEvictionOrder) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{2 * kPageSize1K, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{2 * kPageSize1K, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   const PageId b = file.Allocate();
   const PageId c = file.Allocate();
-  pool.Read(file, a);  // miss
-  pool.Read(file, b);  // miss
-  pool.Read(file, c);  // miss, evicts a (LRU)
+  pool.Read(file, a, &stats);  // miss
+  pool.Read(file, b, &stats);  // miss
+  pool.Read(file, c, &stats);  // miss, evicts a (LRU)
   EXPECT_FALSE(pool.Contains(file, a));
   EXPECT_TRUE(pool.Contains(file, b));
   EXPECT_TRUE(pool.Contains(file, c));
@@ -102,15 +99,15 @@ TEST(BufferPoolTest, LruEvictionOrder) {
 
 TEST(BufferPoolTest, ReadRefreshesRecency) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{2 * kPageSize1K, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{2 * kPageSize1K, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   const PageId b = file.Allocate();
   const PageId c = file.Allocate();
-  pool.Read(file, a);
-  pool.Read(file, b);
-  pool.Read(file, a);  // refresh a → b becomes LRU
-  pool.Read(file, c);  // evicts b
+  pool.Read(file, a, &stats);
+  pool.Read(file, b, &stats);
+  pool.Read(file, a, &stats);  // refresh a → b becomes LRU
+  pool.Read(file, c, &stats);  // evicts b
   EXPECT_TRUE(pool.Contains(file, a));
   EXPECT_FALSE(pool.Contains(file, b));
   EXPECT_TRUE(pool.Contains(file, c));
@@ -118,15 +115,15 @@ TEST(BufferPoolTest, ReadRefreshesRecency) {
 
 TEST(BufferPoolTest, PagesOfDifferentFilesDoNotCollide) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{8 * kPageSize1K, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{8 * kPageSize1K, kPageSize1K});
   PagedFile file1(kPageSize1K);
   PagedFile file2(kPageSize1K);
   const PageId a1 = file1.Allocate();
   const PageId a2 = file2.Allocate();
   ASSERT_EQ(a1, a2);  // same numeric id in different files
-  pool.Read(file1, a1);
+  pool.Read(file1, a1, &stats);
   EXPECT_FALSE(pool.Contains(file2, a2));
-  EXPECT_FALSE(pool.Read(file2, a2));  // still a miss
+  EXPECT_FALSE(pool.Read(file2, a2, &stats));  // still a miss
   EXPECT_EQ(stats.disk_reads, 2u);
 }
 
@@ -134,84 +131,84 @@ TEST(BufferPoolTest, PinnedPageSurvivesZeroFramePool) {
   // SJ4's pinning must work even with a zero-size LRU buffer (§4.3):
   // the algorithm itself holds the pinned page.
   Statistics stats;
-  BufferPool pool(BufferPool::Options{0, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{0, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId id = file.Allocate();
-  pool.Pin(file, id);  // absent → counted read, then pinned
+  pool.Pin(file, id, &stats);  // absent → counted read, then pinned
   EXPECT_EQ(stats.disk_reads, 1u);
-  for (int i = 0; i < 7; ++i) EXPECT_TRUE(pool.Read(file, id));
+  for (int i = 0; i < 7; ++i) EXPECT_TRUE(pool.Read(file, id, &stats));
   EXPECT_EQ(stats.disk_reads, 1u);
   EXPECT_EQ(stats.buffer_hits, 7u);
-  pool.Unpin(file, id);
+  pool.Unpin(file, id, &stats);
   // Zero frames: after unpinning the page is gone.
   EXPECT_FALSE(pool.Contains(file, id));
-  EXPECT_FALSE(pool.Read(file, id));
+  EXPECT_FALSE(pool.Read(file, id, &stats));
   EXPECT_EQ(stats.disk_reads, 2u);
 }
 
 TEST(BufferPoolTest, PinPromotesResidentPageWithoutRead) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{2 * kPageSize1K, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{2 * kPageSize1K, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId id = file.Allocate();
-  pool.Read(file, id);
+  pool.Read(file, id, &stats);
   EXPECT_EQ(stats.disk_reads, 1u);
-  pool.Pin(file, id);  // already resident: no extra disk read
+  pool.Pin(file, id, &stats);  // already resident: no extra disk read
   EXPECT_EQ(stats.disk_reads, 1u);
   EXPECT_EQ(stats.pin_count, 1u);
-  pool.Unpin(file, id);
+  pool.Unpin(file, id, &stats);
   EXPECT_TRUE(pool.Contains(file, id));  // back in the LRU frames
 }
 
 TEST(BufferPoolTest, PinnedPageNotEvicted) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{1 * kPageSize1K, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{1 * kPageSize1K, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId pinned = file.Allocate();
   const PageId other1 = file.Allocate();
   const PageId other2 = file.Allocate();
-  pool.Pin(file, pinned);
-  pool.Read(file, other1);
-  pool.Read(file, other2);  // churns the single frame
+  pool.Pin(file, pinned, &stats);
+  pool.Read(file, other1, &stats);
+  pool.Read(file, other2, &stats);  // churns the single frame
   EXPECT_TRUE(pool.Contains(file, pinned));
-  EXPECT_TRUE(pool.Read(file, pinned));  // still a hit
-  pool.Unpin(file, pinned);
+  EXPECT_TRUE(pool.Read(file, pinned, &stats));  // still a hit
+  pool.Unpin(file, pinned, &stats);
 }
 
 TEST(BufferPoolTest, NestedPins) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{0, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{0, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId id = file.Allocate();
-  pool.Pin(file, id);
-  pool.Pin(file, id);
-  pool.Unpin(file, id);
+  pool.Pin(file, id, &stats);
+  pool.Pin(file, id, &stats);
+  pool.Unpin(file, id, &stats);
   EXPECT_TRUE(pool.Contains(file, id));  // one pin still outstanding
-  pool.Unpin(file, id);
+  pool.Unpin(file, id, &stats);
   EXPECT_FALSE(pool.Contains(file, id));
 }
 
 TEST(BufferPoolTest, UnpinnedPageEntersLruAsMru) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{2 * kPageSize1K, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{2 * kPageSize1K, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   const PageId b = file.Allocate();
   const PageId c = file.Allocate();
-  pool.Read(file, a);
-  pool.Pin(file, b);
-  pool.Unpin(file, b);  // b is MRU now, a is LRU
-  pool.Read(file, c);   // evicts a
+  pool.Read(file, a, &stats);
+  pool.Pin(file, b, &stats);
+  pool.Unpin(file, b, &stats);  // b is MRU now, a is LRU
+  pool.Read(file, c, &stats);   // evicts a
   EXPECT_FALSE(pool.Contains(file, a));
   EXPECT_TRUE(pool.Contains(file, b));
 }
 
 TEST(BufferPoolTest, ClearDropsEverything) {
   Statistics stats;
-  BufferPool pool(BufferPool::Options{4 * kPageSize1K, kPageSize1K}, &stats);
+  BufferPool pool(BufferPool::Options{4 * kPageSize1K, kPageSize1K});
   PagedFile file(kPageSize1K);
   const PageId id = file.Allocate();
-  pool.Read(file, id);
+  pool.Read(file, id, &stats);
   pool.Clear();
   EXPECT_FALSE(pool.Contains(file, id));
   EXPECT_EQ(pool.frames_in_use(), 0u);
