@@ -21,28 +21,6 @@ std::string SessionLabel(const QuerySpec& spec, uint64_t query_id) {
   return spec.label.empty() ? "q" + std::to_string(query_id) : spec.label;
 }
 
-// Planner-informed admission estimate: the bytes this session plausibly
-// holds resident at peak, instead of one flat number for every query. That
-// is its results: bounded by the spill budget when spilling was chosen,
-// else the estimated result cardinality (materialized unbounded);
-// counting-only queries hold no result pairs at all. A chain's frontier
-// is at most session_threads × (n - 2) × chunk_capacity tuples of an
-// n-relation chain, 24 KB for a 3-way chain at the defaults, which the
-// floor covers.
-// Raster signatures are not modeled: engine queries are MBR-only.
-uint64_t PlannedReserveBytes(const PlanChoice& plan, const QuerySpec& spec,
-                             size_t chunk_capacity) {
-  constexpr uint64_t kFloorBytes = 64 * 1024;
-  double bytes = 0.0;
-  if (spec.collect) {
-    bytes += plan.spill ? static_cast<double>(plan.spill_budget_chunks) *
-                              static_cast<double>(chunk_capacity) *
-                              sizeof(ResultPair)
-                        : plan.estimate.result_pairs * sizeof(ResultPair);
-  }
-  return std::max(kFloorBytes, static_cast<uint64_t>(bytes));
-}
-
 }  // namespace
 
 void QuerySession::Wait() const {
@@ -95,21 +73,7 @@ QuerySession* QueryEngine::Submit(QuerySpec spec) {
   QuerySession* session = owned.get();
   session->spec_ = std::move(spec);
 
-  // Reservation sizing (outside the engine lock — the estimator only
-  // reads the spec and the immutable trees): flat, or the planner's
-  // peak-resident estimate. The plan is kept for the run.
   session->reserved_bytes_ = options_.session_reserve_bytes;
-  if (options_.plan_admission && session->spec_.use_planner) {
-    session->preplan_ =
-        session->spec_.relations.size() > 2
-            ? PlanChainJoin(session->spec_.relations, options_.planner)
-            : PlanPairJoin(*session->spec_.relations[0].tree,
-                           *session->spec_.relations[1].tree,
-                           options_.planner);
-    session->preplanned_ = true;
-    session->reserved_bytes_ = PlannedReserveBytes(
-        session->preplan_, session->spec_, options_.exec_base.chunk_capacity);
-  }
 
   std::lock_guard<std::mutex> lock(mu_);
   session->query_id_ = telemetry_.sessions_submitted;
@@ -206,7 +170,7 @@ void QueryEngine::RunSession(QuerySession* session) {
 
   JoinOptions join = spec.join;
   ParallelExecutorOptions exec = options_.exec_base;
-  exec.num_threads = std::max(2u, options_.session_threads);
+  exec.num_threads = options_.session_threads;
   exec.collect_pairs = spec.collect;
 
   QueryOutcome outcome;
@@ -214,14 +178,11 @@ void QueryEngine::RunSession(QuerySession* session) {
   if (spec.use_planner) {
     TraceSpan plan_span(tracer, "engine", "plan", pid);
     outcome.planned = true;
-    // plan_admission already planned this query at submit; reuse it.
-    outcome.plan =
-        session->preplanned_
-            ? session->preplan_
-            : (outcome.is_chain
-                   ? PlanChainJoin(spec.relations, options_.planner)
-                   : PlanPairJoin(*spec.relations[0].tree,
-                                  *spec.relations[1].tree, options_.planner));
+    outcome.plan = outcome.is_chain
+                       ? PlanChainJoin(spec.relations, options_.planner)
+                       : PlanPairJoin(*spec.relations[0].tree,
+                                      *spec.relations[1].tree,
+                                      options_.planner);
     ApplyPlan(outcome.plan, &join, &exec);
   }
 

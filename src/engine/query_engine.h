@@ -7,9 +7,9 @@
 // clocks. The QueryEngine instead owns ONE of each and
 // leases them to sessions:
 //
-//   * one SharedBufferPool spans every session (queries share hot
-//     directory pages and the decodes they carry, exactly like a database
-//     buffer),
+//   * one BufferPool of kSharedPoolShards locked shards spans every
+//     session (queries share hot directory pages and the decodes they
+//     carry, exactly like a database buffer),
 //   * one IoScheduler models the disk array for all sessions; each
 //     session runs on a borrowed ExecContext (exec/exec_context.h) whose
 //     window retires only the session's own actor clocks and reports its
@@ -61,7 +61,7 @@
 #include "io/io_scheduler.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
-#include "storage/shared_buffer_pool.h"
+#include "storage/buffer_pool.h"
 
 namespace rsj {
 
@@ -147,11 +147,8 @@ class QuerySession {
   uint64_t submit_wall_ = 0;  // engine clock at Submit
   uint64_t admit_wall_ = 0;   // engine clock at admission
   // The governor lease this session holds while admitted (set once at
-  // Submit; flat or planner-informed).
+  // Submit).
   uint64_t reserved_bytes_ = 0;
-  // With plan_admission: the plan computed at submit, reused by the run.
-  bool preplanned_ = false;
-  PlanChoice preplan_;
 };
 
 class QueryEngine {
@@ -159,7 +156,7 @@ class QueryEngine {
   struct Options {
     // The shared page buffer spanning all sessions; its resident pages
     // carry their decodes.
-    SharedBufferPool::Options pool;
+    BufferPool::Options pool{.shard_count = kSharedPoolShards};
     // The modeled disk array all sessions run on.
     IoScheduler::Options io;
     // Run-wide memory budget handed to the governor (0 = unlimited).
@@ -167,22 +164,14 @@ class QueryEngine {
     // Bytes leased (kSessionReservations) per admitted session — the
     // admission-control unit.
     uint64_t session_reserve_bytes = 1 << 20;
-    // true: sessions whose spec uses the planner reserve a
-    // planner-informed estimate of their peak resident bytes (result
-    // chunks under the spill budget, with a floor that covers a chain's
-    // frontier) instead of the flat session_reserve_bytes — small
-    // queries then reserve less, and more of them fit under a tight
-    // memory budget. The plan computed at submit is reused when the
-    // session runs. Planner-opted-out specs keep the flat reservation.
-    bool plan_admission = false;
     // Sessions running at once; later submits queue.
     size_t max_concurrent_sessions = 4;
     // Queued sessions beyond this are shed at submit.
     size_t queue_limit = 64;
     // SessionTaskPool worker threads shared by all sessions.
     unsigned pool_threads = 4;
-    // Worker slots per session run (>= 2: one-thread runs read through a
-    // private buffer, not the engine's pool; the engine clamps up).
+    // Worker slots per session run; every run, one-thread runs included,
+    // reads through the engine's pool.
     unsigned session_threads = 2;
     // Planner thresholds (see engine/planner.h).
     PlannerOptions planner;
@@ -232,7 +221,7 @@ class QueryEngine {
   MemoryGovernor& governor() { return governor_; }
   SessionTaskPool& task_pool() { return task_pool_; }
   IoScheduler& io() { return io_; }
-  SharedBufferPool& pool() { return pool_; }
+  BufferPool& pool() { return pool_; }
   // Per-query flight records; one per submitted session (shed included).
   const QueryLog& query_log() const { return query_log_; }
 
@@ -249,7 +238,7 @@ class QueryEngine {
   const Options options_;
   MemoryGovernor governor_;
   IoScheduler io_;
-  SharedBufferPool pool_;
+  BufferPool pool_;
   SessionTaskPool task_pool_;
   QueryLog query_log_;
   const std::chrono::steady_clock::time_point epoch_ =

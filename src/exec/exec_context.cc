@@ -38,8 +38,9 @@ ChunkArena RunArena(const ParallelExecutorOptions& exec) {
 
 ExecContext::ExecContext(const JoinOptions& join, uint32_t page_size,
                          const ParallelExecutorOptions& exec)
-    : owned_pool_(std::make_unique<SharedBufferPool>(SharedBufferPool::Options{
-          join.buffer_bytes, page_size})),
+    : owned_pool_(std::make_unique<BufferPool>(BufferPool::Options{
+          join.buffer_bytes, page_size,
+          exec.num_threads <= 1 ? 1 : kSharedPoolShards})),
       pool_(owned_pool_.get()),
       io_(exec.io_scheduler),
       governor_(exec.memory_governor),

@@ -4,7 +4,7 @@
 //
 // A run of the parallel executors (exec/parallel_executor.h,
 // exec/multiway_executor.h) shares across its phases and workers:
-//   * one SharedBufferPool, whose resident pages carry their decodes, so
+//   * one BufferPool, whose resident pages carry their decodes, so
 //     directory nodes the coordinator decodes are not decoded again while
 //     they stay resident,
 //   * a Prefetcher over the pool, when the plan prefetches,
@@ -18,11 +18,14 @@
 // A STANDALONE context owns the pool and prefetcher and borrows the
 // scheduler, governor, tracer and (when one is given) the arena the caller
 // put into ParallelExecutorOptions; the RunParallel* wrappers build one per
-// run and the sharded join one per shard. A BORROWED context runs one
-// session of a serving engine (engine/query_engine.h) on the engine's
-// pool, scheduler, governor, task pool and tracer; it owns only the
-// session's prefetcher and arena. A chain runs its probes inside its
-// pairwise workers, so one pool and window span every phase.
+// run and the sharded join one per shard. Its pool is one LRU (one shard)
+// for a one-thread run, which thereby reads exactly like the sequential
+// join, and kSharedPoolShards locked shards when workers share it. A
+// BORROWED context runs one session of a serving engine
+// (engine/query_engine.h) on the engine's pool, scheduler, governor, task
+// pool and tracer; it owns only the session's prefetcher and arena. A
+// chain runs its probes inside its pairwise workers, so one pool and
+// window span every phase.
 //
 // The executors never close the window themselves: whoever built the
 // context closes it once, after the run, and reads the run's modeled
@@ -39,7 +42,7 @@
 #include "exec/result_sink.h"
 #include "io/prefetcher.h"
 #include "join/join_options.h"
-#include "storage/shared_buffer_pool.h"
+#include "storage/buffer_pool.h"
 #include "storage/statistics.h"
 
 namespace rsj {
@@ -98,7 +101,7 @@ class ExecContext {
   // the trees', and `pool` already reads through `io`. Nothing is owned;
   // everything outlives the context.
   struct Borrowed {
-    SharedBufferPool* pool = nullptr;
+    BufferPool* pool = nullptr;
     IoScheduler* io = nullptr;
     MemoryGovernor* governor = nullptr;
     TaskRunner task_runner;
@@ -107,7 +110,8 @@ class ExecContext {
   };
 
   // Standalone: a pool of join.buffer_bytes over pages of `page_size` (the
-  // trees') and, with exec.prefetch, a prefetcher;
+  // trees'), with one shard when exec.num_threads <= 1 and
+  // kSharedPoolShards otherwise, and, with exec.prefetch, a prefetcher;
   // exec's io_scheduler, memory_governor, tracer and chunk_arena (a
   // private arena when null) are borrowed, the window over the scheduler
   // is owned, and tasks run on a run-private TaskScheduler whose worker 0
@@ -122,7 +126,7 @@ class ExecContext {
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
-  SharedBufferPool* pool() const { return pool_; }
+  BufferPool* pool() const { return pool_; }
   // nullptr unless the run prefetches.
   Prefetcher* prefetcher() const { return prefetcher_.get(); }
   IoScheduler* io() const { return io_; }
@@ -140,8 +144,8 @@ class ExecContext {
       const std::function<void(unsigned worker, size_t task)>& fn) const;
 
  private:
-  std::unique_ptr<SharedBufferPool> owned_pool_;  // null when borrowed
-  SharedBufferPool* pool_;
+  std::unique_ptr<BufferPool> owned_pool_;  // null when borrowed
+  BufferPool* pool_;
   std::unique_ptr<Prefetcher> prefetcher_;
   IoScheduler* const io_;
   MemoryGovernor* const governor_;

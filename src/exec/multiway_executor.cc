@@ -55,7 +55,7 @@ struct FrontierGauge {
 // are the phase's shared read frontier. The root itself is read
 // synchronously right here to learn them — prefetching it too would only
 // be consumed on the next statement with its full stall.
-void HintProbeRoot(const RTree& tree, PageCache* pages,
+void HintProbeRoot(const RTree& tree, BufferPool* pages,
                    const Prefetcher* prefetcher, Statistics* stats) {
   const PagedFile& file = tree.file();
   const std::shared_ptr<const DecodedNode> root =
@@ -221,7 +221,7 @@ class ChainSink final : public ResultSink {
   // Probe phase `next` (2 <= next < arity): the probe of relation `next`
   // and its stage of tuples of length `next`, back to back.
   struct Phase {
-    Phase(const RTree& tree, PageCache* pages, const JoinOptions& options,
+    Phase(const RTree& tree, BufferPool* pages, const JoinOptions& options,
           Statistics* stats)
         : probe(tree, pages, options, stats) {}
 
@@ -294,9 +294,6 @@ ParallelChainJoinResult RunParallelChainSpatialJoin(
     const ParallelExecutorOptions& exec_options, ExecContext& ctx,
     bool collect_tuples) {
   CheckChain(relations, exec_options);
-  if (exec_options.num_threads <= 1) {
-    return SequentialChainFallback(relations, options, collect_tuples);
-  }
   ChainRun run(relations, options, exec_options, collect_tuples, ctx);
 
   // Every probe phase is live from the first staged chunk, so all
@@ -364,6 +361,9 @@ ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples) {
   CheckChain(relations, exec_options);
+  if (exec_options.num_threads <= 1) {
+    return SequentialChainFallback(relations, options, collect_tuples);
+  }
   ExecContext ctx(options, relations[0].tree->options().page_size,
                   exec_options);
   ParallelChainJoinResult result = RunParallelChainSpatialJoin(

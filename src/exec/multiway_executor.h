@@ -23,7 +23,7 @@
 //      worker's TupleSpiller (exec/spill_sink.h); the sink's Flush()
 //      extends the last partial chunk and seals the spiller before the
 //      pairwise run retires the worker,
-//   4. the run's ExecContext (exec/exec_context.h) — one SharedBufferPool,
+//   4. the run's ExecContext (exec/exec_context.h) — one BufferPool,
 //      whose resident pages carry their decodes, and one modeled-I/O
 //      window — serves the pairwise traversal and every probe; with
 //      prefetch enabled the coordinator hints every probe root's children
@@ -85,7 +85,7 @@ struct ParallelChainJoinResult {
 // `exec_options.num_threads` workers, on a standalone context
 // (exec/exec_context.h) built from `exec_options`, and closes its
 // modeled-I/O window. Falls back to the sequential RunChainSpatialJoin
-// when num_threads <= 1 — that path runs over a private buffer and reads
+// when num_threads <= 1 — that path runs over its own buffer and reads
 // no modeled time. The tuple multiset is identical to
 // RunChainSpatialJoin's for every configuration.
 ParallelChainJoinResult RunParallelChainSpatialJoin(
@@ -94,7 +94,8 @@ ParallelChainJoinResult RunParallelChainSpatialJoin(
 
 // The same run on `ctx`'s resources (a serving engine's session): its
 // tasks and probes run on the context's task runner, and one pool and
-// window span every phase. The run retires its actors into
+// window span every phase, at one thread too (one partition, no
+// fallback). The run retires its actors into
 // ctx.window() but leaves it open: the caller closes it and sets
 // modeled_elapsed_micros.
 ParallelChainJoinResult RunParallelChainSpatialJoin(

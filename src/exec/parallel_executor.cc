@@ -11,7 +11,6 @@
 #include "io/prefetcher.h"
 #include "join/spatial_join.h"
 #include "obs/trace.h"
-#include "storage/buffer_pool.h"
 
 namespace rsj {
 
@@ -169,22 +168,19 @@ ParallelJoinResult RunParallelSpatialJoin(
     workers.back()->sink = output.Open(&workers.back()->stats);
     return *workers.back();
   };
-  // One sequential partition as `worker`, over `pages`.
-  const auto run_one_partition = [&](Worker& worker, PageCache* pages) {
-    SpatialJoinEngine engine(r, s, options, pages, &worker.stats);
+  // One sequential partition over the context's pool as a new worker.
+  const auto run_one_partition = [&]() {
+    Worker& worker = add_worker();
+    SpatialJoinEngine engine(r, s, options, ctx.pool(), &worker.stats);
     engine.Run(worker.sink);
     result.task_count = 1;
     result.worker_task_counts.push_back(1);
   };
 
   if (exec_options.num_threads <= 1) {
-    // A private buffer of buffer_bytes keeps RunSpatialJoin's read counts;
-    // it still reads through the context's scheduler.
-    Worker& worker = add_worker();
-    BufferPool pool(
-        BufferPool::Options{options.buffer_bytes, r.options().page_size});
-    if (io != nullptr) pool.AttachIoScheduler(io);
-    run_one_partition(worker, &pool);
+    // A standalone context's one-thread pool is one LRU of buffer_bytes,
+    // so the run keeps RunSpatialJoin's read counts.
+    run_one_partition();
   } else {
     const size_t target_tasks =
         std::max<size_t>(1, static_cast<size_t>(
@@ -208,9 +204,9 @@ ParallelJoinResult RunParallelSpatialJoin(
       }
     }
     if (plan.degenerate) {
-      // A leaf root: one sequential partition over the context's pool; the
-      // coordinator's root reads stay counted.
-      run_one_partition(add_worker(), ctx.pool());
+      // A leaf root: one sequential partition; the coordinator's root
+      // reads stay counted.
+      run_one_partition();
     } else {
       result.task_count = plan.tasks.size();
       result.partition_depth = plan.depth;

@@ -9,17 +9,18 @@
 //      exec/task_scheduler.h) runs the tasks on per-worker state: each
 //      worker owns a SpatialJoinEngine, its own Statistics and a batched
 //      ResultSink,
-//   3. page requests go through the context's shared, sharded,
-//      thread-safe SharedBufferPool (exec/exec_context.h), whose pages the
-//      coordinator's partitioning reads and decodes warm for the workers,
+//   3. page requests go through the context's BufferPool
+//      (exec/exec_context.h), whose pages the coordinator's partitioning
+//      reads and decodes warm for the workers,
 //   4. worker statistics and sink outputs are merged into the result.
 //
 // Work units are disjoint subtree pairs, so the union of the workers'
 // outputs is exactly the sequential result, without deduplication. A leaf
-// root (a degenerate plan) runs as one partition over the context's pool,
-// and num_threads <= 1 as one partition over a private buffer of
-// buffer_bytes, with the sequential join's read counts; both shapes still
-// read through the context's scheduler and write through the same sinks.
+// root (a degenerate plan) and num_threads <= 1 run as one partition over
+// the context's pool; a standalone one-thread pool is one LRU of
+// buffer_bytes, so that run keeps the sequential join's read counts. Both
+// shapes read through the context's scheduler and write through the same
+// sinks.
 
 #ifndef RSJ_EXEC_PARALLEL_EXECUTOR_H_
 #define RSJ_EXEC_PARALLEL_EXECUTOR_H_

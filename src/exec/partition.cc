@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "geom/plane_sweep.h"
 #include "geom/simd_kernels.h"
 #include "join/predicate.h"
 
@@ -10,38 +9,37 @@ namespace rsj {
 
 namespace {
 
+// The xl-sorted form of a fetched decode (§4.2), shared with every other
+// reader of the pool. As in the engine's accessors (join/node_accessor.h),
+// its sort is charged only by the fetch that decoded the page.
+const DecodedNode::Sorted& SortedForm(const FetchedNode& fetched,
+                                      Statistics* stats) {
+  const DecodedNode::Sorted& sorted = fetched.decoded->sorted();
+  if (fetched.fresh) stats->sort_comparisons.Add(sorted.sort_cost);
+  return sorted;
+}
+
 // Qualifying entry pairs between two directory nodes, appended to `out` as
-// tasks. Uses the counted sort + plane sweep (the paper's CPU technique);
-// the R side carries the predicate expansion, so the filter matches the
-// engine's exactly. The sorted sequences are converted to SoA blocks once
-// and swept with the batch kernels.
-void AppendQualifyingPairs(const Node& nr, const Node& ns, double expansion,
-                           Statistics* stats,
+// tasks: the plane sweep over both nodes' sorted forms, with the R side
+// grown by the predicate expansion, so the filter matches the engine's
+// exactly.
+void AppendQualifyingPairs(const FetchedNode& fr, const FetchedNode& fs,
+                           double expansion, Statistics* stats,
                            std::vector<PartitionTask>* out) {
-  std::vector<IndexedRect> seq_r;
-  seq_r.reserve(nr.entries.size());
-  for (uint32_t i = 0; i < nr.entries.size(); ++i) {
-    const Rect rect = expansion > 0.0
-                          ? nr.entries[i].rect.Expanded(expansion)
-                          : nr.entries[i].rect;
-    seq_r.push_back(IndexedRect{rect, i});
+  const DecodedNode::Sorted& nr = SortedForm(fr, stats);
+  const DecodedNode::Sorted& ns = SortedForm(fs, stats);
+  RectBlock expanded;
+  const RectBlock* block_r = nr.block;
+  if (expansion > 0.0) {
+    expanded.AssignEntries(std::span<const Entry>(nr.node->entries),
+                           expansion);
+    block_r = &expanded;
   }
-  std::vector<IndexedRect> seq_s;
-  seq_s.reserve(ns.entries.size());
-  for (uint32_t j = 0; j < ns.entries.size(); ++j) {
-    seq_s.push_back(IndexedRect{ns.entries[j].rect, j});
-  }
-  SortByLowerXCounted(&seq_r, &stats->sort_comparisons);
-  SortByLowerXCounted(&seq_s, &stats->sort_comparisons);
-  RectBlock block_r;
-  RectBlock block_s;
-  block_r.AssignIndexed(std::span<const IndexedRect>(seq_r));
-  block_s.AssignIndexed(std::span<const IndexedRect>(seq_s));
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  SortedIntersectionTestBlocks(block_r, block_s, &stats->join_comparisons,
+  SortedIntersectionTestBlocks(*block_r, *ns.block, &stats->join_comparisons,
                                &pairs);
   for (const auto& [i, j] : pairs) {
-    out->push_back(PartitionTask{nr.entries[i], ns.entries[j]});
+    out->push_back(PartitionTask{nr.node->entries[i], ns.node->entries[j]});
   }
 }
 
@@ -84,15 +82,15 @@ void AppendWindowSplitTasks(const DecodedNode& dir, const Entry& leaf_entry,
 
 PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
                                  const JoinOptions& options,
-                                 size_t target_tasks, PageCache* cache,
+                                 size_t target_tasks, BufferPool* pool,
                                  Statistics* stats) {
   PartitionPlan plan;
   const double expansion =
       PredicateExpansion(options.predicate, options.epsilon);
 
-  const auto root_r = cache->Fetch(r.file(), r.root_page(), stats).decoded;
-  const auto root_s = cache->Fetch(s.file(), s.root_page(), stats).decoded;
-  if (root_r->node.is_leaf() || root_s->node.is_leaf()) {
+  const FetchedNode root_r = pool->Fetch(r.file(), r.root_page(), stats);
+  const FetchedNode root_s = pool->Fetch(s.file(), s.root_page(), stats);
+  if (root_r.decoded->node.is_leaf() || root_s.decoded->node.is_leaf()) {
     plan.degenerate = true;
     return plan;
   }
@@ -102,32 +100,32 @@ PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
   // `final_tasks` and are never fetched again.
   std::vector<PartitionTask> final_tasks;
   std::vector<PartitionTask> frontier;
-  AppendQualifyingPairs(root_r->node, root_s->node, expansion, stats,
-                        &frontier);
+  AppendQualifyingPairs(root_r, root_s, expansion, stats, &frontier);
   while (!frontier.empty() &&
          final_tasks.size() + frontier.size() < target_tasks) {
     std::vector<PartitionTask> next;
     next.reserve(frontier.size() * 2);
     bool expanded_any = false;
     for (const PartitionTask& task : frontier) {
-      const auto child_r = cache->Fetch(r.file(), task.er.ref, stats).decoded;
-      const auto child_s = cache->Fetch(s.file(), task.es.ref, stats).decoded;
-      if (child_r->node.is_leaf() && child_s->node.is_leaf()) {
+      const FetchedNode child_r = pool->Fetch(r.file(), task.er.ref, stats);
+      const FetchedNode child_s = pool->Fetch(s.file(), task.es.ref, stats);
+      const bool leaf_r = child_r.decoded->node.is_leaf();
+      const bool leaf_s = child_s.decoded->node.is_leaf();
+      if (leaf_r && leaf_s) {
         final_tasks.push_back(task);
         continue;
       }
       expanded_any = true;
-      if (!child_r->node.is_leaf() && !child_s->node.is_leaf()) {
-        AppendQualifyingPairs(child_r->node, child_s->node, expansion, stats,
-                              &next);
-      } else if (child_s->node.is_leaf()) {
+      if (!leaf_r && !leaf_s) {
+        AppendQualifyingPairs(child_r, child_s, expansion, stats, &next);
+      } else if (leaf_s) {
         // Unequal heights (§4.4): keep splitting the still-directory side
         // so a pair that reached the leaf level early does not stay one
         // oversized window-query task.
-        AppendWindowSplitTasks(*child_r, task.es, expansion,
+        AppendWindowSplitTasks(*child_r.decoded, task.es, expansion,
                                /*dir_is_r=*/true, stats, &next);
       } else {
-        AppendWindowSplitTasks(*child_s, task.er, expansion,
+        AppendWindowSplitTasks(*child_s.decoded, task.er, expansion,
                                /*dir_is_r=*/false, stats, &next);
       }
     }

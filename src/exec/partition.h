@@ -29,7 +29,7 @@
 
 #include "join/join_options.h"
 #include "rtree/rtree.h"
-#include "storage/page_cache.h"
+#include "storage/buffer_pool.h"
 #include "storage/statistics.h"
 
 namespace rsj {
@@ -51,13 +51,15 @@ struct PartitionPlan {
 };
 
 // Builds the task list by synchronized descent. Coordinator page requests
-// go through `cache` (warming a shared pool for the workers) and all
-// coordinator costs are charged to `stats`. Its fetches leave the directory
-// decodes with the resident pages, so the workers do not decode those
-// nodes again while they stay resident.
+// go through `pool` (warming it for the workers) and all coordinator costs
+// are charged to `stats`. Its fetches leave the directory decodes, with
+// their sorted forms, with the resident pages, so neither the workers nor
+// a later plan over the same pool decode or sort those nodes again while
+// they stay resident: a page's sort is charged only by the fetch that
+// decoded it.
 PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
                                  const JoinOptions& options,
-                                 size_t target_tasks, PageCache* cache,
+                                 size_t target_tasks, BufferPool* pool,
                                  Statistics* stats);
 
 }  // namespace rsj

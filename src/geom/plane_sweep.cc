@@ -4,15 +4,6 @@
 
 namespace rsj {
 
-void SortByLowerXCounted(std::vector<IndexedRect>* seq,
-                         ComparisonCounter* counter) {
-  std::sort(seq->begin(), seq->end(),
-            [counter](const IndexedRect& a, const IndexedRect& b) {
-              counter->Add(1);
-              return a.rect.xl < b.rect.xl;
-            });
-}
-
 void SortByLowerX(std::vector<IndexedRect>* seq) {
   std::sort(seq->begin(), seq->end(),
             [](const IndexedRect& a, const IndexedRect& b) {

@@ -27,14 +27,9 @@
 
 namespace rsj {
 
-// Sorts `seq` ascending by the rectangles' lower x coordinate, charging one
-// floating point comparison per comparator invocation to `counter`. This is
-// the "spatial sorting" preprocessing step whose cost Table 4 reports in the
-// `sorting` row.
-void SortByLowerXCounted(std::vector<IndexedRect>* seq,
-                         ComparisonCounter* counter);
-
-// Uncounted variant for callers outside the measured join path.
+// Sorts `seq` ascending by the rectangles' lower x coordinate, uncounted:
+// the measured join path sorts nodes through their decodes
+// (storage/decoded_node.h, InsertionSortByLowerX).
 void SortByLowerX(std::vector<IndexedRect>* seq);
 
 // True if `seq` is sorted ascending by lower x coordinate.

@@ -6,8 +6,9 @@
 
 // The vector path targets the x86-64 SSE2 baseline: present on every x86-64
 // build without extra -march flags, 4 float lanes (2 double lanes for the
-// within-distance kernel). -DRSJ_DISABLE_SIMD (CMake option
-// RSJ_ENABLE_SIMD=OFF) compiles the scalar reference path only.
+// within-distance kernel). Defining RSJ_DISABLE_SIMD (e.g.
+// -DCMAKE_CXX_FLAGS=-DRSJ_DISABLE_SIMD) compiles the scalar reference path
+// only.
 #if !defined(RSJ_DISABLE_SIMD) && \
     (defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64))
 #define RSJ_GEOM_SIMD 1

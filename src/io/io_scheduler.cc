@@ -66,16 +66,6 @@ bool IoScheduler::BlockingRead(const void* owner, const PagedFile& file,
   return false;
 }
 
-void IoScheduler::Write(const void* owner, const PagedFile& file, PageId id,
-                        uint32_t page_size, Statistics* stats) {
-  (void)owner;  // writes are never coalesced; the scope is for symmetry
-  std::lock_guard<std::mutex> lock(mu_);
-  ++disk_writes_;
-  if (stats != nullptr) ++stats->disk_writes;
-  StallUntilLocked(stats, disks_.ServiceWrite(file, id, page_size,
-                                              ActorClockLocked(stats)));
-}
-
 void IoScheduler::WriteRun(const void* owner, const PagedFile& file,
                            PageId first, uint32_t count, uint32_t page_size,
                            Statistics* stats) {

@@ -14,7 +14,7 @@
 //   * a synchronous miss (`BlockingRead`) services the page at the actor's
 //     clock and moves that clock to the completion — one outstanding
 //     request per actor, the no-overlap baseline;
-//   * a synchronous `Write` is the same, with write service costing;
+//   * a timed write (`WriteRun`) is the same, with write service costing;
 //   * an async read (`SubmitAsync`, the prefetch path) is serviced at the
 //     submitting actor's clock but advances no clock: its completion is
 //     kept until the first consumer touch, so the disks work ahead in the
@@ -36,10 +36,10 @@
 // actors (whose Statistics may reuse freed addresses) start clean.
 //
 // All stall micros are charged to the requesting actor's
-// `Statistics::modeled_io_micros`. Page caches use the scheduler through
-// `BufferPool::AttachIoScheduler`; the spill path (exec/spill_sink.h)
-// uses Write/WriteRun/SubmitAsync/BlockingRead directly; nothing else in
-// the join layer talks to it.
+// `Statistics::modeled_io_micros`. The buffer pool uses the scheduler
+// through `BufferPool::AttachIoScheduler`; the spill path
+// (exec/spill_sink.h) uses WriteRun/SubmitAsync/BlockingRead directly;
+// nothing else in the join layer talks to it.
 //
 // Ownership & threading contracts:
 //   * The scheduler is thread-safe: any thread may submit, read or write
@@ -67,7 +67,7 @@
 
 #include "io/disk_model.h"
 #include "obs/trace.h"
-#include "storage/page_cache.h"
+#include "storage/buffer_pool.h"
 #include "storage/statistics.h"
 
 namespace rsj {
@@ -92,10 +92,10 @@ class IoScheduler {
   IoScheduler(const IoScheduler&) = delete;
   IoScheduler& operator=(const IoScheduler&) = delete;
 
-  // Request identity is scoped by `owner` (the page cache — or cache
-  // shard — issuing it): coalescing and completion joining never cross
-  // pool boundaries, so private per-worker pools keep paying their own
-  // misses, while the disks themselves stay shared hardware. The clock
+  // Request identity is scoped by `owner` (the buffer pool or spill file
+  // issuing it): coalescing and completion joining never cross pool
+  // boundaries, so two pools keep paying their own misses, while the
+  // disks themselves stay shared hardware. The clock
   // identity is separate: `actor` (or the `stats` pointer) names the
   // consumer timeline the request is charged against.
 
@@ -116,23 +116,15 @@ class IoScheduler {
   bool BlockingRead(const void* owner, const PagedFile& file, PageId id,
                     uint32_t page_size, Statistics* stats);
 
-  // Synchronous timed write of one page; the actor is `stats`. Services
-  // the write at the actor's clock (write costing, see
-  // SimulatedDiskArray::ServiceWrite), advances that clock to the
-  // completion, and counts `stats->disk_writes` plus the stall — the
-  // write path the spill sinks (exec/spill_sink.h) and future persist
-  // operators meter themselves with.
-  void Write(const void* owner, const PagedFile& file, PageId id,
-             uint32_t page_size, Statistics* stats);
-
   // Timed write of a contiguous page run (e.g. a spilled result chunk's
-  // pages), submitted together: every page is issued at the actor's
-  // current clock, the striping spreads the run over the disks, and each
-  // disk services its share back to back (consecutive stripe units ride
-  // the sequential discount). Advances the actor's clock to the latest
-  // completion, charges the stall once, and counts one disk_write per
-  // page. Equivalent to `count` Write() calls except that the pages
-  // overlap across disks instead of serializing on the actor's clock.
+  // pages), submitted together; the actor is `stats`. Every page is issued
+  // at the actor's current clock (write costing, see
+  // SimulatedDiskArray::ServiceWrite), the striping spreads the run over
+  // the disks, and each disk services its share back to back (consecutive
+  // stripe units ride the sequential discount), so the pages overlap
+  // across disks instead of serializing on the actor's clock. Advances the
+  // actor's clock to the latest completion, charges the stall once, and
+  // counts one disk_write per page. A one-page run is a synchronous write.
   void WriteRun(const void* owner, const PagedFile& file, PageId first,
                 uint32_t count, uint32_t page_size, Statistics* stats);
 
@@ -192,7 +184,7 @@ class IoScheduler {
   // Async requests ever serviced (after coalescing).
   uint64_t async_reads() const;
 
-  // Timed writes serviced through Write().
+  // Pages written through WriteRun().
   uint64_t disk_writes() const;
 
   const SimulatedDiskArray& disks() const { return disks_; }

@@ -10,7 +10,7 @@ size_t Prefetcher::PrefetchSchedule(const PagedFile& file,
   size_t issued = 0;
   for (const PageId id : pages) {
     if (issued >= options_.max_ahead) break;
-    if (cache_->Prefetch(file, id, stats)) ++issued;
+    if (pool_->Prefetch(file, id, stats)) ++issued;
   }
   return issued;
 }
@@ -23,9 +23,9 @@ size_t Prefetcher::PrefetchSchedule(const PagedFile& file_a,
   size_t issued = 0;
   const size_t steps = std::max(a.size(), b.size());
   for (size_t i = 0; i < steps && issued < options_.max_ahead; ++i) {
-    if (i < a.size() && cache_->Prefetch(file_a, a[i], stats)) ++issued;
+    if (i < a.size() && pool_->Prefetch(file_a, a[i], stats)) ++issued;
     if (issued >= options_.max_ahead) break;
-    if (i < b.size() && cache_->Prefetch(file_b, b[i], stats)) ++issued;
+    if (i < b.size() && pool_->Prefetch(file_b, b[i], stats)) ++issued;
   }
   return issued;
 }

@@ -8,25 +8,22 @@
 // buffer hits; with the simulated disk array it is exactly the information
 // a prefetcher needs: the engine hands each schedule to `PrefetchSchedule`
 // *before* executing it, the prefetcher issues non-blocking reads through
-// `PageCache::Prefetch`, and by the time the traversal reaches a page its
+// `BufferPool::Prefetch`, and by the time the traversal reaches a page its
 // service time has (partly) elapsed in the background of the modeled
 // timeline. The exec partitioner's subtree-pair tasks feed the same path:
 // their child pages are hinted ahead as the task frontier.
 //
 // The prefetcher is a stateless policy layer: residency and coalescing
-// live in the page cache, timing in the IoScheduler. It is
-// thread-safe whenever the underlying cache is, so one instance can serve
-// all workers of a shared pool. `max_ahead` caps the pages *issued* per
-// schedule handoff so a long schedule cannot flush the buffer it is trying
-// to warm (prefetched pages are evictable, see storage/buffer_pool.h).
+// live in the buffer pool, timing in the IoScheduler. `max_ahead` caps the
+// pages *issued* per schedule handoff so a long schedule cannot flush the
+// buffer it is trying to warm (prefetched pages are evictable, see
+// storage/buffer_pool.h).
 //
 // Ownership & threading contracts:
-//   * The prefetcher borrows its PageCache (not owned; the cache must
-//     outlive it) and holds no mutable state of its own.
-//   * Over a SharedBufferPool one instance may be called from any
-//     thread; over a private BufferPool the instance inherits the
-//     pool's single-owner rule — only that pool's worker may call it,
-//     and its hints land (and are accounted) in that pool alone.
+//   * The prefetcher borrows its BufferPool (not owned; the pool must
+//     outlive it) and holds no mutable state of its own, so, like the
+//     pool, one instance may be called from any thread; its hints land
+//     (and are accounted) in that pool alone.
 //   * Hints are charged to the caller-provided Statistics*, which names
 //     the issuing actor's timeline in the attached IoScheduler.
 
@@ -36,7 +33,7 @@
 #include <cstddef>
 #include <span>
 
-#include "storage/page_cache.h"
+#include "storage/buffer_pool.h"
 
 namespace rsj {
 
@@ -48,16 +45,16 @@ class Prefetcher {
     size_t max_ahead = 32;
   };
 
-  // `cache` must outlive the prefetcher and is not owned.
-  Prefetcher(PageCache* cache, Options options)
-      : cache_(cache), options_(options) {}
-  explicit Prefetcher(PageCache* cache) : Prefetcher(cache, Options{}) {}
+  // `pool` must outlive the prefetcher and is not owned.
+  Prefetcher(BufferPool* pool, Options options)
+      : pool_(pool), options_(options) {}
+  explicit Prefetcher(BufferPool* pool) : Prefetcher(pool, Options{}) {}
 
   // One read-ahead hint. Returns true when an async read was issued
   // (false: resident — coalesced).
   bool PrefetchPage(const PagedFile& file, PageId id,
                     Statistics* stats) const {
-    return cache_->Prefetch(file, id, stats);
+    return pool_->Prefetch(file, id, stats);
   }
 
   // Issues the pages of one read schedule in order, stopping after
@@ -73,11 +70,10 @@ class Prefetcher {
                           const PagedFile& file_b, std::span<const PageId> b,
                           Statistics* stats) const;
 
-  PageCache* cache() const { return cache_; }
   const Options& options() const { return options_; }
 
  private:
-  PageCache* cache_;
+  BufferPool* pool_;
   Options options_;
 };
 

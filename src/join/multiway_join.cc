@@ -19,7 +19,7 @@ constexpr size_t kSequentialProbeBatch = 1024;
 
 }  // namespace
 
-ChainProbe::ChainProbe(const RTree& tree, PageCache* pages,
+ChainProbe::ChainProbe(const RTree& tree, BufferPool* pages,
                        const JoinOptions& options, Statistics* stats)
     : tree_(tree),
       pages_(pages),
@@ -27,7 +27,7 @@ ChainProbe::ChainProbe(const RTree& tree, PageCache* pages,
       epsilon_(options.epsilon),
       expansion_(PredicateExpansion(options.predicate, options.epsilon)),
       stats_(stats) {
-  RSJ_CHECK_MSG(pages != nullptr, "a chain probe needs a page cache");
+  RSJ_CHECK_MSG(pages != nullptr, "a chain probe needs a buffer pool");
 }
 
 ChainProbe::Level& ChainProbe::Scratch(size_t depth) {

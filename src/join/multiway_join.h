@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "join/join_runner.h"
-#include "storage/page_cache.h"
+#include "storage/buffer_pool.h"
 
 namespace rsj {
 
@@ -71,7 +71,7 @@ MultiwayJoinResult RunChainSpatialJoin(
 class ChainProbe {
  public:
   // All arguments must outlive the probe; `pages` is required.
-  ChainProbe(const RTree& tree, PageCache* pages, const JoinOptions& options,
+  ChainProbe(const RTree& tree, BufferPool* pages, const JoinOptions& options,
              Statistics* stats);
 
   ChainProbe(const ChainProbe&) = delete;
@@ -119,7 +119,7 @@ class ChainProbe {
   Level& Scratch(size_t depth);
 
   const RTree& tree_;
-  PageCache* const pages_;
+  BufferPool* const pages_;
   const JoinPredicate predicate_;
   const double epsilon_;
   const double expansion_;

@@ -2,11 +2,11 @@
 
 namespace rsj {
 
-NodeAccessor::NodeAccessor(const RTree& tree, PageCache* cache,
+NodeAccessor::NodeAccessor(const RTree& tree, BufferPool* pool,
                            Statistics* stats, bool sort_on_read,
                            double expansion)
     : tree_(tree),
-      pages_(cache),
+      pages_(pool),
       stats_(stats),
       sort_on_read_(sort_on_read),
       expansion_(expansion) {}

@@ -1,9 +1,8 @@
 // Buffered node access for the join engine.
 //
 // Every node the join touches is requested through a `NodeAccessor`, which
-// routes the page request through a `PageCache` (a private `BufferPool` or
-// the parallel executor's `SharedBufferPool`, so disk accesses and buffer
-// hits are counted) and hands back the decoded node.
+// routes the page request through the run's `BufferPool` (so disk
+// accesses and buffer hits are counted) and hands back the decoded node.
 //
 // For the sweep-based algorithms the accessor hands out each node's
 // entries sorted by their rectangles' lower x coordinate and charges the
@@ -11,7 +10,7 @@
 // "immediately after it is read from disk", i.e. once per decode and again
 // on every *physical* re-read (buffer miss), but not on buffer hits.
 //
-// The nodes are the pool's decodes (`PageCache::Fetch`): on its first
+// The nodes are the pool's decodes (`BufferPool::Fetch`): on its first
 // visit to a page the accessor keeps a reference to the resident page's
 // decode and hands out views of it — its sorted form for the sweep
 // algorithms (storage/decoded_node.h), built once for all readers of the
@@ -35,7 +34,7 @@
 #include <unordered_map>
 
 #include "rtree/rtree.h"
-#include "storage/page_cache.h"
+#include "storage/buffer_pool.h"
 
 namespace rsj {
 
@@ -55,13 +54,13 @@ class NodeAccessor {
   // `expansion`, when positive, is baked into every handed-out RectBlock
   // (the within-distance R-side pre-expansion); the Node's own entries
   // stay unexpanded.
-  NodeAccessor(const RTree& tree, PageCache* cache, Statistics* stats,
+  NodeAccessor(const RTree& tree, BufferPool* pool, Statistics* stats,
                bool sort_on_read, double expansion = 0.0);
 
   NodeAccessor(const NodeAccessor&) = delete;
   NodeAccessor& operator=(const NodeAccessor&) = delete;
 
-  // Reads page `id` through the page cache and returns the decoded node.
+  // Reads page `id` through the pool and returns the decoded node.
   // The reference stays valid for the accessor's lifetime.
   const Node& Fetch(PageId id);
 
@@ -69,7 +68,7 @@ class NodeAccessor {
   // the entries when sort_on_read, expanded by `expansion`).
   NodeView FetchView(PageId id);
 
-  // Pins / unpins the page in the page cache.
+  // Pins / unpins the page in the pool.
   void Pin(PageId id);
   void Unpin(PageId id);
 
@@ -89,7 +88,7 @@ class NodeAccessor {
   const CachedNode& FetchCached(PageId id);
 
   const RTree& tree_;
-  PageCache* pages_;
+  BufferPool* pages_;
   Statistics* stats_;
   bool sort_on_read_;
   double expansion_;

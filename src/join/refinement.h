@@ -140,7 +140,7 @@ struct StreamingRefineOptions {
   size_t refine_budget_chunks = 64;
   // Threads of the filter step, which runs the parallel executor
   // (exec/parallel_executor.h) with spilling sinks; 1 runs it as one
-  // partition over a private buffer of buffer_bytes.
+  // partition over one LRU of buffer_bytes.
   unsigned num_threads = 1;
   // Modeled-time layer for the spill writes/re-reads (and, in parallel
   // runs, the pools). Not owned; nullptr degrades to pure counting.

@@ -12,11 +12,11 @@ namespace rsj {
 
 SpatialJoinEngine::SpatialJoinEngine(const RTree& r, const RTree& s,
                                      const JoinOptions& options,
-                                     PageCache* cache, Statistics* stats)
+                                     BufferPool* pool, Statistics* stats)
     : options_(options),
-      acc_r_(r, cache, stats, UsesPlaneSweep(options.algorithm),
+      acc_r_(r, pool, stats, UsesPlaneSweep(options.algorithm),
              PredicateExpansion(options.predicate, options.epsilon)),
-      acc_s_(s, cache, stats, UsesPlaneSweep(options.algorithm)),
+      acc_s_(s, pool, stats, UsesPlaneSweep(options.algorithm)),
       stats_(stats),
       expansion_(PredicateExpansion(options.predicate, options.epsilon)) {
   RSJ_CHECK_MSG(r.options().page_size == s.options().page_size,

@@ -15,8 +15,8 @@
 // data-node) pairs; the remaining subtrees are probed with window queries
 // under HeightPolicy (a), (b) or (c) (§4.4).
 //
-// All page requests go through a `PageCache` (a private `BufferPool` or the
-// parallel executor's shared pool) and all executed floating point
+// All page requests go through a `BufferPool` (the sequential join's or the
+// run's execution context's) and all executed floating point
 // comparisons are charged to `Statistics`, which therefore carries exactly
 // the measurements the paper's tables report.
 //
@@ -36,7 +36,7 @@
 #include "join/join_options.h"
 #include "join/node_accessor.h"
 #include "rtree/rtree.h"
-#include "storage/page_cache.h"
+#include "storage/buffer_pool.h"
 #include "storage/statistics.h"
 
 namespace rsj {
@@ -45,13 +45,13 @@ class Prefetcher;
 
 class SpatialJoinEngine {
  public:
-  // `cache` and `stats` must outlive the engine; both trees must use the
+  // `pool` and `stats` must outlive the engine; both trees must use the
   // same page size (the paper's setting). The accessors share the decodes
-  // `cache` keeps with its resident pages (storage/page_cache.h), so pages
+  // `pool` keeps with its resident pages (storage/buffer_pool.h), so pages
   // the coordinator or another worker decoded are not decoded again while
   // they stay resident.
   SpatialJoinEngine(const RTree& r, const RTree& s, const JoinOptions& options,
-                    PageCache* cache, Statistics* stats);
+                    BufferPool* pool, Statistics* stats);
 
   // Executes the MBR-spatial-join R ⋈ S into `sink` (flushed on return).
   void Run(ResultSink* sink);

@@ -59,9 +59,7 @@
 #include "storage/buffer_pool.h"   // IWYU pragma: export
 #include "storage/cost_model.h"    // IWYU pragma: export
 #include "storage/decoded_node.h"  // IWYU pragma: export
-#include "storage/page_cache.h"    // IWYU pragma: export
 #include "storage/paged_file.h"    // IWYU pragma: export
-#include "storage/shared_buffer_pool.h"  // IWYU pragma: export
 #include "storage/persistence.h"   // IWYU pragma: export
 #include "storage/statistics.h"    // IWYU pragma: export
 

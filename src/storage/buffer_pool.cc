@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include "common/logging.h"
 #include "io/io_scheduler.h"
 
 namespace rsj {
@@ -8,52 +9,73 @@ BufferPool::BufferPool(const Options& options)
     : frame_capacity_(options.page_size == 0
                           ? 0
                           : options.capacity_bytes / options.page_size),
-      page_size_(options.page_size) {}
+      page_size_(options.page_size) {
+  // Silently constructing zero-frame shards hides configuration bugs (a
+  // forgotten page size turns the pool into a 100%-miss cache); fail fast.
+  RSJ_CHECK_MSG(options.page_size != 0, "buffer pool needs a page size");
+  RSJ_CHECK_MSG(options.shard_count != 0, "buffer pool needs >= 1 shard");
+  // Deal the frame budget round-robin so small budgets still spread over
+  // several shards (pinned pages live outside the budget either way).
+  const size_t shard_count = options.shard_count;
+  shards_.reserve(shard_count);
+  for (size_t i = 0; i < shard_count; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->frame_capacity = frame_capacity_ / shard_count +
+                                     (i < frame_capacity_ % shard_count);
+  }
+}
 
-void BufferPool::ConsumePrefetchedFrame(const PageKey& key, Frame* frame,
-                                        Statistics* stats) {
+void BufferPool::ConsumePrefetchedFrame(Shard& shard, const PageKey& key,
+                                        Frame* frame, Statistics* stats) {
   frame->prefetched = false;
-  --prefetched_unconsumed_;
+  --shard.prefetched_unconsumed;
   ++stats->prefetch_hits;
   if (io_ != nullptr) io_->ConsumePrefetched(this, *key.file, key.id, stats);
 }
 
-BufferPool::Decode* BufferPool::Request(const PagedFile& file, PageId id,
+BufferPool::Decode* BufferPool::Request(Shard& shard, const PageKey& key,
                                         Statistics* stats, bool* hit) {
   if (io_ != nullptr) io_->ChargeCpuPerRead(stats);
-  const PageKey key{&file, id};
   *hit = true;
-  auto pinned_it = pinned_.find(key);
-  if (pinned_it != pinned_.end()) {
+  auto pinned_it = shard.pinned.find(key);
+  if (pinned_it != shard.pinned.end()) {
     ++stats->buffer_hits;
     return &pinned_it->second.decoded;
   }
-  auto it = frames_.find(key);
-  if (it != frames_.end()) {
+  auto it = shard.frames.find(key);
+  if (it != shard.frames.end()) {
     ++stats->buffer_hits;
     if (it->second.prefetched) {
-      ConsumePrefetchedFrame(key, &it->second, stats);
+      ConsumePrefetchedFrame(shard, key, &it->second, stats);
     }
-    order_.splice(order_.begin(), order_, it->second.position);
+    shard.order.splice(shard.order.begin(), shard.order, it->second.position);
     return &it->second.decoded;
   }
   *hit = false;
-  if (io_ != nullptr) io_->BlockingRead(this, file, id, page_size_, stats);
+  if (io_ != nullptr) {
+    io_->BlockingRead(this, *key.file, key.id, page_size_, stats);
+  }
   ++stats->disk_reads;
-  Frame* frame = InsertNewest(key, stats);
+  Frame* frame = InsertNewest(shard, key, stats);
   return frame != nullptr ? &frame->decoded : nullptr;
 }
 
 bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats) {
+  const PageKey key{&file, id};
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
   bool hit = false;
-  Request(file, id, stats, &hit);
+  Request(shard, key, stats, &hit);
   return hit;
 }
 
 FetchedNode BufferPool::Fetch(const PagedFile& file, PageId id,
                               Statistics* stats) {
+  const PageKey key{&file, id};
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
   FetchedNode fetched;
-  Decode* slot = Request(file, id, stats, &fetched.page_hit);
+  Decode* slot = Request(shard, key, stats, &fetched.page_hit);
   if (slot != nullptr && *slot != nullptr) {
     ++stats->node_cache_hits;
     fetched.decoded = *slot;
@@ -70,99 +92,133 @@ FetchedNode BufferPool::Fetch(const PagedFile& file, PageId id,
 
 bool BufferPool::Prefetch(const PagedFile& file, PageId id,
                           Statistics* stats) {
-  if (frame_capacity_ == 0) return false;  // nowhere to land
   const PageKey key{&file, id};
-  if (pinned_.contains(key) || frames_.contains(key)) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (shard.frame_capacity == 0) return false;  // nowhere to land
+  if (shard.pinned.contains(key) || shard.frames.contains(key)) {
     return false;  // resident: duplicate prefetches coalesce
   }
   // The hinting actor's clock stamps the issue time.
   if (io_ != nullptr) io_->SubmitAsync(this, file, id, page_size_, stats);
   ++stats->prefetch_issued;
   ++stats->disk_reads;
-  InsertNewest(key, stats, /*prefetched=*/true);
+  InsertNewest(shard, key, stats, /*prefetched=*/true);
   return true;
 }
 
 void BufferPool::Pin(const PagedFile& file, PageId id, Statistics* stats) {
   const PageKey key{&file, id};
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
   ++stats->pin_count;
-  auto pinned_it = pinned_.find(key);
-  if (pinned_it != pinned_.end()) {
+  auto pinned_it = shard.pinned.find(key);
+  if (pinned_it != shard.pinned.end()) {
     ++pinned_it->second.count;
     return;
   }
   PinnedPage pinned{1u, nullptr};
-  auto frame_it = frames_.find(key);
-  if (frame_it != frames_.end()) {
+  auto frame_it = shard.frames.find(key);
+  if (frame_it != shard.frames.end()) {
     // Promote from frame to pinned, decode included; frees the frame.
     if (frame_it->second.prefetched) {
-      ConsumePrefetchedFrame(key, &frame_it->second, stats);
+      ConsumePrefetchedFrame(shard, key, &frame_it->second, stats);
     }
     pinned.decoded = std::move(frame_it->second.decoded);
-    order_.erase(frame_it->second.position);
-    frames_.erase(frame_it);
+    shard.order.erase(frame_it->second.position);
+    shard.frames.erase(frame_it);
   } else {
     // Not resident: pinning implies reading the page first.
     if (io_ != nullptr) io_->BlockingRead(this, file, id, page_size_, stats);
     ++stats->disk_reads;
   }
-  pinned_.emplace(key, std::move(pinned));
+  shard.pinned.emplace(key, std::move(pinned));
 }
 
 void BufferPool::Unpin(const PagedFile& file, PageId id, Statistics* stats) {
   const PageKey key{&file, id};
-  auto it = pinned_.find(key);
-  RSJ_CHECK_MSG(it != pinned_.end(), "Unpin of a page that is not pinned");
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.pinned.find(key);
+  RSJ_CHECK_MSG(it != shard.pinned.end(), "Unpin of a page that is not pinned");
   if (--it->second.count > 0) return;
   Decode decoded = std::move(it->second.decoded);
-  pinned_.erase(it);
+  shard.pinned.erase(it);
   // Recently used; keep it cached, with its decode, if the budget allows.
-  Frame* frame = InsertNewest(key, stats);
+  Frame* frame = InsertNewest(shard, key, stats);
   if (frame != nullptr) frame->decoded = std::move(decoded);
 }
 
 bool BufferPool::Contains(const PagedFile& file, PageId id) const {
   const PageKey key{&file, id};
-  return pinned_.contains(key) || frames_.contains(key);
+  const Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return shard.pinned.contains(key) || shard.frames.contains(key);
 }
 
 void BufferPool::Clear() {
-  RSJ_CHECK_MSG(pinned_.empty(), "Clear() with pinned pages outstanding");
-  if (io_ != nullptr) {
-    for (const auto& [key, frame] : frames_) {
-      if (frame.prefetched) io_->AbandonPrefetched(this, *key.file, key.id);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    RSJ_CHECK_MSG(shard->pinned.empty(),
+                  "Clear() with pinned pages outstanding");
+    if (io_ != nullptr) {
+      for (const auto& [key, frame] : shard->frames) {
+        if (frame.prefetched) io_->AbandonPrefetched(this, *key.file, key.id);
+      }
     }
+    shard->order.clear();
+    shard->frames.clear();
+    shard->prefetched_unconsumed = 0;
   }
-  order_.clear();
-  frames_.clear();
-  prefetched_unconsumed_ = 0;
 }
 
-void BufferPool::EvictOne(Statistics* stats) {
-  const PageKey victim = order_.back();
-  auto it = frames_.find(victim);
-  RSJ_DCHECK(it != frames_.end());
+template <typename Count>
+size_t BufferPool::SumOverShards(Count count) const {
+  size_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += count(*shard);
+  }
+  return total;
+}
+
+size_t BufferPool::frames_in_use() const {
+  return SumOverShards([](const Shard& s) { return s.frames.size(); });
+}
+
+size_t BufferPool::pinned_pages() const {
+  return SumOverShards([](const Shard& s) { return s.pinned.size(); });
+}
+
+size_t BufferPool::prefetched_unconsumed() const {
+  return SumOverShards([](const Shard& s) { return s.prefetched_unconsumed; });
+}
+
+void BufferPool::EvictOne(Shard& shard, Statistics* stats) {
+  const PageKey victim = shard.order.back();
+  auto it = shard.frames.find(victim);
+  RSJ_DCHECK(it != shard.frames.end());
   if (it->second.prefetched) {
     // An unconsumed prefetched victim is wasted I/O; the scheduler also
     // forgets its completion, so a later miss pays a genuine read.
-    --prefetched_unconsumed_;
+    --shard.prefetched_unconsumed;
     ++stats->prefetch_wasted;
     if (io_ != nullptr) io_->AbandonPrefetched(this, *victim.file, victim.id);
   }
-  frames_.erase(it);
-  order_.pop_back();
+  shard.frames.erase(it);
+  shard.order.pop_back();
   ++stats->buffer_evictions;
 }
 
-BufferPool::Frame* BufferPool::InsertNewest(const PageKey& key,
+BufferPool::Frame* BufferPool::InsertNewest(Shard& shard, const PageKey& key,
                                             Statistics* stats,
                                             bool prefetched) {
-  if (frame_capacity_ == 0) return nullptr;
-  while (order_.size() >= frame_capacity_) EvictOne(stats);
-  order_.push_front(key);
-  if (prefetched) ++prefetched_unconsumed_;
-  Frame& frame = frames_[key];
-  frame = Frame{order_.begin(), prefetched, nullptr};
+  if (shard.frame_capacity == 0) return nullptr;
+  while (shard.order.size() >= shard.frame_capacity) EvictOne(shard, stats);
+  shard.order.push_front(key);
+  if (prefetched) ++shard.prefetched_unconsumed;
+  Frame& frame = shard.frames[key];
+  frame = Frame{shard.order.begin(), prefetched, nullptr};
   return &frame;
 }
 

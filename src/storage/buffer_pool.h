@@ -1,4 +1,5 @@
-// Buffer pool with page pinning — the protagonist of §4.1/§4.3.
+// Buffer pool with page pinning — the protagonist of §4.1/§4.3, and the one
+// page cache every join, probe, partitioner and prefetcher reads through.
 //
 // The paper assumes an LRU buffer owned by the surrounding system; its size
 // is given in bytes (0, 8K, 32K, 128K, 512K) and divides by the page size
@@ -10,9 +11,16 @@
 //
 // Because the backing `PagedFile`s are in-memory, the pool does not copy
 // page bytes; it is the *accounting* authority: `Read()` returns whether the
-// request was a disk access or a buffer hit and updates `Statistics`. A
-// frame or pin also holds the page's decode once a `Fetch` has built it
-// (storage/page_cache.h), and drops it with the page.
+// request was a disk access or a buffer hit and updates `Statistics`.
+// Counter attribution is per call: every request carries the Statistics of
+// the requesting actor (a worker or the coordinator), so a pool shared by
+// concurrent workers charges hits, misses and evictions to whoever caused
+// them — an eviction to the caller whose insertion triggered it.
+//
+// A resident page also carries its decode (storage/decoded_node.h): the
+// paper sorts a page "immediately after it is read from disk" (§4.2), so a
+// decoded node is valid exactly while its page stays buffer-resident.
+// `Fetch` is the page request that hands the decode out.
 //
 // The pool also implements the non-blocking `Prefetch` entry point of the
 // async I/O subsystem (src/io/): a prefetched page lands as an *evictable*
@@ -26,9 +34,16 @@
 // exactly the pool's resident, unconsumed prefetched frames: consuming,
 // evicting or clearing such a frame drops it, so a miss never finds one.
 //
-// `BufferPool` is single-owner (not thread-safe) and implements the
-// `PageCache` interface; the thread-safe shared variant lives in
-// storage/shared_buffer_pool.h.
+// Threading: every call is thread-safe. The key space is hash-partitioned
+// (`PageKeyHash` modulo `shard_count`) into independently locked LRU
+// shards, so concurrent workers only contend when they touch pages of the
+// same shard; the frame budget is dealt round-robin over the shards (a
+// shard may get zero frames). A page's pins and decode live in its shard
+// under the same lock, so pins taken by two workers nest, and a `Fetch`
+// decodes under the shard's lock: a resident page is decoded once however
+// many readers race for it. One shard is one LRU over the whole budget —
+// the paper's buffer — and what a one-thread run reads through; pools that
+// concurrent workers share use `kSharedPoolShards`.
 
 #ifndef RSJ_STORAGE_BUFFER_POOL_H_
 #define RSJ_STORAGE_BUFFER_POOL_H_
@@ -36,9 +51,11 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
+#include <vector>
 
-#include "storage/page_cache.h"
+#include "storage/decoded_node.h"
 #include "storage/paged_file.h"
 #include "storage/statistics.h"
 
@@ -46,11 +63,45 @@ namespace rsj {
 
 class IoScheduler;
 
-class BufferPool : public PageCache {
+// Pages are identified across files by (file identity, page id).
+struct PageKey {
+  const PagedFile* file = nullptr;
+  PageId id = kInvalidPageId;
+
+  friend bool operator==(const PageKey&, const PageKey&) = default;
+};
+
+struct PageKeyHash {
+  size_t operator()(const PageKey& k) const {
+    const auto h1 = std::hash<const void*>{}(k.file);
+    const auto h2 = std::hash<uint32_t>{}(k.id);
+    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
+  }
+};
+
+// A page request's decode. The holder keeps it alive after the pool has
+// dropped it (evicted or re-read the page).
+struct FetchedNode {
+  std::shared_ptr<const DecodedNode> decoded;
+  // Read's result: true when the request was a buffer hit, false when the
+  // page was physically read.
+  bool page_hit = false;
+  // True when this request decoded the page (one `node_decodes`); false
+  // when it shared the resident page's decode (one `node_cache_hits`).
+  bool fresh = false;
+};
+
+// Shards of a pool that concurrent workers share (an engine's, or a
+// parallel run's).
+inline constexpr size_t kSharedPoolShards = 8;
+
+class BufferPool {
  public:
   struct Options {
-    uint64_t capacity_bytes = 128 * 1024;  // frame budget; 0 disables caching
-    uint32_t page_size = kPageSize4K;
+    uint64_t capacity_bytes = 128 * 1024;  // frame budget, all shards;
+                                           // 0 disables caching
+    uint32_t page_size = kPageSize4K;      // must be > 0
+    size_t shard_count = 1;                // must be > 0
   };
 
   explicit BufferPool(const Options& options);
@@ -58,20 +109,45 @@ class BufferPool : public PageCache {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  // PageCache interface: charges the caller-provided Statistics.
-  bool Read(const PagedFile& file, PageId id, Statistics* stats) override;
-  FetchedNode Fetch(const PagedFile& file, PageId id,
-                    Statistics* stats) override;
-  void Pin(const PagedFile& file, PageId id, Statistics* stats) override;
-  void Unpin(const PagedFile& file, PageId id, Statistics* stats) override;
-  bool Prefetch(const PagedFile& file, PageId id, Statistics* stats) override;
-  bool Contains(const PagedFile& file, PageId id) const override;
+  // Requests page `id` of `file`. Counts either a disk read (miss) or a
+  // buffer hit against `stats` and returns true when it was a hit.
+  bool Read(const PagedFile& file, PageId id, Statistics* stats);
+
+  // A page request with Read's counters that also returns the page's
+  // decode. The first Fetch since the page became resident decodes it; the
+  // page's frame (or pin) keeps that decode, and later fetches share it.
+  // Eviction, Clear and a zero-frame pool drop the decode; Pin and Unpin
+  // carry it with the page. Read, Pin and Prefetch never decode.
+  FetchedNode Fetch(const PagedFile& file, PageId id, Statistics* stats);
+
+  // Pins the page, reading it first if absent (that read is counted).
+  // Pins nest: a page pinned twice needs two Unpin() calls. Pinned pages
+  // do not occupy frames and are never evicted.
+  void Pin(const PagedFile& file, PageId id, Statistics* stats);
+
+  // Releases one pin. When the last pin is released the page moves into
+  // the frames as the newest page (or is dropped with zero frames).
+  void Unpin(const PagedFile& file, PageId id, Statistics* stats);
+
+  // Non-blocking read-ahead (src/io/prefetcher.h): when the page is not
+  // resident, charges the physical read and lands the page as an
+  // *evictable* frame marked prefetched — never as a pin — and returns
+  // true. Resident pages coalesce to a no-op (false). With an attached
+  // IoScheduler the read is issued asynchronously and the consumer only
+  // pays the part of its service time that the prefetch distance did not
+  // hide.
+  bool Prefetch(const PagedFile& file, PageId id, Statistics* stats);
+
+  // True when the page is resident (in a frame or pinned).
+  bool Contains(const PagedFile& file, PageId id) const;
 
   // Attaches the modeled-time layer (src/io/io_scheduler.h): misses are
   // then serviced in simulated disk-array time and prefetches become
   // genuinely asynchronous reads. nullptr detaches; not owned. Without a
   // scheduler the pool's behaviour (and all pre-existing counters) are
-  // unchanged and Prefetch degrades to zero-latency accounting.
+  // unchanged and Prefetch degrades to zero-latency accounting. Attach
+  // before the pool is shared: the shards call into the (thread-safe)
+  // scheduler under their own locks.
   void AttachIoScheduler(IoScheduler* io) { io_ = io; }
 
   // Drops all cached pages (pins must have been released).
@@ -80,13 +156,14 @@ class BufferPool : public PageCache {
   // Number of frames the byte budget buys (0 when budget < page size).
   size_t frame_capacity() const { return frame_capacity_; }
 
-  // Currently used frames (excludes pinned pages).
-  size_t frames_in_use() const { return frames_.size(); }
+  size_t shard_count() const { return shards_.size(); }
 
-  size_t pinned_pages() const { return pinned_.size(); }
-
-  // Frames holding a prefetched page no consumer has touched yet.
-  size_t prefetched_unconsumed() const { return prefetched_unconsumed_; }
+  // Counts summed over the shards, exact while no other thread calls into
+  // the pool: used frames (pinned pages excluded), pinned pages, and frames
+  // holding a prefetched page no consumer has touched yet.
+  size_t frames_in_use() const;
+  size_t pinned_pages() const;
+  size_t prefetched_unconsumed() const;
 
  private:
   using Decode = std::shared_ptr<const DecodedNode>;
@@ -102,37 +179,50 @@ class BufferPool : public PageCache {
     Decode decoded;
   };
 
+  // One independently locked LRU over the keys that hash into it.
+  struct Shard {
+    mutable std::mutex mu;
+    size_t frame_capacity = 0;
+    size_t prefetched_unconsumed = 0;
+    // LRU list: front = most recently used, back = the eviction candidate.
+    std::list<PageKey> order;
+    std::unordered_map<PageKey, Frame, PageKeyHash> frames;
+    // Pinned pages with their pin counts and decodes.
+    std::unordered_map<PageKey, PinnedPage, PageKeyHash> pinned;
+  };
+
+  Shard& ShardFor(const PageKey& key) const {
+    return *shards_[PageKeyHash{}(key) % shards_.size()];
+  }
+
+  // Sums `count(shard)` over the shards, each under its lock.
+  template <typename Count>
+  size_t SumOverShards(Count count) const;
+
   // The page request behind Read and Fetch: counts a hit or a read and
   // returns the resident page's decode slot — nullptr when the page did
-  // not stay resident (a zero-frame pool).
-  Decode* Request(const PagedFile& file, PageId id, Statistics* stats,
+  // not stay resident (a zero-frame shard). Caller holds `shard.mu`.
+  Decode* Request(Shard& shard, const PageKey& key, Statistics* stats,
                   bool* hit);
 
-  // Inserts the key as the most recently used frame, evicting the least
-  // recently used ones if needed; returns the frame (nullptr with zero
-  // frames).
-  Frame* InsertNewest(const PageKey& key, Statistics* stats,
+  // Inserts the key as the shard's most recently used frame, evicting its
+  // least recently used ones if needed; returns the frame (nullptr with
+  // zero frames). Caller holds `shard.mu`.
+  Frame* InsertNewest(Shard& shard, const PageKey& key, Statistics* stats,
                       bool prefetched = false);
 
-  // Frees the least recently used frame.
-  void EvictOne(Statistics* stats);
+  // Frees the shard's least recently used frame. Caller holds `shard.mu`.
+  void EvictOne(Shard& shard, Statistics* stats);
 
   // Clears a consumed frame's prefetch mark and settles the modeled
-  // timeline against the async completion.
-  void ConsumePrefetchedFrame(const PageKey& key, Frame* frame,
+  // timeline against the async completion. Caller holds `shard.mu`.
+  void ConsumePrefetchedFrame(Shard& shard, const PageKey& key, Frame* frame,
                               Statistics* stats);
 
   size_t frame_capacity_;
   uint32_t page_size_;
   IoScheduler* io_ = nullptr;  // optional modeled-time layer
-  size_t prefetched_unconsumed_ = 0;
-
-  // LRU list: front = most recently used, back = the eviction candidate.
-  std::list<PageKey> order_;
-  std::unordered_map<PageKey, Frame, PageKeyHash> frames_;
-
-  // Pinned pages with their pin counts and decodes.
-  std::unordered_map<PageKey, PinnedPage, PageKeyHash> pinned_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace rsj

@@ -3,22 +3,23 @@
 // The page layer models the paper's I/O accounting: every node visit is a
 // page request, counted as a disk read or a buffer hit. Decoding the page
 // payload into a `Node` is pure CPU work on top of that. A resident page
-// carries its decode in its buffer frame (storage/page_cache.h,
-// `PageCache::Fetch`): the first fetch since the page became resident
+// carries its decode in its buffer frame (storage/buffer_pool.h,
+// `BufferPool::Fetch`): the first fetch since the page became resident
 // decodes it, every later fetch — from any reader of the pool — shares
 // that decode, and the decode leaves with the page. A physical re-read
 // therefore decodes again, exactly as a real system would have to.
 //
-// The sweep algorithms and the chain probes read a node's entries sorted
-// by lower x (§4.2: a page is sorted "immediately after it is read from
-// disk"). A decode carries that sorted form too, built at most once, on the
-// first reader's request, so every worker of every query borrows one sort
-// instead of copying and sorting the node itself. A page already in xl
-// order — R*-insertion and STR packing keep nodes so — shares the decode as
-// its sorted form; only an unordered page gets a sorted copy. Readers that
-// never ask for it (the partitioner) never build it. The sort's
-// comparisons are charged by the reader (join/node_accessor.h, the chain
-// probe in join/multiway_join.h), from the count the sorted form memoizes.
+// The sweep algorithms, the partitioner and the chain probes read a node's
+// entries sorted by lower x (§4.2: a page is sorted "immediately after it
+// is read from disk"). A decode carries that sorted form too, built at most
+// once, on the first reader's request, so every worker of every query
+// borrows one sort instead of copying and sorting the node itself. A page
+// already in xl order — R*-insertion and STR packing keep nodes so — shares
+// the decode as its sorted form; only an unordered page gets a sorted copy.
+// Readers that never ask for it (SJ1 and SJ2) never build it. The sort's
+// comparisons are charged by the reader (join/node_accessor.h,
+// exec/partition.h, the chain probe in join/multiway_join.h), from the
+// count the sorted form memoizes.
 
 #ifndef RSJ_STORAGE_DECODED_NODE_H_
 #define RSJ_STORAGE_DECODED_NODE_H_

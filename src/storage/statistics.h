@@ -25,7 +25,7 @@ struct Statistics {
   uint64_t buffer_evictions = 0;   // pages dropped from the buffer
   uint64_t pin_count = 0;          // Pin() events (SJ4/SJ5 page pinning)
 
-  // --- decoding (storage/page_cache.h, PageCache::Fetch) ---
+  // --- decoding (storage/buffer_pool.h, BufferPool::Fetch) ---
   uint64_t node_decodes = 0;     // page payloads decoded into Nodes
   uint64_t node_cache_hits = 0;  // fetches that shared a resident decode
 

@@ -1,8 +1,8 @@
-// Tests for the decodes resident pages carry (PageCache::Fetch on both
-// pools): hit/decode accounting tied to page residency, decodes moving with
-// pins, prefetched and zero-frame pages, cross-thread reuse on the shared
-// pool, the once-built sorted form (the decode itself when the page is in
-// xl order), and the shared pool's option guards.
+// Tests for the decodes resident pages carry (BufferPool::Fetch at one
+// and at eight shards): hit/decode accounting tied to page residency,
+// decodes moving with pins, prefetched and zero-frame pages, cross-thread
+// reuse on a sharded pool, the once-built sorted form (the decode itself
+// when the page is in xl order), and the pool's option guards.
 
 #include "storage/decoded_node.h"
 
@@ -10,61 +10,66 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "rtree/node.h"
 #include "storage/buffer_pool.h"
-#include "storage/shared_buffer_pool.h"
 
 namespace rsj {
 namespace {
 
-// Allocates `count` pages of `file`, each storing a one-entry leaf node so
-// decodes are well-formed.
-std::vector<PageId> MakeNodePages(PagedFile* file, int count) {
+// Stores a one-entry leaf node in page `id`, so decodes are well-formed.
+void StoreLeaf(PagedFile* file, PageId id, uint32_t ref) {
+  Node node;
+  node.level = 0;
+  node.entries.push_back(Entry{
+      Rect{static_cast<Coord>(ref), 0.0f, static_cast<Coord>(ref + 1), 1.0f},
+      ref});
+  node.Store(file, id);
+}
+
+// Allocates pages of `file` until `count` of them fall into the shard of
+// the first (`PageKeyHash` modulo `shards`), each storing a one-entry leaf
+// whose ref is its index in the result. Pages of other shards are left
+// unused, so a pool with the same number of frames in every shard evicts
+// the returned pages in the LRU order of a one-shard pool.
+std::vector<PageId> MakeNodePages(PagedFile* file, int count, size_t shards) {
   std::vector<PageId> pages;
-  for (int i = 0; i < count; ++i) {
+  size_t shard = 0;
+  while (pages.size() < static_cast<size_t>(count)) {
     const PageId id = file->Allocate();
-    Node node;
-    node.level = 0;
-    node.entries.push_back(Entry{
-        Rect{static_cast<Coord>(i), 0.0f, static_cast<Coord>(i + 1), 1.0f},
-        static_cast<uint32_t>(i)});
-    node.Store(file, id);
+    const size_t s = PageKeyHash{}(PageKey{file, id}) % shards;
+    if (pages.empty()) shard = s;
+    if (s != shard) continue;
+    StoreLeaf(file, id, static_cast<uint32_t>(pages.size()));
     pages.push_back(id);
   }
   return pages;
 }
 
-// A pool of `frames` 1 KiB frames; the shared pool keeps them in one shard
-// so both pools evict in the same LRU order.
-template <typename Pool>
-std::unique_ptr<Pool> MakePool(uint64_t frames);
-
-template <>
-std::unique_ptr<BufferPool> MakePool<BufferPool>(uint64_t frames) {
+// A pool of `frames` 1 KiB frames in each of its `shards` shards.
+std::unique_ptr<BufferPool> MakePool(size_t shards, uint64_t frames) {
   return std::make_unique<BufferPool>(
-      BufferPool::Options{frames * kPageSize1K, kPageSize1K});
+      BufferPool::Options{frames * shards * kPageSize1K, kPageSize1K, shards});
 }
 
-template <>
-std::unique_ptr<SharedBufferPool> MakePool<SharedBufferPool>(uint64_t frames) {
-  return std::make_unique<SharedBufferPool>(
-      SharedBufferPool::Options{frames * kPageSize1K, kPageSize1K, 1});
-}
+template <typename Shards>
+class PoolDecodeTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kShards = Shards::value;
+};
 
-template <typename Pool>
-class PoolDecodeTest : public ::testing::Test {};
-
-using Pools = ::testing::Types<BufferPool, SharedBufferPool>;
-TYPED_TEST_SUITE(PoolDecodeTest, Pools);
+using ShardCounts = ::testing::Types<std::integral_constant<size_t, 1>,
+                                     std::integral_constant<size_t, 8>>;
+TYPED_TEST_SUITE(PoolDecodeTest, ShardCounts);
 
 TYPED_TEST(PoolDecodeTest, DecodesOnceWhilePageStaysResident) {
   PagedFile file(kPageSize1K);
-  const auto pages = MakeNodePages(&file, 1);
-  const auto pool = MakePool<TypeParam>(4);
+  const auto pages = MakeNodePages(&file, 1, TestFixture::kShards);
+  const auto pool = MakePool(TestFixture::kShards, 4);
   Statistics stats;
 
   const FetchedNode first = pool->Fetch(file, pages[0], &stats);
@@ -93,9 +98,9 @@ TYPED_TEST(PoolDecodeTest, DecodesOnceWhilePageStaysResident) {
 
 TYPED_TEST(PoolDecodeTest, PhysicalReReadForcesReDecode) {
   PagedFile file(kPageSize1K);
-  const auto pages = MakeNodePages(&file, 2);
+  const auto pages = MakeNodePages(&file, 2, TestFixture::kShards);
   // One frame: the two pages evict each other on every fetch.
-  const auto pool = MakePool<TypeParam>(1);
+  const auto pool = MakePool(TestFixture::kShards, 1);
   Statistics stats;
   const FetchedNode held = pool->Fetch(file, pages[0], &stats);
   for (int round = 0; round < 3; ++round) {
@@ -115,8 +120,8 @@ TYPED_TEST(PoolDecodeTest, PhysicalReReadForcesReDecode) {
 
 TYPED_TEST(PoolDecodeTest, ReadAndClearLeaveNoDecode) {
   PagedFile file(kPageSize1K);
-  const auto pages = MakeNodePages(&file, 1);
-  const auto pool = MakePool<TypeParam>(4);
+  const auto pages = MakeNodePages(&file, 1, TestFixture::kShards);
+  const auto pool = MakePool(TestFixture::kShards, 4);
   Statistics stats;
   // A plain page request never decodes: the first fetch after it does.
   EXPECT_FALSE(pool->Read(file, pages[0], &stats));
@@ -137,8 +142,8 @@ TYPED_TEST(PoolDecodeTest, ReadAndClearLeaveNoDecode) {
 
 TYPED_TEST(PoolDecodeTest, PinAndUnpinCarryTheDecode) {
   PagedFile file(kPageSize1K);
-  const auto pages = MakeNodePages(&file, 3);
-  const auto pool = MakePool<TypeParam>(1);
+  const auto pages = MakeNodePages(&file, 3, TestFixture::kShards);
+  const auto pool = MakePool(TestFixture::kShards, 1);
   Statistics stats;
   const FetchedNode first = pool->Fetch(file, pages[0], &stats);
   // Pinning moves the page, decode included, out of its frame.
@@ -167,8 +172,8 @@ TYPED_TEST(PoolDecodeTest, PinAndUnpinCarryTheDecode) {
 
 TYPED_TEST(PoolDecodeTest, PrefetchedFrameDecodesOnFirstFetch) {
   PagedFile file(kPageSize1K);
-  const auto pages = MakeNodePages(&file, 1);
-  const auto pool = MakePool<TypeParam>(4);
+  const auto pages = MakeNodePages(&file, 1, TestFixture::kShards);
+  const auto pool = MakePool(TestFixture::kShards, 4);
   Statistics stats;
   ASSERT_TRUE(pool->Prefetch(file, pages[0], &stats));
   EXPECT_EQ(stats.node_decodes, 0u);
@@ -186,8 +191,8 @@ TYPED_TEST(PoolDecodeTest, PrefetchedFrameDecodesOnFirstFetch) {
 
 TYPED_TEST(PoolDecodeTest, ZeroFramePoolDecodesOnEveryFetch) {
   PagedFile file(kPageSize1K);
-  const auto pages = MakeNodePages(&file, 1);
-  const auto pool = MakePool<TypeParam>(0);
+  const auto pages = MakeNodePages(&file, 1, TestFixture::kShards);
+  const auto pool = MakePool(TestFixture::kShards, 0);
   Statistics stats;
   for (int i = 0; i < 4; ++i) {
     const FetchedNode fetched = pool->Fetch(file, pages[0], &stats);
@@ -210,9 +215,8 @@ TYPED_TEST(PoolDecodeTest, ZeroFramePoolDecodesOnEveryFetch) {
 
 TEST(SharedPoolDecodeTest, CrossThreadReuseAfterCoordinatorWarmup) {
   PagedFile file(kPageSize1K);
-  const auto pages = MakeNodePages(&file, 32);
-  SharedBufferPool pool(
-      SharedBufferPool::Options{64 * kPageSize1K, kPageSize1K, 8});
+  const auto pages = MakeNodePages(&file, 32, 1);
+  BufferPool pool(BufferPool::Options{64 * kPageSize1K, kPageSize1K, 8});
 
   // The "coordinator" decodes every page once.
   Statistics coordinator;
@@ -241,9 +245,8 @@ TEST(SharedPoolDecodeTest, CrossThreadReuseAfterCoordinatorWarmup) {
 
 TEST(SharedPoolDecodeTest, ConcurrentFirstFetchDecodesOnce) {
   PagedFile file(kPageSize1K);
-  const auto pages = MakeNodePages(&file, 1);
-  SharedBufferPool pool(
-      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
+  const auto pages = MakeNodePages(&file, 1, 1);
+  BufferPool pool(BufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
   constexpr unsigned kThreads = 8;
   std::vector<Statistics> stats(kThreads);
   std::vector<const DecodedNode*> seen(kThreads, nullptr);
@@ -279,8 +282,7 @@ TEST(SharedPoolDecodeTest, ConcurrentFirstSortBuildsOneSortedForm) {
     stored.entries.push_back(Entry{Rect{xl, 0.0f, xl + 1.0f, 1.0f}, i});
   }
   stored.Store(&file, id);
-  SharedBufferPool pool(
-      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
+  BufferPool pool(BufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
 
   Statistics first;
   const auto decoded = pool.Fetch(file, id, &first).decoded;
@@ -354,8 +356,7 @@ TEST(SharedPoolDecodeTest, OrderedPageSharesItsDecode) {
     stored.entries.push_back(Entry{Rect{xl, 0.0f, xl + 1.0f, 1.0f}, i});
   }
   stored.Store(&file, id);
-  SharedBufferPool pool(
-      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
+  BufferPool pool(BufferPool::Options{4 * kPageSize1K, kPageSize1K, 2});
   Statistics first;
   const auto decoded = pool.Fetch(file, id, &first).decoded;
 
@@ -387,16 +388,14 @@ TEST(SharedPoolDecodeTest, OrderedPageSharesItsDecode) {
   EXPECT_EQ(resorted, decoded->node.entries);
 }
 
-// --- option guards (shared pool) --------------------------------------------
+// --- option guards ----------------------------------------------------------
 
-TEST(SharedBufferPoolDeathTest, RejectsZeroPageSize) {
-  EXPECT_DEATH(SharedBufferPool(SharedBufferPool::Options{128 * 1024, 0, 4}),
-               "page size");
+TEST(BufferPoolDeathTest, RejectsZeroPageSize) {
+  EXPECT_DEATH(BufferPool(BufferPool::Options{128 * 1024, 0, 4}), "page size");
 }
 
-TEST(SharedBufferPoolDeathTest, RejectsZeroShards) {
-  EXPECT_DEATH(SharedBufferPool(SharedBufferPool::Options{
-                   128 * 1024, kPageSize1K, 0}),
+TEST(BufferPoolDeathTest, RejectsZeroShards) {
+  EXPECT_DEATH(BufferPool(BufferPool::Options{128 * 1024, kPageSize1K, 0}),
                "shard");
 }
 

@@ -244,8 +244,7 @@ TEST_F(PlannerTest, VariantThresholdsCutBothWays) {
 
 TEST_F(PlannerTest, ConcurrentPlannersShareTheTreesProfiles) {
   // Freshly built trees, so four planners race for the first profile walk
-  // of each (sessions plan concurrently, and with plan_admission the
-  // submitting thread plans too). The fixture's trees hold the same
+  // of each (sessions plan concurrently). The fixture's trees hold the same
   // objects, built the same way: their plan is the reference.
   RTreeOptions topt;
   topt.page_size = kPageSize1K;
@@ -479,6 +478,58 @@ TEST_F(QueryEngineTest, ChainSessionMatchesSequential) {
   EXPECT_EQ(tuples, sequential.tuples);
 }
 
+TEST_F(QueryEngineTest, OneThreadSessionsReadThroughTheEnginesPool) {
+  // At one worker slot a pair session and a chain session each run as one
+  // partition on the engine's pool and scheduler. The pool holds every
+  // tree, so the second batch reads no page from disk.
+  const std::vector<JoinRelation> chain = {{&rel_r_->tree(), rects_r_},
+                                           {&rel_s_->tree(), rects_s_},
+                                           {&rel_t_->tree(), rects_t_}};
+  JoinOptions jopt;
+  jopt.algorithm = JoinAlgorithm::kSJ4;
+  const JoinRunResult serial =
+      RunSpatialJoin(rel_r_->tree(), rel_s_->tree(), jopt, true);
+  MultiwayJoinResult sequential = RunChainSpatialJoin(chain, jopt, true);
+  std::sort(sequential.tuples.begin(), sequential.tuples.end());
+
+  QueryEngine::Options opt = EngineOptions();
+  opt.session_threads = 1;
+  QueryEngine engine(opt);
+  for (int batch = 0; batch < 2; ++batch) {
+    QuerySpec pair_spec;
+    pair_spec.relations = {chain[0], chain[1]};
+    pair_spec.join = jopt;
+    pair_spec.use_planner = false;
+    QuerySpec chain_spec;
+    chain_spec.relations = chain;
+    chain_spec.join = jopt;
+    chain_spec.use_planner = false;
+    QuerySession* pair = engine.Submit(std::move(pair_spec));
+    QuerySession* chained = engine.Submit(std::move(chain_spec));
+    engine.WaitAll();
+
+    ASSERT_EQ(pair->state(), SessionState::kFinished);
+    const ParallelJoinResult& p = pair->outcome().pair;
+    EXPECT_EQ(testutil::Canonical(p.chunks),
+              testutil::Canonical(serial.chunks));
+    EXPECT_EQ(p.worker_stats.size(), 1u);
+    ASSERT_EQ(chained->state(), SessionState::kFinished);
+    const ParallelChainJoinResult& c = chained->outcome().chain;
+    auto tuples = c.tuples;
+    std::sort(tuples.begin(), tuples.end());
+    EXPECT_EQ(tuples, sequential.tuples);
+    EXPECT_EQ(c.worker_stats.size(), 1u);
+    if (batch == 0) {
+      // The first batch reads on the engine's modeled disks.
+      EXPECT_GT(p.total_stats.disk_reads + c.total_stats.disk_reads, 0u);
+      EXPECT_GT(engine.telemetry().last_makespan_micros, 0u);
+    } else {
+      EXPECT_EQ(p.total_stats.disk_reads, 0u);
+      EXPECT_EQ(c.total_stats.disk_reads, 0u);
+    }
+  }
+}
+
 TEST_F(QueryEngineTest, AdmissionQueuesAndShedsDeterministically) {
   QueryEngine::Options opt = EngineOptions();
   opt.max_concurrent_sessions = 1;
@@ -573,65 +624,6 @@ TEST_F(QueryEngineTest, GovernorLeaseGatesAdmission) {
   EXPECT_EQ(
       engine.governor().category_live(MemoryCategory::kSessionReservations),
       0u);
-}
-
-TEST_F(QueryEngineTest, PlannedAdmissionAdmitsMoreSmallQueries) {
-  // Three tiny queries under a budget that fits one FLAT reservation:
-  // flat admission serializes them, planner-informed admission sizes the
-  // reservations to the queries' actual estimates and runs all three.
-  RTreeOptions topt;
-  topt.page_size = kPageSize1K;
-  const std::vector<Rect> tiny_rects = testutil::RandomRects(60, 77);
-  IndexedRelation tiny(tiny_rects, topt);
-
-  auto run_batch = [&](bool plan_admission) {
-    QueryEngine::Options opt = EngineOptions();
-    opt.session_reserve_bytes = 1 << 20;
-    opt.memory_budget_bytes = (1 << 20) + (1 << 19);
-    opt.plan_admission = plan_admission;
-    QueryEngine engine(opt);
-
-    std::mutex m;
-    std::condition_variable cv;
-    bool release = false;
-    std::vector<QuerySession*> sessions;
-    for (int i = 0; i < 3; ++i) {
-      QuerySpec spec;
-      spec.relations = {{&tiny.tree(), &tiny_rects},
-                        {&tiny.tree(), &tiny_rects}};
-      spec.before_run = [&] {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&] { return release; });
-      };
-      sessions.push_back(engine.Submit(std::move(spec)));
-    }
-    size_t running = 0;
-    for (QuerySession* s : sessions) {
-      running += s->state() == SessionState::kRunning ? 1 : 0;
-    }
-    {
-      std::lock_guard<std::mutex> lock(m);
-      release = true;
-    }
-    cv.notify_all();
-    engine.WaitAll();
-    for (QuerySession* s : sessions) {
-      EXPECT_EQ(s->state(), SessionState::kFinished);
-      EXPECT_EQ(s->outcome().result_count,
-                sessions[0]->outcome().result_count);
-    }
-    // Reservations always return to zero.
-    EXPECT_EQ(
-        engine.governor().category_live(MemoryCategory::kSessionReservations),
-        0u);
-    return running;
-  };
-
-  // Flat: the first session charges the whole 1 MiB unit, the governor
-  // refuses the second, both later admissions run serially.
-  EXPECT_EQ(run_batch(false), 1u);
-  // Planned: three small estimates fit the same budget side by side.
-  EXPECT_EQ(run_batch(true), 3u);
 }
 
 TEST_F(QueryEngineTest, PlannerSwitchesVariantsAcrossWorkloads) {

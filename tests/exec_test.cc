@@ -1,12 +1,10 @@
-// Tests for the execution subsystem: batched result sinks, the shared
-// concurrent buffer pool, the work-stealing scheduler, a run's modeled-I/O
-// window, depth-adaptive partitioning, and the parallel executor's exact
-// equivalence with the sequential engine across algorithms and thread
-// counts.
+// Tests for the execution subsystem: batched result sinks, the
+// work-stealing scheduler, a run's modeled-I/O window, depth-adaptive
+// partitioning, and the parallel executor's exact equivalence with the
+// sequential engine across algorithms and thread counts.
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -18,7 +16,6 @@
 #include "io/io_scheduler.h"
 #include "join/join_runner.h"
 #include "storage/buffer_pool.h"
-#include "storage/shared_buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -187,92 +184,6 @@ TEST(StatisticsTest, MergeFromAddsEveryCounter) {
   EXPECT_EQ(a.frontier_peak_tuples, 50u);
 }
 
-// --- shared buffer pool ----------------------------------------------------
-
-TEST(SharedBufferPoolTest, HitOnSecondReadAndPerCallerAttribution) {
-  PagedFile file(kPageSize1K);
-  const PageId id = file.Allocate();
-  SharedBufferPool pool(
-      SharedBufferPool::Options{4 * kPageSize1K, kPageSize1K, 4});
-  Statistics worker_a;
-  Statistics worker_b;
-  EXPECT_FALSE(pool.Read(file, id, &worker_a));  // miss, charged to A
-  EXPECT_TRUE(pool.Read(file, id, &worker_b));   // hit, charged to B
-  EXPECT_EQ(worker_a.disk_reads, 1u);
-  EXPECT_EQ(worker_a.buffer_hits, 0u);
-  EXPECT_EQ(worker_b.disk_reads, 0u);
-  EXPECT_EQ(worker_b.buffer_hits, 1u);
-}
-
-TEST(SharedBufferPoolTest, FrameBudgetSplitsOverShards) {
-  SharedBufferPool pool(
-      SharedBufferPool::Options{10 * kPageSize1K, kPageSize1K, 4});
-  EXPECT_EQ(pool.frame_capacity(), 10u);
-  EXPECT_EQ(pool.shard_count(), 4u);
-}
-
-TEST(SharedBufferPoolTest, PinnedPageSurvivesEvictionPressure) {
-  PagedFile file(kPageSize1K);
-  const PageId pinned = file.Allocate();
-  std::vector<PageId> others;
-  for (int i = 0; i < 16; ++i) others.push_back(file.Allocate());
-  // One frame in one shard: maximal eviction pressure.
-  SharedBufferPool pool(
-      SharedBufferPool::Options{1 * kPageSize1K, kPageSize1K, 1});
-  Statistics stats;
-  pool.Pin(file, pinned, &stats);
-  for (const PageId id : others) pool.Read(file, id, &stats);
-  EXPECT_TRUE(pool.Contains(file, pinned));
-  pool.Unpin(file, pinned, &stats);
-  EXPECT_EQ(pool.pinned_pages(), 0u);
-}
-
-TEST(SharedBufferPoolTest, PinsNestAcrossCallers) {
-  PagedFile file(kPageSize1K);
-  const PageId id = file.Allocate();
-  SharedBufferPool pool(SharedBufferPool::Options{0, kPageSize1K, 2});
-  Statistics a;
-  Statistics b;
-  pool.Pin(file, id, &a);
-  pool.Pin(file, id, &b);  // nests
-  pool.Unpin(file, id, &a);
-  EXPECT_TRUE(pool.Contains(file, id));  // b's pin still holds
-  pool.Unpin(file, id, &b);
-  // Zero frames: the page is dropped after the last unpin.
-  EXPECT_FALSE(pool.Contains(file, id));
-  EXPECT_EQ(a.pin_count + b.pin_count, 2u);
-  // Only the first pin paid the read.
-  EXPECT_EQ(a.disk_reads + b.disk_reads, 1u);
-}
-
-TEST(SharedBufferPoolTest, ConcurrentReadersAccountConsistently) {
-  PagedFile file(kPageSize1K);
-  std::vector<PageId> pages;
-  for (int i = 0; i < 64; ++i) pages.push_back(file.Allocate());
-  SharedBufferPool pool(
-      SharedBufferPool::Options{32 * kPageSize1K, kPageSize1K, 8});
-  constexpr unsigned kThreads = 4;
-  constexpr size_t kReadsPerThread = 20000;
-  std::vector<Statistics> stats(kThreads);
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      uint64_t state = 0x9e3779b97f4a7c15ULL + t;
-      for (size_t i = 0; i < kReadsPerThread; ++i) {
-        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        pool.Read(file, pages[(state >> 33) % pages.size()], &stats[t]);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  uint64_t requests = 0;
-  for (const Statistics& st : stats) {
-    requests += st.disk_reads + st.buffer_hits;
-  }
-  EXPECT_EQ(requests, uint64_t{kThreads} * kReadsPerThread);
-  EXPECT_LE(pool.frames_in_use(), pool.frame_capacity());
-}
-
 // --- task scheduler --------------------------------------------------------
 
 TEST(TaskSchedulerTest, EveryTaskRunsExactlyOnce) {
@@ -434,6 +345,44 @@ TEST_F(PartitionTest, LeafRootIsDegenerate) {
   EXPECT_TRUE(BuildPartitionPlan(r_->tree(), tiny.tree(), jopt, 8, &pool,
                                  &stats)
                   .degenerate);
+}
+
+TEST_F(PartitionTest, SecondPlanOverAWarmPoolSortsNothing) {
+  // The first plan decodes the directory pages it sweeps and charges each
+  // one's sort; a second plan over the same pool, which still holds them,
+  // shares the decodes with their sorted forms and charges no sort.
+  for (const double epsilon : {0.0, 0.01}) {
+    JoinOptions jopt;
+    if (epsilon > 0.0) {
+      jopt.predicate = JoinPredicate::kWithinDistance;
+      jopt.epsilon = epsilon;
+    }
+    BufferPool pool(
+        BufferPool::Options{1 << 20, kPageSize1K, kSharedPoolShards});
+    Statistics first;
+    Statistics second;
+    const PartitionPlan a =
+        BuildPartitionPlan(r_->tree(), s_->tree(), jopt, 64, &pool, &first);
+    const PartitionPlan b =
+        BuildPartitionPlan(r_->tree(), s_->tree(), jopt, 64, &pool, &second);
+    ASSERT_GE(a.depth, 1) << "epsilon=" << epsilon;
+    const auto refs = [](const PartitionPlan& plan) {
+      std::vector<std::pair<PageId, PageId>> out;
+      for (const PartitionTask& t : plan.tasks) {
+        out.emplace_back(t.er.ref, t.es.ref);
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    EXPECT_EQ(refs(a), refs(b)) << "epsilon=" << epsilon;
+    EXPECT_GT(first.node_decodes, 0u);
+    EXPECT_GT(first.sort_comparisons.count(), 0u);
+    EXPECT_EQ(second.disk_reads, 0u);
+    EXPECT_EQ(second.node_decodes, 0u);
+    EXPECT_EQ(second.sort_comparisons.count(), 0u) << "epsilon=" << epsilon;
+    EXPECT_EQ(second.join_comparisons.count(),
+              first.join_comparisons.count());
+  }
 }
 
 // --- parallel executor -----------------------------------------------------

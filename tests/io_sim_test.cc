@@ -223,13 +223,13 @@ TEST(IoSchedulerTest, WriteAdvancesActorClockAndCountsDiskWrites) {
   PagedFile file(kPageSize1K);
   const PageId a = file.Allocate();
   Statistics stats;
-  io.Write(&io, file, a, kPageSize1K, &stats);
+  io.WriteRun(&io, file, a, 1, kPageSize1K, &stats);
   EXPECT_EQ(stats.disk_writes, 1u);
   EXPECT_EQ(stats.modeled_io_micros, kRandom1K);
   EXPECT_EQ(io.NowMicros(), kRandom1K);
   EXPECT_EQ(io.disk_writes(), 1u);
   // A second write of the page the arm sits on is seek-free.
-  io.Write(&io, file, a, kPageSize1K, &stats);
+  io.WriteRun(&io, file, a, 1, kPageSize1K, &stats);
   EXPECT_EQ(stats.disk_writes, 2u);
   EXPECT_EQ(io.NowMicros(), kRandom1K + kTransfer1K);
 }
@@ -241,8 +241,8 @@ TEST(IoSchedulerTest, WritesOfDistinctActorsOverlapAcrossDisks) {
   const PageId b = file.Allocate();  // disk 1
   Statistics worker_a;
   Statistics worker_b;
-  io.Write(&io, file, a, kPageSize1K, &worker_a);
-  io.Write(&io, file, b, kPageSize1K, &worker_b);
+  io.WriteRun(&io, file, a, 1, kPageSize1K, &worker_a);
+  io.WriteRun(&io, file, b, 1, kPageSize1K, &worker_b);
   EXPECT_EQ(io.disk_writes(), 2u);
   EXPECT_EQ(io.SynchronizeClocks(), kRandom1K);  // parallel, max-merged
 }

@@ -15,7 +15,7 @@
 
 #include "exec/exec_context.h"
 #include "obs/trace.h"
-#include "storage/shared_buffer_pool.h"
+#include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -162,7 +162,8 @@ TEST_F(MultiwayExecTest, ProbesRunOnTheContextsTaskRunner) {
   // so no probe ran on a thread of its own.
   TraceRecorder tracer(TraceOptions{.sample_period = 1});
   { TraceSpan marker(&tracer, "test", "marker"); }
-  SharedBufferPool pool(SharedBufferPool::Options{128 * 1024, kPageSize1K});
+  BufferPool pool(
+      BufferPool::Options{128 * 1024, kPageSize1K, kSharedPoolShards});
   ExecContext::Borrowed shared;
   shared.pool = &pool;
   shared.task_runner =

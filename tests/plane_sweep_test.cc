@@ -20,18 +20,6 @@ std::vector<IndexedRect> ToIndexed(const std::vector<Rect>& rects) {
   return out;
 }
 
-TEST(SortByLowerXTest, SortsAndCounts) {
-  std::vector<IndexedRect> seq = ToIndexed(
-      {Rect{3, 0, 4, 1}, Rect{1, 0, 2, 1}, Rect{2, 0, 3, 1}});
-  ComparisonCounter counter;
-  SortByLowerXCounted(&seq, &counter);
-  EXPECT_TRUE(IsSortedByLowerX(seq));
-  EXPECT_GT(counter.count(), 0u);
-  EXPECT_EQ(seq[0].index, 1u);
-  EXPECT_EQ(seq[1].index, 2u);
-  EXPECT_EQ(seq[2].index, 0u);
-}
-
 TEST(SortedIntersectionTest, EmptyInputs) {
   ComparisonCounter counter;
   const std::vector<IndexedRect> empty;

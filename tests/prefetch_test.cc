@@ -17,7 +17,6 @@
 #include "io/prefetcher.h"
 #include "join/join_runner.h"
 #include "storage/buffer_pool.h"
-#include "storage/shared_buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -222,8 +221,7 @@ TEST(PrefetchTest, ConcurrentPrefetchReadPinTraffic) {
   PagedFile file(kPageSize1K);
   std::vector<PageId> pages;
   for (int i = 0; i < 64; ++i) pages.push_back(file.Allocate());
-  SharedBufferPool pool(
-      SharedBufferPool::Options{16 * kPageSize1K, kPageSize1K, 4});
+  BufferPool pool(BufferPool::Options{16 * kPageSize1K, kPageSize1K, 4});
   IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 4}});
   pool.AttachIoScheduler(&io);
   constexpr unsigned kThreads = 4;

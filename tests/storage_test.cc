@@ -1,9 +1,15 @@
 // Tests for the simulated storage layer: PagedFile allocation, LRU buffer
 // pool semantics (hits/misses/eviction order), pinning (including the
-// zero-frame case SJ4 relies on), and the paper's cost model constants.
+// zero-frame case SJ4 relies on), the pool's shards under concurrent
+// callers, and the paper's cost model constants.
+
+#include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "rtree/node.h"
 #include "storage/buffer_pool.h"
 #include "storage/cost_model.h"
 #include "storage/paged_file.h"
@@ -213,6 +219,188 @@ TEST(BufferPoolTest, ClearDropsEverything) {
   EXPECT_FALSE(pool.Contains(file, id));
   EXPECT_EQ(pool.frames_in_use(), 0u);
 }
+
+TEST(BufferPoolTest, HitOnSecondReadAndPerCallerAttribution) {
+  PagedFile file(kPageSize1K);
+  const PageId id = file.Allocate();
+  BufferPool pool(BufferPool::Options{4 * kPageSize1K, kPageSize1K, 4});
+  Statistics worker_a;
+  Statistics worker_b;
+  EXPECT_FALSE(pool.Read(file, id, &worker_a));  // miss, charged to A
+  EXPECT_TRUE(pool.Read(file, id, &worker_b));   // hit, charged to B
+  EXPECT_EQ(worker_a.disk_reads, 1u);
+  EXPECT_EQ(worker_a.buffer_hits, 0u);
+  EXPECT_EQ(worker_b.disk_reads, 0u);
+  EXPECT_EQ(worker_b.buffer_hits, 1u);
+}
+
+TEST(BufferPoolTest, FrameBudgetSplitsOverShards) {
+  BufferPool pool(BufferPool::Options{10 * kPageSize1K, kPageSize1K, 4});
+  EXPECT_EQ(pool.frame_capacity(), 10u);
+  EXPECT_EQ(pool.shard_count(), 4u);
+}
+
+TEST(BufferPoolTest, PinnedPageSurvivesEvictionPressure) {
+  PagedFile file(kPageSize1K);
+  const PageId pinned = file.Allocate();
+  std::vector<PageId> others;
+  for (int i = 0; i < 16; ++i) others.push_back(file.Allocate());
+  // One frame in one shard: maximal eviction pressure.
+  BufferPool pool(BufferPool::Options{1 * kPageSize1K, kPageSize1K, 1});
+  Statistics stats;
+  pool.Pin(file, pinned, &stats);
+  for (const PageId id : others) pool.Read(file, id, &stats);
+  EXPECT_TRUE(pool.Contains(file, pinned));
+  pool.Unpin(file, pinned, &stats);
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+}
+
+TEST(BufferPoolTest, PinsNestAcrossCallers) {
+  PagedFile file(kPageSize1K);
+  const PageId id = file.Allocate();
+  BufferPool pool(BufferPool::Options{0, kPageSize1K, 2});
+  Statistics a;
+  Statistics b;
+  pool.Pin(file, id, &a);
+  pool.Pin(file, id, &b);  // nests
+  pool.Unpin(file, id, &a);
+  EXPECT_TRUE(pool.Contains(file, id));  // b's pin still holds
+  pool.Unpin(file, id, &b);
+  // Zero frames: the page is dropped after the last unpin.
+  EXPECT_FALSE(pool.Contains(file, id));
+  EXPECT_EQ(a.pin_count + b.pin_count, 2u);
+  // Only the first pin paid the read.
+  EXPECT_EQ(a.disk_reads + b.disk_reads, 1u);
+}
+
+TEST(BufferPoolTest, ConcurrentReadersAccountConsistently) {
+  PagedFile file(kPageSize1K);
+  std::vector<PageId> pages;
+  for (int i = 0; i < 64; ++i) pages.push_back(file.Allocate());
+  BufferPool pool(BufferPool::Options{32 * kPageSize1K, kPageSize1K, 8});
+  constexpr unsigned kThreads = 4;
+  constexpr size_t kReadsPerThread = 20000;
+  std::vector<Statistics> stats(kThreads);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      uint64_t state = 0x9e3779b97f4a7c15ULL + t;
+      for (size_t i = 0; i < kReadsPerThread; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        pool.Read(file, pages[(state >> 33) % pages.size()], &stats[t]);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  uint64_t requests = 0;
+  for (const Statistics& st : stats) {
+    requests += st.disk_reads + st.buffer_hits;
+  }
+  EXPECT_EQ(requests, uint64_t{kThreads} * kReadsPerThread);
+  EXPECT_LE(pool.frames_in_use(), pool.frame_capacity());
+}
+
+// Four threads share one pool of 16 frames over 64 pages at one and at
+// eight shards. Each fetches and prefetches "cold" pages under eviction
+// pressure, and pins, fetches and unpins "hot" pages that the main thread
+// keeps pinned throughout.
+class BufferPoolConcurrencyTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BufferPoolConcurrencyTest, FetchPinUnpinPrefetchAccountPerCaller) {
+  PagedFile file(kPageSize1K);
+  std::vector<PageId> pages;
+  for (uint32_t i = 0; i < 64; ++i) {
+    const PageId id = file.Allocate();
+    Node node;
+    node.level = 0;
+    node.entries.push_back(Entry{Rect{0.0f, 0.0f, 1.0f, 1.0f}, i});
+    node.Store(&file, id);
+    pages.push_back(id);
+  }
+  const std::vector<PageId> hot(pages.begin(), pages.begin() + 8);
+  const std::vector<PageId> cold(pages.begin() + 8, pages.end());
+  BufferPool pool(BufferPool::Options{16 * kPageSize1K, kPageSize1K,
+                                      GetParam()});
+  Statistics main_stats;
+  for (const PageId id : hot) pool.Pin(file, id, &main_stats);
+
+  constexpr unsigned kThreads = 4;
+  constexpr size_t kOpsPerThread = 4000;
+  struct Caller {
+    Statistics cold;
+    Statistics hot;
+    uint64_t cold_fetches = 0;
+    uint64_t prefetches_issued = 0;
+    uint64_t hot_fetches = 0;
+    uint64_t pins = 0;
+    std::set<PageId> hot_fetched;
+  };
+  std::vector<Caller> callers(kThreads);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      Caller& c = callers[t];
+      uint64_t state = 0x9e3779b97f4a7c15ULL + t;
+      for (size_t i = 0; i < kOpsPerThread; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const uint64_t op = (state >> 33) & 3;
+        const uint64_t slot = state >> 35;
+        if (op == 0) {
+          pool.Fetch(file, cold[slot % cold.size()], &c.cold);
+          ++c.cold_fetches;
+        } else if (op == 1) {
+          if (pool.Prefetch(file, cold[slot % cold.size()], &c.cold)) {
+            ++c.prefetches_issued;
+          }
+        } else {
+          // op 2 pins the hot page around its fetch, nested over the main
+          // thread's pin.
+          const PageId id = hot[slot % hot.size()];
+          if (op == 2) {
+            pool.Pin(file, id, &c.hot);
+            ++c.pins;
+          }
+          const FetchedNode fetched = pool.Fetch(file, id, &c.hot);
+          EXPECT_EQ(fetched.decoded->node.entries[0].ref, id);
+          ++c.hot_fetches;
+          c.hot_fetched.insert(id);
+          if (op == 2) pool.Unpin(file, id, &c.hot);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  std::set<PageId> hot_fetched;
+  uint64_t hot_decodes = 0;
+  for (const Caller& c : callers) {
+    // Every page request counts one hit or one read against its caller; a
+    // prefetch that lands a page counts one read.
+    EXPECT_EQ(c.cold.buffer_hits + c.cold.disk_reads,
+              c.cold_fetches + c.prefetches_issued);
+    EXPECT_EQ(c.cold.prefetch_issued, c.prefetches_issued);
+    // The hot pages never left: every request hit, and every pin nested.
+    EXPECT_EQ(c.hot.buffer_hits, c.hot_fetches);
+    EXPECT_EQ(c.hot.disk_reads, 0u);
+    EXPECT_EQ(c.hot.pin_count, c.pins);
+    hot_decodes += c.hot.node_decodes;
+    hot_fetched.insert(c.hot_fetched.begin(), c.hot_fetched.end());
+  }
+  // A page that stays resident is decoded once, whoever fetched it first.
+  EXPECT_EQ(hot_decodes, hot_fetched.size());
+  EXPECT_EQ(pool.pinned_pages(), hot.size());
+  EXPECT_LE(pool.frames_in_use(), pool.frame_capacity());
+  // The main pins still hold the hot pages; releasing them frees the pins.
+  for (const PageId id : hot) {
+    EXPECT_TRUE(pool.Contains(file, id));
+    pool.Unpin(file, id, &main_stats);
+  }
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+  EXPECT_EQ(main_stats.disk_reads, hot.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, BufferPoolConcurrencyTest,
+                         ::testing::Values(size_t{1}, size_t{8}));
 
 TEST(StatisticsTest, ResetClearsEverything) {
   Statistics stats;
