@@ -8,8 +8,12 @@
 // count, descent depth, per-worker task spread).
 //
 // SELF-CHECKING: the run exits non-zero when any row's pair count differs
-// from the sequential engine's. Each row is also emitted as a JSON line
-// (prefix "JSON ") so the bench trajectory can be scraped by tooling.
+// from the sequential engine's, when a row's per-worker task counts do not
+// sum to its task count, or when a worker ran no task although the row had
+// at least as many tasks as workers (the task pool deals every worker a
+// block and never steals from a free worker's). Each row is also emitted
+// as a JSON line (prefix "JSON ") so the bench trajectory can be scraped by
+// tooling.
 
 #include <chrono>
 #include <cstdio>
@@ -127,6 +131,24 @@ int Main(int argc, char** argv) {
                    static_cast<unsigned long long>(sequential.pair_count));
       ok = false;
     }
+    uint64_t executed = 0;
+    for (const uint64_t c : m.result.worker_task_counts) executed += c;
+    if (executed != m.result.task_count) {
+      std::fprintf(stderr, "FAIL workers=%u: workers ran %llu of %zu tasks\n",
+                   workers, static_cast<unsigned long long>(executed),
+                   m.result.task_count);
+      ok = false;
+    }
+    if (m.result.task_count >= workers &&
+        (m.result.worker_task_counts.size() != workers || spread.min == 0)) {
+      std::fprintf(stderr,
+                   "FAIL workers=%u: %zu tasks but a worker ran none "
+                   "(min %llu over %zu workers)\n",
+                   workers, m.result.task_count,
+                   static_cast<unsigned long long>(spread.min),
+                   m.result.worker_task_counts.size());
+      ok = false;
+    }
   }
 
   if (!ok) {
@@ -134,8 +156,9 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "\nself-check passed: depth-adaptive declustering into work-stealing\n"
-      "tasks gives the sequential pair count at every worker count.\n");
+      "\nself-check passed: depth-adaptive declustering into block-dealt\n"
+      "tasks gives the sequential pair count at every worker count, and\n"
+      "every worker ran a task.\n");
   return 0;
 }
 

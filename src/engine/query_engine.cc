@@ -58,8 +58,7 @@ QueryEngine::QueryEngine(const Options& options)
       governor_(MemoryGovernor::Options{options.memory_budget_bytes}),
       io_(IoWithTracer(options.io, options.tracer)),
       pool_(options.pool),
-      task_pool_(SessionTaskPool::Options{options.pool_threads,
-                                          options.tracer}),
+      task_pool_(TaskPool::Options{options.pool_threads, options.tracer}),
       query_log_(options.query_log) {
   governor_.AttachTracer(options.tracer);
   pool_.AttachIoScheduler(&io_);
@@ -196,7 +195,7 @@ void QueryEngine::RunSession(QuerySession* session) {
     // The session borrows the engine's resources; its window retires only
     // its own actors (the engine folds the clocks once per batch).
     ExecContext ctx(ExecContext::Borrowed{&pool_, &io_, &governor_,
-                                          task_pool_.runner(), tracer, pid},
+                                          &task_pool_, tracer, pid},
                     exec);
     if (outcome.is_chain) {
       outcome.chain = RunParallelChainSpatialJoin(spec.relations, join, exec,

@@ -16,7 +16,7 @@
 //     latency against the batch floor — never folding another session's
 //     timeline (the engine synchronizes the clocks once per WaitAll
 //     batch),
-//   * one SessionTaskPool (engine/task_pool.h) executes every session's
+//   * one TaskPool (exec/task_pool.h) executes every session's
 //     subtree-pair tasks on a fixed oversubscribed thread set with
 //     round-robin fairness,
 //   * one MemoryGovernor (engine/memory_governor.h) is the run-wide
@@ -54,10 +54,10 @@
 
 #include "engine/memory_governor.h"
 #include "engine/planner.h"
-#include "engine/task_pool.h"
 #include "exec/exec_context.h"
 #include "exec/multiway_executor.h"
 #include "exec/parallel_executor.h"
+#include "exec/task_pool.h"
 #include "io/io_scheduler.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
@@ -168,7 +168,7 @@ class QueryEngine {
     size_t max_concurrent_sessions = 4;
     // Queued sessions beyond this are shed at submit.
     size_t queue_limit = 64;
-    // SessionTaskPool worker threads shared by all sessions.
+    // TaskPool worker threads shared by all sessions.
     unsigned pool_threads = 4;
     // Worker slots per session run; every run, one-thread runs included,
     // reads through the engine's pool.
@@ -219,7 +219,7 @@ class QueryEngine {
   Telemetry telemetry() const;
 
   MemoryGovernor& governor() { return governor_; }
-  SessionTaskPool& task_pool() { return task_pool_; }
+  TaskPool& task_pool() { return task_pool_; }
   IoScheduler& io() { return io_; }
   BufferPool& pool() { return pool_; }
   // Per-query flight records; one per submitted session (shed included).
@@ -239,7 +239,7 @@ class QueryEngine {
   MemoryGovernor governor_;
   IoScheduler io_;
   BufferPool pool_;
-  SessionTaskPool task_pool_;
+  TaskPool task_pool_;
   QueryLog query_log_;
   const std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();

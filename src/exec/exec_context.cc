@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "exec/parallel_executor.h"
-#include "exec/task_scheduler.h"
 #include "io/io_scheduler.h"
 
 namespace rsj {
@@ -46,6 +46,9 @@ ExecContext::ExecContext(const JoinOptions& join, uint32_t page_size,
       governor_(exec.memory_governor),
       arena_(exec.chunk_arena != nullptr ? *exec.chunk_arena
                                          : RunArena(exec)),
+      owned_tasks_(std::make_unique<TaskPool>(TaskPool::Options{
+          exec.num_threads <= 1 ? 0 : exec.num_threads - 1, exec.tracer})),
+      tasks_(owned_tasks_.get()),
       tracer_(exec.tracer),
       trace_pid_(0),
       window_(exec.io_scheduler, /*owned=*/true) {
@@ -59,19 +62,13 @@ ExecContext::ExecContext(const Borrowed& shared,
       io_(shared.io),
       governor_(shared.governor),
       arena_(RunArena(exec)),
-      task_runner_(shared.task_runner),
+      tasks_(shared.tasks),
       tracer_(shared.tracer),
       trace_pid_(shared.trace_pid),
       window_(shared.io, /*owned=*/false) {
+  RSJ_CHECK_MSG(pool_ != nullptr && tasks_ != nullptr,
+                "a borrowed context needs a pool and a task pool");
   if (exec.prefetch) prefetcher_ = std::make_unique<Prefetcher>(pool_);
-}
-
-std::vector<uint64_t> ExecContext::RunTasks(
-    unsigned workers, size_t num_tasks,
-    const std::function<void(unsigned worker, size_t task)>& fn) const {
-  if (task_runner_) return task_runner_(workers, num_tasks, fn);
-  TaskScheduler scheduler(workers, num_tasks);
-  return scheduler.Run(fn);
 }
 
 }  // namespace rsj

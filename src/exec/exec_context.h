@@ -12,16 +12,16 @@
 //   * the MemoryGovernor that result, spill and frontier budgets mirror
 //     into,
 //   * the ChunkArena result chunks recycle through,
-//   * the task runner that executes the run's tasks,
+//   * the TaskPool (exec/task_pool.h) that runs the run's tasks,
 //   * the tracer, and the trace pid the run's spans carry.
 //
-// A STANDALONE context owns the pool and prefetcher and borrows the
-// scheduler, governor, tracer and (when one is given) the arena the caller
-// put into ParallelExecutorOptions; the RunParallel* wrappers build one per
-// run and the sharded join one per shard. Its pool is one LRU (one shard)
-// for a one-thread run, which thereby reads exactly like the sequential
-// join, and kSharedPoolShards locked shards when workers share it. A
-// BORROWED context runs one session of a serving engine
+// A STANDALONE context owns the pool, prefetcher and task pool and borrows
+// the scheduler, governor, tracer and (when one is given) the arena the
+// caller put into ParallelExecutorOptions; the RunParallel* wrappers build
+// one per run and the sharded join one per shard. Its pool is one LRU (one
+// shard) for a one-thread run, which thereby reads exactly like the
+// sequential join, and kSharedPoolShards locked shards when workers share
+// it. A BORROWED context runs one session of a serving engine
 // (engine/query_engine.h) on the engine's pool, scheduler, governor, task
 // pool and tracer; it owns only the session's prefetcher and arena. A
 // chain runs its probes inside its pairwise workers, so one pool and
@@ -35,11 +35,10 @@
 #define RSJ_EXEC_EXEC_CONTEXT_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "exec/result_sink.h"
+#include "exec/task_pool.h"
 #include "io/prefetcher.h"
 #include "join/join_options.h"
 #include "storage/buffer_pool.h"
@@ -89,22 +88,14 @@ class IoWindow {
 
 class ExecContext {
  public:
-  // Executes `num_tasks` tasks on `workers` worker slots and returns the
-  // tasks each slot ran (the TaskScheduler::Run contract). The runner must
-  // guarantee worker-slot exclusivity: at most one live call of `fn` per
-  // slot at a time (worker state is single-owner).
-  using TaskRunner = std::function<std::vector<uint64_t>(
-      unsigned workers, size_t num_tasks,
-      const std::function<void(unsigned worker, size_t task)>& fn)>;
-
   // What a serving engine lends each session. `pool`'s page size matches
-  // the trees', and `pool` already reads through `io`. Nothing is owned;
-  // everything outlives the context.
+  // the trees', and `pool` already reads through `io`. `pool` and `tasks`
+  // are required. Nothing is owned; everything outlives the context.
   struct Borrowed {
     BufferPool* pool = nullptr;
     IoScheduler* io = nullptr;
     MemoryGovernor* governor = nullptr;
-    TaskRunner task_runner;
+    TaskPool* tasks = nullptr;
     TraceRecorder* tracer = nullptr;
     uint32_t trace_pid = 0;
   };
@@ -114,8 +105,9 @@ class ExecContext {
   // kSharedPoolShards otherwise, and, with exec.prefetch, a prefetcher;
   // exec's io_scheduler, memory_governor, tracer and chunk_arena (a
   // private arena when null) are borrowed, the window over the scheduler
-  // is owned, and tasks run on a run-private TaskScheduler whose worker 0
-  // is the calling thread.
+  // is owned, and tasks run on a TaskPool of exec.num_threads - 1 threads
+  // (none at one thread) that lives as long as the context, beside the
+  // calling thread that drives each run.
   ExecContext(const JoinOptions& join, uint32_t page_size,
               const ParallelExecutorOptions& exec);
 
@@ -135,13 +127,8 @@ class ExecContext {
   TraceRecorder* tracer() const { return tracer_; }
   uint32_t trace_pid() const { return trace_pid_; }
   IoWindow& window() { return window_; }
-
-  // Runs the tasks through the borrowed runner, or a run-private
-  // TaskScheduler on which the calling thread executes worker 0's tasks
-  // (as it executes its own tasks on the engine's SessionTaskPool).
-  std::vector<uint64_t> RunTasks(
-      unsigned workers, size_t num_tasks,
-      const std::function<void(unsigned worker, size_t task)>& fn) const;
+  // The run's tasks run here; the calling thread drives each Run.
+  TaskPool& tasks() const { return *tasks_; }
 
  private:
   std::unique_ptr<BufferPool> owned_pool_;  // null when borrowed
@@ -150,7 +137,8 @@ class ExecContext {
   IoScheduler* const io_;
   MemoryGovernor* const governor_;
   const ChunkArena arena_;
-  const TaskRunner task_runner_;
+  std::unique_ptr<TaskPool> owned_tasks_;  // null when borrowed
+  TaskPool* tasks_;
   TraceRecorder* const tracer_;
   const uint32_t trace_pid_;
   IoWindow window_;

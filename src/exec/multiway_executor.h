@@ -4,7 +4,7 @@
 //
 //   1. relations 0 ⋈ 1 run on the partitioned pairwise executor
 //      (exec/parallel_executor.h) — depth-adaptive plan, the context's
-//      task runner — with one chain sink per worker,
+//      task pool — with one chain sink per worker,
 //   2. each sink stages chunk_capacity pairs, then extends the staged
 //      chunk through the probe phases 2..n-1 in batches, on the worker's
 //      own thread and charged to the worker's Statistics (its actor
@@ -15,7 +15,7 @@
 //      tuples it extends for the next phase, which probes that stage
 //      whenever it holds chunk_capacity tuples and once more when the
 //      chunk is done. No phase waits for another worker and no thread
-//      beyond the task runner's is started; a worker's live frontier is
+//      beyond the task pool's is started; a worker's live frontier is
 //      at most (n - 2) × chunk_capacity tuples, whatever the size of the
 //      whole frontier or of one window's matches, which
 //      `Statistics::frontier_peak_tuples` reports per run,
@@ -93,7 +93,7 @@ ParallelChainJoinResult RunParallelChainSpatialJoin(
     const ParallelExecutorOptions& exec_options, bool collect_tuples = false);
 
 // The same run on `ctx`'s resources (a serving engine's session): its
-// tasks and probes run on the context's task runner, and one pool and
+// tasks and probes run on the context's task pool, and one pool and
 // window span every phase, at one thread too (one partition, no
 // fallback). The run retires its actors into
 // ctx.window() but leaves it open: the caller closes it and sets

@@ -17,8 +17,8 @@ namespace rsj {
 namespace {
 
 // Everything one worker owns: counters, the engine bound to them, and the
-// output sink. Only the owning worker thread touches a worker (work
-// stealing moves tasks, not workers).
+// output sink. One thread at a time touches a worker: the task pool runs at
+// most one task per worker slot (stealing moves tasks, not workers).
 struct Worker {
   Statistics stats;
   std::unique_ptr<SpatialJoinEngine> engine;
@@ -172,6 +172,7 @@ ParallelJoinResult RunParallelSpatialJoin(
   const auto run_one_partition = [&]() {
     Worker& worker = add_worker();
     SpatialJoinEngine engine(r, s, options, ctx.pool(), &worker.stats);
+    engine.set_prefetcher(ctx.prefetcher());
     engine.Run(worker.sink);
     result.task_count = 1;
     result.worker_task_counts.push_back(1);
@@ -251,8 +252,8 @@ ParallelJoinResult RunParallelSpatialJoin(
           HintTaskFrontier(r, s, plan, prefetcher, &coordinator);
         }
         result.worker_task_counts =
-            ctx.RunTasks(static_cast<unsigned>(num_workers),
-                         plan.tasks.size(), run_task);
+            ctx.tasks().Run(static_cast<unsigned>(num_workers),
+                            plan.tasks.size(), run_task);
       }
     }
   }

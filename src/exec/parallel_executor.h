@@ -5,10 +5,10 @@
 //   1. the coordinator builds a depth-adaptive partition plan of at least
 //      partition_multiplier × num_threads subtree-pair tasks
 //      (exec/partition.h),
-//   2. the context's task runner (by default a run-private work-stealing
-//      exec/task_scheduler.h) runs the tasks on per-worker state: each
-//      worker owns a SpatialJoinEngine, its own Statistics and a batched
-//      ResultSink,
+//   2. the context's TaskPool (exec/task_pool.h) deals the tasks to the
+//      workers in contiguous blocks, idle workers stealing from the back
+//      of the largest, and runs them on per-worker state: each worker owns
+//      a SpatialJoinEngine, its own Statistics and a batched ResultSink,
 //   3. page requests go through the context's BufferPool
 //      (exec/exec_context.h), whose pages the coordinator's partitioning
 //      reads and decodes warm for the workers,
@@ -91,7 +91,7 @@ struct ParallelExecutorOptions {
   // worker prefetches its task's subtree roots, and the engines stream
   // their §4.3 read schedules into the prefetcher. Effective with or
   // without a scheduler (without one, prefetch is zero-latency accounting
-  // only). Partitioned runs only.
+  // only).
   bool prefetch = false;
 
   // --- resources of a standalone run (exec/exec_context.h) ---
@@ -133,7 +133,8 @@ struct ParallelJoinResult {
   std::vector<Statistics> worker_stats;
 
   // --- executor telemetry ---
-  // Tasks each worker executed (work stealing balances these).
+  // Tasks each worker executed: its block of the plan, give or take what
+  // idle workers stole from the back of the largest blocks.
   std::vector<uint64_t> worker_task_counts;
   // Subtree-pair tasks the partitioner generated.
   size_t task_count = 0;

@@ -6,7 +6,8 @@
 // engine's qualifying-pair filter, level by level — until at least
 // `target_tasks` qualifying subtree pairs exist (ISSUE: k × num_threads),
 // so even heavily skewed trees split into enough independent units for the
-// work-stealing scheduler to balance.
+// task pool (exec/task_pool.h), which deals them out in blocks and lets
+// idle workers steal, to balance.
 //
 // Each task is one qualifying (R directory entry, S directory entry) pair;
 // joining the subtrees below every task and unioning the outputs is exactly

@@ -3,7 +3,7 @@
 #include <bit>
 
 #include "engine/memory_governor.h"
-#include "engine/task_pool.h"
+#include "exec/task_pool.h"
 #include "io/io_scheduler.h"
 
 namespace rsj {
@@ -231,7 +231,7 @@ void SnapshotGovernor(const MemoryGovernor& governor, MetricsRegistry* out) {
   }
 }
 
-void SnapshotTaskPool(const SessionTaskPool& pool, MetricsRegistry* out) {
+void SnapshotTaskPool(const TaskPool& pool, MetricsRegistry* out) {
   out->AddCounter("rsj_task_pool_tasks_executed", pool.tasks_executed());
   out->AddCounter("rsj_task_pool_assists", pool.pool_assists());
   out->AddCounter("rsj_task_pool_runs_completed", pool.runs_completed());

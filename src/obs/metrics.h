@@ -18,7 +18,7 @@
 //     renders the classic text exposition format.
 //   * Snapshot helpers pull the run-wide sources into a registry:
 //     `Statistics`, the `MemoryGovernor` ledger, the disk model's
-//     busy/idle utilization, and `SessionTaskPool` fairness counters.
+//     busy/idle utilization, and the `TaskPool`'s fairness counters.
 //
 // The registry is a snapshot container, not a hot-path sink: build one
 // when you want to look (end of a batch, a scrape), don't thread it
@@ -38,7 +38,7 @@ namespace rsj {
 
 class IoScheduler;
 class MemoryGovernor;
-class SessionTaskPool;
+class TaskPool;
 
 // How two samples of the same counter combine — mirrors the Merge column
 // of docs/METRICS.md: volumes add, high-water marks take the maximum.
@@ -133,7 +133,7 @@ class MetricsRegistry {
 // `rsj_governor_*` / `rsj_task_pool_*` / `rsj_io_*`.
 void SnapshotStatistics(const Statistics& stats, MetricsRegistry* out);
 void SnapshotGovernor(const MemoryGovernor& governor, MetricsRegistry* out);
-void SnapshotTaskPool(const SessionTaskPool& pool, MetricsRegistry* out);
+void SnapshotTaskPool(const TaskPool& pool, MetricsRegistry* out);
 void SnapshotIo(const IoScheduler& io, MetricsRegistry* out);
 
 }  // namespace rsj

@@ -25,14 +25,13 @@
 #include "engine/memory_governor.h"  // IWYU pragma: export
 #include "engine/planner.h"        // IWYU pragma: export
 #include "engine/query_engine.h"   // IWYU pragma: export
-#include "engine/task_pool.h"      // IWYU pragma: export
 #include "exec/exec_context.h"     // IWYU pragma: export
 #include "exec/multiway_executor.h"  // IWYU pragma: export
 #include "exec/parallel_executor.h"  // IWYU pragma: export
 #include "exec/partition.h"        // IWYU pragma: export
 #include "exec/result_sink.h"      // IWYU pragma: export
 #include "exec/spill_sink.h"       // IWYU pragma: export
-#include "exec/task_scheduler.h"   // IWYU pragma: export
+#include "exec/task_pool.h"        // IWYU pragma: export
 #include "geom/plane_sweep.h"      // IWYU pragma: export
 #include "geom/raster_interval.h"  // IWYU pragma: export
 #include "geom/rect.h"             // IWYU pragma: export

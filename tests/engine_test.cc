@@ -1,6 +1,5 @@
 // Tests for the serving engine layer (src/engine/): the run-wide memory
-// governor's lease ledger, the SessionTaskPool's round-robin fairness and
-// worker-slot exclusivity, the cost-based planner's threshold decisions,
+// governor's lease ledger, the cost-based planner's threshold decisions,
 // and the QueryEngine itself — N concurrent sessions returning exactly
 // the serial results for every SJ variant, per-session statistics
 // isolation, deterministic admission queueing/shedding, and governor
@@ -23,7 +22,6 @@
 #include "datagen/workloads.h"
 #include "engine/memory_governor.h"
 #include "engine/planner.h"
-#include "engine/task_pool.h"
 #include "join/join_runner.h"
 #include "join/multiway_join.h"
 #include "tests/test_util.h"
@@ -105,71 +103,6 @@ TEST(MemoryGovernor, ResidentBudgetMirrorsLeases) {
   // Destruction released every live lease.
   EXPECT_EQ(gov.category_live(MemoryCategory::kResultChunks), 0u);
   EXPECT_EQ(gov.category_peak(MemoryCategory::kResultChunks), 1024u);
-}
-
-// ---------------------------------------------------------------------------
-// SessionTaskPool
-
-TEST(SessionTaskPool, RunsEveryTaskWithSlotExclusivity) {
-  SessionTaskPool pool(SessionTaskPool::Options{3});
-  constexpr unsigned kWorkers = 2;
-  constexpr size_t kTasks = 400;
-  std::vector<std::atomic<int>> in_slot(kWorkers);
-  std::vector<std::atomic<int>> task_runs(kTasks);
-  const auto counts = pool.Run(kWorkers, kTasks, [&](unsigned w, size_t t) {
-    // At most one live call per worker slot — the executor contract.
-    EXPECT_EQ(in_slot[w].fetch_add(1), 0);
-    std::this_thread::yield();
-    in_slot[w].fetch_sub(1);
-    task_runs[t].fetch_add(1);
-  });
-  ASSERT_EQ(counts.size(), kWorkers);
-  uint64_t total = 0;
-  for (const uint64_t c : counts) total += c;
-  EXPECT_EQ(total, kTasks);
-  for (size_t t = 0; t < kTasks; ++t) EXPECT_EQ(task_runs[t].load(), 1);
-  EXPECT_EQ(pool.tasks_executed(), kTasks);
-  EXPECT_EQ(pool.runs_completed(), 1u);
-}
-
-TEST(SessionTaskPool, ZeroPoolThreadsDegradesToCaller) {
-  SessionTaskPool pool(SessionTaskPool::Options{0});
-  constexpr size_t kTasks = 64;
-  std::atomic<size_t> executed{0};
-  const auto counts =
-      pool.Run(4, kTasks, [&](unsigned, size_t) { executed.fetch_add(1); });
-  EXPECT_EQ(executed.load(), kTasks);
-  // Single-threaded execution reuses the lowest slot every time.
-  EXPECT_EQ(counts[0], kTasks);
-  EXPECT_EQ(pool.pool_assists(), 0u);
-}
-
-TEST(SessionTaskPool, ServesConcurrentRuns) {
-  SessionTaskPool pool(SessionTaskPool::Options{2});
-  constexpr int kRuns = 3;
-  constexpr size_t kTasks = 50;
-  std::atomic<int> registered{0};
-  std::vector<std::atomic<int>> per_run(kRuns);
-  std::vector<std::thread> callers;
-  for (int r = 0; r < kRuns; ++r) {
-    callers.emplace_back([&, r] {
-      std::atomic<bool> first{true};
-      pool.Run(2, kTasks, [&](unsigned, size_t) {
-        if (first.exchange(false)) registered.fetch_add(1);
-        // Hold every run live until all three registered, so the peak
-        // concurrency (and the round-robin path) is exercised
-        // deterministically: each caller drives its own run, so all
-        // three always register.
-        while (registered.load() < kRuns) std::this_thread::yield();
-        per_run[r].fetch_add(1);
-      });
-    });
-  }
-  for (std::thread& t : callers) t.join();
-  for (int r = 0; r < kRuns; ++r) EXPECT_EQ(per_run[r].load(), kTasks);
-  EXPECT_EQ(pool.runs_completed(), static_cast<uint64_t>(kRuns));
-  EXPECT_EQ(pool.peak_concurrent_runs(), static_cast<size_t>(kRuns));
-  EXPECT_EQ(pool.tasks_executed(), static_cast<uint64_t>(kRuns) * kTasks);
 }
 
 // ---------------------------------------------------------------------------

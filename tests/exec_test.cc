@@ -1,10 +1,14 @@
-// Tests for the execution subsystem: batched result sinks, the
-// work-stealing scheduler, a run's modeled-I/O window, depth-adaptive
-// partitioning, and the parallel executor's exact equivalence with the
-// sequential engine across algorithms and thread counts.
+// Tests for the execution subsystem: batched result sinks, the task pool's
+// block deal and worker-slot exclusivity, a run's modeled-I/O window,
+// depth-adaptive partitioning, and the parallel executor's exact
+// equivalence with the sequential engine across algorithms and thread
+// counts.
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +16,7 @@
 #include "exec/parallel_executor.h"
 #include "exec/partition.h"
 #include "exec/result_sink.h"
-#include "exec/task_scheduler.h"
+#include "exec/task_pool.h"
 #include "io/io_scheduler.h"
 #include "join/join_runner.h"
 #include "storage/buffer_pool.h"
@@ -184,52 +188,124 @@ TEST(StatisticsTest, MergeFromAddsEveryCounter) {
   EXPECT_EQ(a.frontier_peak_tuples, 50u);
 }
 
-// --- task scheduler --------------------------------------------------------
+// --- task pool -------------------------------------------------------------
 
-TEST(TaskSchedulerTest, EveryTaskRunsExactlyOnce) {
-  constexpr size_t kTasks = 500;
-  std::vector<std::atomic<int>> executed(kTasks);
-  TaskScheduler scheduler(4, kTasks);
-  const auto counts = scheduler.Run(
-      [&](unsigned, size_t task) { executed[task].fetch_add(1); });
+TEST(TaskPoolTest, RunsEveryTaskWithSlotExclusivity) {
+  TaskPool pool(TaskPool::Options{3});
+  constexpr unsigned kWorkers = 2;
+  constexpr size_t kTasks = 400;
+  std::vector<std::atomic<int>> in_slot(kWorkers);
+  std::vector<std::atomic<int>> task_runs(kTasks);
+  const auto counts = pool.Run(kWorkers, kTasks, [&](unsigned w, size_t t) {
+    // At most one live call per worker slot — the executor contract.
+    EXPECT_EQ(in_slot[w].fetch_add(1), 0);
+    std::this_thread::yield();
+    in_slot[w].fetch_sub(1);
+    task_runs[t].fetch_add(1);
+  });
+  ASSERT_EQ(counts.size(), kWorkers);
   uint64_t total = 0;
   for (const uint64_t c : counts) total += c;
   EXPECT_EQ(total, kTasks);
-  for (size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(executed[i].load(), 1) << "task " << i;
-  }
+  for (size_t t = 0; t < kTasks; ++t) EXPECT_EQ(task_runs[t].load(), 1);
+  EXPECT_EQ(pool.tasks_executed(), kTasks);
+  EXPECT_EQ(pool.runs_completed(), 1u);
 }
 
-TEST(TaskSchedulerTest, EveryWorkerWithABlockExecutesAtLeastOneTask) {
-  // Thieves leave the last task of a queue to its owner, so with >= 2
-  // tasks per worker every worker must execute at least one — even when
-  // one thread races ahead and steals aggressively.
+TEST(TaskPoolTest, ZeroPoolThreadsDegradesToCaller) {
+  TaskPool pool(TaskPool::Options{0});
+  constexpr size_t kTasks = 64;
+  std::atomic<size_t> executed{0};
+  const auto counts =
+      pool.Run(4, kTasks, [&](unsigned, size_t) { executed.fetch_add(1); });
+  EXPECT_EQ(executed.load(), kTasks);
+  // The caller alone runs every slot's block of 16.
+  EXPECT_EQ(counts, (std::vector<uint64_t>{16, 16, 16, 16}));
+  EXPECT_EQ(pool.pool_assists(), 0u);
+}
+
+TEST(TaskPoolTest, SlotsRunTheirBlocks) {
+  {
+    // The caller alone runs tasks 0..n-1 in order, and slot w exactly
+    // block w: 10 tasks over 4 slots deal blocks of 3, 3, 2 and 2.
+    TaskPool pool(TaskPool::Options{0});
+    std::vector<std::pair<unsigned, size_t>> order;
+    const auto counts = pool.Run(
+        4, 10, [&](unsigned w, size_t t) { order.emplace_back(w, t); });
+    const std::vector<std::pair<unsigned, size_t>> want = {
+        {0, 0}, {0, 1}, {0, 2}, {1, 3}, {1, 4},
+        {1, 5}, {2, 6}, {2, 7}, {3, 8}, {3, 9}};
+    EXPECT_EQ(order, want);
+    EXPECT_EQ(counts, (std::vector<uint64_t>{3, 3, 2, 2}));
+  }
+  // With pool threads racing the caller and stealing, a free slot's block
+  // is never stolen from, so every slot still runs at least one task.
   for (int round = 0; round < 5; ++round) {
-    TaskScheduler scheduler(4, 8);
-    const auto counts = scheduler.Run([](unsigned, size_t) {});
+    TaskPool pool(TaskPool::Options{3});
+    const auto counts = pool.Run(4, 8, [](unsigned, size_t) {});
     ASSERT_EQ(counts.size(), 4u);
     for (unsigned w = 0; w < 4; ++w) {
-      EXPECT_GE(counts[w], 1u) << "worker " << w;
+      EXPECT_GE(counts[w], 1u) << "round " << round << " slot " << w;
     }
   }
 }
 
-TEST(TaskSchedulerTest, SingleWorkerRunsInline) {
-  TaskScheduler scheduler(1, 17);
-  size_t executed = 0;
-  const auto counts = scheduler.Run([&](unsigned w, size_t) {
-    EXPECT_EQ(w, 0u);
-    ++executed;
-  });
-  EXPECT_EQ(executed, 17u);
-  EXPECT_EQ(counts[0], 17u);
+// The caller claims the first task in the critical section that registers
+// the run, so no pool thread, woken by this run or still awake from the
+// last, can take it.
+TEST(TaskPoolTest, CallerTakesTheFirstTask) {
+  TaskPool pool(TaskPool::Options{3});
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 200; ++round) {
+    std::thread::id first_runner;
+    unsigned first_slot = 4;
+    pool.Run(4, 8, [&](unsigned w, size_t t) {
+      if (t == 0) {
+        first_runner = std::this_thread::get_id();
+        first_slot = w;
+      }
+    });
+    ASSERT_EQ(first_runner, caller) << "round " << round;
+    ASSERT_EQ(first_slot, 0u) << "round " << round;
+  }
 }
 
-TEST(TaskSchedulerTest, ZeroTasksCompletesImmediately) {
-  TaskScheduler scheduler(3, 0);
-  const auto counts = scheduler.Run(
-      [](unsigned, size_t) { FAIL() << "no task should run"; });
-  for (const uint64_t c : counts) EXPECT_EQ(c, 0u);
+TEST(TaskPoolTest, ZeroTasksCompletesImmediately) {
+  for (const unsigned threads : {0u, 3u}) {
+    TaskPool pool(TaskPool::Options{threads});
+    const auto counts = pool.Run(
+        3, 0, [](unsigned, size_t) { FAIL() << "no task should run"; });
+    EXPECT_EQ(counts, (std::vector<uint64_t>{0, 0, 0})) << threads;
+    EXPECT_EQ(pool.tasks_executed(), 0u);
+  }
+}
+
+TEST(TaskPoolTest, ServesConcurrentRuns) {
+  TaskPool pool(TaskPool::Options{2});
+  constexpr int kRuns = 3;
+  constexpr size_t kTasks = 50;
+  std::atomic<int> registered{0};
+  std::vector<std::atomic<int>> per_run(kRuns);
+  std::vector<std::thread> callers;
+  for (int r = 0; r < kRuns; ++r) {
+    callers.emplace_back([&, r] {
+      std::atomic<bool> first{true};
+      pool.Run(2, kTasks, [&](unsigned, size_t) {
+        if (first.exchange(false)) registered.fetch_add(1);
+        // Hold every run live until all three registered, so the peak
+        // concurrency (and the round-robin path) is exercised
+        // deterministically: each caller drives its own run, so all
+        // three always register.
+        while (registered.load() < kRuns) std::this_thread::yield();
+        per_run[r].fetch_add(1);
+      });
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int r = 0; r < kRuns; ++r) EXPECT_EQ(per_run[r].load(), kTasks);
+  EXPECT_EQ(pool.runs_completed(), static_cast<uint64_t>(kRuns));
+  EXPECT_EQ(pool.peak_concurrent_runs(), static_cast<size_t>(kRuns));
+  EXPECT_EQ(pool.tasks_executed(), static_cast<uint64_t>(kRuns) * kTasks);
 }
 
 // --- IoWindow --------------------------------------------------------------

@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/memory_governor.h"
-#include "engine/task_pool.h"
+#include "exec/task_pool.h"
 #include "io/io_scheduler.h"
 
 namespace rsj {
@@ -207,7 +207,7 @@ TEST(Snapshots, GovernorLedgerLandsAsGaugesAndPeaks) {
 }
 
 TEST(Snapshots, TaskPoolCountersLand) {
-  SessionTaskPool pool(SessionTaskPool::Options{2});
+  TaskPool pool(TaskPool::Options{2});
   pool.Run(2, 8, [](unsigned, size_t) {});
   MetricsRegistry r;
   SnapshotTaskPool(pool, &r);

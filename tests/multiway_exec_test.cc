@@ -2,18 +2,18 @@
 // equivalence with the sequential chain join across chain lengths, thread
 // counts and predicates, the decodes shared through the pool's frames, the
 // per-worker frontier ceiling (frontier_peak_tuples), and that every probe
-// runs on the context's task runner.
+// runs on the context's task pool.
 
 #include "exec/multiway_executor.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "exec/exec_context.h"
+#include "exec/task_pool.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "tests/test_util.h"
@@ -156,24 +156,18 @@ TEST(MultiwayExecDenseTest, FullIntermediateStagesAreProbedAndBounded) {
   }
 }
 
-TEST_F(MultiwayExecTest, ProbesRunOnTheContextsTaskRunner) {
-  // A borrowed context whose runner executes every task inline on the
-  // calling thread: every probe_chunk span must carry this thread's tid,
-  // so no probe ran on a thread of its own.
+TEST_F(MultiwayExecTest, ProbesRunOnTheContextsTaskPool) {
+  // A borrowed context on a zero-thread task pool, which runs every task
+  // on the calling thread: every probe_chunk span must carry this
+  // thread's tid, so no probe ran on a thread of its own.
   TraceRecorder tracer(TraceOptions{.sample_period = 1});
   { TraceSpan marker(&tracer, "test", "marker"); }
   BufferPool pool(
       BufferPool::Options{128 * 1024, kPageSize1K, kSharedPoolShards});
+  TaskPool tasks(TaskPool::Options{0});
   ExecContext::Borrowed shared;
   shared.pool = &pool;
-  shared.task_runner =
-      [](unsigned workers, size_t num_tasks,
-         const std::function<void(unsigned, size_t)>& fn) {
-        std::vector<uint64_t> executed(workers, 0);
-        for (size_t t = 0; t < num_tasks; ++t) fn(0, t);
-        executed[0] = num_tasks;
-        return executed;
-      };
+  shared.tasks = &tasks;
   shared.tracer = &tracer;
   ParallelExecutorOptions exec;
   exec.num_threads = 4;

@@ -7,7 +7,7 @@
 // with a random epsilon on a third of the seeds), then runs
 //
 //   SJ1 SJ2 SweepI SJ3 SJ4 SJ5   (sequential engine)
-//   parallel                      (work-stealing executor, 3 threads)
+//   parallel                      (task-pool executor, 3 threads)
 //   sharded                       (declustered K-shard join, K in 2/4/8)
 //   streaming-refined             (on a seed subset, exact polylines)
 //   chain joins                   (3- and 4-relation chains: sequential
