@@ -156,8 +156,8 @@ int Main(int argc, char** argv) {
   }
   const size_t n_queries = queries.size();
 
-  // Sequential references (join_runner / sequential chain): the ground
-  // truth every session must reproduce exactly.
+  // One-thread references (RunSpatialJoin / RunChainSpatialJoin): the
+  // ground truth every session must reproduce exactly.
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> ref_pairs(
       n_queries);
   std::vector<std::vector<std::vector<uint32_t>>> ref_tuples(n_queries);

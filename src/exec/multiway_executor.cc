@@ -80,20 +80,6 @@ void CheckChain(const std::vector<JoinRelation>& relations,
   }
 }
 
-ParallelChainJoinResult SequentialChainFallback(
-    const std::vector<JoinRelation>& relations, const JoinOptions& options,
-    bool collect_tuples) {
-  ParallelChainJoinResult result;
-  MultiwayJoinResult sequential =
-      RunChainSpatialJoin(relations, options, collect_tuples);
-  result.tuple_count = sequential.tuple_count;
-  result.tuples = std::move(sequential.tuples);
-  result.worker_stats.push_back(sequential.stats);
-  result.total_stats.MergeFrom(sequential.stats);
-  result.pairwise_task_count = 1;
-  return result;
-}
-
 // What every worker's sink of one chain run shares: the relations, the
 // context, the frontier gauge, and the spill file and resident budget of
 // the final tuple set.
@@ -328,6 +314,10 @@ ParallelChainJoinResult RunParallelChainSpatialJoin(
     result.tuple_count += sink->final_tuples();
     if (run.spill) {
       result.spilled_tuples.MergeFrom(std::move(sink->spilled()));
+    } else if (result.tuples.empty()) {
+      // Take the first sink's vector whole, so the largest (at one
+      // thread, the only) tuple array never exists twice.
+      result.tuples = std::move(sink->tuples());
     } else {
       std::vector<std::vector<uint32_t>>& tuples = sink->tuples();
       result.tuples.insert(result.tuples.end(),
@@ -361,14 +351,23 @@ ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples) {
   CheckChain(relations, exec_options);
-  if (exec_options.num_threads <= 1) {
-    return SequentialChainFallback(relations, options, collect_tuples);
-  }
   ExecContext ctx(options, relations[0].tree->options().page_size,
                   exec_options);
   ParallelChainJoinResult result = RunParallelChainSpatialJoin(
       relations, options, exec_options, ctx, collect_tuples);
   result.modeled_elapsed_micros = ctx.window().Close();
+  return result;
+}
+
+MultiwayJoinResult RunChainSpatialJoin(
+    const std::vector<JoinRelation>& relations, const JoinOptions& options,
+    bool collect_tuples) {
+  ParallelChainJoinResult run = RunParallelChainSpatialJoin(
+      relations, options, ParallelExecutorOptions{}, collect_tuples);
+  MultiwayJoinResult result;
+  result.tuple_count = run.tuple_count;
+  result.tuples = std::move(run.tuples);
+  result.stats = run.total_stats;
   return result;
 }
 

@@ -1,4 +1,5 @@
-// Parallel multi-way chain join on the execution subsystem.
+// The multi-way chain join on the execution subsystem, at every thread
+// count.
 //
 // The chain R0 ⋈ R1 ⋈ ... ⋈ Rn-1 runs as ONE pairwise run:
 //
@@ -31,10 +32,11 @@
 //
 // This is the paper's §2.1 remark taken literally: the multi-way join
 // reuses the pairwise join's machinery, and the same thread team and
-// tasks. Tuples are disjoint work units and every frontier tuple is
-// probed exactly once per phase, so the union of the workers' outputs is
-// the sequential chain result as a multiset (the order differs run to
-// run) and `window_queries` equals the sequential chain's.
+// tasks. It is the only chain path: at one thread the same sinks run one
+// partition over one LRU of buffer_bytes, and RunChainSpatialJoin is that
+// run. Tuples are disjoint work units and every frontier tuple is probed
+// exactly once per phase, so the tuple multiset and `window_queries` are
+// the same at every thread count (the order differs run to run).
 
 #ifndef RSJ_EXEC_MULTIWAY_EXECUTOR_H_
 #define RSJ_EXEC_MULTIWAY_EXECUTOR_H_
@@ -50,23 +52,20 @@ namespace rsj {
 struct ParallelChainJoinResult {
   uint64_t tuple_count = 0;
   // Tuples of object ids, one per relation, when collected. The multiset
-  // equals the sequential result; the order is scheduling-dependent.
+  // is the same at every thread count; the order is scheduling-dependent.
   // Empty when spill_results applied (see spilled_tuples below) — the
   // collected tuples then land in `spilled_tuples` instead.
   std::vector<std::vector<uint32_t>> tuples;
   // The bounded-memory tuple set: final tuple chunks past the resident
   // budget are serialized to the spill file through the timed write path
   // and streamed back on demand (exec/spill_sink.h). Filled whenever
-  // exec_options.spill_results applies to a parallel run (collect_tuples,
-  // num_threads > 1), 2-relation chains included; only the sequential
-  // fallback ignores spill_results and collects into `tuples` unbounded
-  // (its whole output is still reported via result_peak_chunks_resident).
+  // exec_options.spill_results applies (collect_tuples), at every thread
+  // count and arity, 2-relation chains included.
   SpilledTupleSet spilled_tuples;
   // Aggregated counters (coordinators + all workers, all phases).
   // total_stats.frontier_peak_tuples is the run's peak live intermediate
   // tuple count: the staged pairwise chunks and intermediate stages being
-  // probed, summed over the workers (the whole largest frontier on the
-  // sequential fallback).
+  // probed, summed over the workers.
   Statistics total_stats;
   // Per-worker counters, one entry per pairwise worker: its share of the
   // pairwise traversal plus every probe it ran.
@@ -84,24 +83,37 @@ struct ParallelChainJoinResult {
 // Runs the chain join over `relations` (>= 2, one shared page size) with
 // `exec_options.num_threads` workers, on a standalone context
 // (exec/exec_context.h) built from `exec_options`, and closes its
-// modeled-I/O window. Falls back to the sequential RunChainSpatialJoin
-// when num_threads <= 1 — that path runs over its own buffer and reads
-// no modeled time. The tuple multiset is identical to
-// RunChainSpatialJoin's for every configuration.
+// modeled-I/O window. One thread (or fewer) runs one partition over one
+// LRU of buffer_bytes and, like every other thread count, honours
+// spill_results, io_scheduler and prefetch.
 ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples = false);
 
 // The same run on `ctx`'s resources (a serving engine's session): its
 // tasks and probes run on the context's task pool, and one pool and
-// window span every phase, at one thread too (one partition, no
-// fallback). The run retires its actors into
-// ctx.window() but leaves it open: the caller closes it and sets
+// window span every phase. The run retires its actors into ctx.window()
+// but leaves it open: the caller closes it and sets
 // modeled_elapsed_micros.
 ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, ExecContext& ctx,
     bool collect_tuples);
+
+struct MultiwayJoinResult {
+  uint64_t tuple_count = 0;
+  // Tuples of object ids, one per relation, when collected.
+  std::vector<std::vector<uint32_t>> tuples;
+  Statistics stats;
+};
+
+// The one-thread chain join: RunParallelChainSpatialJoin with default
+// ParallelExecutorOptions (one partition over one LRU of
+// options.buffer_bytes, 1,024 pairs per staged chunk, no modeled I/O),
+// reporting its tuple count, collected tuples and total_stats.
+MultiwayJoinResult RunChainSpatialJoin(
+    const std::vector<JoinRelation>& relations, const JoinOptions& options,
+    bool collect_tuples = false);
 
 }  // namespace rsj
 

@@ -75,10 +75,10 @@ struct ParallelExecutorOptions {
   // recycle into the arena, so peak result memory is
   // O(spill_budget_chunks × chunk_capacity) independent of the result
   // size. Applies to collect_pairs pairwise runs (result lands in
-  // ParallelJoinResult::spilled) and to collect_tuples parallel chain
-  // joins of any arity (ParallelChainJoinResult::spilled_tuples; only the
-  // sequential chain fallback ignores it and collects unbounded). Ignored
-  // with a caller-provided sink factory. The spill file has 4 KiB pages.
+  // ParallelJoinResult::spilled) and to collect_tuples chain joins of any
+  // arity and thread count (ParallelChainJoinResult::spilled_tuples).
+  // Ignored with a caller-provided sink factory. The spill file has 4 KiB
+  // pages.
   bool spill_results = false;
 
   // Completed result chunks held resident before spilling starts (>= 1).

@@ -20,7 +20,7 @@
 //   * CountingSink        — counting-only joins (no materialization),
 //   * MaterializingSink   — collect the result as a ResultChunkList,
 //   * BatchedCallbackSink — stream batches to user code (refinement,
-//                           multi-way probing, servers).
+//                           servers).
 //
 // Sink implementations built on shared infrastructure (e.g. the spilling
 // sink, exec/spill_sink.h) follow the same shape: the sink itself stays

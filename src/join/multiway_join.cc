@@ -9,16 +9,6 @@
 
 namespace rsj {
 
-namespace {
-
-// Tuples per probe batch of the sequential chain: the parallel executor's
-// default chunk_capacity, so both run the same batches by default. Probing
-// the whole frontier as one batch would hold a second frontier-sized copy
-// of its windows.
-constexpr size_t kSequentialProbeBatch = 1024;
-
-}  // namespace
-
 ChainProbe::ChainProbe(const RTree& tree, BufferPool* pages,
                        const JoinOptions& options, Statistics* stats)
     : tree_(tree),
@@ -125,72 +115,6 @@ void ChainProbe::Descend(PageId page, size_t depth, Match emit) {
     }
     Descend(node.entries[e].ref, depth + 1, emit);
   }
-}
-
-MultiwayJoinResult RunChainSpatialJoin(
-    const std::vector<JoinRelation>& relations, const JoinOptions& options,
-    bool collect_tuples) {
-  RSJ_CHECK_MSG(relations.size() >= 2, "chain join needs >= 2 relations");
-  for (const JoinRelation& rel : relations) {
-    RSJ_CHECK(rel.tree != nullptr && rel.rects != nullptr);
-    RSJ_CHECK_MSG(rel.tree->options().page_size ==
-                      relations[0].tree->options().page_size,
-                  "all relations must share one page size");
-  }
-
-  MultiwayJoinResult result;
-  // One system buffer: every probe batch revisits the same directory pages,
-  // whose decodes stay with them while they are resident.
-  BufferPool pool(BufferPool::Options{options.buffer_bytes,
-                                      relations[0].tree->options().page_size});
-
-  // Phase 1: pairwise join of the first two relations.
-  std::vector<std::vector<uint32_t>> frontier;  // partial tuples
-  {
-    SpatialJoinEngine engine(*relations[0].tree, *relations[1].tree, options,
-                             &pool, &result.stats);
-    BatchedCallbackSink sink([&frontier](std::span<const ResultPair> batch) {
-      for (const ResultPair& p : batch) frontier.push_back({p.r, p.s});
-    });
-    engine.Run(&sink);
-  }
-
-  // Phase 2..n-1: extend every partial tuple by every match of the next
-  // relation for the window of the tuple's last element, one batch of
-  // windows at a time.
-  std::vector<Rect> windows;
-  windows.reserve(kSequentialProbeBatch);
-  for (size_t next = 2; next < relations.size(); ++next) {
-    const std::vector<Rect>& prev_rects = *relations[next - 1].rects;
-    // Every frontier entering a probe phase is live intermediate state;
-    // the materialized formulation's peak is the largest of them (the
-    // number the parallel executor's bounded stages are measured against).
-    result.stats.frontier_peak_tuples = std::max<uint64_t>(
-        result.stats.frontier_peak_tuples, frontier.size());
-    ChainProbe probe(*relations[next].tree, &pool, options, &result.stats);
-    std::vector<std::vector<uint32_t>> extended;
-    for (size_t first = 0; first < frontier.size();
-         first += kSequentialProbeBatch) {
-      const size_t last =
-          std::min(frontier.size(), first + kSequentialProbeBatch);
-      windows.clear();
-      for (size_t t = first; t < last; ++t) {
-        RSJ_DCHECK(frontier[t].back() < prev_rects.size());
-        windows.push_back(prev_rects[frontier[t].back()]);
-      }
-      probe.Run(std::span<const Rect>(windows),
-                [&](uint32_t i, uint32_t id) {
-                  std::vector<uint32_t> longer = frontier[first + i];
-                  longer.push_back(id);
-                  extended.push_back(std::move(longer));
-                });
-    }
-    frontier = std::move(extended);
-  }
-
-  result.tuple_count = frontier.size();
-  if (collect_tuples) result.tuples = std::move(frontier);
-  return result;
 }
 
 }  // namespace rsj

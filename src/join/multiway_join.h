@@ -2,17 +2,20 @@
 // relations for processing a join. The problem ... is similarly defined and
 // its solution can make use of the techniques that will be presented".
 //
-// This module implements the chain join
+// The chain join
 //
 //     R1 ⋈ R2 ⋈ ... ⋈ Rn   with   Mbr(a_i) ∩ Mbr(a_{i+1}) ≠ ∅
 //
-// using exactly those techniques: the first two relations run through the
+// uses exactly those techniques: the first two relations run through the
 // synchronized-traversal engine (SJ4 by default), and every further
 // relation is probed with the windows of the current tuples' last
-// elements. A probe takes a batch of windows, sorts it by lower x once and
-// answers all of it in one descent of the relation's R*-tree, plane-sweeping
-// the batch against every node's xl-sorted entries (§4.2) — the §4.4 idea
-// of answering a subtree's window queries in one traversal.
+// elements. The chain executor (exec/multiway_executor.h) runs the join at
+// every thread count, RunChainSpatialJoin included; this header holds what
+// it needs from the join layer: a chain's relations and the probe of one
+// phase. A probe takes a batch of windows, sorts it by lower x once and
+// answers all of it in one descent of the relation's R*-tree,
+// plane-sweeping the batch against every node's xl-sorted entries (§4.2) —
+// the §4.4 idea of answering a subtree's window queries in one traversal.
 
 #ifndef RSJ_JOIN_MULTIWAY_JOIN_H_
 #define RSJ_JOIN_MULTIWAY_JOIN_H_
@@ -23,8 +26,11 @@
 #include <utility>
 #include <vector>
 
-#include "join/join_runner.h"
+#include "geom/rect_block.h"
+#include "join/join_options.h"
+#include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
+#include "storage/statistics.h"
 
 namespace rsj {
 
@@ -34,21 +40,6 @@ struct JoinRelation {
   const RTree* tree = nullptr;
   const std::vector<Rect>* rects = nullptr;
 };
-
-struct MultiwayJoinResult {
-  uint64_t tuple_count = 0;
-  // Tuples of object ids, one per relation, when collected.
-  std::vector<std::vector<uint32_t>> tuples;
-  Statistics stats;
-};
-
-// Runs the chain join over `relations` (at least two). All trees must share
-// one page size. `options` configures the pairwise engine and the buffer
-// (shared across the probe phases, as one system buffer). Each probe phase
-// extends the whole frontier, 1,024 tuples per ChainProbe batch.
-MultiwayJoinResult RunChainSpatialJoin(
-    const std::vector<JoinRelation>& relations, const JoinOptions& options,
-    bool collect_tuples = false);
 
 // The probe of one chain-join phase, batched: answers a batch of windows on
 // `tree` in one descent. The batch is sorted by (xl, position) once, into a

@@ -19,9 +19,11 @@
 // sort. Later visits reuse the reference and issue plain page requests; a
 // physical re-read recharges the decode and the memoized sort (the
 // in-memory copy stays sorted; physically the page would be re-sorted from
-// scratch). The accessor copies nothing, except on the R side of a
-// within-distance join, whose SoA block carries the predicate expansion
-// and so is the accessor's own.
+// scratch) and leaves the reference with the re-read page, so another
+// reader's fetch shares it instead of decoding the page a second time.
+// The accessor copies nothing, except on the R side of a within-distance
+// join, whose SoA block carries the predicate expansion and so is the
+// accessor's own.
 //
 // Each node comes with its entry rectangles as a SoA `RectBlock`
 // (geom/rect_block.h), so the engine's inner loops run the batch kernels

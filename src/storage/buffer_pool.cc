@@ -60,12 +60,14 @@ BufferPool::Decode* BufferPool::Request(Shard& shard, const PageKey& key,
   return frame != nullptr ? &frame->decoded : nullptr;
 }
 
-bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats) {
+bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats,
+                      const Decode& decoded) {
   const PageKey key{&file, id};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   bool hit = false;
-  Request(shard, key, stats, &hit);
+  Decode* slot = Request(shard, key, stats, &hit);
+  if (!hit && slot != nullptr) *slot = decoded;
   return hit;
 }
 

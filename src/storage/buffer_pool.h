@@ -110,8 +110,13 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   // Requests page `id` of `file`. Counts either a disk read (miss) or a
-  // buffer hit against `stats` and returns true when it was a hit.
-  bool Read(const PagedFile& file, PageId id, Statistics* stats);
+  // buffer hit against `stats` and returns true when it was a hit. A
+  // reader that still holds the page's decode from an earlier Fetch passes
+  // it as `decoded`: a miss leaves it with the re-read page, whose decode
+  // the reader charges, so later fetches share it instead of decoding
+  // the page again.
+  bool Read(const PagedFile& file, PageId id, Statistics* stats,
+            const std::shared_ptr<const DecodedNode>& decoded = nullptr);
 
   // A page request with Read's counters that also returns the page's
   // decode. The first Fetch since the page became resident decodes it; the

@@ -1,8 +1,9 @@
 // Tests for the decodes resident pages carry (BufferPool::Fetch at one
 // and at eight shards): hit/decode accounting tied to page residency,
-// decodes moving with pins, prefetched and zero-frame pages, cross-thread
-// reuse on a sharded pool, the once-built sorted form (the decode itself
-// when the page is in xl order), and the pool's option guards.
+// decodes moving with pins, a node accessor's re-read leaving its decode
+// with the page, prefetched and zero-frame pages, cross-thread reuse on a
+// sharded pool, the once-built sorted form (the decode itself when the
+// page is in xl order), and the pool's option guards.
 
 #include "storage/decoded_node.h"
 
@@ -15,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "join/node_accessor.h"
 #include "rtree/node.h"
+#include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 
 namespace rsj {
@@ -116,6 +119,34 @@ TYPED_TEST(PoolDecodeTest, PhysicalReReadForcesReDecode) {
   EXPECT_EQ(stats.node_cache_hits, 0u);
   EXPECT_EQ(stats.disk_reads, 7u);
   EXPECT_EQ(held.decoded->node.entries[0].ref, 0u);
+}
+
+TYPED_TEST(PoolDecodeTest, AccessorReReadLeavesItsDecodeWithThePage) {
+  PagedFile file(kPageSize1K);
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  const RTree tree(&file, topt);
+  const auto pages = MakeNodePages(&file, 2, TestFixture::kShards);
+  const auto pool = MakePool(TestFixture::kShards, 1);
+  Statistics a_stats;
+  Statistics b_stats;
+  Statistics other;
+  NodeAccessor a(tree, pool.get(), &a_stats, /*sort_on_read=*/true);
+  NodeAccessor b(tree, pool.get(), &b_stats, /*sort_on_read=*/true);
+
+  const Node& visited = a.Fetch(pages[0]);
+  pool->Read(file, pages[1], &other);  // evicts pages[0]
+  ASSERT_FALSE(pool->Contains(file, pages[0]));
+  // A's re-visit is a physical re-read: one read, one decode, charged to A.
+  EXPECT_EQ(&a.Fetch(pages[0]), &visited);
+  EXPECT_EQ(a_stats.disk_reads, 2u);
+  EXPECT_EQ(a_stats.node_decodes, 2u);
+  // The re-read page carries A's decode, so B's first visit shares it.
+  EXPECT_EQ(&b.Fetch(pages[0]), &visited);
+  EXPECT_EQ(b_stats.buffer_hits, 1u);
+  EXPECT_EQ(b_stats.node_cache_hits, 1u);
+  EXPECT_EQ(b_stats.node_decodes, 0u);
+  EXPECT_EQ(b_stats.sort_comparisons.count(), 0u);
 }
 
 TYPED_TEST(PoolDecodeTest, ReadAndClearLeaveNoDecode) {

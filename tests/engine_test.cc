@@ -9,7 +9,6 @@
 
 #include "engine/query_engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -385,14 +384,14 @@ TEST_F(QueryEngineTest, ConcurrentSessionsMatchSerialForEveryAlgorithm) {
   EXPECT_EQ(engine.governor().leased_bytes(), 0u);
 }
 
-TEST_F(QueryEngineTest, ChainSessionMatchesSequential) {
+TEST_F(QueryEngineTest, ChainSessionMatchesOracle) {
   const std::vector<JoinRelation> chain = {{&rel_r_->tree(), rects_r_},
                                            {&rel_s_->tree(), rects_s_},
                                            {&rel_t_->tree(), rects_t_}};
   JoinOptions jopt;
   jopt.algorithm = JoinAlgorithm::kSJ4;
-  MultiwayJoinResult sequential = RunChainSpatialJoin(chain, jopt, true);
-  std::sort(sequential.tuples.begin(), sequential.tuples.end());
+  const testutil::Tuples expected =
+      testutil::ChainOracle({*rects_r_, *rects_s_, *rects_t_}, jopt);
 
   QueryEngine engine(EngineOptions());
   QuerySpec spec;
@@ -405,10 +404,8 @@ TEST_F(QueryEngineTest, ChainSessionMatchesSequential) {
   ASSERT_EQ(session->state(), SessionState::kFinished);
   const QueryOutcome& outcome = session->outcome();
   ASSERT_TRUE(outcome.is_chain);
-  EXPECT_EQ(outcome.result_count, sequential.tuple_count);
-  auto tuples = outcome.chain.tuples;
-  std::sort(tuples.begin(), tuples.end());
-  EXPECT_EQ(tuples, sequential.tuples);
+  EXPECT_EQ(outcome.result_count, expected.size());
+  EXPECT_EQ(testutil::Sorted(outcome.chain.tuples), expected);
 }
 
 TEST_F(QueryEngineTest, OneThreadSessionsReadThroughTheEnginesPool) {
@@ -422,8 +419,8 @@ TEST_F(QueryEngineTest, OneThreadSessionsReadThroughTheEnginesPool) {
   jopt.algorithm = JoinAlgorithm::kSJ4;
   const JoinRunResult serial =
       RunSpatialJoin(rel_r_->tree(), rel_s_->tree(), jopt, true);
-  MultiwayJoinResult sequential = RunChainSpatialJoin(chain, jopt, true);
-  std::sort(sequential.tuples.begin(), sequential.tuples.end());
+  const testutil::Tuples expected =
+      testutil::ChainOracle({*rects_r_, *rects_s_, *rects_t_}, jopt);
 
   QueryEngine::Options opt = EngineOptions();
   opt.session_threads = 1;
@@ -448,9 +445,7 @@ TEST_F(QueryEngineTest, OneThreadSessionsReadThroughTheEnginesPool) {
     EXPECT_EQ(p.worker_stats.size(), 1u);
     ASSERT_EQ(chained->state(), SessionState::kFinished);
     const ParallelChainJoinResult& c = chained->outcome().chain;
-    auto tuples = c.tuples;
-    std::sort(tuples.begin(), tuples.end());
-    EXPECT_EQ(tuples, sequential.tuples);
+    EXPECT_EQ(testutil::Sorted(c.tuples), expected);
     EXPECT_EQ(c.worker_stats.size(), 1u);
     if (batch == 0) {
       // The first batch reads on the engine's modeled disks.

@@ -13,11 +13,11 @@
 #include <string>
 #include <string_view>
 
+#include "exec/multiway_executor.h"
 #include "exec/parallel_executor.h"
 #include "geom/simd_kernels.h"
 #include "io/io_scheduler.h"
 #include "join/join_runner.h"
-#include "join/multiway_join.h"
 #include "join/refinement.h"
 #include "shard/decluster.h"
 #include "shard/sharded_join.h"
@@ -720,17 +720,19 @@ TEST_F(JoinCounterPinTest, ExecutorPathsMatchRecordedRuns) {
 // ---------------------------------------------------------------------------
 // Chain pin.
 //
-// The sequential chain join's counters on a fixed four-relation fixture
+// RunChainSpatialJoin's counters on a fixed four-relation fixture
 // (RandomRects seeds 1601, 1602, 1604 and 1605, 1 KiB pages, a 16 KiB
 // buffer; the first two are the pairwise pin's R and S, so the first
 // phase's pairs are its rows' output): a 3-chain and a 4-chain with
 // intersects and a 3-chain within ε = 0.01. Each row
 // holds the tuples, window_queries, join and sort comparisons, disk_reads
-// and node_decodes. The run is single-threaded and every kernel charges
-// the same counts in both modes, so one row serves both. The rows were
-// recorded on x86-64 when the probe phases became batched ChainProbe
-// descents; a change to the probe that means to move these counters
-// updates the rows and says so.
+// and node_decodes. The run is the chain executor's one-thread run (one
+// partition, each staged chunk of 1,024 pairs probed depth-first through
+// the later phases over one LRU), and every kernel charges the same counts
+// in both modes, so one row serves both. The rows were recorded on x86-64
+// when the one-thread chain became that run; a change to the probe or the
+// executor that means to move these counters updates the rows and says
+// so.
 
 struct PinnedChain {
   const char* name;
@@ -743,9 +745,9 @@ struct PinnedChain {
 };
 
 constexpr PinnedChain kPinnedChains[] = {
-    {"3_chain/intersects", 4670, 3460, 311335, 49869, 293, 286},
-    {"4_chain/intersects", 5374, 8130, 514081, 108196, 409, 402},
-    {"3_chain/within-distance", 55369, 12979, 1625728, 163792, 314, 306},
+    {"3_chain/intersects", 4670, 3460, 311335, 50537, 315, 307},
+    {"4_chain/intersects", 5374, 8130, 514412, 107795, 451, 443},
+    {"3_chain/within-distance", 55369, 12979, 1625728, 168632, 454, 441},
 };
 
 std::string ChainRow(const std::string& name, const MultiwayJoinResult& run) {

@@ -1,19 +1,22 @@
-// Tests for the parallel multi-way chain executor: exact tuple-multiset
-// equivalence with the sequential chain join across chain lengths, thread
-// counts and predicates, the decodes shared through the pool's frames, the
-// per-worker frontier ceiling (frontier_peak_tuples), and that every probe
-// runs on the context's task pool.
+// Tests for the multi-way chain executor: exact tuple-multiset equality
+// with the brute-force chain oracle across chain lengths, thread counts
+// and predicates, the one-thread run's spill and modeled I/O, the decodes
+// shared through the pool's frames, the per-worker frontier ceiling
+// (frontier_peak_tuples), and that every probe runs on the context's task
+// pool.
 
 #include "exec/multiway_executor.h"
 
-#include <algorithm>
-#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/exec_context.h"
 #include "exec/task_pool.h"
+#include "io/io_scheduler.h"
+#include "join/join_runner.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "tests/test_util.h"
@@ -54,6 +57,13 @@ class MultiwayExecTest : public ::testing::Test {
     return chain;
   }
 
+  // The brute-force result of the chain's first n relations.
+  static testutil::Tuples Oracle(size_t n, const JoinOptions& jopt) {
+    return testutil::ChainOracle(
+        std::vector<std::vector<Rect>>(rects_->begin(), rects_->begin() + n),
+        jopt);
+  }
+
   static std::vector<std::vector<Rect>>* rects_;
   static std::vector<IndexedRelation*>* relations_;
 };
@@ -61,7 +71,7 @@ class MultiwayExecTest : public ::testing::Test {
 std::vector<std::vector<Rect>>* MultiwayExecTest::rects_ = nullptr;
 std::vector<IndexedRelation*>* MultiwayExecTest::relations_ = nullptr;
 
-TEST_F(MultiwayExecTest, MatchesSequentialAcrossThreadsAndPredicates) {
+TEST_F(MultiwayExecTest, MatchesOracleAcrossThreadsAndPredicates) {
   for (const size_t chain_len : {size_t{3}, size_t{4}}) {
     const auto chain = Chain(chain_len);
     for (const JoinPredicate predicate :
@@ -70,17 +80,15 @@ TEST_F(MultiwayExecTest, MatchesSequentialAcrossThreadsAndPredicates) {
       jopt.algorithm = JoinAlgorithm::kSJ4;
       jopt.predicate = predicate;
       jopt.epsilon = predicate == JoinPredicate::kWithinDistance ? 0.01 : 0.0;
-      auto sequential = RunChainSpatialJoin(chain, jopt, true);
-      std::sort(sequential.tuples.begin(), sequential.tuples.end());
+      const testutil::Tuples expected = Oracle(chain_len, jopt);
       for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         ParallelExecutorOptions exec;
         exec.num_threads = threads;
         auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-        EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
+        EXPECT_EQ(parallel.tuple_count, expected.size())
             << "chain=" << chain_len << " threads=" << threads << " "
             << JoinPredicateName(predicate);
-        std::sort(parallel.tuples.begin(), parallel.tuples.end());
-        EXPECT_EQ(parallel.tuples, sequential.tuples)
+        EXPECT_EQ(testutil::Sorted(std::move(parallel.tuples)), expected)
             << "chain=" << chain_len << " threads=" << threads << " "
             << JoinPredicateName(predicate);
       }
@@ -92,7 +100,8 @@ TEST_F(MultiwayExecTest, ChainFrontierIsBoundedPerWorker) {
   // Each worker holds its staged pairwise chunk plus at most one full
   // stage per intermediate phase, so the gauge stays at or below
   // num_threads × (chain_len - 2) × chunk_capacity, whatever one window
-  // hits, and strictly below the sequential chain's whole largest frontier.
+  // hits, and strictly below the first phase's whole frontier (the
+  // pairwise join's pairs).
   for (const size_t chain_len : {size_t{3}, size_t{4}}) {
     const auto chain = Chain(chain_len);
     JoinOptions jopt;
@@ -101,8 +110,7 @@ TEST_F(MultiwayExecTest, ChainFrontierIsBoundedPerWorker) {
     exec.num_threads = 4;
     exec.chunk_capacity = 8;
     auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-    const auto sequential = RunChainSpatialJoin(chain, jopt, true);
-    EXPECT_EQ(parallel.tuple_count, sequential.tuple_count)
+    EXPECT_EQ(parallel.tuple_count, Oracle(chain_len, jopt).size())
         << "chain=" << chain_len;
 
     const uint64_t ceiling =
@@ -110,49 +118,131 @@ TEST_F(MultiwayExecTest, ChainFrontierIsBoundedPerWorker) {
     const uint64_t peak = parallel.total_stats.frontier_peak_tuples;
     EXPECT_GT(peak, 0u) << "chain=" << chain_len;
     EXPECT_LE(peak, ceiling) << "chain=" << chain_len;
-    EXPECT_LT(peak, sequential.stats.frontier_peak_tuples)
+    EXPECT_LT(peak,
+              RunSpatialJoin(*chain[0].tree, *chain[1].tree, jopt).pair_count)
         << "chain=" << chain_len;
   }
 }
 
-TEST(MultiwayExecDenseTest, FullIntermediateStagesAreProbedAndBounded) {
-  // A 4-chain dense enough that an intermediate stage fills many times per
-  // staged chunk: each full stage is probed at once, so the tuples and the
-  // window queries equal the sequential chain's and the gauge stays within
-  // num_threads × 2 × chunk_capacity.
-  RTreeOptions topt;
-  topt.page_size = kPageSize1K;
-  const std::vector<std::vector<Rect>> rects = {
-      testutil::RandomRects(3000, 1601, 0.02),
-      testutil::RandomRects(2800, 1602, 0.02),
-      testutil::RandomRects(2600, 1604, 0.02),
-      testutil::RandomRects(2400, 1605, 0.02),
-  };
-  std::vector<std::unique_ptr<IndexedRelation>> relations;
-  std::vector<JoinRelation> chain;
-  for (const std::vector<Rect>& r : rects) {
-    relations.push_back(std::make_unique<IndexedRelation>(r, topt));
-    chain.push_back({&relations.back()->tree(), &r});
+// The chain pin's 4-relation fixture (join_invariants_test), dense enough
+// that an intermediate stage fills many times per staged chunk, with the
+// oracle's result for its first 2, 3 and 4 relations.
+class MultiwayExecDenseTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    RTreeOptions topt;
+    topt.page_size = kPageSize1K;
+    rects_ = new std::vector<std::vector<Rect>>{
+        testutil::RandomRects(3000, 1601, 0.02),
+        testutil::RandomRects(2800, 1602, 0.02),
+        testutil::RandomRects(2600, 1604, 0.02),
+        testutil::RandomRects(2400, 1605, 0.02),
+    };
+    relations_ = new std::vector<IndexedRelation*>;
+    for (const auto& rects : *rects_) {
+      relations_->push_back(new IndexedRelation(rects, topt));
+    }
+    // Each prefix's result extends the previous one by one phase.
+    oracles_ = new std::vector<testutil::Tuples>{
+        testutil::ChainOracle({(*rects_)[0], (*rects_)[1]}, Join())};
+    for (size_t n = 3; n <= rects_->size(); ++n) {
+      oracles_->push_back(testutil::ExtendChainOracle(
+          oracles_->back(), (*rects_)[n - 2], (*rects_)[n - 1], Join()));
+    }
   }
-  JoinOptions jopt;
-  jopt.algorithm = JoinAlgorithm::kSJ4;
-  auto sequential = RunChainSpatialJoin(chain, jopt, true);
-  std::sort(sequential.tuples.begin(), sequential.tuples.end());
-  ASSERT_GT(sequential.tuple_count, 16 * 8u);
-  for (const unsigned threads : {2u, 4u}) {
+  static void TearDownTestSuite() {
+    for (IndexedRelation* rel : *relations_) delete rel;
+    delete relations_;
+    delete rects_;
+    delete oracles_;
+    relations_ = nullptr;
+    rects_ = nullptr;
+    oracles_ = nullptr;
+  }
+
+  static JoinOptions Join() {
+    JoinOptions jopt;
+    jopt.algorithm = JoinAlgorithm::kSJ4;
+    return jopt;
+  }
+
+  static std::vector<JoinRelation> Chain(size_t n) {
+    std::vector<JoinRelation> chain;
+    for (size_t i = 0; i < n; ++i) {
+      chain.push_back({&(*relations_)[i]->tree(), &(*rects_)[i]});
+    }
+    return chain;
+  }
+
+  // The brute-force result of the chain's first n >= 2 relations.
+  static const testutil::Tuples& Oracle(size_t n) {
+    return (*oracles_)[n - 2];
+  }
+
+  static std::vector<std::vector<Rect>>* rects_;
+  static std::vector<IndexedRelation*>* relations_;
+  static std::vector<testutil::Tuples>* oracles_;
+};
+
+std::vector<std::vector<Rect>>* MultiwayExecDenseTest::rects_ = nullptr;
+std::vector<IndexedRelation*>* MultiwayExecDenseTest::relations_ = nullptr;
+std::vector<testutil::Tuples>* MultiwayExecDenseTest::oracles_ = nullptr;
+
+TEST_F(MultiwayExecDenseTest, FullIntermediateStagesAreProbedAndBounded) {
+  // Each full intermediate stage is probed at once, so the tuples equal
+  // the oracle's, every tuple of phases 2 and 3 is probed once (one window
+  // query each) and the gauge stays within num_threads × 2 ×
+  // chunk_capacity.
+  const auto chain = Chain(4);
+  const testutil::Tuples& expected = Oracle(4);
+  ASSERT_GT(expected.size(), 16 * 8u);
+  const uint64_t window_queries = Oracle(2).size() + Oracle(3).size();
+  for (const unsigned threads : {1u, 2u, 4u}) {
     ParallelExecutorOptions exec;
     exec.num_threads = threads;
     exec.chunk_capacity = 8;
-    auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
-    std::sort(parallel.tuples.begin(), parallel.tuples.end());
-    EXPECT_EQ(parallel.tuples, sequential.tuples) << "threads=" << threads;
-    EXPECT_EQ(parallel.total_stats.window_queries,
-              sequential.stats.window_queries)
+    auto parallel = RunParallelChainSpatialJoin(chain, Join(), exec, true);
+    EXPECT_EQ(testutil::Sorted(std::move(parallel.tuples)), expected)
+        << "threads=" << threads;
+    EXPECT_EQ(parallel.total_stats.window_queries, window_queries)
         << "threads=" << threads;
     const uint64_t peak = parallel.total_stats.frontier_peak_tuples;
     EXPECT_GT(peak, 0u) << "threads=" << threads;
     EXPECT_LE(peak, threads * 2 * exec.chunk_capacity)
         << "threads=" << threads;
+  }
+}
+
+TEST_F(MultiwayExecDenseTest, OneThreadRunSpillsAndModelsIo) {
+  // One thread runs the same sinks as every other thread count: the
+  // collected tuples spill past one resident chunk, the reads cost modeled
+  // disk time, and the frontier stays within one worker's ceiling.
+  for (const size_t chain_len : {size_t{3}, size_t{4}}) {
+    IoScheduler io(IoScheduler::Options{.disks = {.disk_count = 2}});
+    ParallelExecutorOptions exec;
+    exec.num_threads = 1;
+    exec.chunk_capacity = 8;
+    exec.spill_results = true;
+    exec.spill_budget_chunks = 1;
+    exec.io_scheduler = &io;
+    const auto result =
+        RunParallelChainSpatialJoin(Chain(chain_len), Join(), exec, true);
+    const testutil::Tuples& expected = Oracle(chain_len);
+    EXPECT_EQ(result.tuple_count, expected.size()) << "chain=" << chain_len;
+    EXPECT_TRUE(result.tuples.empty()) << "chain=" << chain_len;
+    Statistics read_stats;
+    EXPECT_EQ(testutil::Sorted(result.spilled_tuples.CopyTuples(&read_stats)),
+              expected)
+        << "chain=" << chain_len;
+    EXPECT_LE(result.total_stats.result_peak_chunks_resident, 1u)
+        << "chain=" << chain_len;
+    EXPECT_GT(result.total_stats.result_chunks_spilled, 0u)
+        << "chain=" << chain_len;
+    EXPECT_GT(result.modeled_elapsed_micros, 0u) << "chain=" << chain_len;
+    const uint64_t peak = result.total_stats.frontier_peak_tuples;
+    EXPECT_GT(peak, 0u) << "chain=" << chain_len;
+    EXPECT_LE(peak, (chain_len - 2) * exec.chunk_capacity)
+        << "chain=" << chain_len;
   }
 }
 
@@ -178,7 +268,7 @@ TEST_F(MultiwayExecTest, ProbesRunOnTheContextsTaskPool) {
   jopt.algorithm = JoinAlgorithm::kSJ4;
   const auto result =
       RunParallelChainSpatialJoin(chain, jopt, exec, ctx, false);
-  EXPECT_EQ(result.tuple_count, RunChainSpatialJoin(chain, jopt).tuple_count);
+  EXPECT_EQ(result.tuple_count, Oracle(4, jopt).size());
 
   const std::vector<TraceEvent> events = tracer.Snapshot();
   uint32_t test_tid = 0;
@@ -210,12 +300,11 @@ TEST_F(MultiwayExecTest, ZeroPartitionMultiplierStillProbesEveryTuple) {
   const auto chain = Chain(3);
   JoinOptions jopt;
   jopt.algorithm = JoinAlgorithm::kSJ4;
-  auto sequential = RunChainSpatialJoin(chain, jopt, false);
   ParallelExecutorOptions exec;
   exec.num_threads = 2;
   exec.partition_multiplier = 0;
   const auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec);
-  EXPECT_EQ(parallel.tuple_count, sequential.tuple_count);
+  EXPECT_EQ(parallel.tuple_count, Oracle(3, jopt).size());
 }
 
 TEST_F(MultiwayExecTest, ReportsProbeTelemetryAndWorkerStats) {
@@ -241,7 +330,7 @@ TEST_F(MultiwayExecTest, EveryPhaseSharesResidentDecodes) {
   ParallelExecutorOptions exec;
   exec.num_threads = 4;
   const auto cached = RunParallelChainSpatialJoin(chain, jopt, exec);
-  EXPECT_EQ(cached.tuple_count, RunChainSpatialJoin(chain, jopt).tuple_count);
+  EXPECT_EQ(cached.tuple_count, Oracle(4, jopt).size());
   EXPECT_GT(cached.total_stats.node_cache_hits, 0u);
 }
 

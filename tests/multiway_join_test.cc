@@ -1,5 +1,5 @@
-// Tests for the multi-way chain join and its batched probe against brute
-// force.
+// Tests for the multi-way chain join (RunChainSpatialJoin, the one-thread
+// run of the chain executor) and its batched probe against brute force.
 
 #include "join/multiway_join.h"
 
@@ -9,36 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/multiway_executor.h"
+#include "join/join_runner.h"
 #include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace rsj {
 namespace {
-
-// Brute-force chain join: consecutive relations' rectangles intersect.
-std::vector<std::vector<uint32_t>> OracleChain(
-    const std::vector<const std::vector<Rect>*>& relations) {
-  std::vector<std::vector<uint32_t>> tuples;
-  for (uint32_t i = 0; i < relations[0]->size(); ++i) {
-    tuples.push_back({i});
-  }
-  for (size_t next = 1; next < relations.size(); ++next) {
-    std::vector<std::vector<uint32_t>> extended;
-    for (const auto& t : tuples) {
-      const Rect& prev = (*relations[next - 1])[t.back()];
-      for (uint32_t j = 0; j < relations[next]->size(); ++j) {
-        if (prev.Intersects((*relations[next])[j])) {
-          auto longer = t;
-          longer.push_back(j);
-          extended.push_back(std::move(longer));
-        }
-      }
-    }
-    tuples = std::move(extended);
-  }
-  std::sort(tuples.begin(), tuples.end());
-  return tuples;
-}
 
 TEST(MultiwayJoinTest, TwoWayEqualsPairwiseJoin) {
   const auto rects_a = testutil::ClusteredRects(600, 921);
@@ -71,7 +48,8 @@ TEST(MultiwayJoinTest, ThreeWayMatchesBruteForce) {
                                      {&c.tree(), &rects_c}},
                                     jopt, /*collect_tuples=*/true);
   std::sort(result.tuples.begin(), result.tuples.end());
-  EXPECT_EQ(result.tuples, OracleChain({&rects_a, &rects_b, &rects_c}));
+  EXPECT_EQ(result.tuples,
+            testutil::ChainOracle({rects_a, rects_b, rects_c}, jopt));
   EXPECT_EQ(result.tuple_count, result.tuples.size());
   EXPECT_GT(result.stats.window_queries, 0u);
 }
@@ -95,35 +73,7 @@ TEST(MultiwayJoinTest, FourWayMatchesBruteForce) {
                                     jopt, true);
   std::sort(result.tuples.begin(), result.tuples.end());
   EXPECT_EQ(result.tuples,
-            OracleChain({&rects_a, &rects_b, &rects_c, &rects_d}));
-}
-
-// Brute-force chain join under an arbitrary exact predicate.
-std::vector<std::vector<uint32_t>> OracleChainPredicate(
-    const std::vector<const std::vector<Rect>*>& relations,
-    const JoinOptions& options) {
-  ComparisonCounter unused;
-  std::vector<std::vector<uint32_t>> tuples;
-  for (uint32_t i = 0; i < relations[0]->size(); ++i) {
-    tuples.push_back({i});
-  }
-  for (size_t next = 1; next < relations.size(); ++next) {
-    std::vector<std::vector<uint32_t>> extended;
-    for (const auto& t : tuples) {
-      const Rect& prev = (*relations[next - 1])[t.back()];
-      for (uint32_t j = 0; j < relations[next]->size(); ++j) {
-        if (EvaluatePredicateCounted(options.predicate, options.epsilon,
-                                     prev, (*relations[next])[j], &unused)) {
-          auto longer = t;
-          longer.push_back(j);
-          extended.push_back(std::move(longer));
-        }
-      }
-    }
-    tuples = std::move(extended);
-  }
-  std::sort(tuples.begin(), tuples.end());
-  return tuples;
+            testutil::ChainOracle({rects_a, rects_b, rects_c, rects_d}, jopt));
 }
 
 // Regression: the probe phases used to test raw intersection against the
@@ -143,11 +93,12 @@ TEST(MultiwayJoinTest, WithinDistanceChainFindsNonIntersectingMatches) {
   jopt.predicate = JoinPredicate::kWithinDistance;
   jopt.epsilon = 0.015;
   const auto expected =
-      OracleChainPredicate({&rects_a, &rects_b, &rects_c}, jopt);
+      testutil::ChainOracle({rects_a, rects_b, rects_c}, jopt);
   // The fix must matter on this data: some within-distance tuples must not
   // be plain-intersection tuples (those were the ones silently dropped).
   ASSERT_GT(expected.size(),
-            OracleChain({&rects_a, &rects_b, &rects_c}).size());
+            testutil::ChainOracle({rects_a, rects_b, rects_c}, JoinOptions{})
+                .size());
   auto result = RunChainSpatialJoin(
       {{&a.tree(), &rects_a}, {&b.tree(), &rects_b}, {&c.tree(), &rects_c}},
       jopt, /*collect_tuples=*/true);
@@ -170,7 +121,7 @@ TEST(MultiwayJoinTest, ContainmentChainMatchesOracle) {
   jopt.algorithm = JoinAlgorithm::kSJ4;
   jopt.predicate = JoinPredicate::kContains;
   const auto expected =
-      OracleChainPredicate({&rects_a, &rects_b, &rects_c}, jopt);
+      testutil::ChainOracle({rects_a, rects_b, rects_c}, jopt);
   auto result = RunChainSpatialJoin(
       {{&a.tree(), &rects_a}, {&b.tree(), &rects_b}, {&c.tree(), &rects_c}},
       jopt, /*collect_tuples=*/true);

@@ -10,8 +10,9 @@
 //   parallel                      (task-pool executor, 3 threads)
 //   sharded                       (declustered K-shard join, K in 2/4/8)
 //   streaming-refined             (on a seed subset, exact polylines)
-//   chain joins                   (3- and 4-relation chains: sequential
-//                                  and parallel, collected or spilled)
+//   chain joins                   (3- and 4-relation chains on the chain
+//                                  executor at 1 and 3 threads, collected
+//                                  or spilled)
 //
 // and requires the SORTED PAIR (or tuple) MULTISET of every variant to
 // equal the oracle's. Any failure prints the reproducing seed via
@@ -20,7 +21,6 @@
 // TSan, where this suite doubles as a race hunt over the parallel and
 // sharded paths.
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -248,38 +248,9 @@ TEST(PropertyJoin, StreamingRefinementMatchesInlineAndOracle) {
 
 constexpr uint64_t kChainSeeds = 48;
 
-using Tuples = std::vector<std::vector<uint32_t>>;
-
-// Every tuple whose consecutive members satisfy the predicate, evaluated
-// like a chain probe (the earlier relation is the R side), sorted.
-Tuples ChainOracle(const std::vector<std::vector<Rect>>& rels,
-                   const JoinOptions& join) {
-  ComparisonCounter counter;
-  Tuples frontier;
-  for (uint32_t i = 0; i < rels[0].size(); ++i) frontier.push_back({i});
-  for (size_t k = 1; k < rels.size(); ++k) {
-    Tuples extended;
-    for (const std::vector<uint32_t>& tuple : frontier) {
-      const Rect& last = rels[k - 1][tuple.back()];
-      for (uint32_t j = 0; j < rels[k].size(); ++j) {
-        if (EvaluatePredicateCounted(join.predicate, join.epsilon, last,
-                                     rels[k][j], &counter)) {
-          std::vector<uint32_t> longer = tuple;
-          longer.push_back(j);
-          extended.push_back(std::move(longer));
-        }
-      }
-    }
-    frontier = std::move(extended);
-  }
-  std::sort(frontier.begin(), frontier.end());
-  return frontier;
-}
-
-Tuples Sorted(Tuples tuples) {
-  std::sort(tuples.begin(), tuples.end());
-  return tuples;
-}
+using testutil::ChainOracle;
+using testutil::Sorted;
+using testutil::Tuples;
 
 TEST(PropertyJoin, ChainExecutorsMatchBruteForceOracle) {
   uint64_t total_tuples = 0;
@@ -310,9 +281,9 @@ TEST(PropertyJoin, ChainExecutorsMatchBruteForceOracle) {
       chain.push_back({&indexed[k].tree(), &rels[k]});
     }
 
-    const MultiwayJoinResult sequential =
+    const MultiwayJoinResult one_thread =
         RunChainSpatialJoin(chain, join, true);
-    EXPECT_EQ(Sorted(sequential.tuples), expected) << "sequential";
+    EXPECT_EQ(Sorted(one_thread.tuples), expected) << "RunChainSpatialJoin";
 
     for (const bool spill : {false, true}) {
       ParallelExecutorOptions exec;

@@ -1,5 +1,6 @@
 // Shared helpers for the test suites: deterministic random rectangle
-// generation, tree construction, and result-set canonicalization.
+// generation, tree construction, result-set canonicalization, and the
+// brute-force chain-join oracle.
 
 #ifndef RSJ_TESTS_TEST_UTIL_H_
 #define RSJ_TESTS_TEST_UTIL_H_
@@ -10,7 +11,10 @@
 
 #include "datagen/rng.h"
 #include "exec/result_sink.h"
+#include "geom/comparison_counter.h"
 #include "geom/rect.h"
+#include "join/join_options.h"
+#include "join/predicate.h"
 
 namespace rsj {
 namespace testutil {
@@ -70,6 +74,50 @@ inline std::vector<std::pair<uint32_t, uint32_t>> Canonical(
 inline std::vector<std::pair<uint32_t, uint32_t>> Canonical(
     const ResultChunkList& chunks) {
   return Canonical(chunks.CopyPairs());
+}
+
+// A chain join's tuples of object ids, one per relation.
+using Tuples = std::vector<std::vector<uint32_t>>;
+
+// Sorts tuples so chain results compare as multisets.
+inline Tuples Sorted(Tuples tuples) {
+  std::sort(tuples.begin(), tuples.end());
+  return tuples;
+}
+
+// One phase of the brute-force chain join: every tuple of `tuples`, whose
+// last members index `last`, extended by every member of `next` that
+// satisfies `join`'s predicate against it, evaluated like a chain probe
+// (the earlier relation is the R side). Sorted tuples stay sorted.
+inline Tuples ExtendChainOracle(const Tuples& tuples,
+                                const std::vector<Rect>& last,
+                                const std::vector<Rect>& next,
+                                const JoinOptions& join) {
+  ComparisonCounter counter;
+  Tuples extended;
+  for (const std::vector<uint32_t>& tuple : tuples) {
+    for (uint32_t j = 0; j < next.size(); ++j) {
+      if (EvaluatePredicateCounted(join.predicate, join.epsilon,
+                                   last[tuple.back()], next[j], &counter)) {
+        std::vector<uint32_t> longer = tuple;
+        longer.push_back(j);
+        extended.push_back(std::move(longer));
+      }
+    }
+  }
+  return extended;
+}
+
+// The brute-force chain join over `rels` (one rectangle list per
+// relation), sorted.
+inline Tuples ChainOracle(const std::vector<std::vector<Rect>>& rels,
+                          const JoinOptions& join) {
+  Tuples tuples;
+  for (uint32_t i = 0; i < rels[0].size(); ++i) tuples.push_back({i});
+  for (size_t k = 1; k < rels.size(); ++k) {
+    tuples = ExtendChainOracle(tuples, rels[k - 1], rels[k], join);
+  }
+  return tuples;
 }
 
 }  // namespace testutil
