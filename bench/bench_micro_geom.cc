@@ -1,15 +1,14 @@
 // Micro-benchmark of the batch geometry kernels (geom/simd_kernels.h):
 // scalar vs SIMD A/B at the node-typical block sizes 51/102/204/409 (the
 // entry capacities of 1/2/4/8 KByte pages) for the kernelized loops —
-// counted overlap filtering, the within-distance leaf test, the plane sweep
-// of two sorted nodes (whole, and restricted to their intersection as SJ3-5
-// sweep them), and a §4.4 window-query batch of Q = 1/4/16 queries against
-// one 204-entry node.
+// counted overlap filtering, the within-distance leaf test, and the plane
+// sweep of two sorted nodes (whole, and restricted to their intersection as
+// SJ3-5 sweep them).
 //
 // Reported per kernel × size × mode: ns per operation (one query-vs-block
-// call, one node-pair sweep, or one batch), total hits, charged
-// comparisons, and the scalar/SIMD speedup. Each row is also emitted as a
-// JSON line (prefix "JSON "; the window rows' "n" is Q). The run is
+// call or one node-pair sweep), total hits, charged comparisons, and the
+// scalar/SIMD speedup. Each row is also emitted as a JSON line (prefix
+// "JSON "). The run is
 // self-checking: both modes must produce identical hit checksums AND
 // identical comparison counts — any divergence exits non-zero, so the CI
 // smoke run enforces the kernel parity contract end to end in Release
@@ -132,22 +131,6 @@ Measured RunSweep(const RectBlock& r, const RectBlock& s, uint64_t reps) {
     SortedIntersectionTestBlocks(r, s, counter, &pairs);
     m->hits += pairs.size();
     for (const auto& [a, b] : pairs) m->hit_sum += a * 1024 + b;
-  });
-}
-
-// One op = one window-query batch against the node block, hits regrouped
-// entry-major (the §4.4 policy (b) step at one node).
-Measured RunWindow(const RectBlock& block, const RectBlock& queries,
-                   uint64_t reps) {
-  WindowHits hits;
-  return TimeOps(reps, [&](ComparisonCounter* counter, Measured* m) {
-    CountedWindowHits(block, queries, OverlapSubject::kBlock, counter, &hits);
-    m->hits += hits.query.size();
-    for (size_t e = 0; e + 1 < hits.begin.size(); ++e) {
-      for (uint32_t k = hits.begin[e]; k < hits.begin[e + 1]; ++k) {
-        m->hit_sum += e * 64 + hits.query[k];
-      }
-    }
   });
 }
 
@@ -279,17 +262,6 @@ int Main(int argc, char** argv) {
     ok &= CompareModes("sweep_pair", n, [&] {
       return RunSweep(r, s, reps(100'000));
     });
-  }
-  // A §4.4 window-query batch: Q queries against one 4 KByte node.
-  {
-    const RectBlock block = BlockOf(MakeRects(204, 0.1, 9000), false);
-    for (const size_t q_count : {1u, 4u, 16u}) {
-      const RectBlock queries =
-          BlockOf(MakeRects(q_count, 0.1, 9100 + q_count), false);
-      ok &= CompareModes("window", q_count, [&] {
-        return RunWindow(block, queries, reps(100'000 / q_count));
-      });
-    }
   }
   SetGeomKernelMode(saved);
 

@@ -10,6 +10,7 @@
 #include "exec/exec_context.h"
 #include "io/io_scheduler.h"
 #include "io/prefetcher.h"
+#include "join/window_probe.h"
 #include "obs/trace.h"
 
 namespace rsj {
@@ -129,7 +130,7 @@ struct ChainRun {
 
 // One pairwise worker's sink. It stages chunk_capacity pairs, then extends
 // them phase by phase in batches, on the worker's own thread and charged to
-// the worker's Statistics (its actor clock): one ChainProbe run per staged
+// the worker's Statistics (its actor clock): one WindowProbe run per staged
 // chunk answers every window of phase 2. The last phase emits each final
 // tuple as its probe finds it. In chains of 4 or more relations, an
 // intermediate phase appends each extended tuple to the next phase's stage,
@@ -211,7 +212,7 @@ class ChainSink final : public ResultSink {
           Statistics* stats)
         : probe(tree, pages, options, stats) {}
 
-    ChainProbe probe;
+    WindowProbe probe;
     std::vector<uint32_t> stage;
     std::vector<Rect> windows;  // of the batch being probed
   };

@@ -9,7 +9,7 @@
 //   2. each sink stages chunk_capacity pairs, then extends the staged
 //      chunk through the probe phases 2..n-1 in batches, on the worker's
 //      own thread and charged to the worker's Statistics (its actor
-//      clock): one ChainProbe (join/multiway_join.h) answers a whole
+//      clock): one WindowProbe (join/window_probe.h) answers a whole
 //      batch of windows in one descent of the phase's R*-tree. The last
 //      phase emits each final tuple as the probe finds it; an
 //      intermediate phase (chains of 4 or more relations) stages the

@@ -382,55 +382,4 @@ void SortedIntersectionTestBlocks(const RectBlock& rseq,
   counter->Add(count);
 }
 
-void CountedWindowHits(const RectBlock& block, const RectBlock& queries,
-                       OverlapSubject subject, ComparisonCounter* counter,
-                       WindowHits* hits) {
-  const size_t n = block.size();
-  const size_t query_count = queries.size();
-  hits->begin.assign(n + 1, 0);
-  hits->query.clear();
-  uint64_t count = 0;
-#if RSJ_GEOM_SIMD
-  if (UseSimd()) {
-    // Query-major: one vector pass over the block per query.
-    hits->positions.clear();
-    hits->ends.resize(query_count);
-    for (size_t q = 0; q < query_count; ++q) {
-      const Rect query = queries.RectAt(q);
-      count += subject == OverlapSubject::kBlock
-                   ? AppendOverlapHitsSimd<true>(block, query,
-                                                 &hits->positions)
-                   : AppendOverlapHitsSimd<false>(block, query,
-                                                  &hits->positions);
-      hits->ends[q] = static_cast<uint32_t>(hits->positions.size());
-    }
-    // Entry-major regrouping: hits per entry, prefix sums, then a scatter
-    // in query order, which keeps each entry's queries ascending.
-    uint32_t* begin = hits->begin.data();
-    for (const uint32_t p : hits->positions) ++begin[p + 1];
-    for (size_t e = 0; e < n; ++e) begin[e + 1] += begin[e];
-    hits->cursor.assign(begin, begin + n);
-    hits->query.resize(hits->positions.size());
-    size_t k = 0;
-    for (uint32_t q = 0; q < query_count; ++q) {
-      for (; k < hits->ends[q]; ++k) {
-        hits->query[hits->cursor[hits->positions[k]]++] = q;
-      }
-    }
-    counter->Add(count);
-    return;
-  }
-#endif
-  // Scalar reference: the entry-outer loop itself.
-  for (size_t e = 0; e < n; ++e) {
-    for (uint32_t q = 0; q < query_count; ++q) {
-      bool hit = false;
-      count += OverlapCountedOne(block, e, queries.RectAt(q), subject, &hit);
-      if (hit) hits->query.push_back(q);
-    }
-    hits->begin[e + 1] = static_cast<uint32_t>(hits->query.size());
-  }
-  counter->Add(count);
-}
-
 }  // namespace rsj

@@ -2,8 +2,7 @@
 //
 // Every kernel here is a drop-in replacement for one of the engine's scalar
 // loops (one query rectangle against a node's entries, the plane sweep of a
-// node pair, a window-query batch against a node, the within-distance leaf
-// test) and obeys one hard contract: for any input, both dispatch modes
+// node pair, the within-distance leaf test) and obeys one hard contract: for any input, both dispatch modes
 // produce the *same hit positions in the same order* and charge the *same
 // number of comparisons* to the ComparisonCounter as the original
 // one-rectangle-at-a-time code.
@@ -102,36 +101,6 @@ size_t CountedWithinDistanceHits(const RectBlock& block, const Rect& query,
 void SortedIntersectionTestBlocks(
     const RectBlock& rseq, const RectBlock& sseq, ComparisonCounter* counter,
     std::vector<std::pair<uint32_t, uint32_t>>* pairs);
-
-// Entry-major hits of CountedWindowHits, in buffers the caller owns and
-// reuses: once they have grown to a node's size, a call allocates nothing.
-struct WindowHits {
-  // The queries hitting block position e are query[begin[e]] up to
-  // query[begin[e + 1] - 1], ascending; `begin` has block.size() + 1
-  // elements.
-  std::vector<uint32_t> begin;
-  std::vector<uint32_t> query;
-  // Scratch of the vector path: hit positions query after query, where each
-  // query's run ends, and the regrouping cursors.
-  std::vector<uint32_t> positions;
-  std::vector<uint32_t> ends;
-  std::vector<uint32_t> cursor;
-};
-
-// Batch form of the §4.4 window-query loop over one node,
-//
-//   for (e : block) for (q : queries) if (<subject>.IntersectsCounted(...))
-//
-// with `subject` naming the `this` of each test as in CountedOverlapHits
-// (kBlock: the block entry, kQuery: the query). The vector path flips the
-// loops — one pass over the block per query, the query broadcast across the
-// lanes, as in CountedOverlapHits — and then regroups the hits entry-major,
-// so `*hits` lists exactly the loop's hits in the loop's order. Each
-// (entry, query) test is charged what IntersectsCounted charges it with the
-// same subject, so the total is the loop's as well.
-void CountedWindowHits(const RectBlock& block, const RectBlock& queries,
-                       OverlapSubject subject, ComparisonCounter* counter,
-                       WindowHits* hits);
 
 }  // namespace rsj
 

@@ -10,6 +10,27 @@
 
 namespace rsj {
 
+namespace {
+
+// Stable counting sort of `pairs` by key(pair) < key_count into `*sorted`;
+// `*begin` gets the key_count + 1 group offsets.
+template <typename Key>
+void CountingSort(std::span<const std::pair<uint32_t, uint32_t>> pairs,
+                  size_t key_count, Key key, std::vector<uint32_t>* begin,
+                  std::vector<std::pair<uint32_t, uint32_t>>* sorted) {
+  std::vector<uint32_t>& offset = *begin;
+  offset.assign(key_count + 1, 0);
+  for (const auto& p : pairs) ++offset[key(p) + 1];
+  for (size_t k = 0; k < key_count; ++k) offset[k + 1] += offset[k];
+  sorted->resize(pairs.size());
+  for (const auto& p : pairs) (*sorted)[offset[key(p)]++] = p;
+  // The scatter moved each group's offset to the next group's: shift back.
+  for (size_t k = key_count; k > 0; --k) offset[k] = offset[k - 1];
+  offset[0] = 0;
+}
+
+}  // namespace
+
 SpatialJoinEngine::SpatialJoinEngine(const RTree& r, const RTree& s,
                                      const JoinOptions& options,
                                      BufferPool* pool, Statistics* stats)
@@ -18,6 +39,8 @@ SpatialJoinEngine::SpatialJoinEngine(const RTree& r, const RTree& s,
              PredicateExpansion(options.predicate, options.epsilon)),
       acc_s_(s, pool, stats, UsesPlaneSweep(options.algorithm)),
       stats_(stats),
+      probe_(r.height() > s.height() ? r : s, pool, options, stats,
+             /*windows_are_r=*/r.height() <= s.height()),
       expansion_(PredicateExpansion(options.predicate, options.epsilon)) {
   RSJ_CHECK_MSG(r.options().page_size == s.options().page_size,
                 "joined trees must share one page size");
@@ -323,29 +346,57 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
       return;
     }
     case HeightPolicy::kBatchedSubtree: {
-      // (b) group the query rectangles per subtree; each subtree is
-      // traversed exactly once for its whole batch. Subtrees go in the
-      // order of their first pair, each batch in pair order: `first[d]`
-      // starts the chain of subtree d's pairs, linked through `next`.
-      constexpr uint32_t kNone = UINT32_MAX;
-      slot.first.assign(dir_node.entries.size(), kNone);
-      slot.next.resize(pairs.size());
-      for (size_t k = pairs.size(); k-- > 0;) {
-        uint32_t& head = slot.first[pairs[k].first];
-        slot.next[k] = head;
-        head = static_cast<uint32_t>(k);
+      // (b) group the windows per subtree; each subtree is traversed
+      // exactly once for its whole batch, the subtrees in the order of
+      // their first pair. The nested loops take each batch in pair order.
+      // The sweep algorithms take it in slot order, which is xl order as
+      // they read nodes sorted, so the probe sweeps it without a batch
+      // sort: a counting pass by slot comes first.
+      const bool sweep = UsesPlaneSweep(options_.algorithm);
+      const auto by_slot = [](const EntryPair& p) { return p.second; };
+      const auto by_subtree = [](const EntryPair& p) { return p.first; };
+      std::span<const EntryPair> grouped(pairs);
+      if (sweep) {
+        CountingSort(grouped, leaf_node.entries.size(), by_slot, &slot.begin,
+                     &slot.by_leaf);
+        grouped = slot.by_leaf;
       }
-      for (uint32_t k = 0; k < pairs.size(); ++k) {
-        const uint32_t d = pairs[k].first;
-        if (slot.first[d] != k) continue;  // batch already answered
-        slot.batch.Clear();
-        for (uint32_t m = k; m != kNone; m = slot.next[m]) {
-          const Entry& query = leaf_node.entries[pairs[m].second];
-          slot.batch.PushBack(query.rect, query.ref);
+      CountingSort(grouped, dir_node.entries.size(), by_subtree, &slot.begin,
+                   &slot.batches);
+      slot.done.assign(dir_node.entries.size(), false);
+      for (const EntryPair& p : pairs) {
+        const uint32_t d = p.first;
+        if (slot.done[d]) continue;  // batch already answered
+        slot.done[d] = true;
+        const std::span<const EntryPair> batch(
+            slot.batches.data() + slot.begin[d],
+            slot.begin[d + 1] - slot.begin[d]);
+        const PageId subtree = dir_node.entries[d].ref;
+        if (sweep) {
+          // The probe was built on the deeper tree.
+          RSJ_DCHECK(r_is_deep ==
+                     (acc_r_.tree().height() > acc_s_.tree().height()));
+          slot.windows.clear();
+          for (const EntryPair& q : batch) {
+            slot.windows.push_back(leaf_node.entries[q.second].rect);
+          }
+          probe_.RunSorted(subtree, std::span<const Rect>(slot.windows),
+                           [&](uint32_t i, uint32_t id) {
+                             EmitWindowMatch(
+                                 id, leaf_node.entries[batch[i].second].ref,
+                                 r_is_deep);
+                           });
+          continue;
         }
-        stats_->window_queries += slot.batch.size();
-        BatchedWindowQuery(deep, dir_node.entries[d].ref, slot.batch,
-                           r_is_deep, depth + 1);
+        // The batch carries the R-side rectangles: the leaf's block holds
+        // them grown by the expansion when the leaf is R.
+        slot.batch.Clear();
+        for (const EntryPair& q : batch) {
+          slot.batch.PushBack(leaf.block->RectAt(q.second), q.second);
+        }
+        stats_->window_queries += batch.size();
+        BatchedWindowQuery(deep, subtree, leaf_node, slot.batch, r_is_deep,
+                           depth + 1);
       }
       return;
     }
@@ -400,12 +451,7 @@ void SpatialJoinEngine::SingleWindowQuery(NodeAccessor* deep, PageId page,
           r_is_deep ? OverlapSubject::kBlock : OverlapSubject::kQuery,
           &stats_->join_comparisons, &hits_);
       for (const uint32_t h : hits_) {
-        const Entry& e = node.entries[h];
-        if (r_is_deep) {
-          Emit(e.ref, query.ref);
-        } else {
-          Emit(query.ref, e.ref);
-        }
+        EmitWindowMatch(node.entries[h].ref, query.ref, r_is_deep);
       }
       return;
     }
@@ -420,11 +466,7 @@ void SpatialJoinEngine::SingleWindowQuery(NodeAccessor* deep, PageId page,
       const Rect& b = r_is_deep ? query.rect : e.rect;
       if (EvaluatePredicateCounted(options_.predicate, options_.epsilon, a, b,
                                    &stats_->join_comparisons)) {
-        if (r_is_deep) {
-          Emit(e.ref, query.ref);
-        } else {
-          Emit(query.ref, e.ref);
-        }
+        EmitWindowMatch(e.ref, query.ref, r_is_deep);
       }
     }
     return;
@@ -444,85 +486,56 @@ void SpatialJoinEngine::SingleWindowQuery(NodeAccessor* deep, PageId page,
 }
 
 void SpatialJoinEngine::BatchedWindowQuery(NodeAccessor* deep, PageId page,
-                                           const RectBlock& queries,
+                                           const Node& windows,
+                                           const RectBlock& batch,
                                            bool r_is_deep, size_t depth) {
   const NodeView view = deep->FetchView(page);
   const Node& node = *view.node;
-  DepthScratch& slot = Scratch(depth);
-  const auto emit = [&](uint32_t entry_ref, uint32_t query_ref) {
-    if (r_is_deep) {
-      Emit(entry_ref, query_ref);
-    } else {
-      Emit(query_ref, entry_ref);
-    }
-  };
+  // The paper's order: data entries outer, query batch inner — one counted
+  // overlap pass over the batch per entry. The entry's rectangle comes from
+  // the accessor's block, which carries the expansion when R is deep.
   if (node.is_leaf()) {
-    // The paper's order: data entries outer, query batch inner.
-    if (options_.predicate == JoinPredicate::kIntersects) {
-      // One window-kernel pass per query over the leaf block (unexpanded:
-      // ε > 0 implies within-distance), regrouped entry-major. The leaf
-      // entry is the subject exactly when it is the R side.
-      CountedWindowHits(
-          *view.block, queries,
-          r_is_deep ? OverlapSubject::kBlock : OverlapSubject::kQuery,
-          &stats_->join_comparisons, &slot.window);
-      const WindowHits& hits = slot.window;
-      for (uint32_t e = 0; e < node.entries.size(); ++e) {
-        for (uint32_t k = hits.begin[e]; k < hits.begin[e + 1]; ++k) {
-          emit(node.entries[e].ref, queries.index_at(hits.query[k]));
+    for (uint32_t e = 0; e < node.entries.size(); ++e) {
+      const Entry& entry = node.entries[e];
+      if (options_.predicate == JoinPredicate::kIntersects) {
+        // No expansion (ε > 0 implies within-distance); the R side is the
+        // subject of each test.
+        CountedOverlapHits(
+            batch, view.block->RectAt(e),
+            r_is_deep ? OverlapSubject::kQuery : OverlapSubject::kBlock,
+            &stats_->join_comparisons, &hits_);
+        for (const uint32_t q : hits_) {
+          EmitWindowMatch(entry.ref, windows.entries[batch.index_at(q)].ref,
+                          r_is_deep);
         }
+        continue;
       }
-      return;
-    }
-    if (options_.predicate == JoinPredicate::kWithinDistance) {
-      // The query batch is the block; each data entry is tested against it
-      // on the original rectangles.
-      for (const Entry& e : node.entries) {
-        CountedWithinDistanceHits(queries, e.rect, options_.epsilon,
-                                  &stats_->join_comparisons, &hits_);
-        for (const uint32_t h : hits_) emit(e.ref, queries.index_at(h));
-      }
-      return;
-    }
-    for (const Entry& e : node.entries) {
-      for (uint32_t q = 0; q < queries.size(); ++q) {
-        const Rect query = queries.RectAt(q);
-        const Rect& a = r_is_deep ? e.rect : query;
-        const Rect& b = r_is_deep ? query : e.rect;
+      // Every other predicate is tested exactly, on the unexpanded
+      // rectangles.
+      for (uint32_t q = 0; q < batch.size(); ++q) {
+        const Entry& window = windows.entries[batch.index_at(q)];
+        const Rect& a = r_is_deep ? entry.rect : window.rect;
+        const Rect& b = r_is_deep ? window.rect : entry.rect;
         if (EvaluatePredicateCounted(options_.predicate, options_.epsilon, a,
                                      b, &stats_->join_comparisons)) {
-          emit(e.ref, queries.index_at(q));
+          EmitWindowMatch(entry.ref, window.ref, r_is_deep);
         }
       }
     }
     return;
   }
   // Directory level: each entry is the subject of its test against every
-  // query. The R-side growth sits on the deep entries (already in the
-  // accessor's block) when R is deep, on the query batch otherwise.
-  const RectBlock* tested = &queries;
-  if (!r_is_deep && expansion_ > 0.0) {
-    slot.expanded.Clear();
-    for (uint32_t q = 0; q < queries.size(); ++q) {
-      slot.expanded.PushBack(RSideRect(queries.RectAt(q)),
-                             queries.index_at(q));
-    }
-    tested = &slot.expanded;
-  }
-  CountedWindowHits(*view.block, *tested, OverlapSubject::kBlock,
-                    &stats_->join_comparisons, &slot.window);
-  // Subtrees in entry order, each with its queries in batch order; the
-  // child batch stays in this depth's slot while the subtree runs.
-  const WindowHits& hits = slot.window;
+  // window. Subtrees go in entry order, each with its windows in batch
+  // order; the child batch stays in this depth's slot while the subtree
+  // runs.
+  DepthScratch& slot = Scratch(depth);
   for (uint32_t e = 0; e < node.entries.size(); ++e) {
-    if (hits.begin[e] == hits.begin[e + 1]) continue;
-    slot.batch.Clear();
-    for (uint32_t k = hits.begin[e]; k < hits.begin[e + 1]; ++k) {
-      const uint32_t q = hits.query[k];
-      slot.batch.PushBack(queries.RectAt(q), queries.index_at(q));
-    }
-    BatchedWindowQuery(deep, node.entries[e].ref, slot.batch, r_is_deep,
-                       depth + 1);
+    CountedOverlapHits(batch, view.block->RectAt(e), OverlapSubject::kQuery,
+                       &stats_->join_comparisons, &hits_);
+    if (hits_.empty()) continue;
+    slot.batch.GatherFrom(batch, std::span<const uint32_t>(hits_));
+    BatchedWindowQuery(deep, node.entries[e].ref, windows, slot.batch,
+                       r_is_deep, depth + 1);
   }
 }
 

@@ -13,7 +13,12 @@
 //
 // When the trees have different heights the traversal reaches (directory,
 // data-node) pairs; the remaining subtrees are probed with window queries
-// under HeightPolicy (a), (b) or (c) (§4.4).
+// under HeightPolicy (a), (b) or (c) (§4.4). Under (b) each subtree is
+// traversed once for the batch of data-node entries that qualify for it:
+// the sweep algorithms answer the batch with a `WindowProbe`
+// (join/window_probe.h), which plane-sweeps it against every node of the
+// subtree as they sweep node pairs (§4.2); SJ1 and SJ2 keep the paper's
+// nested loops, data entries outer and the batch inner.
 //
 // All page requests go through a `BufferPool` (the sequential join's or the
 // run's execution context's) and all executed floating point
@@ -32,9 +37,9 @@
 
 #include "exec/result_sink.h"
 #include "geom/indexed_rect.h"
-#include "geom/simd_kernels.h"
 #include "join/join_options.h"
 #include "join/node_accessor.h"
+#include "join/window_probe.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 #include "storage/statistics.h"
@@ -93,19 +98,33 @@ class SpatialJoinEngine {
     RectBlock marked_second;
     std::vector<EntryPair> pairs;  // qualifying pairs = read schedule
     std::vector<ZScheduled> zorder;
-    std::vector<bool> done;       // schedule pairs drained by a pin
-    std::vector<PageId> pages;    // §4.4 prefetch schedule
-    std::vector<uint32_t> first;  // (b): first pair of each subtree's batch
-    std::vector<uint32_t> next;   // (b): next pair of the same batch
-    RectBlock batch;     // window-query batch handed to the next depth
-    RectBlock expanded;  // `batch` grown by the R-side expansion
-    WindowHits window;   // entry-major window-kernel hits
+    std::vector<bool> done;     // pairs drained by a pin; (b): subtrees run
+    std::vector<PageId> pages;  // §4.4 prefetch schedule
+    // (b): the pairs grouped per subtree, subtree d's batch at
+    // batches[begin[d], begin[d + 1]); `by_leaf` is the sweep algorithms'
+    // first counting pass.
+    std::vector<EntryPair> by_leaf;
+    std::vector<EntryPair> batches;
+    std::vector<uint32_t> begin;
+    std::vector<Rect> windows;  // (b), sweep: the batch handed to the probe
+    RectBlock batch;            // (b), SJ1/SJ2: the batch of the next depth
   };
 
   // The slot of recursion depth `depth`, created on first use.
   DepthScratch& Scratch(size_t depth);
 
   void Emit(uint32_t r_ref, uint32_t s_ref);
+
+  // Emits a §4.4 match of a deep-tree entry and a window (a data-node entry
+  // of the other tree) in (R, S) order.
+  void EmitWindowMatch(uint32_t entry_ref, uint32_t window_ref,
+                       bool r_is_deep) {
+    if (r_is_deep) {
+      Emit(entry_ref, window_ref);
+    } else {
+      Emit(window_ref, entry_ref);
+    }
+  }
 
   // R-side rectangles are grown by the predicate expansion (ε for the
   // within-distance join) so that intersection remains a superset filter.
@@ -154,17 +173,20 @@ class SpatialJoinEngine {
   void SingleWindowQuery(NodeAccessor* deep, PageId page, const Entry& query,
                          bool r_is_deep);
 
-  // Policy (b) primitive: all `queries` answered in one subtree traversal.
-  // The batch holds the query rectangles unexpanded, with each query's
-  // object id as its index_at.
-  void BatchedWindowQuery(NodeAccessor* deep, PageId page,
-                          const RectBlock& queries, bool r_is_deep,
+  // Policy (b) primitive of SJ1 and SJ2: the whole `batch` answered in one
+  // traversal of the subtree under `page`, with the paper's nested loops.
+  // The batch holds R-side rectangles (grown by the expansion when the
+  // windows are R) and, as index_at, each window's slot in `windows`, the
+  // data node whose entries they are.
+  void BatchedWindowQuery(NodeAccessor* deep, PageId page, const Node& windows,
+                          const RectBlock& batch, bool r_is_deep,
                           size_t depth);
 
   JoinOptions options_;
   NodeAccessor acc_r_;  // carries the predicate expansion in its blocks
   NodeAccessor acc_s_;
   Statistics* stats_;
+  WindowProbe probe_;  // (b) on the deeper tree, sweep algorithms
   std::vector<uint32_t> hits_;  // reusable kernel hit buffer
   std::vector<std::unique_ptr<DepthScratch>> scratch_;  // one per depth
   double expansion_ = 0.0;         // R-side growth for the predicate filter

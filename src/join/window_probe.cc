@@ -1,87 +1,111 @@
-#include "join/multiway_join.h"
+#include "join/window_probe.h"
 
 #include <algorithm>
 #include <numeric>
 
 #include "common/logging.h"
 #include "geom/simd_kernels.h"
-#include "storage/buffer_pool.h"
+#include "join/predicate.h"
 
 namespace rsj {
 
-ChainProbe::ChainProbe(const RTree& tree, BufferPool* pages,
-                       const JoinOptions& options, Statistics* stats)
+WindowProbe::WindowProbe(const RTree& tree, BufferPool* pages,
+                         const JoinOptions& options, Statistics* stats,
+                         bool windows_are_r)
     : tree_(tree),
       pages_(pages),
       predicate_(options.predicate),
       epsilon_(options.epsilon),
-      expansion_(PredicateExpansion(options.predicate, options.epsilon)),
+      windows_are_r_(windows_are_r),
+      window_expansion_(
+          windows_are_r ? PredicateExpansion(options.predicate, options.epsilon)
+                        : 0.0),
+      entry_expansion_(
+          windows_are_r ? 0.0
+                        : PredicateExpansion(options.predicate,
+                                             options.epsilon)),
       stats_(stats) {
-  RSJ_CHECK_MSG(pages != nullptr, "a chain probe needs a buffer pool");
+  RSJ_CHECK_MSG(pages != nullptr, "a window probe needs a buffer pool");
 }
 
-ChainProbe::Level& ChainProbe::Scratch(size_t depth) {
+WindowProbe::Level& WindowProbe::Scratch(size_t depth) {
   while (levels_.size() <= depth) {
     levels_.push_back(std::make_unique<Level>());
   }
   return *levels_[depth];
 }
 
-void ChainProbe::RunBatch(std::span<const Rect> queries, Match emit) {
+void WindowProbe::RunBatch(PageId start, std::span<const Rect> queries,
+                           bool presorted, Match emit) {
   stats_->window_queries += queries.size();
   if (queries.empty()) return;
   queries_ = queries;
 
-  // One sort by (xl, position) per batch. Growing every window by the same
-  // margin keeps the order, so the root's block is xl-sorted.
+  // Rank the batch by (xl, position): one counted sort, unless the caller
+  // hands it over in that order. Growing every window by the same margin
+  // keeps the order, so the root's block is xl-sorted.
   Level& root = Scratch(0);
   std::vector<uint32_t>& order = root.query;
   order.resize(queries.size());
   std::iota(order.begin(), order.end(), 0u);
-  uint64_t sort_cost = 0;
-  std::sort(order.begin(), order.end(),
-            [&queries, &sort_cost](uint32_t a, uint32_t b) {
-              ++sort_cost;
-              const Coord xa = queries[a].xl;
-              const Coord xb = queries[b].xl;
-              return xa < xb || (xa == xb && a < b);
-            });
-  stats_->sort_comparisons.Add(sort_cost);
+  if (!presorted) {
+    uint64_t sort_cost = 0;
+    std::sort(order.begin(), order.end(),
+              [&queries, &sort_cost](uint32_t a, uint32_t b) {
+                ++sort_cost;
+                const Coord xa = queries[a].xl;
+                const Coord xb = queries[b].xl;
+                return xa < xb || (xa == xb && a < b);
+              });
+    stats_->sort_comparisons.Add(sort_cost);
+  }
   root.windows.Clear();
   for (uint32_t rank = 0; rank < order.size(); ++rank) {
     const Rect& query = queries[order[rank]];
     root.windows.PushBack(
-        expansion_ > 0.0 ? query.Expanded(expansion_) : query, rank);
+        window_expansion_ > 0.0 ? query.Expanded(window_expansion_) : query,
+        rank);
   }
-  Descend(tree_.root_page(), 0, emit);
+  Descend(start, 0, emit);
   queries_ = {};
 }
 
-void ChainProbe::Descend(PageId page, size_t depth, Match emit) {
+void WindowProbe::Descend(PageId page, size_t depth, Match emit) {
   // The decode stays alive in this frame even if the pool evicts its page.
   const FetchedNode fetched = pages_->Fetch(tree_.file(), page, stats_);
   const DecodedNode::Sorted& sorted = fetched.decoded->sorted();
-  // §4.2: a page is sorted right after it is read from disk.
-  if (!fetched.page_hit) stats_->sort_comparisons.Add(sorted.sort_cost);
+  // §4.2: a page is sorted right after it is read from disk — charged by
+  // the fetch that decodes it, as the node accessor does.
+  if (fetched.fresh) stats_->sort_comparisons.Add(sorted.sort_cost);
   const Node& node = *sorted.node;
 
   Level& level = Scratch(depth);
+  const RectBlock* entries = sorted.block;
+  if (entry_expansion_ > 0.0) {
+    level.entries.AssignEntries(std::span<const Entry>(node.entries),
+                                entry_expansion_);
+    entries = &level.entries;
+  }
   RSJ_DCHECK(IsSortedByLowerXBlock(level.windows));
   level.pairs.clear();
-  SortedIntersectionTestBlocks(level.windows, *sorted.block,
+  SortedIntersectionTestBlocks(level.windows, *entries,
                                &stats_->join_comparisons, &level.pairs);
 
   if (node.is_leaf()) {
     // The sweep's pairs are the intersection predicate's matches; every
-    // other predicate is tested on the unexpanded window, as the pairwise
-    // engine does at its leaves.
+    // other predicate is tested on the unexpanded rectangles, R side
+    // first, as the pairwise engine does at its leaves.
     for (const auto& [rank, slot] : level.pairs) {
       const uint32_t i = level.query[rank];
       const Entry& entry = node.entries[slot];
-      if (predicate_ != JoinPredicate::kIntersects &&
-          !EvaluatePredicateCounted(predicate_, epsilon_, queries_[i],
-                                    entry.rect, &stats_->join_comparisons)) {
-        continue;
+      if (predicate_ != JoinPredicate::kIntersects) {
+        const Rect& window = queries_[i];
+        if (!EvaluatePredicateCounted(
+                predicate_, epsilon_, windows_are_r_ ? window : entry.rect,
+                windows_are_r_ ? entry.rect : window,
+                &stats_->join_comparisons)) {
+          continue;
+        }
       }
       emit.call(emit.fn, i, entry.ref);
     }

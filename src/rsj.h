@@ -47,6 +47,7 @@
 #include "join/multiway_join.h"    // IWYU pragma: export
 #include "join/refinement.h"       // IWYU pragma: export
 #include "join/spatial_join.h"     // IWYU pragma: export
+#include "join/window_probe.h"     // IWYU pragma: export
 #include "obs/chrome_trace.h"      // IWYU pragma: export
 #include "obs/metrics.h"           // IWYU pragma: export
 #include "obs/query_log.h"         // IWYU pragma: export

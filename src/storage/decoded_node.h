@@ -9,7 +9,7 @@
 // that decode, and the decode leaves with the page. A physical re-read
 // therefore decodes again, exactly as a real system would have to.
 //
-// The sweep algorithms, the partitioner and the chain probes read a node's
+// The sweep algorithms, the partitioner and the window probes read a node's
 // entries sorted by lower x (§4.2: a page is sorted "immediately after it
 // is read from disk"). A decode carries that sorted form too, built at most
 // once, on the first reader's request, so every worker of every query
@@ -18,8 +18,8 @@
 // the decode as its sorted form; only an unordered page gets a sorted copy.
 // Readers that never ask for it (SJ1 and SJ2) never build it. The sort's
 // comparisons are charged by the reader (join/node_accessor.h,
-// exec/partition.h, the chain probe in join/multiway_join.h), from the
-// count the sorted form memoizes.
+// exec/partition.h, join/window_probe.h), from the count the sorted form
+// memoizes.
 
 #ifndef RSJ_STORAGE_DECODED_NODE_H_
 #define RSJ_STORAGE_DECODED_NODE_H_

@@ -294,22 +294,22 @@ constexpr PinnedCounters kPinnedCounters[] = {
      0x4a180ecdb52f5ba8ULL},
     {"small_r/b/SJ2/within-distance", 63, 21614, 0, 0, 1, 50, 389,
      0x43e23dc19169747fULL},
-    {"small_r/b/SweepI/intersects", 56, 9530, 2019, 0, 1, 49, 163,
+    {"small_r/b/SweepI/intersects", 56, 4886, 2019, 0, 1, 49, 163,
      0x6ee59f8e02580080ULL},
-    {"small_r/b/SweepI/within-distance", 63, 21338, 2263, 0, 1, 50, 389,
-     0xf68cee6db2ec9babULL},
-    {"small_r/b/SJ3/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+    {"small_r/b/SweepI/within-distance", 63, 8516, 2263, 0, 1, 50, 389,
+     0x24cc734d1ed2ababULL},
+    {"small_r/b/SJ3/intersects", 56, 5074, 2019, 0, 1, 49, 163,
      0x6ee59f8e02580080ULL},
-    {"small_r/b/SJ3/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
-     0xf68cee6db2ec9babULL},
-    {"small_r/b/SJ4/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+    {"small_r/b/SJ3/within-distance", 63, 8704, 2263, 0, 1, 50, 389,
+     0x24cc734d1ed2ababULL},
+    {"small_r/b/SJ4/intersects", 56, 5074, 2019, 0, 1, 49, 163,
      0x6ee59f8e02580080ULL},
-    {"small_r/b/SJ4/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
-     0xf68cee6db2ec9babULL},
-    {"small_r/b/SJ5/intersects", 56, 9718, 2019, 0, 1, 49, 163,
+    {"small_r/b/SJ4/within-distance", 63, 8704, 2263, 0, 1, 50, 389,
+     0x24cc734d1ed2ababULL},
+    {"small_r/b/SJ5/intersects", 56, 5074, 2019, 0, 1, 49, 163,
      0x6ee59f8e02580080ULL},
-    {"small_r/b/SJ5/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
-     0xf68cee6db2ec9babULL},
+    {"small_r/b/SJ5/within-distance", 63, 8704, 2263, 0, 1, 50, 389,
+     0x24cc734d1ed2ababULL},
     {"small_r/c/SJ1/intersects", 56, 9618, 0, 0, 1, 49, 163,
      0x690866da9ca6d108ULL},
     {"small_r/c/SJ1/within-distance", 63, 21426, 0, 0, 1, 50, 389,
@@ -366,22 +366,22 @@ constexpr PinnedCounters kPinnedCounters[] = {
      0xeb618000a5e7e508ULL},
     {"small_s/b/SJ2/within-distance", 63, 21614, 0, 0, 1, 50, 389,
      0x805d57655ea0d907ULL},
-    {"small_s/b/SweepI/intersects", 56, 9383, 2019, 0, 1, 49, 163,
+    {"small_s/b/SweepI/intersects", 56, 4886, 2019, 0, 1, 49, 163,
      0x9b37f1734aff5530ULL},
-    {"small_s/b/SweepI/within-distance", 63, 21338, 2263, 0, 1, 50, 389,
-     0xaee55c3c8f15c827ULL},
-    {"small_s/b/SJ3/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+    {"small_s/b/SweepI/within-distance", 63, 8776, 2263, 0, 1, 50, 389,
+     0xd77a7ee3aae89247ULL},
+    {"small_s/b/SJ3/intersects", 56, 5074, 2019, 0, 1, 49, 163,
      0x9b37f1734aff5530ULL},
-    {"small_s/b/SJ3/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
-     0xaee55c3c8f15c827ULL},
-    {"small_s/b/SJ4/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+    {"small_s/b/SJ3/within-distance", 63, 8964, 2263, 0, 1, 50, 389,
+     0xd77a7ee3aae89247ULL},
+    {"small_s/b/SJ4/intersects", 56, 5074, 2019, 0, 1, 49, 163,
      0x9b37f1734aff5530ULL},
-    {"small_s/b/SJ4/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
-     0xaee55c3c8f15c827ULL},
-    {"small_s/b/SJ5/intersects", 56, 9571, 2019, 0, 1, 49, 163,
+    {"small_s/b/SJ4/within-distance", 63, 8964, 2263, 0, 1, 50, 389,
+     0xd77a7ee3aae89247ULL},
+    {"small_s/b/SJ5/intersects", 56, 5074, 2019, 0, 1, 49, 163,
      0x9b37f1734aff5530ULL},
-    {"small_s/b/SJ5/within-distance", 63, 21526, 2263, 0, 1, 50, 389,
-     0xaee55c3c8f15c827ULL},
+    {"small_s/b/SJ5/within-distance", 63, 8964, 2263, 0, 1, 50, 389,
+     0xd77a7ee3aae89247ULL},
     {"small_s/c/SJ1/intersects", 56, 9471, 0, 0, 1, 49, 163,
      0x4f501064eb547f90ULL},
     {"small_s/c/SJ1/within-distance", 63, 21426, 0, 0, 1, 50, 389,

@@ -7,12 +7,15 @@
 
 #include "exec/multiway_executor.h"
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
+#include "datagen/rng.h"
 #include "exec/exec_context.h"
 #include "exec/task_pool.h"
 #include "io/io_scheduler.h"
@@ -24,29 +27,66 @@
 namespace rsj {
 namespace {
 
-// A 4-relation fixture; 3-relation chains use a prefix.
+// A 4-relation fixture; 3-relation chains use a prefix. The relations
+// share their cluster centres, so every chain the tests run has tuples.
 class MultiwayExecTest : public ::testing::Test {
  protected:
+  static constexpr double kEpsilon = 0.01;  // of the within-distance cases
+
   static void SetUpTestSuite() {
     RTreeOptions topt;
     topt.page_size = kPageSize1K;
+    Rng rng(970);
+    const std::vector<Point> centers = testutil::ClusterCenters(rng, 5);
     rects_ = new std::vector<std::vector<Rect>>{
-        testutil::ClusteredRects(500, 971, 5, 0.02),
-        testutil::ClusteredRects(450, 972, 5, 0.02),
-        testutil::ClusteredRects(400, 973, 5, 0.02),
-        testutil::ClusteredRects(350, 974, 5, 0.02),
+        testutil::ClusteredRects(centers, 250, 971, 0.02),
+        testutil::ClusteredRects(centers, 225, 972, 0.02),
+        testutil::ClusteredRects(centers, 200, 973, 0.02),
+        testutil::ClusteredRects(centers, 175, 974, 0.02),
     };
     relations_ = new std::vector<IndexedRelation*>;
     for (const auto& rects : *rects_) {
       relations_->push_back(new IndexedRelation(rects, topt));
+    }
+    // The brute-force results of the chains of 3 and 4 relations, per
+    // predicate; the 4-chain extends the 3-chain by one phase.
+    oracles_ = new std::map<std::pair<size_t, JoinPredicate>,
+                            testutil::Tuples>;
+    for (const JoinPredicate predicate :
+         {JoinPredicate::kIntersects, JoinPredicate::kWithinDistance}) {
+      const JoinOptions jopt = Join(predicate);
+      const testutil::Tuples& three = (*oracles_)[{3, predicate}] =
+          testutil::ChainOracle({(*rects_)[0], (*rects_)[1], (*rects_)[2]},
+                                jopt);
+      (*oracles_)[{4, predicate}] = testutil::ExtendChainOracle(
+          three, (*rects_)[2], (*rects_)[3], jopt);
     }
   }
   static void TearDownTestSuite() {
     for (IndexedRelation* rel : *relations_) delete rel;
     delete relations_;
     delete rects_;
+    delete oracles_;
     relations_ = nullptr;
     rects_ = nullptr;
+    oracles_ = nullptr;
+  }
+
+  void SetUp() override {
+    // A probe test over empty chains would check nothing.
+    for (const auto& [chain, tuples] : *oracles_) {
+      ASSERT_FALSE(tuples.empty())
+          << "chain=" << chain.first << " " << JoinPredicateName(chain.second);
+    }
+  }
+
+  // SJ4 with `predicate`, at kEpsilon for within-distance.
+  static JoinOptions Join(JoinPredicate predicate) {
+    JoinOptions jopt;
+    jopt.algorithm = JoinAlgorithm::kSJ4;
+    jopt.predicate = predicate;
+    jopt.epsilon = predicate == JoinPredicate::kWithinDistance ? kEpsilon : 0.0;
+    return jopt;
   }
 
   static std::vector<JoinRelation> Chain(size_t n) {
@@ -57,30 +97,30 @@ class MultiwayExecTest : public ::testing::Test {
     return chain;
   }
 
-  // The brute-force result of the chain's first n relations.
-  static testutil::Tuples Oracle(size_t n, const JoinOptions& jopt) {
-    return testutil::ChainOracle(
-        std::vector<std::vector<Rect>>(rects_->begin(), rects_->begin() + n),
-        jopt);
+  // The brute-force result of the chain's first n (3 or 4) relations.
+  static const testutil::Tuples& Oracle(size_t n, const JoinOptions& jopt) {
+    RSJ_CHECK(jopt.epsilon == Join(jopt.predicate).epsilon);
+    return oracles_->at({n, jopt.predicate});
   }
 
   static std::vector<std::vector<Rect>>* rects_;
   static std::vector<IndexedRelation*>* relations_;
+  static std::map<std::pair<size_t, JoinPredicate>, testutil::Tuples>*
+      oracles_;
 };
 
 std::vector<std::vector<Rect>>* MultiwayExecTest::rects_ = nullptr;
 std::vector<IndexedRelation*>* MultiwayExecTest::relations_ = nullptr;
+std::map<std::pair<size_t, JoinPredicate>, testutil::Tuples>*
+    MultiwayExecTest::oracles_ = nullptr;
 
 TEST_F(MultiwayExecTest, MatchesOracleAcrossThreadsAndPredicates) {
   for (const size_t chain_len : {size_t{3}, size_t{4}}) {
     const auto chain = Chain(chain_len);
     for (const JoinPredicate predicate :
          {JoinPredicate::kIntersects, JoinPredicate::kWithinDistance}) {
-      JoinOptions jopt;
-      jopt.algorithm = JoinAlgorithm::kSJ4;
-      jopt.predicate = predicate;
-      jopt.epsilon = predicate == JoinPredicate::kWithinDistance ? 0.01 : 0.0;
-      const testutil::Tuples expected = Oracle(chain_len, jopt);
+      const JoinOptions jopt = Join(predicate);
+      const testutil::Tuples& expected = Oracle(chain_len, jopt);
       for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         ParallelExecutorOptions exec;
         exec.num_threads = threads;

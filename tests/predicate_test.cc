@@ -4,6 +4,8 @@
 
 #include "join/predicate.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "join/join_runner.h"
@@ -210,6 +212,55 @@ TEST(PredicateJoinHeightTest, ContainsAcrossHeightGap) {
   EXPECT_EQ(testutil::Canonical(result.chunks),
             testutil::Canonical(
                 Oracle(rects_r, rects_s, JoinPredicate::kContains, 0)));
+}
+
+TEST(PredicateJoinHeightTest, BatchedPolicyMatchesOracleAcrossTwoLevels) {
+  // Policy (b) under every algorithm and predicate, with R deeper and with
+  // S deeper, across a gap of two levels: every batch descends through a
+  // directory node of the deep tree before it reaches data nodes.
+  const auto rects_deep = testutil::ClusteredRects(3000, 861, 6, 0.04);
+  const auto rects_leaf = testutil::ClusteredRects(45, 862, 6, 0.04);
+  RTreeOptions topt;
+  topt.page_size = kPageSize1K;
+  IndexedRelation deep(rects_deep, topt);
+  IndexedRelation leaf(rects_leaf, topt);
+  ASSERT_EQ(leaf.tree().height(), 1);  // a leaf root
+  ASSERT_GE(deep.tree().height(), 3);
+  struct Case {
+    JoinPredicate predicate;
+    double epsilon;
+  };
+  for (const Case c : {Case{JoinPredicate::kIntersects, 0.0},
+                       Case{JoinPredicate::kContains, 0.0},
+                       Case{JoinPredicate::kContainedBy, 0.0},
+                       Case{JoinPredicate::kWithinDistance, 0.01}}) {
+    for (const bool r_is_deep : {true, false}) {
+      const auto& rects_r = r_is_deep ? rects_deep : rects_leaf;
+      const auto& rects_s = r_is_deep ? rects_leaf : rects_deep;
+      const RTree& r = r_is_deep ? deep.tree() : leaf.tree();
+      const RTree& s = r_is_deep ? leaf.tree() : deep.tree();
+      const auto expected = testutil::Canonical(
+          Oracle(rects_r, rects_s, c.predicate, c.epsilon));
+      const std::string where = std::string(JoinPredicateName(c.predicate)) +
+                                (r_is_deep ? " R deep" : " S deep");
+      EXPECT_FALSE(expected.empty()) << where;
+      for (const JoinAlgorithm algorithm :
+           {JoinAlgorithm::kSJ1, JoinAlgorithm::kSJ2,
+            JoinAlgorithm::kSweepUnrestricted, JoinAlgorithm::kSJ3,
+            JoinAlgorithm::kSJ4, JoinAlgorithm::kSJ5}) {
+        JoinOptions jopt;
+        jopt.algorithm = algorithm;
+        jopt.predicate = c.predicate;
+        jopt.epsilon = c.epsilon;
+        jopt.height_policy = HeightPolicy::kBatchedSubtree;
+        const auto result = RunSpatialJoin(r, s, jopt, true);
+        EXPECT_EQ(testutil::Canonical(result.chunks), expected)
+            << where << " " << JoinAlgorithmName(algorithm);
+        EXPECT_GT(result.stats.window_queries, 0u)
+            << where << " " << JoinAlgorithmName(algorithm);
+      }
+    }
+  }
 }
 
 TEST(PredicateJoinTest, DistanceResultGrowsWithEpsilon) {

@@ -307,87 +307,6 @@ TEST_F(SimdKernelsTest, FusedSweepScansAroundTheVectorCutoff) {
   }
 }
 
-struct WindowRun {
-  PairList hits;  // (block position, query index) in loop order
-  uint64_t comparisons = 0;
-};
-
-// The §4.4 loop the window kernel replaces: block entries outer, queries
-// inner, each test charged by IntersectsCounted with the given subject.
-WindowRun ReferenceWindow(const RectBlock& block, const RectBlock& queries,
-                          OverlapSubject subject) {
-  WindowRun run;
-  ComparisonCounter counter;
-  for (uint32_t e = 0; e < block.size(); ++e) {
-    const Rect b = block.RectAt(e);
-    for (uint32_t q = 0; q < queries.size(); ++q) {
-      const Rect query = queries.RectAt(q);
-      const bool hit = subject == OverlapSubject::kBlock
-                           ? b.IntersectsCounted(query, &counter)
-                           : query.IntersectsCounted(b, &counter);
-      if (hit) run.hits.emplace_back(e, q);
-    }
-  }
-  run.comparisons = counter.count();
-  return run;
-}
-
-WindowRun RunWindow(GeomKernelMode mode, const RectBlock& block,
-                    const RectBlock& queries, OverlapSubject subject,
-                    WindowHits* hits) {
-  SetGeomKernelMode(mode);
-  WindowRun run;
-  ComparisonCounter counter;
-  CountedWindowHits(block, queries, subject, &counter, hits);
-  run.comparisons = counter.count();
-  EXPECT_EQ(hits->begin.size(), block.size() + 1);
-  EXPECT_EQ(hits->begin.front(), 0u);
-  EXPECT_EQ(hits->begin.back(), hits->query.size());
-  for (uint32_t e = 0; e < block.size(); ++e) {
-    for (uint32_t k = hits->begin[e]; k < hits->begin[e + 1]; ++k) {
-      run.hits.emplace_back(e, hits->query[k]);
-    }
-  }
-  return run;
-}
-
-TEST_F(SimdKernelsTest, WindowKernelMatchesEntryOuterLoop) {
-  // Block sizes 0-9 cover every tail width on both sides of the group
-  // boundary, 204 is a 4 KByte node; NaN lanes sit in the block and in the
-  // batch. One WindowHits per mode is reused across every call, so a call
-  // must overwrite all of the previous call's output.
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  WindowHits scalar_hits;
-  WindowHits simd_hits;
-  for (const size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 204u}) {
-    std::vector<Rect> rects = testutil::RandomRects(n, 61 + n, 0.3);
-    if (n >= 3) rects[2] = Rect{nan, 0, 1, 1};
-    if (n == 204) rects[101] = Rect{nan, nan, nan, nan};
-    const RectBlock block = BlockOf(rects);
-    for (const size_t q_count : {0u, 1u, 3u, 4u, 5u, 17u}) {
-      std::vector<Rect> batch = testutil::RandomRects(q_count, 71 + q_count,
-                                                      0.3);
-      if (q_count >= 4) batch[3] = Rect{0.2f, nan, 0.7f, 0.9f};
-      const RectBlock queries = BlockOf(batch);
-      for (const OverlapSubject subject :
-           {OverlapSubject::kBlock, OverlapSubject::kQuery}) {
-        const std::string label =
-            "n " + std::to_string(n) + " queries " + std::to_string(q_count) +
-            (subject == OverlapSubject::kBlock ? " block" : " query");
-        const WindowRun ref = ReferenceWindow(block, queries, subject);
-        const WindowRun scalar = RunWindow(GeomKernelMode::kScalar, block,
-                                           queries, subject, &scalar_hits);
-        const WindowRun simd = RunWindow(GeomKernelMode::kSimd, block,
-                                         queries, subject, &simd_hits);
-        EXPECT_EQ(scalar.hits, ref.hits) << label << " scalar";
-        EXPECT_EQ(scalar.comparisons, ref.comparisons) << label << " scalar";
-        EXPECT_EQ(simd.hits, ref.hits) << label << " simd";
-        EXPECT_EQ(simd.comparisons, ref.comparisons) << label << " simd";
-      }
-    }
-  }
-}
-
 TEST_F(SimdKernelsTest, NanInputsBehaveIdentically) {
   // Ordered > is false for NaN in both scalar C++ and SSE cmpgt: a NaN
   // rectangle passes every early exit and "hits" in both modes — what

@@ -37,16 +37,20 @@ inline std::vector<Rect> RandomRects(size_t count, uint64_t seed,
   return rects;
 }
 
-// Clustered rectangles (Gaussian blobs) — closer to the paper's maps.
-inline std::vector<Rect> ClusteredRects(size_t count, uint64_t seed,
-                                        int clusters = 8,
-                                        double extent = 0.01) {
-  Rng rng(seed);
+// `clusters` cluster centres, uniform in [0.1, 0.9]^2.
+inline std::vector<Point> ClusterCenters(Rng& rng, int clusters) {
   std::vector<Point> centers;
   for (int c = 0; c < clusters; ++c) {
     centers.push_back(Point{static_cast<Coord>(rng.Uniform(0.1, 0.9)),
                             static_cast<Coord>(rng.Uniform(0.1, 0.9))});
   }
+  return centers;
+}
+
+// Rectangles of extent up to `extent` in Gaussian blobs around `centers`.
+inline std::vector<Rect> ClusteredRects(Rng& rng,
+                                        const std::vector<Point>& centers,
+                                        size_t count, double extent) {
   std::vector<Rect> rects;
   rects.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -60,6 +64,25 @@ inline std::vector<Rect> ClusteredRects(size_t count, uint64_t seed,
                          static_cast<Coord>(y + h)});
   }
   return rects;
+}
+
+// Clustered rectangles (Gaussian blobs) — closer to the paper's maps. Each
+// seed draws its own centres.
+inline std::vector<Rect> ClusteredRects(size_t count, uint64_t seed,
+                                        int clusters = 8,
+                                        double extent = 0.01) {
+  Rng rng(seed);
+  const std::vector<Point> centers = ClusterCenters(rng, clusters);
+  return ClusteredRects(rng, centers, count, extent);
+}
+
+// Clustered rectangles around given centres, so relations that share them
+// overlap where their clusters do.
+inline std::vector<Rect> ClusteredRects(const std::vector<Point>& centers,
+                                        size_t count, uint64_t seed,
+                                        double extent) {
+  Rng rng(seed);
+  return ClusteredRects(rng, centers, count, extent);
 }
 
 // Sorts a pair list so result sets can be compared as sets.
