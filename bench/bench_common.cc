@@ -61,29 +61,6 @@ TreePair BuildTreePair(const Dataset& r, const Dataset& s,
   return pair;
 }
 
-std::vector<TreePair> BuildAllPageSizes(const Dataset& r, const Dataset& s,
-                                        const std::vector<uint32_t>& sizes) {
-  std::vector<TreePair> pairs(sizes.size());
-  std::vector<std::thread> workers;
-  workers.reserve(sizes.size());
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    workers.emplace_back([&, i]() {
-      pairs[i] = BuildTreePair(r, s, sizes[i]);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  return pairs;
-}
-
-Statistics RunJoin(const TreePair& pair, JoinAlgorithm algorithm,
-                   uint64_t buffer_bytes, HeightPolicy policy) {
-  JoinOptions options;
-  options.algorithm = algorithm;
-  options.buffer_bytes = buffer_bytes;
-  options.height_policy = policy;
-  return RunSpatialJoin(*pair.r, *pair.s, options).stats;
-}
-
 std::string IoCountersJson(const Statistics& stats) {
   char buf[320];
   std::snprintf(

@@ -1,5 +1,5 @@
-// Shared infrastructure for the table/figure reproduction benchmarks:
-// scale handling, parallel tree construction, and table formatting.
+// Shared infrastructure for the benchmarks: scale handling, tree
+// construction, and table formatting.
 //
 // Every bench binary accepts `--scale=<f>` (or env RSJ_BENCH_SCALE) to run
 // the paper's workloads at reduced cardinality for quick smoke runs; the
@@ -17,12 +17,6 @@
 
 namespace rsj {
 namespace bench {
-
-// The paper's experiment grid.
-inline constexpr uint32_t kPageSizes[] = {kPageSize1K, kPageSize2K,
-                                          kPageSize4K, kPageSize8K};
-inline constexpr uint64_t kBufferSizes[] = {0, 8 * 1024, 32 * 1024,
-                                            128 * 1024, 512 * 1024};
 
 // Parses --scale=<f> from argv (last occurrence wins) or, without the
 // flag, RSJ_BENCH_SCALE from the environment; 1.0 (full paper scale) when
@@ -46,15 +40,6 @@ struct TreePair {
 // Builds both trees, in parallel, by insertion (the paper's construction).
 TreePair BuildTreePair(const Dataset& r, const Dataset& s,
                        uint32_t page_size);
-
-// Builds the (R, S) pair for every requested page size, all in parallel.
-std::vector<TreePair> BuildAllPageSizes(const Dataset& r, const Dataset& s,
-                                        const std::vector<uint32_t>& sizes);
-
-// Runs a configured join on a tree pair and returns the statistics.
-Statistics RunJoin(const TreePair& pair, JoinAlgorithm algorithm,
-                   uint64_t buffer_bytes,
-                   HeightPolicy policy = HeightPolicy::kBatchedSubtree);
 
 // --- formatting helpers ---
 

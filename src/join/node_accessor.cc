@@ -17,11 +17,14 @@ const NodeAccessor::CachedNode& NodeAccessor::FetchCached(PageId id) {
   if (!inserted) {
     // Repeat visit: the page request is still issued (every node visit is
     // a page request in the paper's model) but the node in hand is reused.
-    if (!pages_->Read(tree_.file(), id, stats_, cached.decoded)) {
-      // Physical re-read: physically the page bytes are decoded (and, for
-      // the sweep algorithms, re-sorted from scratch) again, so both costs
-      // recur even though the in-memory node is reused. The re-read page
-      // keeps that decode, so the next reader to fetch it shares it.
+    bool undecoded = false;
+    pages_->Read(tree_.file(), id, stats_, cached.decoded, &undecoded);
+    if (undecoded) {
+      // The request found the page without a decode (a miss, a frame a
+      // prefetch landed, a page Pin read): physically its bytes are
+      // decoded (and, for the sweep algorithms, sorted from scratch) again,
+      // so both costs recur even though the in-memory node is reused. The
+      // page keeps that decode, so the next reader to fetch it shares it.
       ++stats_->node_decodes;
       if (sort_on_read_) stats_->sort_comparisons.Add(cached.sort_cost);
     }

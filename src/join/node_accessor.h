@@ -7,20 +7,22 @@
 // For the sweep-based algorithms the accessor hands out each node's
 // entries sorted by their rectangles' lower x coordinate and charges the
 // sorting comparisons the way the paper models it (§4.2): a page is sorted
-// "immediately after it is read from disk", i.e. once per decode and again
-// on every *physical* re-read (buffer miss), but not on buffer hits.
+// "immediately after it is read from disk", i.e. with every decode of a
+// physically read page, but not on buffer hits that share a decode.
 //
 // The nodes are the pool's decodes (`BufferPool::Fetch`): on its first
 // visit to a page the accessor keeps a reference to the resident page's
 // decode and hands out views of it — its sorted form for the sweep
 // algorithms (storage/decoded_node.h), built once for all readers of the
-// pool. That first visit charges the sort only when its fetch decoded the
-// page; a reader that shares a decode another reader built shares its
-// sort. Later visits reuse the reference and issue plain page requests; a
-// physical re-read recharges the decode and the memoized sort (the
-// in-memory copy stays sorted; physically the page would be re-sorted from
-// scratch) and leaves the reference with the re-read page, so another
-// reader's fetch shares it instead of decoding the page a second time.
+// pool. Later visits reuse the reference and issue plain page requests
+// (`BufferPool::Read`). On either kind of visit, a request that finds the
+// page without a decode — a miss, a frame a prefetch landed, or a page
+// Pin read — charges the decode and the sort, and a visit that shares a
+// decode another reader built shares its sort. A repeat visit charges the
+// memoized sort (the in-memory copy stays sorted; physically the page
+// would be re-sorted from scratch) and leaves its reference with the
+// page, so another reader's fetch shares it instead of decoding the page
+// a second time.
 // The accessor copies nothing, except on the R side of a within-distance
 // join, whose SoA block carries the predicate expansion and so is the
 // accessor's own.

@@ -61,13 +61,15 @@ BufferPool::Decode* BufferPool::Request(Shard& shard, const PageKey& key,
 }
 
 bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats,
-                      const Decode& decoded) {
+                      const Decode& decoded, bool* undecoded) {
   const PageKey key{&file, id};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   bool hit = false;
   Decode* slot = Request(shard, key, stats, &hit);
-  if (!hit && slot != nullptr) *slot = decoded;
+  const bool without_decode = slot == nullptr || *slot == nullptr;
+  if (without_decode && slot != nullptr) *slot = decoded;
+  if (undecoded != nullptr) *undecoded = without_decode;
   return hit;
 }
 
