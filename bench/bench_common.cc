@@ -8,15 +8,34 @@
 namespace rsj {
 namespace bench {
 
-double ParseScale(int argc, char** argv) {
-  const char* source = nullptr;
-  const char* text = nullptr;
+Flags::Flags(int argc, char** argv,
+             std::initializer_list<const char*> names) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      source = "--scale";
-      text = argv[i] + 8;
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name =
+        arg.rfind("--", 0) == 0 && eq != std::string::npos
+            ? arg.substr(2, eq - 2)
+            : std::string();
+    bool known = name == "scale";
+    for (const char* flag : names) known = known || name == flag;
+    if (!known) {
+      std::fprintf(stderr, "unknown argument '%s': expected --scale=<f>",
+                   argv[i]);
+      for (const char* flag : names) {
+        std::fprintf(stderr, ", --%s=<value>", flag);
+      }
+      std::fprintf(stderr, "\n");
+      std::exit(2);
     }
+    values_[name] = arg.substr(eq + 1);
   }
+}
+
+double Flags::Scale() const {
+  const char* source = "--scale";
+  const auto it = values_.find("scale");
+  const char* text = it != values_.end() ? it->second.c_str() : nullptr;
   if (text == nullptr) {
     text = std::getenv("RSJ_BENCH_SCALE");
     if (text == nullptr) return 1.0;
@@ -32,16 +51,10 @@ double ParseScale(int argc, char** argv) {
   return scale;
 }
 
-std::string ParseStringFlag(int argc, char** argv, const char* name,
-                            const std::string& def) {
-  const std::string prefix = std::string("--") + name + "=";
-  std::string value = def;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      value = argv[i] + prefix.size();
-    }
-  }
-  return value;
+std::string Flags::String(const std::string& name,
+                          const std::string& def) const {
+  const auto it = values_.find(name);
+  return it != values_.end() ? it->second : def;
 }
 
 TreePair BuildTreePair(const Dataset& r, const Dataset& s,

@@ -1,14 +1,17 @@
-// Shared infrastructure for the benchmarks: scale handling, tree
+// Shared infrastructure for the benchmarks: flag parsing, tree
 // construction, and table formatting.
 //
 // Every bench binary accepts `--scale=<f>` (or env RSJ_BENCH_SCALE) to run
 // the paper's workloads at reduced cardinality for quick smoke runs; the
 // default is full scale (1.0), matching the paper's 131k/129k/599k relations.
+// An argument that is none of the bench's flags stops it with status 2.
 
 #ifndef RSJ_BENCH_BENCH_COMMON_H_
 #define RSJ_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,16 +21,29 @@
 namespace rsj {
 namespace bench {
 
-// Parses --scale=<f> from argv (last occurrence wins) or, without the
-// flag, RSJ_BENCH_SCALE from the environment; 1.0 (full paper scale) when
-// neither is set. An unparsable value or one outside (0, 1] exits the
-// process with status 2 and a message naming the value.
-double ParseScale(int argc, char** argv);
+// The command line of one bench: every argument is --<name>=<value> for
+// one of the bench's flags, and the last occurrence of a flag wins.
+class Flags {
+ public:
+  // `names` are the bench's flags besides --scale, which every bench
+  // takes. An argument that matches none of them exits the process with
+  // status 2 and a message naming the argument.
+  Flags(int argc, char** argv, std::initializer_list<const char*> names = {});
 
-// Parses --<name>=<value> from argv (last occurrence wins); returns `def`
-// when the flag is absent. Used for output paths like --trace=<file>.
-std::string ParseStringFlag(int argc, char** argv, const char* name,
-                            const std::string& def = "");
+  // --scale=<f> or, without the flag, RSJ_BENCH_SCALE from the
+  // environment; 1.0 (full paper scale) when neither is set. An
+  // unparsable value or one outside (0, 1] exits the process with status
+  // 2 and a message naming the value.
+  double Scale() const;
+
+  // The value of --<name>=<value>; `def` when the flag is absent. Used
+  // for output paths like --trace=<file>.
+  std::string String(const std::string& name,
+                     const std::string& def = "") const;
+
+ private:
+  std::map<std::string, std::string> values_;
+};
 
 // An indexed relation pair (R, S) over one page size.
 struct TreePair {

@@ -106,7 +106,8 @@ uint64_t Percentile(std::vector<uint64_t> sorted, double p) {
 }
 
 int Main(int argc, char** argv) {
-  const double scale = ParseScale(argc, argv);
+  const Flags flags(argc, argv, {"metrics", "trace"});
+  const double scale = flags.Scale();
   PrintBanner("concurrent query serving (engine layer)",
               "serving extension of the Sec. 5/6 experiments", scale);
 
@@ -423,8 +424,7 @@ int Main(int argc, char** argv) {
       }
       MetricsRegistry registry;
       engine.SnapshotMetrics(&registry);
-      const std::string metrics_path =
-          ParseStringFlag(argc, argv, "metrics");
+      const std::string metrics_path = flags.String("metrics");
       if (!metrics_path.empty()) {
         std::FILE* f = std::fopen(metrics_path.c_str(), "w");
         if (f == nullptr) {
@@ -461,7 +461,7 @@ int Main(int argc, char** argv) {
           saw_io ? 1 : 0, saw_spill ? 1 : 0, saw_counter ? 1 : 0);
       ok = false;
     }
-    const std::string trace_path = ParseStringFlag(argc, argv, "trace");
+    const std::string trace_path = flags.String("trace");
     if (!trace_path.empty()) {
       if (WriteChromeTrace(tracer, trace_path)) {
         std::printf("trace written to %s (load in chrome://tracing or "

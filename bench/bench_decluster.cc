@@ -209,7 +209,7 @@ bool RunShape(const char* shape, const std::vector<Rect>& r,
 }
 
 int Main(int argc, char** argv) {
-  const double scale = ParseScale(argc, argv);
+  const double scale = Flags(argc, argv).Scale();
   PrintBanner("decluster", "scale-out declustering (src/shard/)", scale);
 
   const size_t n = std::max<size_t>(2000, static_cast<size_t>(60000 * scale));

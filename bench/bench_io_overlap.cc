@@ -90,7 +90,7 @@ void EmitJson(unsigned disks, bool prefetch, const Measured& m,
 }
 
 int Main(int argc, char** argv) {
-  const double scale = ParseScale(argc, argv);
+  const double scale = Flags(argc, argv).Scale();
   PrintBanner(
       "Async I/O overlap (SJ4, 4 KByte pages, 128 KByte buffer; "
       "schedule-driven prefetch over a simulated disk array)",

@@ -199,7 +199,7 @@ bool CompareModes(const char* kernel, size_t n, MeasureFn&& measure) {
 }
 
 int Main(int argc, char** argv) {
-  const double scale = ParseScale(argc, argv);
+  const double scale = Flags(argc, argv).Scale();
   PrintBanner(
       "Geometry kernel micro-bench (scalar vs SIMD batch kernels at "
       "node-typical block sizes)",

@@ -101,7 +101,7 @@ void EmitJson(unsigned workers, const Measured& m, double one_seconds) {
 }
 
 int Main(int argc, char** argv) {
-  const double scale = ParseScale(argc, argv);
+  const double scale = Flags(argc, argv).Scale();
   PrintBanner(
       "Parallel 3-way chain join scaling (SJ4, 4 KByte pages, 128 KByte "
       "shared buffer with resident decodes, 4 simulated disks; batched "

@@ -775,9 +775,10 @@ constexpr Table kTables[] = {
 };
 
 int Main(int argc, char** argv) {
-  const double scale = ParseScale(argc, argv);
-  const std::string table = ParseStringFlag(argc, argv, "table", "all");
-  const std::string json = ParseStringFlag(argc, argv, "json");
+  const Flags flags(argc, argv, {"table", "json"});
+  const double scale = flags.Scale();
+  const std::string table = flags.String("table", "all");
+  const std::string json = flags.String("json");
   bool known = table == "all";
   for (const Table& t : kTables) known = known || table == t.name;
   if (!known) {

@@ -78,7 +78,7 @@ void EmitJson(unsigned workers, const Measured& m, double seq_seconds,
 }
 
 int Main(int argc, char** argv) {
-  const double scale = ParseScale(argc, argv);
+  const double scale = Flags(argc, argv).Scale();
   PrintBanner(
       "Parallel join scaling (SJ4, 4 KByte pages, 128 KByte shared buffer; "
       "task-based executor)",

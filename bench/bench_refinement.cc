@@ -202,7 +202,7 @@ Leg RunLeg(const RTree& tr, const Dataset& r, const RTree& ts,
 }
 
 int Main(int argc, char** argv) {
-  const double scale = ParseScale(argc, argv);
+  const double scale = Flags(argc, argv).Scale();
   PrintBanner("bench_refinement — exact-only vs raster-interval two-tier",
               "§2.1 filter/refinement", scale);
   bool ok = true;

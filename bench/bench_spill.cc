@@ -101,7 +101,7 @@ void EmitJson(const char* mode, unsigned workers, const Measured& m) {
 }
 
 int Main(int argc, char** argv) {
-  const double scale = ParseScale(argc, argv);
+  const double scale = Flags(argc, argv).Scale();
   PrintBanner(
       "Spill-to-disk result path (SJ4, 4 KByte pages, 128 KByte shared "
       "buffer, 4 simulated disks; bounded-memory spill vs materialized "

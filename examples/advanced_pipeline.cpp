@@ -1,10 +1,9 @@
 // Advanced pipeline: everything beyond the paper's core experiment in one
-// walkthrough — CSV interchange, index persistence, k-nearest-neighbor
-// queries, a distance join, a three-way chain join, and the parallel join.
+// walkthrough — CSV interchange, index persistence, a distance join, a
+// three-way chain join, and the parallel join.
 //
 //   build/examples/advanced_pipeline
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
@@ -50,16 +49,7 @@ int main() {
               loaded->tree->size(), loaded->tree->height(),
               loaded->tree->Validate().empty() ? "yes" : "NO");
 
-  // --- 3. k-nearest-neighbor query on the loaded index ---
-  const Point downtown{0.5f, 0.5f};
-  const auto nearest = KnnQuery(*loaded->tree, downtown, 5);
-  std::printf("\n5 nearest street chains to (0.5, 0.5):\n");
-  for (const KnnResult& r : nearest) {
-    std::printf("  object %6u  distance %.5f\n", r.object_id,
-                std::sqrt(r.distance2));
-  }
-
-  // --- 4. distance join: river chains within 0.002 of a street ---
+  // --- 3. distance join: river chains within 0.002 of a street ---
   RiversConfig rivers_config;
   rivers_config.object_count = 12000;
   const Dataset rivers = GenerateRivers(rivers_config);
@@ -78,7 +68,7 @@ int main() {
               static_cast<unsigned long long>(
                   near_water.stats.disk_reads));
 
-  // --- 5. analytic cost estimate vs the measured join ---
+  // --- 4. analytic cost estimate vs the measured join ---
   const JoinCostEstimate estimate =
       EstimateJoinCost(*loaded->tree, rivers_tree);
   JoinOptions plain;
@@ -93,7 +83,7 @@ int main() {
               estimate.result_pairs,
               static_cast<unsigned long long>(measured.pair_count));
 
-  // --- 6. three-way chain join: streets x rivers x regions ---
+  // --- 5. three-way chain join: streets x rivers x regions ---
   RegionsConfig regions_config;
   regions_config.object_count = 4000;
   const Dataset regions = GenerateRegions(regions_config);
@@ -111,7 +101,7 @@ int main() {
   std::printf("\n3-way chain join (street ~ river ~ region): %llu tuples\n",
               static_cast<unsigned long long>(chain.tuple_count));
 
-  // --- 7. parallel join ---
+  // --- 6. parallel join ---
   JoinOptions par_options;
   par_options.algorithm = JoinAlgorithm::kSJ4;
   ParallelExecutorOptions exec_options;

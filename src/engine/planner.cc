@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "geom/raster_interval.h"
+#include "io/prefetcher.h"
 
 namespace rsj {
 
@@ -132,7 +133,7 @@ void ApplyPlan(const PlanChoice& plan, JoinOptions* join,
   join->algorithm = plan.algorithm;
   exec->spill_results = plan.spill;
   exec->spill_budget_chunks = plan.spill_budget_chunks;
-  exec->prefetch = plan.prefetch;
+  exec->prefetch_ahead = plan.prefetch ? Prefetcher::Options{}.max_ahead : 0;
   join->refine_raster = plan.refine_raster;
   join->raster_grid_bits = plan.raster_grid_bits;
 }

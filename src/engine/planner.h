@@ -26,8 +26,8 @@
 //                 `spill_budget_chunks` resident chunks; below it,
 //                 results materialize unbounded (cheaper, no spill file).
 //   * prefetch  — estimated page reads past `prefetch_page_read_floor`
-//                 enable schedule-driven prefetching; tiny joins skip
-//                 the hint traffic.
+//                 enable schedule-driven prefetching at the prefetcher's
+//                 default depth; tiny joins skip the hint traffic.
 //   * refine    — when the query asks for exact geometry, the planner
 //                 prices both refinement tiers and turns on the
 //                 raster-interval tier (geom/raster_interval.h) only when

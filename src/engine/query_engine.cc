@@ -171,6 +171,10 @@ void QueryEngine::RunSession(QuerySession* session) {
   ParallelExecutorOptions exec = options_.exec_base;
   exec.num_threads = options_.session_threads;
   exec.collect_pairs = spec.collect;
+  exec.io_scheduler = &io_;
+  exec.memory_governor = &governor_;
+  exec.tracer = tracer;
+  exec.chunk_arena = nullptr;  // a private arena per session
 
   QueryOutcome outcome;
   outcome.is_chain = spec.relations.size() > 2;
@@ -192,11 +196,11 @@ void QueryEngine::RunSession(QuerySession* session) {
     // range is [floor, floor + modeled_elapsed].
     const uint64_t modeled_floor =
         exec_span.active() ? io_.FloorMicros() : 0;
-    // The session borrows the engine's resources; its window retires only
-    // its own actors (the engine folds the clocks once per batch).
-    ExecContext ctx(ExecContext::Borrowed{&pool_, &io_, &governor_,
-                                          &task_pool_, tracer, pid},
-                    exec);
+    // The session is lent the engine's pool and task pool; on a lent pool
+    // its window retires only its own actors (the engine folds the clocks
+    // once per batch).
+    ExecContext ctx(join, spec.relations[0].tree->options().page_size, exec,
+                    LentResources{&pool_, &task_pool_, pid});
     if (outcome.is_chain) {
       outcome.chain = RunParallelChainSpatialJoin(spec.relations, join, exec,
                                                   ctx, spec.collect);

@@ -11,11 +11,11 @@
 //     session (queries share hot directory pages and the decodes they
 //     carry, exactly like a database buffer),
 //   * one IoScheduler models the disk array for all sessions; each
-//     session runs on a borrowed ExecContext (exec/exec_context.h) whose
-//     window retires only the session's own actor clocks and reports its
-//     latency against the batch floor — never folding another session's
-//     timeline (the engine synchronizes the clocks once per WaitAll
-//     batch),
+//     session runs on an ExecContext (exec/exec_context.h) lent the
+//     engine's pool and task pool, whose window therefore retires only
+//     the session's own actor clocks and reports its latency against the
+//     batch floor — never folding another session's timeline (the engine
+//     synchronizes the clocks once per WaitAll batch),
 //   * one TaskPool (exec/task_pool.h) executes every session's
 //     subtree-pair tasks on a fixed oversubscribed thread set with
 //     round-robin fairness,
@@ -177,9 +177,10 @@ class QueryEngine {
     PlannerOptions planner;
     // Base executor options for every session: chunk sizing, partition
     // multiplier. The engine sets num_threads and collect_pairs, and the
-    // planner its decisions; the resource fields
-    // (io_scheduler, memory_governor, tracer, chunk_arena) are ignored,
-    // because each session's context lends the engine's own.
+    // planner its decisions; it sets the resource fields per session too:
+    // io_scheduler, memory_governor and tracer to its own, and
+    // chunk_arena to null (each session recycles through a private
+    // arena).
     ParallelExecutorOptions exec_base;
     // Span/counter sink (obs/trace.h) shared by every layer the engine
     // drives: sessions get per-query pids, the scheduler/governor emit on

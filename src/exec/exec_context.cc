@@ -37,38 +37,34 @@ ChunkArena RunArena(const ParallelExecutorOptions& exec) {
 }  // namespace
 
 ExecContext::ExecContext(const JoinOptions& join, uint32_t page_size,
-                         const ParallelExecutorOptions& exec)
-    : owned_pool_(std::make_unique<BufferPool>(BufferPool::Options{
-          join.buffer_bytes, page_size,
-          exec.num_threads <= 1 ? 1 : kSharedPoolShards})),
-      pool_(owned_pool_.get()),
+                         const ParallelExecutorOptions& exec,
+                         const LentResources& lent)
+    : pool_(lent.pool),
       io_(exec.io_scheduler),
       governor_(exec.memory_governor),
       arena_(exec.chunk_arena != nullptr ? *exec.chunk_arena
                                          : RunArena(exec)),
-      owned_tasks_(std::make_unique<TaskPool>(TaskPool::Options{
-          exec.num_threads <= 1 ? 0 : exec.num_threads - 1, exec.tracer})),
-      tasks_(owned_tasks_.get()),
+      tasks_(lent.tasks),
       tracer_(exec.tracer),
-      trace_pid_(0),
-      window_(exec.io_scheduler, /*owned=*/true) {
-  if (io_ != nullptr) pool_->AttachIoScheduler(io_);
-  if (exec.prefetch) prefetcher_ = std::make_unique<Prefetcher>(pool_);
-}
-
-ExecContext::ExecContext(const Borrowed& shared,
-                         const ParallelExecutorOptions& exec)
-    : pool_(shared.pool),
-      io_(shared.io),
-      governor_(shared.governor),
-      arena_(RunArena(exec)),
-      tasks_(shared.tasks),
-      tracer_(shared.tracer),
-      trace_pid_(shared.trace_pid),
-      window_(shared.io, /*owned=*/false) {
-  RSJ_CHECK_MSG(pool_ != nullptr && tasks_ != nullptr,
-                "a borrowed context needs a pool and a task pool");
-  if (exec.prefetch) prefetcher_ = std::make_unique<Prefetcher>(pool_);
+      trace_pid_(lent.trace_pid),
+      window_(exec.io_scheduler, /*owned=*/lent.pool == nullptr) {
+  const unsigned threads = std::max(1u, exec.num_threads);
+  if (pool_ == nullptr) {
+    owned_pool_ = std::make_unique<BufferPool>(BufferPool::Options{
+        join.buffer_bytes, page_size,
+        threads == 1 ? size_t{1} : kSharedPoolShards});
+    pool_ = owned_pool_.get();
+    if (io_ != nullptr) pool_->AttachIoScheduler(io_);
+  }
+  if (tasks_ == nullptr) {
+    owned_tasks_ = std::make_unique<TaskPool>(
+        TaskPool::Options{threads - 1, exec.tracer});
+    tasks_ = owned_tasks_.get();
+  }
+  if (exec.prefetch_ahead > 0) {
+    prefetcher_ = std::make_unique<Prefetcher>(
+        pool_, Prefetcher::Options{exec.prefetch_ahead});
+  }
 }
 
 }  // namespace rsj

@@ -15,17 +15,19 @@
 //   * the TaskPool (exec/task_pool.h) that runs the run's tasks,
 //   * the tracer, and the trace pid the run's spans carry.
 //
-// A STANDALONE context owns the pool, prefetcher and task pool and borrows
-// the scheduler, governor, tracer and (when one is given) the arena the
-// caller put into ParallelExecutorOptions; the RunParallel* wrappers build
-// one per run and the sharded join one per shard. Its pool is one LRU (one
-// shard) for a one-thread run, which thereby reads exactly like the
-// sequential join, and kSharedPoolShards locked shards when workers share
-// it. A BORROWED context runs one session of a serving engine
-// (engine/query_engine.h) on the engine's pool, scheduler, governor, task
-// pool and tracer; it owns only the session's prefetcher and arena. A
-// chain runs its probes inside its pairwise workers, so one pool and
-// window span every phase.
+// Every run the library makes is set up here, by one constructor. The
+// scheduler, governor, tracer and arena come from the caller's
+// ParallelExecutorOptions. A caller lends only what it shares with other
+// runs (LentResources); the context builds the rest: the prefetcher, and
+// the pool and task pool unless they are lent. A built pool is one LRU of
+// buffer_bytes for a one-thread run — the paper's sequential join, which
+// RunSpatialJoin[WithIo], RunIdSpatialJoin and RunChainSpatialJoin are —
+// and kSharedPoolShards locked shards when workers share it. A serving
+// engine (engine/query_engine.h) lends each session its pool and task
+// pool; a sharded run (shard/sharded_join.h) lends every shard's context
+// one task pool, and each shard builds its own pool. A chain runs its
+// probes inside its pairwise workers, so one pool and window span every
+// phase.
 //
 // The executors never close the window themselves: whoever built the
 // context closes it once, after the run, and reads the run's modeled
@@ -86,34 +88,33 @@ class IoWindow {
   uint64_t retired_end_;  // the largest retired clock, at least the floor
 };
 
+// What a caller lends a run's context because other runs share it; a null
+// member is built by the context. Nothing lent is owned, and everything
+// lent outlives the context.
+struct LentResources {
+  // A pool over the trees' page size that already reads through the
+  // run's io_scheduler. Concurrent runs share its scheduler, so a context
+  // on a lent pool closes its window BORROWED (IoWindow); on its own pool
+  // the run is the scheduler's only user and the window is OWNED.
+  BufferPool* pool = nullptr;
+  TaskPool* tasks = nullptr;
+  // The pid the run's spans carry.
+  uint32_t trace_pid = 0;
+};
+
 class ExecContext {
  public:
-  // What a serving engine lends each session. `pool`'s page size matches
-  // the trees', and `pool` already reads through `io`. `pool` and `tasks`
-  // are required. Nothing is owned; everything outlives the context.
-  struct Borrowed {
-    BufferPool* pool = nullptr;
-    IoScheduler* io = nullptr;
-    MemoryGovernor* governor = nullptr;
-    TaskPool* tasks = nullptr;
-    TraceRecorder* tracer = nullptr;
-    uint32_t trace_pid = 0;
-  };
-
-  // Standalone: a pool of join.buffer_bytes over pages of `page_size` (the
-  // trees'), with one shard when exec.num_threads <= 1 and
-  // kSharedPoolShards otherwise, and, with exec.prefetch, a prefetcher;
-  // exec's io_scheduler, memory_governor, tracer and chunk_arena (a
-  // private arena when null) are borrowed, the window over the scheduler
-  // is owned, and tasks run on a TaskPool of exec.num_threads - 1 threads
-  // (none at one thread) that lives as long as the context, beside the
-  // calling thread that drives each run.
+  // A context for one run over trees of `page_size`. exec's io_scheduler,
+  // memory_governor, tracer and chunk_arena (a private arena when null)
+  // are borrowed. Unless lent: the pool is join.buffer_bytes over
+  // `page_size`, with one shard when exec.num_threads <= 1 and
+  // kSharedPoolShards otherwise, reading through exec.io_scheduler; the
+  // task pool has exec.num_threads - 1 threads (none at one thread),
+  // beside the calling thread that drives each run. With
+  // exec.prefetch_ahead > 0 the context owns a prefetcher over the pool.
   ExecContext(const JoinOptions& join, uint32_t page_size,
-              const ParallelExecutorOptions& exec);
-
-  // Borrowed: one session on `shared`, with its own prefetcher (when
-  // exec.prefetch) and chunk arena, and a borrowed window.
-  ExecContext(const Borrowed& shared, const ParallelExecutorOptions& exec);
+              const ParallelExecutorOptions& exec,
+              const LentResources& lent = {});
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
@@ -131,13 +132,13 @@ class ExecContext {
   TaskPool& tasks() const { return *tasks_; }
 
  private:
-  std::unique_ptr<BufferPool> owned_pool_;  // null when borrowed
+  std::unique_ptr<BufferPool> owned_pool_;  // null when lent
   BufferPool* pool_;
   std::unique_ptr<Prefetcher> prefetcher_;
   IoScheduler* const io_;
   MemoryGovernor* const governor_;
   const ChunkArena arena_;
-  std::unique_ptr<TaskPool> owned_tasks_;  // null when borrowed
+  std::unique_ptr<TaskPool> owned_tasks_;  // null when lent
   TaskPool* tasks_;
   TraceRecorder* const tracer_;
   const uint32_t trace_pid_;

@@ -81,11 +81,11 @@ struct ParallelChainJoinResult {
 };
 
 // Runs the chain join over `relations` (>= 2, one shared page size) with
-// `exec_options.num_threads` workers, on a standalone context
-// (exec/exec_context.h) built from `exec_options`, and closes its
-// modeled-I/O window. One thread (or fewer) runs one partition over one
-// LRU of buffer_bytes and, like every other thread count, honours
-// spill_results, io_scheduler and prefetch.
+// `exec_options.num_threads` workers, on a context (exec/exec_context.h)
+// built from `exec_options` with nothing lent, and closes its modeled-I/O
+// window. One thread (or fewer) runs one partition over one LRU of
+// buffer_bytes and, like every other thread count, honours
+// spill_results, io_scheduler and prefetch_ahead.
 ParallelChainJoinResult RunParallelChainSpatialJoin(
     const std::vector<JoinRelation>& relations, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options, bool collect_tuples = false);

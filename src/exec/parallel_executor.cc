@@ -179,8 +179,8 @@ ParallelJoinResult RunParallelSpatialJoin(
   };
 
   if (exec_options.num_threads <= 1) {
-    // A standalone context's one-thread pool is one LRU of buffer_bytes,
-    // so the run keeps RunSpatialJoin's read counts.
+    // A one-thread context builds one LRU of buffer_bytes: the paper's
+    // sequential join.
     run_one_partition();
   } else {
     const size_t target_tasks =

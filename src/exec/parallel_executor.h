@@ -17,10 +17,11 @@
 // Work units are disjoint subtree pairs, so the union of the workers'
 // outputs is exactly the sequential result, without deduplication. A leaf
 // root (a degenerate plan) and num_threads <= 1 run as one partition over
-// the context's pool; a standalone one-thread pool is one LRU of
-// buffer_bytes, so that run keeps the sequential join's read counts. Both
-// shapes read through the context's scheduler and write through the same
-// sinks.
+// the context's pool; a one-thread context builds one LRU of
+// buffer_bytes, so that run is the paper's sequential join, and
+// RunSpatialJoin, RunSpatialJoinWithIo and RunIdSpatialJoin
+// (join/join_runner.h, join/refinement.h) are that run. Both shapes read
+// through the context's scheduler and write through the same sinks.
 
 #ifndef RSJ_EXEC_PARALLEL_EXECUTOR_H_
 #define RSJ_EXEC_PARALLEL_EXECUTOR_H_
@@ -86,17 +87,17 @@ struct ParallelExecutorOptions {
 
   // --- simulated asynchronous I/O (src/io/) ---
 
-  // Schedule-driven prefetching (up to 32 async reads per handoff): the
-  // coordinator hints the partition plan's task frontier ahead, each
-  // worker prefetches its task's subtree roots, and the engines stream
-  // their §4.3 read schedules into the prefetcher. Effective with or
-  // without a scheduler (without one, prefetch is zero-latency accounting
-  // only).
-  bool prefetch = false;
+  // Schedule-driven prefetching, issuing at most this many async reads
+  // per handoff (io/prefetcher.h); 0 = off. The coordinator hints the
+  // partition plan's task frontier ahead, each worker prefetches its
+  // task's subtree roots, and the engines stream their §4.3 read
+  // schedules into the prefetcher. Effective with or without a scheduler
+  // (without one, prefetch is zero-latency accounting only).
+  size_t prefetch_ahead = 0;
 
-  // --- resources of a standalone run (exec/exec_context.h) ---
-  // Only a standalone context reads these (and chunk_arena above); an
-  // engine session's context lends the engine's instead.
+  // --- resources the run borrows (exec/exec_context.h) ---
+  // Every run's context reads these (and chunk_arena above); a serving
+  // engine sets them to its own for each session.
 
   // When non-null, the run's pool services its misses, and the spill
   // path its writes, in modeled disk-array time through this scheduler,
@@ -148,8 +149,8 @@ struct ParallelJoinResult {
   uint64_t modeled_elapsed_micros = 0;
 };
 
-// Runs R ⋈ S on a standalone context (exec/exec_context.h) built from
-// `exec_options`, and closes its modeled-I/O window.
+// Runs R ⋈ S on a context (exec/exec_context.h) built from
+// `exec_options` with nothing lent, and closes its modeled-I/O window.
 ParallelJoinResult RunParallelSpatialJoin(
     const RTree& r, const RTree& s, const JoinOptions& options,
     const ParallelExecutorOptions& exec_options);

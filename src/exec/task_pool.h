@@ -1,7 +1,7 @@
 // The one task runner of the executors: a fixed thread team that runs the
-// subtree-pair tasks of every run on it. A standalone ExecContext owns one
-// for its lifetime; a serving engine owns one that every session's context
-// borrows (exec/exec_context.h).
+// subtree-pair tasks of every run on it. An ExecContext builds one for its
+// lifetime unless one is lent: a serving engine lends its own to every
+// session, a sharded run one to every shard (exec/exec_context.h).
 //
 //   * every Run() registers its task batch and the CALLER DRIVES ITS OWN
 //     RUN — it takes the run's first task (slot 0's) before the pool

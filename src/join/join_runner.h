@@ -1,6 +1,9 @@
 // One-call entry points used by examples, tests and benchmarks: build an
 // R*-tree from rectangles, run a configured spatial join, get the counters
-// back.
+// back. Both joins are the one-thread run of the parallel executor
+// (exec/parallel_executor.h): one partition over one LRU of buffer_bytes,
+// the paper's sequential join, on a context that owns its modeled-I/O
+// window.
 
 #ifndef RSJ_JOIN_JOIN_RUNNER_H_
 #define RSJ_JOIN_JOIN_RUNNER_H_
@@ -11,7 +14,6 @@
 #include "join/join_options.h"
 #include "join/spatial_join.h"
 #include "rtree/rtree.h"
-#include "shard/sharded_join.h"
 #include "storage/statistics.h"
 
 namespace rsj {
@@ -42,30 +44,16 @@ class IoScheduler;
 // pool services misses in modeled disk-array time through `io`, and, when
 // `prefetch` is true, the engine streams its §4.3 read schedules into a
 // schedule-driven prefetcher (issuing at most `prefetch_ahead` async reads
-// per schedule). The result's stats carry the prefetch/overlap counters;
-// when `modeled_elapsed_micros` is non-null it receives the advance of the
-// modeled clock across the run (the join's modeled elapsed time). The
-// result pairs are identical to RunSpatialJoin's for every configuration.
+// per schedule; 0 turns prefetching off). The result's stats carry the
+// prefetch/overlap counters; when `modeled_elapsed_micros` is non-null it
+// receives the advance of the modeled clock across the run (the join's
+// modeled elapsed time). The run must be `io`'s only user. The result
+// pairs are identical to RunSpatialJoin's for every configuration.
 JoinRunResult RunSpatialJoinWithIo(const RTree& r, const RTree& s,
                                    const JoinOptions& options, IoScheduler* io,
                                    bool prefetch, size_t prefetch_ahead = 32,
                                    bool collect_pairs = false,
                                    uint64_t* modeled_elapsed_micros = nullptr);
-
-// One-call declustered entry (src/shard/): builds one Declustering over
-// both rectangle sets, distributes each side into per-shard STR-loaded
-// trees of `tree_options` (the probing side's replication grown by the
-// predicate expansion, so within-distance works across shard borders),
-// and runs the reference-point-deduplicated shard-pair joins. Object ids
-// are positions, exactly as in BuildRTree, and the result multiset is
-// identical to RunSpatialJoin over two single trees. The result stats
-// carry the build counters (sh_shards_built, sh_objects_replicated) and
-// the join ledger (sh_raw_pairs, sh_dedup_suppressed) in one place.
-JoinRunResult RunShardedSpatialJoin(std::span<const Rect> r_rects,
-                                    std::span<const Rect> s_rects,
-                                    const DeclusterOptions& decluster,
-                                    const RTreeOptions& tree_options,
-                                    const ShardedJoinOptions& options);
 
 // A relation bundled with its index (convenience owner used by examples
 // and benchmarks; keeps file + tree lifetimes together).

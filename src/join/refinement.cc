@@ -3,10 +3,9 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "exec/exec_context.h"
 #include "exec/parallel_executor.h"
 #include "geom/segment.h"
-#include "join/spatial_join.h"
-#include "storage/buffer_pool.h"
 
 namespace rsj {
 
@@ -135,26 +134,34 @@ IdJoinResult RunIdSpatialJoin(const RTree& r_tree, const Dataset& r,
                               const RTree& s_tree, const Dataset& s,
                               const JoinOptions& options) {
   IdJoinResult result;
-  BufferPool pool(
-      BufferPool::Options{options.buffer_bytes, r_tree.options().page_size});
-  SpatialJoinEngine engine(r_tree, s_tree, options, &pool, &result.stats);
   std::unique_ptr<RasterRefineFilter> raster;
   if (options.refine_raster) {
     raster = std::make_unique<RasterRefineFilter>(r, s,
                                                   options.raster_grid_bits);
   }
-  // The filter step streams candidate batches into the refinement test.
-  BatchedCallbackSink sink([&](std::span<const ResultPair> batch) {
-    result.candidate_pairs += batch.size();
-    for (const ResultPair& p : batch) {
-      const bool hit =
-          raster != nullptr
-              ? PairIntersectsTwoTier(r, s, p, raster.get(), &result.stats)
-              : PairIntersectsExactly(r, s, p);
-      if (hit) ++result.result_pairs;
-    }
-  });
-  engine.Run(&sink);
+  // The filter step is the one-thread executor run; its one sink streams
+  // candidate batches into the refinement test, which charges the raster
+  // verdicts to the worker's Statistics.
+  std::unique_ptr<ResultSink> refine;
+  const ParallelExecutorOptions exec;
+  ExecContext ctx(options, r_tree.options().page_size, exec);
+  const ParallelJoinResult filtered = RunParallelSpatialJoin(
+      r_tree, s_tree, options, exec, ctx,
+      [&](unsigned, Statistics* stats) {
+        refine = std::make_unique<BatchedCallbackSink>(
+            [&, stats](std::span<const ResultPair> batch) {
+              for (const ResultPair& p : batch) {
+                const bool hit =
+                    raster != nullptr
+                        ? PairIntersectsTwoTier(r, s, p, raster.get(), stats)
+                        : PairIntersectsExactly(r, s, p);
+                if (hit) ++result.result_pairs;
+              }
+            });
+        return refine.get();
+      });
+  result.candidate_pairs = filtered.pair_count;
+  result.stats = filtered.total_stats;
   return result;
 }
 

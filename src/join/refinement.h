@@ -7,10 +7,11 @@
 // vertex chains.
 //
 // Two execution shapes:
-//   * `RunIdSpatialJoin` — the inline form: the filter step streams
-//     candidate batches straight into the segment-intersection test, so
-//     nothing is ever collected (but the candidates cannot be reused and
-//     the refined pairs cannot be kept).
+//   * `RunIdSpatialJoin` — the inline form: the filter step is the
+//     one-thread executor run (exec/parallel_executor.h), whose one sink
+//     streams candidate batches straight into the segment-intersection
+//     test, so nothing is ever collected (but the candidates cannot be
+//     reused and the refined pairs cannot be kept).
 //   * `RunIdSpatialJoinStreaming` — the bounded-memory collected form:
 //     the filter step runs through spilling sinks (exec/spill_sink.h,
 //     resident chunks capped at a budget), refinement consumes the
@@ -97,7 +98,7 @@ class RasterRefineFilter {
 struct IdJoinResult {
   uint64_t candidate_pairs = 0;  // filter-step output (MBR intersections)
   uint64_t result_pairs = 0;     // pairs whose exact geometries intersect
-  Statistics stats;              // filter-step counters
+  Statistics stats;  // the filter run's counters, raster verdicts included
 
   // Fraction of candidates surviving refinement.
   double Selectivity() const {

@@ -20,10 +20,11 @@
 // subtree as they sweep node pairs (§4.2); SJ1 and SJ2 keep the paper's
 // nested loops, data entries outer and the batch inner.
 //
-// All page requests go through a `BufferPool` (the sequential join's or the
-// run's execution context's) and all executed floating point
-// comparisons are charged to `Statistics`, which therefore carries exactly
-// the measurements the paper's tables report.
+// All page requests go through the `BufferPool` of the run's execution
+// context (exec/exec_context.h; one LRU of buffer_bytes for the paper's
+// one-thread join) and all executed floating point comparisons are
+// charged to `Statistics`, which therefore carries exactly the
+// measurements the paper's tables report.
 //
 // Results leave the engine through a batched `ResultSink` (see
 // exec/result_sink.h); the hot loops never make a per-pair indirect call.

@@ -52,7 +52,6 @@
 #include "obs/metrics.h"           // IWYU pragma: export
 #include "obs/query_log.h"         // IWYU pragma: export
 #include "obs/trace.h"             // IWYU pragma: export
-#include "rtree/knn.h"             // IWYU pragma: export
 #include "rtree/rtree.h"           // IWYU pragma: export
 #include "shard/decluster.h"       // IWYU pragma: export
 #include "shard/sharded_join.h"    // IWYU pragma: export

@@ -155,13 +155,15 @@ ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
 
   // One arena recycles chunk blocks across all shards' runs; one gauge
   // measures the whole run's resident-chunk peak (and mirrors it into
-  // the governor while chunks are held).
+  // the governor while chunks are held); one task pool runs every shard
+  // pair's tasks.
   ChunkArena arena(
       ChunkArena::Options{std::max<size_t>(1, options.exec.chunk_capacity)});
   ResidentBudget gauge(ResidentBudget::kUnbounded,
                        options.exec.memory_governor,
                        MemoryCategory::kResultChunks,
                        options.exec.chunk_capacity * sizeof(ResultPair));
+  TaskPool tasks(TaskPool::Options{workers - 1, options.exec.tracer});
 
   for (unsigned shard = 0; shard < num_shards; ++shard) {
     const RTree& rt = r.shard_tree(shard);
@@ -190,11 +192,12 @@ ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
       dedup[w] = std::make_unique<DedupSink>(&r, &s, shard, inner[w].get());
     }
 
-    // A standalone context per shard: its own pool (decodes included), and
-    // the owned window over the shard's scheduler. Shards model
-    // independent nodes, so the run-level elapsed time is the max, not
-    // the sum.
-    ExecContext ctx(options.join, rt.options().page_size, exec);
+    // A context per shard on the run's task pool: its own pool (decodes
+    // included), and the owned window over the shard's scheduler. Shards
+    // model independent nodes, so the run-level elapsed time is the max,
+    // not the sum.
+    ExecContext ctx(options.join, rt.options().page_size, exec,
+                    LentResources{.tasks = &tasks});
     ParallelJoinResult shard_run = RunParallelSpatialJoin(
         rt, st, options.join, exec, ctx,
         [&](unsigned w, Statistics*) { return dedup[w].get(); });
@@ -219,6 +222,34 @@ ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
   result.stats.sh_raw_pairs += result.raw_pairs;
   result.stats.sh_dedup_suppressed += result.suppressed_pairs;
   result.stats.NoteResultChunksResident(gauge.peak());
+  return result;
+}
+
+JoinRunResult RunShardedSpatialJoin(std::span<const Rect> r_rects,
+                                    std::span<const Rect> s_rects,
+                                    const DeclusterOptions& decluster,
+                                    const RTreeOptions& tree_options,
+                                    const ShardedJoinOptions& options) {
+  JoinRunResult result;
+  const Declustering decl =
+      Declustering::Build(r_rects, s_rects, decluster);
+  // Only the probing (R) side replicates with the predicate expansion:
+  // the traversal grows R rectangles by ε, so an S object never needs to
+  // reach beyond its own tiles to be found.
+  ShardBuildOptions r_build;
+  r_build.tree = tree_options;
+  r_build.expansion =
+      PredicateExpansion(options.join.predicate, options.join.epsilon);
+  r_build.governor = options.exec.memory_governor;
+  ShardBuildOptions s_build;
+  s_build.tree = tree_options;
+  s_build.governor = options.exec.memory_governor;
+  const ShardedDataset r(&decl, r_rects, r_build, &result.stats);
+  const ShardedDataset s(&decl, s_rects, s_build, &result.stats);
+  ShardedJoinResult joined = RunShardedSpatialJoin(r, s, options);
+  result.pair_count = joined.pair_count;
+  result.chunks = std::move(joined.chunks);
+  result.stats.MergeFrom(joined.stats);
   return result;
 }
 

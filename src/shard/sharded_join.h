@@ -10,17 +10,18 @@
 // PagedFile — per-shard builds are independent, which is what makes bulk
 // ingest parallelizable across nodes.
 //
-// `RunShardedSpatialJoin` joins the K co-partitioned tree pairs through
-// the existing parallel executor (one standalone ExecContext per shard,
+// `RunShardedSpatialJoin` joins the K co-partitioned tree pairs one after
+// another through the existing parallel executor (one ExecContext per
+// shard, each with its own pool and all lent the run's one TaskPool;
 // results into a per-worker sink chain), with REFERENCE-POINT
-// DEDUPLICATION: replication
-// means a qualifying pair can be discovered by every shard holding both
-// objects, so each worker's `DedupSink` forwards a pair only when the
-// bottom-left corner of (r expanded by the predicate expansion) ∩ s —
-// the pair's reference point, a point both objects' replication ranges
-// provably cover — is owned by the emitting shard. Exactly one shard owns
-// it, so the forwarded multiset is identical to the single-tree join's,
-// which the property harness and bench_decluster verify wholesale.
+// DEDUPLICATION: replication means a qualifying pair can be discovered by
+// every shard holding both objects, so each worker's `DedupSink` forwards
+// a pair only when the bottom-left corner of (r expanded by the predicate
+// expansion) ∩ s — the pair's reference point, a point both objects'
+// replication ranges provably cover — is owned by the emitting shard.
+// Exactly one shard owns it, so the forwarded multiset is identical to
+// the single-tree join's, which the property harness and bench_decluster
+// verify wholesale.
 //
 // Modeled I/O: each shard can get a PRIVATE IoScheduler disk array
 // (disks_per_shard), modeling one disk set per node. Each shard's context
@@ -46,6 +47,7 @@
 
 #include "exec/parallel_executor.h"
 #include "join/join_options.h"
+#include "join/join_runner.h"
 #include "rtree/rtree.h"
 #include "shard/decluster.h"
 #include "storage/statistics.h"
@@ -162,6 +164,21 @@ struct ShardedJoinResult {
 ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
                                         const ShardedDataset& s,
                                         const ShardedJoinOptions& options);
+
+// One-call declustered entry: builds one Declustering over both rectangle
+// sets, distributes each side into per-shard STR-loaded trees of
+// `tree_options` (the probing side's replication grown by the predicate
+// expansion, so within-distance works across shard borders), and runs the
+// reference-point-deduplicated shard-pair joins. Object ids are positions,
+// exactly as in BuildRTree, and the result multiset is identical to
+// RunSpatialJoin over two single trees. The result stats carry the build
+// counters (sh_shards_built, sh_objects_replicated) and the join ledger
+// (sh_raw_pairs, sh_dedup_suppressed) in one place.
+JoinRunResult RunShardedSpatialJoin(std::span<const Rect> r_rects,
+                                    std::span<const Rect> s_rects,
+                                    const DeclusterOptions& decluster,
+                                    const RTreeOptions& tree_options,
+                                    const ShardedJoinOptions& options);
 
 }  // namespace rsj
 

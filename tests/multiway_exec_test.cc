@@ -21,7 +21,6 @@
 #include "io/io_scheduler.h"
 #include "join/join_runner.h"
 #include "obs/trace.h"
-#include "storage/buffer_pool.h"
 #include "tests/test_util.h"
 
 namespace rsj {
@@ -287,25 +286,22 @@ TEST_F(MultiwayExecDenseTest, OneThreadRunSpillsAndModelsIo) {
 }
 
 TEST_F(MultiwayExecTest, ProbesRunOnTheContextsTaskPool) {
-  // A borrowed context on a zero-thread task pool, which runs every task
-  // on the calling thread: every probe_chunk span must carry this
-  // thread's tid, so no probe ran on a thread of its own.
+  // A context lent a zero-thread task pool, which runs every task on the
+  // calling thread: every probe_chunk span must carry this thread's tid,
+  // so no probe ran on a thread of its own.
   TraceRecorder tracer(TraceOptions{.sample_period = 1});
   { TraceSpan marker(&tracer, "test", "marker"); }
-  BufferPool pool(
-      BufferPool::Options{128 * 1024, kPageSize1K, kSharedPoolShards});
   TaskPool tasks(TaskPool::Options{0});
-  ExecContext::Borrowed shared;
-  shared.pool = &pool;
-  shared.tasks = &tasks;
-  shared.tracer = &tracer;
   ParallelExecutorOptions exec;
   exec.num_threads = 4;
-  ExecContext ctx(shared, exec);
-
+  exec.tracer = &tracer;
   const auto chain = Chain(4);
   JoinOptions jopt;
   jopt.algorithm = JoinAlgorithm::kSJ4;
+  jopt.buffer_bytes = 128 * 1024;
+  ExecContext ctx(jopt, chain[0].tree->options().page_size, exec,
+                  LentResources{.tasks = &tasks});
+
   const auto result =
       RunParallelChainSpatialJoin(chain, jopt, exec, ctx, false);
   EXPECT_EQ(result.tuple_count, Oracle(4, jopt).size());

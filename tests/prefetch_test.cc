@@ -286,7 +286,7 @@ TEST(PrefetchTest, ParallelJoinWithPrefetchMatchesSequential) {
       exec.num_threads = threads;
       exec.collect_pairs = true;
       exec.io_scheduler = &io;
-      exec.prefetch = true;
+      exec.prefetch_ahead = 32;
       auto parallel = RunParallelSpatialJoin(r.tree(), s.tree(), jopt, exec);
       EXPECT_EQ(parallel.pair_count, sequential.pair_count)
           << JoinAlgorithmName(alg) << " threads=" << threads;
@@ -296,50 +296,6 @@ TEST(PrefetchTest, ParallelJoinWithPrefetchMatchesSequential) {
           << JoinAlgorithmName(alg);
       EXPECT_GT(parallel.modeled_elapsed_micros, 0u);
     }
-  }
-}
-
-TEST(PrefetchTest, OneThreadRunPrefetchesLikeTheSequentialJoin) {
-  // The pinned executor paths' fixture (join_invariants_test's
-  // JoinCounterPinTest: RandomRects 1601/1602, 1 KiB pages, a 16 KiB
-  // buffer, SJ4). A one-thread run is one partition over a one-LRU pool;
-  // with prefetch its engine streams the same read schedules through the
-  // same 32-page budget as the sequential prefetching join.
-  RTreeOptions topt;
-  topt.page_size = kPageSize1K;
-  const IndexedRelation r(testutil::RandomRects(3000, 1601, 0.02), topt);
-  const IndexedRelation s(testutil::RandomRects(2800, 1602, 0.02), topt);
-  JoinOptions jopt;
-  jopt.algorithm = JoinAlgorithm::kSJ4;
-  jopt.buffer_bytes = 16 * 1024;
-  for (const unsigned disks : {2u, 4u}) {
-    IoScheduler sequential_io(
-        IoScheduler::Options{.disks = {.disk_count = disks}});
-    uint64_t sequential_micros = 0;
-    const JoinRunResult sequential = RunSpatialJoinWithIo(
-        r.tree(), s.tree(), jopt, &sequential_io, /*prefetch=*/true,
-        /*prefetch_ahead=*/32, /*collect_pairs=*/true, &sequential_micros);
-
-    IoScheduler io(IoScheduler::Options{.disks = {.disk_count = disks}});
-    ParallelExecutorOptions exec;
-    exec.num_threads = 1;
-    exec.collect_pairs = true;
-    exec.io_scheduler = &io;
-    exec.prefetch = true;
-    const ParallelJoinResult parallel =
-        RunParallelSpatialJoin(r.tree(), s.tree(), jopt, exec);
-
-    const Statistics& want = sequential.stats;
-    const Statistics& got = parallel.total_stats;
-    EXPECT_GT(want.prefetch_issued, 0u) << "disks=" << disks;
-    EXPECT_EQ(parallel.pair_count, sequential.pair_count) << "disks=" << disks;
-    EXPECT_EQ(got.disk_reads, want.disk_reads) << "disks=" << disks;
-    EXPECT_EQ(got.prefetch_issued, want.prefetch_issued) << "disks=" << disks;
-    EXPECT_EQ(got.prefetch_hits, want.prefetch_hits) << "disks=" << disks;
-    EXPECT_EQ(got.prefetch_wasted, want.prefetch_wasted) << "disks=" << disks;
-    EXPECT_EQ(got.node_decodes, want.node_decodes) << "disks=" << disks;
-    EXPECT_EQ(parallel.modeled_elapsed_micros, sequential_micros)
-        << "disks=" << disks;
   }
 }
 
@@ -366,7 +322,7 @@ TEST(PrefetchTest, ParallelChainWithPrefetchMatchesOracle) {
   ParallelExecutorOptions exec;
   exec.num_threads = 4;
   exec.io_scheduler = &io;
-  exec.prefetch = true;
+  exec.prefetch_ahead = 32;
   auto parallel = RunParallelChainSpatialJoin(chain, jopt, exec, true);
   EXPECT_EQ(parallel.tuple_count, expected.size());
   EXPECT_EQ(testutil::Sorted(std::move(parallel.tuples)), expected);

@@ -34,6 +34,7 @@
 #include "join/join_runner.h"
 #include "join/predicate.h"
 #include "join/refinement.h"
+#include "shard/sharded_join.h"
 #include "test_util.h"
 
 namespace rsj {

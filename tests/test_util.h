@@ -143,6 +143,19 @@ inline Tuples ChainOracle(const std::vector<std::vector<Rect>>& rels,
   return tuples;
 }
 
+// The brute-force pairwise join of `r` and `s` (object ids are positions,
+// as in BuildRTree): the two-relation ChainOracle as a sorted pair list,
+// comparable with Canonical(result).
+inline std::vector<std::pair<uint32_t, uint32_t>> PairOracle(
+    const std::vector<Rect>& r, const std::vector<Rect>& s,
+    const JoinOptions& join) {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  for (const std::vector<uint32_t>& tuple : ChainOracle({r, s}, join)) {
+    pairs.emplace_back(tuple[0], tuple[1]);
+  }
+  return pairs;
+}
+
 }  // namespace testutil
 }  // namespace rsj
 
