@@ -59,13 +59,11 @@ struct FrontierGauge {
 void HintProbeRoot(const RTree& tree, BufferPool* pages,
                    const Prefetcher* prefetcher, Statistics* stats) {
   const PagedFile& file = tree.file();
-  const std::shared_ptr<const DecodedNode> root =
-      pages->Fetch(file, tree.root_page(), stats).decoded;
-  if (root->node.is_leaf()) return;
-  std::vector<PageId> children;
-  children.reserve(root->node.entries.size());
-  for (const Entry& e : root->node.entries) children.push_back(e.ref);
-  prefetcher->PrefetchSchedule(file, children, stats);
+  pages->Take(file, tree.root_page(), stats);
+  const NodeView root = ViewNode(file, tree.root_page());
+  if (root.is_leaf()) return;
+  prefetcher->PrefetchSchedule(
+      file, std::span<const PageId>(root.entries.ref, root.size()), stats);
 }
 
 void CheckChain(const std::vector<JoinRelation>& relations,

@@ -9,37 +9,46 @@ namespace rsj {
 
 namespace {
 
-// The xl-sorted form of a fetched decode (§4.2), shared with every other
-// reader of the pool. As in the engine's accessors (join/node_accessor.h),
-// its sort is charged only by the fetch that decoded the page.
-const DecodedNode::Sorted& SortedForm(const FetchedNode& fetched,
-                                      Statistics* stats) {
-  const DecodedNode::Sorted& sorted = fetched.decoded->sorted();
-  if (fetched.fresh) stats->sort_comparisons.Add(sorted.sort_cost);
-  return sorted;
+// A coordinator request: page `id` viewed in place, and whether the
+// request took it over (BufferPool::Take).
+struct Fetched {
+  NodeView node;
+  bool took_over = false;
+};
+
+Fetched FetchNode(const RTree& tree, PageId id, BufferPool* pool,
+                  Statistics* stats) {
+  const bool took_over = pool->Take(tree.file(), id, stats);
+  return Fetched{ViewNode(tree.file(), id), took_over};
 }
 
 // Qualifying entry pairs between two directory nodes, appended to `out` as
-// tasks: the plane sweep over both nodes' sorted forms, with the R side
+// tasks: the plane sweep over both nodes in lower-x order, with the R side
 // grown by the predicate expansion, so the filter matches the engine's
 // exactly.
-void AppendQualifyingPairs(const FetchedNode& fr, const FetchedNode& fs,
+void AppendQualifyingPairs(const Fetched& fr, const Fetched& fs,
                            double expansion, Statistics* stats,
                            std::vector<PartitionTask>* out) {
-  const DecodedNode::Sorted& nr = SortedForm(fr, stats);
-  const DecodedNode::Sorted& ns = SortedForm(fs, stats);
-  RectBlock expanded;
-  const RectBlock* block_r = nr.block;
+  // The sorts are charged only by the requests that took the pages over,
+  // as in the engine's accessors (join/node_accessor.h).
+  NodeCopy sorted_r;
+  NodeCopy sorted_s;
+  NodeCopy grown_r;
+  ComparisonCounter* const sorts = &stats->sort_comparisons;
+  const NodeView nr =
+      SortedByLowerX(fr.node, &sorted_r, fr.took_over ? sorts : nullptr);
+  const NodeView ns =
+      SortedByLowerX(fs.node, &sorted_s, fs.took_over ? sorts : nullptr);
+  RectColumns rects_r = nr.entries.rects();
   if (expansion > 0.0) {
-    expanded.AssignEntries(std::span<const Entry>(nr.node->entries),
-                           expansion);
-    block_r = &expanded;
+    grown_r.AssignExpanded(nr.entries, expansion);
+    rects_r = grown_r.columns().rects();
   }
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  SortedIntersectionTestBlocks(*block_r, *ns.block, &stats->join_comparisons,
-                               &pairs);
+  SortedIntersectionTestBlocks(rects_r, ns.entries.rects(),
+                               &stats->join_comparisons, &pairs);
   for (const auto& [i, j] : pairs) {
-    out->push_back(PartitionTask{nr.node->entries[i], ns.node->entries[j]});
+    out->push_back(PartitionTask{nr.entries.entry(i), ns.entries.entry(j)});
   }
 }
 
@@ -51,7 +60,7 @@ void AppendQualifyingPairs(const FetchedNode& fr, const FetchedNode& fs,
 // task. Lossless for the same reason the synchronized filter is — a result
 // below (d, leaf_entry) needs intersecting rectangles at every ancestor
 // level — and disjoint because the subtrees under distinct `d` are.
-void AppendWindowSplitTasks(const DecodedNode& dir, const Entry& leaf_entry,
+void AppendWindowSplitTasks(const NodeView& dir, const Entry& leaf_entry,
                             double expansion, bool dir_is_r,
                             Statistics* stats,
                             std::vector<PartitionTask>* out) {
@@ -59,20 +68,19 @@ void AppendWindowSplitTasks(const DecodedNode& dir, const Entry& leaf_entry,
   const Rect leaf_rect = (!dir_is_r && expansion > 0.0)
                              ? leaf_entry.rect.Expanded(expansion)
                              : leaf_entry.rect;
-  // The decoded block is unexpanded; grow a scratch copy only when the
+  // The page's rectangles are unexpanded; grow a copy only when the
   // directory side carries the expansion.
-  RectBlock expanded;
-  const RectBlock* block = &dir.block;
+  NodeCopy grown;
+  RectColumns rects = dir.entries.rects();
   if (expand_dir) {
-    expanded.AssignEntries(std::span<const Entry>(dir.node.entries),
-                           expansion);
-    block = &expanded;
+    grown.AssignExpanded(dir.entries, expansion);
+    rects = grown.columns().rects();
   }
   std::vector<uint32_t> hits;
-  CountedOverlapHits(*block, leaf_rect, OverlapSubject::kBlock,
+  CountedOverlapHits(rects, leaf_rect, OverlapSubject::kBlock,
                      &stats->join_comparisons, &hits);
   for (const uint32_t h : hits) {
-    const Entry& d = dir.node.entries[h];
+    const Entry d = dir.entries.entry(h);
     out->push_back(dir_is_r ? PartitionTask{d, leaf_entry}
                             : PartitionTask{leaf_entry, d});
   }
@@ -88,9 +96,9 @@ PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
   const double expansion =
       PredicateExpansion(options.predicate, options.epsilon);
 
-  const FetchedNode root_r = pool->Fetch(r.file(), r.root_page(), stats);
-  const FetchedNode root_s = pool->Fetch(s.file(), s.root_page(), stats);
-  if (root_r.decoded->node.is_leaf() || root_s.decoded->node.is_leaf()) {
+  const Fetched root_r = FetchNode(r, r.root_page(), pool, stats);
+  const Fetched root_s = FetchNode(s, s.root_page(), pool, stats);
+  if (root_r.node.is_leaf() || root_s.node.is_leaf()) {
     plan.degenerate = true;
     return plan;
   }
@@ -107,10 +115,10 @@ PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
     next.reserve(frontier.size() * 2);
     bool expanded_any = false;
     for (const PartitionTask& task : frontier) {
-      const FetchedNode child_r = pool->Fetch(r.file(), task.er.ref, stats);
-      const FetchedNode child_s = pool->Fetch(s.file(), task.es.ref, stats);
-      const bool leaf_r = child_r.decoded->node.is_leaf();
-      const bool leaf_s = child_s.decoded->node.is_leaf();
+      const Fetched child_r = FetchNode(r, task.er.ref, pool, stats);
+      const Fetched child_s = FetchNode(s, task.es.ref, pool, stats);
+      const bool leaf_r = child_r.node.is_leaf();
+      const bool leaf_s = child_s.node.is_leaf();
       if (leaf_r && leaf_s) {
         final_tasks.push_back(task);
         continue;
@@ -122,10 +130,10 @@ PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
         // Unequal heights (§4.4): keep splitting the still-directory side
         // so a pair that reached the leaf level early does not stay one
         // oversized window-query task.
-        AppendWindowSplitTasks(*child_r.decoded, task.es, expansion,
+        AppendWindowSplitTasks(child_r.node, task.es, expansion,
                                /*dir_is_r=*/true, stats, &next);
       } else {
-        AppendWindowSplitTasks(*child_s.decoded, task.er, expansion,
+        AppendWindowSplitTasks(child_s.node, task.er, expansion,
                                /*dir_is_r=*/false, stats, &next);
       }
     }

@@ -53,11 +53,11 @@ struct PartitionPlan {
 
 // Builds the task list by synchronized descent. Coordinator page requests
 // go through `pool` (warming it for the workers) and all coordinator costs
-// are charged to `stats`. Its fetches leave the directory decodes, with
-// their sorted forms, with the resident pages, so neither the workers nor
-// a later plan over the same pool decode or sort those nodes again while
-// they stay resident: a page's sort is charged only by the fetch that
-// decoded it.
+// are charged to `stats`. It reads directory pages in place (sorting a
+// page out of lower-x order into its own copy), and its requests take them
+// over (BufferPool::Take), so neither the workers nor a later plan over
+// the same pool charge those nodes' decodes or sorts again while they stay
+// resident.
 PartitionPlan BuildPartitionPlan(const RTree& r, const RTree& s,
                                  const JoinOptions& options,
                                  size_t target_tasks, BufferPool* pool,

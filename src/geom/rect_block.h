@@ -1,24 +1,24 @@
-// Structure-of-arrays rectangle blocks — the batch-friendly node layout.
+// Structure-of-arrays rectangles — the batch-friendly layout the kernels
+// scan.
 //
 // The join hot loops test one rectangle against every entry of a node (or
-// against a marked subset of it). With the array-of-structs `Entry` layout
-// each test touches a strided 20-byte record; a `RectBlock` stores the same
-// rectangles as four contiguous coordinate arrays (xl[] / yl[] / xu[] /
-// yu[]) plus a parallel index array, so the batch kernels in
-// geom/simd_kernels.h can compare 4+ entries per instruction and the scalar
-// fallback enjoys dense, prefetchable streams.
+// against a marked subset of it). Stored as four contiguous coordinate
+// arrays (xl[] / yl[] / xu[] / yu[]) the rectangles let the batch kernels
+// in geom/simd_kernels.h compare 4+ entries per instruction and give the
+// scalar fallback dense, prefetchable streams.
 //
-// A block is a *view-friendly copy*, not a view: builders copy the
-// coordinates out of entries or IndexedRects once (at node decode / sort
-// time, see join/node_accessor.h) and the predicate expansion of the
-// within-distance join can be baked in at build time, exactly as the
-// engine's MarkEntries expanded per test before. Expansion grows every
-// rectangle by the same margin, so a block built from xl-sorted entries
-// stays xl-sorted.
+// `RectColumns` is the non-owning form the kernels take: four column
+// pointers, a size and an optional index column. A node's entries on its
+// page are such columns (rtree/node.h), so the kernels scan a page in
+// place. `RectBlock` owns its columns: the engine's marked-entry subsets
+// and window batches, built by copying rectangles in (with the predicate
+// expansion of the within-distance join baked in when asked). Expansion
+// grows every rectangle by the same margin, so a block built from
+// xl-sorted rectangles stays xl-sorted.
 //
 // `index_at(i)` carries the slot of the source entry (or the IndexedRect's
-// index), so kernel hit positions map back to entries without touching the
-// AoS data.
+// index), so kernel hit positions map back to entries without touching
+// the source.
 
 #ifndef RSJ_GEOM_RECT_BLOCK_H_
 #define RSJ_GEOM_RECT_BLOCK_H_
@@ -32,12 +32,27 @@
 
 namespace rsj {
 
+// Non-owning columns of `size` rectangles: rectangle i is (xl[i], yl[i],
+// xu[i], yu[i]). `index` maps position i to its source slot; without it
+// (nullptr) every position is its own slot.
+struct RectColumns {
+  const Coord* xl = nullptr;
+  const Coord* yl = nullptr;
+  const Coord* xu = nullptr;
+  const Coord* yu = nullptr;
+  const uint32_t* index = nullptr;
+  size_t size = 0;
+
+  Rect RectAt(size_t i) const { return Rect{xl[i], yl[i], xu[i], yu[i]}; }
+
+  uint32_t index_at(size_t i) const {
+    return index != nullptr ? index[i] : static_cast<uint32_t>(i);
+  }
+};
+
 class RectBlock {
  public:
-  RectBlock() = default;
-
   size_t size() const { return xl_.size(); }
-  bool empty() const { return xl_.empty(); }
 
   void Clear() {
     xl_.clear();
@@ -71,32 +86,14 @@ class RectBlock {
   // The source slot / identity the rectangle at position `i` maps back to.
   uint32_t index_at(size_t i) const { return idx_[i]; }
 
-  const Coord* xl() const { return xl_.data(); }
-  const Coord* yl() const { return yl_.data(); }
-  const Coord* xu() const { return xu_.data(); }
-  const Coord* yu() const { return yu_.data(); }
-
-  // Rebuilds the block from anything with a `.rect` member (Entry,
-  // IndexedRect, ...), in order, with `index_at(i) == i`. When
-  // `expansion > 0` every rectangle is grown via Rect::Expanded — the
-  // R-side pre-expansion of the within-distance join, applied once per
-  // decode instead of once per test.
-  template <typename EntryLike>
-  void AssignEntries(std::span<const EntryLike> entries, double expansion) {
-    Clear();
-    Reserve(entries.size());
-    if (expansion > 0.0) {
-      for (uint32_t i = 0; i < entries.size(); ++i) {
-        PushBack(entries[i].rect.Expanded(expansion), i);
-      }
-    } else {
-      for (uint32_t i = 0; i < entries.size(); ++i) {
-        PushBack(entries[i].rect, i);
-      }
-    }
+  // The block as the kernels scan it; valid until the block changes.
+  operator RectColumns() const {  // NOLINT: a block is its columns
+    return RectColumns{xl_.data(), yl_.data(), xu_.data(),
+                       yu_.data(), idx_.data(), size()};
   }
 
-  // Rebuilds from plain rectangles, `index_at(i) == i`.
+  // Rebuilds from plain rectangles, `index_at(i) == i`. When
+  // `expansion > 0` every rectangle is grown via Rect::Expanded.
   void AssignRects(std::span<const Rect> rects, double expansion) {
     Clear();
     Reserve(rects.size());
@@ -121,10 +118,13 @@ class RectBlock {
   // Rebuilds as the compaction of `src` at `positions` (ascending kernel
   // hit positions), keeping the source indices — the block form of the
   // engine's marked-entry subsets.
-  void GatherFrom(const RectBlock& src, std::span<const uint32_t> positions) {
+  void GatherFrom(const RectColumns& src,
+                  std::span<const uint32_t> positions) {
     Clear();
     Reserve(positions.size());
-    for (const uint32_t p : positions) PushBack(src.RectAt(p), src.idx_[p]);
+    for (const uint32_t p : positions) {
+      PushBack(src.RectAt(p), src.index_at(p));
+    }
   }
 
  private:
@@ -135,11 +135,12 @@ class RectBlock {
   std::vector<uint32_t> idx_;
 };
 
-// True if the block is sorted ascending by lower x — the precondition of
-// the plane-sweep kernels (mirrors IsSortedByLowerX in geom/plane_sweep.h).
-inline bool IsSortedByLowerXBlock(const RectBlock& block) {
-  for (size_t i = 1; i < block.size(); ++i) {
-    if (block.xl()[i] < block.xl()[i - 1]) return false;
+// True if the columns are sorted ascending by lower x — the precondition
+// of the plane-sweep kernels (mirrors IsSortedByLowerX in
+// geom/plane_sweep.h).
+inline bool IsSortedByLowerXBlock(const RectColumns& block) {
+  for (size_t i = 1; i < block.size; ++i) {
+    if (block.xl[i] < block.xl[i - 1]) return false;
   }
   return true;
 }

@@ -45,13 +45,13 @@ bool UseSimd() {
 // sequence of Rect::IntersectsCounted with the chosen subject. Returns the
 // executed comparisons; sets *hit. Shared by every counted overlap path:
 // the scalar references and the vector paths' tail lanes.
-inline uint64_t OverlapCountedOne(const RectBlock& block, size_t i,
+inline uint64_t OverlapCountedOne(const RectColumns& block, size_t i,
                                   const Rect& q, OverlapSubject subject,
                                   bool* hit) {
-  const Coord bxl = block.xl()[i];
-  const Coord byl = block.yl()[i];
-  const Coord bxu = block.xu()[i];
-  const Coord byu = block.yu()[i];
+  const Coord bxl = block.xl[i];
+  const Coord byl = block.yl[i];
+  const Coord bxu = block.xu[i];
+  const Coord byu = block.yu[i];
   *hit = false;
   if (subject == OverlapSubject::kBlock) {
     if (bxl > q.xu) return 1;
@@ -70,11 +70,11 @@ inline uint64_t OverlapCountedOne(const RectBlock& block, size_t i,
 // The scalar reference of the counted overlap loop from position `begin`
 // (the vector path's tail starts past its last full group): appends the
 // hits and returns the executed comparisons.
-uint64_t AppendOverlapHitsScalar(const RectBlock& block, const Rect& query,
+uint64_t AppendOverlapHitsScalar(const RectColumns& block, const Rect& query,
                                  OverlapSubject subject, size_t begin,
                                  std::vector<uint32_t>* hits) {
   uint64_t count = 0;
-  const size_t n = block.size();
+  const size_t n = block.size;
   for (size_t i = begin; i < n; ++i) {
     bool hit = false;
     count += OverlapCountedOne(block, i, query, subject, &hit);
@@ -91,9 +91,9 @@ uint64_t AppendOverlapHitsScalar(const RectBlock& block, const Rect& query,
 // sum at the end instead of three popcounts per group. Appends the hits and
 // returns the charged comparisons.
 template <bool kBlockIsSubject>
-uint64_t AppendOverlapHitsSimd(const RectBlock& block, const Rect& query,
+uint64_t AppendOverlapHitsSimd(const RectColumns& block, const Rect& query,
                                std::vector<uint32_t>* hits) {
-  const size_t n = block.size();
+  const size_t n = block.size;
   const __m128 qxl = _mm_set1_ps(query.xl);
   const __m128 qyl = _mm_set1_ps(query.yl);
   const __m128 qxu = _mm_set1_ps(query.xu);
@@ -102,10 +102,10 @@ uint64_t AppendOverlapHitsSimd(const RectBlock& block, const Rect& query,
   __m128i acc = _mm_setzero_si128();
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m128 bxl = _mm_loadu_ps(block.xl() + i);
-    const __m128 byl = _mm_loadu_ps(block.yl() + i);
-    const __m128 bxu = _mm_loadu_ps(block.xu() + i);
-    const __m128 byu = _mm_loadu_ps(block.yu() + i);
+    const __m128 bxl = _mm_loadu_ps(block.xl + i);
+    const __m128 byl = _mm_loadu_ps(block.yl + i);
+    const __m128 bxu = _mm_loadu_ps(block.xu + i);
+    const __m128 byu = _mm_loadu_ps(block.yu + i);
     //   cA: block.xl > q.xu    cB: q.xl > block.xu
     //   cC: block.yl > q.yu    cD: q.yl > block.yu
     const __m128i cA = _mm_castps_si128(_mm_cmpgt_ps(bxl, qxu));
@@ -162,9 +162,9 @@ inline void EmitSweepPair(uint32_t t_index, uint32_t seq_index,
 // comparisons.
 template <bool kTIsR>
 [[gnu::noinline]] uint64_t SweepScanVector(const Rect& t, uint32_t t_index,
-                                           const RectBlock& seq, size_t first,
+                                           const RectColumns& seq, size_t first,
                                            PairBuffer* pairs) {
-  const size_t n = seq.size();
+  const size_t n = seq.size;
   // Stage 1 — the sequence-number range: find the break position `end`
   // (first element with xl > t.xu). The scalar loop charges one x
   // comparison per scanned element including the breaking one.
@@ -173,7 +173,7 @@ template <bool kTIsR>
   size_t k = first;
   for (; k + 4 <= n; k += 4) {
     const int brk =
-        _mm_movemask_ps(_mm_cmpgt_ps(_mm_loadu_ps(seq.xl() + k), txu));
+        _mm_movemask_ps(_mm_cmpgt_ps(_mm_loadu_ps(seq.xl + k), txu));
     if (brk != 0) {
       end = k + static_cast<size_t>(__builtin_ctz(static_cast<unsigned>(brk)));
       break;
@@ -181,7 +181,7 @@ template <bool kTIsR>
   }
   if (end == n) {
     for (; k < n; ++k) {
-      if (seq.xl()[k] > t.xu) {
+      if (seq.xl[k] > t.xu) {
         end = k;
         break;
       }
@@ -201,9 +201,9 @@ template <bool kTIsR>
   for (; j + 4 <= end; j += 4) {
     // pass1: !(t.yl > yu[j]) ; hit: pass1 & !(yl[j] > t.yu)
     const __m128i pass1 = _mm_andnot_si128(
-        _mm_castps_si128(_mm_cmpgt_ps(tyl, _mm_loadu_ps(seq.yu() + j))), all);
+        _mm_castps_si128(_mm_cmpgt_ps(tyl, _mm_loadu_ps(seq.yu + j))), all);
     const __m128i fail2 =
-        _mm_castps_si128(_mm_cmpgt_ps(_mm_loadu_ps(seq.yl() + j), tyu));
+        _mm_castps_si128(_mm_cmpgt_ps(_mm_loadu_ps(seq.yl + j), tyu));
     acc = _mm_sub_epi32(acc, pass1);
     int hit =
         _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(fail2, pass1)));
@@ -219,9 +219,9 @@ template <bool kTIsR>
            static_cast<uint64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
   for (; j < end; ++j) {
     ++count;
-    if (t.yl > seq.yu()[j]) continue;
+    if (t.yl > seq.yu[j]) continue;
     ++count;
-    if (seq.yl()[j] > t.yu) continue;
+    if (seq.yl[j] > t.yu) continue;
     EmitSweepPair<kTIsR>(t_index, seq.index_at(j), pairs);
   }
   return count;
@@ -239,10 +239,10 @@ template <bool kTIsR>
 // the cutoff is invisible to the parity contract.
 template <bool kTIsR>
 inline uint64_t SweepScan(const Rect& t, uint32_t t_index,
-                          const RectBlock& seq, size_t first, bool simd,
+                          const RectColumns& seq, size_t first, bool simd,
                           PairBuffer* pairs) {
-  const size_t n = seq.size();
-  const Coord* xl = seq.xl();
+  const size_t n = seq.size;
+  const Coord* xl = seq.xl;
 #if RSJ_GEOM_SIMD
   if (simd && n - first >= 16 && !(xl[first + 15] > t.xu)) {
     return SweepScanVector<kTIsR>(t, t_index, seq, first, pairs);
@@ -250,8 +250,8 @@ inline uint64_t SweepScan(const Rect& t, uint32_t t_index,
 #else
   static_cast<void>(simd);
 #endif
-  const Coord* yl = seq.yl();
-  const Coord* yu = seq.yu();
+  const Coord* yl = seq.yl;
+  const Coord* yu = seq.yu;
   uint64_t count = 0;
   for (size_t k = first; k < n; ++k) {
     ++count;
@@ -281,7 +281,7 @@ void SetGeomKernelMode(GeomKernelMode mode) {
   ModeSlot().store(mode, std::memory_order_relaxed);
 }
 
-size_t CountedOverlapHits(const RectBlock& block, const Rect& query,
+size_t CountedOverlapHits(const RectColumns& block, const Rect& query,
                           OverlapSubject subject, ComparisonCounter* counter,
                           std::vector<uint32_t>* hits) {
   hits->clear();
@@ -297,11 +297,11 @@ size_t CountedOverlapHits(const RectBlock& block, const Rect& query,
   return hits->size();
 }
 
-size_t CountedWithinDistanceHits(const RectBlock& block, const Rect& query,
+size_t CountedWithinDistanceHits(const RectColumns& block, const Rect& query,
                                  double epsilon, ComparisonCounter* counter,
                                  std::vector<uint32_t>* hits) {
   hits->clear();
-  const size_t n = block.size();
+  const size_t n = block.size;
   const double eps2 = epsilon * epsilon;
   // The flat charge EvaluatePredicateCounted(kWithinDistance, ...) makes
   // per candidate pair, batch-independent by construction.
@@ -328,10 +328,10 @@ size_t CountedWithinDistanceHits(const RectBlock& block, const Rect& query,
               reinterpret_cast<const __m128i*>(p))));
     };
     for (; i + 2 <= n; i += 2) {
-      const __m128d bxl = load2(block.xl() + i);
-      const __m128d byl = load2(block.yl() + i);
-      const __m128d bxu = load2(block.xu() + i);
-      const __m128d byu = load2(block.yu() + i);
+      const __m128d bxl = load2(block.xl + i);
+      const __m128d byl = load2(block.yl + i);
+      const __m128d bxu = load2(block.xu + i);
+      const __m128d byu = load2(block.yu + i);
       const __m128d dx = _mm_max_pd(
           zero, _mm_max_pd(_mm_sub_pd(qxl, bxu), _mm_sub_pd(bxl, qxu)));
       const __m128d dy = _mm_max_pd(
@@ -355,15 +355,15 @@ size_t CountedWithinDistanceHits(const RectBlock& block, const Rect& query,
   return hits->size();
 }
 
-void SortedIntersectionTestBlocks(const RectBlock& rseq,
-                                  const RectBlock& sseq,
+void SortedIntersectionTestBlocks(const RectColumns& rseq,
+                                  const RectColumns& sseq,
                                   ComparisonCounter* counter,
                                   PairBuffer* pairs) {
   const bool simd = UseSimd();
-  const size_t nr = rseq.size();
-  const size_t ns = sseq.size();
-  const Coord* rxl = rseq.xl();
-  const Coord* sxl = sseq.xl();
+  const size_t nr = rseq.size;
+  const size_t ns = sseq.size;
+  const Coord* rxl = rseq.xl;
+  const Coord* sxl = sseq.xl;
   uint64_t count = 0;
   size_t i = 0;
   size_t j = 0;

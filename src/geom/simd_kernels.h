@@ -1,4 +1,6 @@
-// Batch geometry kernels over RectBlocks, with scalar/SIMD A/B dispatch.
+// Batch geometry kernels over rectangle columns (geom/rect_block.h: a
+// RectBlock, or a node's entries on their page), with scalar/SIMD A/B
+// dispatch.
 //
 // Every kernel here is a drop-in replacement for one of the engine's scalar
 // loops (one query rectangle against a node's entries, the plane sweep of a
@@ -72,7 +74,7 @@ enum class OverlapSubject {
 // block element intersecting `query` to `*hits` (cleared first, ascending
 // order) and charges the exact scalar comparison count to `counter`.
 // Returns the number of hits.
-size_t CountedOverlapHits(const RectBlock& block, const Rect& query,
+size_t CountedOverlapHits(const RectColumns& block, const Rect& query,
                           OverlapSubject subject, ComparisonCounter* counter,
                           std::vector<uint32_t>* hits);
 
@@ -82,7 +84,7 @@ size_t CountedOverlapHits(const RectBlock& block, const Rect& query,
 // charges the flat 5 comparisons per element that
 // EvaluatePredicateCounted(kWithinDistance, ...) charges. The block must
 // hold *unexpanded* rectangles — this is the exact test, not the filter.
-size_t CountedWithinDistanceHits(const RectBlock& block, const Rect& query,
+size_t CountedWithinDistanceHits(const RectColumns& block, const Rect& query,
                                  double epsilon, ComparisonCounter* counter,
                                  std::vector<uint32_t>* hits);
 
@@ -99,7 +101,8 @@ size_t CountedWithinDistanceHits(const RectBlock& block, const Rect& query,
 // then mask-tests y over the surviving range only; it writes into `*pairs`
 // as well.
 void SortedIntersectionTestBlocks(
-    const RectBlock& rseq, const RectBlock& sseq, ComparisonCounter* counter,
+    const RectColumns& rseq, const RectColumns& sseq,
+    ComparisonCounter* counter,
     std::vector<std::pair<uint32_t, uint32_t>>* pairs);
 
 }  // namespace rsj

@@ -2,61 +2,51 @@
 //
 // Every node the join touches is requested through a `NodeAccessor`, which
 // routes the page request through the run's `BufferPool` (so disk
-// accesses and buffer hits are counted) and hands back the decoded node.
+// accesses and buffer hits are counted) and hands back a view of the node
+// on its page (rtree/node.h), whose columns the batch kernels scan in
+// place.
 //
 // For the sweep-based algorithms the accessor hands out each node's
-// entries sorted by their rectangles' lower x coordinate and charges the
-// sorting comparisons the way the paper models it (§4.2): a page is sorted
-// "immediately after it is read from disk", i.e. with every decode of a
-// physically read page, but not on buffer hits that share a decode.
+// entries sorted by lower x and charges the sort the way the paper models
+// it (§4.2): a page is sorted "immediately after it is read from disk",
+// so the request that takes the page over (`BufferPool::Take`: a miss, a
+// frame a prefetch landed, a page a Pin read) charges it and later
+// requests share it. A page already in order — every data page
+// R*-insertion or STR packing writes — is its own sorted form; a page out
+// of order (the insertion-built trees' level-1 directory pages) is sorted
+// into the accessor's copy on every visit. The R side of a within-distance
+// join hands the kernels its rectangles grown by ε, copied on every visit.
 //
-// The nodes are the pool's decodes (`BufferPool::Fetch`): on its first
-// visit to a page the accessor keeps a reference to the resident page's
-// decode and hands out views of it — its sorted form for the sweep
-// algorithms (storage/decoded_node.h), built once for all readers of the
-// pool. Later visits reuse the reference and issue plain page requests
-// (`BufferPool::Read`). On either kind of visit, a request that finds the
-// page without a decode — a miss, a frame a prefetch landed, or a page
-// Pin read — charges the decode and the sort, and a visit that shares a
-// decode another reader built shares its sort. A repeat visit charges the
-// memoized sort (the in-memory copy stays sorted; physically the page
-// would be re-sorted from scratch) and leaves its reference with the
-// page, so another reader's fetch shares it instead of decoding the page
-// a second time.
-// The accessor copies nothing, except on the R side of a within-distance
-// join, whose SoA block carries the predicate expansion and so is the
-// accessor's own.
-//
-// Each node comes with its entry rectangles as a SoA `RectBlock`
-// (geom/rect_block.h), so the engine's inner loops run the batch kernels
-// without per-visit conversion.
+// Copies live in the accessor's per-depth scratch: a node visited at
+// recursion depth d stays valid until the accessor's next visit at depth
+// d, which is as long as the engine's traversal holds it. No page map
+// outlives a visit; readers share a page's take-over, never a copy.
 
 #ifndef RSJ_JOIN_NODE_ACCESSOR_H_
 #define RSJ_JOIN_NODE_ACCESSOR_H_
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 
 namespace rsj {
 
-// A fetched node as the engine consumes it: the decoded (possibly sorted)
-// entries plus their SoA block with the accessor's expansion baked in.
-// Both pointers stay valid for the accessor's lifetime, even when the pool
-// evicts or re-decodes the page meanwhile.
-struct NodeView {
-  const Node* node = nullptr;
-  const RectBlock* block = nullptr;
+// A node as the engine scans it: its entries in the accessor's order and
+// the rectangles the batch kernels test — the entries' own, or their
+// copies grown by the accessor's expansion.
+struct VisitedNode {
+  NodeView node;
+  RectColumns rects;
 };
 
 class NodeAccessor {
  public:
   // Does not take ownership; all arguments must outlive the accessor.
   // Page requests are charged to `stats` (the owning worker's counters).
-  // `expansion`, when positive, is baked into every handed-out RectBlock
-  // (the within-distance R-side pre-expansion); the Node's own entries
+  // `expansion`, when positive, grows every rectangle the kernels scan
+  // (the within-distance R-side pre-expansion); the view's own entries
   // stay unexpanded.
   NodeAccessor(const RTree& tree, BufferPool* pool, Statistics* stats,
                bool sort_on_read, double expansion = 0.0);
@@ -64,13 +54,9 @@ class NodeAccessor {
   NodeAccessor(const NodeAccessor&) = delete;
   NodeAccessor& operator=(const NodeAccessor&) = delete;
 
-  // Reads page `id` through the pool and returns the decoded node.
-  // The reference stays valid for the accessor's lifetime.
-  const Node& Fetch(PageId id);
-
-  // Like Fetch, but also hands out the node's SoA entry block (sorted with
-  // the entries when sort_on_read, expanded by `expansion`).
-  NodeView FetchView(PageId id);
+  // Reads page `id` through the pool and views its node, sorted when
+  // sort_on_read. Valid until the next Visit at the same `depth`.
+  VisitedNode Visit(PageId id, size_t depth);
 
   // Pins / unpins the page in the pool.
   void Pin(PageId id);
@@ -79,24 +65,18 @@ class NodeAccessor {
   const RTree& tree() const { return tree_; }
 
  private:
-  // One visited page. `view` points into `decoded` (the pool's decode, kept
-  // alive here), except for an R-side block expanded by `expansion_`,
-  // which is the accessor's own `block`.
-  struct CachedNode {
-    std::shared_ptr<const DecodedNode> decoded;
-    RectBlock block;
-    NodeView view;
-    uint64_t sort_cost = 0;  // comparisons of the from-scratch sort
+  // One depth's copies: the page sorted, and its rectangles grown.
+  struct Copies {
+    NodeCopy sorted;
+    NodeCopy expanded;
   };
-
-  const CachedNode& FetchCached(PageId id);
 
   const RTree& tree_;
   BufferPool* pages_;
   Statistics* stats_;
   bool sort_on_read_;
   double expansion_;
-  std::unordered_map<PageId, CachedNode> cache_;
+  std::vector<std::unique_ptr<Copies>> scratch_;  // one per depth
 };
 
 }  // namespace rsj

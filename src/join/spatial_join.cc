@@ -49,10 +49,10 @@ SpatialJoinEngine::SpatialJoinEngine(const RTree& r, const RTree& s,
 
 void SpatialJoinEngine::Run(ResultSink* sink) {
   sink_ = sink;
-  const NodeView root_r = acc_r_.FetchView(acc_r_.tree().root_page());
-  const NodeView root_s = acc_s_.FetchView(acc_s_.tree().root_page());
-  const Rect mbr_r = root_r.node->ComputeMbr();
-  const Rect mbr_s = root_s.node->ComputeMbr();
+  const VisitedNode root_r = acc_r_.Visit(acc_r_.tree().root_page(), 0);
+  const VisitedNode root_s = acc_s_.Visit(acc_s_.tree().root_page(), 0);
+  const Rect mbr_r = root_r.node.ComputeMbr();
+  const Rect mbr_s = root_s.node.ComputeMbr();
   universe_ = mbr_r.Union(mbr_s);
   JoinNodes(root_r, root_s, RSideRect(mbr_r).Intersection(mbr_s),
             /*depth=*/0);
@@ -63,9 +63,9 @@ void SpatialJoinEngine::Run(ResultSink* sink) {
 void SpatialJoinEngine::BeginPartitionedRun() {
   // Each worker reads the roots itself (counted), like a processor of a
   // parallel R-tree would; the universe frame must agree across workers.
-  const Node& root_r = acc_r_.Fetch(acc_r_.tree().root_page());
-  const Node& root_s = acc_s_.Fetch(acc_s_.tree().root_page());
-  universe_ = root_r.ComputeMbr().Union(root_s.ComputeMbr());
+  universe_ =
+      acc_r_.Visit(acc_r_.tree().root_page(), 0).node.ComputeMbr().Union(
+          acc_s_.Visit(acc_s_.tree().root_page(), 0).node.ComputeMbr());
 }
 
 void SpatialJoinEngine::ProcessPartition(const Entry& er, const Entry& es,
@@ -87,19 +87,19 @@ SpatialJoinEngine::DepthScratch& SpatialJoinEngine::Scratch(size_t depth) {
   return *scratch_[depth];
 }
 
-void SpatialJoinEngine::MarkEntriesBlock(const RectBlock& block,
+void SpatialJoinEngine::MarkEntriesBlock(const RectColumns& block,
                                          const Rect& rect, RectBlock* marked) {
   CountedOverlapHits(block, rect, OverlapSubject::kBlock,
                      &stats_->join_comparisons, &hits_);
   marked->GatherFrom(block, std::span<const uint32_t>(hits_));
 }
 
-void SpatialJoinEngine::QualifyingPairs(NodeView first, NodeView second,
+void SpatialJoinEngine::QualifyingPairs(const VisitedNode& first,
+                                        const VisitedNode& second,
                                         const Rect& rect, DepthScratch* slot) {
-  // The views' blocks already carry each side's rectangles as the scalar
-  // code tested them: the R-side accessor bakes the predicate expansion in
-  // at decode time (and the sweep accessors sort first; expansion preserves
-  // the xl order).
+  // The visited nodes' rectangles are each side's as the scalar code
+  // tested them: the R-side accessor grows them by the predicate expansion
+  // (after the sweep accessors sort; expansion preserves the xl order).
   std::vector<EntryPair>& pairs = slot->pairs;
   pairs.clear();
 
@@ -108,9 +108,9 @@ void SpatialJoinEngine::QualifyingPairs(NodeView first, NodeView second,
       // SJ1: every entry of the one node against every entry of the other;
       // the paper iterates S in the outer loop. One kernel pass of `first`
       // per `second` entry.
-      for (uint32_t j = 0; j < second.block->size(); ++j) {
-        const Rect sj = second.block->RectAt(j);
-        CountedOverlapHits(*first.block, sj, OverlapSubject::kBlock,
+      for (uint32_t j = 0; j < second.rects.size; ++j) {
+        const Rect sj = second.rects.RectAt(j);
+        CountedOverlapHits(first.rects, sj, OverlapSubject::kBlock,
                            &stats_->join_comparisons, &hits_);
         for (const uint32_t i : hits_) pairs.emplace_back(i, j);
       }
@@ -118,8 +118,8 @@ void SpatialJoinEngine::QualifyingPairs(NodeView first, NodeView second,
     }
     // SJ2: mark the entries intersecting the parent intersection rectangle,
     // then nested loops over the marked subsets only.
-    MarkEntriesBlock(*first.block, rect, &slot->marked_first);
-    MarkEntriesBlock(*second.block, rect, &slot->marked_second);
+    MarkEntriesBlock(first.rects, rect, &slot->marked_first);
+    MarkEntriesBlock(second.rects, rect, &slot->marked_second);
     const RectBlock& marked_first = slot->marked_first;
     const RectBlock& marked_second = slot->marked_second;
     for (uint32_t j = 0; j < marked_second.size(); ++j) {
@@ -136,30 +136,31 @@ void SpatialJoinEngine::QualifyingPairs(NodeView first, NodeView second,
 
   // Sweep algorithms: node entries arrive sorted by xl from the accessor;
   // the (optional) marking scan preserves that order (expansion grows every
-  // rectangle equally, keeping the xl order intact), so the blocks feed
+  // rectangle equally, keeping the xl order intact), so the columns feed
   // straight into the node-pair sweep kernel.
-  const RectBlock* seq_first = first.block;
-  const RectBlock* seq_second = second.block;
+  RectColumns seq_first = first.rects;
+  RectColumns seq_second = second.rects;
   if (RestrictsSearchSpace(options_.algorithm)) {
-    MarkEntriesBlock(*first.block, rect, &slot->marked_first);
-    MarkEntriesBlock(*second.block, rect, &slot->marked_second);
-    seq_first = &slot->marked_first;
-    seq_second = &slot->marked_second;
+    MarkEntriesBlock(first.rects, rect, &slot->marked_first);
+    MarkEntriesBlock(second.rects, rect, &slot->marked_second);
+    seq_first = slot->marked_first;
+    seq_second = slot->marked_second;
   }
-  RSJ_DCHECK(IsSortedByLowerXBlock(*seq_first));
-  RSJ_DCHECK(IsSortedByLowerXBlock(*seq_second));
-  SortedIntersectionTestBlocks(*seq_first, *seq_second,
+  RSJ_DCHECK(IsSortedByLowerXBlock(seq_first));
+  RSJ_DCHECK(IsSortedByLowerXBlock(seq_second));
+  SortedIntersectionTestBlocks(seq_first, seq_second,
                                &stats_->join_comparisons, &pairs);
 }
 
-void SpatialJoinEngine::ApplyZOrderSchedule(const Node& nr, const Node& ns,
+void SpatialJoinEngine::ApplyZOrderSchedule(const NodeView& nr,
+                                            const NodeView& ns,
                                             DepthScratch* slot) {
   std::vector<EntryPair>& pairs = slot->pairs;
   std::vector<ZScheduled>& scheduled = slot->zorder;
   scheduled.clear();
   for (const EntryPair& p : pairs) {
     const Rect inter =
-        nr.entries[p.first].rect.Intersection(ns.entries[p.second].rect);
+        nr.entries.rect(p.first).Intersection(ns.entries.rect(p.second));
     scheduled.push_back(ZScheduled{ZValue(inter.Center(), universe_), p});
   }
   // The z-order sort is the extra CPU price of SJ5 the paper points out;
@@ -174,17 +175,17 @@ void SpatialJoinEngine::ApplyZOrderSchedule(const Node& nr, const Node& ns,
   }
 }
 
-void SpatialJoinEngine::JoinNodes(NodeView r, NodeView s, const Rect& rect,
-                                  size_t depth) {
+void SpatialJoinEngine::JoinNodes(const VisitedNode& r, const VisitedNode& s,
+                                  const Rect& rect, size_t depth) {
   ++stats_->node_pairs;
-  const Node& nr = *r.node;
-  const Node& ns = *s.node;
+  const NodeView& nr = r.node;
+  const NodeView& ns = s.node;
   if (nr.is_leaf() && ns.is_leaf()) {
     DepthScratch& slot = Scratch(depth);
     QualifyingPairs(r, s, rect, &slot);
     for (const EntryPair& p : slot.pairs) {
-      const Entry& a = nr.entries[p.first];
-      const Entry& b = ns.entries[p.second];
+      const Entry a = nr.entries.entry(p.first);
+      const Entry b = ns.entries.entry(p.second);
       // The traversal filter is exact for the intersection predicate; all
       // other predicates are verified on the original rectangles here.
       if (options_.predicate != JoinPredicate::kIntersects &&
@@ -216,14 +217,14 @@ void SpatialJoinEngine::JoinNodes(NodeView r, NodeView s, const Rect& rect,
 
 void SpatialJoinEngine::ProcessChildPair(const Entry& er, const Entry& es,
                                          size_t depth) {
-  const NodeView child_r = acc_r_.FetchView(er.ref);
-  const NodeView child_s = acc_s_.FetchView(es.ref);
+  const VisitedNode child_r = acc_r_.Visit(er.ref, depth);
+  const VisitedNode child_s = acc_s_.Visit(es.ref, depth);
   JoinNodes(child_r, child_s, RSideRect(er.rect).Intersection(es.rect),
             depth);
 }
 
-void SpatialJoinEngine::ExecuteDirectorySchedule(const Node& nr,
-                                                 const Node& ns,
+void SpatialJoinEngine::ExecuteDirectorySchedule(const NodeView& nr,
+                                                 const NodeView& ns,
                                                  DepthScratch* slot,
                                                  size_t depth) {
   const std::vector<EntryPair>& pairs = slot->pairs;
@@ -251,10 +252,10 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(const Node& nr,
     for (; next_hint < limit; ++next_hint) {
       if (done != nullptr && (*done)[next_hint]) continue;  // drained early
       prefetcher_->PrefetchPage(acc_r_.tree().file(),
-                                nr.entries[pairs[next_hint].first].ref,
+                                nr.entries.ref[pairs[next_hint].first],
                                 stats_);
       prefetcher_->PrefetchPage(acc_s_.tree().file(),
-                                ns.entries[pairs[next_hint].second].ref,
+                                ns.entries.ref[pairs[next_hint].second],
                                 stats_);
     }
   };
@@ -262,8 +263,8 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(const Node& nr,
   if (!UsesPinning(options_.algorithm)) {
     for (size_t k = 0; k < pairs.size(); ++k) {
       pump_hints(k, nullptr);
-      ProcessChildPair(nr.entries[pairs[k].first], ns.entries[pairs[k].second],
-                       depth + 1);
+      ProcessChildPair(nr.entries.entry(pairs[k].first),
+                       ns.entries.entry(pairs[k].second), depth + 1);
     }
     return;
   }
@@ -292,35 +293,36 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(const Node& nr,
       if (pairs[k].second == pairs[idx].second) ++degree_s;
     }
     if (degree_r == 0 && degree_s == 0) {
-      ProcessChildPair(nr.entries[pairs[idx].first],
-                       ns.entries[pairs[idx].second], depth + 1);
+      ProcessChildPair(nr.entries.entry(pairs[idx].first),
+                       ns.entries.entry(pairs[idx].second), depth + 1);
       done[idx] = true;
       continue;
     }
 
     const bool pin_r = degree_r >= degree_s;
     NodeAccessor* acc = pin_r ? &acc_r_ : &acc_s_;
-    const PageId pinned_page = pin_r ? nr.entries[pairs[idx].first].ref
-                                     : ns.entries[pairs[idx].second].ref;
+    const PageId pinned_page = pin_r ? nr.entries.ref[pairs[idx].first]
+                                     : ns.entries.ref[pairs[idx].second];
     acc->Pin(pinned_page);
     for (size_t k = idx; k < pairs.size(); ++k) {
       if (done[k]) continue;
       const bool same_page = pin_r ? pairs[k].first == pairs[idx].first
                                    : pairs[k].second == pairs[idx].second;
       if (!same_page) continue;
-      ProcessChildPair(nr.entries[pairs[k].first],
-                       ns.entries[pairs[k].second], depth + 1);
+      ProcessChildPair(nr.entries.entry(pairs[k].first),
+                       ns.entries.entry(pairs[k].second), depth + 1);
       done[k] = true;
     }
     acc->Unpin(pinned_page);
   }
 }
 
-void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
-                                    NodeView leaf, const Rect& rect,
+void SpatialJoinEngine::WindowPhase(NodeAccessor* deep,
+                                    const VisitedNode& dir,
+                                    const VisitedNode& leaf, const Rect& rect,
                                     bool r_is_deep, size_t depth) {
-  const Node& dir_node = *dir.node;
-  const Node& leaf_node = *leaf.node;
+  const EntryColumns& dir_entries = dir.node.entries;
+  const EntryColumns& leaf_entries = leaf.node.entries;
   DepthScratch& slot = Scratch(depth);
   QualifyingPairs(dir, leaf, rect, &slot);
   const std::vector<EntryPair>& pairs = slot.pairs;
@@ -330,7 +332,7 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
     // in pair (schedule) order.
     slot.pages.clear();
     for (const EntryPair& p : pairs) {
-      slot.pages.push_back(dir_node.entries[p.first].ref);
+      slot.pages.push_back(dir_entries.ref[p.first]);
     }
     prefetcher_->PrefetchSchedule(deep->tree().file(), slot.pages, stats_);
   }
@@ -340,8 +342,8 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
       // (a) one window query per qualifying pair, in schedule order.
       for (const EntryPair& p : pairs) {
         ++stats_->window_queries;
-        SingleWindowQuery(deep, dir_node.entries[p.first].ref,
-                          leaf_node.entries[p.second], r_is_deep);
+        SingleWindowQuery(deep, dir_entries.ref[p.first],
+                          leaf_entries.entry(p.second), r_is_deep, depth + 1);
       }
       return;
     }
@@ -357,13 +359,13 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
       const auto by_subtree = [](const EntryPair& p) { return p.first; };
       std::span<const EntryPair> grouped(pairs);
       if (sweep) {
-        CountingSort(grouped, leaf_node.entries.size(), by_slot, &slot.begin,
+        CountingSort(grouped, leaf_entries.size, by_slot, &slot.begin,
                      &slot.by_leaf);
         grouped = slot.by_leaf;
       }
-      CountingSort(grouped, dir_node.entries.size(), by_subtree, &slot.begin,
+      CountingSort(grouped, dir_entries.size, by_subtree, &slot.begin,
                    &slot.batches);
-      slot.done.assign(dir_node.entries.size(), false);
+      slot.done.assign(dir_entries.size, false);
       for (const EntryPair& p : pairs) {
         const uint32_t d = p.first;
         if (slot.done[d]) continue;  // batch already answered
@@ -371,31 +373,31 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
         const std::span<const EntryPair> batch(
             slot.batches.data() + slot.begin[d],
             slot.begin[d + 1] - slot.begin[d]);
-        const PageId subtree = dir_node.entries[d].ref;
+        const PageId subtree = dir_entries.ref[d];
         if (sweep) {
           // The probe was built on the deeper tree.
           RSJ_DCHECK(r_is_deep ==
                      (acc_r_.tree().height() > acc_s_.tree().height()));
           slot.windows.clear();
           for (const EntryPair& q : batch) {
-            slot.windows.push_back(leaf_node.entries[q.second].rect);
+            slot.windows.push_back(leaf_entries.rect(q.second));
           }
           probe_.RunSorted(subtree, std::span<const Rect>(slot.windows),
                            [&](uint32_t i, uint32_t id) {
                              EmitWindowMatch(
-                                 id, leaf_node.entries[batch[i].second].ref,
+                                 id, leaf_entries.ref[batch[i].second],
                                  r_is_deep);
                            });
           continue;
         }
-        // The batch carries the R-side rectangles: the leaf's block holds
-        // them grown by the expansion when the leaf is R.
+        // The batch carries the R-side rectangles: the leaf's kernel
+        // rectangles are grown by the expansion when the leaf is R.
         slot.batch.Clear();
         for (const EntryPair& q : batch) {
-          slot.batch.PushBack(leaf.block->RectAt(q.second), q.second);
+          slot.batch.PushBack(leaf.rects.RectAt(q.second), q.second);
         }
         stats_->window_queries += batch.size();
-        BatchedWindowQuery(deep, subtree, leaf_node, slot.batch, r_is_deep,
+        BatchedWindowQuery(deep, subtree, leaf.node, slot.batch, r_is_deep,
                            depth + 1);
       }
       return;
@@ -413,18 +415,20 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
         }
         if (degree == 0) {
           ++stats_->window_queries;
-          SingleWindowQuery(deep, dir_node.entries[pairs[idx].first].ref,
-                            leaf_node.entries[pairs[idx].second], r_is_deep);
+          SingleWindowQuery(deep, dir_entries.ref[pairs[idx].first],
+                            leaf_entries.entry(pairs[idx].second), r_is_deep,
+                            depth + 1);
           done[idx] = true;
           continue;
         }
-        const PageId pinned_page = dir_node.entries[pairs[idx].first].ref;
+        const PageId pinned_page = dir_entries.ref[pairs[idx].first];
         deep->Pin(pinned_page);
         for (size_t k = idx; k < pairs.size(); ++k) {
           if (done[k] || pairs[k].first != pairs[idx].first) continue;
           ++stats_->window_queries;
           SingleWindowQuery(deep, pinned_page,
-                            leaf_node.entries[pairs[k].second], r_is_deep);
+                            leaf_entries.entry(pairs[k].second), r_is_deep,
+                            depth + 1);
           done[k] = true;
         }
         deep->Unpin(pinned_page);
@@ -435,90 +439,94 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep, NodeView dir,
 }
 
 void SpatialJoinEngine::SingleWindowQuery(NodeAccessor* deep, PageId page,
-                                          const Entry& query, bool r_is_deep) {
-  const NodeView view = deep->FetchView(page);
-  const Node& node = *view.node;
-  if (node.is_leaf()) {
+                                          const Entry& query, bool r_is_deep,
+                                          size_t depth) {
+  const VisitedNode visited = deep->Visit(page, depth);
+  const EntryColumns& entries = visited.node.entries;
+  if (visited.node.is_leaf()) {
     // Exact predicate on data entries (equivalent to, and cheaper than,
     // candidate filter + verification). Intersection runs as one kernel
-    // pass (the leaf block is unexpanded: ε > 0 implies within-distance);
-    // within-distance batches when the deep side is S — when it is R the
-    // accessor's block carries the ε expansion, so the exact test falls
-    // back to the original rectangles.
+    // pass (the leaf's rectangles are unexpanded: ε > 0 implies
+    // within-distance); within-distance batches when the deep side is S —
+    // when it is R the accessor's kernel rectangles carry the ε expansion,
+    // so the exact test falls back to the original rectangles.
     if (options_.predicate == JoinPredicate::kIntersects) {
       CountedOverlapHits(
-          *view.block, query.rect,
+          visited.rects, query.rect,
           r_is_deep ? OverlapSubject::kBlock : OverlapSubject::kQuery,
           &stats_->join_comparisons, &hits_);
       for (const uint32_t h : hits_) {
-        EmitWindowMatch(node.entries[h].ref, query.ref, r_is_deep);
+        EmitWindowMatch(entries.ref[h], query.ref, r_is_deep);
       }
       return;
     }
     if (options_.predicate == JoinPredicate::kWithinDistance && !r_is_deep) {
-      CountedWithinDistanceHits(*view.block, query.rect, options_.epsilon,
+      CountedWithinDistanceHits(visited.rects, query.rect, options_.epsilon,
                                 &stats_->join_comparisons, &hits_);
-      for (const uint32_t h : hits_) Emit(query.ref, node.entries[h].ref);
+      for (const uint32_t h : hits_) Emit(query.ref, entries.ref[h]);
       return;
     }
-    for (const Entry& e : node.entries) {
-      const Rect& a = r_is_deep ? e.rect : query.rect;
-      const Rect& b = r_is_deep ? query.rect : e.rect;
+    for (uint32_t e = 0; e < entries.size; ++e) {
+      const Rect rect = entries.rect(e);
+      const Rect& a = r_is_deep ? rect : query.rect;
+      const Rect& b = r_is_deep ? query.rect : rect;
       if (EvaluatePredicateCounted(options_.predicate, options_.epsilon, a, b,
                                    &stats_->join_comparisons)) {
-        EmitWindowMatch(e.ref, query.ref, r_is_deep);
+        EmitWindowMatch(entries.ref[e], query.ref, r_is_deep);
       }
     }
     return;
   }
-  // Directory descent: the deep side's block carries the expansion exactly
-  // when it is the R side, matching the scalar RSideRect placement. The
-  // recursion happens after the hit scan (the kernel hit buffer is shared).
+  // Directory descent: the deep side's kernel rectangles carry the
+  // expansion exactly when it is the R side, matching the scalar RSideRect
+  // placement. The recursion happens after the hit scan (the kernel hit
+  // buffer is shared).
   const Rect query_rect = r_is_deep ? query.rect : RSideRect(query.rect);
-  CountedOverlapHits(*view.block, query_rect, OverlapSubject::kBlock,
+  CountedOverlapHits(visited.rects, query_rect, OverlapSubject::kBlock,
                      &stats_->join_comparisons, &hits_);
   std::vector<PageId> children;
   children.reserve(hits_.size());
-  for (const uint32_t h : hits_) children.push_back(node.entries[h].ref);
+  for (const uint32_t h : hits_) children.push_back(entries.ref[h]);
   for (const PageId child : children) {
-    SingleWindowQuery(deep, child, query, r_is_deep);
+    SingleWindowQuery(deep, child, query, r_is_deep, depth + 1);
   }
 }
 
 void SpatialJoinEngine::BatchedWindowQuery(NodeAccessor* deep, PageId page,
-                                           const Node& windows,
+                                           const NodeView& windows,
                                            const RectBlock& batch,
                                            bool r_is_deep, size_t depth) {
-  const NodeView view = deep->FetchView(page);
-  const Node& node = *view.node;
+  const VisitedNode visited = deep->Visit(page, depth);
+  const EntryColumns& entries = visited.node.entries;
   // The paper's order: data entries outer, query batch inner — one counted
-  // overlap pass over the batch per entry. The entry's rectangle comes from
-  // the accessor's block, which carries the expansion when R is deep.
-  if (node.is_leaf()) {
-    for (uint32_t e = 0; e < node.entries.size(); ++e) {
-      const Entry& entry = node.entries[e];
+  // overlap pass over the batch per entry. The entry's rectangle is the
+  // accessor's kernel rectangle, which carries the expansion when R is
+  // deep.
+  if (visited.node.is_leaf()) {
+    for (uint32_t e = 0; e < entries.size; ++e) {
       if (options_.predicate == JoinPredicate::kIntersects) {
         // No expansion (ε > 0 implies within-distance); the R side is the
         // subject of each test.
         CountedOverlapHits(
-            batch, view.block->RectAt(e),
+            batch, visited.rects.RectAt(e),
             r_is_deep ? OverlapSubject::kQuery : OverlapSubject::kBlock,
             &stats_->join_comparisons, &hits_);
         for (const uint32_t q : hits_) {
-          EmitWindowMatch(entry.ref, windows.entries[batch.index_at(q)].ref,
-                          r_is_deep);
+          EmitWindowMatch(entries.ref[e],
+                          windows.entries.ref[batch.index_at(q)], r_is_deep);
         }
         continue;
       }
       // Every other predicate is tested exactly, on the unexpanded
       // rectangles.
+      const Rect rect = entries.rect(e);
       for (uint32_t q = 0; q < batch.size(); ++q) {
-        const Entry& window = windows.entries[batch.index_at(q)];
-        const Rect& a = r_is_deep ? entry.rect : window.rect;
-        const Rect& b = r_is_deep ? window.rect : entry.rect;
+        const Entry window = windows.entries.entry(batch.index_at(q));
+        const Rect& a = r_is_deep ? rect : window.rect;
+        const Rect& b = r_is_deep ? window.rect : rect;
         if (EvaluatePredicateCounted(options_.predicate, options_.epsilon, a,
                                      b, &stats_->join_comparisons)) {
-          EmitWindowMatch(entry.ref, window.ref, r_is_deep);
+          EmitWindowMatch(entries.ref[e], window.ref, r_is_deep);
         }
       }
     }
@@ -529,13 +537,13 @@ void SpatialJoinEngine::BatchedWindowQuery(NodeAccessor* deep, PageId page,
   // order; the child batch stays in this depth's slot while the subtree
   // runs.
   DepthScratch& slot = Scratch(depth);
-  for (uint32_t e = 0; e < node.entries.size(); ++e) {
-    CountedOverlapHits(batch, view.block->RectAt(e), OverlapSubject::kQuery,
+  for (uint32_t e = 0; e < entries.size; ++e) {
+    CountedOverlapHits(batch, visited.rects.RectAt(e), OverlapSubject::kQuery,
                        &stats_->join_comparisons, &hits_);
     if (hits_.empty()) continue;
     slot.batch.GatherFrom(batch, std::span<const uint32_t>(hits_));
-    BatchedWindowQuery(deep, node.entries[e].ref, windows, slot.batch,
-                       r_is_deep, depth + 1);
+    BatchedWindowQuery(deep, entries.ref[e], windows, slot.batch, r_is_deep,
+                       depth + 1);
   }
 }
 

@@ -52,10 +52,10 @@ class Prefetcher;
 class SpatialJoinEngine {
  public:
   // `pool` and `stats` must outlive the engine; both trees must use the
-  // same page size (the paper's setting). The accessors share the decodes
-  // `pool` keeps with its resident pages (storage/buffer_pool.h), so pages
-  // the coordinator or another worker decoded are not decoded again while
-  // they stay resident.
+  // same page size (the paper's setting). The accessors read pages in
+  // place and share `pool`'s take-overs (storage/buffer_pool.h): a page
+  // the coordinator or another worker took over is not charged a decode or
+  // a sort again while it stays resident.
   SpatialJoinEngine(const RTree& r, const RTree& s, const JoinOptions& options,
                     BufferPool* pool, Statistics* stats);
 
@@ -80,7 +80,7 @@ class SpatialJoinEngine {
   }
 
  private:
-  // A qualifying pair of entry slots (index in nr.entries, in ns.entries).
+  // A qualifying pair of entry slots (in nr's entries, in ns's).
   using EntryPair = std::pair<uint32_t, uint32_t>;
 
   // One SJ5 read-schedule key: the z-value of a pair's intersection.
@@ -136,52 +136,56 @@ class SpatialJoinEngine {
   // Pair finding between two nodes into `slot->pairs`, honoring the
   // configured CPU technique (nested loops / restriction / plane sweep).
   // `rect` is the intersection of the parent rectangles. Either node may be
-  // the R side: its predicate expansion is already baked into that side's
-  // accessor blocks. The loops run as batch kernels over the views' SoA
-  // blocks (geom/simd_kernels.h), charging exactly the scalar comparison
-  // counts.
-  void QualifyingPairs(NodeView first, NodeView second, const Rect& rect,
-                       DepthScratch* slot);
+  // the R side: its predicate expansion is already in that side's kernel
+  // rectangles. The loops run as batch kernels over the visited nodes'
+  // rectangle columns (geom/simd_kernels.h), charging exactly the scalar
+  // comparison counts.
+  void QualifyingPairs(const VisitedNode& first, const VisitedNode& second,
+                       const Rect& rect, DepthScratch* slot);
 
   // Compacts the positions of `block` whose rectangles intersect `rect`
   // into `*marked` (in block order — sorted order for the sweep algorithms
   // since the accessor sorts on read). The block's expansion carries over.
-  void MarkEntriesBlock(const RectBlock& block, const Rect& rect,
+  void MarkEntriesBlock(const RectColumns& block, const Rect& rect,
                         RectBlock* marked);
 
   // Reorders `slot->pairs` into the z-order read schedule (SJ5 only).
-  void ApplyZOrderSchedule(const Node& nr, const Node& ns,
+  void ApplyZOrderSchedule(const NodeView& nr, const NodeView& ns,
                            DepthScratch* slot);
 
-  // Synchronized recursion on a node pair at recursion depth `depth`.
-  void JoinNodes(NodeView r, NodeView s, const Rect& rect, size_t depth);
+  // Synchronized recursion on a node pair, both visited at `depth`.
+  void JoinNodes(const VisitedNode& r, const VisitedNode& s, const Rect& rect,
+                 size_t depth);
 
-  // Reads both child pages of a directory-level pair and recurses.
+  // Visits both child pages of a directory-level pair at `depth` and
+  // recurses.
   void ProcessChildPair(const Entry& er, const Entry& es, size_t depth);
 
   // Executes the read schedule `slot->pairs` of a directory-directory pair,
   // with pinning for SJ4/SJ5; the children run at `depth + 1`.
-  void ExecuteDirectorySchedule(const Node& nr, const Node& ns,
+  void ExecuteDirectorySchedule(const NodeView& nr, const NodeView& ns,
                                 DepthScratch* slot, size_t depth);
 
   // §4.4 — different heights: `dir` (from the deeper tree, accessed via
-  // `deep`) against data node `leaf`. `r_is_deep` preserves the (R, S)
-  // orientation of emitted pairs.
-  void WindowPhase(NodeAccessor* deep, NodeView dir, NodeView leaf,
-                   const Rect& rect, bool r_is_deep, size_t depth);
+  // `deep`) against data node `leaf`, both visited at `depth`. `r_is_deep`
+  // preserves the (R, S) orientation of emitted pairs.
+  void WindowPhase(NodeAccessor* deep, const VisitedNode& dir,
+                   const VisitedNode& leaf, const Rect& rect, bool r_is_deep,
+                   size_t depth);
 
-  // Policy (a)/(c) primitive: one window query in the subtree under `page`.
+  // Policy (a)/(c) primitive: one window query in the subtree under `page`,
+  // visited at `depth`.
   void SingleWindowQuery(NodeAccessor* deep, PageId page, const Entry& query,
-                         bool r_is_deep);
+                         bool r_is_deep, size_t depth);
 
   // Policy (b) primitive of SJ1 and SJ2: the whole `batch` answered in one
-  // traversal of the subtree under `page`, with the paper's nested loops.
-  // The batch holds R-side rectangles (grown by the expansion when the
-  // windows are R) and, as index_at, each window's slot in `windows`, the
-  // data node whose entries they are.
-  void BatchedWindowQuery(NodeAccessor* deep, PageId page, const Node& windows,
-                          const RectBlock& batch, bool r_is_deep,
-                          size_t depth);
+  // traversal of the subtree under `page`, visited at `depth`, with the
+  // paper's nested loops. The batch holds R-side rectangles (grown by the
+  // expansion when the windows are R) and, as index_at, each window's slot
+  // in `windows`, the data node whose entries they are.
+  void BatchedWindowQuery(NodeAccessor* deep, PageId page,
+                          const NodeView& windows, const RectBlock& batch,
+                          bool r_is_deep, size_t depth);
 
   JoinOptions options_;
   NodeAccessor acc_r_;  // carries the predicate expansion in its blocks

@@ -71,24 +71,22 @@ void WindowProbe::RunBatch(PageId start, std::span<const Rect> queries,
 }
 
 void WindowProbe::Descend(PageId page, size_t depth, Match emit) {
-  // The decode stays alive in this frame even if the pool evicts its page.
-  const FetchedNode fetched = pages_->Fetch(tree_.file(), page, stats_);
-  const DecodedNode::Sorted& sorted = fetched.decoded->sorted();
-  // §4.2: a page is sorted right after it is read from disk — charged by
-  // the fetch that decodes it, as the node accessor does.
-  if (fetched.fresh) stats_->sort_comparisons.Add(sorted.sort_cost);
-  const Node& node = *sorted.node;
-
+  const bool took_over = pages_->Take(tree_.file(), page, stats_);
   Level& level = Scratch(depth);
-  const RectBlock* entries = sorted.block;
+  // §4.2: a page is sorted right after it is read from disk — charged by
+  // the request that takes it over, as the node accessor does.
+  const NodeView node =
+      SortedByLowerX(ViewNode(tree_.file(), page), &level.sorted,
+                     took_over ? &stats_->sort_comparisons : nullptr);
+
+  RectColumns entries = node.entries.rects();
   if (entry_expansion_ > 0.0) {
-    level.entries.AssignEntries(std::span<const Entry>(node.entries),
-                                entry_expansion_);
-    entries = &level.entries;
+    level.grown.AssignExpanded(node.entries, entry_expansion_);
+    entries = level.grown.columns().rects();
   }
   RSJ_DCHECK(IsSortedByLowerXBlock(level.windows));
   level.pairs.clear();
-  SortedIntersectionTestBlocks(level.windows, *entries,
+  SortedIntersectionTestBlocks(level.windows, entries,
                                &stats_->join_comparisons, &level.pairs);
 
   if (node.is_leaf()) {
@@ -97,7 +95,7 @@ void WindowProbe::Descend(PageId page, size_t depth, Match emit) {
     // first, as the pairwise engine does at its leaves.
     for (const auto& [rank, slot] : level.pairs) {
       const uint32_t i = level.query[rank];
-      const Entry& entry = node.entries[slot];
+      const Entry entry = node.entries.entry(slot);
       if (predicate_ != JoinPredicate::kIntersects) {
         const Rect& window = queries_[i];
         if (!EvaluatePredicateCounted(
@@ -115,7 +113,7 @@ void WindowProbe::Descend(PageId page, size_t depth, Match emit) {
   // Group the windows per child with a counting pass. The sweep emits the
   // pairs of one entry in ascending window rank, so each group keeps the
   // windows' xl order.
-  const size_t n = node.entries.size();
+  const size_t n = node.size();
   level.begin.assign(n + 1, 0);
   for (const auto& pair : level.pairs) ++level.begin[pair.second + 1];
   for (size_t e = 0; e < n; ++e) level.begin[e + 1] += level.begin[e];
@@ -137,7 +135,7 @@ void WindowProbe::Descend(PageId page, size_t depth, Match emit) {
       child.windows.PushBack(level.windows.RectAt(rank), k - first);
       child.query.push_back(level.query[rank]);
     }
-    Descend(node.entries[e].ref, depth + 1, emit);
+    Descend(node.entries.ref[e], depth + 1, emit);
   }
 }
 

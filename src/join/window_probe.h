@@ -42,10 +42,11 @@ namespace rsj {
 // as the pairwise engine grows its R side): the windows when they are R,
 // else the tree's entries, copied per visited node.
 //
-// Every page comes from `pages` (one Fetch each, charged to `stats`) in the
-// sorted form of its resident decode; the fetch that decodes a page charges
-// the page's sort to `sort_comparisons` (§4.2). Run's batch sort charges
-// one `sort_comparisons` per comparator call, the sweeps and exact tests
+// Every page is one request to `pages` (`BufferPool::Take`, charged to
+// `stats`), scanned in place, or sorted into the depth's scratch when it
+// is out of lower-x order; the request that takes a page over charges its
+// sort to `sort_comparisons` (§4.2). Run's batch sort charges one
+// `sort_comparisons` per comparator call, the sweeps and exact tests
 // `join_comparisons`, and every window one `window_queries`. The per-depth
 // scratch persists across batches, so a batch allocates nothing once it
 // has grown.
@@ -88,8 +89,10 @@ class WindowProbe {
     // each rank's position in the batch.
     RectBlock windows;
     std::vector<uint32_t> query;
-    // The node's entries grown by the expansion, when they are the R side.
-    RectBlock entries;
+    // The node sorted by lower x, when its page is not, and its entries
+    // grown by the expansion, when they are the R side.
+    NodeCopy sorted;
+    NodeCopy grown;
     // The sweep's (rank, entry slot) pairs.
     std::vector<std::pair<uint32_t, uint32_t>> pairs;
     // Directory nodes: the ranks grouped per entry slot, ascending within

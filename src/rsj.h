@@ -57,7 +57,6 @@
 #include "shard/sharded_join.h"    // IWYU pragma: export
 #include "storage/buffer_pool.h"   // IWYU pragma: export
 #include "storage/cost_model.h"    // IWYU pragma: export
-#include "storage/decoded_node.h"  // IWYU pragma: export
 #include "storage/paged_file.h"    // IWYU pragma: export
 #include "storage/persistence.h"   // IWYU pragma: export
 #include "storage/statistics.h"    // IWYU pragma: export

@@ -7,6 +7,11 @@
 //     page size   1 KByte   2 KByte   4 KByte   8 KByte
 //     M              51       102       204       409
 //
+// The page stores its M entry slots as five columns behind the header —
+// xl[M], yl[M], xu[M], yu[M], ref[M] — so the batch kernels scan a node's
+// coordinates on the page itself (rtree/node.h owns that layout and its
+// offsets). M is the same as for 20-byte records laid end to end.
+//
 // For leaf nodes (level 0) `ref` is the object identifier Id(a); for
 // directory nodes it is the PageId of the child node.
 
@@ -29,7 +34,7 @@ struct Entry {
   }
 };
 
-// Serialized size of one entry.
+// Serialized size of one entry: one slot of each of the five columns.
 inline constexpr uint32_t kEntryBytes = 20;
 
 // Serialized node header: uint16 count, uint8 level, uint8 magic.

@@ -2,28 +2,113 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "common/logging.h"
 
 namespace rsj {
 
-namespace {
-
-// Header layout: [uint16 count][uint8 level][uint8 magic].
-void EncodeHeader(std::byte* page, uint16_t count, uint8_t level) {
-  std::memcpy(page, &count, sizeof(count));
-  page[2] = static_cast<std::byte>(level);
-  page[3] = static_cast<std::byte>(kNodeMagic);
+Rect NodeView::ComputeMbr() const {
+  if (entries.size == 0) return Rect::Empty();
+  Rect mbr = entries.rect(0);  // the min/max fold of Node::ComputeMbr
+  for (uint32_t i = 1; i < entries.size; ++i) {
+    mbr.xl = std::min(mbr.xl, entries.xl[i]);
+    mbr.yl = std::min(mbr.yl, entries.yl[i]);
+    mbr.xu = std::max(mbr.xu, entries.xu[i]);
+    mbr.yu = std::max(mbr.yu, entries.yu[i]);
+  }
+  return mbr;
 }
 
-void DecodeHeader(const std::byte* page, uint16_t* count, uint8_t* level) {
-  std::memcpy(count, page, sizeof(*count));
-  *level = static_cast<uint8_t>(page[2]);
-  RSJ_CHECK_MSG(static_cast<uint8_t>(page[3]) == kNodeMagic,
-                "page does not contain an R-tree node");
+std::optional<NodeView> CheckedViewNode(const PagedFile& file, PageId id) {
+  const std::byte* page = file.PageData(id);
+  const uint32_t page_size = file.page_size();
+  uint16_t count = 0;
+  std::memcpy(&count, page + kNodeCountByte, sizeof(count));
+  if (static_cast<uint8_t>(page[kNodeMagicByte]) != kNodeMagic ||
+      count > NodeCapacity(page_size)) {
+    return std::nullopt;
+  }
+  // Pages start at least 4-byte aligned, and so does every column.
+  const auto column = [&](NodeColumn c) {
+    return reinterpret_cast<const Coord*>(page +
+                                          NodeFieldOffset(page_size, c, 0));
+  };
+  return NodeView{
+      static_cast<uint8_t>(page[kNodeLevelByte]),
+      EntryColumns{column(NodeColumn::kXl), column(NodeColumn::kYl),
+                   column(NodeColumn::kXu), column(NodeColumn::kYu),
+                   reinterpret_cast<const uint32_t*>(column(NodeColumn::kRef)),
+                   count}};
 }
 
-}  // namespace
+NodeView ViewNode(const PagedFile& file, PageId id) {
+  const std::optional<NodeView> view = CheckedViewNode(file, id);
+  RSJ_CHECK_MSG(view.has_value(), "page does not contain an R-tree node");
+  return *view;
+}
+
+void NodeCopy::Resize(size_t n) {
+  xl_.resize(n);
+  yl_.resize(n);
+  xu_.resize(n);
+  yu_.resize(n);
+  ref_.resize(n);
+}
+
+uint64_t NodeCopy::AssignSortedByLowerX(const EntryColumns& entries) {
+  // Insertion sort of the slot permutation by xl: the comparisons and the
+  // stable order of sorting the entries themselves, then one gather.
+  const uint32_t n = entries.size;
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), 0u);
+  uint64_t comparisons = 0;
+  for (uint32_t i = 1; i < n; ++i) {
+    const uint32_t pending = order_[i];
+    uint32_t j = i;
+    while (j > 0) {
+      ++comparisons;
+      if (!(entries.xl[pending] < entries.xl[order_[j - 1]])) break;
+      order_[j] = order_[j - 1];
+      --j;
+    }
+    order_[j] = pending;
+  }
+  Resize(n);
+  for (uint32_t k = 0; k < n; ++k) {
+    Set(k, entries.rect(order_[k]), entries.ref[order_[k]]);
+  }
+  return comparisons;
+}
+
+void NodeCopy::AssignExpanded(const EntryColumns& entries, double margin) {
+  Resize(entries.size);
+  for (uint32_t i = 0; i < entries.size; ++i) {
+    Set(i, entries.rect(i).Expanded(margin), entries.ref[i]);
+  }
+}
+
+void NodeCopy::Set(uint32_t k, const Rect& rect, uint32_t ref) {
+  xl_[k] = rect.xl;
+  yl_[k] = rect.yl;
+  xu_[k] = rect.xu;
+  yu_[k] = rect.yu;
+  ref_[k] = ref;
+}
+
+NodeView SortedByLowerX(const NodeView& node, NodeCopy* copy,
+                        ComparisonCounter* charge) {
+  const EntryColumns& entries = node.entries;
+  if (std::is_sorted(entries.xl, entries.xl + entries.size)) {
+    // The sort would move nothing and charge one comparison per entry
+    // after the first.
+    if (charge != nullptr && entries.size > 0) charge->Add(entries.size - 1);
+    return node;
+  }
+  const uint64_t comparisons = copy->AssignSortedByLowerX(entries);
+  if (charge != nullptr) charge->Add(comparisons);
+  return NodeView{node.level, copy->columns()};
+}
 
 Rect Node::ComputeMbr() const {
   if (entries.empty()) return Rect::Empty();
@@ -40,38 +125,39 @@ Rect Node::ComputeMbr() const {
 }
 
 Node Node::Load(const PagedFile& file, PageId id) {
-  const std::byte* page = file.PageData(id);
-  uint16_t count = 0;
+  const NodeView view = ViewNode(file, id);
   Node node;
-  DecodeHeader(page, &count, &node.level);
-  RSJ_CHECK_MSG(count <= NodeCapacity(file.page_size()),
-                "stored entry count exceeds page capacity");
-  node.entries.resize(count);
-  const std::byte* cursor = page + kNodeHeaderBytes;
-  for (Entry& e : node.entries) {
-    std::memcpy(&e.rect.xl, cursor + 0, sizeof(Coord));
-    std::memcpy(&e.rect.yl, cursor + 4, sizeof(Coord));
-    std::memcpy(&e.rect.xu, cursor + 8, sizeof(Coord));
-    std::memcpy(&e.rect.yu, cursor + 12, sizeof(Coord));
-    std::memcpy(&e.ref, cursor + 16, sizeof(uint32_t));
-    cursor += kEntryBytes;
+  node.level = view.level;
+  node.entries.resize(view.size());
+  for (uint32_t i = 0; i < view.size(); ++i) {
+    node.entries[i] = view.entries.entry(i);
   }
   return node;
 }
 
 void Node::Store(PagedFile* file, PageId id) const {
-  RSJ_CHECK_MSG(entries.size() <= NodeCapacity(file->page_size()),
+  const uint32_t page_size = file->page_size();
+  RSJ_CHECK_MSG(entries.size() <= NodeCapacity(page_size),
                 "node overflows its page");
   std::byte* page = file->MutablePageData(id);
-  EncodeHeader(page, static_cast<uint16_t>(entries.size()), level);
-  std::byte* cursor = page + kNodeHeaderBytes;
-  for (const Entry& e : entries) {
-    std::memcpy(cursor + 0, &e.rect.xl, sizeof(Coord));
-    std::memcpy(cursor + 4, &e.rect.yl, sizeof(Coord));
-    std::memcpy(cursor + 8, &e.rect.xu, sizeof(Coord));
-    std::memcpy(cursor + 12, &e.rect.yu, sizeof(Coord));
-    std::memcpy(cursor + 16, &e.ref, sizeof(uint32_t));
-    cursor += kEntryBytes;
+  const auto count = static_cast<uint16_t>(entries.size());
+  std::memcpy(page + kNodeCountByte, &count, sizeof(count));
+  page[kNodeLevelByte] = static_cast<std::byte>(level);
+  page[kNodeMagicByte] = static_cast<std::byte>(kNodeMagic);
+  const auto column = [&](NodeColumn c) {
+    return reinterpret_cast<Coord*>(page + NodeFieldOffset(page_size, c, 0));
+  };
+  Coord* xl = column(NodeColumn::kXl);
+  Coord* yl = column(NodeColumn::kYl);
+  Coord* xu = column(NodeColumn::kXu);
+  Coord* yu = column(NodeColumn::kYu);
+  auto* ref = reinterpret_cast<uint32_t*>(column(NodeColumn::kRef));
+  for (size_t i = 0; i < entries.size(); ++i) {
+    xl[i] = entries[i].rect.xl;
+    yl[i] = entries[i].rect.yl;
+    xu[i] = entries[i].rect.xu;
+    yu[i] = entries[i].rect.yu;
+    ref[i] = entries[i].ref;
   }
 }
 

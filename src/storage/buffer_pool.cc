@@ -33,14 +33,14 @@ void BufferPool::ConsumePrefetchedFrame(Shard& shard, const PageKey& key,
   if (io_ != nullptr) io_->ConsumePrefetched(this, *key.file, key.id, stats);
 }
 
-BufferPool::Decode* BufferPool::Request(Shard& shard, const PageKey& key,
-                                        Statistics* stats, bool* hit) {
+bool* BufferPool::Request(Shard& shard, const PageKey& key, Statistics* stats,
+                          bool* hit) {
   if (io_ != nullptr) io_->ChargeCpuPerRead(stats);
   *hit = true;
   auto pinned_it = shard.pinned.find(key);
   if (pinned_it != shard.pinned.end()) {
     ++stats->buffer_hits;
-    return &pinned_it->second.decoded;
+    return &pinned_it->second.taken;
   }
   auto it = shard.frames.find(key);
   if (it != shard.frames.end()) {
@@ -49,7 +49,7 @@ BufferPool::Decode* BufferPool::Request(Shard& shard, const PageKey& key,
       ConsumePrefetchedFrame(shard, key, &it->second, stats);
     }
     shard.order.splice(shard.order.begin(), shard.order, it->second.position);
-    return &it->second.decoded;
+    return &it->second.taken;
   }
   *hit = false;
   if (io_ != nullptr) {
@@ -57,41 +57,33 @@ BufferPool::Decode* BufferPool::Request(Shard& shard, const PageKey& key,
   }
   ++stats->disk_reads;
   Frame* frame = InsertNewest(shard, key, stats);
-  return frame != nullptr ? &frame->decoded : nullptr;
+  return frame != nullptr ? &frame->taken : nullptr;
 }
 
-bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats,
-                      const Decode& decoded, bool* undecoded) {
+bool BufferPool::Read(const PagedFile& file, PageId id, Statistics* stats) {
   const PageKey key{&file, id};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   bool hit = false;
-  Decode* slot = Request(shard, key, stats, &hit);
-  const bool without_decode = slot == nullptr || *slot == nullptr;
-  if (without_decode && slot != nullptr) *slot = decoded;
-  if (undecoded != nullptr) *undecoded = without_decode;
+  Request(shard, key, stats, &hit);
   return hit;
 }
 
-FetchedNode BufferPool::Fetch(const PagedFile& file, PageId id,
-                              Statistics* stats) {
+bool BufferPool::Take(const PagedFile& file, PageId id, Statistics* stats) {
   const PageKey key{&file, id};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  FetchedNode fetched;
-  Decode* slot = Request(shard, key, stats, &fetched.page_hit);
-  if (slot != nullptr && *slot != nullptr) {
+  bool hit = false;
+  bool* taken = Request(shard, key, stats, &hit);
+  if (taken != nullptr && *taken) {
     ++stats->node_cache_hits;
-    fetched.decoded = *slot;
-    return fetched;
+    return false;
   }
-  // First fetch since the page became resident: decode the page bytes,
-  // charged to the requesting actor, and keep the decode with the page.
+  // First reader's request since the page became resident: its decode,
+  // charged to the requesting actor.
   ++stats->node_decodes;
-  fetched.decoded = std::make_shared<const DecodedNode>(Node::Load(file, id));
-  fetched.fresh = true;
-  if (slot != nullptr) *slot = fetched.decoded;
-  return fetched;
+  if (taken != nullptr) *taken = true;
+  return true;
 }
 
 bool BufferPool::Prefetch(const PagedFile& file, PageId id,
@@ -121,14 +113,14 @@ void BufferPool::Pin(const PagedFile& file, PageId id, Statistics* stats) {
     ++pinned_it->second.count;
     return;
   }
-  PinnedPage pinned{1u, nullptr};
+  PinnedPage pinned{1u, false};
   auto frame_it = shard.frames.find(key);
   if (frame_it != shard.frames.end()) {
-    // Promote from frame to pinned, decode included; frees the frame.
+    // Promote from frame to pinned, take-over included; frees the frame.
     if (frame_it->second.prefetched) {
       ConsumePrefetchedFrame(shard, key, &frame_it->second, stats);
     }
-    pinned.decoded = std::move(frame_it->second.decoded);
+    pinned.taken = frame_it->second.taken;
     shard.order.erase(frame_it->second.position);
     shard.frames.erase(frame_it);
   } else {
@@ -136,7 +128,7 @@ void BufferPool::Pin(const PagedFile& file, PageId id, Statistics* stats) {
     if (io_ != nullptr) io_->BlockingRead(this, file, id, page_size_, stats);
     ++stats->disk_reads;
   }
-  shard.pinned.emplace(key, std::move(pinned));
+  shard.pinned.emplace(key, pinned);
 }
 
 void BufferPool::Unpin(const PagedFile& file, PageId id, Statistics* stats) {
@@ -146,11 +138,12 @@ void BufferPool::Unpin(const PagedFile& file, PageId id, Statistics* stats) {
   auto it = shard.pinned.find(key);
   RSJ_CHECK_MSG(it != shard.pinned.end(), "Unpin of a page that is not pinned");
   if (--it->second.count > 0) return;
-  Decode decoded = std::move(it->second.decoded);
+  const bool taken = it->second.taken;
   shard.pinned.erase(it);
-  // Recently used; keep it cached, with its decode, if the budget allows.
+  // Recently used; keep it cached, with its take-over, if the budget
+  // allows.
   Frame* frame = InsertNewest(shard, key, stats);
-  if (frame != nullptr) frame->decoded = std::move(decoded);
+  if (frame != nullptr) frame->taken = taken;
 }
 
 bool BufferPool::Contains(const PagedFile& file, PageId id) const {
@@ -222,7 +215,7 @@ BufferPool::Frame* BufferPool::InsertNewest(Shard& shard, const PageKey& key,
   shard.order.push_front(key);
   if (prefetched) ++shard.prefetched_unconsumed;
   Frame& frame = shard.frames[key];
-  frame = Frame{shard.order.begin(), prefetched, nullptr};
+  frame = Frame{shard.order.begin(), prefetched, false};
   return &frame;
 }
 

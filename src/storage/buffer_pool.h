@@ -17,10 +17,11 @@
 // concurrent workers charges hits, misses and evictions to whoever caused
 // them — an eviction to the caller whose insertion triggered it.
 //
-// A resident page also carries its decode (storage/decoded_node.h): the
-// paper sorts a page "immediately after it is read from disk" (§4.2), so a
-// decoded node is valid exactly while its page stays buffer-resident.
-// `Fetch` is the page request that hands the decode out.
+// Readers scan a resident page's bytes in place (rtree/node.h); the pool
+// keeps one bit per resident page, set once a reader has taken it over.
+// The paper sorts a page "immediately after it is read from disk" (§4.2):
+// the request that takes a page over (`Take`) charges its decode
+// (`node_decodes`) and its reader the sort.
 //
 // The pool also implements the non-blocking `Prefetch` entry point of the
 // async I/O subsystem (src/io/): a prefetched page lands as an *evictable*
@@ -38,12 +39,14 @@
 // (`PageKeyHash` modulo `shard_count`) into independently locked LRU
 // shards, so concurrent workers only contend when they touch pages of the
 // same shard; the frame budget is dealt round-robin over the shards (a
-// shard may get zero frames). A page's pins and decode live in its shard
-// under the same lock, so pins taken by two workers nest, and a `Fetch`
-// decodes under the shard's lock: a resident page is decoded once however
-// many readers race for it. One shard is one LRU over the whole budget —
-// the paper's buffer — and what a one-thread run reads through; pools that
-// concurrent workers share use `kSharedPoolShards`.
+// shard may get zero frames). A shard's lock guards only its bookkeeping —
+// the LRU order, pins, prefetch marks and take-over bits — never page
+// bytes, which readers scan without a lock. Pins taken by two workers
+// nest, and a page's take-over is set under its shard's lock: one request
+// takes a resident page over however many readers race for it. One shard
+// is one LRU over the whole budget — the paper's buffer — and what a
+// one-thread run reads through; pools that concurrent workers share use
+// up to `kSharedPoolShards`.
 
 #ifndef RSJ_STORAGE_BUFFER_POOL_H_
 #define RSJ_STORAGE_BUFFER_POOL_H_
@@ -55,7 +58,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "storage/decoded_node.h"
 #include "storage/paged_file.h"
 #include "storage/statistics.h"
 
@@ -79,18 +81,6 @@ struct PageKeyHash {
   }
 };
 
-// A page request's decode. The holder keeps it alive after the pool has
-// dropped it (evicted or re-read the page).
-struct FetchedNode {
-  std::shared_ptr<const DecodedNode> decoded;
-  // Read's result: true when the request was a buffer hit, false when the
-  // page was physically read.
-  bool page_hit = false;
-  // True when this request decoded the page (one `node_decodes`); false
-  // when it shared the resident page's decode (one `node_cache_hits`).
-  bool fresh = false;
-};
-
 // Shards of a pool that concurrent workers share (an engine's, or a
 // parallel run's).
 inline constexpr size_t kSharedPoolShards = 8;
@@ -110,22 +100,18 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   // Requests page `id` of `file`. Counts either a disk read (miss) or a
-  // buffer hit against `stats` and returns true when it was a hit. A
-  // reader that still holds the page's decode from an earlier Fetch passes
-  // it as `decoded`: when the request finds the page without a decode (a
-  // miss, a frame a prefetch landed, a page Pin read), the page takes it
-  // and `*undecoded` is set, since the reader then charges that decode;
-  // later fetches share it instead of decoding the page again.
-  bool Read(const PagedFile& file, PageId id, Statistics* stats,
-            const std::shared_ptr<const DecodedNode>& decoded = nullptr,
-            bool* undecoded = nullptr);
+  // buffer hit against `stats` and returns true when it was a hit.
+  bool Read(const PagedFile& file, PageId id, Statistics* stats);
 
-  // A page request with Read's counters that also returns the page's
-  // decode. The first Fetch since the page became resident decodes it; the
-  // page's frame (or pin) keeps that decode, and later fetches share it.
-  // Eviction, Clear and a zero-frame pool drop the decode; Pin and Unpin
-  // carry it with the page. Read, Pin and Prefetch never decode.
-  FetchedNode Fetch(const PagedFile& file, PageId id, Statistics* stats);
+  // A reader's page request: Read's counters, and returns true when this
+  // request took the page over — the first reader's request since the
+  // page became resident (a miss, a frame a prefetch landed, a page a Pin
+  // read). That request charges `node_decodes`, and its caller charges the
+  // page's sort; every later request charges `node_cache_hits`. A page
+  // that does not stay resident (a zero-frame shard) is taken over by
+  // every request. Eviction and Clear drop the take-over; Pin and Unpin
+  // carry it with the page. Read, Pin and Prefetch never take a page over.
+  bool Take(const PagedFile& file, PageId id, Statistics* stats);
 
   // Pins the page, reading it first if absent (that read is counted).
   // Pins nest: a page pinned twice needs two Unpin() calls. Pinned pages
@@ -173,17 +159,15 @@ class BufferPool {
   size_t prefetched_unconsumed() const;
 
  private:
-  using Decode = std::shared_ptr<const DecodedNode>;
-
   struct Frame {
     std::list<PageKey>::iterator position;  // place in the LRU list
     bool prefetched = false;                // landed by Prefetch, untouched
-    Decode decoded;                         // built by the first Fetch
+    bool taken = false;                     // set by the first Take
   };
 
   struct PinnedPage {
     uint32_t count = 0;  // pins nest
-    Decode decoded;
+    bool taken = false;
   };
 
   // One independently locked LRU over the keys that hash into it.
@@ -194,7 +178,7 @@ class BufferPool {
     // LRU list: front = most recently used, back = the eviction candidate.
     std::list<PageKey> order;
     std::unordered_map<PageKey, Frame, PageKeyHash> frames;
-    // Pinned pages with their pin counts and decodes.
+    // Pinned pages with their pin counts and take-overs.
     std::unordered_map<PageKey, PinnedPage, PageKeyHash> pinned;
   };
 
@@ -206,11 +190,11 @@ class BufferPool {
   template <typename Count>
   size_t SumOverShards(Count count) const;
 
-  // The page request behind Read and Fetch: counts a hit or a read and
-  // returns the resident page's decode slot — nullptr when the page did
+  // The page request behind Read and Take: counts a hit or a read and
+  // returns the resident page's take-over bit — nullptr when the page did
   // not stay resident (a zero-frame shard). Caller holds `shard.mu`.
-  Decode* Request(Shard& shard, const PageKey& key, Statistics* stats,
-                  bool* hit);
+  bool* Request(Shard& shard, const PageKey& key, Statistics* stats,
+                bool* hit);
 
   // Inserts the key as the shard's most recently used frame, evicting its
   // least recently used ones if needed; returns the frame (nullptr with

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -12,7 +11,9 @@ namespace rsj {
 namespace {
 
 constexpr uint32_t kMagic = 0x52534A46;  // "RSJF"
-constexpr uint32_t kVersion = 1;
+// 2: node pages hold coordinate columns (rtree/node.h). Version 1 files
+// hold 20-byte entry records and load as an error.
+constexpr uint32_t kVersion = 2;
 
 // On-disk header; fixed-width fields only.
 struct FileHeader {
@@ -72,22 +73,11 @@ bool ValidTreeHeader(const FileHeader& header) {
   return capacity >= 2.0 * min_entries;
 }
 
-// The rectangle of entry `i` of a raw node page, laid out as rtree/node.cc
-// writes it.
-Rect EntryRect(const std::byte* page, uint32_t i) {
-  const std::byte* entry = page + kNodeHeaderBytes + i * kEntryBytes;
-  Rect rect;
-  std::memcpy(&rect.xl, entry + 0, sizeof(Coord));
-  std::memcpy(&rect.yl, entry + 4, sizeof(Coord));
-  std::memcpy(&rect.xu, entry + 8, sizeof(Coord));
-  std::memcpy(&rect.yu, entry + 12, sizeof(Coord));
-  return rect;
-}
-
 // True when the pages hold the tree the header describes. One walk from the
-// root over the raw page bytes, before anything decodes a node, so that a
-// corrupt file loads as an error instead of aborting in Node::Load or
-// reading past the page array in a later join. Rejects a child id at or
+// root over the pages in place (rtree/node.h's checked view), before any
+// reader takes a page, so that a corrupt file loads as an error instead of
+// aborting in a later ViewNode or Node::Load or reading past the page
+// array in a later join. Rejects a child id at or
 // beyond the page count, a page without the node magic, an entry count
 // above capacity, a level other than the parent's level minus one (the
 // root's is height - 1), a page reached twice, an entry rectangle that is
@@ -98,7 +88,6 @@ Rect EntryRect(const std::byte* page, uint32_t i) {
 bool ValidTreeStructure(const PagedFile& file, const FileHeader& header,
                         const std::vector<PageId>& free_list) {
   const uint64_t page_count = file.allocated_pages();
-  const uint32_t capacity = NodeCapacity(file.page_size());
   // 1: reached from the root, 2: on the free list.
   std::vector<uint8_t> mark(page_count, 0);
   struct Pending {
@@ -115,28 +104,20 @@ bool ValidTreeStructure(const PagedFile& file, const FileHeader& header,
     stack.pop_back();
     if (mark[at.page] != 0) return false;
     mark[at.page] = 1;
-    const std::byte* page = file.PageData(at.page);
-    uint16_t count = 0;
-    std::memcpy(&count, page, sizeof(count));
-    const auto level = static_cast<uint8_t>(page[2]);
-    if (static_cast<uint8_t>(page[3]) != kNodeMagic || count > capacity ||
-        level != at.level) {
-      return false;
-    }
-    for (uint32_t i = 0; i < count; ++i) {
+    // Nothing for a page without the magic or with a count above capacity.
+    const std::optional<NodeView> node = CheckedViewNode(file, at.page);
+    if (!node.has_value() || node->level != at.level) return false;
+    const EntryColumns& entries = node->entries;
+    for (uint32_t i = 0; i < entries.size; ++i) {
       // IsValid is false for NaN coordinates too.
-      const Rect rect = EntryRect(page, i);
+      const Rect rect = entries.rect(i);
       if (!rect.IsValid() || !at.bound.Contains(rect)) return false;
-      if (level == 0) continue;
-      PageId child = 0;
-      // The entry's ref (the child page) follows its four coordinates.
-      std::memcpy(&child,
-                  page + kNodeHeaderBytes + i * kEntryBytes + 4 * sizeof(Coord),
-                  sizeof(child));
+      if (node->is_leaf()) continue;
+      const PageId child = entries.ref[i];
       if (child >= page_count) return false;
       stack.push_back(Pending{child, at.level - 1, rect});
     }
-    if (level == 0) leaf_entries += count;
+    if (node->is_leaf()) leaf_entries += entries.size;
   }
   if (leaf_entries != header.tree_size) return false;
   for (const PageId id : free_list) {

@@ -25,9 +25,9 @@ struct Statistics {
   uint64_t buffer_evictions = 0;   // pages dropped from the buffer
   uint64_t pin_count = 0;          // Pin() events (SJ4/SJ5 page pinning)
 
-  // --- decoding (storage/buffer_pool.h, BufferPool::Fetch) ---
-  uint64_t node_decodes = 0;     // page payloads decoded into Nodes
-  uint64_t node_cache_hits = 0;  // fetches that shared a resident decode
+  // --- page take-over (storage/buffer_pool.h, BufferPool::Take) ---
+  uint64_t node_decodes = 0;     // reader requests that took a page over
+  uint64_t node_cache_hits = 0;  // reader requests after its take-over
 
   // --- simulated asynchronous I/O (src/io/) ---
   uint64_t prefetch_issued = 0;    // async read-aheads actually issued

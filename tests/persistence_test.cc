@@ -272,9 +272,7 @@ class PersistenceStructureTest : public PersistenceTest {
     return LoadIndexedRelation(path_.string()).has_value();
   }
 
-  // Raw node-page fields, laid out as rtree/node.cc writes them:
-  // [uint16 count][uint8 level][uint8 magic], then 20-byte entries whose
-  // last four bytes are the child page id.
+  // Raw node-page fields, at rtree/node.h's layout offsets.
   std::byte* Page(PageId id) { return file_->MutablePageData(id); }
   PageId Child(uint32_t slot) {
     PageId child = 0;
@@ -301,11 +299,12 @@ class PersistenceStructureTest : public PersistenceTest {
   StoredTreeMeta meta_;
 
  private:
-  static size_t ChildOffset(uint32_t slot) {
-    return kNodeHeaderBytes + slot * kEntryBytes + 16;
+  size_t ChildOffset(uint32_t slot) const {
+    return NodeFieldOffset(file_->page_size(), NodeColumn::kRef, slot);
   }
-  static size_t CoordOffset(uint32_t slot, int c) {
-    return kNodeHeaderBytes + slot * kEntryBytes + c * sizeof(Coord);
+  size_t CoordOffset(uint32_t slot, int c) const {
+    return NodeFieldOffset(file_->page_size(), static_cast<NodeColumn>(c),
+                           slot);
   }
 };
 
@@ -321,29 +320,29 @@ TEST_F(PersistenceStructureTest, ChildIdBeyondPageCountRejected) {
 }
 
 TEST_F(PersistenceStructureTest, PageWithoutNodeMagicRejected) {
-  Page(root())[3] = std::byte{0};
+  Page(root())[kNodeMagicByte] = std::byte{0};
   EXPECT_FALSE(Loads());
-  Page(root())[3] = std::byte{kNodeMagic};
+  Page(root())[kNodeMagicByte] = std::byte{kNodeMagic};
   ASSERT_TRUE(Loads());
-  Page(Child(1))[3] = std::byte{0};
+  Page(Child(1))[kNodeMagicByte] = std::byte{0};
   EXPECT_FALSE(Loads());
 }
 
 TEST_F(PersistenceStructureTest, EntryCountAboveCapacityRejected) {
   // One past capacity would also read a child id past the page's end.
   const uint16_t count = NodeCapacity(kPageSize1K) + 1;
-  std::memcpy(Page(root()), &count, sizeof(count));
+  std::memcpy(Page(root()) + kNodeCountByte, &count, sizeof(count));
   EXPECT_FALSE(Loads());
 }
 
 TEST_F(PersistenceStructureTest, LevelMismatchRejected) {
   // A data node claiming to be a directory under a level-1 root.
-  Page(Child(0))[2] = std::byte{1};
+  Page(Child(0))[kNodeLevelByte] = std::byte{1};
   EXPECT_FALSE(Loads());
-  Page(Child(0))[2] = std::byte{0};
+  Page(Child(0))[kNodeLevelByte] = std::byte{0};
   ASSERT_TRUE(Loads());
   // A root whose level disagrees with the stored height.
-  Page(root())[2] = std::byte{2};
+  Page(root())[kNodeLevelByte] = std::byte{2};
   EXPECT_FALSE(Loads());
 }
 

@@ -313,6 +313,43 @@ uint64_t TreeDigest(const RTree& tree) {
   return hash;
 }
 
+// FNV-1a over what every page holds rather than how it is laid out: per
+// page in id order (freed pages included) its level, its entry count and
+// each entry's xl, yl, xu, yu and ref in stored order, then the root page
+// id, height, size and free list. A change of the page format keeps it.
+uint64_t LogicalTreeDigest(const RTree& tree) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](const void* data, size_t length) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < length; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  const PagedFile& file = tree.file();
+  for (PageId id = 0; id < file.allocated_pages(); ++id) {
+    const Node node = Node::Load(file, id);
+    const auto count = static_cast<uint32_t>(node.entries.size());
+    mix(&node.level, sizeof(node.level));
+    mix(&count, sizeof(count));
+    for (const Entry& e : node.entries) {
+      mix(&e.rect.xl, sizeof(Coord));
+      mix(&e.rect.yl, sizeof(Coord));
+      mix(&e.rect.xu, sizeof(Coord));
+      mix(&e.rect.yu, sizeof(Coord));
+      mix(&e.ref, sizeof(e.ref));
+    }
+  }
+  const PageId root = tree.root_page();
+  const int32_t height = tree.height();
+  const uint64_t size = tree.size();
+  mix(&root, sizeof(root));
+  mix(&height, sizeof(height));
+  mix(&size, sizeof(size));
+  for (const PageId id : file.free_list()) mix(&id, sizeof(id));
+  return hash;
+}
+
 std::string Hex(uint64_t value) {
   char text[19];
   std::snprintf(text, sizeof(text), "0x%016" PRIx64, value);
@@ -326,17 +363,23 @@ struct DigestCase {
   bool reinsert;
   uint64_t built;      // after inserting the rectangles
   uint64_t condensed;  // after then deleting every third one
+  // The same two trees' LogicalTreeDigest.
+  uint64_t built_logical;
+  uint64_t condensed_logical;
 };
 
 class TreeDigestTest : public ::testing::TestWithParam<DigestCase> {};
 
 // Insertion (ChooseSubtree, splits, forced reinsertion) and deletion
 // (CondenseTree's orphan reinsertion at upper levels) are pinned byte for
-// byte: the digests were recorded when the pruned R* ChooseSubtree
-// replaced the unpruned formula, on the unpruned code, x86-64 with
-// libstdc++ (partial_sort's order among ties is part of the tree shape).
-// The inputs use arithmetic only (no libm). A change that means to change
-// trees updates these digests and says so.
+// byte and, layout-free, entry for entry. The logical digests were
+// recorded before node pages became coordinate columns and must survive
+// any change of the page format; the byte digests were re-recorded with
+// that format (version 2). Both were first taken on x86-64 with libstdc++
+// (partial_sort's order among ties is part of the tree shape). The inputs
+// use arithmetic only (no libm). A change that means to change trees
+// updates the logical digests and says so; a change of the page format
+// updates only the byte digests.
 TEST_P(TreeDigestTest, BuildAndCondenseMatchRecordedPages) {
   const DigestCase& c = GetParam();
   PagedFile file(c.page_size);
@@ -349,34 +392,48 @@ TEST_P(TreeDigestTest, BuildAndCondenseMatchRecordedPages) {
   for (uint32_t i = 0; i < rects.size(); ++i) tree.Insert(rects[i], i);
   EXPECT_GE(tree.height(), c.page_size == kPageSize1K ? 3 : 2);
   const uint64_t built = TreeDigest(tree);
+  const uint64_t built_logical = LogicalTreeDigest(tree);
   for (uint32_t i = 0; i < rects.size(); i += 3) {
     ASSERT_TRUE(tree.Delete(rects[i], i));
   }
   ExpectValid(tree);
   const uint64_t condensed = TreeDigest(tree);
+  const uint64_t condensed_logical = LogicalTreeDigest(tree);
   EXPECT_EQ(Hex(built), Hex(c.built)) << "built digest";
   EXPECT_EQ(Hex(condensed), Hex(c.condensed)) << "condensed digest";
+  EXPECT_EQ(Hex(built_logical), Hex(c.built_logical))
+      << "built logical digest";
+  EXPECT_EQ(Hex(condensed_logical), Hex(c.condensed_logical))
+      << "condensed logical digest";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PageSizesAndPolicies, TreeDigestTest,
     ::testing::Values(
         DigestCase{"rstar_1k", kPageSize1K, SplitPolicy::kRStar, true,
-                   0x8771a76e1261dd87ULL, 0x05b98db6426ecd36ULL},
+                   0x5a4836d5e713e537ULL, 0x91af9a86b2cdd4faULL,
+                   0x4e827600d973a3a9ULL, 0x83b757d590111b4aULL},
         DigestCase{"rstar_noreins_1k", kPageSize1K, SplitPolicy::kRStar, false,
-                   0xc5c52a2574985f65ULL, 0xc19e9e09b9046099ULL},
+                   0x6691c5881c1961bdULL, 0x31f25c4ae37aaf71ULL,
+                   0xb32375e2e6e003faULL, 0x53ae7d7fb7e55612ULL},
         DigestCase{"quad_1k", kPageSize1K, SplitPolicy::kQuadratic, false,
-                   0x66b6eb3961c6d68bULL, 0x33d4f2084f6e0035ULL},
+                   0xf6254806fef704a7ULL, 0x5a39f2560d8d08f9ULL,
+                   0x9c332a57c0b8490aULL, 0x723244f18c5a8de6ULL},
         DigestCase{"linear_1k", kPageSize1K, SplitPolicy::kLinear, false,
-                   0xacbfa54932f6397cULL, 0x72fbfbad2281b721ULL},
+                   0x2d223c1528c75378ULL, 0xa3a16edef06ef469ULL,
+                   0xeb6138b40042f32fULL, 0x52c163655c194b76ULL},
         DigestCase{"rstar_4k", kPageSize4K, SplitPolicy::kRStar, true,
-                   0x0de58b4a20168957ULL, 0x913d98a4455ab390ULL},
+                   0xc2c886967b463f57ULL, 0x6fcf97b96bbdfa4cULL,
+                   0x11d8498587f7a57aULL, 0xab13aa1d5ec887aeULL},
         DigestCase{"rstar_noreins_4k", kPageSize4K, SplitPolicy::kRStar, false,
-                   0x062f8b41d93677b1ULL, 0x1f160be6059af46fULL},
+                   0xdc3c04773a97c3b1ULL, 0xdb83194b7b9587c3ULL,
+                   0xfa25eca365feef77ULL, 0x58c0a2f1c78cb49fULL},
         DigestCase{"quad_4k", kPageSize4K, SplitPolicy::kQuadratic, false,
-                   0x13166d41a73520b7ULL, 0x0012e3717c73ab96ULL},
+                   0xadfbc24e6ad13edbULL, 0x63c23ad549c5a152ULL,
+                   0x473548848ee60502ULL, 0x642dc3d9b8fcb99fULL},
         DigestCase{"linear_4k", kPageSize4K, SplitPolicy::kLinear, false,
-                   0x9962e289d24f0067ULL, 0x1527447986b7e3f9ULL}),
+                   0x4b0f041248e6af03ULL, 0x32b8003d14242ff1ULL,
+                   0xd887ca4a3775f6bfULL, 0x678e6dceaa57b418ULL}),
     [](const ::testing::TestParamInfo<DigestCase>& info) {
       return info.param.name;
     });

@@ -301,12 +301,12 @@ TEST(BufferPoolTest, ConcurrentReadersAccountConsistently) {
 }
 
 // Four threads share one pool of 16 frames over 64 pages at one and at
-// eight shards. Each fetches and prefetches "cold" pages under eviction
-// pressure, and pins, fetches and unpins "hot" pages that the main thread
-// keeps pinned throughout.
+// eight shards. Each takes and prefetches "cold" pages under eviction
+// pressure, and pins, takes and unpins "hot" pages that the main thread
+// keeps pinned throughout, reading each hot page's bytes in place.
 class BufferPoolConcurrencyTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(BufferPoolConcurrencyTest, FetchPinUnpinPrefetchAccountPerCaller) {
+TEST_P(BufferPoolConcurrencyTest, TakePinUnpinPrefetchAccountPerCaller) {
   PagedFile file(kPageSize1K);
   std::vector<PageId> pages;
   for (uint32_t i = 0; i < 64; ++i) {
@@ -346,22 +346,22 @@ TEST_P(BufferPoolConcurrencyTest, FetchPinUnpinPrefetchAccountPerCaller) {
         const uint64_t op = (state >> 33) & 3;
         const uint64_t slot = state >> 35;
         if (op == 0) {
-          pool.Fetch(file, cold[slot % cold.size()], &c.cold);
+          pool.Take(file, cold[slot % cold.size()], &c.cold);
           ++c.cold_fetches;
         } else if (op == 1) {
           if (pool.Prefetch(file, cold[slot % cold.size()], &c.cold)) {
             ++c.prefetches_issued;
           }
         } else {
-          // op 2 pins the hot page around its fetch, nested over the main
-          // thread's pin.
+          // op 2 pins the hot page around its request, nested over the
+          // main thread's pin.
           const PageId id = hot[slot % hot.size()];
           if (op == 2) {
             pool.Pin(file, id, &c.hot);
             ++c.pins;
           }
-          const FetchedNode fetched = pool.Fetch(file, id, &c.hot);
-          EXPECT_EQ(fetched.decoded->node.entries[0].ref, id);
+          pool.Take(file, id, &c.hot);
+          EXPECT_EQ(ViewNode(file, id).entries.ref[0], id);
           ++c.hot_fetches;
           c.hot_fetched.insert(id);
           if (op == 2) pool.Unpin(file, id, &c.hot);
@@ -372,7 +372,7 @@ TEST_P(BufferPoolConcurrencyTest, FetchPinUnpinPrefetchAccountPerCaller) {
   for (auto& t : threads) t.join();
 
   std::set<PageId> hot_fetched;
-  uint64_t hot_decodes = 0;
+  uint64_t hot_takeovers = 0;
   for (const Caller& c : callers) {
     // Every page request counts one hit or one read against its caller; a
     // prefetch that lands a page counts one read.
@@ -383,11 +383,12 @@ TEST_P(BufferPoolConcurrencyTest, FetchPinUnpinPrefetchAccountPerCaller) {
     EXPECT_EQ(c.hot.buffer_hits, c.hot_fetches);
     EXPECT_EQ(c.hot.disk_reads, 0u);
     EXPECT_EQ(c.hot.pin_count, c.pins);
-    hot_decodes += c.hot.node_decodes;
+    hot_takeovers += c.hot.node_decodes;
     hot_fetched.insert(c.hot_fetched.begin(), c.hot_fetched.end());
   }
-  // A page that stays resident is decoded once, whoever fetched it first.
-  EXPECT_EQ(hot_decodes, hot_fetched.size());
+  // A page that stays resident is taken over once, by whichever request
+  // came first.
+  EXPECT_EQ(hot_takeovers, hot_fetched.size());
   EXPECT_EQ(pool.pinned_pages(), hot.size());
   EXPECT_LE(pool.frames_in_use(), pool.frame_capacity());
   // The main pins still hold the hot pages; releasing them frees the pins.
