@@ -11,8 +11,9 @@ namespace rsj {
 namespace {
 
 constexpr uint32_t kMagic = 0x52534A46;  // "RSJF"
-// 2: node pages hold coordinate columns (rtree/node.h). Version 1 files
-// hold 20-byte entry records and load as an error.
+// 2: node pages hold coordinate columns (rtree/node.h), each page followed
+// by its checksum. Version 1 files (20-byte entry records, no page
+// checksums) load as an error.
 constexpr uint32_t kVersion = 2;
 
 // On-disk header; fixed-width fields only.
@@ -55,6 +56,8 @@ bool ValidTreeHeader(const FileHeader& header) {
   if (header.split_policy > static_cast<uint32_t>(SplitPolicy::kLinear)) {
     return false;
   }
+  // Free-list ids are distinct pages; a larger count is not worth reading.
+  if (header.free_count > header.page_count) return false;
   // One page per level at least.
   if (header.height < 1 ||
       static_cast<uint64_t>(header.height) > header.page_count) {
@@ -160,8 +163,11 @@ bool SaveIndexedRelation(const PagedFile& file, const StoredTreeMeta& meta,
   for (const PageId id : file.free_list()) {
     if (std::fwrite(&id, sizeof(id), 1, out.get()) != 1) return false;
   }
+  // Each page is followed by the FNV-1a of its bytes.
   for (PageId id = 0; id < file.allocated_pages(); ++id) {
-    if (std::fwrite(file.PageData(id), file.page_size(), 1, out.get()) != 1) {
+    const uint64_t checksum = Fnv1a(file.PageData(id), file.page_size());
+    if (std::fwrite(file.PageData(id), file.page_size(), 1, out.get()) != 1 ||
+        std::fwrite(&checksum, sizeof(checksum), 1, out.get()) != 1) {
       return false;
     }
   }
@@ -194,9 +200,12 @@ std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path) {
   loaded.file = std::make_unique<PagedFile>(header.page_size);
   std::vector<std::byte> page(header.page_size);
   for (uint64_t i = 0; i < header.page_count; ++i) {
-    if (std::fread(page.data(), header.page_size, 1, in.get()) != 1) {
+    uint64_t checksum = 0;
+    if (std::fread(page.data(), header.page_size, 1, in.get()) != 1 ||
+        std::fread(&checksum, sizeof(checksum), 1, in.get()) != 1) {
       return std::nullopt;  // truncated file
     }
+    if (checksum != Fnv1a(page.data(), page.size())) return std::nullopt;
     loaded.file->AppendRaw(page.data());
   }
   if (!ValidTreeStructure(*loaded.file, header, free_list)) {

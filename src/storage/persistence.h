@@ -1,11 +1,12 @@
 // Persistence: saving and loading an indexed relation to a real file.
 //
 // The experiments run against simulated storage, but a library a user
-// adopts must survive a process restart. The format is a fixed header
-// (magic, version, page size, page count, tree metadata, header checksum)
-// followed by the raw pages. Loading verifies magic, version, checksum and
-// the tree structure the pages hold, then re-attaches an `RTree` to the
-// loaded `PagedFile`.
+// adopts must survive a process restart. The format (version 2) is a
+// fixed header (magic, version, page size, page count, tree metadata,
+// header checksum), the free list, then every raw page followed by the
+// FNV-1a checksum of its bytes. Loading verifies magic, version, the
+// checksums and the tree structure the pages hold, then re-attaches an
+// `RTree` to the loaded `PagedFile`.
 
 #ifndef RSJ_STORAGE_PERSISTENCE_H_
 #define RSJ_STORAGE_PERSISTENCE_H_
@@ -37,15 +38,16 @@ struct LoadedRelation {
   std::unique_ptr<RTree> tree;
 };
 
-// Reads a file written by SaveIndexedRelation. Returns std::nullopt when
-// the file is missing, truncated, or fails validation: magic, version,
-// header checksum, metadata a tree can run with (split policy, height,
-// finite fill and reinsert fractions the RTree constructor accepts), and
-// the tree's structure, walked once over the raw pages before the tree is
-// attached (child ids within the file, node magic, entry counts within
-// capacity, levels one below the parent's, no page reached twice, leaf
-// entries summing to the stored size, a free list of distinct unreachable
-// pages).
+// Reads a file written by SaveIndexedRelation. Returns std::nullopt, and
+// never aborts, when the file is missing, truncated, or fails validation:
+// magic, version (a version-1 file is rejected), header checksum, a free
+// list no longer than the page array, every page's checksum, metadata a
+// tree can run with (split policy, height, finite fill and reinsert
+// fractions the RTree constructor accepts), and the tree's structure,
+// walked once over the pages before the tree is attached (child ids within
+// the file, node magic, entry counts within capacity, levels one below the
+// parent's, no page reached twice, leaf entries summing to the stored
+// size, a free list of distinct unreachable pages).
 std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path);
 
 }  // namespace rsj

@@ -1,7 +1,8 @@
 // Tests for saving/loading indexed relations: round trips, query
-// equivalence, corruption and truncation detection, rejection of stored
-// options a tree cannot run with, and rejection of pages that do not form
-// the stored tree.
+// equivalence, corruption and truncation detection (seeded bit flips in
+// the header and in page bytes, page checksums, truncated page arrays, a
+// version-1 file), rejection of stored options a tree cannot run with, and
+// rejection of pages that do not form the stored tree.
 
 #include "storage/persistence.h"
 
@@ -14,7 +15,9 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <random>
 #include <utility>
+#include <vector>
 
 #include "join/join_runner.h"
 #include "tests/test_util.h"
@@ -405,6 +408,113 @@ TEST_F(PersistenceStructureTest, BadFreeListRejected) {
   EXPECT_FALSE(Loads()) << "reachable data node";
   file_->RestoreFreeList({root()});
   EXPECT_FALSE(Loads()) << "reachable root";
+}
+
+// Version-2 integrity: seeded corruption of a saved file. The page array
+// ends the file, every page followed by its 8-byte FNV-1a checksum; the
+// header and the free list come before it. Every corrupted or truncated
+// file must load as an error, never abort.
+class PersistenceCorruptionTest : public PersistenceTest {
+ protected:
+  void SetUp() override {
+    PersistenceTest::SetUp();
+    file_ = std::make_unique<PagedFile>(kPageSize1K);
+    RTreeOptions options;
+    options.page_size = kPageSize1K;
+    tree_ = std::make_unique<RTree>(BuildRTree(
+        file_.get(), testutil::RandomRects(600, 83, 0.02), options));
+    ASSERT_TRUE(SaveIndexedRelation(*file_, MetaOf(*tree_), path_.string()));
+    saved_ = ReadBytes();
+    ASSERT_TRUE(LoadIndexedRelation(path_.string()).has_value());
+  }
+
+  std::vector<unsigned char> ReadBytes() const {
+    std::vector<unsigned char> bytes(std::filesystem::file_size(path_));
+    std::FILE* f = std::fopen(path_.c_str(), "rb");
+    EXPECT_NE(f, nullptr);
+    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    return bytes;
+  }
+
+  bool Loads(const std::vector<unsigned char>& bytes) const {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    return LoadIndexedRelation(path_.string()).has_value();
+  }
+
+  static constexpr size_t kStride = kPageSize1K + sizeof(uint64_t);
+  size_t PagesBegin() const {
+    return saved_.size() - file_->allocated_pages() * kStride;
+  }
+  size_t HeaderBytes() const {
+    return PagesBegin() - file_->free_list().size() * sizeof(PageId);
+  }
+
+  std::unique_ptr<PagedFile> file_;
+  std::unique_ptr<RTree> tree_;
+  std::vector<unsigned char> saved_;
+};
+
+TEST_F(PersistenceCorruptionTest, SeededPageBitFlipsRejected) {
+  std::mt19937_64 rng(91);
+  for (int trial = 0; trial < 48; ++trial) {
+    // Anywhere in a page: the header, a live entry, or bytes past the
+    // entry count that only the page checksum covers; every eighth trial
+    // flips a bit of a checksum instead.
+    const size_t page = rng() % file_->allocated_pages();
+    const size_t span = trial % 8 == 7 ? sizeof(uint64_t) : kPageSize1K;
+    const size_t at = PagesBegin() + page * kStride +
+                      (trial % 8 == 7 ? kPageSize1K : 0) + rng() % span;
+    std::vector<unsigned char> bytes = saved_;
+    bytes[at] ^= static_cast<unsigned char>(1u << (rng() % 8));
+    EXPECT_FALSE(Loads(bytes)) << "trial " << trial << " byte " << at;
+  }
+}
+
+TEST_F(PersistenceCorruptionTest, SeededHeaderBitFlipsRejected) {
+  std::mt19937_64 rng(92);
+  for (int trial = 0; trial < 48; ++trial) {
+    const size_t at = rng() % HeaderBytes();
+    std::vector<unsigned char> bytes = saved_;
+    bytes[at] ^= static_cast<unsigned char>(1u << (rng() % 8));
+    EXPECT_FALSE(Loads(bytes)) << "trial " << trial << " byte " << at;
+  }
+}
+
+TEST_F(PersistenceCorruptionTest, TruncatedPageArrayRejected) {
+  const size_t end = saved_.size();
+  for (const size_t length :
+       {PagesBegin(), PagesBegin() + 1, PagesBegin() + kStride,
+        end - kStride - 1, end - sizeof(uint64_t) - kPageSize1K / 2,
+        end - sizeof(uint64_t), end - 1}) {
+    const std::vector<unsigned char> bytes(saved_.begin(),
+                                           saved_.begin() + length);
+    EXPECT_FALSE(Loads(bytes)) << "length " << length << " of " << end;
+  }
+}
+
+TEST_F(PersistenceCorruptionTest, VersionOneFileRejected) {
+  // The header is magic, then the version (byte 4), ..., then the FNV-1a
+  // of the header's preceding bytes: a version-1 header with a valid
+  // checksum is rejected by its version alone.
+  const auto with_version = [&](uint32_t version) {
+    std::vector<unsigned char> bytes = saved_;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    const size_t checksum_at = HeaderBytes() - sizeof(uint64_t);
+    for (size_t i = 0; i < checksum_at; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ULL;
+    }
+    std::memcpy(bytes.data() + checksum_at, &hash, sizeof(hash));
+    return bytes;
+  };
+  EXPECT_TRUE(Loads(with_version(2)));
+  EXPECT_FALSE(Loads(with_version(1)));
+  EXPECT_FALSE(Loads(with_version(3)));
 }
 
 }  // namespace
