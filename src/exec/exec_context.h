@@ -4,9 +4,9 @@
 //
 // A run of the parallel executors (exec/parallel_executor.h,
 // exec/multiway_executor.h) shares across its phases and workers:
-//   * one BufferPool, whose resident pages carry their decodes, so
-//     directory nodes the coordinator decodes are not decoded again while
-//     they stay resident,
+//   * one BufferPool, whose resident pages keep their take-over, so
+//     directory pages the coordinator took over are not charged a decode
+//     or a sort again while they stay resident,
 //   * a Prefetcher over the pool, when the plan prefetches,
 //   * the IoScheduler that models the pool's misses and the spill writes,
 //   * the MemoryGovernor that result, spill and frontier budgets mirror
@@ -22,7 +22,8 @@
 // the pool and task pool unless they are lent. A built pool is one LRU of
 // buffer_bytes for a one-thread run — the paper's sequential join, which
 // RunSpatialJoin[WithIo], RunIdSpatialJoin and RunChainSpatialJoin are —
-// and kSharedPoolShards locked shards when workers share it. A serving
+// and kSharedPoolShards locked shards when workers share a budget that
+// gives every shard several frames (one LRU when it does not). A serving
 // engine (engine/query_engine.h) lends each session its pool and task
 // pool; a sharded run (shard/sharded_join.h) lends every shard's context
 // one task pool, and each shard builds its own pool. A chain runs its
@@ -107,11 +108,13 @@ class ExecContext {
   // A context for one run over trees of `page_size`. exec's io_scheduler,
   // memory_governor, tracer and chunk_arena (a private arena when null)
   // are borrowed. Unless lent: the pool is join.buffer_bytes over
-  // `page_size`, with one shard when exec.num_threads <= 1 and
-  // kSharedPoolShards otherwise, reading through exec.io_scheduler; the
+  // `page_size`, with kSharedPoolShards shards when exec.num_threads > 1
+  // and every shard gets 8 frames at least, else one LRU, reading through
+  // exec.io_scheduler; the
   // task pool has exec.num_threads - 1 threads (none at one thread),
   // beside the calling thread that drives each run. With
-  // exec.prefetch_ahead > 0 the context owns a prefetcher over the pool.
+  // exec.prefetch_ahead > 0 the context owns a prefetcher over the pool
+  // that reaches that far ahead, but below the pool's frame count.
   ExecContext(const JoinOptions& join, uint32_t page_size,
               const ParallelExecutorOptions& exec,
               const LentResources& lent = {});

@@ -537,9 +537,10 @@ TEST_F(JoinCounterPinTest, CountersAndEmissionOrderMatchRecordedRuns) {
 // The rows above pin the traversal; these pin the executor shells around
 // it on their deterministic paths: the sequential join on a modeled disk
 // (the paper experiment's path), the same join prefetching its read
-// schedules over 2 and 4 disks (32 reads ahead) and over 2 disks 16 reads
-// ahead (so the depth RunSpatialJoinWithIo is given must reach the
-// prefetcher: on this 16-frame buffer it moves the counters), the
+// schedules over 2 and 4 disks (32 reads ahead) and over 2 disks 16 and 8
+// reads ahead (the context caps every depth below the buffer's 16 frames,
+// so 32 and 16 read 15 ahead, while 8 must reach the prefetcher and move
+// the counters), the
 // one-thread streaming ID-join with a spilling filter step, the parallel
 // executor on a leaf root (its degenerate plan runs as one partition) on
 // an owned scheduler, and the parallel executor at one thread without
@@ -563,9 +564,10 @@ struct PinnedPath {
 
 constexpr PinnedPath kPinnedPaths[] = {
     {"with_io/SJ4", 3460, 190, 190, 0, 0, 3785000},
-    {"with_io/SJ4/prefetch/2_disks", 3460, 284, 230, 0, 0, 4055000},
-    {"with_io/SJ4/prefetch/4_disks", 3460, 284, 230, 0, 0, 3250000},
-    {"with_io/SJ4/prefetch/2_disks/16_ahead", 3460, 211, 210, 0, 0, 3135000},
+    {"with_io/SJ4/prefetch/2_disks", 3460, 206, 206, 0, 0, 3100000},
+    {"with_io/SJ4/prefetch/4_disks", 3460, 206, 206, 0, 0, 2710000},
+    {"with_io/SJ4/prefetch/2_disks/16_ahead", 3460, 206, 206, 0, 0, 3100000},
+    {"with_io/SJ4/prefetch/2_disks/8_ahead", 3460, 199, 199, 0, 0, 3310000},
     {"id_join_streaming/1_thread", 1268, 297, 190, 145, 145, 11285000},
     {"parallel/4_threads/leaf_root", 163, 56, 56, 0, 0, 1120000},
     {"parallel/1_thread", 3460, 190, 190, 0, 0, 0},
@@ -648,6 +650,8 @@ TEST_F(JoinCounterPinTest, ExecutorPathsMatchRecordedRuns) {
       {"with_io/SJ4/prefetch/4_disks", with_io(4, /*prefetch=*/true)},
       {"with_io/SJ4/prefetch/2_disks/16_ahead",
        with_io(2, /*prefetch=*/true, /*ahead=*/16)},
+      {"with_io/SJ4/prefetch/2_disks/8_ahead",
+       with_io(2, /*prefetch=*/true, /*ahead=*/8)},
       {"id_join_streaming/1_thread",
        [&] {
          const auto io = DiskArray(1);
