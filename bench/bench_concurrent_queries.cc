@@ -10,7 +10,7 @@
 //                   previous one finished (the classical one-at-a-time
 //                   server). Total = Σ batch makespans.
 //   * concurrent  — all queries submitted at once: sessions share the
-//                   engine's buffer pool (decodes included), task pool
+//                   engine's buffer pool (take-overs included), task pool
 //                   and disk array; each session's blocking reads leave its
 //                   own timeline idle while the disks serve the others.
 // The cost-based planner picks each query's variant from the analytic

@@ -1,5 +1,5 @@
 // Parallel multi-way chain join scaling over one shared buffer whose
-// resident pages carry their decodes — the follow-up experiment to
+// pages every reader scans in place — the follow-up experiment to
 // bench_parallel_scaling.
 //
 // Runs the 3-way chain streets ⋈ rivers&railways ⋈ streets (2nd map) on
@@ -7,7 +7,7 @@
 // 1, 2, 4 and 8 workers over a simulated 4-disk array. Each pairwise worker
 // probes its staged chunk of pairs as one batch, in one descent of the
 // probe relation's R*-tree (exec/multiway_executor.h). Reports wall clock,
-// tuple counts, window queries, join comparisons, decode counters,
+// tuple counts, window queries, join comparisons, take-over counters,
 // aggregate disk reads, `frontier_peak_tuples` (the peak live intermediate
 // tuple count) and the modeled elapsed time over the disk array.
 //
@@ -16,10 +16,10 @@
 // any row's tuple count or window-query count diverges from the 1-worker
 // row's — every tuple is probed exactly once per phase, so a dropped
 // partial batch or a batch probed twice fails at every scale — when a
-// row decodes more pages than it reads (a physical read decodes its page
-// once, whichever reader fetches it), or when, at scale >= 0.05, a run's
-// peak frontier is not strictly below the first phase's whole frontier
-// (the pairwise join's pairs), so CI smoke runs enforce the
+// row takes more pages over than it reads (a physically read page is taken
+// over once, whichever reader requests it), or when, at scale >= 0.05, a
+// run's peak frontier is not strictly below the first phase's whole
+// frontier (the pairwise join's pairs), so CI smoke runs enforce the
 // bounded-frontier criterion.
 
 #include <chrono>
@@ -104,7 +104,7 @@ int Main(int argc, char** argv) {
   const double scale = Flags(argc, argv).Scale();
   PrintBanner(
       "Parallel 3-way chain join scaling (SJ4, 4 KByte pages, 128 KByte "
-      "shared buffer with resident decodes, 4 simulated disks; batched "
+      "shared buffer read in place, 4 simulated disks; batched "
       "probes in the pairwise workers)",
       "Section 2.1 multi-way joins x Section 6 parallel future work",
       scale);
@@ -130,7 +130,7 @@ int Main(int argc, char** argv) {
 
   PrintRow("workers",
            {"tuples", "wall (s)", "speedup", "windows", "join cmp",
-            "decodes", "disk reads", "peak frontier", "modeled (ms)"});
+            "take-overs", "disk reads", "peak frontier", "modeled (ms)"});
   bool ok = true;
   Measured one;
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
@@ -159,10 +159,10 @@ int Main(int argc, char** argv) {
           static_cast<unsigned long long>(base.window_queries));
       ok = false;
     }
-    // A physically read page is decoded at most once; a second decode of
-    // one read means a reader's decode did not stay with its page.
+    // A physically read page is taken over at most once; a second
+    // take-over of one read means the page lost its take-over bit.
     if (stats.node_decodes > stats.disk_reads) {
-      std::printf("FAIL: %llu decodes for %llu disk reads at %u workers\n",
+      std::printf("FAIL: %llu take-overs for %llu disk reads at %u workers\n",
                   static_cast<unsigned long long>(stats.node_decodes),
                   static_cast<unsigned long long>(stats.disk_reads), workers);
       ok = false;
@@ -185,7 +185,7 @@ int Main(int argc, char** argv) {
       "Each worker probes its staged chunk as one batch and emits the final\n"
       "tuples as the probe finds them, so its peak frontier stays at one\n"
       "staged chunk, whatever one window hits, instead of the first phase's\n"
-      "whole frontier; the shared buffer decodes each read page once\n"
+      "whole frontier; one request takes each read page over\n"
       "system-wide.\n");
   return ok ? 0 : 1;
 }

@@ -13,9 +13,8 @@
 //     peak bytes per category and in total. `TryLease` is
 //     admission-controlled (fails past the budget — the session admission
 //     path); `Charge` is unconditional accounting for quantities something
-//     else already bounds (a chain's chunk capacity). Buffer-pool frames,
-//     with the decodes their pages carry, are not charged: the pool's bytes
-//     bound them.
+//     else already bounds (a chain's chunk capacity). Buffer-pool frames
+//     are not charged: the pool's bytes bound them.
 //   * `ResidentBudget` — the per-run admission gauge the spill sinks and
 //     executors already used, now optionally *governed*: every unit it
 //     admits is mirrored as a byte lease in the governor's category

@@ -8,8 +8,8 @@
 // leases them to sessions:
 //
 //   * one BufferPool of kSharedPoolShards locked shards spans every
-//     session (queries share hot directory pages and the decodes they
-//     carry, exactly like a database buffer),
+//     session (queries share hot directory pages and their take-overs,
+//     exactly like a database buffer),
 //   * one IoScheduler models the disk array for all sessions; each
 //     session runs on an ExecContext (exec/exec_context.h) lent the
 //     engine's pool and task pool, whose window therefore retires only
@@ -155,7 +155,7 @@ class QueryEngine {
  public:
   struct Options {
     // The shared page buffer spanning all sessions; its resident pages
-    // carry their decodes.
+    // keep their take-over.
     BufferPool::Options pool{.shard_count = kSharedPoolShards};
     // The modeled disk array all sessions run on.
     IoScheduler::Options io;

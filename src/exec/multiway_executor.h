@@ -25,7 +25,7 @@
 //      extends the last partial chunk and seals the spiller before the
 //      pairwise run retires the worker,
 //   4. the run's ExecContext (exec/exec_context.h) — one BufferPool,
-//      whose resident pages carry their decodes, and one modeled-I/O
+//      whose resident pages keep their take-over, and one modeled-I/O
 //      window — serves the pairwise traversal and every probe; with
 //      prefetch enabled the coordinator hints every probe root's children
 //      into the shared pool up front.

@@ -189,8 +189,8 @@ ParallelJoinResult RunParallelSpatialJoin(
                                 exec_options.num_threads);
     PartitionPlan plan;
     {
-      // The coordinator's directory reads and decodes warm the context's
-      // pool for the workers.
+      // The coordinator's directory reads and take-overs warm the
+      // context's pool for the workers.
       TraceSpan span(tracer, "exec", "partition_plan", pid);
       const uint64_t modeled_before =
           span.active() && io != nullptr ? io->ActorClock(&coordinator) : 0;

@@ -11,7 +11,7 @@
 //      a SpatialJoinEngine, its own Statistics and a batched ResultSink,
 //   3. page requests go through the context's BufferPool
 //      (exec/exec_context.h), whose pages the coordinator's partitioning
-//      reads and decodes warm for the workers,
+//      reads and takes over warm for the workers,
 //   4. worker statistics and sink outputs are merged into the result.
 //
 // Work units are disjoint subtree pairs, so the union of the workers'

@@ -28,8 +28,8 @@
 namespace rsj {
 
 // Sorts `seq` ascending by the rectangles' lower x coordinate, uncounted:
-// the measured join path sorts nodes through their decodes
-// (storage/decoded_node.h, InsertionSortByLowerX).
+// the measured join path sorts node pages with a counted insertion sort
+// (rtree/node.h, SortedByLowerX).
 void SortByLowerX(std::vector<IndexedRect>* seq);
 
 // True if `seq` is sorted ascending by lower x coordinate.

@@ -192,8 +192,8 @@ ShardedJoinResult RunShardedSpatialJoin(const ShardedDataset& r,
       dedup[w] = std::make_unique<DedupSink>(&r, &s, shard, inner[w].get());
     }
 
-    // A context per shard on the run's task pool: its own pool (decodes
-    // included), and the owned window over the shard's scheduler. Shards
+    // A context per shard on the run's task pool: its own pool, and the
+    // owned window over the shard's scheduler. Shards
     // model independent nodes, so the run-level elapsed time is the max,
     // not the sum.
     ExecContext ctx(options.join, rt.options().page_size, exec,
