@@ -87,4 +87,10 @@ ExecContext::ExecContext(const JoinOptions& join, uint32_t page_size,
   }
 }
 
+void ExecContext::ChargeUnconsumedPrefetches(Statistics* stats) const {
+  if (owned_pool_ != nullptr) {
+    stats->prefetch_wasted += owned_pool_->prefetched_unconsumed();
+  }
+}
+
 }  // namespace rsj

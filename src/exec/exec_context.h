@@ -134,6 +134,12 @@ class ExecContext {
   // The run's tasks run here; the calling thread drives each Run.
   TaskPool& tasks() const { return *tasks_; }
 
+  // Ends the run's page reads. A pool the context built dies with the run,
+  // so every frame it prefetched and no reader consumed is a wasted read,
+  // charged to `stats`'s prefetch_wasted. A lent pool keeps such frames
+  // for the runs that share it, so nothing is charged.
+  void ChargeUnconsumedPrefetches(Statistics* stats) const;
+
  private:
   std::unique_ptr<BufferPool> owned_pool_;  // null when lent
   BufferPool* pool_;

@@ -55,12 +55,18 @@ struct FrontierGauge {
 // `prefetcher`: every probe batch descends from this root, so its children
 // are the phase's shared read frontier. The root itself is read
 // synchronously right here to learn them — prefetching it too would only
-// be consumed on the next statement with its full stall.
+// be consumed on the next statement with its full stall. The probes sort
+// each page on read (§4.2), charged by the request that takes it over; when
+// that is this one, it charges the root's sort, as the probe would have.
 void HintProbeRoot(const RTree& tree, BufferPool* pages,
                    const Prefetcher* prefetcher, Statistics* stats) {
   const PagedFile& file = tree.file();
-  pages->Take(file, tree.root_page(), stats);
+  const bool took_over = pages->Take(file, tree.root_page(), stats);
   const NodeView root = ViewNode(file, tree.root_page());
+  if (took_over) {
+    NodeCopy sorted;
+    SortedByLowerX(root, &sorted, &stats->sort_comparisons);
+  }
   if (root.is_leaf()) return;
   prefetcher->PrefetchSchedule(
       file, std::span<const PageId>(root.entries.ref, root.size()), stats);

@@ -263,6 +263,8 @@ ParallelJoinResult RunParallelSpatialJoin(
     span.set_arg("workers", workers.size());
     output.Flush();
   }
+  // A chain's probes run inside its sinks, so the run's reads end here.
+  ctx.ChargeUnconsumedPrefetches(&coordinator);
   result.total_stats.MergeFrom(coordinator);
   for (const auto& worker : workers) {
     result.worker_stats.push_back(worker->stats);

@@ -99,12 +99,12 @@ float LowerX(const Entry& e) { return e.rect.xl; }
 
 // Packs `entries` into nodes of ~`node_size` entries, slicing the plane
 // into vertical runs sorted by x-center, then within each run by y-center;
-// each node's entries are stored in lower-x order. `scratch` is the key
-// sort's buffer (2 * entries.size() elements).
-std::vector<Node> PackLevel(std::vector<Entry> entries, uint8_t level,
-                            size_t node_size, size_t min_entries,
-                            size_t capacity,
-                            std::vector<KeyedEntry>* scratch) {
+// each node's entries end up in lower-x order. Reorders `entries` in place
+// and returns the node sizes: node k holds the next sizes[k] entries.
+// `scratch` is the key sort's buffer (2 * entries.size() elements).
+std::vector<size_t> PackLevel(std::span<Entry> entries, size_t node_size,
+                              size_t min_entries, size_t capacity,
+                              std::vector<KeyedEntry>* scratch) {
   RSJ_CHECK(node_size >= 1);
   const size_t n = entries.size();
   const auto node_count =
@@ -113,27 +113,22 @@ std::vector<Node> PackLevel(std::vector<Entry> entries, uint8_t level,
       static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(node_count))));
   const size_t slice_size = slice_count * node_size;
 
-  const std::span<Entry> all(entries);
-  SortByKey(all, CenterX, scratch);
+  SortByKey(entries, CenterX, scratch);
 
-  std::vector<Node> nodes;
+  std::vector<size_t> nodes;
   nodes.reserve(node_count);
   // Slice boundaries are evened with the same rule so that a short tail
   // slice can never fall under the min-fill bound either.
   size_t start = 0;
   for (const size_t slice :
        ChunkSizes(n, slice_size, min_entries, /*capacity=*/SIZE_MAX)) {
-    SortByKey(all.subspan(start, slice), CenterY, scratch);
+    SortByKey(entries.subspan(start, slice), CenterY, scratch);
     size_t cursor = start;
     for (const size_t size :
          ChunkSizes(slice, node_size, min_entries, capacity)) {
-      const std::span<Entry> members = all.subspan(cursor, size);
-      SortByKey(members, LowerX, scratch);
-      Node node;
-      node.level = level;
-      node.entries.assign(members.begin(), members.end());
+      SortByKey(entries.subspan(cursor, size), LowerX, scratch);
       cursor += size;
-      nodes.push_back(std::move(node));
+      nodes.push_back(size);
     }
     start += slice;
   }
@@ -158,22 +153,25 @@ void RTree::BulkLoadStr(std::span<const Entry> data_entries,
   uint8_t level = 0;
   // The pre-allocated empty root is reused for the final (root) node.
   while (true) {
-    std::vector<Node> nodes =
-        PackLevel(std::move(level_entries), level, node_size, min_entries_,
-                  capacity_, &scratch);
+    const std::vector<size_t> nodes = PackLevel(
+        level_entries, node_size, min_entries_, capacity_, &scratch);
     if (nodes.size() == 1) {
-      nodes[0].Store(file_, root_);
+      WriteNode(file_, root_, level, level_entries);
       height_ = level + 1;
       size_ = data_entries.size();
       return;
     }
-    level_entries.clear();
-    level_entries.reserve(nodes.size());
-    for (const Node& node : nodes) {
+    std::vector<Entry> parents;
+    parents.reserve(nodes.size());
+    const std::span<const Entry> packed(level_entries);
+    size_t start = 0;
+    for (const size_t size : nodes) {
       const PageId page = file_->Allocate();
-      node.Store(file_, page);
-      level_entries.push_back(Entry{node.ComputeMbr(), page});
+      WriteNode(file_, page, level, packed.subspan(start, size));
+      parents.push_back(Entry{ViewNode(*file_, page).ComputeMbr(), page});
+      start += size;
     }
+    level_entries = std::move(parents);
     ++level;
     RSJ_CHECK_MSG(level < 32, "runaway bulk load");
   }

@@ -6,27 +6,59 @@
 
 #include "common/logging.h"
 
-// Load and Store move four entries at a time through one 4x4 transpose
-// between rectangles and columns, on the x86-64 SSE baseline and with the
-// opt-out of geom/simd_kernels.cc (RSJ_DISABLE_SIMD). Tree insertion loads
-// and stores pages on every insert: per 4 KiB page of the A-E trees at
-// scale 0.1, Load took 0.29 us over 20-byte records, 0.47 us over columns
-// one field at a time and 0.39 us transposed; Store 0.37, 0.58 and 0.44.
-#if !defined(RSJ_DISABLE_SIMD) && \
-    (defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64))
-#include <xmmintrin.h>
-#define RSJ_NODE_SSE 1
-#else
-#define RSJ_NODE_SSE 0
-#endif
-
 namespace rsj {
 
-static_assert(sizeof(Rect) == 4 * sizeof(Coord), "a Rect is 4 packed floats");
+namespace {
+
+uint16_t CountOf(const std::byte* page) {
+  uint16_t count = 0;
+  std::memcpy(&count, page + kNodeCountByte, sizeof(count));
+  return count;
+}
+
+// The node on one page, edited in place. Every column has 4-byte slots,
+// written as the bytes of the Coord or ref they hold.
+struct PageSlots {
+  PageSlots(PagedFile* file, PageId id)
+      : page(file->MutablePageData(id)), page_size(file->page_size()) {}
+
+  std::byte* at(NodeColumn column, uint32_t slot) const {
+    return page + NodeFieldOffset(page_size, column, slot);
+  }
+  void set_count(uint32_t count) const {
+    const auto stored = static_cast<uint16_t>(count);
+    std::memcpy(page + kNodeCountByte, &stored, sizeof(stored));
+  }
+  void SetRect(uint32_t slot, const Rect& rect) const {
+    std::memcpy(at(NodeColumn::kXl, slot), &rect.xl, sizeof(Coord));
+    std::memcpy(at(NodeColumn::kYl, slot), &rect.yl, sizeof(Coord));
+    std::memcpy(at(NodeColumn::kXu, slot), &rect.xu, sizeof(Coord));
+    std::memcpy(at(NodeColumn::kYu, slot), &rect.yu, sizeof(Coord));
+  }
+  void Set(uint32_t slot, const Entry& entry) const {
+    SetRect(slot, entry.rect);
+    std::memcpy(at(NodeColumn::kRef, slot), &entry.ref, sizeof(entry.ref));
+  }
+  // Moves slots [from, from + n) of every column to [to, to + n).
+  void Move(uint32_t from, uint32_t to, uint32_t n) const {
+    for (const NodeColumn column : {NodeColumn::kXl, NodeColumn::kYl,
+                                    NodeColumn::kXu, NodeColumn::kYu,
+                                    NodeColumn::kRef}) {
+      std::memmove(at(column, to), at(column, from), size_t{n} * 4);
+    }
+  }
+
+  std::byte* const page;
+  const uint32_t page_size;
+};
+
+}  // namespace
 
 Rect NodeView::ComputeMbr() const {
   if (entries.size == 0) return Rect::Empty();
-  Rect mbr = entries.rect(0);  // the min/max fold of Node::ComputeMbr
+  // A min/max fold from the first entry: equal to the Union fold for
+  // stored (valid) entries, without Union's per-entry emptiness branches.
+  Rect mbr = entries.rect(0);
   for (uint32_t i = 1; i < entries.size; ++i) {
     mbr.xl = std::min(mbr.xl, entries.xl[i]);
     mbr.yl = std::min(mbr.yl, entries.yl[i]);
@@ -39,14 +71,13 @@ Rect NodeView::ComputeMbr() const {
 std::optional<NodeView> CheckedViewNode(const PagedFile& file, PageId id) {
   const std::byte* page = file.PageData(id);
   const uint32_t page_size = file.page_size();
-  uint16_t count = 0;
-  std::memcpy(&count, page + kNodeCountByte, sizeof(count));
+  const uint16_t count = CountOf(page);
   if (static_cast<uint8_t>(page[kNodeMagicByte]) != kNodeMagic ||
       count > NodeCapacity(page_size)) {
     return std::nullopt;
   }
   // Pages start at least 4-byte aligned, and so does every column; the
-  // columns' floats and refs are what Store wrote through these types.
+  // columns hold the bytes of the floats and refs the edits below wrote.
   const auto column = [&](NodeColumn c) {
     return reinterpret_cast<const Coord*>(page +
                                           NodeFieldOffset(page_size, c, 0));
@@ -127,85 +158,42 @@ NodeView SortedByLowerX(const NodeView& node, NodeCopy* copy,
   return NodeView{node.level, copy->columns()};
 }
 
-Rect Node::ComputeMbr() const {
-  if (entries.empty()) return Rect::Empty();
-  // A min/max fold from the first entry: equal to the Union fold for
-  // stored (valid) entries, without Union's per-entry emptiness branches.
-  Rect mbr = entries.front().rect;
-  for (const Entry& e : entries) {
-    mbr.xl = std::min(mbr.xl, e.rect.xl);
-    mbr.yl = std::min(mbr.yl, e.rect.yl);
-    mbr.xu = std::max(mbr.xu, e.rect.xu);
-    mbr.yu = std::max(mbr.yu, e.rect.yu);
-  }
-  return mbr;
-}
-
-Node Node::Load(const PagedFile& file, PageId id) {
-  const NodeView view = ViewNode(file, id);
-  const EntryColumns& c = view.entries;
-  Node node;
-  node.level = view.level;
-  node.entries.resize(c.size);
-  Entry* out = node.entries.data();
-  uint32_t i = 0;
-#if RSJ_NODE_SSE
-  for (; i + 4 <= c.size; i += 4) {
-    __m128 r0 = _mm_loadu_ps(c.xl + i);
-    __m128 r1 = _mm_loadu_ps(c.yl + i);
-    __m128 r2 = _mm_loadu_ps(c.xu + i);
-    __m128 r3 = _mm_loadu_ps(c.yu + i);
-    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-    _mm_storeu_ps(&out[i].rect.xl, r0);
-    _mm_storeu_ps(&out[i + 1].rect.xl, r1);
-    _mm_storeu_ps(&out[i + 2].rect.xl, r2);
-    _mm_storeu_ps(&out[i + 3].rect.xl, r3);
-    for (uint32_t k = i; k < i + 4; ++k) out[k].ref = c.ref[k];
-  }
-#endif
-  for (; i < c.size; ++i) out[i] = c.entry(i);
-  return node;
-}
-
-void Node::Store(PagedFile* file, PageId id) const {
-  const uint32_t page_size = file->page_size();
-  RSJ_CHECK_MSG(entries.size() <= NodeCapacity(page_size),
+void WriteNode(PagedFile* file, PageId id, uint8_t level,
+               std::span<const Entry> entries) {
+  RSJ_CHECK_MSG(entries.size() <= NodeCapacity(file->page_size()),
                 "node overflows its page");
-  std::byte* page = file->MutablePageData(id);
-  const auto count = static_cast<uint16_t>(entries.size());
-  std::memcpy(page + kNodeCountByte, &count, sizeof(count));
-  page[kNodeLevelByte] = static_cast<std::byte>(level);
-  page[kNodeMagicByte] = static_cast<std::byte>(kNodeMagic);
-  const auto column = [&](NodeColumn c) {
-    return reinterpret_cast<Coord*>(page + NodeFieldOffset(page_size, c, 0));
-  };
-  Coord* xl = column(NodeColumn::kXl);
-  Coord* yl = column(NodeColumn::kYl);
-  Coord* xu = column(NodeColumn::kXu);
-  Coord* yu = column(NodeColumn::kYu);
-  auto* ref = reinterpret_cast<uint32_t*>(column(NodeColumn::kRef));
-  size_t i = 0;
-#if RSJ_NODE_SSE
-  for (; i + 4 <= entries.size(); i += 4) {
-    __m128 c0 = _mm_loadu_ps(&entries[i].rect.xl);
-    __m128 c1 = _mm_loadu_ps(&entries[i + 1].rect.xl);
-    __m128 c2 = _mm_loadu_ps(&entries[i + 2].rect.xl);
-    __m128 c3 = _mm_loadu_ps(&entries[i + 3].rect.xl);
-    _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
-    _mm_storeu_ps(xl + i, c0);
-    _mm_storeu_ps(yl + i, c1);
-    _mm_storeu_ps(xu + i, c2);
-    _mm_storeu_ps(yu + i, c3);
-    for (size_t k = i; k < i + 4; ++k) ref[k] = entries[k].ref;
-  }
-#endif
-  for (; i < entries.size(); ++i) {
-    xl[i] = entries[i].rect.xl;
-    yl[i] = entries[i].rect.yl;
-    xu[i] = entries[i].rect.xu;
-    yu[i] = entries[i].rect.yu;
-    ref[i] = entries[i].ref;
-  }
+  const PageSlots page(file, id);
+  page.set_count(static_cast<uint32_t>(entries.size()));
+  page.page[kNodeLevelByte] = static_cast<std::byte>(level);
+  page.page[kNodeMagicByte] = static_cast<std::byte>(kNodeMagic);
+  for (uint32_t i = 0; i < entries.size(); ++i) page.Set(i, entries[i]);
+}
+
+void InsertEntry(PagedFile* file, PageId id, uint32_t slot,
+                 const Entry& entry) {
+  const PageSlots page(file, id);
+  const uint32_t count = CountOf(page.page);
+  RSJ_CHECK_MSG(count < NodeCapacity(page.page_size),
+                "insert into a full node");
+  RSJ_CHECK(slot <= count);
+  page.Move(slot, slot + 1, count - slot);
+  page.Set(slot, entry);
+  page.set_count(count + 1);
+}
+
+void EraseEntry(PagedFile* file, PageId id, uint32_t slot) {
+  const PageSlots page(file, id);
+  const uint32_t count = CountOf(page.page);
+  RSJ_CHECK(slot < count);
+  page.Move(slot + 1, slot, count - slot - 1);
+  page.set_count(count - 1);
+}
+
+void SetEntryRect(PagedFile* file, PageId id, uint32_t slot,
+                  const Rect& rect) {
+  const PageSlots page(file, id);
+  RSJ_CHECK(slot < CountOf(page.page));
+  page.SetRect(slot, rect);
 }
 
 }  // namespace rsj

@@ -1,5 +1,5 @@
 // One R-tree node page: its layout, the view that reads it in place, and
-// the decoded value that tree mutation works on.
+// the edits that tree mutation makes to it in place.
 //
 // A node page stores its entries as coordinate columns behind a 4-byte
 // header, M = NodeCapacity(page_size) slots each (Table 1, rtree/entry.h):
@@ -15,9 +15,14 @@
 // bytes: it copies nothing, the batch kernels (geom/simd_kernels.h) scan
 // its columns, and it stays valid until the page is rewritten. A reader
 // that needs a page in lower-x order or grown by the predicate expansion
-// copies it into a `NodeCopy` of its own, so readers share nothing. Tree
-// mutation decodes a page into a `Node` value (`Load`), mutates the copy
-// and `Store`s it back.
+// copies it into a `NodeCopy` of its own, so readers share nothing.
+//
+// Tree mutation (rtree/rtree.h) reads pages through the same view and
+// edits them in place: a whole node written from entries, an entry
+// inserted at a slot or erased from one, one entry's rectangle set. Each
+// edit writes exactly the header and the slots below the new count that
+// a whole rewrite from the resulting entries would; the slots at and past
+// the count keep their stale bytes.
 
 #ifndef RSJ_RTREE_NODE_H_
 #define RSJ_RTREE_NODE_H_
@@ -25,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "geom/rect_block.h"
@@ -74,8 +80,8 @@ struct NodeView {
   Rect ComputeMbr() const;
 };
 
-// Views the node on page `id` in place. Aborts, as Node::Load does, when
-// the page holds no node (no magic, or a count above capacity).
+// Views the node on page `id` in place. Aborts when the page holds no node
+// (no magic, or a count above capacity).
 NodeView ViewNode(const PagedFile& file, PageId id);
 // ViewNode for pages that may be corrupt: nothing instead of an abort.
 std::optional<NodeView> CheckedViewNode(const PagedFile& file, PageId id);
@@ -114,23 +120,23 @@ class NodeCopy {
 NodeView SortedByLowerX(const NodeView& node, NodeCopy* copy,
                         ComparisonCounter* charge);
 
-// The value form of a node, for tree mutation.
-struct Node {
-  uint8_t level = 0;  // 0 = leaf; root has level = height - 1
-  std::vector<Entry> entries;
+// Writes a node of `level` holding `entries` onto page `id`: the header
+// and slots [0, entries.size()) of every column. Aborts when the entries
+// exceed NodeCapacity(file->page_size()).
+void WriteNode(PagedFile* file, PageId id, uint8_t level,
+               std::span<const Entry> entries);
 
-  bool is_leaf() const { return level == 0; }
+// Inserts `entry` at `slot` (at most the count) of the node on page `id`,
+// moving slots [slot, count) up by one. Aborts when the node is full.
+void InsertEntry(PagedFile* file, PageId id, uint32_t slot,
+                 const Entry& entry);
 
-  // Minimum bounding rectangle of all entries (Rect::Empty() when empty).
-  Rect ComputeMbr() const;
+// Erases `slot` (below the count) of the node on page `id`, moving the
+// later slots down by one.
+void EraseEntry(PagedFile* file, PageId id, uint32_t slot);
 
-  // Decodes the node stored on page `id` of `file`.
-  static Node Load(const PagedFile& file, PageId id);
-
-  // Serializes this node onto page `id`. The entry count must not exceed
-  // NodeCapacity(file->page_size()).
-  void Store(PagedFile* file, PageId id) const;
-};
+// Sets the rectangle of `slot` (below the count) of the node on page `id`.
+void SetEntryRect(PagedFile* file, PageId id, uint32_t slot, const Rect& rect);
 
 }  // namespace rsj
 

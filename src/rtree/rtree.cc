@@ -11,46 +11,66 @@ namespace rsj {
 
 namespace {
 
-// Returns a pointer to the entry of `node` referencing child page `child`.
-Entry* FindChildEntry(Node* node, PageId child) {
-  for (Entry& e : node->entries) {
-    if (e.ref == child) return &e;
+// Slot of the entry of `node` referencing child page `child`.
+uint32_t ChildSlot(const NodeView& node, PageId child) {
+  const uint32_t* refs = node.entries.ref;
+  const uint32_t* it = std::find(refs, refs + node.size(), child);
+  RSJ_CHECK_MSG(it != refs + node.size(),
+                "parent node lost the entry of its child page");
+  return static_cast<uint32_t>(it - refs);
+}
+
+// The slot that keeps node entries ordered by their rectangles' lower x
+// coordinate: the first whose xl is not below `xl`. The order inside a
+// node is semantically free; keeping it (nearly) sorted makes the joins'
+// sort-page-on-read step cheap, the option §4.2 of the paper explicitly
+// suggests.
+uint32_t LowerXSlot(const NodeView& node, Coord xl) {
+  const Coord* column = node.entries.xl;
+  return static_cast<uint32_t>(
+      std::lower_bound(column, column + node.size(), xl) - column);
+}
+
+// The entries of `node`, copied out of its page, with room for one more.
+std::vector<Entry> EntriesOf(const NodeView& node) {
+  std::vector<Entry> entries;
+  entries.reserve(node.size() + 1);
+  for (uint32_t i = 0; i < node.size(); ++i) {
+    entries.push_back(node.entries.entry(i));
   }
-  RSJ_CHECK_MSG(false, "parent node lost the entry of its child page");
-  return nullptr;
+  return entries;
 }
 
 }  // namespace
 
-RTree::RTree(PagedFile* file, const RTreeOptions& options)
+RTree::RTree(PagedFile* file, const RTreeOptions& options, PageId root,
+             int height, size_t size)
     : file_(file),
       options_(options),
       capacity_(NodeCapacity(options.page_size)),
       min_entries_(std::max<uint32_t>(
           2, static_cast<uint32_t>(options.min_fill_fraction *
                                    NodeCapacity(options.page_size)))),
-      root_(kInvalidPageId),
-      height_(1) {
+      root_(root),
+      height_(height),
+      size_(size) {
   RSJ_CHECK_MSG(file->page_size() == options.page_size,
                 "file page size must match tree options");
   RSJ_CHECK_MSG(capacity_ >= 2 * min_entries_,
                 "min fill fraction too large for this page size");
+}
+
+RTree::RTree(PagedFile* file, const RTreeOptions& options)
+    : RTree(file, options, kInvalidPageId, /*height=*/1, /*size=*/0) {
   root_ = file_->Allocate();
-  Node empty_leaf;
-  empty_leaf.Store(file_, root_);
+  WriteNode(file_, root_, /*level=*/0, {});
 }
 
 RTree RTree::Attach(PagedFile* file, const RTreeOptions& options, PageId root,
                     int height, size_t size) {
-  RTree tree(file, options);
-  // Release the freshly allocated empty root and adopt the stored state.
-  file->Free(tree.root_);
-  tree.root_ = root;
-  tree.height_ = height;
-  tree.size_ = size;
   RSJ_CHECK_MSG(root < file->allocated_pages(),
                 "stored root page is outside the file");
-  return tree;
+  return RTree(file, options, root, height, size);
 }
 
 void RTree::Insert(const Rect& rect, uint32_t object_id) {
@@ -63,46 +83,43 @@ void RTree::Insert(const Rect& rect, uint32_t object_id) {
 
 void RTree::InsertAtLevel(const Entry& entry, int target_level) {
   RSJ_CHECK(target_level < height_);
-  Node target;
-  std::vector<PageId> path = DescendPath(entry.rect, target_level, &target);
-  PlaceEntry(path, std::move(target), entry);
+  PlaceEntry(DescendPath(entry.rect, target_level), entry);
 }
 
-std::vector<PageId> RTree::DescendPath(const Rect& rect, int target_level,
-                                       Node* target) const {
+std::vector<PageId> RTree::DescendPath(const Rect& rect,
+                                       int target_level) const {
   std::vector<PageId> path{root_};
-  Node node = Node::Load(*file_, root_);
+  NodeView node = ViewNode(*file_, root_);
   while (node.level > target_level) {
-    const size_t child_index = ChooseSubtree(node, rect);
-    const PageId child = node.entries[child_index].ref;
+    const PageId child = node.entries.ref[ChooseSubtree(node, rect)];
     path.push_back(child);
-    node = Node::Load(*file_, child);
+    node = ViewNode(*file_, child);
   }
   RSJ_CHECK(node.level == target_level);
-  *target = std::move(node);
   return path;
 }
 
-size_t RTree::ChooseSubtree(const Node& node, const Rect& rect) const {
+uint32_t RTree::ChooseSubtree(const NodeView& node, const Rect& rect) const {
   RSJ_CHECK(!node.is_leaf());
-  RSJ_CHECK(!node.entries.empty());
-  const size_t n = node.entries.size();
+  RSJ_CHECK(node.size() > 0);
+  const EntryColumns& entries = node.entries;
 
   // R*: at the level above the leaves, choose the entry whose rectangle
   // needs the least *overlap enlargement* w.r.t. its siblings; the exact
   // computation is restricted to the least-area-enlargement candidates.
   if (options_.split_policy == SplitPolicy::kRStar && node.level == 1) {
-    return ChooseSubtreeRStar(node.entries, rect,
-                              options_.choose_subtree_candidates);
+    return static_cast<uint32_t>(ChooseSubtreeRStar(
+        entries.rects(), rect, options_.choose_subtree_candidates));
   }
 
   // All other levels/policies: least area enlargement, ties by least area.
-  size_t best = 0;
+  uint32_t best = 0;
   double best_enlargement = std::numeric_limits<double>::infinity();
   double best_area = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    const double enlargement = node.entries[i].rect.Enlargement(rect);
-    const double area = node.entries[i].rect.Area();
+  for (uint32_t i = 0; i < entries.size; ++i) {
+    const Rect child = entries.rect(i);
+    const double enlargement = child.Enlargement(rect);
+    const double area = child.Area();
     if (enlargement < best_enlargement ||
         (enlargement == best_enlargement && area < best_area)) {
       best = i;
@@ -113,47 +130,44 @@ size_t RTree::ChooseSubtree(const Node& node, const Rect& rect) const {
   return best;
 }
 
-void RTree::PlaceEntry(const std::vector<PageId>& path, Node node,
-                       const Entry& entry) {
-  // Keep node entries ordered by their rectangles' lower x coordinate.
-  // The order inside a node is semantically free; keeping it (nearly)
-  // sorted makes the joins' sort-page-on-read step cheap, the option §4.2
-  // of the paper explicitly suggests.
-  auto pos = std::lower_bound(node.entries.begin(), node.entries.end(),
-                              entry, [](const Entry& a, const Entry& b) {
-                                return a.rect.xl < b.rect.xl;
-                              });
-  node.entries.insert(pos, entry);
-  if (node.entries.size() <= capacity_) {
-    node.Store(file_, path.back());
-    UpdatePathMbrs(path, node.ComputeMbr());
+void RTree::PlaceEntry(const std::vector<PageId>& path, const Entry& entry) {
+  const NodeView node = ViewNode(*file_, path.back());
+  const uint32_t slot = LowerXSlot(node, entry.rect.xl);
+  if (node.size() < capacity_) {
+    InsertEntry(file_, path.back(), slot, entry);
+    UpdatePathMbrs(path, ViewNode(*file_, path.back()).ComputeMbr());
     return;
   }
-  HandleOverflow(path, std::move(node));
+  std::vector<Entry> entries = EntriesOf(node);
+  entries.insert(entries.begin() + slot, entry);
+  HandleOverflow(path, node.level, std::move(entries));
 }
 
-void RTree::HandleOverflow(std::vector<PageId> path, Node node) {
+void RTree::HandleOverflow(std::vector<PageId> path, uint8_t level,
+                           std::vector<Entry> entries) {
   const bool is_root = path.size() == 1;
-  const auto level = static_cast<size_t>(node.level);
   if (!is_root && options_.split_policy == SplitPolicy::kRStar &&
       options_.forced_reinsert && level < overflow_handled_.size() &&
       !overflow_handled_[level]) {
     overflow_handled_[level] = true;
-    ReInsertEntries(std::move(path), std::move(node));
+    ReInsertEntries(std::move(path), level, std::move(entries));
     return;
   }
-  SplitNode(std::move(path), std::move(node));
+  SplitNode(std::move(path), level, std::move(entries));
 }
 
-void RTree::ReInsertEntries(std::vector<PageId> path, Node node) {
-  const Point center = node.ComputeMbr().Center();
+void RTree::ReInsertEntries(std::vector<PageId> path, uint8_t level,
+                            std::vector<Entry> entries) {
+  Rect mbr = Rect::Empty();
+  for (const Entry& e : entries) mbr = mbr.Union(e.rect);
+  const Point center = mbr.Center();
   const Rect center_rect{center.x, center.y, center.x, center.y};
-  const size_t n = node.entries.size();
+  const size_t n = entries.size();
 
   // Select the p entries farthest from the node's MBR center.
   std::vector<double> distance(n);
   for (size_t i = 0; i < n; ++i) {
-    distance[i] = node.entries[i].rect.CenterDistance2(center_rect);
+    distance[i] = entries[i].rect.CenterDistance2(center_rect);
   }
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
@@ -170,19 +184,17 @@ void RTree::ReInsertEntries(std::vector<PageId> path, Node node) {
   removed.reserve(p);
   std::vector<bool> is_removed(n, false);
   for (size_t i = 0; i < p; ++i) {
-    removed.push_back(node.entries[order[i]]);
+    removed.push_back(entries[order[i]]);
     is_removed[order[i]] = true;
   }
   std::vector<Entry> survivors;
   survivors.reserve(n - p);
   for (size_t i = 0; i < n; ++i) {
-    if (!is_removed[i]) survivors.push_back(node.entries[i]);
+    if (!is_removed[i]) survivors.push_back(entries[i]);
   }
-  node.entries = std::move(survivors);
 
-  const int level = node.level;
-  node.Store(file_, path.back());
-  UpdatePathMbrs(path, node.ComputeMbr());
+  WriteNode(file_, path.back(), level, survivors);
+  UpdatePathMbrs(path, ViewNode(*file_, path.back()).ComputeMbr());
 
   // Close reinsert: re-insert starting with the entry nearest the center.
   for (size_t i = removed.size(); i-- > 0;) {
@@ -203,9 +215,10 @@ SplitResult RTree::RunSplitPolicy(std::vector<Entry> entries) const {
   return {};
 }
 
-void RTree::SplitNode(std::vector<PageId> path, Node node) {
+void RTree::SplitNode(std::vector<PageId> path, uint8_t level,
+                      std::vector<Entry> entries) {
   const PageId left_page = path.back();
-  SplitResult split = RunSplitPolicy(std::move(node.entries));
+  SplitResult split = RunSplitPolicy(std::move(entries));
 
   // Both groups are stored sorted by lower x (free to choose, §4.2), so
   // freshly split nodes need no sorting work when the join reads them.
@@ -215,25 +228,18 @@ void RTree::SplitNode(std::vector<PageId> path, Node node) {
   std::sort(split.left.begin(), split.left.end(), by_lower_x);
   std::sort(split.right.begin(), split.right.end(), by_lower_x);
 
-  Node left;
-  left.level = node.level;
-  left.entries = std::move(split.left);
-  left.Store(file_, left_page);
-
+  WriteNode(file_, left_page, level, split.left);
   const PageId right_page = file_->Allocate();
-  Node right;
-  right.level = node.level;
-  right.entries = std::move(split.right);
-  right.Store(file_, right_page);
+  WriteNode(file_, right_page, level, split.right);
+  const Rect left_mbr = ViewNode(*file_, left_page).ComputeMbr();
+  const Entry right_entry{ViewNode(*file_, right_page).ComputeMbr(),
+                          right_page};
 
   if (path.size() == 1) {
     // Root split: the tree grows by one level.
     const PageId new_root = file_->Allocate();
-    Node root;
-    root.level = static_cast<uint8_t>(node.level + 1);
-    root.entries = {Entry{left.ComputeMbr(), left_page},
-                    Entry{right.ComputeMbr(), right_page}};
-    root.Store(file_, new_root);
+    const Entry children[] = {Entry{left_mbr, left_page}, right_entry};
+    WriteNode(file_, new_root, static_cast<uint8_t>(level + 1), children);
     root_ = new_root;
     ++height_;
     overflow_handled_.push_back(true);  // never reinsert at the root
@@ -241,32 +247,34 @@ void RTree::SplitNode(std::vector<PageId> path, Node node) {
   }
 
   path.pop_back();
-  Node parent = Node::Load(*file_, path.back());
-  FindChildEntry(&parent, left_page)->rect = left.ComputeMbr();
-  const Entry right_entry{right.ComputeMbr(), right_page};
-  auto pos = std::lower_bound(parent.entries.begin(), parent.entries.end(),
-                              right_entry,
-                              [](const Entry& a, const Entry& b) {
-                                return a.rect.xl < b.rect.xl;
-                              });
-  parent.entries.insert(pos, right_entry);
-  if (parent.entries.size() <= capacity_) {
-    parent.Store(file_, path.back());
-    UpdatePathMbrs(path, parent.ComputeMbr());
+  const PageId parent_page = path.back();
+  const NodeView parent = ViewNode(*file_, parent_page);
+  const uint32_t left_slot = ChildSlot(parent, left_page);
+  if (parent.size() < capacity_) {
+    SetEntryRect(file_, parent_page, left_slot, left_mbr);
+    InsertEntry(file_, parent_page, LowerXSlot(parent, right_entry.rect.xl),
+                right_entry);
+    UpdatePathMbrs(path, ViewNode(*file_, parent_page).ComputeMbr());
     return;
   }
-  HandleOverflow(std::move(path), std::move(parent));
+  // The parent overflows: its page keeps the stored entries until the
+  // policy rewrites it.
+  std::vector<Entry> grown = EntriesOf(parent);
+  grown[left_slot].rect = left_mbr;
+  const auto pos = std::lower_bound(grown.begin(), grown.end(), right_entry,
+                                    by_lower_x);
+  grown.insert(pos, right_entry);
+  HandleOverflow(std::move(path), parent.level, std::move(grown));
 }
 
 void RTree::UpdatePathMbrs(const std::vector<PageId>& path, Rect child_mbr) {
   if (path.size() < 2) return;
   for (size_t i = path.size() - 1; i-- > 0;) {
-    Node parent = Node::Load(*file_, path[i]);
-    Entry* e = FindChildEntry(&parent, path[i + 1]);
-    if (e->rect == child_mbr) return;  // ancestors are unchanged as well
-    e->rect = child_mbr;
-    parent.Store(file_, path[i]);
-    child_mbr = parent.ComputeMbr();
+    const NodeView parent = ViewNode(*file_, path[i]);
+    const uint32_t slot = ChildSlot(parent, path[i + 1]);
+    if (parent.entries.rect(slot) == child_mbr) return;  // ancestors too
+    SetEntryRect(file_, path[i], slot, child_mbr);
+    child_mbr = parent.ComputeMbr();  // the view reads the edited page
   }
 }
 
@@ -275,12 +283,13 @@ bool RTree::Delete(const Rect& rect, uint32_t object_id) {
   if (!FindLeafPath(root_, rect, object_id, &path)) return false;
   InvalidateProfile();
 
-  Node leaf = Node::Load(*file_, path.back());
-  auto it = std::find(leaf.entries.begin(), leaf.entries.end(),
-                      Entry{rect, object_id});
-  RSJ_CHECK(it != leaf.entries.end());
-  leaf.entries.erase(it);
-  leaf.Store(file_, path.back());
+  const NodeView leaf = ViewNode(*file_, path.back());
+  uint32_t slot = 0;
+  while (slot < leaf.size() &&
+         !(leaf.entries.entry(slot) == Entry{rect, object_id})) {
+    ++slot;
+  }
+  EraseEntry(file_, path.back(), slot);
 
   CondenseTree(path);
   --size_;
@@ -290,19 +299,16 @@ bool RTree::Delete(const Rect& rect, uint32_t object_id) {
 bool RTree::FindLeafPath(PageId page, const Rect& rect, uint32_t object_id,
                          std::vector<PageId>* path) const {
   path->push_back(page);
-  const Node node = Node::Load(*file_, page);
-  if (node.is_leaf()) {
-    for (const Entry& e : node.entries) {
+  const NodeView node = ViewNode(*file_, page);
+  for (uint32_t i = 0; i < node.size(); ++i) {
+    const Entry e = node.entries.entry(i);
+    if (node.is_leaf()) {
       if (e.rect == rect && e.ref == object_id) return true;
-    }
-  } else {
-    for (const Entry& e : node.entries) {
+    } else if (e.rect.Contains(rect) &&
+               FindLeafPath(e.ref, rect, object_id, path)) {
       // Parent rectangles are exact unions of their children, so a stored
       // data rectangle is exactly contained along its path.
-      if (e.rect.Contains(rect) &&
-          FindLeafPath(e.ref, rect, object_id, path)) {
-        return true;
-      }
+      return true;
     }
   }
   path->pop_back();
@@ -317,24 +323,18 @@ void RTree::CondenseTree(const std::vector<PageId>& path) {
   std::vector<Orphan> orphans;
 
   for (size_t i = path.size(); i-- > 1;) {
-    Node node = Node::Load(*file_, path[i]);
-    Node parent = Node::Load(*file_, path[i - 1]);
-    if (node.entries.size() < min_entries_) {
+    const NodeView node = ViewNode(*file_, path[i]);
+    const NodeView parent = ViewNode(*file_, path[i - 1]);
+    const uint32_t slot = ChildSlot(parent, path[i]);
+    if (node.size() < min_entries_) {
       // Dissolve the under-full node; its entries are reinserted below.
-      auto it = std::find_if(
-          parent.entries.begin(), parent.entries.end(),
-          [&](const Entry& e) { return e.ref == path[i]; });
-      RSJ_CHECK(it != parent.entries.end());
-      parent.entries.erase(it);
-      parent.Store(file_, path[i - 1]);
-      orphans.push_back(Orphan{node.level, std::move(node.entries)});
+      EraseEntry(file_, path[i - 1], slot);
+      orphans.push_back(Orphan{node.level, EntriesOf(node)});
       file_->Free(path[i]);
     } else {
-      Entry* e = FindChildEntry(&parent, path[i]);
       const Rect mbr = node.ComputeMbr();
-      if (!(e->rect == mbr)) {
-        e->rect = mbr;
-        parent.Store(file_, path[i - 1]);
+      if (!(parent.entries.rect(slot) == mbr)) {
+        SetEntryRect(file_, path[i - 1], slot, mbr);
       }
     }
   }
@@ -343,13 +343,13 @@ void RTree::CondenseTree(const std::vector<PageId>& path) {
   // Done before reinsertion so reinserted entries see the tightest tree;
   // repeated afterwards since reinsertion may leave a degenerate root again.
   auto shrink_root = [this]() {
-    Node root = Node::Load(*file_, root_);
-    while (!root.is_leaf() && root.entries.size() == 1) {
+    NodeView root = ViewNode(*file_, root_);
+    while (!root.is_leaf() && root.size() == 1) {
       const PageId old_root = root_;
-      root_ = root.entries[0].ref;
+      root_ = root.entries.ref[0];
       file_->Free(old_root);
       --height_;
-      root = Node::Load(*file_, root_);
+      root = ViewNode(*file_, root_);
     }
   };
   shrink_root();
@@ -370,15 +370,14 @@ void RTree::WindowQuery(const Rect& window,
                         std::vector<uint32_t>* results) const {
   std::vector<PageId> stack{root_};
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const NodeView node = ViewNode(*file_, stack.back());
     stack.pop_back();
-    const Node node = Node::Load(*file_, page);
-    for (const Entry& e : node.entries) {
-      if (!e.rect.Intersects(window)) continue;
+    for (uint32_t i = 0; i < node.size(); ++i) {
+      if (!node.entries.rect(i).Intersects(window)) continue;
       if (node.is_leaf()) {
-        results->push_back(e.ref);
+        results->push_back(node.entries.ref[i]);
       } else {
-        stack.push_back(e.ref);
+        stack.push_back(node.entries.ref[i]);
       }
     }
   }
@@ -394,17 +393,18 @@ const TreeProfile& RTree::Profile() const {
   while (!stack.empty()) {
     const PageId page = stack.back();
     stack.pop_back();
-    const Node node = Node::Load(*file_, page);
+    const NodeView node = ViewNode(*file_, page);
     if (page == root_) profile.root_mbr = node.ComputeMbr();
     RSJ_CHECK_MSG(node.level < profile.levels.size(),
                   "node level exceeds the tree height");
     LevelProfile& level = profile.levels[node.level];
     ++level.nodes;
-    for (const Entry& e : node.entries) {
+    const EntryColumns& entries = node.entries;
+    for (uint32_t i = 0; i < entries.size; ++i) {
       ++level.entries;
-      level.mean_width += static_cast<double>(e.rect.xu) - e.rect.xl;
-      level.mean_height += static_cast<double>(e.rect.yu) - e.rect.yl;
-      if (!node.is_leaf()) stack.push_back(e.ref);
+      level.mean_width += static_cast<double>(entries.xu[i]) - entries.xl[i];
+      level.mean_height += static_cast<double>(entries.yu[i]) - entries.yl[i];
+      if (!node.is_leaf()) stack.push_back(entries.ref[i]);
     }
   }
   for (LevelProfile& level : profile.levels) {

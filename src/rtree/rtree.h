@@ -7,9 +7,13 @@
 // derive from the page size exactly as in Table 1.
 //
 // The tree performs its own page I/O directly against the file (index
-// construction and maintenance are not part of the measured experiments).
-// The spatial join operators in src/join traverse the tree through a
-// `BufferPool` so every page access of the *join* is accounted.
+// construction and maintenance are not part of the measured experiments):
+// it reads each node page in place through a `NodeView` and edits it in
+// place (rtree/node.h). A node's entries are copied out only when an
+// insertion overflows it (the M + 1 entries its split or reinsertion
+// policy takes) and when a deletion dissolves it (the orphans to
+// reinsert). The spatial join operators in src/join traverse the tree
+// through a `BufferPool` so every page access of the *join* is accounted.
 
 #ifndef RSJ_RTREE_RTREE_H_
 #define RSJ_RTREE_RTREE_H_
@@ -134,38 +138,50 @@ class RTree {
   TreeStats ComputeStats() const;
 
   // Structural invariant check; returns human-readable violations (empty
-  // when the tree is valid): balance, fill bounds, exact parent MBRs,
-  // level consistency, entry conservation, no page aliasing.
+  // when the tree is valid). One walk from the root over the pages in
+  // place that never aborts, so it also vets a loaded file
+  // (storage/persistence.h): child ids within the file, a node on every
+  // page reached (the magic, a count within capacity), levels one below
+  // the parent's (the root's is height - 1), no page reached twice, valid
+  // entry rectangles, parent rectangles that are the exact union of their
+  // child's entries, fill bounds (m for every non-root node, two children
+  // for a directory root), leaf entries summing to size(), and a free list
+  // of in-range, distinct pages that no entry reaches.
   std::vector<std::string> Validate() const;
 
  private:
-  // Descends from the root to a node at `target_level`, choosing subtrees
-  // per the configured policy; returns the page path (root first) and
-  // hands over the decoded node at path.back() in `target`.
-  std::vector<PageId> DescendPath(const Rect& rect, int target_level,
-                                  Node* target) const;
+  // An attached tree over pages already on `file`; allocates nothing.
+  RTree(PagedFile* file, const RTreeOptions& options, PageId root, int height,
+        size_t size);
 
-  // Index of the child entry of `node` to descend into for `rect`.
-  size_t ChooseSubtree(const Node& node, const Rect& rect) const;
+  // Descends from the root to a node at `target_level`, choosing subtrees
+  // per the configured policy, and returns the page path (root first).
+  std::vector<PageId> DescendPath(const Rect& rect, int target_level) const;
+
+  // Slot of the child entry of `node` to descend into for `rect`.
+  uint32_t ChooseSubtree(const NodeView& node, const Rect& rect) const;
 
   // Inserts `entry` into a node at `target_level`, handling overflow.
   void InsertAtLevel(const Entry& entry, int target_level);
 
-  // Places `entry` into `node`, the decoded node at path.back(), then
-  // resolves overflow.
-  void PlaceEntry(const std::vector<PageId>& path, Node node,
-                  const Entry& entry);
+  // Places `entry` into the node on path.back(), in place while the node
+  // has room, else resolves the overflow.
+  void PlaceEntry(const std::vector<PageId>& path, const Entry& entry);
 
   // Overflow resolution: forced reinsertion (first time per level per
-  // insertion, R* only, never at the root) or split. `node` holds M+1
-  // entries and is not yet stored.
-  void HandleOverflow(std::vector<PageId> path, Node node);
-  void ReInsertEntries(std::vector<PageId> path, Node node);
-  void SplitNode(std::vector<PageId> path, Node node);
+  // insertion, R* only, never at the root) or split. `entries` are the
+  // M+1 entries of the node of `level` on path.back(), which still holds
+  // its M stored ones.
+  void HandleOverflow(std::vector<PageId> path, uint8_t level,
+                      std::vector<Entry> entries);
+  void ReInsertEntries(std::vector<PageId> path, uint8_t level,
+                       std::vector<Entry> entries);
+  void SplitNode(std::vector<PageId> path, uint8_t level,
+                 std::vector<Entry> entries);
 
   // Recomputes parent entry MBRs along `path` bottom-up, starting from
-  // `child_mbr`, the MBR of the node just stored at path.back() (early exit
-  // once a level's MBR is unchanged).
+  // `child_mbr`, the MBR of the node just written at path.back() (early
+  // exit once a level's MBR is unchanged).
   void UpdatePathMbrs(const std::vector<PageId>& path, Rect child_mbr);
 
   // DFS locating the leaf containing (rect, object_id); fills `path`.

@@ -292,10 +292,10 @@ SplitResult SplitLinear(std::vector<Entry> entries, uint32_t min_entries) {
   return result;
 }
 
-size_t ChooseSubtreeRStar(std::span<const Entry> entries, const Rect& rect,
+size_t ChooseSubtreeRStar(const RectColumns& children, const Rect& rect,
                           uint32_t candidates) {
-  RSJ_CHECK(!entries.empty());
-  const size_t n = entries.size();
+  RSJ_CHECK(children.size > 0);
+  const size_t n = children.size;
 
   // Per-thread scratch: two heap allocations per insert otherwise.
   thread_local std::vector<double> enlargement_of;
@@ -305,7 +305,7 @@ size_t ChooseSubtreeRStar(std::span<const Entry> entries, const Rect& rect,
   // them (M log M extra area computations per insert otherwise).
   enlargement_of.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    enlargement_of[i] = entries[i].rect.Enlargement(rect);
+    enlargement_of[i] = children.RectAt(i).Enlargement(rect);
   }
   order.resize(n);
   std::iota(order.begin(), order.end(), size_t{0});
@@ -335,7 +335,7 @@ size_t ChooseSubtreeRStar(std::span<const Entry> entries, const Rect& rect,
   double best_enlargement = std::numeric_limits<double>::infinity();
   double best_area = std::numeric_limits<double>::infinity();
   for (const size_t c : order) {
-    const Rect& rc = entries[c].rect;
+    const Rect rc = children.RectAt(c);
     const double enlargement = enlargement_of[c];
     const double area = rc.Area();
     const bool wins_tie =
@@ -345,7 +345,7 @@ size_t ChooseSubtreeRStar(std::span<const Entry> entries, const Rect& rect,
     const Rect grown = rc.Union(rect);
     double overlap_delta = 0.0;
     for (size_t j = 0; j < n; ++j) {
-      const Rect& rj = entries[j].rect;
+      const Rect rj = children.RectAt(j);
       if (j == c || !grown.Intersects(rj)) continue;
       overlap_delta += grown.OverlapArea(rj) - rc.OverlapArea(rj);
       if (overlap_delta > best_overlap_delta) break;

@@ -10,16 +10,19 @@
 // baselines used in the ablation benchmarks.
 //
 // The R* ChooseSubtree rule of the level above the leaves lives here too:
-// like the split, it is a pure function of one node's entries.
+// like the split, it is a pure function of one node's entries. A split
+// takes the M + 1 entries of an overflowing node as a vector it may
+// reorder; ChooseSubtree reads a node's rectangles on its page, as the
+// columns the page stores (rtree/node.h).
 
 #ifndef RSJ_RTREE_SPLIT_H_
 #define RSJ_RTREE_SPLIT_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
+#include "geom/rect_block.h"
 #include "rtree/entry.h"
 
 namespace rsj {
@@ -42,14 +45,14 @@ SplitResult SplitQuadratic(std::vector<Entry> entries, uint32_t min_entries);
 // entries assigned by minimal enlargement, with a min-fill safeguard).
 SplitResult SplitLinear(std::vector<Entry> entries, uint32_t min_entries);
 
-// R*-tree ChooseSubtree for a node whose children are leaves: the index of
-// the entry whose rectangle needs the least overlap enlargement (summed
-// over its siblings) to cover `rect`; ties go to the least area
-// enlargement, then the least area, then the first in candidate order.
-// When 0 < `candidates` < entries.size(), only the `candidates` entries of
-// least area enlargement are evaluated (partial_sort order). `entries`
-// must not be empty.
-size_t ChooseSubtreeRStar(std::span<const Entry> entries, const Rect& rect,
+// R*-tree ChooseSubtree for a node whose children are leaves: the position
+// of the child rectangle in `children` that needs the least overlap
+// enlargement (summed over its siblings) to cover `rect`; ties go to the
+// least area enlargement, then the least area, then the first in
+// candidate order. When 0 < `candidates` < children.size, only the
+// `candidates` children of least area enlargement are evaluated
+// (partial_sort order). `children` must not be empty.
+size_t ChooseSubtreeRStar(const RectColumns& children, const Rect& rect,
                           uint32_t candidates);
 
 }  // namespace rsj

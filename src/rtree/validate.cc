@@ -1,10 +1,10 @@
-// Structural invariant checking for R-trees (used heavily by the
-// property-based tests): balance, fill bounds, exact parent MBRs, level
-// consistency, entry conservation, and page-aliasing detection.
+// Structural invariant checking for R-trees, used by the property-based
+// tests and by the index loader (storage/persistence.h): one iterative walk
+// from the root over the pages in place (rtree/node.h's checked view), so a
+// corrupt page is a reported violation, never an abort.
 
 #include <cstdarg>
 #include <cstdio>
-#include <unordered_set>
 
 #include "rtree/rtree.h"
 
@@ -24,83 +24,93 @@ void AddError(std::vector<std::string>* errors, const char* fmt, ...) {
   errors->emplace_back(buf);
 }
 
-struct ValidationContext {
-  const PagedFile* file = nullptr;
-  uint32_t capacity = 0;
-  uint32_t min_entries = 0;
-  int height = 0;
-  std::unordered_set<PageId> visited;
-  size_t data_entries = 0;
-  std::vector<std::string> errors;
-};
-
-// Validates the subtree rooted at `page`; `expected_mbr` is the rectangle
-// the parent stores for it (nullptr for the root).
-void ValidateSubtree(ValidationContext* ctx, PageId page, int expected_level,
-                     const Rect* expected_mbr) {
-  if (page >= ctx->file->allocated_pages()) {
-    AddError(&ctx->errors, "reference to page %u beyond the file (%zu pages)",
-             page, ctx->file->allocated_pages());
-    return;
-  }
-  if (!ctx->visited.insert(page).second) {
-    AddError(&ctx->errors, "page %u referenced more than once", page);
-    return;
-  }
-  const Node node = Node::Load(*ctx->file, page);
-
-  if (node.level != expected_level) {
-    AddError(&ctx->errors, "page %u: level %d, expected %d (unbalanced tree)",
-             page, static_cast<int>(node.level), expected_level);
-  }
-  const bool is_root = expected_mbr == nullptr;
-  if (!is_root && node.entries.size() < ctx->min_entries) {
-    AddError(&ctx->errors, "page %u: %zu entries under minimum %u", page,
-             node.entries.size(), ctx->min_entries);
-  }
-  if (is_root && !node.is_leaf() && node.entries.size() < 2) {
-    AddError(&ctx->errors, "directory root %u has fewer than two children",
-             page);
-  }
-  if (node.entries.size() > ctx->capacity) {
-    AddError(&ctx->errors, "page %u: %zu entries exceed capacity %u", page,
-             node.entries.size(), ctx->capacity);
-  }
-  if (expected_mbr != nullptr && !(node.ComputeMbr() == *expected_mbr)) {
-    AddError(&ctx->errors,
-             "page %u: stored parent MBR is not the exact union of entries",
-             page);
-  }
-  for (const Entry& e : node.entries) {
-    if (!e.rect.IsValid()) {
-      AddError(&ctx->errors, "page %u: invalid entry rectangle", page);
-    }
-  }
-  if (node.is_leaf()) {
-    ctx->data_entries += node.entries.size();
-    return;
-  }
-  for (const Entry& e : node.entries) {
-    ValidateSubtree(ctx, e.ref, expected_level - 1, &e.rect);
-  }
-}
-
 }  // namespace
 
 std::vector<std::string> RTree::Validate() const {
-  ValidationContext ctx;
-  ctx.file = file_;
-  ctx.capacity = capacity_;
-  ctx.min_entries = min_entries_;
-  ctx.height = height_;
-
-  ValidateSubtree(&ctx, root_, height_ - 1, nullptr);
-
-  if (ctx.data_entries != size_) {
-    AddError(&ctx.errors, "tree reports size %zu but holds %zu data entries",
-             size_, ctx.data_entries);
+  std::vector<std::string> errors;
+  const size_t page_count = file_->allocated_pages();
+  // 1: reached from the root, 2: on the free list.
+  std::vector<uint8_t> mark(page_count, 0);
+  struct Pending {
+    PageId page;
+    int64_t level;  // the level the parent implies
+    Rect bound;     // the parent's entry for the page (none for the root)
+  };
+  std::vector<Pending> stack = {{root_, height_ - 1, Rect::Empty()}};
+  uint64_t data_entries = 0;
+  while (!stack.empty()) {
+    const Pending at = stack.back();
+    stack.pop_back();
+    if (at.page >= page_count) {
+      AddError(&errors, "reference to page %u beyond the file (%zu pages)",
+               at.page, page_count);
+      continue;
+    }
+    if (mark[at.page] != 0) {
+      AddError(&errors, "page %u referenced more than once", at.page);
+      continue;
+    }
+    mark[at.page] = 1;
+    const std::optional<NodeView> node = CheckedViewNode(*file_, at.page);
+    if (!node.has_value()) {
+      AddError(&errors,
+               "page %u holds no R-tree node (no magic, or more than %u "
+               "entries)",
+               at.page, capacity_);
+      continue;
+    }
+    const EntryColumns& entries = node->entries;
+    if (node->level != at.level) {
+      AddError(&errors,
+               "page %u: level %d, expected %lld (unbalanced tree)", at.page,
+               static_cast<int>(node->level),
+               static_cast<long long>(at.level));
+    }
+    const bool is_root = at.page == root_;
+    if (!is_root && entries.size < min_entries_) {
+      AddError(&errors, "page %u: %u entries under minimum %u", at.page,
+               entries.size, min_entries_);
+    }
+    if (is_root && !node->is_leaf() && entries.size < 2) {
+      AddError(&errors, "directory root %u has fewer than two children",
+               at.page);
+    }
+    // Exact, so every entry also lies inside its parent's rectangle.
+    if (!is_root && !(node->ComputeMbr() == at.bound)) {
+      AddError(&errors,
+               "page %u: stored parent MBR is not the exact union of entries",
+               at.page);
+    }
+    for (uint32_t i = 0; i < entries.size; ++i) {
+      // IsValid is false for NaN coordinates too.
+      if (!entries.rect(i).IsValid()) {
+        AddError(&errors, "page %u: invalid entry rectangle", at.page);
+      }
+    }
+    if (node->is_leaf()) {
+      data_entries += entries.size;
+      continue;
+    }
+    for (uint32_t i = 0; i < entries.size; ++i) {
+      stack.push_back(Pending{entries.ref[i], at.level - 1, entries.rect(i)});
+    }
   }
-  return std::move(ctx.errors);
+  if (data_entries != size_) {
+    AddError(&errors, "tree reports size %zu but holds %llu data entries",
+             size_, static_cast<unsigned long long>(data_entries));
+  }
+  for (const PageId id : file_->free_list()) {
+    if (id >= page_count) {
+      AddError(&errors, "free page %u beyond the file", id);
+    } else if (mark[id] == 2) {
+      AddError(&errors, "free page %u listed twice", id);
+    } else if (mark[id] == 1) {
+      AddError(&errors, "free page %u reachable from the root", id);
+    } else {
+      mark[id] = 2;
+    }
+  }
+  return errors;
 }
 
 }  // namespace rsj

@@ -153,22 +153,6 @@ bool BufferPool::Contains(const PagedFile& file, PageId id) const {
   return shard.pinned.contains(key) || shard.frames.contains(key);
 }
 
-void BufferPool::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    RSJ_CHECK_MSG(shard->pinned.empty(),
-                  "Clear() with pinned pages outstanding");
-    if (io_ != nullptr) {
-      for (const auto& [key, frame] : shard->frames) {
-        if (frame.prefetched) io_->AbandonPrefetched(this, *key.file, key.id);
-      }
-    }
-    shard->order.clear();
-    shard->frames.clear();
-    shard->prefetched_unconsumed = 0;
-  }
-}
-
 template <typename Count>
 size_t BufferPool::SumOverShards(Count count) const {
   size_t total = 0;

@@ -32,8 +32,8 @@
 // misses are additionally serviced in modeled disk-array time and
 // prefetches become asynchronous reads whose service time overlaps the
 // consumer's timeline. The scheduler keeps an async completion for
-// exactly the pool's resident, unconsumed prefetched frames: consuming,
-// evicting or clearing such a frame drops it, so a miss never finds one.
+// exactly the pool's resident, unconsumed prefetched frames: consuming or
+// evicting such a frame drops it, so a miss never finds one.
 //
 // Threading: every call is thread-safe. The key space is hash-partitioned
 // (`PageKeyHash` modulo `shard_count`) into independently locked LRU
@@ -109,8 +109,8 @@ class BufferPool {
   // read). That request charges `node_decodes`, and its caller charges the
   // page's sort; every later request charges `node_cache_hits`. A page
   // that does not stay resident (a zero-frame shard) is taken over by
-  // every request. Eviction and Clear drop the take-over; Pin and Unpin
-  // carry it with the page. Read, Pin and Prefetch never take a page over.
+  // every request. Eviction drops the take-over; Pin and Unpin carry it
+  // with the page. Read, Pin and Prefetch never take a page over.
   bool Take(const PagedFile& file, PageId id, Statistics* stats);
 
   // Pins the page, reading it first if absent (that read is counted).
@@ -142,9 +142,6 @@ class BufferPool {
   // before the pool is shared: the shards call into the (thread-safe)
   // scheduler under their own locks.
   void AttachIoScheduler(IoScheduler* io) { io_ = io; }
-
-  // Drops all cached pages (pins must have been released).
-  void Clear();
 
   // Number of frames the byte budget buys (0 when budget < page size).
   size_t frame_capacity() const { return frame_capacity_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <vector>
 
 namespace rsj {
@@ -74,60 +73,6 @@ bool ValidTreeHeader(const FileHeader& header) {
   const uint32_t capacity = NodeCapacity(header.page_size);
   const double min_entries = std::max(2.0, std::floor(fill * capacity));
   return capacity >= 2.0 * min_entries;
-}
-
-// True when the pages hold the tree the header describes. One walk from the
-// root over the pages in place (rtree/node.h's checked view), before any
-// reader takes a page, so that a corrupt file loads as an error instead of
-// aborting in a later ViewNode or Node::Load or reading past the page
-// array in a later join. Rejects a child id at or
-// beyond the page count, a page without the node magic, an entry count
-// above capacity, a level other than the parent's level minus one (the
-// root's is height - 1), a page reached twice, an entry rectangle that is
-// inverted or NaN, an entry outside the directory entry that points to its
-// page, a leaf-entry total other than the header's tree size, and a
-// free-list id that is out of range, listed twice or reachable from the
-// root.
-bool ValidTreeStructure(const PagedFile& file, const FileHeader& header,
-                        const std::vector<PageId>& free_list) {
-  const uint64_t page_count = file.allocated_pages();
-  // 1: reached from the root, 2: on the free list.
-  std::vector<uint8_t> mark(page_count, 0);
-  struct Pending {
-    PageId page;
-    int64_t level;
-    Rect bound;  // the directory entry that points to the page
-  };
-  constexpr Coord kInf = std::numeric_limits<Coord>::infinity();
-  std::vector<Pending> stack = {
-      {header.root_page, header.height - 1, Rect{-kInf, -kInf, kInf, kInf}}};
-  uint64_t leaf_entries = 0;
-  while (!stack.empty()) {
-    const Pending at = stack.back();
-    stack.pop_back();
-    if (mark[at.page] != 0) return false;
-    mark[at.page] = 1;
-    // Nothing for a page without the magic or with a count above capacity.
-    const std::optional<NodeView> node = CheckedViewNode(file, at.page);
-    if (!node.has_value() || node->level != at.level) return false;
-    const EntryColumns& entries = node->entries;
-    for (uint32_t i = 0; i < entries.size; ++i) {
-      // IsValid is false for NaN coordinates too.
-      const Rect rect = entries.rect(i);
-      if (!rect.IsValid() || !at.bound.Contains(rect)) return false;
-      if (node->is_leaf()) continue;
-      const PageId child = entries.ref[i];
-      if (child >= page_count) return false;
-      stack.push_back(Pending{child, at.level - 1, rect});
-    }
-    if (node->is_leaf()) leaf_entries += entries.size;
-  }
-  if (leaf_entries != header.tree_size) return false;
-  for (const PageId id : free_list) {
-    if (id >= page_count || mark[id] != 0) return false;
-    mark[id] = 2;
-  }
-  return true;
 }
 
 // RAII FILE holder.
@@ -208,9 +153,6 @@ std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path) {
     if (checksum != Fnv1a(page.data(), page.size())) return std::nullopt;
     loaded.file->AppendRaw(page.data());
   }
-  if (!ValidTreeStructure(*loaded.file, header, free_list)) {
-    return std::nullopt;
-  }
   loaded.file->RestoreFreeList(std::move(free_list));
 
   RTreeOptions options;
@@ -221,9 +163,14 @@ std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path) {
   options.reinsert_fraction = header.reinsert_fraction;
   options.choose_subtree_candidates = header.choose_subtree_candidates;
 
+  // Attaching allocates nothing, so the walk sees the free list as stored,
+  // and it runs before any reader takes a page: a corrupt file loads as an
+  // error instead of aborting in a later ViewNode or reading past the page
+  // array in a later join.
   loaded.tree = std::make_unique<RTree>(
       RTree::Attach(loaded.file.get(), options, header.root_page,
                     header.height, header.tree_size));
+  if (!loaded.tree->Validate().empty()) return std::nullopt;
   return loaded;
 }
 

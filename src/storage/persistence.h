@@ -43,11 +43,13 @@ struct LoadedRelation {
 // magic, version (a version-1 file is rejected), header checksum, a free
 // list no longer than the page array, every page's checksum, metadata a
 // tree can run with (split policy, height, finite fill and reinsert
-// fractions the RTree constructor accepts), and the tree's structure,
-// walked once over the pages before the tree is attached (child ids within
-// the file, node magic, entry counts within capacity, levels one below the
-// parent's, no page reached twice, leaf entries summing to the stored
-// size, a free list of distinct unreachable pages).
+// fractions the RTree constructor accepts), and the tree's structure:
+// every check of RTree::Validate, walked once over the pages right after
+// the tree is attached (child ids within the file, node magic, entry
+// counts within capacity, levels one below the parent's, no page reached
+// twice, valid entry rectangles, exact parent rectangles, fill bounds,
+// leaf entries summing to the stored size, a free list of in-range,
+// distinct, unreachable pages).
 std::optional<LoadedRelation> LoadIndexedRelation(const std::string& path);
 
 }  // namespace rsj

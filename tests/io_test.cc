@@ -125,11 +125,12 @@ TreeProfile WalkProfile(const RTree& tree) {
   while (!stack.empty()) {
     const PageId page = stack.back();
     stack.pop_back();
-    const Node node = Node::Load(tree.file(), page);
+    const NodeView node = ViewNode(tree.file(), page);
     if (page == tree.root_page()) profile.root_mbr = node.ComputeMbr();
     LevelProfile& level = profile.levels.at(node.level);
     ++level.nodes;
-    for (const Entry& e : node.entries) {
+    for (uint32_t i = 0; i < node.size(); ++i) {
+      const Entry e = node.entries.entry(i);
       ++level.entries;
       level.mean_width += static_cast<double>(e.rect.xu) - e.rect.xl;
       level.mean_height += static_cast<double>(e.rect.yu) - e.rect.yl;

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 
+#include "datagen/workloads.h"
 #include "exec/multiway_executor.h"
 #include "exec/parallel_executor.h"
 #include "geom/simd_kernels.h"
@@ -791,6 +792,40 @@ TEST_F(JoinCounterPinTest, EveryReadPageIsDecodedOnce) {
       }
     }
   }
+
+  // A one-thread chain: its probes take pages over inside the pairwise
+  // run's sinks, and with prefetch the probe roots' children are hinted
+  // up front. The third relation reaches three times its width past the
+  // others, so in a buffer that holds every tree (1 MiB) the children no
+  // probe reaches are still unconsumed when the run ends.
+  std::vector<Rect> rects[] = {testutil::RandomRects(3000, 1601, 0.02),
+                               testutil::RandomRects(2800, 1602, 0.02),
+                               testutil::RandomRects(2600, 1604, 0.02)};
+  for (Rect& r : rects[2]) {
+    r.xl = 4 * r.xl;
+    r.xu = 4 * r.xu;
+  }
+  const IndexedRelation third(rects[2], topt);
+  const std::vector<JoinRelation> chain = {{&big_r.tree(), &rects[0]},
+                                           {&big_s.tree(), &rects[1]},
+                                           {&third.tree(), &rects[2]}};
+  for (const uint64_t buffer : {0, 4 * 1024, 16 * 1024, 64 * 1024, 1 << 20}) {
+    for (const bool prefetch : {false, true}) {
+      JoinOptions jopt;
+      jopt.buffer_bytes = buffer;
+      const auto io = DiskArray(2);
+      ParallelExecutorOptions exec;
+      exec.num_threads = 1;
+      exec.io_scheduler = io.get();
+      exec.prefetch_ahead = prefetch ? 32 : 0;
+      const Statistics stats =
+          RunParallelChainSpatialJoin(chain, jopt, exec).total_stats;
+      EXPECT_EQ(stats.node_decodes, stats.disk_reads - stats.prefetch_wasted)
+          << "chain/" << buffer / 1024 << "K" << (prefetch ? "/prefetch" : "")
+          << ": " << stats.disk_reads << " reads, " << stats.prefetch_wasted
+          << " wasted prefetches";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -839,6 +874,42 @@ std::string ChainRow(const std::string& name, const MultiwayJoinResult& run) {
 }
 
 class ChainCounterPinTest : public JoinCounterPinTest {};
+
+// Prefetching moves no sort: when a chain prefetches, its probe-root hint
+// takes each probe root over before any probe reads it, so the hint
+// charges the root's §4.2 sort, as the probe that would have taken it
+// over does. A.r ⋈ A.s ⋈ B.s at scale 0.05 on 4 KiB pages, a buffer that
+// holds every tree and 2 disks, with and without 32-ahead prefetch.
+TEST_F(ChainCounterPinTest, PrefetchChargesTheSameSorts) {
+  const Workload a = MakeWorkload(TestCase::kA, 0.05);
+  const Workload b = MakeWorkload(TestCase::kB, 0.05);
+  const std::vector<Rect> rects[] = {a.r.Mbrs(), a.s.Mbrs(), b.s.Mbrs()};
+  RTreeOptions topt;
+  topt.page_size = kPageSize4K;
+  std::vector<std::unique_ptr<IndexedRelation>> trees;
+  std::vector<JoinRelation> chain;
+  for (const std::vector<Rect>& r : rects) {
+    trees.push_back(std::make_unique<IndexedRelation>(r, topt));
+    chain.push_back({&trees.back()->tree(), &r});
+  }
+  JoinOptions jopt;
+  jopt.buffer_bytes = uint64_t{1} << 30;
+  Statistics runs[2];
+  for (const bool prefetch : {false, true}) {
+    const auto io = DiskArray(2);
+    ParallelExecutorOptions exec;
+    exec.num_threads = 1;
+    exec.io_scheduler = io.get();
+    exec.prefetch_ahead = prefetch ? 32 : 0;
+    runs[prefetch] = RunParallelChainSpatialJoin(chain, jopt, exec).total_stats;
+  }
+  EXPECT_GT(runs[1].prefetch_issued, 0u);
+  EXPECT_EQ(runs[1].sort_comparisons.count(), runs[0].sort_comparisons.count());
+  for (const Statistics& run : runs) {
+    EXPECT_EQ(run.node_decodes, run.disk_reads - run.prefetch_wasted)
+        << run.disk_reads << " reads, " << run.prefetch_wasted << " wasted";
+  }
+}
 
 TEST_F(ChainCounterPinTest, SequentialChainMatchesRecordedRuns) {
   RTreeOptions topt;

@@ -257,7 +257,7 @@ TEST_F(PersistenceTest, BoundaryOptionsLoadAndInsert) {
 // size, or the free list) of a valid height-2 tree before saving, so the
 // header and its checksum stay valid and only the walk over the pages can
 // catch it. Without the walk, a bad child id reads past the page array in
-// the first join and a missing magic aborts in Node::Load.
+// the first join and a missing magic aborts in the first ViewNode.
 class PersistenceStructureTest : public PersistenceTest {
  protected:
   void SetUp() override {

@@ -328,16 +328,16 @@ uint64_t LogicalTreeDigest(const RTree& tree) {
   };
   const PagedFile& file = tree.file();
   for (PageId id = 0; id < file.allocated_pages(); ++id) {
-    const Node node = Node::Load(file, id);
-    const auto count = static_cast<uint32_t>(node.entries.size());
+    const NodeView node = ViewNode(file, id);
+    const uint32_t count = node.size();
     mix(&node.level, sizeof(node.level));
     mix(&count, sizeof(count));
-    for (const Entry& e : node.entries) {
-      mix(&e.rect.xl, sizeof(Coord));
-      mix(&e.rect.yl, sizeof(Coord));
-      mix(&e.rect.xu, sizeof(Coord));
-      mix(&e.rect.yu, sizeof(Coord));
-      mix(&e.ref, sizeof(e.ref));
+    for (uint32_t i = 0; i < count; ++i) {
+      mix(&node.entries.xl[i], sizeof(Coord));
+      mix(&node.entries.yl[i], sizeof(Coord));
+      mix(&node.entries.xu[i], sizeof(Coord));
+      mix(&node.entries.yu[i], sizeof(Coord));
+      mix(&node.entries.ref[i], sizeof(uint32_t));
     }
   }
   const PageId root = tree.root_page();
@@ -506,15 +506,13 @@ size_t ExpectNodesInLowerXOrder(const RTree& tree) {
   while (!pending.empty()) {
     const PageId page = pending.back();
     pending.pop_back();
-    const Node node = Node::Load(tree.file(), page);
+    const NodeView node = ViewNode(tree.file(), page);
     ++visited;
-    EXPECT_TRUE(std::is_sorted(node.entries.begin(), node.entries.end(),
-                               [](const Entry& a, const Entry& b) {
-                                 return a.rect.xl < b.rect.xl;
-                               }))
+    EXPECT_TRUE(std::is_sorted(node.entries.xl, node.entries.xl + node.size()))
         << "page " << page << " at level " << int{node.level};
     if (node.is_leaf()) continue;
-    for (const Entry& e : node.entries) pending.push_back(e.ref);
+    pending.insert(pending.end(), node.entries.ref,
+                   node.entries.ref + node.size());
   }
   return visited;
 }

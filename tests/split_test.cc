@@ -215,6 +215,15 @@ size_t ReferenceChooseSubtreeRStar(const std::vector<Entry>& entries,
   return best;
 }
 
+// The children's rectangles as the page columns ChooseSubtreeRStar reads.
+RectBlock ChildRects(const std::vector<Entry>& entries) {
+  RectBlock block;
+  for (uint32_t i = 0; i < entries.size(); ++i) {
+    block.PushBack(entries[i].rect, i);
+  }
+  return block;
+}
+
 // Random node contents shaped to hit the prunes' edge cases: children of
 // a per-node extent (far apart to heavily overlapping), coordinates on a
 // 1/64 grid (children touch at edges; enlargements, areas and overlap sums
@@ -349,7 +358,8 @@ TEST(ChooseSubtreeRStarTest, MatchesUnprunedReference) {
     const Rect rect = gen.Fill(n, &entries);
     if (limit > 0 && n > limit) ++sorted_cut;
     const size_t expected = ReferenceChooseSubtreeRStar(entries, rect, limit);
-    const size_t actual = ChooseSubtreeRStar(entries, rect, limit);
+    const size_t actual =
+        ChooseSubtreeRStar(ChildRects(entries), rect, limit);
     ASSERT_EQ(actual, expected)
         << "trial " << trial << ": n=" << n << " candidates=" << limit
         << " rect=" << rect.ToString();
@@ -370,7 +380,8 @@ TEST(ChooseSubtreeRStarTest, FullTieGoesToFirstCandidate) {
   for (uint32_t i = 0; i < 5; ++i) {
     entries.push_back(Entry{Rect{0, 0, 1, 1}, i});
   }
-  EXPECT_EQ(ChooseSubtreeRStar(entries, Rect{0.25f, 0.25f, 0.5f, 0.5f}, 32),
+  EXPECT_EQ(ChooseSubtreeRStar(ChildRects(entries),
+                               Rect{0.25f, 0.25f, 0.5f, 0.5f}, 32),
             0u);
 }
 
@@ -384,10 +395,10 @@ TEST(ChooseSubtreeRStarTest, PrefersLeastOverlapEnlargement) {
       Entry{Rect{10, 10, 11, 11}, 2},
   };
   const Rect rect{2, 2, 3, 3};
-  EXPECT_EQ(ChooseSubtreeRStar(entries, rect, 32), 1u);
+  EXPECT_EQ(ChooseSubtreeRStar(ChildRects(entries), rect, 32), 1u);
   EXPECT_EQ(ReferenceChooseSubtreeRStar(entries, rect, 32), 1u);
   // With a single candidate only the least area enlargement is evaluated.
-  EXPECT_EQ(ChooseSubtreeRStar(entries, rect, 1), 0u);
+  EXPECT_EQ(ChooseSubtreeRStar(ChildRects(entries), rect, 1), 0u);
 }
 
 }  // namespace

@@ -209,17 +209,6 @@ TEST(BufferPoolTest, UnpinnedPageEntersLruAsMru) {
   EXPECT_TRUE(pool.Contains(file, b));
 }
 
-TEST(BufferPoolTest, ClearDropsEverything) {
-  Statistics stats;
-  BufferPool pool(BufferPool::Options{4 * kPageSize1K, kPageSize1K});
-  PagedFile file(kPageSize1K);
-  const PageId id = file.Allocate();
-  pool.Read(file, id, &stats);
-  pool.Clear();
-  EXPECT_FALSE(pool.Contains(file, id));
-  EXPECT_EQ(pool.frames_in_use(), 0u);
-}
-
 TEST(BufferPoolTest, HitOnSecondReadAndPerCallerAttribution) {
   PagedFile file(kPageSize1K);
   const PageId id = file.Allocate();
@@ -311,10 +300,8 @@ TEST_P(BufferPoolConcurrencyTest, TakePinUnpinPrefetchAccountPerCaller) {
   std::vector<PageId> pages;
   for (uint32_t i = 0; i < 64; ++i) {
     const PageId id = file.Allocate();
-    Node node;
-    node.level = 0;
-    node.entries.push_back(Entry{Rect{0.0f, 0.0f, 1.0f, 1.0f}, i});
-    node.Store(&file, id);
+    const Entry entry{Rect{0.0f, 0.0f, 1.0f, 1.0f}, i};
+    WriteNode(&file, id, /*level=*/0, {&entry, 1});
     pages.push_back(id);
   }
   const std::vector<PageId> hot(pages.begin(), pages.begin() + 8);

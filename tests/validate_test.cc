@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "rtree/rtree.h"
 #include "tests/test_util.h"
 
@@ -28,8 +30,21 @@ struct Fixture {
 
   // First child page of the root (a directory node's child).
   PageId FirstChild() {
-    const Node root = Node::Load(file, tree->root_page());
-    return root.entries.front().ref;
+    return ViewNode(file, tree->root_page()).entries.ref[0];
+  }
+
+  // Rewrites the node on `page` whole after `edit` has changed a copy of
+  // its level and entries.
+  template <typename Edit>
+  void Rewrite(PageId page, Edit edit) {
+    const NodeView view = ViewNode(file, page);
+    uint8_t level = view.level;
+    std::vector<Entry> entries;
+    for (uint32_t i = 0; i < view.size(); ++i) {
+      entries.push_back(view.entries.entry(i));
+    }
+    edit(&level, &entries);
+    WriteNode(&file, page, level, entries);
   }
 
   bool HasError(const char* needle) {
@@ -40,6 +55,8 @@ struct Fixture {
   }
 };
 
+using Entries = std::vector<Entry>;
+
 TEST(ValidateInjectionTest, HealthyTreeIsClean) {
   Fixture fx;
   EXPECT_TRUE(fx.tree->Validate().empty());
@@ -48,74 +65,94 @@ TEST(ValidateInjectionTest, HealthyTreeIsClean) {
 
 TEST(ValidateInjectionTest, DetectsDanglingReference) {
   Fixture fx;
-  Node root = Node::Load(fx.file, fx.tree->root_page());
-  root.entries[0].ref = 0xFFFFFF;  // far beyond the file
-  root.Store(&fx.file, fx.tree->root_page());
+  fx.Rewrite(fx.tree->root_page(), [](uint8_t*, Entries* entries) {
+    (*entries)[0].ref = 0xFFFFFF;  // far beyond the file
+  });
   EXPECT_TRUE(fx.HasError("beyond the file"));
 }
 
 TEST(ValidateInjectionTest, DetectsWrongParentMbr) {
   Fixture fx;
-  Node root = Node::Load(fx.file, fx.tree->root_page());
-  root.entries[0].rect.xu += 1.0f;  // no longer the exact union
-  root.Store(&fx.file, fx.tree->root_page());
+  const PageId root = fx.tree->root_page();
+  Rect rect = ViewNode(fx.file, root).entries.rect(0);
+  rect.xu += 1.0f;  // no longer the exact union
+  SetEntryRect(&fx.file, root, 0, rect);
   EXPECT_TRUE(fx.HasError("exact union"));
 }
 
 TEST(ValidateInjectionTest, DetectsUnderfullNode) {
   Fixture fx;
   const PageId child = fx.FirstChild();
-  Node node = Node::Load(fx.file, child);
-  const Rect old_mbr = node.ComputeMbr();
-  node.entries.resize(2);  // far below the 40% minimum
-  // Keep the parent MBR consistent so only the fill violation fires…
-  node.entries[0].rect = old_mbr;
-  node.Store(&fx.file, child);
+  const Rect old_mbr = ViewNode(fx.file, child).ComputeMbr();
+  fx.Rewrite(child, [&](uint8_t*, Entries* entries) {
+    entries->resize(2);  // far below the 40% minimum
+    // Keep the parent MBR consistent so only the fill violation fires…
+    (*entries)[0].rect = old_mbr;
+  });
   EXPECT_TRUE(fx.HasError("under minimum"));
 }
 
 TEST(ValidateInjectionTest, DetectsLevelCorruption) {
   Fixture fx;
-  const PageId child = fx.FirstChild();
-  Node node = Node::Load(fx.file, child);
-  node.level = static_cast<uint8_t>(node.level + 1);
-  node.Store(&fx.file, child);
+  fx.Rewrite(fx.FirstChild(), [](uint8_t* level, Entries*) { ++*level; });
   EXPECT_TRUE(fx.HasError("unbalanced"));
 }
 
 TEST(ValidateInjectionTest, DetectsPageAliasing) {
   Fixture fx;
-  Node root = Node::Load(fx.file, fx.tree->root_page());
-  ASSERT_GE(root.entries.size(), 2u);
-  root.entries[1].ref = root.entries[0].ref;  // two entries, one child
-  root.Store(&fx.file, fx.tree->root_page());
+  fx.Rewrite(fx.tree->root_page(), [](uint8_t*, Entries* entries) {
+    ASSERT_GE(entries->size(), 2u);
+    (*entries)[1].ref = (*entries)[0].ref;  // two entries, one child
+  });
   EXPECT_TRUE(fx.HasError("referenced more than once"));
 }
 
 TEST(ValidateInjectionTest, DetectsSizeMismatch) {
   Fixture fx;
-  const PageId child = fx.FirstChild();
   // Drop a grandchild data entry without telling the tree.
-  Node dir = Node::Load(fx.file, child);
-  const PageId leaf = dir.entries.front().ref;
-  Node leaf_node = Node::Load(fx.file, leaf);
-  const Entry removed = leaf_node.entries.back();
-  leaf_node.entries.pop_back();
-  leaf_node.Store(&fx.file, leaf);
-  // Repair the MBR chain so only the count violation fires.
-  (void)removed;
+  const PageId leaf = ViewNode(fx.file, fx.FirstChild()).entries.ref[0];
+  EraseEntry(&fx.file, leaf, ViewNode(fx.file, leaf).size() - 1);
   EXPECT_TRUE(fx.HasError("data entries") || fx.HasError("exact union"));
 }
 
 TEST(ValidateInjectionTest, DetectsInvalidEntryRect) {
   Fixture fx;
   const PageId child = fx.FirstChild();
-  Node node = Node::Load(fx.file, child);
-  std::swap(node.entries[0].rect.xl, node.entries[0].rect.xu);
-  node.entries[0].rect.xl += 1.0f;  // guarantee inversion
-  node.Store(&fx.file, child);
+  Rect rect = ViewNode(fx.file, child).entries.rect(0);
+  std::swap(rect.xl, rect.xu);
+  rect.xl += 1.0f;  // guarantee inversion
+  SetEntryRect(&fx.file, child, 0, rect);
   EXPECT_TRUE(fx.HasError("invalid entry rectangle") ||
               fx.HasError("exact union"));
+}
+
+// A page that holds no node is a reported violation: the walk reads pages
+// through the checked view and never aborts.
+TEST(ValidateInjectionTest, DetectsPageWithoutNodeMagic) {
+  Fixture fx;
+  const PageId child = fx.FirstChild();
+  fx.file.MutablePageData(child)[kNodeMagicByte] = std::byte{0};
+  EXPECT_TRUE(fx.HasError("holds no R-tree node"));
+  fx.file.MutablePageData(child)[kNodeMagicByte] = std::byte{kNodeMagic};
+  const uint16_t count = NodeCapacity(kPageSize1K) + 1;
+  std::memcpy(fx.file.MutablePageData(child) + kNodeCountByte, &count,
+              sizeof(count));
+  EXPECT_TRUE(fx.HasError("holds no R-tree node"));
+}
+
+TEST(ValidateInjectionTest, DetectsBadFreeList) {
+  Fixture fx;
+  const PageId spare = fx.file.Allocate();  // zeroed and unreachable
+  fx.file.RestoreFreeList({spare});
+  EXPECT_TRUE(fx.tree->Validate().empty());
+  fx.file.RestoreFreeList(
+      {static_cast<PageId>(fx.file.allocated_pages() + 3)});
+  EXPECT_TRUE(fx.HasError("free page")) << "out of range";
+  EXPECT_TRUE(fx.HasError("beyond the file"));
+  fx.file.RestoreFreeList({spare, spare});
+  EXPECT_TRUE(fx.HasError("listed twice"));
+  fx.file.RestoreFreeList({spare, fx.FirstChild()});
+  EXPECT_TRUE(fx.HasError("reachable from the root"));
 }
 
 }  // namespace

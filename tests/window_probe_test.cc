@@ -53,12 +53,12 @@ std::vector<uint32_t> AllIds(size_t n) {
 void WalkSubtree(const RTree& tree, PageId page, std::vector<PageId>* pages,
                  std::vector<uint32_t>* ids) {
   pages->push_back(page);
-  const Node node = Node::Load(tree.file(), page);
-  for (const Entry& e : node.entries) {
+  const NodeView node = ViewNode(tree.file(), page);
+  for (uint32_t i = 0; i < node.size(); ++i) {
     if (node.is_leaf()) {
-      ids->push_back(e.ref);
+      ids->push_back(node.entries.ref[i]);
     } else {
-      WalkSubtree(tree, e.ref, pages, ids);
+      WalkSubtree(tree, node.entries.ref[i], pages, ids);
     }
   }
 }
@@ -170,7 +170,7 @@ TEST(WindowProbeTest, PresortedBatchesFromEverySubtreeRoot) {
   std::stable_sort(queries.begin(), queries.end(),
                    [](const Rect& a, const Rect& b) { return a.xl < b.xl; });
 
-  const Node root = Node::Load(deep.tree().file(), deep.tree().root_page());
+  const NodeView root = ViewNode(deep.tree().file(), deep.tree().root_page());
   ASSERT_FALSE(root.is_leaf());
   size_t nonempty = 0;
   for (const Predicate& p : kPredicates) {
@@ -181,7 +181,8 @@ TEST(WindowProbeTest, PresortedBatchesFromEverySubtreeRoot) {
       Statistics stats;
       BufferPool pages(BufferPool::Options{1024 * 1024, kPageSize1K});
       WindowProbe probe(deep.tree(), &pages, jopt, &stats, windows_are_r);
-      for (const Entry& subtree : root.entries) {
+      for (uint32_t i = 0; i < root.size(); ++i) {
+        const Entry subtree = root.entries.entry(i);
         std::vector<PageId> subtree_pages;
         std::vector<uint32_t> ids;
         WalkSubtree(deep.tree(), subtree.ref, &subtree_pages, &ids);
