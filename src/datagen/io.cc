@@ -1,5 +1,6 @@
 #include "datagen/io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -16,6 +17,14 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+// The magnitude from which a cast to Coord overflows to infinity: FLT_MAX
+// plus half a unit in its last place (2^128 - 2^103). FLT_MAX written
+// with %.9g (3.40282347e+38) reads back above FLT_MAX and below this.
+constexpr double kCoordOverflow = 0x1.ffffffp127;
+
+// True when `v` is finite and its cast to Coord is a finite float.
+bool FitsCoord(double v) { return std::fabs(v) < kCoordOverflow; }
 
 }  // namespace
 
@@ -77,6 +86,9 @@ std::optional<Dataset> ReadDatasetCsv(const std::string& path) {
                     &consumed) != 5) {
       return std::nullopt;  // malformed row
     }
+    if (!FitsCoord(xl) || !FitsCoord(yl) || !FitsCoord(xu) || !FitsCoord(yu)) {
+      return std::nullopt;
+    }
     o.mbr = Rect{static_cast<Coord>(xl), static_cast<Coord>(yl),
                  static_cast<Coord>(xu), static_cast<Coord>(yu)};
     if (!o.mbr.IsValid()) return std::nullopt;
@@ -88,6 +100,7 @@ std::optional<Dataset> ReadDatasetCsv(const std::string& path) {
       double y = 0.0;
       int n = 0;
       while (std::sscanf(cursor, "%lf %lf%n", &x, &y, &n) == 2) {
+        if (!FitsCoord(x) || !FitsCoord(y)) return std::nullopt;
         o.chain.push_back(
             Point{static_cast<Coord>(x), static_cast<Coord>(y)});
         cursor += n;

@@ -55,8 +55,15 @@ struct Rect {
                 std::max(a.y, b.y)};
   }
 
-  // True when the bounds are non-inverted (degenerate extents allowed).
-  bool IsValid() const { return xl <= xu && yl <= yu; }
+  // True when the bounds are finite and non-inverted (degenerate extents
+  // allowed). NaN and infinite coordinates are invalid: they make areas
+  // and enlargements NaN (inf - inf).
+  bool IsValid() const {
+    constexpr Coord kLo = std::numeric_limits<Coord>::lowest();
+    constexpr Coord kHi = std::numeric_limits<Coord>::max();
+    return kLo <= xl && xl <= xu && xu <= kHi && kLo <= yl && yl <= yu &&
+           yu <= kHi;
+  }
 
   // True for the inverted sentinel produced by Empty().
   bool IsEmpty() const { return xl > xu || yl > yu; }

@@ -31,6 +31,11 @@ uint32_t LowerXSlot(const NodeView& node, Coord xl) {
       std::lower_bound(column, column + node.size(), xl) - column);
 }
 
+// True when a coordinate of `rect` is -0.0 or +0.0.
+bool HasZeroCoord(const Rect& rect) {
+  return rect.xl == 0 || rect.yl == 0 || rect.xu == 0 || rect.yu == 0;
+}
+
 // The entries of `node`, copied out of its page, with room for one more.
 std::vector<Entry> EntriesOf(const NodeView& node) {
   std::vector<Entry> entries;
@@ -135,7 +140,7 @@ void RTree::PlaceEntry(const std::vector<PageId>& path, const Entry& entry) {
   const uint32_t slot = LowerXSlot(node, entry.rect.xl);
   if (node.size() < capacity_) {
     InsertEntry(file_, path.back(), slot, entry);
-    UpdatePathMbrs(path, ViewNode(*file_, path.back()).ComputeMbr());
+    GrowPathMbrs(path, entry.rect);
     return;
   }
   std::vector<Entry> entries = EntriesOf(node);
@@ -267,7 +272,23 @@ void RTree::SplitNode(std::vector<PageId> path, uint8_t level,
   HandleOverflow(std::move(path), parent.level, std::move(grown));
 }
 
-void RTree::UpdatePathMbrs(const std::vector<PageId>& path, Rect child_mbr) {
+void RTree::GrowPathMbrs(const std::vector<PageId>& path, const Rect& rect) {
+  for (size_t i = path.size() - 1; i-- > 0;) {
+    const NodeView parent = ViewNode(*file_, path[i]);
+    const uint32_t slot = ChildSlot(parent, path[i + 1]);
+    const Rect stored = parent.entries.rect(slot);
+    if (HasZeroCoord(stored) || HasZeroCoord(rect)) {
+      UpdatePathMbrs(std::span(path).first(i + 2),
+                     ViewNode(*file_, path[i + 1]).ComputeMbr());
+      return;
+    }
+    const Rect grown = stored.Union(rect);
+    if (grown == stored) return;  // ancestors too
+    SetEntryRect(file_, path[i], slot, grown);
+  }
+}
+
+void RTree::UpdatePathMbrs(std::span<const PageId> path, Rect child_mbr) {
   if (path.size() < 2) return;
   for (size_t i = path.size() - 1; i-- > 0;) {
     const NodeView parent = ViewNode(*file_, path[i]);

@@ -97,6 +97,7 @@ class RTree {
   RTree(RTree&&) = default;
 
   // Inserts a data entry (filter-step approximation + object identifier).
+  // Aborts unless `rect` is valid: finite and non-inverted (Rect::IsValid).
   void Insert(const Rect& rect, uint32_t object_id);
 
   // Removes a data entry matching (rect, object_id) exactly. Returns false
@@ -143,10 +144,11 @@ class RTree {
   // (storage/persistence.h): child ids within the file, a node on every
   // page reached (the magic, a count within capacity), levels one below
   // the parent's (the root's is height - 1), no page reached twice, valid
-  // entry rectangles, parent rectangles that are the exact union of their
-  // child's entries, fill bounds (m for every non-root node, two children
-  // for a directory root), leaf entries summing to size(), and a free list
-  // of in-range, distinct pages that no entry reaches.
+  // (finite, non-inverted) entry rectangles, parent rectangles that are
+  // the exact union of their child's entries, fill bounds (m for every
+  // non-root node, two children for a directory root), leaf entries
+  // summing to size(), and a free list of in-range, distinct pages that no
+  // entry reaches.
   std::vector<std::string> Validate() const;
 
  private:
@@ -165,7 +167,8 @@ class RTree {
   void InsertAtLevel(const Entry& entry, int target_level);
 
   // Places `entry` into the node on path.back(), in place while the node
-  // has room, else resolves the overflow.
+  // has room (then grows the ancestors' rectangles, GrowPathMbrs), else
+  // resolves the overflow.
   void PlaceEntry(const std::vector<PageId>& path, const Entry& entry);
 
   // Overflow resolution: forced reinsertion (first time per level per
@@ -179,10 +182,20 @@ class RTree {
   void SplitNode(std::vector<PageId> path, uint8_t level,
                  std::vector<Entry> entries);
 
+  // Grows the parent entry rectangles along `path` bottom-up to cover
+  // `rect`, just inserted into the node on path.back(), and stops at the
+  // first that already does. A stored entry rectangle is its child's MBR,
+  // so its union with `rect` is the MBR a scan of the child would find,
+  // bit for bit, unless a zero is involved: -0.0 == +0.0, and the scan
+  // keeps the zero it meets first in slot order. So from the first level
+  // where the stored rectangle or `rect` has a zero coordinate up, the
+  // MBRs are scanned (UpdatePathMbrs).
+  void GrowPathMbrs(const std::vector<PageId>& path, const Rect& rect);
+
   // Recomputes parent entry MBRs along `path` bottom-up, starting from
   // `child_mbr`, the MBR of the node just written at path.back() (early
   // exit once a level's MBR is unchanged).
-  void UpdatePathMbrs(const std::vector<PageId>& path, Rect child_mbr);
+  void UpdatePathMbrs(std::span<const PageId> path, Rect child_mbr);
 
   // DFS locating the leaf containing (rect, object_id); fills `path`.
   bool FindLeafPath(PageId page, const Rect& rect, uint32_t object_id,

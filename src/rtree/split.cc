@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "common/logging.h"
 
@@ -292,56 +293,41 @@ SplitResult SplitLinear(std::vector<Entry> entries, uint32_t min_entries) {
   return result;
 }
 
-size_t ChooseSubtreeRStar(const RectColumns& children, const Rect& rect,
-                          uint32_t candidates) {
-  RSJ_CHECK(children.size > 0);
+namespace {
+
+// The candidate of least (overlap enlargement, area enlargement, area) in
+// `order`, the first in `order` among equal keys. `*tied` is set when
+// another candidate has the winner's whole key, so that the order among
+// equal enlargements named the winner.
+//
+// Three prunes, none of which changes the result bit for bit. With
+// grown = rc ∪ rect ⊇ rc, every term grown∩rj - rc∩rj of a candidate's
+// overlap sum is >= +0.0 (the double roundings are monotone), so:
+//  - a sibling that does not touch `grown` adds exactly +0.0 (both
+//    overlaps are the literal 0.0), which leaves the sum as it is;
+//  - the partial sum never decreases, so a candidate is dropped once it
+//    exceeds the best sum;
+//  - a best sum of 0 can only be tied, so a candidate that loses the
+//    (enlargement, area) tie-break is not summed at all (one that ties
+//    it is, to report a whole-key tie).
+size_t EvaluateCandidates(const RectColumns& children, const Rect& rect,
+                          std::span<const uint32_t> order,
+                          const double* enlargement_of, bool* tied) {
   const size_t n = children.size;
-
-  // Per-thread scratch: two heap allocations per insert otherwise.
-  thread_local std::vector<double> enlargement_of;
-  thread_local std::vector<size_t> order;
-
-  // Enlargements are precomputed once; the comparator must not recompute
-  // them (M log M extra area computations per insert otherwise).
-  enlargement_of.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    enlargement_of[i] = children.RectAt(i).Enlargement(rect);
-  }
-  order.resize(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  if (candidates > 0 && n > candidates) {
-    // partial_sort's order among equal enlargements decides which tied
-    // candidate wins, so the call and its input are part of the tree shape.
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<ptrdiff_t>(candidates),
-                      order.end(), [&](size_t a, size_t b) {
-                        return enlargement_of[a] < enlargement_of[b];
-                      });
-    order.resize(candidates);
-  }
-
-  // Three prunes, none of which changes the result bit for bit. With
-  // grown = rc ∪ rect ⊇ rc, every term grown∩rj - rc∩rj of a candidate's
-  // overlap sum is >= +0.0 (the double roundings are monotone), so:
-  //  - a sibling that does not touch `grown` adds exactly +0.0 (both
-  //    overlaps are the literal 0.0), which leaves the sum as it is;
-  //  - the partial sum never decreases, so a candidate is dropped once it
-  //    exceeds the best sum;
-  //  - a best sum of 0 can only be tied, so a candidate that loses the
-  //    (enlargement, area) tie-break is not summed at all. Past the cut the
-  //    candidates ascend in enlargement, so this ends the useful scan.
   size_t best = order[0];
   double best_overlap_delta = std::numeric_limits<double>::infinity();
   double best_enlargement = std::numeric_limits<double>::infinity();
   double best_area = std::numeric_limits<double>::infinity();
-  for (const size_t c : order) {
+  *tied = false;
+  for (const uint32_t c : order) {
     const Rect rc = children.RectAt(c);
     const double enlargement = enlargement_of[c];
     const double area = rc.Area();
     const bool wins_tie =
         enlargement < best_enlargement ||
         (enlargement == best_enlargement && area < best_area);
-    if (best_overlap_delta == 0.0 && !wins_tie) continue;
+    const bool ties = enlargement == best_enlargement && area == best_area;
+    if (best_overlap_delta == 0.0 && !wins_tie && !ties) continue;
     const Rect grown = rc.Union(rect);
     double overlap_delta = 0.0;
     for (size_t j = 0; j < n; ++j) {
@@ -356,9 +342,116 @@ size_t ChooseSubtreeRStar(const RectColumns& children, const Rect& rect,
       best_overlap_delta = overlap_delta;
       best_enlargement = enlargement;
       best_area = area;
+      *tied = false;
+    } else if (overlap_delta == best_overlap_delta && ties) {
+      *tied = true;
     }
   }
   return best;
+}
+
+}  // namespace
+
+size_t ChooseSubtreeRStar(const RectColumns& children, const Rect& rect,
+                          uint32_t candidates) {
+  RSJ_CHECK(children.size > 0);
+  const size_t n = children.size;
+  const bool cut = candidates > 0 && n > candidates;
+
+  // Per-thread scratch: heap allocations per insert otherwise.
+  thread_local std::vector<double> enlargement_of;
+  thread_local std::vector<double> selected;
+  thread_local std::vector<uint32_t> order;
+
+  // One pass over the columns: every child's area enlargement, in
+  // Rect::Enlargement's double expressions (so the same values), and how
+  // many children hold `rect`.
+  enlargement_of.resize(n);
+  double* enlargement = enlargement_of.data();
+  size_t holders = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Coord xl = children.xl[i];
+    const Coord yl = children.yl[i];
+    const Coord xu = children.xu[i];
+    const Coord yu = children.yu[i];
+    const double grown_area =
+        (static_cast<double>(std::max(xu, rect.xu)) - std::min(xl, rect.xl)) *
+        (static_cast<double>(std::max(yu, rect.yu)) - std::min(yl, rect.yl));
+    enlargement[i] = grown_area - (static_cast<double>(xu) - xl) *
+                                      (static_cast<double>(yu) - yl);
+    holders += static_cast<size_t>((xl <= rect.xl) & (rect.xu <= xu) &
+                                   (yl <= rect.yl) & (rect.yu <= yu));
+  }
+
+  const auto by_enlargement = [enlargement](uint32_t a, uint32_t b) {
+    return enlargement[a] < enlargement[b];
+  };
+
+  if (holders > 0) {
+    // Holder path. A holder grows to itself: its key (+0.0, 0, area) is
+    // the least there is. When the holders are exactly the children of
+    // zero enlargement and all of them are candidates, the least-area
+    // holder wins; on an area tie the first candidate does, the lowest
+    // slot below the cut and partial_sort's pick past it.
+    size_t zeros = 0;
+    for (size_t i = 0; i < n; ++i) zeros += enlargement[i] == 0.0 ? 1 : 0;
+    if (zeros == holders && (!cut || zeros <= candidates)) {
+      size_t best = n;
+      double best_area = std::numeric_limits<double>::infinity();
+      bool area_tie = false;
+      for (size_t i = 0; i < n; ++i) {
+        if (enlargement[i] != 0.0) continue;
+        const double area = children.RectAt(i).Area();
+        if (area < best_area) {
+          best = i;
+          best_area = area;
+          area_tie = false;
+        } else if (area == best_area) {
+          area_tie = true;
+        }
+      }
+      if (!cut || !area_tie) return best;
+    }
+  } else if (cut) {
+    // Selection path. When the `candidates`-th least enlargement is below
+    // the next one, the candidates are those up to it, whatever order
+    // partial_sort puts them in; that order can decide only between
+    // candidates of one whole key, which EvaluateCandidates reports. The
+    // prunes are exact in any order, so the least enlargement goes first
+    // (its sum is most often the least, and a best sum of 0 leaves only
+    // the tie-break to check) and the rest follow in slot order.
+    selected.assign(enlargement, enlargement + n);
+    const auto last = selected.begin() + (candidates - 1);
+    std::nth_element(selected.begin(), last, selected.end());
+    const double bound = *last;
+    if (bound < *std::min_element(last + 1, selected.end())) {
+      order.clear();
+      for (size_t i = 0; i < n; ++i) {
+        if (enlargement[i] <= bound) order.push_back(static_cast<uint32_t>(i));
+      }
+      std::iter_swap(order.begin(), std::min_element(order.begin(), order.end(),
+                                                     by_enlargement));
+      bool tied = false;
+      const size_t best =
+          EvaluateCandidates(children, rect, order, enlargement, &tied);
+      if (!tied) return best;
+    }
+  }
+
+  // Sorted path, where partial_sort's order among equal enlargements can
+  // decide: the first `candidates` children in its order, or every child
+  // in slot order below the cut. The call and its input are part of the
+  // tree shape.
+  order.resize(n);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  if (cut) {
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<ptrdiff_t>(candidates),
+                      order.end(), by_enlargement);
+    order.resize(candidates);
+  }
+  bool tied = false;
+  return EvaluateCandidates(children, rect, order, enlargement, &tied);
 }
 
 }  // namespace rsj

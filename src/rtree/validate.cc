@@ -82,7 +82,7 @@ std::vector<std::string> RTree::Validate() const {
                at.page);
     }
     for (uint32_t i = 0; i < entries.size; ++i) {
-      // IsValid is false for NaN coordinates too.
+      // IsValid is false for NaN and infinite coordinates too.
       if (!entries.rect(i).IsValid()) {
         AddError(&errors, "page %u: invalid entry rectangle", at.page);
       }

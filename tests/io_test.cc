@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <vector>
 
 #include "datagen/io.h"
 #include "datagen/tiger_like.h"
+#include "geom/segment.h"
 #include "join/cost_estimator.h"
 #include "join/join_runner.h"
 #include "rtree/node.h"
@@ -82,6 +84,48 @@ TEST_F(CsvIoTest, InvalidMbrRejected) {
   std::fputs("7,0.9,0.2,0.1,0.4\n", f);  // xl > xu
   std::fclose(f);
   EXPECT_FALSE(ReadDatasetCsv(path_.string()).has_value());
+}
+
+// A coordinate a float cannot hold stops at the file: an infinity, or a
+// magnitude that rounds above FLT_MAX (its cast to float overflows), in
+// the MBR or in a vertex, even where the MBR and the vertices agree.
+TEST_F(CsvIoTest, NonFiniteCoordinatesRejected) {
+  for (const char* row :
+       {"1,0,0,inf,1\n", "1,-inf,0,0,1\n", "1,0,0,1e39,1\n",
+        "1,0,-1e39,1,1\n", "1,0,0,3.4028236e38,1\n", "1,inf,0,inf,1\n",
+        "1,0,nan,1,1\n", "1,0,0,inf,1,0 0 inf 1\n",
+        "1,-inf,0,0,1,-inf 0 0 1\n", "1,0,0,1,1,0 0 1 1e39\n",
+        "1,0,0,1,1,0 0 1 inf\n", "1,0,0,1,1,-inf 0 1 1\n"}) {
+    SCOPED_TRACE(row);
+    std::FILE* f = std::fopen(path_.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("7,0,0,1,1,0 0 1 1\n", f);  // a valid row first
+    std::fputs(row, f);
+    std::fclose(f);
+    EXPECT_FALSE(ReadDatasetCsv(path_.string()).has_value());
+  }
+}
+
+// The largest floats round-trip: FLT_MAX is written as 3.40282347e+38,
+// above FLT_MAX as a double, and reads back as FLT_MAX.
+TEST_F(CsvIoTest, FloatRangeEdgesRoundTrip) {
+  constexpr Coord kMax = std::numeric_limits<Coord>::max();
+  Dataset original;
+  original.name = "edges";
+  SpatialObject o;
+  o.id = 3;
+  o.chain = {Point{-kMax, -kMax}, Point{kMax, 0}, Point{0, kMax}};
+  o.mbr = PolylineMbr(o.chain);
+  original.objects.push_back(o);
+  ASSERT_TRUE(WriteDatasetCsv(original, path_.string()));
+  const auto loaded = ReadDatasetCsv(path_.string());
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->objects.size(), 1u);
+  EXPECT_EQ(loaded->objects[0].mbr, o.mbr);
+  ASSERT_EQ(loaded->objects[0].chain.size(), o.chain.size());
+  for (size_t v = 0; v < o.chain.size(); ++v) {
+    EXPECT_EQ(loaded->objects[0].chain[v], o.chain[v]);
+  }
 }
 
 TEST_F(CsvIoTest, GeometryMbrMismatchRejected) {

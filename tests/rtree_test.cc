@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <set>
 
@@ -82,6 +84,13 @@ TEST(RTreeTest, RejectsInvalidRect) {
   PagedFile file(kPageSize1K);
   RTree tree(&file, RTreeOptions{.page_size = kPageSize1K});
   EXPECT_DEATH(tree.Insert(Rect{1, 0, 0, 1}, 0), "invalid");
+  // Infinite and NaN coordinates too: their enlargements are NaN.
+  constexpr Coord kInf = std::numeric_limits<Coord>::infinity();
+  EXPECT_DEATH(tree.Insert(Rect{0, 0, kInf, 1}, 0), "invalid");
+  EXPECT_DEATH(tree.Insert(Rect{-kInf, 0, 1, 1}, 0), "invalid");
+  EXPECT_DEATH(
+      tree.Insert(Rect{0, std::numeric_limits<Coord>::quiet_NaN(), 1, 1}, 0),
+      "invalid");
 }
 
 TEST(RTreeTest, GrowsAndStaysBalanced) {
@@ -380,15 +389,14 @@ class TreeDigestTest : public ::testing::TestWithParam<DigestCase> {};
 // use arithmetic only (no libm). A change that means to change trees
 // updates the logical digests and says so; a change of the page format
 // updates only the byte digests.
-TEST_P(TreeDigestTest, BuildAndCondenseMatchRecordedPages) {
-  const DigestCase& c = GetParam();
+void ExpectRecordedDigests(const DigestCase& c,
+                           const std::vector<Rect>& rects) {
   PagedFile file(c.page_size);
   RTreeOptions options;
   options.page_size = c.page_size;
   options.split_policy = c.policy;
   options.forced_reinsert = c.reinsert;
   RTree tree(&file, options);
-  const auto rects = testutil::RandomRects(8000, /*seed=*/15, 0.02);
   for (uint32_t i = 0; i < rects.size(); ++i) tree.Insert(rects[i], i);
   EXPECT_GE(tree.height(), c.page_size == kPageSize1K ? 3 : 2);
   const uint64_t built = TreeDigest(tree);
@@ -405,6 +413,11 @@ TEST_P(TreeDigestTest, BuildAndCondenseMatchRecordedPages) {
       << "built logical digest";
   EXPECT_EQ(Hex(condensed_logical), Hex(c.condensed_logical))
       << "condensed logical digest";
+}
+
+TEST_P(TreeDigestTest, BuildAndCondenseMatchRecordedPages) {
+  ExpectRecordedDigests(GetParam(),
+                        testutil::RandomRects(8000, /*seed=*/15, 0.02));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -434,6 +447,72 @@ INSTANTIATE_TEST_SUITE_P(
         DigestCase{"linear_4k", kPageSize4K, SplitPolicy::kLinear, false,
                    0x4b0f041248e6af03ULL, 0x32b8003d14242ff1ULL,
                    0xd887ca4a3775f6bfULL, 0x678e6dceaa57b418ULL}),
+    [](const ::testing::TestParamInfo<DigestCase>& info) {
+      return info.param.name;
+    });
+
+// Rectangles in [-1, 1]^2 that lie on both zeros: a rectangle that
+// crosses an axis is cut at it, a bound within 0.05 of an axis is moved
+// onto it, and each coordinate on an axis is -0.0 or +0.0 by the index's
+// bits. Node bounds on the axes then hold either zero, and which one a
+// node's rectangle stores depends on how it was computed: -0.0 == +0.0,
+// so a min/max fold keeps whichever zero it meets first.
+std::vector<Rect> SignedZeroRects() {
+  std::vector<Rect> rects;
+  const auto on_axes = [](Coord* lo, Coord* hi, Coord zero, bool keep_low) {
+    if (*lo < 0 && *hi > 0) {
+      *(keep_low ? hi : lo) = zero;
+    }
+    if (*lo > 0 && *lo < 0.05f) *lo = zero;
+    if (*hi < 0 && *hi > -0.05f) *hi = zero;
+  };
+  const auto input = testutil::RandomRects(8000, /*seed=*/16, 0.05);
+  for (uint32_t i = 0; i < input.size(); ++i) {
+    const Rect& r = input[i];
+    Rect rect{2 * r.xl - 1, 2 * r.yl - 1, 2 * r.xu - 1, 2 * r.yu - 1};
+    on_axes(&rect.xl, &rect.xu, (i & 1) != 0 ? -0.0f : 0.0f, (i & 4) != 0);
+    on_axes(&rect.yl, &rect.yu, (i & 2) != 0 ? -0.0f : 0.0f, (i & 8) != 0);
+    rects.push_back(rect);
+  }
+  return rects;
+}
+
+class SignedZeroDigestTest : public TreeDigestTest {};
+
+// Insertion keeps each entry rectangle in its parent node the exact MBR
+// of its child, -0.0 and +0.0 included: the same pages, bit for bit.
+TEST_P(SignedZeroDigestTest, BuildAndCondenseMatchRecordedPages) {
+  const DigestCase& c = GetParam();
+  const std::vector<Rect> rects = SignedZeroRects();
+  ExpectRecordedDigests(c, rects);
+  // The directory entries hold both zeros.
+  PagedFile file(c.page_size);
+  RTree tree(&file, RTreeOptions{.page_size = c.page_size});
+  for (uint32_t i = 0; i < rects.size(); ++i) tree.Insert(rects[i], i);
+  size_t zeros[2] = {0, 0};  // +0.0, -0.0
+  for (PageId id = 0; id < file.allocated_pages(); ++id) {
+    const NodeView node = ViewNode(file, id);
+    if (node.is_leaf()) continue;
+    for (uint32_t i = 0; i < node.size(); ++i) {
+      const Rect r = node.entries.rect(i);
+      for (const Coord v : {r.xl, r.yl, r.xu, r.yu}) {
+        if (v == 0) ++zeros[std::signbit(v) ? 1 : 0];
+      }
+    }
+  }
+  EXPECT_GT(zeros[0], 0u);
+  EXPECT_GT(zeros[1], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RStarPageSizes, SignedZeroDigestTest,
+    ::testing::Values(
+        DigestCase{"rstar_1k", kPageSize1K, SplitPolicy::kRStar, true,
+                   0x60582bfc4686ee5bULL, 0x32fbdb9ae3802e5cULL,
+                   0x52cecf3990d44dcaULL, 0x67933c5569ffe2bcULL},
+        DigestCase{"rstar_4k", kPageSize4K, SplitPolicy::kRStar, true,
+                   0x08801f2da0a2db90ULL, 0x86d2cf66e649aab2ULL,
+                   0x6184a207616126a6ULL, 0x8e615a0799c25ee7ULL}),
     [](const ::testing::TestParamInfo<DigestCase>& info) {
       return info.param.name;
     });

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
+#include <tuple>
 
 #include "datagen/rng.h"
 #include "tests/test_util.h"
@@ -341,11 +344,56 @@ class ChooseSubtreeNodeGen {
   double extent_ = 1.0;
 };
 
+// Counts the two kinds of node on which partial_sort's order among equal
+// keys can decide the choice: a tie at the candidate cut (the
+// `candidates`-th least enlargement equals the next one), and two
+// candidates that share the winning (overlap sum, enlargement, area) key.
+struct OrderTies {
+  size_t at_cut = 0;
+  size_t on_winning_key = 0;
+
+  void Count(const std::vector<Entry>& entries, const Rect& rect,
+             uint32_t candidates) {
+    const size_t n = entries.size();
+    std::vector<double> enlargement_of(n);
+    for (size_t i = 0; i < n; ++i) {
+      enlargement_of[i] = entries[i].rect.Enlargement(rect);
+    }
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    if (candidates > 0 && n > candidates) {
+      std::vector<double> ascending = enlargement_of;
+      std::sort(ascending.begin(), ascending.end());
+      if (ascending[candidates - 1] == ascending[candidates]) ++at_cut;
+      std::partial_sort(order.begin(), order.begin() + candidates, order.end(),
+                        [&](size_t a, size_t b) {
+                          return enlargement_of[a] < enlargement_of[b];
+                        });
+      order.resize(candidates);
+    }
+    std::vector<std::tuple<double, double, double>> keys;
+    for (const size_t c : order) {
+      const Rect& rc = entries[c].rect;
+      const Rect grown = rc.Union(rect);
+      double overlap_delta = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        if (j == c) continue;
+        overlap_delta += grown.OverlapArea(entries[j].rect) -
+                         rc.OverlapArea(entries[j].rect);
+      }
+      keys.emplace_back(overlap_delta, enlargement_of[c], rc.Area());
+    }
+    const auto winning = *std::min_element(keys.begin(), keys.end());
+    if (std::count(keys.begin(), keys.end(), winning) > 1) ++on_winning_key;
+  }
+};
+
 // The pruned choice picks the same child as the unpruned formula on 20,000
 // seeded nodes of 2..204 entries, both sides of the candidate cut.
 TEST(ChooseSubtreeRStarTest, MatchesUnprunedReference) {
   constexpr size_t kNodes = 20000;
   ChooseSubtreeNodeGen gen(/*seed=*/15);
+  OrderTies ties;
   std::vector<Entry> entries;
   size_t sorted_cut = 0;
   for (size_t trial = 0; trial < kNodes; ++trial) {
@@ -357,6 +405,7 @@ TEST(ChooseSubtreeRStarTest, MatchesUnprunedReference) {
     if (trial % 5 == 4 && n <= 48) limit = 0;
     const Rect rect = gen.Fill(n, &entries);
     if (limit > 0 && n > limit) ++sorted_cut;
+    ties.Count(entries, rect, limit);
     const size_t expected = ReferenceChooseSubtreeRStar(entries, rect, limit);
     const size_t actual =
         ChooseSubtreeRStar(ChildRects(entries), rect, limit);
@@ -371,6 +420,9 @@ TEST(ChooseSubtreeRStarTest, MatchesUnprunedReference) {
   EXPECT_GT(gen.duplicates, kNodes / 5);
   EXPECT_GT(gen.inside_one, kNodes / 5);
   EXPECT_GT(gen.inside_several, kNodes / 5);
+  // So did both kinds of node whose choice partial_sort's order decides.
+  EXPECT_GT(ties.at_cut, 0u);
+  EXPECT_GT(ties.on_winning_key, 0u);
 }
 
 // A new rectangle inside several identical children: every candidate ties
@@ -383,6 +435,86 @@ TEST(ChooseSubtreeRStarTest, FullTieGoesToFirstCandidate) {
   EXPECT_EQ(ChooseSubtreeRStar(ChildRects(entries),
                                Rect{0.25f, 0.25f, 0.5f, 0.5f}, 32),
             0u);
+}
+
+// The same full tie past the cut: more identical children than candidates
+// all hold the new rectangle, so partial_sort picks the candidates and its
+// order names the first. The slot is libstdc++'s order, recorded.
+TEST(ChooseSubtreeRStarTest, FullTiePastTheCutFollowsPartialSortOrder) {
+  for (const uint32_t n : {33u, 40u, 204u}) {
+    std::vector<Entry> entries;
+    for (uint32_t i = 0; i < n; ++i) {
+      entries.push_back(Entry{Rect{0, 0, 1, 1}, i});
+    }
+    const Rect rect{0.25f, 0.25f, 0.5f, 0.5f};
+    EXPECT_EQ(ChooseSubtreeRStar(ChildRects(entries), rect, 32), 18u)
+        << n << " children";
+    EXPECT_EQ(ReferenceChooseSubtreeRStar(entries, rect, 32), 18u)
+        << n << " children";
+  }
+}
+
+// Equal enlargements at the cut, no child holding the new point: the 31
+// children of least enlargement all grow over a wide sibling, and the two
+// tied at the cut grow over nothing. Of those two the smaller would win,
+// but partial_sort keeps only the larger (libstdc++'s order, recorded).
+TEST(ChooseSubtreeRStarTest, TieAtTheCutFollowsPartialSortOrder) {
+  std::vector<Entry> entries;
+  const auto add = [&entries](const Rect& rect) {
+    entries.push_back(Entry{rect, static_cast<uint32_t>(entries.size())});
+  };
+  add(Rect{1, -5, 2, -3});  // area 2, enlargement 8: tied at the cut
+  for (int i = 0; i < 31; ++i) {
+    const float dx = static_cast<float>(i) / 64;  // enlargement 3 + i/32
+    add(Rect{1 + dx, 1, 2 + dx, 2});
+  }
+  add(Rect{0.5f, 0.5f, 10, 10});  // the wide sibling, enlargement 9.75
+  add(Rect{-3, -3, -2, -2});  // area 1, enlargement 8: tied at the cut
+  for (int i = 0; i < 6; ++i) {
+    const auto x = static_cast<float>(20 + 2 * i);
+    add(Rect{x, 20, x + 1, 21});
+  }
+  const Rect point{0, 0, 0, 0};
+  std::vector<double> ascending;
+  for (const Entry& e : entries) {
+    ASSERT_FALSE(e.rect.Contains(point));
+    ascending.push_back(e.rect.Enlargement(point));
+  }
+  std::sort(ascending.begin(), ascending.end());
+  ASSERT_EQ(ascending[31], 8.0);
+  ASSERT_EQ(ascending[32], 8.0);
+  EXPECT_EQ(ReferenceChooseSubtreeRStar(entries, point, 32), 0u);
+  EXPECT_EQ(ChooseSubtreeRStar(ChildRects(entries), point, 32), 0u);
+  // With every child a candidate the smaller one wins.
+  EXPECT_EQ(ChooseSubtreeRStar(ChildRects(entries), point, 0), 33u);
+}
+
+// Children of zero enlargement that do not hold the new rectangle are
+// compared on their whole key, not as holders. A segment that grows along
+// its own line keeps area 0, so its key (+0.0, 0, 0) beats the holder's
+// (+0.0, 0, 1). A wide child whose growth rounds away in its area still
+// grows over a sibling, so it loses to the holder although its area is
+// smaller.
+TEST(ChooseSubtreeRStarTest, ZeroEnlargementWithoutHoldingIsNotAHolder) {
+  const std::vector<Entry> segment = {
+      Entry{Rect{0, 0, 1, 1}, 0},
+      Entry{Rect{2, 0.5f, 3, 0.5f}, 1},
+  };
+  const Rect point{0.5f, 0.5f, 0.5f, 0.5f};
+  EXPECT_EQ(ReferenceChooseSubtreeRStar(segment, point, 32), 1u);
+  EXPECT_EQ(ChooseSubtreeRStar(ChildRects(segment), point, 32), 1u);
+
+  const float below_one = std::nextafter(1.0f, 0.0f);  // 1 - 2^-24
+  const std::vector<Entry> wide = {
+      Entry{Rect{0, 0, 0x1p31f, 0x1p31f}, 0},  // holds the point
+      Entry{Rect{1, 0, 0x1p30f, 0x1p30f}, 1},  // 2^30 - 1 + 2^-24 rounds
+      Entry{Rect{0.5f, 0.6f, 1, 1}, 2},        // touches the wide child
+  };
+  const Rect edge{below_one, 0.5f, below_one, 0.5f};
+  ASSERT_EQ(wide[1].rect.Enlargement(edge), 0.0);
+  ASSERT_FALSE(wide[1].rect.Contains(edge));
+  EXPECT_EQ(ReferenceChooseSubtreeRStar(wide, edge, 32), 0u);
+  EXPECT_EQ(ChooseSubtreeRStar(ChildRects(wide), edge, 32), 0u);
 }
 
 // Least overlap enlargement beats least area enlargement.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "rtree/rtree.h"
 #include "tests/test_util.h"
@@ -124,6 +126,22 @@ TEST(ValidateInjectionTest, DetectsInvalidEntryRect) {
   SetEntryRect(&fx.file, child, 0, rect);
   EXPECT_TRUE(fx.HasError("invalid entry rectangle") ||
               fx.HasError("exact union"));
+}
+
+// An infinite coordinate is invalid even where every parent rectangle is
+// the exact union below it: a loaded file holding one is rejected.
+TEST(ValidateInjectionTest, DetectsInfiniteEntryRect) {
+  Fixture fx;
+  const PageId child = fx.FirstChild();
+  const PageId leaf = ViewNode(fx.file, child).entries.ref[0];
+  for (const auto [page, slot] : {std::pair{leaf, 0u}, std::pair{child, 0u},
+                                  std::pair{fx.tree->root_page(), 0u}}) {
+    Rect rect = ViewNode(fx.file, page).entries.rect(slot);
+    rect.xu = std::numeric_limits<Coord>::infinity();
+    SetEntryRect(&fx.file, page, slot, rect);
+  }
+  EXPECT_TRUE(fx.HasError("invalid entry rectangle"));
+  EXPECT_FALSE(fx.HasError("exact union"));
 }
 
 // A page that holds no node is a reported violation: the walk reads pages
