@@ -391,26 +391,27 @@ size_t ChooseSubtreeRStar(const RectColumns& children, const Rect& rect,
     // Holder path. A holder grows to itself: its key (+0.0, 0, area) is
     // the least there is. When the holders are exactly the children of
     // zero enlargement and all of them are candidates, the least-area
-    // holder wins; on an area tie the first candidate does, the lowest
-    // slot below the cut and partial_sort's pick past it.
+    // holder wins. On an area tie the first candidate does: the lowest
+    // slot below the cut; past it partial_sort's pick, so the sorted path
+    // decides.
     size_t zeros = 0;
-    for (size_t i = 0; i < n; ++i) zeros += enlargement[i] == 0.0 ? 1 : 0;
-    if (zeros == holders && (!cut || zeros <= candidates)) {
-      size_t best = n;
-      double best_area = std::numeric_limits<double>::infinity();
-      bool area_tie = false;
-      for (size_t i = 0; i < n; ++i) {
-        if (enlargement[i] != 0.0) continue;
-        const double area = children.RectAt(i).Area();
-        if (area < best_area) {
-          best = i;
-          best_area = area;
-          area_tie = false;
-        } else if (area == best_area) {
-          area_tie = true;
-        }
+    size_t best = n;
+    double best_area = std::numeric_limits<double>::infinity();
+    bool area_tie = false;
+    for (size_t i = 0; i < n; ++i) {
+      if (enlargement[i] != 0.0) continue;
+      ++zeros;
+      const double area = children.RectAt(i).Area();
+      if (area < best_area) {
+        best = i;
+        best_area = area;
+        area_tie = false;
+      } else if (area == best_area) {
+        area_tie = true;
       }
-      if (!cut || !area_tie) return best;
+    }
+    if (zeros == holders && (!cut || (zeros <= candidates && !area_tie))) {
+      return best;
     }
   } else if (cut) {
     // Selection path. When the `candidates`-th least enlargement is below
@@ -429,8 +430,9 @@ size_t ChooseSubtreeRStar(const RectColumns& children, const Rect& rect,
       for (size_t i = 0; i < n; ++i) {
         if (enlargement[i] <= bound) order.push_back(static_cast<uint32_t>(i));
       }
-      std::iter_swap(order.begin(), std::min_element(order.begin(), order.end(),
-                                                     by_enlargement));
+      const auto least =
+          std::min_element(order.begin(), order.end(), by_enlargement);
+      std::rotate(order.begin(), least, least + 1);
       bool tied = false;
       const size_t best =
           EvaluateCandidates(children, rect, order, enlargement, &tied);
