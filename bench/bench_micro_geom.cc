@@ -2,8 +2,9 @@
 // scalar vs SIMD A/B at the node-typical block sizes 51/102/204/409 (the
 // entry capacities of 1/2/4/8 KByte pages) for the kernelized loops —
 // counted overlap filtering, the within-distance leaf test, and the plane
-// sweep of two sorted nodes (whole, and restricted to their intersection as
-// SJ3-5 sweep them).
+// sweep of two sorted nodes: whole (`sweep`; `sweep_ae` at the short scans
+// of workloads A-E), and marked down to their intersection and then swept,
+// as SJ3-5 process a node pair (`sweep_pair`).
 //
 // Reported per kernel × size × mode: ns per operation (one query-vs-block
 // call or one node-pair sweep), total hits, charged comparisons, and the
@@ -134,16 +135,23 @@ Measured RunSweep(const RectBlock& r, const RectBlock& s, uint64_t reps) {
   });
 }
 
-// The compaction of `block` to the rectangles intersecting `window`, in
-// block order (the engine's restriction to the parent intersection).
-RectBlock Restricted(const RectBlock& block, const Rect& window) {
-  std::vector<uint32_t> positions;
-  ComparisonCounter unused;
-  CountedOverlapHits(block, window, OverlapSubject::kBlock, &unused,
-                     &positions);
-  RectBlock restricted;
-  restricted.GatherFrom(block, std::span<const uint32_t>(positions));
-  return restricted;
+// One op = one node pair as SJ3-5 process it: both blocks marked down to
+// the rectangles intersecting `window` (the intersection of the parents),
+// then the marked blocks swept, into reused blocks and a reused pair
+// buffer.
+Measured RunSweepPair(const RectBlock& r, const RectBlock& s,
+                      const Rect& window, uint64_t reps) {
+  RectBlock marked_r;
+  RectBlock marked_s;
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  return TimeOps(reps, [&](ComparisonCounter* counter, Measured* m) {
+    CountedOverlapMark(r, window, OverlapSubject::kBlock, counter, &marked_r);
+    CountedOverlapMark(s, window, OverlapSubject::kBlock, counter, &marked_s);
+    pairs.clear();
+    SortedIntersectionTestBlocks(marked_r, marked_s, counter, &pairs);
+    m->hits += pairs.size();
+    for (const auto& [a, b] : pairs) m->hit_sum += a * 1024 + b;
+  });
 }
 
 void EmitJson(const char* kernel, size_t n, GeomKernelMode mode,
@@ -242,8 +250,19 @@ int Main(int argc, char** argv) {
       return RunSweep(r, s, reps(20'000));
     });
   }
-  // Two nodes whose MBRs overlap by half, each restricted to the
-  // intersection of the two MBRs before the sweep, as SJ3-5 sweep a node
+  // Workloads A-E's scan mix: an SJ4 pass over them scans 2.8 entries per
+  // internal scan on average, and the narrow rectangles of two 204-entry
+  // nodes here scan about 3.
+  {
+    constexpr size_t kN = 204;
+    const RectBlock r = BlockOf(MakeRects(kN, 0.02, 9000), true);
+    const RectBlock s = BlockOf(MakeRects(kN, 0.02, 9001), true);
+    ok &= CompareModes("sweep_ae", kN, [&] {
+      return RunSweep(r, s, reps(100'000));
+    });
+  }
+  // Two nodes whose MBRs overlap by half, each marked down to the
+  // intersection of the two MBRs and then swept, as SJ3-5 process a node
   // pair.
   for (const size_t n : {51u, 102u, 204u}) {
     std::vector<Rect> r_rects = MakeRects(n, 0.05, 7000 + n);
@@ -257,10 +276,10 @@ int Main(int argc, char** argv) {
     for (const Rect& rect : r_rects) mbr_r = mbr_r.Union(rect);
     for (const Rect& rect : s_rects) mbr_s = mbr_s.Union(rect);
     const Rect window = mbr_r.Intersection(mbr_s);
-    const RectBlock r = Restricted(BlockOf(r_rects, true), window);
-    const RectBlock s = Restricted(BlockOf(s_rects, true), window);
+    const RectBlock r = BlockOf(r_rects, true);
+    const RectBlock s = BlockOf(s_rects, true);
     ok &= CompareModes("sweep_pair", n, [&] {
-      return RunSweep(r, s, reps(100'000));
+      return RunSweepPair(r, s, window, reps(100'000));
     });
   }
   SetGeomKernelMode(saved);

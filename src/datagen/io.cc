@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "geom/segment.h"
 
@@ -25,6 +26,18 @@ constexpr double kCoordOverflow = 0x1.ffffffp127;
 
 // True when `v` is finite and its cast to Coord is a finite float.
 bool FitsCoord(double v) { return std::fabs(v) < kCoordOverflow; }
+
+// Reads the next row whole, whatever its length, into `*line` with its
+// newline (none on a last row without one). False at the end of the file.
+bool ReadRow(std::FILE* in, std::string* line) {
+  line->clear();
+  char chunk[4096];
+  while (std::fgets(chunk, sizeof(chunk), in) != nullptr) {
+    line->append(chunk);
+    if (!line->empty() && line->back() == '\n') return true;
+  }
+  return !line->empty();
+}
 
 }  // namespace
 
@@ -58,8 +71,9 @@ std::optional<Dataset> ReadDatasetCsv(const std::string& path) {
   Dataset dataset;
   dataset.name = "csv";
   Rect universe = Rect::Empty();
-  char line[8192];
-  while (std::fgets(line, sizeof(line), in.get()) != nullptr) {
+  std::string row;
+  while (ReadRow(in.get(), &row)) {
+    const char* line = row.c_str();
     if (line[0] == '#') {
       // Header comment carries the dataset name.
       const char* colon = std::strchr(line, ':');

@@ -10,10 +10,11 @@
 // `RectColumns` is the non-owning form the kernels take: four column
 // pointers, a size and an optional index column. A node's entries on its
 // page are such columns (rtree/node.h), so the kernels scan a page in
-// place. `RectBlock` owns its columns: the engine's marked-entry subsets
-// and window batches, built by copying rectangles in (with the predicate
-// expansion of the within-distance join baked in when asked). Expansion
-// grows every rectangle by the same margin, so a block built from
+// place. `RectBlock` owns its columns: the engine's window batches, built
+// by copying rectangles in (with the predicate expansion of the
+// within-distance join baked in when asked), and its marked-entry subsets,
+// which the marking kernel writes in place (there is no gather step).
+// Expansion grows every rectangle by the same margin, so a block built from
 // xl-sorted rectangles stays xl-sorted.
 //
 // `index_at(i)` carries the slot of the source entry (or the IndexedRect's
@@ -23,6 +24,7 @@
 #ifndef RSJ_GEOM_RECT_BLOCK_H_
 #define RSJ_GEOM_RECT_BLOCK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,32 +52,32 @@ struct RectColumns {
   }
 };
 
+// Writable columns of a RectBlock, for a kernel that fills it in place.
+struct WritableRectColumns {
+  Coord* xl;
+  Coord* yl;
+  Coord* xu;
+  Coord* yu;
+  uint32_t* index;
+};
+
+// The columns are storage that grows and never shrinks: `size()` counts
+// the rectangles held, so a block reused per node pair allocates only until
+// it has held its largest node.
 class RectBlock {
  public:
-  size_t size() const { return xl_.size(); }
+  size_t size() const { return size_; }
 
-  void Clear() {
-    xl_.clear();
-    yl_.clear();
-    xu_.clear();
-    yu_.clear();
-    idx_.clear();
-  }
-
-  void Reserve(size_t n) {
-    xl_.reserve(n);
-    yl_.reserve(n);
-    xu_.reserve(n);
-    yu_.reserve(n);
-    idx_.reserve(n);
-  }
+  void Clear() { size_ = 0; }
 
   void PushBack(const Rect& r, uint32_t index) {
-    xl_.push_back(r.xl);
-    yl_.push_back(r.yl);
-    xu_.push_back(r.xu);
-    yu_.push_back(r.yu);
-    idx_.push_back(index);
+    if (size_ == idx_.size()) Reserve(std::max<size_t>(16, 2 * size_));
+    xl_[size_] = r.xl;
+    yl_[size_] = r.yl;
+    xu_[size_] = r.xu;
+    yu_[size_] = r.yu;
+    idx_[size_] = index;
+    ++size_;
   }
 
   // Reconstructs the rectangle at position `i`.
@@ -91,6 +93,20 @@ class RectBlock {
     return RectColumns{xl_.data(), yl_.data(), xu_.data(),
                        yu_.data(), idx_.data(), size()};
   }
+
+  // Empties the block and returns its columns with room for `n`
+  // rectangles, for a kernel that writes them in place (the marking kernel
+  // of geom/simd_kernels.h); Resize(count) then keeps the first `count`.
+  WritableRectColumns Overwrite(size_t n) {
+    size_ = 0;
+    Reserve(n);
+    return WritableRectColumns{xl_.data(), yl_.data(), xu_.data(),
+                               yu_.data(), idx_.data()};
+  }
+
+  // Keeps the first `count` rectangles written since Overwrite(n),
+  // count <= n.
+  void Resize(size_t count) { size_ = count; }
 
   // Rebuilds from plain rectangles, `index_at(i) == i`. When
   // `expansion > 0` every rectangle is grown via Rect::Expanded.
@@ -115,19 +131,18 @@ class RectBlock {
     for (const IndexedRect& r : rects) PushBack(r.rect, r.index);
   }
 
-  // Rebuilds as the compaction of `src` at `positions` (ascending kernel
-  // hit positions), keeping the source indices — the block form of the
-  // engine's marked-entry subsets.
-  void GatherFrom(const RectColumns& src,
-                  std::span<const uint32_t> positions) {
-    Clear();
-    Reserve(positions.size());
-    for (const uint32_t p : positions) {
-      PushBack(src.RectAt(p), src.index_at(p));
-    }
+ private:
+  // Grows the storage to room for `n` rectangles at least.
+  void Reserve(size_t n) {
+    if (n <= idx_.size()) return;
+    xl_.resize(n);
+    yl_.resize(n);
+    xu_.resize(n);
+    yu_.resize(n);
+    idx_.resize(n);
   }
 
- private:
+  size_t size_ = 0;
   std::vector<Coord> xl_;
   std::vector<Coord> yl_;
   std::vector<Coord> xu_;

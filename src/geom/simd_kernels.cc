@@ -1,5 +1,6 @@
 #include "geom/simd_kernels.h"
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -36,10 +37,11 @@ std::atomic<GeomKernelMode>& ModeSlot() {
   return mode;
 }
 
+#if RSJ_GEOM_SIMD
 bool UseSimd() {
-  return GeomSimdCompiledIn() &&
-         ModeSlot().load(std::memory_order_relaxed) == GeomKernelMode::kSimd;
+  return ModeSlot().load(std::memory_order_relaxed) == GeomKernelMode::kSimd;
 }
+#endif
 
 // One element of the counted overlap loop: bit-for-bit the early-exit
 // sequence of Rect::IntersectsCounted with the chosen subject. Returns the
@@ -84,15 +86,17 @@ uint64_t AppendOverlapHitsScalar(const RectColumns& block, const Rect& query,
 }
 
 #if RSJ_GEOM_SIMD
-// Vector body of the counted overlap kernel. The early-exit order (the
-// subject) is a template parameter so the per-group mask shuffle costs
-// nothing, and the survivor counts accumulate in an integer register (each
-// alive lane is -1, so subtracting adds one per survivor) — one horizontal
-// sum at the end instead of three popcounts per group. Appends the hits and
-// returns the charged comparisons.
-template <bool kBlockIsSubject>
-uint64_t AppendOverlapHitsSimd(const RectColumns& block, const Rect& query,
-                               std::vector<uint32_t>* hits) {
+// Vector body of the counted overlap kernels over the block's full groups
+// of four. The early-exit order (the subject) is a template parameter so
+// the per-group mask shuffle costs nothing, and the survivor counts
+// accumulate in an integer register (each alive lane is -1, so subtracting
+// adds one per survivor) — one horizontal sum at the end instead of three
+// popcounts per group. Calls `group(i, hit)` for the group at position i
+// with its hit lanes' bits, sets `*end` past the last full group (where the
+// scalar tail starts) and returns the groups' charged comparisons.
+template <bool kBlockIsSubject, typename GroupFn>
+uint64_t OverlapGroupsSimd(const RectColumns& block, const Rect& query,
+                           GroupFn&& group, size_t* end) {
   const size_t n = block.size;
   const __m128 qxl = _mm_set1_ps(query.xl);
   const __m128 qyl = _mm_set1_ps(query.yl);
@@ -122,48 +126,132 @@ uint64_t AppendOverlapHitsSimd(const RectColumns& block, const Rect& query,
     acc = _mm_sub_epi32(acc, alive1);
     acc = _mm_sub_epi32(acc, alive2);
     acc = _mm_sub_epi32(acc, alive3);
-    int hit = _mm_movemask_ps(
-        _mm_castsi128_ps(_mm_andnot_si128(c4, alive3)));
-    while (hit != 0) {
-      const int lane = __builtin_ctz(static_cast<unsigned>(hit));
-      hits->push_back(static_cast<uint32_t>(i + lane));
-      hit &= hit - 1;
-    }
+    group(i, _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(c4, alive3))));
   }
+  *end = i;
   alignas(16) int32_t lanes[4];
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
   // The charged count telescopes to lanes + survivors (see header); `i`
   // is the one-comparison-minimum of every vector-processed element.
-  const OverlapSubject subject =
-      kBlockIsSubject ? OverlapSubject::kBlock : OverlapSubject::kQuery;
   return static_cast<uint64_t>(i) +
          static_cast<uint64_t>(lanes[0] + lanes[1]) +
-         static_cast<uint64_t>(lanes[2] + lanes[3]) +
-         AppendOverlapHitsScalar(block, query, subject, i, hits);
+         static_cast<uint64_t>(lanes[2] + lanes[3]);
+}
+
+// OverlapGroupsSimd with the subject as a run-time argument.
+template <typename GroupFn>
+uint64_t OverlapGroupsSimd(const RectColumns& block, const Rect& query,
+                           OverlapSubject subject, GroupFn&& group,
+                           size_t* end) {
+  return subject == OverlapSubject::kBlock
+             ? OverlapGroupsSimd<true>(block, query, group, end)
+             : OverlapGroupsSimd<false>(block, query, group, end);
 }
 #endif
 
 using PairBuffer = std::vector<std::pair<uint32_t, uint32_t>>;
 
-// Appends one sweep pair in (r, s) orientation; `kTIsR` says whether the
-// scanning rectangle is the R side.
+// One sweep pair in (r, s) orientation; `kTIsR` says whether the scanning
+// rectangle is the R side.
 template <bool kTIsR>
-inline void EmitSweepPair(uint32_t t_index, uint32_t seq_index,
-                          PairBuffer* pairs) {
+inline std::pair<uint32_t, uint32_t> SweepPair(uint32_t t_index,
+                                               uint32_t seq_index) {
   if constexpr (kTIsR) {
-    pairs->emplace_back(t_index, seq_index);
+    return {t_index, seq_index};
   } else {
-    pairs->emplace_back(seq_index, t_index);
+    return {seq_index, t_index};
   }
 }
 
+// One internal scan of the sweep (the paper's InternalLoop, see
+// geom/plane_sweep.h), the scalar reference: `t` against `seq` from `first`
+// while the x-projections still overlap, each hit appended to `*pairs`.
+// Returns the charged comparisons.
+template <bool kTIsR>
+uint64_t SweepScan(const Rect& t, uint32_t t_index, const RectColumns& seq,
+                   size_t first, PairBuffer* pairs) {
+  const size_t n = seq.size;
+  uint64_t count = 0;
+  for (size_t k = first; k < n; ++k) {
+    ++count;
+    if (seq.xl[k] > t.xu) break;
+    ++count;
+    if (t.yl > seq.yu[k]) continue;
+    ++count;
+    if (t.yu < seq.yl[k]) continue;
+    pairs->push_back(SweepPair<kTIsR>(t_index, seq.index_at(k)));
+  }
+  return count;
+}
+
 #if RSJ_GEOM_SIMD
-// Vector stage of one long sweep scan (see SweepScan). Returns the charged
-// comparisons.
+// The kSimd sweep's output: a fixed stage in the sweep's own frame. Every
+// candidate pair of a scan is stored at the cursor, which then advances by
+// the pair's hit bit, so the y tests take no branch; the stage goes to
+// `*out` in order whenever a scan or a vector group might not fit, and at
+// the end of the sweep.
+class SweepStage {
+ public:
+  // The most pairs a short scan can store: it holds fewer than 16 x
+  // survivors (see SweepScan).
+  static constexpr size_t kShortScanMax = 15;
+
+  explicit SweepStage(PairBuffer* out) : out_(out) {}
+
+  // Flushes unless `n` more candidates fit.
+  void MakeRoom(size_t n) {
+    if (kSize - fill_ < n) Flush();
+  }
+
+  // Stores a candidate at the cursor; keeps it when `hit` is 1.
+  void Stage(std::pair<uint32_t, uint32_t> pair, uint32_t hit) {
+    slot_[fill_] = StagedPair{pair.first, pair.second};
+    fill_ += hit;
+  }
+
+  void Flush() {
+    for (size_t k = 0; k < fill_; ++k) {
+      out_->emplace_back(slot_[k].r, slot_[k].s);
+    }
+    fill_ = 0;
+  }
+
+ private:
+  // Trivial, so the stage is not initialized on every sweep.
+  struct StagedPair {
+    uint32_t r;
+    uint32_t s;
+  };
+  static constexpr size_t kSize = 256;
+
+  std::array<StagedPair, kSize> slot_;
+  size_t fill_ = 0;
+  PairBuffer* out_;
+};
+
+// Stages the candidates seq[j, end) of `t`'s scan, all x survivors, with
+// branch-free y tests. Returns the y comparisons: one per element plus one
+// for each element passing the first y test.
+template <bool kTIsR>
+inline uint64_t StageYTests(const Rect& t, uint32_t t_index,
+                            const RectColumns& seq, size_t j, size_t end,
+                            SweepStage* stage) {
+  uint64_t count = 0;
+  for (; j < end; ++j) {
+    const uint32_t pass1 = !(t.yl > seq.yu[j]);
+    count += 1 + pass1;
+    stage->Stage(SweepPair<kTIsR>(t_index, seq.index_at(j)),
+                 pass1 & static_cast<uint32_t>(!(t.yu < seq.yl[j])));
+  }
+  return count;
+}
+
+// Vector stage of one long sweep scan (see the staged SweepScan). Returns
+// the charged comparisons.
 template <bool kTIsR>
 [[gnu::noinline]] uint64_t SweepScanVector(const Rect& t, uint32_t t_index,
                                            const RectColumns& seq, size_t first,
-                                           PairBuffer* pairs) {
+                                           SweepStage* stage) {
   const size_t n = seq.size;
   // Stage 1 — the sequence-number range: find the break position `end`
   // (first element with xl > t.xu). The scalar loop charges one x
@@ -193,6 +281,7 @@ template <bool kTIsR>
   // comparison per element plus one more for each element passing the
   // first y test. Pass-1 survivors accumulate in an integer register (each
   // surviving lane is -1) — one horizontal sum, not a popcount per group.
+  // Each group stages its four lanes after making room for them.
   const __m128 tyl = _mm_set1_ps(t.yl);
   const __m128 tyu = _mm_set1_ps(t.yu);
   const __m128i all = _mm_set1_epi32(-1);
@@ -205,62 +294,70 @@ template <bool kTIsR>
     const __m128i fail2 =
         _mm_castps_si128(_mm_cmpgt_ps(_mm_loadu_ps(seq.yl + j), tyu));
     acc = _mm_sub_epi32(acc, pass1);
-    int hit =
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(fail2, pass1)));
-    while (hit != 0) {
-      const int lane = __builtin_ctz(static_cast<unsigned>(hit));
-      EmitSweepPair<kTIsR>(t_index, seq.index_at(j + lane), pairs);
-      hit &= hit - 1;
+    const uint32_t hit = static_cast<uint32_t>(
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(fail2, pass1))));
+    stage->MakeRoom(4);
+    for (uint32_t lane = 0; lane < 4; ++lane) {
+      stage->Stage(SweepPair<kTIsR>(t_index, seq.index_at(j + lane)),
+                   (hit >> lane) & 1);
     }
   }
   alignas(16) int32_t lanes[4];
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
   count += (j - first) +
            static_cast<uint64_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; j < end; ++j) {
-    ++count;
-    if (t.yl > seq.yu[j]) continue;
-    ++count;
-    if (seq.yl[j] > t.yu) continue;
-    EmitSweepPair<kTIsR>(t_index, seq.index_at(j), pairs);
+  stage->MakeRoom(4);
+  return count + StageYTests<kTIsR>(t, t_index, seq, j, end, stage);
+}
+
+// One internal scan of the kSimd sweep: the scalar reference's scan with
+// every candidate staged. Sweep scans are usually short (the x-overlapping
+// run of a sorted node) and end at the first xl beyond t.xu — so peeking
+// at the sixteenth element's xl bounds the scan length in one comparison.
+// A shorter scan runs the x tests in a loop and stages its at most 15
+// candidates with branch-free y tests; a longer one goes to the vector
+// stage, whose broadcast setup would cost more than it saves on a short
+// scan. Both charge the reference's count and keep its pair order, so the
+// cutoff is invisible to the parity contract.
+template <bool kTIsR>
+inline uint64_t SweepScan(const Rect& t, uint32_t t_index,
+                          const RectColumns& seq, size_t first,
+                          SweepStage* stage) {
+  const size_t n = seq.size;
+  const Coord* xl = seq.xl;
+  if (n - first >= 16 && !(xl[first + 15] > t.xu)) {
+    return SweepScanVector<kTIsR>(t, t_index, seq, first, stage);
   }
-  return count;
+  size_t end = first;
+  while (end < n && !(xl[end] > t.xu)) ++end;
+  stage->MakeRoom(SweepStage::kShortScanMax + 1);
+  return (end - first) + (end < n ? 1 : 0) +
+         StageYTests<kTIsR>(t, t_index, seq, first, end, stage);
 }
 #endif
 
-// One internal scan of the sweep (the paper's InternalLoop, see
-// geom/plane_sweep.h): `t` against `seq` from `first` while the
-// x-projections still overlap. Returns the charged comparisons. Sweep scans
-// are usually short (the x-overlapping run of a sorted node) and end at the
-// first xl beyond t.xu — so peeking at the sixteenth element's xl bounds
-// the scan length in one comparison. Scans shorter than that take the
-// scalar loop inline: the vector stage's broadcast setup would cost more
-// than it saves. Both charge identical counts and emit identical pairs, so
-// the cutoff is invisible to the parity contract.
-template <bool kTIsR>
-inline uint64_t SweepScan(const Rect& t, uint32_t t_index,
-                          const RectColumns& seq, size_t first, bool simd,
-                          PairBuffer* pairs) {
-  const size_t n = seq.size;
-  const Coord* xl = seq.xl;
-#if RSJ_GEOM_SIMD
-  if (simd && n - first >= 16 && !(xl[first + 15] > t.xu)) {
-    return SweepScanVector<kTIsR>(t, t_index, seq, first, pairs);
-  }
-#else
-  static_cast<void>(simd);
-#endif
-  const Coord* yl = seq.yl;
-  const Coord* yu = seq.yu;
+// The §4.2 two-pointer advance over two xl-sorted blocks; `out` is the
+// scalar reference's pair buffer or the kSimd stage, which picks the scan.
+// Returns the charged comparisons.
+template <typename Out>
+uint64_t SweepNodePair(const RectColumns& rseq, const RectColumns& sseq,
+                       Out* out) {
+  const size_t nr = rseq.size;
+  const size_t ns = sseq.size;
   uint64_t count = 0;
-  for (size_t k = first; k < n; ++k) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < nr && j < ns) {
     ++count;
-    if (xl[k] > t.xu) break;
-    ++count;
-    if (t.yl > yu[k]) continue;
-    ++count;
-    if (t.yu < yl[k]) continue;
-    EmitSweepPair<kTIsR>(t_index, seq.index_at(k), pairs);
+    if (rseq.xl[i] < sseq.xl[j]) {
+      count +=
+          SweepScan<true>(rseq.RectAt(i), rseq.index_at(i), sseq, j, out);
+      ++i;
+    } else {
+      count +=
+          SweepScan<false>(sseq.RectAt(j), sseq.index_at(j), rseq, i, out);
+      ++j;
+    }
   }
   return count;
 }
@@ -285,16 +382,63 @@ size_t CountedOverlapHits(const RectColumns& block, const Rect& query,
                           OverlapSubject subject, ComparisonCounter* counter,
                           std::vector<uint32_t>* hits) {
   hits->clear();
+  uint64_t count = 0;
+  size_t i = 0;
 #if RSJ_GEOM_SIMD
   if (UseSimd()) {
-    counter->Add(subject == OverlapSubject::kBlock
-                     ? AppendOverlapHitsSimd<true>(block, query, hits)
-                     : AppendOverlapHitsSimd<false>(block, query, hits));
-    return hits->size();
+    count = OverlapGroupsSimd(
+        block, query, subject,
+        [hits](size_t base, int hit) {
+          while (hit != 0) {
+            const int lane = __builtin_ctz(static_cast<unsigned>(hit));
+            hits->push_back(static_cast<uint32_t>(base + lane));
+            hit &= hit - 1;
+          }
+        },
+        &i);
   }
 #endif
-  counter->Add(AppendOverlapHitsScalar(block, query, subject, 0, hits));
+  counter->Add(count +
+               AppendOverlapHitsScalar(block, query, subject, i, hits));
   return hits->size();
+}
+
+size_t CountedOverlapMark(const RectColumns& block, const Rect& query,
+                          OverlapSubject subject, ComparisonCounter* counter,
+                          RectBlock* marked) {
+  const WritableRectColumns out = marked->Overwrite(block.size);
+  size_t kept = 0;
+  // Stores position i at the cursor, which advances by its hit bit.
+  const auto keep = [&](size_t i, uint32_t hit) {
+    out.xl[kept] = block.xl[i];
+    out.yl[kept] = block.yl[i];
+    out.xu[kept] = block.xu[i];
+    out.yu[kept] = block.yu[i];
+    out.index[kept] = block.index_at(i);
+    kept += hit;
+  };
+  uint64_t count = 0;
+  size_t i = 0;
+#if RSJ_GEOM_SIMD
+  if (UseSimd()) {
+    count = OverlapGroupsSimd(
+        block, query, subject,
+        [&keep](size_t base, int hit) {
+          for (uint32_t lane = 0; lane < 4; ++lane) {
+            keep(base + lane, (static_cast<uint32_t>(hit) >> lane) & 1);
+          }
+        },
+        &i);
+  }
+#endif
+  for (; i < block.size; ++i) {
+    bool hit = false;
+    count += OverlapCountedOne(block, i, query, subject, &hit);
+    keep(i, hit ? 1 : 0);
+  }
+  counter->Add(count);
+  marked->Resize(kept);
+  return kept;
 }
 
 size_t CountedWithinDistanceHits(const RectColumns& block, const Rect& query,
@@ -359,27 +503,15 @@ void SortedIntersectionTestBlocks(const RectColumns& rseq,
                                   const RectColumns& sseq,
                                   ComparisonCounter* counter,
                                   PairBuffer* pairs) {
-  const bool simd = UseSimd();
-  const size_t nr = rseq.size;
-  const size_t ns = sseq.size;
-  const Coord* rxl = rseq.xl;
-  const Coord* sxl = sseq.xl;
-  uint64_t count = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < nr && j < ns) {
-    ++count;
-    if (rxl[i] < sxl[j]) {
-      count += SweepScan<true>(rseq.RectAt(i), rseq.index_at(i), sseq, j,
-                               simd, pairs);
-      ++i;
-    } else {
-      count += SweepScan<false>(sseq.RectAt(j), sseq.index_at(j), rseq, i,
-                                simd, pairs);
-      ++j;
-    }
+#if RSJ_GEOM_SIMD
+  if (UseSimd()) {
+    SweepStage stage(pairs);
+    counter->Add(SweepNodePair(rseq, sseq, &stage));
+    stage.Flush();
+    return;
   }
-  counter->Add(count);
+#endif
+  counter->Add(SweepNodePair(rseq, sseq, pairs));
 }
 
 }  // namespace rsj

@@ -3,11 +3,12 @@
 // dispatch.
 //
 // Every kernel here is a drop-in replacement for one of the engine's scalar
-// loops (one query rectangle against a node's entries, the plane sweep of a
-// node pair, the within-distance leaf test) and obeys one hard contract: for any input, both dispatch modes
-// produce the *same hit positions in the same order* and charge the *same
-// number of comparisons* to the ComparisonCounter as the original
-// one-rectangle-at-a-time code.
+// loops (one query rectangle against a node's entries, the marking of a
+// node's entries that meet the parent intersection, the plane sweep of a
+// node pair, the within-distance leaf test) and obeys one hard contract:
+// for any input, both dispatch modes produce the *same hit positions in the
+// same order* and charge the *same number of comparisons* to the
+// ComparisonCounter as the original one-rectangle-at-a-time code.
 // The paper counts executed floating point comparisons as its CPU metric
 // (§4), and an early-exit test executes a data-dependent number of them —
 // so the vector path computes all four lane masks branch-free and then
@@ -78,6 +79,18 @@ size_t CountedOverlapHits(const RectColumns& block, const Rect& query,
                           OverlapSubject subject, ComparisonCounter* counter,
                           std::vector<uint32_t>* hits);
 
+// The marking of §4.2's search-space restriction in one pass: tests every
+// block element against `query` exactly as CountedOverlapHits does (same
+// subject, same charge) and writes the hits' rectangles and index_at
+// values straight into `*marked` (emptied first; in block order, so an
+// xl-sorted block stays sorted). Every element is stored at the output
+// cursor, which advances by its hit bit — no branch per hit and no gather
+// pass. `marked` must not hold `block`'s columns. Returns the number of
+// hits.
+size_t CountedOverlapMark(const RectColumns& block, const Rect& query,
+                          OverlapSubject subject, ComparisonCounter* counter,
+                          RectBlock* marked);
+
 // Batch form of the within-distance leaf test: appends the positions of
 // every block element with MinDist2(query) <= epsilon^2 (double-precision
 // math, identical to Rect::MinDist2) to `*hits` (cleared, ascending) and
@@ -96,10 +109,18 @@ size_t CountedWithinDistanceHits(const RectColumns& block, const Rect& query,
 // blocks must be xl-sorted. The charge is the scalar sweep's: one
 // comparison per advance step, one x test per scanned element (including
 // the failing one that ends a scan) and one-or-two y tests for each element
-// that survived the x test. A scan whose sixteenth element still overlaps
+// that survived the x test.
+//
+// kScalar runs the reference loop, one push_back per hit. kSimd stages the
+// pairs: each scan stores every candidate into a fixed stage of 256 pairs
+// in the call's frame at a cursor that advances by the candidate's hit bit,
+// with the y tests computed without branches. A short scan (fewer than 16
+// x survivors) runs inline; a scan whose sixteenth element still overlaps
 // in x goes to a vector stage that locates the break position first and
-// then mask-tests y over the surviving range only; it writes into `*pairs`
-// as well.
+// then mask-tests y over the surviving range, four lanes per group. The
+// stage goes to `*pairs` in order whenever a short scan (at most 15
+// candidates) or a vector group (4) might not fit, and at the end of the
+// call, so staging changes neither the pair order nor the charge.
 void SortedIntersectionTestBlocks(
     const RectColumns& rseq, const RectColumns& sseq,
     ComparisonCounter* counter,

@@ -89,9 +89,29 @@ SpatialJoinEngine::DepthScratch& SpatialJoinEngine::Scratch(size_t depth) {
 
 void SpatialJoinEngine::MarkEntriesBlock(const RectColumns& block,
                                          const Rect& rect, RectBlock* marked) {
-  CountedOverlapHits(block, rect, OverlapSubject::kBlock,
-                     &stats_->join_comparisons, &hits_);
-  marked->GatherFrom(block, std::span<const uint32_t>(hits_));
+  CountedOverlapMark(block, rect, OverlapSubject::kBlock,
+                     &stats_->join_comparisons, marked);
+}
+
+void SpatialJoinEngine::SlotPairs::Build(std::span<const EntryPair> pairs,
+                                         size_t slots, bool by_first) {
+  const auto key = [by_first](const EntryPair& p) {
+    return by_first ? p.first : p.second;
+  };
+  begin.assign(slots + 1, 0);
+  for (const EntryPair& p : pairs) ++begin[key(p) + 1];
+  left.resize(slots);
+  for (size_t k = 0; k < slots; ++k) {
+    left[k] = begin[k + 1];
+    begin[k + 1] += begin[k];
+  }
+  order.resize(pairs.size());
+  for (uint32_t k = 0; k < pairs.size(); ++k) {
+    order[begin[key(pairs[k])]++] = k;
+  }
+  // The scatter moved each slot's offset to the next slot's: shift back.
+  for (size_t k = slots; k > 0; --k) begin[k] = begin[k - 1];
+  begin[0] = 0;
 }
 
 void SpatialJoinEngine::QualifyingPairs(const VisitedNode& first,
@@ -275,9 +295,23 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(const NodeView& nr,
   // so the pin is taken when the page is first read — the algorithm simply
   // keeps holding the page it is working on, which is what makes pinning
   // effective even with a zero-size LRU buffer (Table 5, row "0 KByte").
+  // Every pair before `idx` is done when `idx` is reached, so a slot's
+  // degree is its count of pairs not done, less `idx` itself, and a drain
+  // walks only the pinned slot's pairs.
   std::vector<bool>& done = slot->done;
   done.assign(pairs.size(), false);
-  for (size_t idx = 0; idx < pairs.size(); ++idx) {
+  SlotPairs& by_r = slot->pins_first;
+  SlotPairs& by_s = slot->pins_second;
+  by_r.Build(pairs, nr.entries.size, /*by_first=*/true);
+  by_s.Build(pairs, ns.entries.size, /*by_first=*/false);
+  const auto run = [&](uint32_t k) {
+    ProcessChildPair(nr.entries.entry(pairs[k].first),
+                     ns.entries.entry(pairs[k].second), depth + 1);
+    done[k] = true;
+    --by_r.left[pairs[k].first];
+    --by_s.left[pairs[k].second];
+  };
+  for (uint32_t idx = 0; idx < pairs.size(); ++idx) {
     if (done[idx]) continue;
     // The pin-and-drain order deviates from the schedule, but only by
     // pulling same-page pairs forward; hinting in schedule order a window
@@ -285,33 +319,22 @@ void SpatialJoinEngine::ExecuteDirectorySchedule(const NodeView& nr,
     // approximation.
     pump_hints(idx, &done);
 
-    uint32_t degree_r = 0;
-    uint32_t degree_s = 0;
-    for (size_t k = idx + 1; k < pairs.size(); ++k) {
-      if (done[k]) continue;
-      if (pairs[k].first == pairs[idx].first) ++degree_r;
-      if (pairs[k].second == pairs[idx].second) ++degree_s;
-    }
+    const uint32_t degree_r = by_r.left[pairs[idx].first] - 1;
+    const uint32_t degree_s = by_s.left[pairs[idx].second] - 1;
     if (degree_r == 0 && degree_s == 0) {
-      ProcessChildPair(nr.entries.entry(pairs[idx].first),
-                       ns.entries.entry(pairs[idx].second), depth + 1);
-      done[idx] = true;
+      run(idx);
       continue;
     }
 
     const bool pin_r = degree_r >= degree_s;
     NodeAccessor* acc = pin_r ? &acc_r_ : &acc_s_;
-    const PageId pinned_page = pin_r ? nr.entries.ref[pairs[idx].first]
-                                     : ns.entries.ref[pairs[idx].second];
+    const SlotPairs& side = pin_r ? by_r : by_s;
+    const uint32_t pinned = pin_r ? pairs[idx].first : pairs[idx].second;
+    const PageId pinned_page =
+        pin_r ? nr.entries.ref[pinned] : ns.entries.ref[pinned];
     acc->Pin(pinned_page);
-    for (size_t k = idx; k < pairs.size(); ++k) {
-      if (done[k]) continue;
-      const bool same_page = pin_r ? pairs[k].first == pairs[idx].first
-                                   : pairs[k].second == pairs[idx].second;
-      if (!same_page) continue;
-      ProcessChildPair(nr.entries.entry(pairs[k].first),
-                       ns.entries.entry(pairs[k].second), depth + 1);
-      done[k] = true;
+    for (uint32_t p = side.begin[pinned]; p < side.begin[pinned + 1]; ++p) {
+      if (!done[side.order[p]]) run(side.order[p]);
     }
     acc->Unpin(pinned_page);
   }
@@ -404,32 +427,31 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep,
     }
     case HeightPolicy::kPinnedQueries: {
       // (c) plane-sweep pair order with pinning of the subtree root page;
-      // as in the directory case the pin is held from the first read.
+      // as in the directory case the pin is held from the first read, and
+      // a subtree's degree is its count of pairs not done, less `idx`.
       std::vector<bool>& done = slot.done;
       done.assign(pairs.size(), false);
-      for (size_t idx = 0; idx < pairs.size(); ++idx) {
+      SlotPairs& by_dir = slot.pins_first;
+      by_dir.Build(pairs, dir_entries.size, /*by_first=*/true);
+      const auto query = [&](uint32_t k) {
+        ++stats_->window_queries;
+        SingleWindowQuery(deep, dir_entries.ref[pairs[k].first],
+                          leaf_entries.entry(pairs[k].second), r_is_deep,
+                          depth + 1);
+        done[k] = true;
+        --by_dir.left[pairs[k].first];
+      };
+      for (uint32_t idx = 0; idx < pairs.size(); ++idx) {
         if (done[idx]) continue;
-        uint32_t degree = 0;
-        for (size_t k = idx + 1; k < pairs.size(); ++k) {
-          if (!done[k] && pairs[k].first == pairs[idx].first) ++degree;
-        }
-        if (degree == 0) {
-          ++stats_->window_queries;
-          SingleWindowQuery(deep, dir_entries.ref[pairs[idx].first],
-                            leaf_entries.entry(pairs[idx].second), r_is_deep,
-                            depth + 1);
-          done[idx] = true;
+        const uint32_t d = pairs[idx].first;
+        if (by_dir.left[d] == 1) {
+          query(idx);
           continue;
         }
-        const PageId pinned_page = dir_entries.ref[pairs[idx].first];
+        const PageId pinned_page = dir_entries.ref[d];
         deep->Pin(pinned_page);
-        for (size_t k = idx; k < pairs.size(); ++k) {
-          if (done[k] || pairs[k].first != pairs[idx].first) continue;
-          ++stats_->window_queries;
-          SingleWindowQuery(deep, pinned_page,
-                            leaf_entries.entry(pairs[k].second), r_is_deep,
-                            depth + 1);
-          done[k] = true;
+        for (uint32_t p = by_dir.begin[d]; p < by_dir.begin[d + 1]; ++p) {
+          if (!done[by_dir.order[p]]) query(by_dir.order[p]);
         }
         deep->Unpin(pinned_page);
       }
@@ -538,10 +560,11 @@ void SpatialJoinEngine::BatchedWindowQuery(NodeAccessor* deep, PageId page,
   // runs.
   DepthScratch& slot = Scratch(depth);
   for (uint32_t e = 0; e < entries.size; ++e) {
-    CountedOverlapHits(batch, visited.rects.RectAt(e), OverlapSubject::kQuery,
-                       &stats_->join_comparisons, &hits_);
-    if (hits_.empty()) continue;
-    slot.batch.GatherFrom(batch, std::span<const uint32_t>(hits_));
+    if (CountedOverlapMark(batch, visited.rects.RectAt(e),
+                           OverlapSubject::kQuery, &stats_->join_comparisons,
+                           &slot.batch) == 0) {
+      continue;
+    }
     BatchedWindowQuery(deep, entries.ref[e], windows, slot.batch, r_is_deep,
                        depth + 1);
   }

@@ -33,6 +33,7 @@
 #define RSJ_JOIN_SPATIAL_JOIN_H_
 
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -89,17 +90,36 @@ class SpatialJoinEngine {
     EntryPair pair;
   };
 
+  // The pin bookkeeping of one side of a read schedule (SJ4/SJ5, height
+  // policy (c)): slot k's pairs, as schedule positions in schedule order,
+  // at order[begin[k], begin[k + 1]), and left[k], how many of them are
+  // not done yet. Two counting passes build it, so choosing every pin and
+  // draining every pinned page is O(pairs + slots).
+  struct SlotPairs {
+    std::vector<uint32_t> begin;
+    std::vector<uint32_t> order;
+    std::vector<uint32_t> left;
+
+    // Keyed by each pair's first (R, or the deeper tree's) slot, or by its
+    // second; `slots` bounds the key.
+    void Build(std::span<const EntryPair> pairs, size_t slots, bool by_first);
+  };
+
   // Buffers of one recursion depth, reused by every node pair processed at
   // that depth, so the traversal allocates nothing per node pair once they
   // have grown to node size. A level's buffers stay in use while the levels
   // below it run (the schedule being executed, the query batch handed
   // down), so each slot is allocated once and never moves.
   struct DepthScratch {
-    RectBlock marked_first;  // restricted entry subsets (SJ2-SJ5)
+    // Restricted entry subsets (SJ2-SJ5), written by the marking kernel;
+    // their storage grows to the largest node marked at this depth.
+    RectBlock marked_first;
     RectBlock marked_second;
     std::vector<EntryPair> pairs;  // qualifying pairs = read schedule
     std::vector<ZScheduled> zorder;
     std::vector<bool> done;     // pairs drained by a pin; (b): subtrees run
+    SlotPairs pins_first;       // pinning (SJ4/SJ5, (c)): per first slot
+    SlotPairs pins_second;      // pinning (SJ4/SJ5): per second slot
     std::vector<PageId> pages;  // §4.4 prefetch schedule
     // (b): the pairs grouped per subtree, subtree d's batch at
     // batches[begin[d], begin[d + 1]); `by_leaf` is the sweep algorithms'
@@ -143,9 +163,10 @@ class SpatialJoinEngine {
   void QualifyingPairs(const VisitedNode& first, const VisitedNode& second,
                        const Rect& rect, DepthScratch* slot);
 
-  // Compacts the positions of `block` whose rectangles intersect `rect`
-  // into `*marked` (in block order — sorted order for the sweep algorithms
-  // since the accessor sorts on read). The block's expansion carries over.
+  // Writes the rectangles of `block` that intersect `rect` into `*marked`
+  // in one kernel pass (in block order — sorted order for the sweep
+  // algorithms since the accessor sorts on read). The block's expansion
+  // carries over.
   void MarkEntriesBlock(const RectColumns& block, const Rect& rect,
                         RectBlock* marked);
 

@@ -99,30 +99,31 @@ SplitResult SplitAt(std::vector<Entry> entries, size_t split_point) {
 SplitResult SplitRStar(std::vector<Entry> entries, uint32_t min_entries) {
   RSJ_CHECK(entries.size() >= 2 * static_cast<size_t>(min_entries));
 
-  // 1. Choose the split axis: minimal margin sum over both sortings.
+  // 1. Choose the split axis: minimal margin sum over both sortings. The
+  //    chosen axis's two sortings are step 2's input; x stands unless y's
+  //    margin is strictly below it.
   double best_axis_margin = std::numeric_limits<double>::infinity();
-  bool split_on_x = true;
+  std::vector<Entry> by_lower;
+  std::vector<Entry> by_upper;
   for (const bool x_axis : {true, false}) {
-    double margin = 0.0;
-    for (const bool by_upper : {false, true}) {
-      std::vector<Entry> sorted = entries;
-      SortByAxis(&sorted, x_axis, by_upper);
-      margin += MarginSum(sorted, min_entries);
+    std::vector<Entry> lower = entries;
+    // The last sorting takes the input itself.
+    std::vector<Entry> upper = x_axis ? entries : std::move(entries);
+    SortByAxis(&lower, x_axis, /*by_upper=*/false);
+    SortByAxis(&upper, x_axis, /*by_upper=*/true);
+    const double margin =
+        MarginSum(lower, min_entries) + MarginSum(upper, min_entries);
+    if (x_axis || margin < best_axis_margin) {
+      by_lower = std::move(lower);
+      by_upper = std::move(upper);
     }
-    if (margin < best_axis_margin) {
-      best_axis_margin = margin;
-      split_on_x = x_axis;
-    }
+    if (margin < best_axis_margin) best_axis_margin = margin;
   }
 
   // 2. On that axis, choose the distribution with minimal overlap
   //    (ties: minimal area) across both sortings.
   BestDistribution best;
-  std::vector<Entry> by_lower = entries;
-  SortByAxis(&by_lower, split_on_x, /*by_upper=*/false);
   ConsiderDistributions(by_lower, min_entries, /*by_upper=*/false, &best);
-  std::vector<Entry> by_upper = std::move(entries);
-  SortByAxis(&by_upper, split_on_x, /*by_upper=*/true);
   ConsiderDistributions(by_upper, min_entries, /*by_upper=*/true, &best);
 
   return SplitAt(best.by_upper ? std::move(by_upper) : std::move(by_lower),

@@ -106,6 +106,39 @@ TEST_F(CsvIoTest, NonFiniteCoordinatesRejected) {
   }
 }
 
+// A row longer than any fixed line buffer reads back whole: one object
+// whose 1,000-vertex chain makes a row of about 24 KB, between two short
+// rows.
+TEST_F(CsvIoTest, LongRowRoundTrips) {
+  Dataset original;
+  original.name = "long";
+  for (uint32_t id = 0; id < 3; ++id) {
+    SpatialObject o;
+    o.id = id;
+    const size_t vertices = id == 1 ? 1000 : 2;
+    for (size_t v = 0; v < vertices; ++v) {
+      o.chain.push_back(Point{0.123456789f + 0.000731f * static_cast<float>(v),
+                              0.987654321f - 0.000517f * static_cast<float>(v)});
+    }
+    o.mbr = PolylineMbr(o.chain);
+    original.objects.push_back(o);
+  }
+  ASSERT_TRUE(WriteDatasetCsv(original, path_.string()));
+  ASSERT_GT(std::filesystem::file_size(path_), 20000u);
+  const auto loaded = ReadDatasetCsv(path_.string());
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->objects.size(), original.objects.size());
+  for (size_t i = 0; i < original.objects.size(); ++i) {
+    EXPECT_EQ(loaded->objects[i].id, original.objects[i].id);
+    EXPECT_EQ(loaded->objects[i].mbr, original.objects[i].mbr);
+    ASSERT_EQ(loaded->objects[i].chain.size(),
+              original.objects[i].chain.size());
+    for (size_t v = 0; v < original.objects[i].chain.size(); ++v) {
+      EXPECT_EQ(loaded->objects[i].chain[v], original.objects[i].chain[v]);
+    }
+  }
+}
+
 // The largest floats round-trip: FLT_MAX is written as 3.40282347e+38,
 // above FLT_MAX as a double, and reads back as FLT_MAX.
 TEST_F(CsvIoTest, FloatRangeEdgesRoundTrip) {

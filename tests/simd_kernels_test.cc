@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "datagen/rng.h"
 #include "geom/plane_sweep.h"
 #include "join/predicate.h"
 #include "tests/test_util.h"
@@ -327,7 +329,7 @@ TEST_F(SimdKernelsTest, NanInputsBehaveIdentically) {
   }
 }
 
-TEST_F(SimdKernelsTest, BlockBuildersAndGather) {
+TEST_F(SimdKernelsTest, BlockBuilders) {
   const std::vector<Rect> rects = testutil::RandomRects(10, 17);
   RectBlock block;
   block.AssignRects(std::span<const Rect>(rects), 0.0);
@@ -342,18 +344,89 @@ TEST_F(SimdKernelsTest, BlockBuildersAndGather) {
   for (size_t i = 0; i < rects.size(); ++i) {
     EXPECT_EQ(expanded.RectAt(i), rects[i].Expanded(0.25));
   }
-  // Gather keeps source indices.
-  const std::vector<uint32_t> positions = {1, 4, 7};
-  RectBlock gathered;
-  gathered.GatherFrom(expanded, std::span<const uint32_t>(positions));
-  ASSERT_EQ(gathered.size(), 3u);
-  for (size_t k = 0; k < positions.size(); ++k) {
-    EXPECT_EQ(gathered.RectAt(k), expanded.RectAt(positions[k]));
-    EXPECT_EQ(gathered.index_at(k), positions[k]);
+}
+
+// The marking kernel against its two-pass reference: CountedOverlapHits'
+// positions and charge, then a gather of those positions' rectangles and
+// index_at values. The output block holds other rectangles beforehand, and
+// some rows are NaN, as in NanInputsBehaveIdentically.
+TEST_F(SimdKernelsTest, MarkingMatchesHitsAndGather) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 20; ++n) sizes.push_back(n);
+  sizes.insert(sizes.end(), {51, 204, 409});
+  for (const size_t n : sizes) {
+    std::vector<IndexedRect> seq = Indexed(testutil::RandomRects(n, 300 + n,
+                                                                 0.3));
+    for (IndexedRect& r : seq) r.index = 1000 + 3 * r.index;  // not slots
+    if (n > 2) seq[2].rect = Rect{nan, 0, 1, 1};
+    if (n > 7) seq[7].rect = Rect{nan, nan, nan, nan};
+    RectBlock block;
+    block.AssignIndexed(std::span<const IndexedRect>(seq));
+    const std::vector<Rect> queries = testutil::RandomRects(4, 700 + n, 0.5);
+    for (const Rect& query : queries) {
+      for (const OverlapSubject subject :
+           {OverlapSubject::kBlock, OverlapSubject::kQuery}) {
+        for (const GeomKernelMode mode :
+             {GeomKernelMode::kScalar, GeomKernelMode::kSimd}) {
+          const std::string label = "n " + std::to_string(n) + " " +
+                                    GeomKernelModeName(mode);
+          const KernelRun ref = RunOverlap(mode, block, query, subject);
+          RectBlock marked;
+          marked.AssignRects(testutil::RandomRects(n / 2 + 3, 5), 0.0);
+          ComparisonCounter counter;
+          const size_t kept =
+              CountedOverlapMark(block, query, subject, &counter, &marked);
+          EXPECT_EQ(counter.count(), ref.comparisons) << label;
+          ASSERT_EQ(kept, ref.hits.size()) << label;
+          ASSERT_EQ(marked.size(), ref.hits.size()) << label;
+          for (size_t k = 0; k < kept; ++k) {
+            const Rect want = block.RectAt(ref.hits[k]);
+            const Rect got = marked.RectAt(k);
+            // Bitwise, so that NaN rows compare too.
+            EXPECT_EQ(std::memcmp(&got, &want, sizeof(Rect)), 0)
+                << label << " position " << k;
+            EXPECT_EQ(marked.index_at(k), block.index_at(ref.hits[k]))
+                << label << " position " << k;
+          }
+        }
+      }
+    }
   }
-  EXPECT_TRUE(IsSortedByLowerXBlock(gathered) ==
-              IsSortedByLowerXBlock(expanded) ||
-              !IsSortedByLowerXBlock(expanded));
+}
+
+// A sweep whose short scans alone stage more pairs than the kSimd stage
+// holds, with vector-stage scans between them: 409 entries a side, narrow
+// in x so that a scan stays under the 16-element cutoff and tall in y so
+// that most scans hit, plus a few entries wide in x whose scans take the
+// vector stage and stage hundreds of pairs each. Both orientations, both
+// modes, against SortedIntersectionTestPairs.
+TEST_F(SimdKernelsTest, StagedSweepFlushesInOrder) {
+  constexpr size_t kCount = 409;
+  const auto side = [](uint64_t seed, float offset) {
+    Rng rng(seed);
+    std::vector<Rect> rects;
+    for (size_t k = 0; k < kCount; ++k) {
+      const float xl = static_cast<float>(k) / kCount + offset;
+      const float yl = static_cast<float>(rng.Uniform(0.0, 0.4));
+      float xu = xl + 4.0f / kCount;
+      if (k % 97 == 5) xu = xl + 0.5f;  // a long scan
+      rects.push_back(
+          Rect{xl, yl, xu, yl + static_cast<float>(rng.Uniform(0.2, 0.7))});
+    }
+    return rects;
+  };
+  const std::vector<IndexedRect> r = Indexed(side(11, 0.0f));
+  const std::vector<IndexedRect> s = Indexed(side(12, 0.5f / kCount));
+  ExpectSweepMatchesReference(r, s, "r scans s");
+  ExpectSweepMatchesReference(s, r, "s scans r");
+  // The stage must overflow many times over for the test to mean anything.
+  ComparisonCounter counter;
+  EXPECT_GT(SortedIntersectionTestPairs(std::span<const IndexedRect>(r),
+                                        std::span<const IndexedRect>(s),
+                                        &counter)
+                .size(),
+            4u * 256u);
 }
 
 }  // namespace
