@@ -123,13 +123,16 @@ Measured RunWithin(const RectBlock& block, const std::vector<Rect>& queries,
   });
 }
 
-// One op = one full two-pointer sweep of the R block against the S block,
-// into a reused pair buffer.
-Measured RunSweep(const RectBlock& r, const RectBlock& s, uint64_t reps) {
+// One op = one full two-pointer sweep of an R block against its S block,
+// into a reused pair buffer; op k sweeps pair k mod the pair count.
+Measured RunSweep(const std::vector<RectBlock>& r,
+                  const std::vector<RectBlock>& s, uint64_t reps) {
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  uint64_t q = 0;
   return TimeOps(reps, [&](ComparisonCounter* counter, Measured* m) {
     pairs.clear();
-    SortedIntersectionTestBlocks(r, s, counter, &pairs);
+    const size_t k = q++ % r.size();
+    SortedIntersectionTestBlocks(r[k], s[k], counter, &pairs);
     m->hits += pairs.size();
     for (const auto& [a, b] : pairs) m->hit_sum += a * 1024 + b;
   });
@@ -244,19 +247,27 @@ int Main(int argc, char** argv) {
     });
   }
   for (const size_t n : kBlockSizes) {
-    const RectBlock r = BlockOf(MakeRects(n, 0.1, 5000 + n), true);
-    const RectBlock s = BlockOf(MakeRects(n, 0.1, 6000 + n), true);
+    const std::vector<RectBlock> r = {
+        BlockOf(MakeRects(n, 0.1, 5000 + n), true)};
+    const std::vector<RectBlock> s = {
+        BlockOf(MakeRects(n, 0.1, 6000 + n), true)};
     ok &= CompareModes("sweep", n, [&] {
       return RunSweep(r, s, reps(20'000));
     });
   }
   // Workloads A-E's scan mix: an SJ4 pass over them scans 2.8 entries per
   // internal scan on average, and the narrow rectangles of two 204-entry
-  // nodes here scan about 3.
+  // nodes here scan about 3. The ops cycle through 64 node pairs, as a
+  // pass visits many: one pair swept over and over lets the branch
+  // predictor learn its scans, which a pass never does.
   {
     constexpr size_t kN = 204;
-    const RectBlock r = BlockOf(MakeRects(kN, 0.02, 9000), true);
-    const RectBlock s = BlockOf(MakeRects(kN, 0.02, 9001), true);
+    std::vector<RectBlock> r;
+    std::vector<RectBlock> s;
+    for (uint64_t k = 0; k < 64; ++k) {
+      r.push_back(BlockOf(MakeRects(kN, 0.02, 9000 + 2 * k), true));
+      s.push_back(BlockOf(MakeRects(kN, 0.02, 9001 + 2 * k), true));
+    }
     ok &= CompareModes("sweep_ae", kN, [&] {
       return RunSweep(r, s, reps(100'000));
     });

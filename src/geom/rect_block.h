@@ -13,9 +13,9 @@
 // place. `RectBlock` owns its columns: the engine's window batches, built
 // by copying rectangles in (with the predicate expansion of the
 // within-distance join baked in when asked), and its marked-entry subsets,
-// which the marking kernel writes in place (there is no gather step).
-// Expansion grows every rectangle by the same margin, so a block built from
-// xl-sorted rectangles stays xl-sorted.
+// which the marking kernel writes in place. Expansion grows every
+// rectangle by the same margin, so a block built from xl-sorted rectangles
+// stays xl-sorted.
 //
 // `index_at(i)` carries the slot of the source entry (or the IndexedRect's
 // index), so kernel hit positions map back to entries without touching

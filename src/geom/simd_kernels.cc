@@ -192,10 +192,6 @@ uint64_t SweepScan(const Rect& t, uint32_t t_index, const RectColumns& seq,
 // the end of the sweep.
 class SweepStage {
  public:
-  // The most pairs a short scan can store: it holds fewer than 16 x
-  // survivors (see SweepScan).
-  static constexpr size_t kShortScanMax = 15;
-
   explicit SweepStage(PairBuffer* out) : out_(out) {}
 
   // Flushes unless `n` more candidates fit.
@@ -330,7 +326,7 @@ inline uint64_t SweepScan(const Rect& t, uint32_t t_index,
   }
   size_t end = first;
   while (end < n && !(xl[end] > t.xu)) ++end;
-  stage->MakeRoom(SweepStage::kShortScanMax + 1);
+  stage->MakeRoom(16);  // at most 15 candidates: the sixteenth ends the scan
   return (end - first) + (end < n ? 1 : 0) +
          StageYTests<kTIsR>(t, t_index, seq, first, end, stage);
 }

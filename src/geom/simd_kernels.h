@@ -84,9 +84,8 @@ size_t CountedOverlapHits(const RectColumns& block, const Rect& query,
 // subject, same charge) and writes the hits' rectangles and index_at
 // values straight into `*marked` (emptied first; in block order, so an
 // xl-sorted block stays sorted). Every element is stored at the output
-// cursor, which advances by its hit bit — no branch per hit and no gather
-// pass. `marked` must not hold `block`'s columns. Returns the number of
-// hits.
+// cursor, which advances by its hit bit, so no hit takes a branch.
+// `marked` must not hold `block`'s columns. Returns the number of hits.
 size_t CountedOverlapMark(const RectColumns& block, const Rect& query,
                           OverlapSubject subject, ComparisonCounter* counter,
                           RectBlock* marked);

@@ -12,18 +12,21 @@ namespace rsj {
 
 namespace {
 
-// Stable counting sort of `pairs` by key(pair) < key_count into `*sorted`;
-// `*begin` gets the key_count + 1 group offsets.
-template <typename Key>
+// Stable counting sort of `pairs` by key(pair) < key_count: `*sorted` gets
+// item(pair, position) in key order, and `*begin` the key_count + 1 group
+// offsets.
+template <typename Key, typename Item, typename T>
 void CountingSort(std::span<const std::pair<uint32_t, uint32_t>> pairs,
-                  size_t key_count, Key key, std::vector<uint32_t>* begin,
-                  std::vector<std::pair<uint32_t, uint32_t>>* sorted) {
+                  size_t key_count, Key key, Item item,
+                  std::vector<uint32_t>* begin, std::vector<T>* sorted) {
   std::vector<uint32_t>& offset = *begin;
   offset.assign(key_count + 1, 0);
   for (const auto& p : pairs) ++offset[key(p) + 1];
   for (size_t k = 0; k < key_count; ++k) offset[k + 1] += offset[k];
   sorted->resize(pairs.size());
-  for (const auto& p : pairs) (*sorted)[offset[key(p)]++] = p;
+  for (uint32_t k = 0; k < pairs.size(); ++k) {
+    (*sorted)[offset[key(pairs[k])]++] = item(pairs[k], k);
+  }
   // The scatter moved each group's offset to the next group's: shift back.
   for (size_t k = key_count; k > 0; --k) offset[k] = offset[k - 1];
   offset[0] = 0;
@@ -95,23 +98,13 @@ void SpatialJoinEngine::MarkEntriesBlock(const RectColumns& block,
 
 void SpatialJoinEngine::SlotPairs::Build(std::span<const EntryPair> pairs,
                                          size_t slots, bool by_first) {
-  const auto key = [by_first](const EntryPair& p) {
-    return by_first ? p.first : p.second;
-  };
-  begin.assign(slots + 1, 0);
-  for (const EntryPair& p : pairs) ++begin[key(p) + 1];
+  CountingSort(
+      pairs, slots,
+      [by_first](const EntryPair& p) { return by_first ? p.first : p.second; },
+      [](const EntryPair&, uint32_t position) { return position; }, &begin,
+      &order);
   left.resize(slots);
-  for (size_t k = 0; k < slots; ++k) {
-    left[k] = begin[k + 1];
-    begin[k + 1] += begin[k];
-  }
-  order.resize(pairs.size());
-  for (uint32_t k = 0; k < pairs.size(); ++k) {
-    order[begin[key(pairs[k])]++] = k;
-  }
-  // The scatter moved each slot's offset to the next slot's: shift back.
-  for (size_t k = slots; k > 0; --k) begin[k] = begin[k - 1];
-  begin[0] = 0;
+  for (size_t k = 0; k < slots; ++k) left[k] = begin[k + 1] - begin[k];
 }
 
 void SpatialJoinEngine::QualifyingPairs(const VisitedNode& first,
@@ -380,13 +373,14 @@ void SpatialJoinEngine::WindowPhase(NodeAccessor* deep,
       const bool sweep = UsesPlaneSweep(options_.algorithm);
       const auto by_slot = [](const EntryPair& p) { return p.second; };
       const auto by_subtree = [](const EntryPair& p) { return p.first; };
+      const auto pair = [](const EntryPair& p, uint32_t) { return p; };
       std::span<const EntryPair> grouped(pairs);
       if (sweep) {
-        CountingSort(grouped, leaf_entries.size, by_slot, &slot.begin,
+        CountingSort(grouped, leaf_entries.size, by_slot, pair, &slot.begin,
                      &slot.by_leaf);
         grouped = slot.by_leaf;
       }
-      CountingSort(grouped, dir_entries.size, by_subtree, &slot.begin,
+      CountingSort(grouped, dir_entries.size, by_subtree, pair, &slot.begin,
                    &slot.batches);
       slot.done.assign(dir_entries.size, false);
       for (const EntryPair& p : pairs) {

@@ -117,8 +117,9 @@ TEST_F(CsvIoTest, LongRowRoundTrips) {
     o.id = id;
     const size_t vertices = id == 1 ? 1000 : 2;
     for (size_t v = 0; v < vertices; ++v) {
-      o.chain.push_back(Point{0.123456789f + 0.000731f * static_cast<float>(v),
-                              0.987654321f - 0.000517f * static_cast<float>(v)});
+      const float step = static_cast<float>(v);
+      o.chain.push_back(Point{0.123456789f + 0.000731f * step,
+                              0.987654321f - 0.000517f * step});
     }
     o.mbr = PolylineMbr(o.chain);
     original.objects.push_back(o);
